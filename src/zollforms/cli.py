@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import __version__
 from .expansion import constants_report
@@ -131,11 +132,17 @@ def _digest(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+@lru_cache(maxsize=1)
+def _constants_digest():
+    """Digest of the constants table, which no config changes: once per process."""
+    return _digest(constants_report())
+
+
 def _header(cfg):
     return {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
-        "constants_digest": _digest(constants_report()),
+        "constants_digest": _constants_digest(),
         "config": cfg.echo(),
     }
 
@@ -147,7 +154,11 @@ def _init_fields(ic):
 
 
 def build_report(cfg, mode):
-    """Run `verify` or `invariants` over the geodesic sample; returns (report, exit_code)."""
+    """Run `verify` or `invariants` over the geodesic sample; returns (report, exit_code).
+
+    A geodesic that fails is recorded and the run goes on; the exit code is
+    EXIT_NUMERICAL_FAILURE if any geodesic hit an integration failure.
+    """
     records = []
     failures = []
     for name, ic in _initial_conditions(cfg):
@@ -175,12 +186,12 @@ def build_report(cfg, mode):
         except IntegrationError as exc:
             record["integration_failure"] = str(exc)
             failures.append((name, "integration", float("nan")))
-            records.append(record)
-            report = _assemble_report(cfg, mode, records, failures)
-            return report, EXIT_NUMERICAL_FAILURE
         records.append(record)
-    report = _assemble_report(cfg, mode, records, failures)
-    return report, (EXIT_CHECK_FAILURE if failures else EXIT_PASS)
+    if any(check == "integration" for _, check, _ in failures):
+        code = EXIT_NUMERICAL_FAILURE
+    else:
+        code = EXIT_CHECK_FAILURE if failures else EXIT_PASS
+    return _assemble_report(cfg, mode, records, failures), code
 
 
 CHECK_PRIORITY = ["check_cube", "check_tau_s", "check_quartic", "check_4id_im",

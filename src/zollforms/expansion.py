@@ -20,6 +20,7 @@ Y(0) = 1, Y'(0) = i used by every downstream integral formula.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .weyl import PolySymbol, star_product, transvectant, transvectant_constant
 
@@ -31,6 +32,7 @@ __all__ = [
     "fermi_metric_jets",
     "half_density_laplacian",
     "grade_expansion",
+    "graded_laplacian",
     "graded_symbols",
     "constants_report",
     "JET_NAMES",
@@ -560,6 +562,15 @@ def grade_expansion(op):
     return {w: t for w, t in graded.items() if t.terms}
 
 
+@lru_cache(maxsize=1)
+def graded_laplacian():
+    """grade_expansion(half_density_laplacian()), derived once per process.
+
+    Every caller shares the one dict; treat it as read-only.
+    """
+    return grade_expansion(half_density_laplacian())
+
+
 def graded_symbols(graded_term):
     """(y, D_y)-part of a graded operator as Weyl symbols per D_s power.
 
@@ -681,7 +692,7 @@ def derive_normal_form_integrands():
     the period; they are split out, not silently dropped, and their
     vanishing is exercised numerically by the identity suite.
     """
-    graded = grade_expansion(half_density_laplacian())
+    graded = graded_laplacian()
     c_s, h_osc = formal_oscillator(graded)
     l0 = graded[Fraction(0)]
     for (b, c) in l0.terms:
@@ -752,8 +763,7 @@ def commutator_diagonal_constants():
 def constants_report():
     """Machine-derived table of every universal constant in the construction."""
     J, g00 = fermi_metric_jets(SERIES_TRUNC)
-    P = half_density_laplacian((J, g00))
-    graded = grade_expansion(P)
+    graded = graded_laplacian()
 
     def jc(series, k):
         return series.coeffs[k] if k <= series.trunc else JP()
@@ -856,7 +866,7 @@ def constants_report():
             "e2_zero": repr(y4["e"]),
             "d0_zero": repr(y0["d"]),
             "C4_zero": op_entry(l0, (1, 0), 1).pretty(),
-            "round_sphere_c2": repr(round_sphere_c2()),
+            "round_sphere_c2": repr(_round_sphere_mean(yints["z4"])),
         },
         "residual_weights": residual,
     }

@@ -17,6 +17,7 @@ __all__ = [
 ]
 
 MEAN_ZERO_TOL = 1e-10  # residual means below this are zeroed in antiderivatives
+INTERP_TOL = 1e-15     # relative magnitude below which interpolant modes are dropped
 
 
 def _check_grid(n):
@@ -35,17 +36,15 @@ def _wavenumbers(n):
     return k
 
 
-def spectral_derivative(values, order=1):
-    """d^order/ds^order of a periodic sampled function."""
+def spectral_derivative(values):
+    """d/ds of a periodic sampled function."""
     values = np.asarray(values)
     n = values.shape[-1]
     _check_grid(n)
     k = _wavenumbers(n)
-    if order % 2 == 1:
-        # the unpaired Nyquist mode differentiates to an odd, aliased term
-        k = k.copy()
-        k[n // 2] = 0.0
-    coeffs = np.fft.fft(values) * (1j * k) ** order
+    # the unpaired Nyquist mode differentiates to an odd, aliased term
+    k[n // 2] = 0.0
+    coeffs = np.fft.fft(values) * (1j * k)
     out = np.fft.ifft(coeffs)
     if np.isrealobj(values):
         return out.real
@@ -57,12 +56,12 @@ def periodic_mean(values):
     return np.mean(np.asarray(values), axis=-1)
 
 
-def spectral_antiderivative(values, zero_mean_tol=MEAN_ZERO_TOL):
+def spectral_antiderivative(values):
     """Cumulative integral F(s) = int_0^s f, F(0) = 0.
 
     The mean-zero part is integrated exactly in Fourier space; a residual
     mean m contributes the explicit linear ramp m*s.  Means with |m| below
-    `zero_mean_tol` are zeroed, keeping F periodic for numerically
+    MEAN_ZERO_TOL are zeroed, keeping F periodic for numerically
     mean-free input.
     """
     values = np.asarray(values)
@@ -70,7 +69,7 @@ def spectral_antiderivative(values, zero_mean_tol=MEAN_ZERO_TOL):
     _check_grid(n)
     coeffs = np.fft.fft(values)
     mean = coeffs[..., 0] / n
-    mean = np.where(np.abs(mean) < zero_mean_tol, 0.0, mean)
+    mean = np.where(np.abs(mean) < MEAN_ZERO_TOL, 0.0, mean)
     k = _wavenumbers(n)
     ik = 1j * k
     ik[0] = 1.0  # dummy, zero mode handled by the ramp
@@ -91,12 +90,12 @@ def spectral_antiderivative(values, zero_mean_tol=MEAN_ZERO_TOL):
 class TrigInterpolant:
     """Evaluates the trigonometric interpolant of periodic samples anywhere.
 
-    Modes with relative magnitude below `tol` are discarded, so evaluation
+    Modes with relative magnitude below INTERP_TOL are discarded, so evaluation
     cost scales with the number of significant harmonics rather than the
     grid size.  Used to drive ODE solves with sampled coefficients.
     """
 
-    def __init__(self, values, tol=1e-15):
+    def __init__(self, values):
         self._real = np.isrealobj(np.asarray(values))
         values = np.asarray(values, dtype=complex)
         n = values.shape[-1]
@@ -104,7 +103,7 @@ class TrigInterpolant:
         coeffs = np.fft.fft(values) / n
         k = _wavenumbers(n)
         scale = np.max(np.abs(coeffs)) or 1.0
-        keep = np.abs(coeffs) > tol * scale
+        keep = np.abs(coeffs) > INTERP_TOL * scale
         keep[0] = True
         self._k = k[keep]
         self._c = coeffs[keep]

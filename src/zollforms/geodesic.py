@@ -12,20 +12,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import surface as _surface
-from .fourier import grid, spectral_derivative
+from .fourier import grid
 from .surface import IntegrationError, MetricModel, SurfacePoint
 
 __all__ = [
     "GeodesicPath",
     "trace_geodesic",
-    "closure_defect",
-    "tangential_derivative",
     "sample_initial_conditions",
     "canonical_initial_conditions",
 ]
 
 CLOSURE_TOL = 1e-4
 MIN_GRID = 256
+MIN_CLAIRAUT = 0.12       # sampled starts keep |Clairaut constant| above this
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ def trace_geodesic(metric, init, n=2048, enforce_closure=True):
     defect = _surface.state_distance(metric, p0.to_north(),
                                      _surface.tangent_to_north(p0, v0),
                                      end_point, end_tan)
-    if enforce_closure and defect > CLOSURE_TOL:
+    if enforce_closure and not defect <= CLOSURE_TOL:
         raise IntegrationError(
             f"closure defect {defect:.3e} > {CLOSURE_TOL}: metric not Zoll at "
             "this tolerance or integration too coarse")
@@ -125,19 +124,6 @@ def trace_geodesic(metric, init, n=2048, enforce_closure=True):
     )
 
 
-def closure_defect(path):
-    """Recorded phase-space gap between the states at s = 0 and s = 2*pi."""
-    return path.closure_defect
-
-
-def tangential_derivative(path, values):
-    """Spectral d/ds of a function sampled on the path grid."""
-    values = np.asarray(values)
-    if values.shape[-1] != path.n:
-        raise ValueError("samples do not live on the path grid")
-    return spectral_derivative(values)
-
-
 def canonical_initial_conditions():
     """The fixed canonical starts: equator and a meridian."""
     equator = (SurfacePoint.north(math.pi / 2, 0.0), (0.0, 1.0))
@@ -145,11 +131,11 @@ def canonical_initial_conditions():
     return [("equator", equator), ("meridian", meridian)]
 
 
-def sample_initial_conditions(count, seed=0, min_clairaut=0.12):
+def sample_initial_conditions(count, seed=0):
     """Reproducible random initial conditions, poles kept at bay.
 
     Rejection-samples (r0, phi0, theta0) so that the Clairaut constant
-    |sin r0 sin theta0| stays above `min_clairaut`, keeping the orbit away
+    |sin r0 sin theta0| stays above MIN_CLAIRAUT, keeping the orbit away
     from the polar coordinate degeneracy (meridians are covered by the
     canonical starts).
     """
@@ -159,7 +145,7 @@ def sample_initial_conditions(count, seed=0, min_clairaut=0.12):
         r0 = rng.uniform(0.35 * math.pi, 0.65 * math.pi)
         phi0 = rng.uniform(0.0, 2.0 * math.pi)
         theta0 = rng.uniform(0.0, 2.0 * math.pi)
-        if abs(math.sin(r0) * math.sin(theta0)) < min_clairaut:
+        if abs(math.sin(r0) * math.sin(theta0)) < MIN_CLAIRAUT:
             continue
         point = SurfacePoint.north(r0, phi0)
         tangent = (math.cos(theta0), math.sin(theta0))

@@ -144,11 +144,6 @@ def check_commutator_reduction(path, frame, variation=None):
     return res, res_im
 
 
-def double_integral(path, outer, inner):
-    """(1/2pi) int_0^2pi outer(s) [int_0^s inner(t) dt] ds on the path grid."""
-    return periodic_mean(np.asarray(outer) * spectral_antiderivative(np.asarray(inner)))
-
-
 def check_commutator_special_case(path, frame, variation=None):
     """The (m, n) = (2, 1) term written through the variation field, verbatim.
 
@@ -158,8 +153,9 @@ def check_commutator_special_case(path, frame, variation=None):
     """
     Y = frame.Y
     vf = variation if variation is not None else variation_field(frame)
-    lhs = double_integral(path, path.tau_nu * np.conj(Y) ** 2 * Y,
-                          path.tau_nu * np.conj(Y) * Y ** 2).imag
+    # ordered double integral (1/2pi) int outer(s) int_0^s inner(t) dt ds
+    lhs = periodic_mean(path.tau_nu * np.conj(Y) ** 2 * Y
+                        * spectral_antiderivative(path.tau_nu * np.conj(Y) * Y ** 2)).imag
     boundary = vf.dy_nu * np.conj(Y) - vf.y_nu * np.conj(frame.dY)
     rhs = -periodic_mean(path.tau_nu * np.conj(Y) ** 2 * Y * boundary).imag
     scale = float(_integral(np.abs(path.tau_nu * np.conj(Y) ** 2 * Y)) ** 2 + abs(lhs) + abs(rhs))
@@ -167,16 +163,19 @@ def check_commutator_special_case(path, frame, variation=None):
                        raw=float(abs(lhs - rhs)), scale=max(scale, float(abs(lhs) + abs(rhs))))
 
 
-def run_all_checks(path, frame, variation=None):
+def run_all_checks(path, frame):
     """All identity checks on one traced geodesic, in reporting order.
 
-    check_cube reports the worst of the four (y, y2) solution pairs.
+    check_cube reports the worst of the four (y, y2) solution pairs.  The
+    diagonal variation field is solved once and shared by the two
+    commutator checks.
     """
     solutions = (frame.y1, frame.y2)
     cube = max((check_cube(path, frame, y, y2) for y in solutions for y2 in solutions),
                key=lambda r: r.normalized)
     checks = [cube, check_tau_s(path, frame), check_quartic(path, frame)]
     checks.extend(check_4id(path, frame))
+    variation = variation_field(frame)
     red, red_im = check_commutator_reduction(path, frame, variation)
     checks.extend([red, red_im, check_commutator_special_case(path, frame, variation)])
     return checks

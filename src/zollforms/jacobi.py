@@ -23,7 +23,6 @@ __all__ = [
     "VariationField",
     "solve_fundamental",
     "floquet_exponents",
-    "quasi_frequency",
     "variation_field",
 ]
 
@@ -93,7 +92,7 @@ def solve_fundamental(path):
         poincare=poincare,
         wronskian_drift=float(np.max(np.abs(y2[:-1] * dy1[:-1] - y1[:-1] * dy2[:-1] - 1.0))),
     )
-    if frame.wronskian_drift > WRONSKIAN_TOL:
+    if not frame.wronskian_drift <= WRONSKIAN_TOL:
         raise IntegrationError(
             f"Wronskian drift {frame.wronskian_drift:.3e} > {WRONSKIAN_TOL}; "
             "integration tolerance insufficient")
@@ -112,13 +111,6 @@ def floquet_exponents(frame_or_matrix):
         raise ValueError(f"Poincare eigenvalues {eigs} leave the unit circle: not elliptic")
     half_trace = float(np.trace(P).real) / 2.0
     return float(math.acos(min(1.0, max(-1.0, half_trace))))
-
-
-def quasi_frequency(k, q, alpha):
-    """r_kq = k + 1/2 + (q + 1/2) alpha / (2 pi); reduces to k + 1/2 at alpha = 0."""
-    if k < 0 or q < 0:
-        raise ValueError("k and q must be nonnegative integers")
-    return k + 0.5 + (q + 0.5) * alpha / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -144,32 +136,28 @@ class VariationField:
         wavenumber.  Meaningful when the field is periodic (Zoll inputs
         with ic (0, 0)).
         """
-        second = spectral_derivative(self.dy_nu, order=1)
+        second = spectral_derivative(self.dy_nu)
         return second + self.tau_nu * self.direction * self.y + self.tau * self.y_nu
 
 
-def variation_field(frame, tau_nu=None, y=None, ic=(0.0, 0.0), direction=None):
-    """Variation of a Jacobi solution under a normal deformation of the geodesic.
+def variation_field(frame, tau_nu=None, direction=None):
+    """Variation of the complex frame Y under a normal deformation of the geodesic.
 
-    Solves y_nu'' = -tau y_nu - tau_nu v(s) y(s) with the given initial
-    data, where v = `direction` is the Jacobi field generating the
+    Solves y_nu'' = -tau y_nu - tau_nu v(s) y(s) with y = Y and initial
+    data (0, 0), the variation of the canonical family with frozen initial
+    conditions; v = `direction` is the Jacobi field generating the
     deformation.  By default v = y, the diagonal form
-    y_nu'' + tau_nu y^2 + tau y_nu = 0; ic = (0, 0) is the variation of the
-    canonical family with frozen initial conditions.  The deformation is
+    y_nu'' + tau_nu y^2 + tau y_nu = 0.  The deformation is
     geometric (a family of nearby geodesics) only for real v: the
     Wronskian-variation identity Im(y_nu Ybar' - y_nu' Ybar) = 0 holds for
     real directions, e.g. v = y2 for the family displaced along the unit
     normal at the base point.
     """
     path = frame.path
-    if tau_nu is None:
-        tau_nu = path.tau_nu
-    if y is None:
-        y = frame.Y
-    tau_nu = np.asarray(tau_nu)
-    y = np.asarray(y)
+    tau_nu = np.asarray(path.tau_nu if tau_nu is None else tau_nu)
+    y = frame.Y
     direction = y if direction is None else np.asarray(direction)
-    if tau_nu.shape != path.s.shape or y.shape != path.s.shape:
+    if tau_nu.shape != path.s.shape:
         raise ValueError("samples do not live on the path grid")
     tau_i = TrigInterpolant(path.tau)
     force_i = TrigInterpolant(tau_nu * direction * y)
@@ -177,9 +165,8 @@ def variation_field(frame, tau_nu=None, y=None, ic=(0.0, 0.0), direction=None):
     def rhs(s, state):
         return (state[1], -tau_i(s) * state[0] - force_i(s))
 
-    y0 = np.array([ic[0], ic[1]], dtype=complex)
-    sol = solve_ivp(rhs, (0.0, 2.0 * math.pi), y0, method="DOP853",
-                    t_eval=path.s, rtol=ODE_TOL, atol=ODE_TOL)
+    sol = solve_ivp(rhs, (0.0, 2.0 * math.pi), np.zeros(2, dtype=complex),
+                    method="DOP853", t_eval=path.s, rtol=ODE_TOL, atol=ODE_TOL)
     if not sol.success:
         raise IntegrationError(sol.message)
     return VariationField(y_nu=sol.y[0], dy_nu=sol.y[1],

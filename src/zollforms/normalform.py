@@ -164,13 +164,13 @@ def _prune(op):
 
 @lru_cache(maxsize=1)
 def _graded_formal():
-    graded = _exp.grade_expansion(_exp.half_density_laplacian())
+    graded = _exp.graded_laplacian()
     return {w: _exp.graded_symbols(op) for w, op in graded.items() if w <= 0}
 
 
-def _instantiate(path, jets=None):
+def _instantiate(path):
     """Graded operator family with jet values substituted on the path grid."""
-    values = path.jets() if jets is None else jets
+    values = path.jets()
     n = path.n
     out = {}
     for w, syms in _graded_formal().items():
@@ -214,67 +214,62 @@ def _oscillator(graded_num, frame):
     return c_s, osc.scale(1.0 / c_s)
 
 
-def d_half(frame, tau_nu=None):
+def d_half(frame):
     """Substituted odd term D_(1/2)(s, z, zbar): the cubic obstruction symbol.
 
     Equals (coefficient from the graded expansion) * tau_nu(s) *
     ((Ybar z + Y zbar)/2)^3; entries carry the exact binomial structure.
+    The engine builds the same symbol inside `conjugated_order_zero`; this
+    standalone form is the reference for tests and the closed-form route.
     """
     path = frame.path
     syms = _graded_formal()[Fraction(-1, 2)]
     if set(syms) != {0}:
         raise AssertionError("odd term should carry no D_s")
     values = path.jets()
-    if tau_nu is not None:
-        values = dict(values)
-        values["tau_nu"] = np.asarray(tau_nu)
     base = PolySymbol({k: _to_field(jp.substitute(values), path.n)
                        for k, jp in syms[0].coeffs.items()})
     return metaplectic_substitute(base, frame)
 
 
-def solve_first_homological(d, c_s=2.0, mean_tol=MEAN_TOL):
+def solve_first_homological(d, c_s=2.0):
     """Q(s) with the conjugation removing the odd term: dQ/ds = -d/c_s, Q(0) = 0.
 
     Solvable on the period only when every entry of d has vanishing mean
-    (the Zoll first obstruction); a mean above `mean_tol` raises
-    FirstObstructionError with the offending entry.
+    (the Zoll first obstruction); a mean above MEAN_TOL, or a NaN mean,
+    raises FirstObstructionError with the offending entry.  Returns
+    (Q, largest |mean|), the latter being the first obstruction of d.
     """
     means = {k: complex(periodic_mean(v)) for k, v in d.coeffs.items()}
     for k, m in sorted(means.items(), key=lambda kv: -abs(kv[1])):
-        if abs(m) > mean_tol:
+        if not abs(m) <= MEAN_TOL:
             raise FirstObstructionError(k, m)
-    return d.map_coeffs(lambda v: spectral_antiderivative(v) * (-1.0 / c_s))
+    q = d.map_coeffs(lambda v: spectral_antiderivative(v) * (-1.0 / c_s))
+    return q, max((abs(m) for m in means.values()), default=0.0)
 
 
-def commutator_double_integral(d, prefactor=None):
+def commutator_double_integral(d):
     """s-average of the ordered commutator double integral, as a scalar symbol.
 
     Computes pref * (1/2pi) int [d(s), int_0^s d(t) dt] ds with the star
-    commutator; `prefactor` defaults to the engine-verified -i/4 so the
-    result is exactly the correction the order-zero term acquires from the
-    first conjugation.
+    commutator and the engine-verified prefactor -i/4, so the result is
+    exactly the correction the order-zero term acquires from the first
+    conjugation.
     """
-    if prefactor is None:
-        prefactor = complex(_exp.COMMUTATOR_PREFACTOR)
     cum = d.map_coeffs(spectral_antiderivative)
     comm = star_commutator(d, cum)
-    return field_mean(comm).scale(prefactor)
+    return field_mean(comm).scale(complex(_exp.COMMUTATOR_PREFACTOR))
 
 
-def d_zero_restricted(frame, jets=None, graded_num=None):
+def d_zero_restricted(frame):
     """Explicit D_s-free part of the frame-conjugated order-zero term.
 
     The closed-form route: with h the substituted oscillator and a_k the
     substituted order-zero symbols per D_s power,
         D_0|0 = a_0 - a_1 # h + a_2 # (h#h + i d_s h).
-    Kept as the independent cross-check of the generic engine.  `jets`
-    optionally overrides the sampled curvature jets (a dict with keys
-    tau, tau_s, tau_nu, tau_nunu).
+    Kept as the independent cross-check of the generic engine.
     """
-    path = frame.path
-    if graded_num is None:
-        graded_num = _instantiate(path, jets)
+    graded_num = _instantiate(frame.path)
     _, h = _oscillator(graded_num, frame)
     l0 = graded_num[Fraction(0)]
     out = PolySymbol()
@@ -292,13 +287,14 @@ def d_zero_restricted(frame, jets=None, graded_num=None):
     return out
 
 
-def conjugated_order_zero(path, frame, mean_tol=MEAN_TOL):
+def conjugated_order_zero(path, frame):
     """Order-zero, D_s-free symbol after both conjugations (the engine route).
 
     Substitutes the metaplectic frame into every graded term, replaces
     D_s by D_s - Op(h), then applies the ad-series of exp(i h^(1/2) Q̂)
     with Q from the first homological equation.  Returns (symbol field,
-    diagnostics dict).
+    diagnostics dict); the diagnostics include `first_obstruction_max`,
+    the largest |mean| of the odd term the first conjugation removes.
     """
     graded_num = _instantiate(path)
     c_s, h = _oscillator(graded_num, frame)
@@ -310,7 +306,7 @@ def conjugated_order_zero(path, frame, mean_tol=MEAN_TOL):
     diag = {"frame_cancellation": SOperator({0: conj[Fraction(-1)].ds_part(0)}).max_abs()}
 
     d = conj[Fraction(-1, 2)].ds_part(0)
-    q = solve_first_homological(d, c_s=c_s, mean_tol=mean_tol)
+    q, diag["first_obstruction_max"] = solve_first_homological(d, c_s=c_s)
     q_op = SOperator.symbol(q)
 
     result = {}
@@ -393,14 +389,7 @@ def compute_H(path, frame):
     return float(h_a), float(h_b)
 
 
-def first_obstruction_means(frame):
-    """Means of the cubic obstruction symbol entries (the first obstruction)."""
-    d = d_half(frame)
-    return {k: complex(periodic_mean(v)) for k, v in d.coeffs.items()}
-
-
-def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", mean_tol=MEAN_TOL,
-                path=None, frame=None):
+def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", path=None, frame=None):
     """Full pipeline on one geodesic: trace, frame, conjugations, extraction.
 
     Returns the InvariantRecord with the diagonal invariant (c2 |z|^4 +
@@ -411,13 +400,12 @@ def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", mean_tol=MEAN_TOL,
         path = trace_geodesic(metric, init, n)
     if frame is None:
         frame = solve_fundamental(path)
-    sym, diag = conjugated_order_zero(path, frame, mean_tol=mean_tol)
+    sym, diag = conjugated_order_zero(path, frame)
     means = field_mean(sym)
     diag_coeffs, residue = diagonal_part(means)
     diag_coeffs = (diag_coeffs + [0.0] * 3)[:3]
     offdiag = {k: v / 2.0 for k, v in residue.coeffs.items()
                if k[0] + k[1] <= OFFDIAG_DEGREE}
-    obstruction = max(abs(v) for v in first_obstruction_means(frame).values())
     h_a, h_b = compute_H(path, frame)
     c0, c01, c2 = (complex(c) / 2.0 for c in diag_coeffs)
     return InvariantRecord(
@@ -427,6 +415,6 @@ def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", mean_tol=MEAN_TOL,
         offdiag=offdiag,
         H_a=h_a, H_b=h_b,
         closure_defect=path.closure_defect,
-        first_obstruction_max=obstruction,
+        first_obstruction_max=diag["first_obstruction_max"],
         diagnostics=diag,
     )

@@ -73,7 +73,7 @@ class MetricModel:
         if self.kind == "round" and (self.h_odd_coeffs or self.h_even_coeffs):
             raise ValueError("round metric takes no profile coefficients")
         x = np.linspace(-1.0, 1.0, ADMISSIBILITY_SAMPLES)
-        if np.max(np.abs(self._h_poly()(x))) >= 1.0:
+        if not np.max(np.abs(self._h_poly()(x))) < 1.0:
             raise ValueError("inadmissible profile: |h| must stay below 1 on [-1, 1]")
 
     @classmethod
@@ -311,7 +311,7 @@ def tau_nunu_stencil(metric, p, tangent, points=5, fd_step=1e-3):
 # Geodesic flow
 # ---------------------------------------------------------------------------
 
-def clairaut_constant(metric, r, v2):
+def clairaut_constant(r, v2):
     """c = g(v, d_phi) = v2 sin r, conserved along geodesics."""
     return math.sin(r) * v2
 
@@ -353,7 +353,7 @@ def _fold_meridian(rho, phi0, direction):
     return r, phi, v1, v2
 
 
-def flow(metric, p, v, t_eval, rtol=ODE_TOL, atol=ODE_TOL):
+def flow(metric, p, v, t_eval):
     """Geodesic flow from (p, v), sampled at arclengths `t_eval`.
 
     Returns arrays (r, phi, v1, v2) in the north chart.  Meridians
@@ -365,11 +365,11 @@ def flow(metric, p, v, t_eval, rtol=ODE_TOL, atol=ODE_TOL):
     r0, phi0, v = _as_north(p, v)
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
     t_end = float(t_eval[-1])
-    c = clairaut_constant(metric, r0, v[1])
+    c = clairaut_constant(r0, v[1])
     if abs(c) < MERIDIAN_TOL:
         direction = 1.0 if v[0] >= 0 else -1.0
         sol = solve_ivp(_meridian_rhs(metric), (0.0, t_end), [direction * r0],
-                        method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol,
+                        method="DOP853", t_eval=t_eval, rtol=ODE_TOL, atol=ODE_TOL,
                         dense_output=False)
         if not sol.success:
             raise IntegrationError(sol.message, arclength_reached=float(sol.t[-1]) if len(sol.t) else 0.0)
@@ -379,7 +379,7 @@ def flow(metric, p, v, t_eval, rtol=ODE_TOL, atol=ODE_TOL):
         return r, phi, v1, v2
     sol = solve_ivp(_flow_rhs(metric, c), (0.0, t_end),
                     [r0, phi0, (1.0 + float(metric.profile(math.cos(r0)))) * v[0]],
-                    method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol)
+                    method="DOP853", t_eval=t_eval, rtol=ODE_TOL, atol=ODE_TOL)
     if not sol.success:
         raise IntegrationError(sol.message, arclength_reached=float(sol.t[-1]) if len(sol.t) else 0.0)
     r, phi, pr = sol.y
@@ -389,7 +389,7 @@ def flow(metric, p, v, t_eval, rtol=ODE_TOL, atol=ODE_TOL):
     return r, phi % (2.0 * math.pi), v1, v2
 
 
-def exp_map(metric, p, v, t, rtol=ODE_TOL, atol=ODE_TOL):
+def exp_map(metric, p, v, t):
     """Geodesic endpoint and transported unit tangent after arclength t."""
     v = tangent_to_north(p, v)
     norm = math.hypot(v[0], v[1])
@@ -398,9 +398,9 @@ def exp_map(metric, p, v, t, rtol=ODE_TOL, atol=ODE_TOL):
     if t == 0.0:
         return p.to_north(), v
     if t < 0.0:
-        q, w = exp_map(metric, p, -v, -t, rtol=rtol, atol=atol)
+        q, w = exp_map(metric, p, -v, -t)
         return q, -w
-    r, phi, v1, v2 = flow(metric, p, v, [t], rtol=rtol, atol=atol)
+    r, phi, v1, v2 = flow(metric, p, v, [t])
     return SurfacePoint.north(float(r[-1]), float(phi[-1])), np.array([float(v1[-1]), float(v2[-1])])
 
 

@@ -2,22 +2,29 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from zollforms import cli
 from zollforms.cli import (
     CSV_HEADER,
     EXIT_CHECK_FAILURE,
     EXIT_CONFIG_ERROR,
+    EXIT_NUMERICAL_FAILURE,
     EXIT_PASS,
     ConfigError,
     RunConfig,
+    _digest,
+    build_report,
     main,
     metric_from_spec,
     parse_metric_flag,
 )
+from zollforms.expansion import constants_report
+from zollforms.surface import IntegrationError
 
 
 class TestConfig:
@@ -104,6 +111,33 @@ class TestVerifyCommand:
     def test_config_error_exit_code(self, tmp_path):
         assert main(["verify", "--metric", "nonsense"]) == EXIT_CONFIG_ERROR
 
+    def test_nan_profile_is_a_config_error(self, capsys):
+        code = main(["invariants", "--metric", "zoll:nan", "--geodesics", "2",
+                     "--grid", "256"])
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error" in capsys.readouterr().err
+
+    def test_integration_failure_does_not_stop_the_run(self, monkeypatch):
+        real_trace = cli.trace_geodesic
+        calls = []
+
+        def trace(metric, ic, n, **kwargs):
+            calls.append(ic)
+            if len(calls) == 2:
+                raise IntegrationError("forced failure")
+            return real_trace(metric, ic, n, **kwargs)
+
+        monkeypatch.setattr(cli, "trace_geodesic", trace)
+        cfg = RunConfig.load(None, {"metric": {"kind": "round"}, "geodesics": 3,
+                                    "grid": 256})
+        report, code = build_report(cfg, "verify")
+        assert code == EXIT_NUMERICAL_FAILURE
+        assert [r["geodesic_id"] for r in report["geodesics"]] == [
+            "equator", "meridian", "random-000"]
+        assert "integration_failure" in report["geodesics"][1]
+        assert "checks" in report["geodesics"][2]
+        assert [f["check"] for f in report["summary"]["failures"]] == ["integration"]
+
 
 class TestInvariantsCommand:
     def test_round_run(self, tmp_path):
@@ -120,6 +154,18 @@ class TestInvariantsCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == CSV_HEADER
         assert len(rows) == 1 + 4
+
+    def test_report_digest_repeats(self):
+        cfg = RunConfig.load(None, {"metric": parse_metric_flag("zoll:-0.3,0.3"),
+                                    "geodesics": 2, "grid": 256})
+        first, _ = build_report(cfg, "invariants")
+        second, _ = build_report(cfg, "invariants")
+        assert first["digest"] == second["digest"]
+
+    def test_header_constants_digest(self):
+        cfg = RunConfig.load(None, {"geodesics": 1, "grid": 256})
+        report, _ = build_report(cfg, "invariants")
+        assert report["header"]["constants_digest"] == _digest(constants_report())
 
     def test_determinism(self, tmp_path):
         outs = []
@@ -141,7 +187,11 @@ class TestInvariantsCommand:
 
 class TestEntryPoint:
     def test_console_script(self):
+        # the child imports the same package as this process, installed or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run([sys.executable, "-m", "zollforms.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "constants" in proc.stdout

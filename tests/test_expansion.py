@@ -20,6 +20,7 @@ from zollforms.expansion import (
     derive_normal_form_integrands,
     fermi_metric_jets,
     grade_expansion,
+    graded_laplacian,
     graded_symbols,
     half_density_laplacian,
     round_sphere_c2,
@@ -207,6 +208,13 @@ class TestDerivedConstants:
 
     def test_round_sphere_linear_relation(self):
         assert round_sphere_c2() == QQi(0)
+
+    def test_report_round_sphere_entry_matches_standalone(self):
+        report = constants_report()
+        assert report["assertions"]["round_sphere_c2"] == repr(round_sphere_c2())
+
+    def test_shared_graded_expansion_matches_fresh_derivation(self):
+        assert graded_laplacian() == grade_expansion(half_density_laplacian())
 
     def test_round_sphere_constant_term(self):
         parts = derive_normal_form_integrands()

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from zollforms.fourier import periodic_mean, spectral_antiderivative, spectral_derivative
-from zollforms.geodesic import (
-    closure_defect,
-    sample_initial_conditions,
-    tangential_derivative,
-    trace_geodesic,
-)
+from zollforms.geodesic import sample_initial_conditions, trace_geodesic
 from zollforms.surface import IntegrationError
 
 
@@ -52,7 +47,7 @@ class TestTracing:
             trace_geodesic(nonzoll_metric, generic_ic, 512)
 
     def test_non_zoll_defect_magnitude(self, nonzoll_path):
-        assert closure_defect(nonzoll_path) > 1e-2
+        assert nonzoll_path.closure_defect > 1e-2
 
     def test_grid_validation(self, round_metric, equator_ic):
         with pytest.raises(ValueError):
@@ -68,24 +63,20 @@ class TestTracing:
 
 class TestSpectralDerivative:
     def test_constant(self, round_path):
-        der = tangential_derivative(round_path, np.full(round_path.n, 2.5))
+        der = spectral_derivative(np.full(round_path.n, 2.5))
         assert np.max(np.abs(der)) < 1e-12
 
     def test_sine(self, round_path):
-        der = tangential_derivative(round_path, np.sin(round_path.s))
+        der = spectral_derivative(np.sin(round_path.s))
         assert np.max(np.abs(der - np.cos(round_path.s))) < 1e-10
 
     def test_tau_s_two_routes(self, cubic_path):
-        der = tangential_derivative(cubic_path, cubic_path.tau)
+        der = spectral_derivative(cubic_path.tau)
         assert np.max(np.abs(der - cubic_path.tau_s)) < 1e-7
 
     def test_derivative_mean_vanishes(self, cubic_path):
-        der = tangential_derivative(cubic_path, cubic_path.tau_nu)
+        der = spectral_derivative(cubic_path.tau_nu)
         assert abs(periodic_mean(der)) < 1e-12
-
-    def test_grid_mismatch_rejected(self, cubic_path):
-        with pytest.raises(ValueError):
-            tangential_derivative(cubic_path, np.ones(cubic_path.n // 2))
 
     def test_antiderivative_closed_form(self):
         n = 512

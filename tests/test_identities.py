@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from zollforms import identities
 from zollforms.fourier import periodic_mean
 from zollforms.geodesic import trace_geodesic
 from zollforms.identities import (
@@ -142,6 +143,19 @@ class TestSpectralRate:
 
 
 class TestRunAll:
+    def test_variation_field_solved_twice(self, monkeypatch, cubic_path, cubic_frame):
+        """One diagonal field shared by both commutator checks, plus the
+        real-direction field of the Im identity."""
+        calls = []
+
+        def counting(frame, *args, **kwargs):
+            calls.append(kwargs.get("direction") is None)
+            return variation_field(frame, *args, **kwargs)
+
+        monkeypatch.setattr(identities, "variation_field", counting)
+        run_all_checks(cubic_path, cubic_frame)
+        assert sorted(calls) == [False, True]
+
     def test_all_pass_on_zoll(self, cubic_path, cubic_frame):
         checks = run_all_checks(cubic_path, cubic_frame)
         assert checks[0].name == "check_cube"

@@ -10,7 +10,6 @@ from zollforms.geodesic import GeodesicPath, trace_geodesic
 from zollforms.jacobi import (
     JacobiFrame,
     floquet_exponents,
-    quasi_frequency,
     solve_fundamental,
     variation_field,
 )
@@ -82,13 +81,6 @@ class TestFloquet:
         # arccos turns a 1e-12 Poincare defect into a ~1e-6 exponent bound
         assert floquet_exponents(cubic_frame) < 1e-6
         assert floquet_exponents(linear_frame) < 1e-6
-
-    def test_quasi_frequency(self):
-        assert quasi_frequency(3, 7, 0.0) == 3.5
-        assert quasi_frequency(0, 0, 0.5) == 0.5 + 0.5 * 0.5 / (2 * math.pi)
-        assert abs(quasi_frequency(3, 2, 0.3) - (3.5 + 2.5 * 0.3 / (2 * math.pi))) < 1e-15
-        with pytest.raises(ValueError):
-            quasi_frequency(-1, 0, 0.0)
 
 
 class TestVariationField:

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from zollforms.expansion import COMMUTATOR_PREFACTOR
 from zollforms.fourier import periodic_mean
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic
 from zollforms.jacobi import solve_fundamental
@@ -138,23 +137,33 @@ class TestDHalf:
             worst = max(abs(complex(periodic_mean(v))) for v in d.coeffs.values())
             assert worst < 1e-7
 
+    def test_engine_obstruction_equals_d_half_means(self, cubic_frame, linear_frame):
+        """The engine reads the first obstruction off its own odd term; it is
+        the same number the standalone d_half route gives."""
+        for frame in (cubic_frame, linear_frame):
+            d = d_half(frame)
+            expected = max(abs(complex(periodic_mean(v))) for v in d.coeffs.values())
+            _, diag = conjugated_order_zero(frame.path, frame)
+            assert diag["first_obstruction_max"] == expected
+
 
 class TestFirstHomological:
     def test_zero_input(self, cubic_frame):
         n = cubic_frame.path.n
-        q = solve_first_homological(PolySymbol({(3, 0): np.zeros(n, dtype=complex)}))
+        q, worst = solve_first_homological(PolySymbol({(3, 0): np.zeros(n, dtype=complex)}))
+        assert worst == 0.0
         assert np.max(np.abs(q[(3, 0)])) == 0.0
 
     def test_single_mode_closed_form(self):
         n = 512
         s = 2.0 * math.pi * np.arange(n) / n
         d = PolySymbol({(2, 1): np.exp(1j * s)})
-        q = solve_first_homological(d, c_s=2.0)
+        q, _ = solve_first_homological(d, c_s=2.0)
         expected = -0.5 * (np.exp(1j * s) - 1.0) / 1j
         assert np.max(np.abs(q[(2, 1)] - expected)) < 1e-12
 
     def test_periodicity(self, cubic_frame):
-        q = solve_first_homological(d_half(cubic_frame))
+        q, _ = solve_first_homological(d_half(cubic_frame))
         for v in q.coeffs.values():
             # spectral antiderivative of numerically mean-free data is periodic
             assert abs(v[0]) < 1e-12
@@ -163,6 +172,13 @@ class TestFirstHomological:
         n = 256
         d = PolySymbol({(3, 0): np.full(n, 0.3 + 0j)})
         with pytest.raises(FirstObstructionError, match="3"):
+            solve_first_homological(d)
+
+    def test_nan_entry_is_an_obstruction(self):
+        n = 256
+        d = PolySymbol({(3, 0): np.zeros(n, dtype=complex),
+                        (2, 1): np.full(n, complex(math.nan, 0.0))})
+        with pytest.raises(FirstObstructionError):
             solve_first_homological(d)
 
 
@@ -216,8 +232,7 @@ class TestEngineAgainstExplicitRoute:
         engine, diag = conjugated_order_zero(cubic_path, cubic_frame)
         m_engine = field_mean(engine)
         explicit = field_mean(d_zero_restricted(cubic_frame)) \
-            + commutator_double_integral(d_half(cubic_frame),
-                                         prefactor=complex(COMMUTATOR_PREFACTOR))
+            + commutator_double_integral(d_half(cubic_frame))
         for k in set(m_engine.coeffs) | set(explicit.coeffs):
             assert abs(complex(m_engine[k]) - complex(explicit[k])) < 1e-12, k
         assert diag["frame_cancellation"] < 1e-12
