@@ -2,7 +2,8 @@
 
 A numpy/scipy library with an exact symbolic sub-engine.  The main entry
 points mirror the pipeline: build a metric (`surface`), trace closed
-geodesics (`geodesic`), solve the Jacobi machinery (`jacobi`), run the
+geodesics with their Jacobi frame (`geodesic`), read the Poincare,
+Floquet and variation data off that frame (`jacobi`), run the
 symbol calculus (`weyl`, `expansion`), assemble the degree-2 normal form
 invariant (`normalform`), and verify the universal integral identities
 (`identities`).  A small CLI (`zollforms`) drives deterministic reports.

@@ -129,7 +129,7 @@ def _initial_conditions(cfg):
 
 
 def _digest(obj):
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, allow_nan=False).encode()).hexdigest()
 
 
 @lru_cache(maxsize=1)
@@ -185,7 +185,7 @@ def build_report(cfg, mode):
             failures.append((name, "first_obstruction", abs(exc.value)))
         except IntegrationError as exc:
             record["integration_failure"] = str(exc)
-            failures.append((name, "integration", float("nan")))
+            failures.append((name, "integration", None))
         records.append(record)
     if any(check == "integration" for _, check, _ in failures):
         code = EXIT_NUMERICAL_FAILURE
@@ -228,13 +228,24 @@ def _assemble_report(cfg, mode, records, failures):
             summary["c2_max"] = max(abs(i["c2"]) for i in invs)
             summary["c01_max"] = max(abs(i["c01"]) for i in invs)
             summary["offdiag_max"] = max(i["offdiag_max"] for i in invs)
-    report = {"header": _header(cfg), "geodesics": records, "summary": summary}
+    report = _strict_json({"header": _header(cfg), "geodesics": records, "summary": summary})
     report["digest"] = _digest(report)
     return report
 
 
+def _strict_json(obj):
+    """obj with every NaN or infinite float replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_strict_json(v) for v in obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _write_report(report, out_path):
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -295,8 +306,9 @@ def cmd_verify(args):
         failures = report["summary"]["failures"]
         if failures:
             first = failures[0]
-            print(f"FAIL: geodesic {first['geodesic']} check {first['check']} "
-                  f"value {first['value']:.3e}", file=sys.stderr)
+            value = "" if first["value"] is None else f" value {first['value']:.3e}"
+            print(f"FAIL: geodesic {first['geodesic']} check {first['check']}{value}",
+                  file=sys.stderr)
     return code
 
 

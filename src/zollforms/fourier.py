@@ -3,7 +3,10 @@
 All sampled coefficient functions in this package live on the grid
 s_j = 2*pi*j/N with N a power of two.  Derivatives, antiderivatives and
 means are computed through the FFT, so they are exact for trigonometric
-polynomials and spectrally accurate for smooth periodic data.
+polynomials and spectrally accurate for smooth periodic data.  Nothing
+here evaluates between grid points: ODE solves take their coefficients
+in closed form (`surface.flow`), and forced linear equations along a
+geodesic are solved by quadrature (`jacobi.variation_field`).
 """
 
 import numpy as np
@@ -13,11 +16,9 @@ __all__ = [
     "spectral_derivative",
     "spectral_antiderivative",
     "periodic_mean",
-    "TrigInterpolant",
 ]
 
 MEAN_ZERO_TOL = 1e-10  # residual means below this are zeroed in antiderivatives
-INTERP_TOL = 1e-15     # relative magnitude below which interpolant modes are dropped
 
 
 def _check_grid(n):
@@ -85,33 +86,3 @@ def spectral_antiderivative(values):
     if np.isrealobj(values):
         return out.real
     return out
-
-
-class TrigInterpolant:
-    """Evaluates the trigonometric interpolant of periodic samples anywhere.
-
-    Modes with relative magnitude below INTERP_TOL are discarded, so evaluation
-    cost scales with the number of significant harmonics rather than the
-    grid size.  Used to drive ODE solves with sampled coefficients.
-    """
-
-    def __init__(self, values):
-        self._real = np.isrealobj(np.asarray(values))
-        values = np.asarray(values, dtype=complex)
-        n = values.shape[-1]
-        _check_grid(n)
-        coeffs = np.fft.fft(values) / n
-        k = _wavenumbers(n)
-        scale = np.max(np.abs(coeffs)) or 1.0
-        keep = np.abs(coeffs) > INTERP_TOL * scale
-        keep[0] = True
-        self._k = k[keep]
-        self._c = coeffs[keep]
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        phases = np.exp(1j * np.multiply.outer(s, self._k))
-        out = phases @ self._c
-        if self._real:
-            out = out.real
-        return out if out.shape else out[()]

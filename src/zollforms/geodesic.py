@@ -1,9 +1,12 @@
 """Closed-geodesic tracing and arclength-uniform sampling.
 
 A traced geodesic carries N = 2^k samples of position, unit tangent and
-normal frame, and the curvature jet (tau, tau_s, tau_nu, tau_nunu) at
-s_j = 2*pi*j/N.  The grid supports spectral differentiation and
-spectrally accurate periodic quadrature of products of the samples.
+normal frame, the curvature jet (tau, tau_s, tau_nu, tau_nunu) and the
+fundamental Jacobi solutions at s_j = 2*pi*j/N.  The Jacobi states come
+out of the same ODE solve as the geodesic (`surface.flow`), so a traced
+path already holds everything `jacobi.solve_fundamental` needs.  The grid
+supports spectral differentiation and spectrally accurate periodic
+quadrature of products of the samples.
 """
 
 import math
@@ -34,6 +37,9 @@ class GeodesicPath:
     Sample arrays have length n; index j is s_j = 2*pi*j/n.  `r`, `phi` are
     north-chart coordinates, `tangent` and `normal` are (n, 2) frame
     components, and tau/tau_s/tau_nu/tau_nunu are the curvature jets.
+    `jacobi` holds the (4, n) rows (y1, y1', y2, y2') of the fundamental
+    Jacobi solutions, (y1, y1') = (0, 1) and (y2, y2') = (1, 0) at s = 0,
+    and `jacobi_end` their state at s = 2*pi.
     """
 
     metric: MetricModel
@@ -48,6 +54,8 @@ class GeodesicPath:
     tau_s: np.ndarray
     tau_nu: np.ndarray
     tau_nunu: np.ndarray
+    jacobi: np.ndarray
+    jacobi_end: np.ndarray
     closure_defect: float
 
     def jets(self):
@@ -61,18 +69,37 @@ class GeodesicPath:
         """The same closed geodesic re-parametrized from s = 2*pi*j0/n.
 
         Rolls the periodic sample arrays; valid up to the closure defect.
+        The Jacobi frame is re-based by linear algebra: with Phi(s) the
+        fundamental matrix on states (y, y'), the new frame is
+        Phi(s_j0 + t) Phi(s_j0)^-1, and samples past 2*pi continue as
+        Phi(s) Phi(2*pi), since tau is 2*pi-periodic on a closed geodesic.
         """
         j0 = int(j0) % self.n
         roll = lambda a: np.roll(a, -j0, axis=0)
         init = (self.point(j0), tuple(self.tangent[j0]))
+        fund, fund_end = _fundamental(self.jacobi), _fundamental(self.jacobi_end)
+        base_inv = np.linalg.inv(fund[j0])
+        ahead = np.concatenate([fund[j0:], fund[:j0] @ fund_end]) @ base_inv
         return GeodesicPath(
             metric=self.metric, init=init, n=self.n, s=self.s,
             r=roll(self.r), phi=roll(self.phi),
             tangent=roll(self.tangent), normal=roll(self.normal),
             tau=roll(self.tau), tau_s=roll(self.tau_s),
             tau_nu=roll(self.tau_nu), tau_nunu=roll(self.tau_nunu),
+            jacobi=_jacobi_rows(ahead),
+            jacobi_end=_jacobi_rows(fund[j0] @ fund_end @ base_inv),
             closure_defect=self.closure_defect,
         )
+
+
+def _fundamental(jacobi):
+    """Rows (y1, y1', y2, y2') to the fundamental matrix [[y2, y1], [y2', y1']]."""
+    y1, dy1, y2, dy2 = jacobi
+    return np.moveaxis(np.array([[y2, y1], [dy2, dy1]]), (0, 1), (-2, -1))
+
+
+def _jacobi_rows(fund):
+    return np.array([fund[..., 0, 1], fund[..., 1, 1], fund[..., 0, 0], fund[..., 1, 0]])
 
 
 def _validate_grid(n):
@@ -83,8 +110,9 @@ def _validate_grid(n):
 def trace_geodesic(metric, init, n=2048, enforce_closure=True):
     """Trace the geodesic through `init` = (point, unit tangent) over [0, 2*pi).
 
-    Samples the flow at n uniform arclengths, evaluates the curvature jets
-    analytically along the samples, and records the phase-space closure
+    Samples the flow and its Jacobi frame at n uniform arclengths,
+    evaluates the curvature jets analytically along the samples, and
+    records the phase-space closure
     defect at 2*pi.  With `enforce_closure`, a defect above 1e-4 raises
     (metric not Zoll at this tolerance, or integration too coarse).
     """
@@ -95,7 +123,7 @@ def trace_geodesic(metric, init, n=2048, enforce_closure=True):
         raise ValueError("initial tangent must be unit length")
     s = grid(n)
     t_eval = np.append(s, 2.0 * math.pi)
-    r, phi, v1, v2 = _surface.flow(metric, p0, v0, t_eval)
+    r, phi, v1, v2, jacobi = _surface.flow(metric, p0, v0, t_eval)
     end_point = SurfacePoint.north(float(r[-1]), float(phi[-1]))
     end_tan = np.array([v1[-1], v2[-1]])
     defect = _surface.state_distance(metric, p0.to_north(),
@@ -120,6 +148,7 @@ def trace_geodesic(metric, init, n=2048, enforce_closure=True):
         metric=metric, init=(p0.to_north(), tuple(_surface.tangent_to_north(p0, v0))),
         n=n, s=s, r=r, phi=phi, tangent=tangent, normal=normal,
         tau=tau, tau_s=tau_s, tau_nu=tau_nu, tau_nunu=tau_nunu,
+        jacobi=jacobi[:, :-1], jacobi_end=jacobi[:, -1],
         closure_defect=float(defect),
     )
 

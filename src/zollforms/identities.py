@@ -119,6 +119,10 @@ def check_commutator_reduction(path, frame, variation=None):
         Im(y_nu Ybar' - y_nu' Ybar) = 0
     is checked for the real deformation direction y2 (the family displaced
     along the unit normal at the base point).
+    Since d/ds(y_nu' w - y_nu w') = -F w holds for any solution of the
+    variation equation, and the field comes by quadrature on the frame,
+    the reduction residual measures quadrature consistency rather than
+    solver accuracy; the tests pin the field to an independent ODE solve.
     Returns (reduction residual, pointwise Im-identity residual).
     """
     Y, dY = frame.Y, frame.dY
@@ -167,7 +171,7 @@ def run_all_checks(path, frame):
     """All identity checks on one traced geodesic, in reporting order.
 
     check_cube reports the worst of the four (y, y2) solution pairs.  The
-    diagonal variation field is solved once and shared by the two
+    diagonal variation field is computed once and shared by the two
     commutator checks.
     """
     solutions = (frame.y1, frame.y2)

@@ -1,21 +1,25 @@
 """Jacobi fields, Poincare map, Floquet data, and the variation equation.
 
-The scalar Jacobi equation y'' + tau(s) y = 0 is integrated along a traced
-geodesic, driven by the trigonometric interpolant of the sampled curvature
-(decoupling this module from re-tracing).  The complex frame is
-Y = y2 + i*y1 with Y(0) = 1, Y'(0) = i; its Wronskian against the
-conjugate is omega(Y, Ybar) = Y Ybar' - Y' Ybar = -2i, constant in s.
-On a Zoll metric the Poincare matrix is the identity and all solutions
-are periodic.
+The scalar Jacobi equation y'' + tau(s) y = 0 rides on the geodesic flow:
+`surface.flow` integrates the fundamental solutions in the same ODE as
+the geodesic, with tau = K(u) in closed form, and a traced path carries
+their samples.  The complex frame is Y = y2 + i*y1 with Y(0) = 1,
+Y'(0) = i; its Wronskian against the conjugate is
+omega(Y, Ybar) = Y Ybar' - Y' Ybar = -2i, constant in s.  On a Zoll
+metric the Poincare matrix is the identity and all solutions are
+periodic.
+
+The forced variation equation is solved without an ODE, by variation of
+parameters on the frame (Wronskian y2 y1' - y1 y2' = 1): two spectral
+antiderivatives per field.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .fourier import TrigInterpolant, spectral_derivative
+from .fourier import spectral_antiderivative, spectral_derivative
 from .surface import IntegrationError
 
 __all__ = [
@@ -26,7 +30,6 @@ __all__ = [
     "variation_field",
 ]
 
-ODE_TOL = 1e-12
 WRONSKIAN_TOL = 1e-8
 ELLIPTIC_TOL = 1e-6
 
@@ -69,28 +72,20 @@ class JacobiFrame:
 
 
 def solve_fundamental(path):
-    """Fundamental Jacobi frame along `path`, with Poincare matrix at 2*pi."""
-    tau = TrigInterpolant(path.tau)
+    """Fundamental Jacobi frame along `path`, with Poincare matrix at 2*pi.
 
-    def rhs(s, y):
-        t = tau(s)
-        return (y[1], -t * y[0], y[3], -t * y[2])
-
-    t_eval = np.append(path.s, 2.0 * math.pi)
-    sol = solve_ivp(rhs, (0.0, 2.0 * math.pi), [0.0, 1.0, 1.0, 0.0],
-                    method="DOP853", t_eval=t_eval, rtol=ODE_TOL, atol=ODE_TOL)
-    if not sol.success:
-        raise IntegrationError(sol.message)
-    y1, dy1, y2, dy2 = sol.y
+    Wraps the Jacobi samples the trace carries; raises IntegrationError
+    when their Wronskian drifts from 1 by more than WRONSKIAN_TOL.
+    """
+    y1, dy1, y2, dy2 = path.jacobi
+    end_y1, end_dy1, end_y2, end_dy2 = path.jacobi_end
     # monodromy on states (y', y): a_L a_0^{-1} in the Wronskian-matrix
     # arrangement; reduces to the identity on Zoll metrics
-    poincare = np.array([[dy1[-1], dy2[-1]],
-                         [y1[-1], y2[-1]]])
+    poincare = np.array([[end_dy1, end_dy2],
+                         [end_y1, end_y2]])
     frame = JacobiFrame(
-        path=path,
-        y1=y1[:-1], dy1=dy1[:-1], y2=y2[:-1], dy2=dy2[:-1],
-        poincare=poincare,
-        wronskian_drift=float(np.max(np.abs(y2[:-1] * dy1[:-1] - y1[:-1] * dy2[:-1] - 1.0))),
+        path=path, y1=y1, dy1=dy1, y2=y2, dy2=dy2, poincare=poincare,
+        wronskian_drift=float(np.max(np.abs(y2 * dy1 - y1 * dy2 - 1.0))),
     )
     if not frame.wronskian_drift <= WRONSKIAN_TOL:
         raise IntegrationError(
@@ -102,12 +97,15 @@ def solve_fundamental(path):
 def floquet_exponents(frame_or_matrix):
     """Floquet exponent alpha with Poincare eigenvalues e^{+-i alpha}.
 
-    Raises for hyperbolic or loxodromic matrices (out of the elliptic
-    scope of this package).
+    Raises ValueError for a matrix with NaN or inf entries, and for
+    hyperbolic or loxodromic matrices (out of the elliptic scope of this
+    package).
     """
     P = frame_or_matrix.poincare if isinstance(frame_or_matrix, JacobiFrame) else np.asarray(frame_or_matrix)
+    if not np.all(np.isfinite(P)):
+        raise ValueError(f"Poincare matrix {P.tolist()} is not finite")
     eigs = np.linalg.eigvals(P)
-    if np.max(np.abs(np.abs(eigs) - 1.0)) > ELLIPTIC_TOL:
+    if not np.max(np.abs(np.abs(eigs) - 1.0)) <= ELLIPTIC_TOL:
         raise ValueError(f"Poincare eigenvalues {eigs} leave the unit circle: not elliptic")
     half_trace = float(np.trace(P).real) / 2.0
     return float(math.acos(min(1.0, max(-1.0, half_trace))))
@@ -132,7 +130,7 @@ class VariationField:
         """Collocation residual, differentiating the sampled first derivative.
 
         One spectral derivative of dy_nu instead of two of y_nu keeps the
-        solver sample noise from being amplified by the squared Nyquist
+        sample noise from being amplified by the squared Nyquist
         wavenumber.  Meaningful when the field is periodic (Zoll inputs
         with ic (0, 0)).
         """
@@ -143,15 +141,19 @@ class VariationField:
 def variation_field(frame, tau_nu=None, direction=None):
     """Variation of the complex frame Y under a normal deformation of the geodesic.
 
-    Solves y_nu'' = -tau y_nu - tau_nu v(s) y(s) with y = Y and initial
-    data (0, 0), the variation of the canonical family with frozen initial
-    conditions; v = `direction` is the Jacobi field generating the
+    Solves y_nu'' = -tau y_nu - F with F = tau_nu v(s) y(s), y = Y and
+    initial data (0, 0), the variation of the canonical family with frozen
+    initial conditions; v = `direction` is the Jacobi field generating the
     deformation.  By default v = y, the diagonal form
     y_nu'' + tau_nu y^2 + tau y_nu = 0.  The deformation is
     geometric (a family of nearby geodesics) only for real v: the
     Wronskian-variation identity Im(y_nu Ybar' - y_nu' Ybar) = 0 holds for
     real directions, e.g. v = y2 for the family displaced along the unit
     normal at the base point.
+
+    Variation of parameters on the frame gives the field in closed form:
+    y_nu = y2 int_0^s y1 F - y1 int_0^s y2 F and
+    y_nu' = y2' int_0^s y1 F - y1' int_0^s y2 F.
     """
     path = frame.path
     tau_nu = np.asarray(path.tau_nu if tau_nu is None else tau_nu)
@@ -159,16 +161,10 @@ def variation_field(frame, tau_nu=None, direction=None):
     direction = y if direction is None else np.asarray(direction)
     if tau_nu.shape != path.s.shape:
         raise ValueError("samples do not live on the path grid")
-    tau_i = TrigInterpolant(path.tau)
-    force_i = TrigInterpolant(tau_nu * direction * y)
-
-    def rhs(s, state):
-        return (state[1], -tau_i(s) * state[0] - force_i(s))
-
-    sol = solve_ivp(rhs, (0.0, 2.0 * math.pi), np.zeros(2, dtype=complex),
-                    method="DOP853", t_eval=path.s, rtol=ODE_TOL, atol=ODE_TOL)
-    if not sol.success:
-        raise IntegrationError(sol.message)
-    return VariationField(y_nu=sol.y[0], dy_nu=sol.y[1],
+    force = tau_nu * direction * y
+    a = spectral_antiderivative(frame.y1 * force)
+    b = spectral_antiderivative(frame.y2 * force)
+    return VariationField(y_nu=frame.y2 * a - frame.y1 * b,
+                          dy_nu=frame.dy2 * a - frame.dy1 * b,
                           tau=np.asarray(path.tau), tau_nu=tau_nu, y=y,
                           direction=direction)

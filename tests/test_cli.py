@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from zollforms.cli import (
     parse_metric_flag,
 )
 from zollforms.expansion import constants_report
+from zollforms.normalform import FirstObstructionError
 from zollforms.surface import IntegrationError
 
 
@@ -137,6 +139,43 @@ class TestVerifyCommand:
         assert "integration_failure" in report["geodesics"][1]
         assert "checks" in report["geodesics"][2]
         assert [f["check"] for f in report["summary"]["failures"]] == ["integration"]
+
+
+    def test_integration_failure_is_strict_json(self, monkeypatch, tmp_path, capsys):
+        """A failed geodesic's value is written as null, never as a bare NaN."""
+        real_trace = cli.trace_geodesic
+
+        def trace(metric, ic, n, **kwargs):
+            if ic[1][0] == 1.0:   # the meridian start
+                raise IntegrationError("forced failure")
+            return real_trace(metric, ic, n, **kwargs)
+
+        monkeypatch.setattr(cli, "trace_geodesic", trace)
+        out = tmp_path / "verify.json"
+        code = main(["verify", "--metric", "round", "--geodesics", "3",
+                     "--grid", "256", "--out", str(out)])
+        assert code == EXIT_NUMERICAL_FAILURE
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        assert report["summary"]["failures"] == [
+            {"geodesic": "meridian", "check": "integration", "value": None}]
+        assert "check integration" in capsys.readouterr().err
+
+    def test_nan_obstruction_value_is_null(self, monkeypatch, tmp_path):
+        def assemble(*args, **kwargs):
+            raise FirstObstructionError((2, 1), complex(math.nan))
+
+        monkeypatch.setattr(cli, "assemble_p1", assemble)
+        out = tmp_path / "inv.json"
+        code = main(["invariants", "--metric", "round", "--geodesics", "1",
+                     "--grid", "256", "--out", str(out)])
+        assert code == EXIT_CHECK_FAILURE
+        text = out.read_text()
+        assert "NaN" not in text
+        assert json.loads(text)["summary"]["failures"][0]["value"] is None
 
 
 class TestInvariantsCommand:

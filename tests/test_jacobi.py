@@ -15,6 +15,8 @@ from zollforms.jacobi import (
 )
 from zollforms.surface import exp_map, rotate_tangent
 
+from oracles import ode_frame, ode_variation_field
+
 
 def constant_curvature_path(tau_value, n=512):
     """Synthetic fixture: a formal path with constant curvature samples."""
@@ -26,7 +28,8 @@ def constant_curvature_path(tau_value, n=512):
         tangent=np.stack([zeros, np.ones(n)], axis=1),
         normal=np.stack([-np.ones(n), zeros], axis=1),
         tau=np.full(n, float(tau_value)), tau_s=zeros,
-        tau_nu=zeros, tau_nunu=zeros, closure_defect=0.0,
+        tau_nu=zeros, tau_nunu=zeros, jacobi=None, jacobi_end=None,
+        closure_defect=0.0,
     )
 
 
@@ -55,7 +58,7 @@ class TestFundamentalFrame:
 
     def test_constant_curvature_four(self):
         path = constant_curvature_path(4.0)
-        frame = solve_fundamental(path)
+        frame = ode_frame(path)
         assert np.max(np.abs(frame.y1 - np.sin(2 * path.s) / 2)) < 1e-9
         assert np.max(np.abs(frame.y2 - np.cos(2 * path.s))) < 1e-9
         assert np.max(np.abs(frame.poincare - np.eye(2))) < 1e-9
@@ -63,9 +66,26 @@ class TestFundamentalFrame:
     def test_non_periodic_tau_hyperbolic_guard(self):
         # tau = -1: hyperbolic Jacobi flow, Poincare eigenvalues off the circle
         path = constant_curvature_path(-1.0)
-        frame = solve_fundamental(path)
+        frame = ode_frame(path)
         with pytest.raises(ValueError, match="not elliptic"):
             floquet_exponents(frame)
+
+
+    def test_carried_frame_matches_ode_oracle(self, round_frame, cubic_frame, linear_frame):
+        """The frame integrated with the geodesic equals the interpolant-driven
+        ODE solve of y'' + tau y = 0 on the traced samples."""
+        for frame in (round_frame, cubic_frame, linear_frame):
+            oracle = ode_frame(frame.path)
+            for name in ("y1", "dy1", "y2", "dy2", "poincare"):
+                gap = np.max(np.abs(getattr(frame, name) - getattr(oracle, name)))
+                assert gap <= 1e-10, (name, gap)
+
+    def test_rebased_frame_matches_ode_oracle(self, cubic_path):
+        shifted = cubic_path.rebase(313)
+        frame, oracle = solve_fundamental(shifted), ode_frame(shifted)
+        for name in ("y1", "dy1", "y2", "dy2", "poincare"):
+            assert np.max(np.abs(getattr(frame, name) - getattr(oracle, name))) <= 1e-10
+        assert frame.wronskian_drift < 1e-10
 
 
 class TestFloquet:
@@ -76,6 +96,11 @@ class TestFloquet:
         a = 0.3
         rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
         assert abs(floquet_exponents(rot) - a) < 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_named_error(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            floquet_exponents(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_zoll_alpha_vanishes(self, cubic_frame, linear_frame):
         # arccos turns a 1e-12 Poincare defect into a ~1e-6 exponent bound
@@ -104,6 +129,16 @@ class TestVariationField:
             vals = np.imag(vf.y_nu * np.conj(cubic_frame.dY)
                            - vf.dy_nu * np.conj(cubic_frame.Y))
             assert np.max(np.abs(vals)) < 1e-7
+
+    def test_quadrature_matches_ode_oracle(self, cubic_frame, linear_frame):
+        """Variation of parameters equals the forced ODE solve, for the
+        diagonal field and the real y2 direction."""
+        for frame in (cubic_frame, linear_frame):
+            for direction in (None, frame.y2):
+                vf = variation_field(frame, direction=direction)
+                oracle = ode_variation_field(frame, direction=direction)
+                assert np.max(np.abs(vf.y_nu - oracle.y_nu)) <= 1e-10
+                assert np.max(np.abs(vf.dy_nu - oracle.dy_nu)) <= 1e-10
 
     def test_finite_difference_oracle(self, cubic_metric, cubic_path, cubic_frame):
         """ODE variation equals central differences across +-eps nu geodesics."""

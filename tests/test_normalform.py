@@ -83,7 +83,7 @@ class TestMetaplecticPropagatorOracle:
 
     def test_heisenberg_evolution_matches_substitution(self, cubic_path, cubic_frame):
         from scipy.integrate import solve_ivp
-        from zollforms.fourier import TrigInterpolant
+        from oracles import TrigInterpolant
         from zollforms.weyl import weyl_quantize
 
         n_trunc = 48
