@@ -16,13 +16,16 @@ import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from numpy.linalg import LinAlgError
+
 from . import __version__
 from .expansion import constants_report
 from .geodesic import canonical_initial_conditions, sample_initial_conditions, trace_geodesic
 from .identities import DEFAULT_TOLERANCE, run_all_checks
-from .jacobi import solve_fundamental
+from .jacobi import NotEllipticError, solve_fundamental
 from .normalform import FirstObstructionError, assemble_p1
 from .surface import IntegrationError, MetricModel
+from .weyl import DegreeOverflowError
 
 __all__ = ["main", "RunConfig", "build_report", "metric_from_spec"]
 
@@ -36,6 +39,15 @@ EXIT_NUMERICAL_FAILURE = 3
 
 class ConfigError(ValueError):
     pass
+
+
+# errors that end one geodesic: recorded as that check's failure, the run goes on
+NUMERICAL_FAILURES = {
+    IntegrationError: "integration",
+    DegreeOverflowError: "degree_overflow",
+    LinAlgError: "linear_algebra",
+    NotEllipticError: "not_elliptic",
+}
 
 
 @dataclass
@@ -157,7 +169,7 @@ def build_report(cfg, mode):
     """Run `verify` or `invariants` over the geodesic sample; returns (report, exit_code).
 
     A geodesic that fails is recorded and the run goes on; the exit code is
-    EXIT_NUMERICAL_FAILURE if any geodesic hit an integration failure.
+    EXIT_NUMERICAL_FAILURE if any geodesic hit one of NUMERICAL_FAILURES.
     """
     records = []
     failures = []
@@ -183,11 +195,12 @@ def build_report(cfg, mode):
         except FirstObstructionError as exc:
             record["first_obstruction_failure"] = str(exc)
             failures.append((name, "first_obstruction", abs(exc.value)))
-        except IntegrationError as exc:
-            record["integration_failure"] = str(exc)
-            failures.append((name, "integration", None))
+        except tuple(NUMERICAL_FAILURES) as exc:
+            check = next(c for cls, c in NUMERICAL_FAILURES.items() if isinstance(exc, cls))
+            record[f"{check}_failure"] = str(exc)
+            failures.append((name, check, None))
         records.append(record)
-    if any(check == "integration" for _, check, _ in failures):
+    if any(check in NUMERICAL_FAILURES.values() for _, check, _ in failures):
         code = EXIT_NUMERICAL_FAILURE
     else:
         code = EXIT_CHECK_FAILURE if failures else EXIT_PASS
@@ -197,7 +210,7 @@ def build_report(cfg, mode):
 CHECK_PRIORITY = ["check_cube", "check_tau_s", "check_quartic", "check_4id_im",
                   "check_4id_relation", "check_commutator_reduction",
                   "check_commutator_reduction_im", "check_commutator_special_case",
-                  "first_obstruction", "integration"]
+                  "first_obstruction", *NUMERICAL_FAILURES.values()]
 
 
 def _assemble_report(cfg, mode, records, failures):

@@ -9,6 +9,8 @@ in closed form (`surface.flow`), and forced linear equations along a
 geodesic are solved by quadrature (`jacobi.variation_field`).
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -32,9 +34,22 @@ def grid(n):
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _wavenumbers(n):
+@lru_cache(maxsize=16)
+def _mode_factors(n):
+    """Read-only (i k, 1 / (i k), grid) for an n-point grid, made once per n.
+
+    Both drop the unpaired Nyquist mode (aliased derivative, no primitive);
+    1 / (i k) drops the zero mode, which the antiderivative adds as a ramp.
+    """
     k = np.fft.fftfreq(n, d=1.0 / n)
-    return k
+    k[n // 2] = 0.0
+    ik = 1j * k
+    inv_ik = np.zeros(n, dtype=complex)
+    inv_ik[k != 0] = 1.0 / ik[k != 0]
+    s = grid(n)
+    for arr in (ik, inv_ik, s):
+        arr.flags.writeable = False
+    return ik, inv_ik, s
 
 
 def spectral_derivative(values):
@@ -42,11 +57,8 @@ def spectral_derivative(values):
     values = np.asarray(values)
     n = values.shape[-1]
     _check_grid(n)
-    k = _wavenumbers(n)
-    # the unpaired Nyquist mode differentiates to an odd, aliased term
-    k[n // 2] = 0.0
-    coeffs = np.fft.fft(values) * (1j * k)
-    out = np.fft.ifft(coeffs)
+    ik, _, _ = _mode_factors(n)
+    out = np.fft.ifft(np.fft.fft(values) * ik)
     if np.isrealobj(values):
         return out.real
     return out
@@ -68,20 +80,13 @@ def spectral_antiderivative(values):
     values = np.asarray(values)
     n = values.shape[-1]
     _check_grid(n)
+    _, inv_ik, s = _mode_factors(n)
     coeffs = np.fft.fft(values)
     mean = coeffs[..., 0] / n
     mean = np.where(np.abs(mean) < MEAN_ZERO_TOL, 0.0, mean)
-    k = _wavenumbers(n)
-    ik = 1j * k
-    ik[0] = 1.0  # dummy, zero mode handled by the ramp
-    prim = coeffs / ik
-    prim[..., 0] = 0.0
-    # the Nyquist mode has no well-defined primitive on the grid; for smooth
-    # data its coefficient is at roundoff level, drop it
-    prim[..., n // 2] = 0.0
-    osc = np.fft.ifft(prim)
+    # the Nyquist mode is at roundoff level for smooth data; inv_ik drops it
+    osc = np.fft.ifft(coeffs * inv_ik)
     osc = osc - osc[..., :1]
-    s = grid(n)
     out = osc + np.multiply.outer(mean, s) if values.ndim > 1 else osc + mean * s
     if np.isrealobj(values):
         return out.real

@@ -13,9 +13,15 @@ geodesic) in two stages:
      applied as the operator ad-series.
 
 No commutator prefactor is typed by hand: stage 2 is generic operator
-algebra on sampled symbols, and the explicit closed-form route
-(`d_zero_restricted` + `commutator_double_integral`) exists as the
-independent cross-check of the engine.
+algebra on sampled symbols.  The explicit closed-form route (`d_half`,
+`d_zero_restricted` + `commutator_double_integral`) is the independent
+cross-check of this engine and lives with the tests (`tests/oracles.py`).
+
+Each product is computed once per geodesic: one substitution pass takes
+every graded symbol through the frame, the powers (D_s - Op(h))^k are
+built once and shared by all weights, and the ad-series commutes Q
+through the odd-only star commutator, with its scalar factors folded
+into the star products.
 
 A `CoefficientFunction` is a complex sample vector on the geodesic grid;
 a `SymbolField` is a PolySymbol whose entries are coefficient functions.
@@ -32,17 +38,14 @@ from . import expansion as _exp
 from .fourier import periodic_mean, spectral_antiderivative, spectral_derivative
 from .geodesic import trace_geodesic
 from .jacobi import solve_fundamental
-from .weyl import PolySymbol, diagonal_part, star_commutator, star_product
+from .weyl import PolySymbol, diagonal_part, star_commutator, star_product, substitute_linear
 
 __all__ = [
     "InvariantRecord",
     "SOperator",
     "FirstObstructionError",
     "metaplectic_substitute",
-    "d_half",
     "solve_first_homological",
-    "commutator_double_integral",
-    "d_zero_restricted",
     "conjugated_order_zero",
     "assemble_p1",
     "compute_H",
@@ -51,6 +54,7 @@ __all__ = [
 
 MEAN_TOL = 1e-6          # Zoll solvability tolerance for the first obstruction
 OFFDIAG_DEGREE = 4
+REPORTED_DIAGNOSTICS = ("frame_cancellation", "odd_residual")   # engine self-checks, ~0 when sound
 
 CoefficientFunction = np.ndarray
 SymbolField = PolySymbol
@@ -80,7 +84,9 @@ def field_mean(sym):
 
 
 def _symbol_ds(sym):
-    return sym.map_coeffs(spectral_derivative)
+    """d/ds of every sampled entry; constant (scalar) entries drop out."""
+    return PolySymbol({k: spectral_derivative(v) for k, v in sym.coeffs.items()
+                       if isinstance(v, np.ndarray)})
 
 
 class SOperator:
@@ -107,9 +113,6 @@ class SOperator:
     def scale(self, factor):
         return SOperator({k: v.scale(factor) for k, v in self.terms.items()})
 
-    def map_symbols(self, fn):
-        return SOperator({k: fn(v) for k, v in self.terms.items()})
-
     def ds_part(self, k):
         return self.terms.get(k, PolySymbol())
 
@@ -118,38 +121,47 @@ class SOperator:
                     for v in sym.coeffs.values()), default=0.0)
 
     def compose(self, other):
-        """Operator product; D_s is moved right with [D_s, Op(b)] = Op(-i b_s)."""
-        out = {}
-        for j, asym in self.terms.items():
-            for k, bsym in other.terms.items():
-                b_deriv = bsym
-                for l in range(j + 1):
-                    coeff = math.comb(j, l) * (-1j) ** l
-                    term = star_product(asym, b_deriv).scale(coeff)
-                    key = j - l + k
-                    out[key] = out[key] + term if key in out else term
-                    if l < j:
-                        b_deriv = _symbol_ds(b_deriv)
-        return SOperator(out)
+        """Operator product; D_s is moved right with [D_s, Op(b)] = Op(-i b_s).
 
-    def commutator(self, other):
-        return self.compose(other) - other.compose(self)
-
-    def substitute_ds(self, h_sym):
-        """Replace D_s by D_s - Op(h) (the metaplectic frame conjugation)."""
-        shifted = SOperator({1: _unit_symbol(h_sym), 0: h_sym.scale(-1.0)})
+        Each s-derivative of a symbol of `other` is taken once.
+        """
         out = SOperator()
-        for k, sym in sorted(self.terms.items()):
-            power = SOperator({0: _unit_symbol(h_sym)})
-            for _ in range(k):
-                power = power.compose(shifted)
-            out = out + SOperator.symbol(sym).compose(power)
+        for k, bsym in other.terms.items():
+            derivs = [bsym]
+            for j, asym in self.terms.items():
+                for l in range(j + 1):
+                    if l == len(derivs):
+                        derivs.append(_symbol_ds(derivs[-1]))
+                    c = math.comb(j, l) * (-1j) ** l
+                    out = out + SOperator({j - l + k: star_product(asym, derivs[l], c)})
         return out
 
+    def commutator(self, other, weight=1):
+        """weight * [self, other].
 
-def _unit_symbol(like):
-    n = next(iter(like.coeffs.values())).shape[0] if like.coeffs else 0
-    return PolySymbol({(0, 0): np.ones(n, dtype=complex)})
+        For a D_s-free left side a, the D_s^k parts commute through the
+        odd-only star commutator, and moving D_s^k past a adds
+        -C(k, l) (-i)^l b_k # d_s^l a at D_s^(k-l).
+        """
+        if set(self.terms) - {0}:
+            return (self.compose(other) - other.compose(self)).scale(weight)
+        a = self.ds_part(0)
+        out = SOperator({k: star_commutator(a, b, weight) for k, b in other.terms.items()})
+        derivs = [a]
+        for k, b in other.terms.items():
+            for l in range(1, k + 1):
+                if l == len(derivs):
+                    derivs.append(_symbol_ds(derivs[-1]))
+                c = -weight * math.comb(k, l) * (-1j) ** l
+                out = out + SOperator({k - l: star_product(b, derivs[l], c)})
+        return out
+
+    def substitute_ds(self, powers):
+        """Replace D_s by D_s - Op(h), given powers[k] = (D_s - Op(h))^k."""
+        out = SOperator()
+        for k, sym in sorted(self.terms.items()):
+            out = out + SOperator.symbol(sym).compose(powers[k])
+        return out
 
 
 def _prune(op):
@@ -182,6 +194,15 @@ def _instantiate(path):
     return out
 
 
+def _metaplectic(symbols, frame):
+    """Conjugate every symbol by the moving metaplectic frame, in one pass."""
+    Y, dY = frame.Y, frame.dY
+    Yb, dYb = np.conj(Y), np.conj(dY)
+    fields = [sym.map_coeffs(lambda v: _to_field(v, Y.shape[0])) for sym in symbols]
+    return substitute_linear(fields, (0.5 * (Yb + 1j * dYb), 0.5 * (Y + 1j * dY)),
+                             (0.5 * (Yb - 1j * dYb), 0.5 * (Y - 1j * dY)))
+
+
 def metaplectic_substitute(op_symbol, frame):
     """Conjugate a symbol by the moving metaplectic frame of the Jacobi flow.
 
@@ -192,44 +213,27 @@ def metaplectic_substitute(op_symbol, frame):
     Accepts a PolySymbol (entries scalars or sample arrays) and returns a
     SymbolField on the frame's grid.
     """
-    Y, dY = frame.Y, frame.dY
-    Yb, dYb = np.conj(Y), np.conj(dY)
-    n = Y.shape[0]
-    sym = op_symbol.map_coeffs(lambda v: _to_field(v, n))
-    return sym.substitute_linear(
-        (0.5 * (Yb + 1j * dYb), 0.5 * (Y + 1j * dY)),
-        (0.5 * (Yb - 1j * dYb), 0.5 * (Y - 1j * dY)),
-    )
+    return _metaplectic([op_symbol], frame)[0]
 
 
-def _oscillator(graded_num, frame):
-    """(c_s, substituted oscillator h) read off the weight -1 graded term."""
-    l1 = graded_num[Fraction(-1)]
+def _frame_conjugate(graded_num, frame):
+    """Every graded operator with the frame substituted into its symbols."""
+    slots = [(w, k, sym) for w, op in graded_num.items() for k, sym in op.terms.items()]
+    images = _metaplectic([sym for _, _, sym in slots], frame)
+    out = {w: {} for w in graded_num}
+    for (w, k, _), image in zip(slots, images):
+        out[w][k] = image
+    return {w: SOperator(terms) for w, terms in out.items()}
+
+
+def _oscillator(l1):
+    """(c_s, -h) read off the frame-conjugated weight -1 term c_s D_s + c_s h."""
     ds_sym = l1.ds_part(1)
     c_entry = ds_sym.coeffs.get((0, 0))
     if c_entry is None or set(ds_sym.coeffs) != {(0, 0)}:
         raise AssertionError("unexpected D_s structure at weight -1")
     c_s = complex(c_entry[0])
-    osc = metaplectic_substitute(l1.ds_part(0), frame)
-    return c_s, osc.scale(1.0 / c_s)
-
-
-def d_half(frame):
-    """Substituted odd term D_(1/2)(s, z, zbar): the cubic obstruction symbol.
-
-    Equals (coefficient from the graded expansion) * tau_nu(s) *
-    ((Ybar z + Y zbar)/2)^3; entries carry the exact binomial structure.
-    The engine builds the same symbol inside `conjugated_order_zero`; this
-    standalone form is the reference for tests and the closed-form route.
-    """
-    path = frame.path
-    syms = _graded_formal()[Fraction(-1, 2)]
-    if set(syms) != {0}:
-        raise AssertionError("odd term should carry no D_s")
-    values = path.jets()
-    base = PolySymbol({k: _to_field(jp.substitute(values), path.n)
-                       for k, jp in syms[0].coeffs.items()})
-    return metaplectic_substitute(base, frame)
+    return c_s, l1.ds_part(0).scale(-1.0 / c_s)
 
 
 def solve_first_homological(d, c_s=2.0):
@@ -248,60 +252,24 @@ def solve_first_homological(d, c_s=2.0):
     return q, max((abs(m) for m in means.values()), default=0.0)
 
 
-def commutator_double_integral(d):
-    """s-average of the ordered commutator double integral, as a scalar symbol.
-
-    Computes pref * (1/2pi) int [d(s), int_0^s d(t) dt] ds with the star
-    commutator and the engine-verified prefactor -i/4, so the result is
-    exactly the correction the order-zero term acquires from the first
-    conjugation.
-    """
-    cum = d.map_coeffs(spectral_antiderivative)
-    comm = star_commutator(d, cum)
-    return field_mean(comm).scale(complex(_exp.COMMUTATOR_PREFACTOR))
-
-
-def d_zero_restricted(frame):
-    """Explicit D_s-free part of the frame-conjugated order-zero term.
-
-    The closed-form route: with h the substituted oscillator and a_k the
-    substituted order-zero symbols per D_s power,
-        D_0|0 = a_0 - a_1 # h + a_2 # (h#h + i d_s h).
-    Kept as the independent cross-check of the generic engine.
-    """
-    graded_num = _instantiate(frame.path)
-    _, h = _oscillator(graded_num, frame)
-    l0 = graded_num[Fraction(0)]
-    out = PolySymbol()
-    for k in sorted(l0.terms):
-        a_k = metaplectic_substitute(l0.ds_part(k), frame)
-        if k == 0:
-            out = out + a_k
-        elif k == 1:
-            out = out + star_product(a_k, h).scale(-1.0)
-        elif k == 2:
-            inner = star_product(h, h) + _symbol_ds(h).scale(1j)
-            out = out + star_product(a_k, inner)
-        else:
-            raise AssertionError(f"unexpected D_s power {k} at weight 0")
-    return out
-
-
 def conjugated_order_zero(path, frame):
     """Order-zero, D_s-free symbol after both conjugations (the engine route).
 
     Substitutes the metaplectic frame into every graded term, replaces
     D_s by D_s - Op(h), then applies the ad-series of exp(i h^(1/2) Q̂)
     with Q from the first homological equation.  Returns (symbol field,
-    diagnostics dict); the diagnostics include `first_obstruction_max`,
-    the largest |mean| of the odd term the first conjugation removes.
+    diagnostics dict); the diagnostics are `frame_cancellation` (what is
+    left of the weight -1 term besides c_s D_s), `first_obstruction_max`
+    (the largest |mean| of the odd term the first conjugation removes)
+    and `odd_residual` (what is left at weight -1/2 after it).
     """
-    graded_num = _instantiate(path)
-    c_s, h = _oscillator(graded_num, frame)
-    conj = {}
-    for w, op in graded_num.items():
-        conj[w] = _prune(op.map_symbols(lambda s: metaplectic_substitute(s, frame))
-                         .substitute_ds(h))
+    framed = _frame_conjugate(_instantiate(path), frame)
+    c_s, minus_h = _oscillator(framed[Fraction(-1)])
+    shift = SOperator({1: PolySymbol.constant(1), 0: minus_h})
+    powers = [SOperator.symbol(PolySymbol.constant(1))]
+    for _ in range(max(k for op in framed.values() for k in op.terms)):
+        powers.append(powers[-1].compose(shift))
+    conj = {w: _prune(op.substitute_ds(powers)) for w, op in framed.items()}
     # the weight -1 term must now be exactly c_s D_s
     diag = {"frame_cancellation": SOperator({0: conj[Fraction(-1)].ds_part(0)}).max_abs()}
 
@@ -313,17 +281,14 @@ def conjugated_order_zero(path, frame):
     half = Fraction(1, 2)
     for w, op in conj.items():
         term = op
-        jmax = int((0 - w) / half)
-        for j in range(jmax + 1):
-            factor = (-1j) ** j / math.factorial(j)
-            result_key = w + j * half
-            scaled = term.scale(factor)
-            result[result_key] = result.get(result_key, SOperator()) + scaled
-            if j == jmax:
-                break
-            term = _prune(q_op.commutator(term))
+        for j in range(int(-w / half) + 1):
+            if j:
+                # term carries (-i)^j / j! ad_Q^j(op)
+                term = _prune(q_op.commutator(term, -1j / j))
             if not term.terms:
                 break
+            key = w + j * half
+            result[key] = result[key] + term if key in result else term
     diag["odd_residual"] = result.get(Fraction(-1, 2), SOperator()).max_abs()
     out = result.get(Fraction(0), SOperator()).ds_part(0)
     return out, diag
@@ -365,6 +330,8 @@ class InvariantRecord:
             "H_a": self.H_a, "H_b": self.H_b,
             "closure_defect": self.closure_defect,
             "first_obstruction_max": self.first_obstruction_max,
+            "diagnostics": {k: self.diagnostics[k] for k in REPORTED_DIAGNOSTICS
+                            if k in self.diagnostics},
         }
 
 
@@ -380,12 +347,16 @@ def compute_H(path, frame):
     """
     u, Jf = frame.y2, frame.y1
     tn = path.tau_nu
-    inner_J3 = spectral_antiderivative(tn * Jf**3)
-    inner_uJ2 = spectral_antiderivative(tn * u * Jf**2)
-    term2 = tn * u**2 * Jf * inner_uJ2
+    tn_J2 = tn * Jf * Jf
+    tn_J3 = tn_J2 * Jf
+    inner_J3 = spectral_antiderivative(tn_J3)
+    inner_uJ2 = spectral_antiderivative(tn_J2 * u)
+    tn_u2 = tn * u * u
+    term2 = tn_u2 * Jf * inner_uJ2
+    cube = inner_J3 / 3.0
     base = 2.0 * math.pi * periodic_mean(path.tau)
-    h_a = base + 2.0 * math.pi * periodic_mean(tn * Jf**3 / 3.0 * inner_J3 - term2)
-    h_b = base + 2.0 * math.pi * periodic_mean(tn * u**3 / 3.0 * inner_J3 - term2)
+    h_a = base + 2.0 * math.pi * periodic_mean(tn_J3 * cube - term2)
+    h_b = base + 2.0 * math.pi * periodic_mean(tn_u2 * u * cube - term2)
     return float(h_a), float(h_b)
 
 

@@ -206,9 +206,6 @@ class SurfacePoint:
             return self
         return SurfacePoint("south", math.pi - self.r, self.phi)
 
-    def in_chart(self, chart):
-        return self.to_north() if chart == "north" else self.to_south()
-
     def canonical(self):
         """Representation in the chart keeping r inside the core window."""
         p = self.to_north()
@@ -285,66 +282,22 @@ def curvature_jet_arrays(metric, r, v1, v2, n1, n2):
     return tau, tau_s, tau_nu, tau_nunu
 
 
-def curvature_jet_at(metric, p, tangent, method="analytic", fd_step=1e-3):
+def curvature_jet_at(metric, p, tangent):
     """Curvature jet (tau, tau_s, tau_nu, tau_nunu) at p along `tangent`.
 
-    The normal is the +pi/2 rotation of the tangent.  `method="analytic"`
-    uses the closed-form revolution derivatives (default); `method="fd"`
-    evaluates tau_nu / tau_nunu by 5-point central differences with step
-    `fd_step` along the normal geodesic and tau_s likewise along the
-    tangent geodesic, serving as the independent oracle.
+    The normal is the +pi/2 rotation of the tangent; the jet comes from the
+    closed-form revolution derivatives (`curvature_jet_arrays`).
     """
-    r, phi, v = _as_north(p, tangent)
+    r, _, v = _as_north(p, tangent)
     if abs(np.hypot(v[0], v[1]) - 1.0) > 1e-10:
         raise ValueError("tangent must be unit length")
     nrm = rotate_tangent(v, math.pi / 2)
     if metric.is_round:
         return CurvatureJet(1.0, 0.0, 0.0, 0.0)
-    if method == "analytic":
-        tau, tau_s, tau_nu, tau_nunu = curvature_jet_arrays(
-            metric, np.array([r]), np.array([v[0]]), np.array([v[1]]),
-            np.array([nrm[0]]), np.array([nrm[1]]))
-        return CurvatureJet(float(tau[0]), float(tau_s[0]),
-                            float(tau_nu[0]), float(tau_nunu[0]))
-    if method != "fd":
-        raise ValueError(f"unknown method {method!r}")
-    pn = SurfacePoint.north(r, phi)
-
-    def k_along(direction, t):
-        q, _ = exp_map(metric, pn, direction, t)
-        return gaussian_curvature(metric, q)
-
-    h = fd_step
-    kn = [k_along(nrm, t * h) for t in (-3, -2, -1, 0, 1, 2, 3)]
-    kt = [k_along(v, t * h) for t in (-2, -1, 1, 2)]
-    tau = kn[3]
-    tau_s = (kt[0] - 8 * kt[1] + 8 * kt[2] - kt[3]) / (12 * h)
-    tau_nu = (kn[1] - 8 * kn[2] + 8 * kn[4] - kn[5]) / (12 * h)
-    tau_nunu = (-kn[1] + 16 * kn[2] - 30 * kn[3] + 16 * kn[4] - kn[5]) / (12 * h * h)
-    return CurvatureJet(tau, tau_s, tau_nu, tau_nunu)
-
-
-def tau_nunu_stencil(metric, p, tangent, points=5, fd_step=1e-3):
-    """tau_nunu by a pure central stencil (5- or 7-point), oracle use only."""
-    r, phi, v = _as_north(p, tangent)
-    nrm = rotate_tangent(v, math.pi / 2)
-    pn = SurfacePoint.north(r, phi)
-    h = fd_step
-
-    def k(t):
-        q, _ = exp_map(metric, pn, nrm, t * h)
-        return gaussian_curvature(metric, q)
-
-    if points == 5:
-        vals = [k(t) for t in (-2, -1, 0, 1, 2)]
-        num = -vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]
-        return num / (12 * h * h)
-    if points == 7:
-        vals = [k(t) for t in (-3, -2, -1, 0, 1, 2, 3)]
-        num = (2 * vals[0] - 27 * vals[1] + 270 * vals[2] - 490 * vals[3]
-               + 270 * vals[4] - 27 * vals[5] + 2 * vals[6])
-        return num / (180 * h * h)
-    raise ValueError("points must be 5 or 7")
+    tau, tau_s, tau_nu, tau_nunu = curvature_jet_arrays(
+        metric, np.array([r]), np.array([v[0]]), np.array([v[1]]),
+        np.array([nrm[0]]), np.array([nrm[1]]))
+    return CurvatureJet(float(tau[0]), float(tau_s[0]), float(tau_nu[0]), float(tau_nunu[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,17 @@ transvectants only:  a#b - b#a = sum_{k odd} 2 P_k(a, b) / k!.
 
 Coefficients are generic: exact scalars (Fraction/complex), numpy sample
 arrays (periodic coefficient functions), or jet polynomials all work.
+
+`star_product` and `star_commutator` run one kernel: one coefficient
+product per monomial pair, added with the cached constants sum_j w_j P_j
+into arrays the kernel owns; `transvectant` is the definition it is
+tested against.
 """
 
 import math
+from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +37,7 @@ __all__ = [
     "transvectant",
     "star_product",
     "star_commutator",
+    "substitute_linear",
     "weyl_quantize",
     "diagonal_part",
     "poisson_constant",
@@ -128,23 +136,8 @@ class PolySymbol:
         return PolySymbol({(n, m): np.conjugate(v) for (m, n), v in self.coeffs.items()})
 
     def substitute_linear(self, z_image, zbar_image):
-        """Compose with the linear map z -> az*z + bz*zbar, zbar likewise.
-
-        `z_image` and `zbar_image` are pairs (coeff of z, coeff of zbar);
-        coefficients may be scalars or sample arrays.
-        """
-        az, bz = z_image
-        azb, bzb = zbar_image
-        zpow = [PolySymbol.constant(1), PolySymbol({(1, 0): az, (0, 1): bz})]
-        zbpow = [PolySymbol.constant(1), PolySymbol({(1, 0): azb, (0, 1): bzb})]
-        deg = self.degree
-        for k in range(2, deg + 1):
-            zpow.append(zpow[-1] * zpow[1])
-            zbpow.append(zbpow[-1] * zbpow[1])
-        out = PolySymbol()
-        for (m, n), v in self.coeffs.items():
-            out = out + (zpow[m] * zbpow[n]).scale(v)
-        return out
+        """This symbol composed with a linear map: see module `substitute_linear`."""
+        return substitute_linear([self], z_image, zbar_image)[0]
 
     def __repr__(self):
         if not self.coeffs:
@@ -161,6 +154,12 @@ def _ff(n, k):
     return out
 
 
+def _transvectant_coefficient(m, n, mu, nu, j):
+    """Integer C with P_j(z^m zbar^n, z^mu zbar^nu) = C z^(m+mu-j) zbar^(n+nu-j)."""
+    return sum(math.comb(j, l) * (-1) ** l * _ff(m, j - l) * _ff(n, l) * _ff(mu, l) * _ff(nu, j - l)
+               for l in range(j + 1))
+
+
 def transvectant(a, b, j):
     """j-th transvectant P_j(a, b); P_0 is the product, degree drop 2j."""
     if j < 0:
@@ -168,17 +167,7 @@ def transvectant(a, b, j):
     out = PolySymbol()
     for (m, n), av in a.coeffs.items():
         for (mu, nu), bv in b.coeffs.items():
-            acc = 0
-            for l in range(j + 1):
-                c = (
-                    math.comb(j, l)
-                    * (-1) ** l
-                    * _ff(m, j - l)
-                    * _ff(n, l)
-                    * _ff(mu, l)
-                    * _ff(nu, j - l)
-                )
-                acc += c
+            acc = _transvectant_coefficient(m, n, mu, nu, j)
             if acc == 0:
                 continue
             key = (m + mu - j, n + nu - j)
@@ -190,36 +179,97 @@ def transvectant(a, b, j):
     return out
 
 
-def star_product(a, b):
-    """Moyal product a # b (terminating sum of transvectants)."""
-    out = PolySymbol()
-    jmax = min(a.degree, b.degree)
-    for j in range(jmax + 1):
-        term = transvectant(a, b, j)
-        if j >= 2:
-            term = term.map_coeffs(lambda v, f=Fraction(1, math.factorial(j)): _scale_exact(v, f))
-        out = out + term
-    return out
+@lru_cache(maxsize=None)
+def _moyal_constants(mn, munu, odd):
+    """((key, w), ...) with z^m zbar^n # z^mu zbar^nu = sum of w z^key: w is
+    P_j / j! over all orders j, or 2 P_j / j! over odd j (the commutator).
+    Zero constants are left out; exponents are capped, so the cache is finite."""
+    (m, n), (mu, nu) = mn, munu
+    out = []
+    for j in range(1 if odd else 0, min(m + n, mu + nu) + 1, 2 if odd else 1):
+        c = _transvectant_coefficient(m, n, mu, nu, j)
+        if c:
+            out.append(((m + mu - j, n + nu - j), Fraction(2 if odd else 1, math.factorial(j)) * c))
+    return tuple(out)
 
 
-def _scale_exact(v, frac):
-    """Multiply by a Fraction without forcing floats on exact types."""
-    if isinstance(v, (int, Fraction)):
-        return frac * v
-    if isinstance(v, np.ndarray) or isinstance(v, (float, complex)):
-        return float(frac) * v
-    return v * frac  # ring elements define Fraction multiplication themselves
+def _scale(v, c):
+    """c * v; an exact c stays exact on exact v and becomes a float on floats."""
+    if isinstance(c, Fraction) and isinstance(v, (np.ndarray, float, complex)):
+        c = float(c)  # Fraction * ndarray would make an object array
+    return v * c  # ring elements define Fraction multiplication themselves
 
 
-def star_commutator(a, b):
-    """a # b - b # a = sum over odd j of (2/j!) P_j(a, b)."""
-    out = PolySymbol()
-    jmax = min(a.degree, b.degree)
-    for j in range(1, jmax + 1, 2):
-        term = transvectant(a, b, j)
-        term = term.map_coeffs(lambda v, f=Fraction(2, math.factorial(j)): _scale_exact(v, f))
-        out = out + term
-    return out
+def _accumulate(out, key, term):
+    """out[key] += term; a complex sample array already in `out` is added to
+    in place, so `out` must hold only arrays made for it."""
+    cur = out.get(key)
+    if cur is None:
+        out[key] = term
+    elif isinstance(cur, np.ndarray) and cur.dtype == np.complex128:
+        cur += term
+    else:
+        out[key] = cur + term
+
+
+def _moyal(a, b, odd, weight):
+    """weight * (a # b), or weight * (a # b - b # a) when `odd`: one
+    coefficient product per monomial pair, added with its cached constants."""
+    out = {}
+    for mn, av in a.coeffs.items():
+        for munu, bv in b.coeffs.items():
+            consts = _moyal_constants(mn, munu, odd)
+            if not consts:
+                continue
+            prod = av * bv
+            for i, (key, w) in enumerate(consts):
+                c = w * weight
+                # the keys of one pair differ, so only the first may keep prod itself
+                _accumulate(out, key, prod if c == 1 and i == 0 else _scale(prod, c))
+    return PolySymbol(out)
+
+
+def star_product(a, b, weight=1):
+    """Moyal product a # b (terminating sum of transvectants), times `weight`."""
+    return _moyal(a, b, False, weight)
+
+
+def star_commutator(a, b, weight=1):
+    """a # b - b # a = sum over odd j of (2/j!) P_j(a, b), times `weight`."""
+    return _moyal(a, b, True, weight)
+
+
+def _substituted_monomial(zpow_m, zbpow_n):
+    """Image of z^m zbar^n: the product of the substituted powers of z and zbar."""
+    return zpow_m * zbpow_n
+
+
+def substitute_linear(symbols, z_image, zbar_image):
+    """Compose each symbol with z -> az*z + bz*zbar, zbar -> azb*z + bzb*zbar.
+
+    `z_image` = (az, bz) and `zbar_image` = (azb, bzb) may be scalars or
+    sample arrays.  One pass over the union of monomials: the powers of
+    the two linear forms are taken once, and each substituted monomial is
+    built once, added into every symbol that carries it, and dropped.
+    Returns the list of substituted symbols.
+    """
+    top = max((sym.degree for sym in symbols), default=0)
+    zpow, zbpow = ([PolySymbol.constant(1), PolySymbol({(1, 0): a, (0, 1): b})]
+                   for a, b in (z_image, zbar_image))
+    for _ in range(2, top + 1):
+        zpow.append(zpow[-1] * zpow[1])
+        zbpow.append(zbpow[-1] * zbpow[1])
+    carriers = defaultdict(list)
+    for idx, sym in enumerate(symbols):
+        for mn, v in sym.coeffs.items():
+            carriers[mn].append((idx, v))
+    outs = [{} for _ in symbols]
+    for (m, n), uses in carriers.items():
+        image = _substituted_monomial(zpow[m], zbpow[n])
+        for idx, v in uses:
+            for key, u in image.items():
+                _accumulate(outs[idx], key, u * v)
+    return [PolySymbol(out) for out in outs]
 
 
 def poisson_constant(mn, munu):
@@ -230,9 +280,7 @@ def poisson_constant(mn, munu):
 
 def transvectant_constant(mn, munu, j):
     """Scalar C with P_j(z^m zbar^n, z^mu zbar^nu) = C z^(m+mu-j) zbar^(n+nu-j)."""
-    sym = transvectant(PolySymbol.monomial(*mn), PolySymbol.monomial(*munu), j)
-    (m, n), (mu, nu) = mn, munu
-    return sym[(m + mu - j, n + nu - j)]
+    return _transvectant_coefficient(*mn, *munu, j)
 
 
 def diagonal_part(a):

@@ -1,4 +1,4 @@
-"""Independent routes to the Jacobi frame and the variation field, for tests only.
+"""Independent routes to quantities the package computes, for tests only.
 
 The production frame rides on the geodesic flow and the production
 variation field comes by quadrature (see `zollforms.jacobi`).  The
@@ -6,14 +6,38 @@ routes here solve the same equations a second way: ODE solves driven by
 the trigonometric interpolant of the sampled curvature.  Tests pin the
 two routes to each other, so the identity checks that consume the
 variation field keep a path that shares no quadrature with them.
+
+The curvature jets have a finite-difference route: the curvature sampled
+along the normal and tangent geodesics (`exp_map`), differentiated by
+central stencils, against the closed-form revolution derivatives of
+`zollforms.surface.curvature_jet_at`.
+
+The order-zero normal form symbol has the same kind of second route:
+the closed form `d_zero_restricted` of the frame-conjugated metric terms
+plus `commutator_double_integral` of the odd term `d_half`, written out
+by hand where the engine (`zollforms.normalform.conjugated_order_zero`)
+runs generic operator algebra.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from zollforms import expansion
+from zollforms.fourier import spectral_antiderivative, spectral_derivative
 from zollforms.jacobi import JacobiFrame, VariationField
+from zollforms.normalform import _graded_formal, _instantiate, field_mean, metaplectic_substitute
+from zollforms.surface import (
+    CurvatureJet,
+    SurfacePoint,
+    exp_map,
+    gaussian_curvature,
+    rotate_tangent,
+    tangent_to_north,
+)
+from zollforms.weyl import PolySymbol, star_commutator, star_product
 
 ODE_TOL = 1e-12
 INTERP_TOL = 1e-15     # relative magnitude below which interpolant modes are dropped
@@ -85,3 +109,98 @@ def ode_variation_field(frame, direction=None):
     y_nu, dy_nu = _solve(rhs, np.zeros(2, dtype=complex), path.s)
     return VariationField(y_nu=y_nu, dy_nu=dy_nu, tau=np.asarray(path.tau),
                           tau_nu=np.asarray(path.tau_nu), y=y, direction=direction)
+
+
+def d_half(frame):
+    """Substituted odd term D_(1/2)(s, z, zbar): the cubic obstruction symbol.
+
+    Equals (coefficient from the graded expansion) * tau_nu(s) *
+    ((Ybar z + Y zbar)/2)^3; entries carry the exact binomial structure.
+    """
+    syms = _graded_formal()[Fraction(-1, 2)]
+    if set(syms) != {0}:
+        raise AssertionError("odd term should carry no D_s")
+    return metaplectic_substitute(_instantiate(frame.path)[Fraction(-1, 2)].ds_part(0), frame)
+
+
+def commutator_double_integral(d):
+    """s-average of the ordered commutator double integral, as a scalar symbol.
+
+    Computes pref * (1/2pi) int [d(s), int_0^s d(t) dt] ds with the star
+    commutator and the engine-verified prefactor -i/4, so the result is
+    exactly the correction the order-zero term acquires from the first
+    conjugation.
+    """
+    cum = d.map_coeffs(spectral_antiderivative)
+    comm = star_commutator(d, cum)
+    return field_mean(comm).scale(complex(expansion.COMMUTATOR_PREFACTOR))
+
+
+def d_zero_restricted(frame):
+    """Explicit D_s-free part of the frame-conjugated order-zero term.
+
+    With h the substituted oscillator and a_k the substituted order-zero
+    symbols per D_s power,
+        D_0|0 = a_0 - a_1 # h + a_2 # (h#h + i d_s h).
+    """
+    graded_num = _instantiate(frame.path)
+    l1 = graded_num[Fraction(-1)]
+    c_s = complex(l1.ds_part(1)[(0, 0)][0])
+    h = metaplectic_substitute(l1.ds_part(0), frame).scale(1.0 / c_s)
+    l0 = graded_num[Fraction(0)]
+    out = PolySymbol()
+    for k in sorted(l0.terms):
+        a_k = metaplectic_substitute(l0.ds_part(k), frame)
+        if k == 0:
+            out = out + a_k
+        elif k == 1:
+            out = out + star_product(a_k, h).scale(-1.0)
+        elif k == 2:
+            inner = star_product(h, h) + h.map_coeffs(spectral_derivative).scale(1j)
+            out = out + star_product(a_k, inner)
+        else:
+            raise AssertionError(f"unexpected D_s power {k} at weight 0")
+    return out
+
+
+def _curvature_along(metric, p, tangent, direction, fd_step):
+    """t -> K(exp_p(t * fd_step * direction)), direction "normal" or "tangent"."""
+    pn = p.to_north()
+    v = tangent_to_north(p, tangent)
+    d = rotate_tangent(v, math.pi / 2) if direction == "normal" else v
+
+    def k(t):
+        q, _ = exp_map(metric, pn, d, t * fd_step)
+        return gaussian_curvature(metric, q)
+    return k
+
+
+def fd_curvature_jet(metric, p, tangent, fd_step=1e-3):
+    """Curvature jet by 5-point central differences along the normal geodesic
+    (tau_nu, tau_nunu) and the tangent geodesic (tau_s)."""
+    kn = _curvature_along(metric, p, tangent, "normal", fd_step)
+    kt = _curvature_along(metric, p, tangent, "tangent", fd_step)
+    n = [kn(t) for t in (-2, -1, 0, 1, 2)]
+    t = [kt(t) for t in (-2, -1, 1, 2)]
+    h = fd_step
+    return CurvatureJet(
+        tau=n[2],
+        tau_s=(t[0] - 8 * t[1] + 8 * t[2] - t[3]) / (12 * h),
+        tau_nu=(n[0] - 8 * n[1] + 8 * n[3] - n[4]) / (12 * h),
+        tau_nunu=(-n[0] + 16 * n[1] - 30 * n[2] + 16 * n[3] - n[4]) / (12 * h * h),
+    )
+
+
+def tau_nunu_stencil(metric, p, tangent, points=5, fd_step=1e-3):
+    """tau_nunu by a pure central stencil along the normal geodesic (5 or 7 points)."""
+    k = _curvature_along(metric, p, tangent, "normal", fd_step)
+    h = fd_step
+    if points == 5:
+        vals = [k(t) for t in (-2, -1, 0, 1, 2)]
+        return (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h)
+    if points == 7:
+        vals = [k(t) for t in (-3, -2, -1, 0, 1, 2, 3)]
+        num = (2 * vals[0] - 27 * vals[1] + 270 * vals[2] - 490 * vals[3]
+               + 270 * vals[4] - 27 * vals[5] + 2 * vals[6])
+        return num / (180 * h * h)
+    raise ValueError("points must be 5 or 7")

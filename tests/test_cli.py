@@ -24,9 +24,20 @@ from zollforms.cli import (
     metric_from_spec,
     parse_metric_flag,
 )
+from numpy.linalg import LinAlgError
+
 from zollforms.expansion import constants_report
+from zollforms.jacobi import NotEllipticError, floquet_exponents
 from zollforms.normalform import FirstObstructionError
 from zollforms.surface import IntegrationError
+from zollforms.weyl import DegreeOverflowError
+
+
+def _not_elliptic():
+    """The error floquet_exponents raises on a hyperbolic Poincare matrix."""
+    with pytest.raises(NotEllipticError) as info:
+        floquet_exponents([[2.0, 0.0], [0.0, 0.5]])
+    return info.value
 
 
 class TestConfig:
@@ -141,6 +152,35 @@ class TestVerifyCommand:
         assert [f["check"] for f in report["summary"]["failures"]] == ["integration"]
 
 
+    @pytest.mark.parametrize("stage, error, check", [
+        ("assemble_p1", lambda: DegreeOverflowError("forced overflow"), "degree_overflow"),
+        ("solve_fundamental", lambda: LinAlgError("forced singular matrix"), "linear_algebra"),
+        ("solve_fundamental", lambda: _not_elliptic(), "not_elliptic"),
+    ])
+    def test_numerical_error_is_a_named_failure(self, monkeypatch, stage, error, check):
+        """An error of one geodesic's computation becomes that geodesic's
+        named failure; the other geodesics still run and the exit code is 3."""
+        real = getattr(cli, stage)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise error()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, stage, failing)
+        cfg = RunConfig.load(None, {"metric": {"kind": "round"}, "geodesics": 3,
+                                    "grid": 256})
+        report, code = build_report(cfg, "invariants")
+        assert code == EXIT_NUMERICAL_FAILURE
+        records = report["geodesics"]
+        assert [r["geodesic_id"] for r in records] == ["equator", "meridian", "random-000"]
+        assert f"{check}_failure" in records[1]
+        assert "invariants" in records[0] and "invariants" in records[2]
+        assert report["summary"]["failures"] == [
+            {"geodesic": "meridian", "check": check, "value": None}]
+
     def test_integration_failure_is_strict_json(self, monkeypatch, tmp_path, capsys):
         """A failed geodesic's value is written as null, never as a bare NaN."""
         real_trace = cli.trace_geodesic
@@ -200,6 +240,26 @@ class TestInvariantsCommand:
         first, _ = build_report(cfg, "invariants")
         second, _ = build_report(cfg, "invariants")
         assert first["digest"] == second["digest"]
+
+    def test_engine_diagnostics_reach_the_report(self, tmp_path):
+        """frame_cancellation and odd_residual are written per geodesic as
+        finite numbers, and two runs of one config still give one digest."""
+        digests = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            code = main(["invariants", "--metric", "zoll:-0.3,0.3", "--geodesics", "3",
+                         "--grid", "512", "--out", str(out)])
+            assert code == EXIT_PASS
+            report = json.loads(out.read_text())
+            for rec in report["geodesics"]:
+                diag = rec["invariants"]["diagnostics"]
+                assert set(diag) == {"frame_cancellation", "odd_residual"}
+                for value in diag.values():
+                    assert isinstance(value, float) and math.isfinite(value)
+                assert diag["frame_cancellation"] <= 1e-12
+                assert diag["odd_residual"] <= 1e-8
+            digests.append(report["digest"])
+        assert digests[0] == digests[1]
 
     def test_header_constants_digest(self):
         cfg = RunConfig.load(None, {"geodesics": 1, "grid": 256})

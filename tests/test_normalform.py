@@ -8,14 +8,13 @@ import pytest
 from zollforms.fourier import periodic_mean
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic
 from zollforms.jacobi import solve_fundamental
+from oracles import commutator_double_integral, d_half, d_zero_restricted
 from zollforms.normalform import (
     FirstObstructionError,
+    SOperator,
     assemble_p1,
-    commutator_double_integral,
     compute_H,
     conjugated_order_zero,
-    d_half,
-    d_zero_restricted,
     field_mean,
     metaplectic_substitute,
     solve_first_homological,
@@ -205,10 +204,11 @@ class TestMeanFreeTerms:
     def test_oscillator_derivative_term_averages_out(self, cubic_path, cubic_frame):
         """The i d_s(h) piece of the D_s^2 conjugation is a total derivative:
         every entry's mean vanishes (term (iv) of the order-zero symbol)."""
-        from zollforms.normalform import _instantiate, _oscillator, _symbol_ds
-        graded = _instantiate(cubic_path)
-        _, h = _oscillator(graded, cubic_frame)
-        dsh = _symbol_ds(h)
+        from fractions import Fraction
+        from zollforms.normalform import _frame_conjugate, _instantiate, _oscillator, _symbol_ds
+        framed = _frame_conjugate(_instantiate(cubic_path), cubic_frame)
+        _, minus_h = _oscillator(framed[Fraction(-1)])
+        dsh = _symbol_ds(minus_h)
         worst = max(abs(complex(periodic_mean(v))) for v in dsh.coeffs.values())
         assert worst < 1e-8
 
@@ -316,3 +316,81 @@ class TestComputeH:
         frame = solve_fundamental(path)
         h_a, h_b = compute_H(path, frame)
         assert abs(h_a - h_b) < 1e-12
+
+
+def _smooth_field_symbol(rng, s, degrees=(0, 2, 3)):
+    """Random symbol whose entries are low trigonometric polynomials on the grid."""
+    out = PolySymbol()
+    for d in degrees:
+        for m in range(d + 1):
+            c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            out[m, d - m] = c[0] + c[1] * np.exp(1j * s) + c[2] * np.cos(2 * s) + c[3] * np.sin(3 * s)
+    return out
+
+
+class TestSOperatorCommutator:
+    def test_ds_free_left_equals_compose_difference(self):
+        """[Op(a), B] through the odd-only star commutator plus the d_s^l a
+        terms equals Op(a) o B - B o Op(a), for B with D_s^0..D_s^2 parts."""
+        rng = np.random.default_rng(21)
+        s = 2.0 * math.pi * np.arange(64) / 64
+        a = SOperator.symbol(_smooth_field_symbol(rng, s, (3,)))
+        b = SOperator({k: _smooth_field_symbol(rng, s) for k in range(3)})
+        for weight in (1, -0.5j):
+            got = a.commutator(b, weight)
+            ref = (a.compose(b) - b.compose(a)).scale(weight)
+            assert set(got.terms) <= set(ref.terms)
+            scale = ref.max_abs()
+            for k, sym in ref.terms.items():
+                for key, v in sym.coeffs.items():
+                    g = got.ds_part(k)[key]
+                    assert np.max(np.abs(np.asarray(g) - v)) <= 1e-12 * scale, (k, key)
+
+
+class TestEnginePin:
+    """The engine against the closed-form oracle on the reference Zoll metric."""
+
+    @pytest.mark.parametrize("n", [2048, 32768])
+    @pytest.mark.parametrize("start", ["equator", "meridian", "oblique"])
+    def test_assemble_p1_matches_closed_form(self, cubic_metric, equator_ic, meridian_ic,
+                                             generic_ic, start, n):
+        ic = {"equator": equator_ic, "meridian": meridian_ic, "oblique": generic_ic}[start]
+        path = trace_geodesic(cubic_metric, ic, n)
+        frame = solve_fundamental(path)
+        rec = assemble_p1(cubic_metric, ic, path=path, frame=frame)
+        oracle = field_mean(d_zero_restricted(frame)) + commutator_double_integral(d_half(frame))
+        assert abs(rec.c0 - complex(oracle[(0, 0)]).real / 2.0) <= 1e-10
+        assert abs(rec.c01 - abs(complex(oracle[(1, 1)])) / 2.0) <= 1e-10
+        assert abs(rec.c2 - complex(oracle[(2, 2)]).real / 2.0) <= 1e-10
+        for key, v in rec.offdiag.items():
+            assert abs(v - complex(oracle[key]) / 2.0) <= 1e-10, key
+        for key, v in oracle.coeffs.items():
+            if key[0] != key[1] and sum(key) <= 4:
+                assert abs(rec.offdiag.get(key, 0.0) - complex(v) / 2.0) <= 1e-10, key
+        assert rec.diagnostics["frame_cancellation"] <= 1e-12
+        assert rec.diagnostics["odd_residual"] <= 1e-8
+
+
+class TestSubstitutionCount:
+    def test_each_monomial_substituted_once(self, cubic_path, cubic_frame, monkeypatch):
+        """One engine call builds the frame image of every distinct monomial
+        of the graded symbols exactly once, whatever number of symbols
+        carry it."""
+        from collections import Counter
+        from zollforms import weyl
+        from zollforms.normalform import _graded_formal
+
+        built = Counter()
+        real = weyl._substituted_monomial
+
+        def counting(zpow_m, zbpow_n):
+            built[(zpow_m.degree, zbpow_n.degree)] += 1
+            return real(zpow_m, zbpow_n)
+
+        monkeypatch.setattr(weyl, "_substituted_monomial", counting)
+        conjugated_order_zero(cubic_path, cubic_frame)
+        carried = {key for syms in _graded_formal().values()
+                   for sym in syms.values() for key in sym.coeffs}
+        assert len(carried) == 13
+        assert set(built) == carried
+        assert set(built.values()) == {1}

@@ -1,5 +1,8 @@
 """Symbol algebra: transvectants, star products, and the matrix oracle."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -180,3 +183,84 @@ class TestDiagonalPart:
         diag, residue = diagonal_part(a)
         assert all(complex(c) == 0 for c in diag)
         assert set(residue.coeffs) == {(3, 0)}
+
+
+def random_exact_symbol(rng, max_degree=4):
+    return PolySymbol({(m, n): Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+                       for m in range(max_degree + 1) for n in range(max_degree + 1 - m)})
+
+
+def random_field_symbol(rng, size=16, max_degree=4):
+    return PolySymbol({(m, n): rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                       for m in range(max_degree + 1) for n in range(max_degree + 1 - m)})
+
+
+def transvectant_sum(a, b, orders, weight):
+    """sum over j in orders of weight(j) * P_j(a, b), term by term from the definition."""
+    out = PolySymbol()
+    for j in orders:
+        w = weight(j)
+        term = transvectant(a, b, j)
+        out = out + term.map_coeffs(lambda v: v * (float(w) if isinstance(v, (np.ndarray, complex)) else w))
+    return out
+
+
+def moyal_reference(a, b):
+    return transvectant_sum(a, b, range(min(a.degree, b.degree) + 1),
+                            lambda j: Fraction(1, math.factorial(j)))
+
+
+def commutator_reference(a, b):
+    return transvectant_sum(a, b, range(1, min(a.degree, b.degree) + 1, 2),
+                            lambda j: Fraction(2, math.factorial(j)))
+
+
+def fields_close(a, b, tol=1e-12):
+    keys = set(a.coeffs) | set(b.coeffs)
+    return all(np.max(np.abs(np.asarray(a[k]) - np.asarray(b[k]))) <= tol for k in keys)
+
+
+class TestFusedKernel:
+    """star_product / star_commutator (one pass per monomial pair) against the
+    term-by-term transvectant sums they fuse."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_complex_coefficients(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        a, b = random_symbol(rng, 4), random_symbol(rng, 4)
+        assert symbols_close(star_product(a, b), moyal_reference(a, b), 1e-9)
+        assert symbols_close(star_commutator(a, b), commutator_reference(a, b), 1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fraction_coefficients_exact(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        a, b = random_exact_symbol(rng), random_exact_symbol(rng)
+        assert star_product(a, b).coeffs == moyal_reference(a, b).coeffs
+        assert star_commutator(a, b).coeffs == commutator_reference(a, b).coeffs
+
+    def test_sample_array_coefficients(self):
+        rng = np.random.default_rng(300)
+        a, b = random_field_symbol(rng), random_field_symbol(rng)
+        assert fields_close(star_product(a, b), moyal_reference(a, b), 1e-9)
+        assert fields_close(star_commutator(a, b), commutator_reference(a, b), 1e-9)
+        # the inputs are not written to by the in-place accumulation
+        a_copy = {k: v.copy() for k, v in a.coeffs.items()}
+        star_product(a, a)
+        assert all(np.array_equal(a[k], v) for k, v in a_copy.items())
+
+    def test_weight_is_folded_in(self):
+        rng = np.random.default_rng(400)
+        a, b = random_field_symbol(rng), random_field_symbol(rng)
+        w = 0.25 - 1.5j
+        assert fields_close(star_product(a, b, w), star_product(a, b).scale(w), 1e-9)
+        assert fields_close(star_commutator(a, b, w), star_commutator(a, b).scale(w), 1e-9)
+
+    @pytest.mark.parametrize("mn", MONOMIALS_DEG4)
+    def test_commutator_has_only_odd_orders(self, mn):
+        """Every term of z^m zbar^n # b - b # z^m zbar^n drops the degree by
+        2j with j odd; the even orders cancel and are never formed."""
+        for munu in MONOMIALS_DEG4:
+            got = star_commutator(PolySymbol.monomial(*mn), PolySymbol.monomial(*munu))
+            for (p, q) in got.coeffs:
+                j = (sum(mn) + sum(munu) - p - q) // 2
+                assert j % 2 == 1, (mn, munu, (p, q))
