@@ -9,18 +9,17 @@ maximally degenerate).
 """
 
 import math
-import sys
-from pathlib import Path
+from fractions import Fraction
 
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic
 from zollforms.jacobi import solve_fundamental
-from zollforms.normalform import assemble_p1, field_mean
+from zollforms.normalform import (
+    assemble_p1,
+    conjugated_order_zero,
+    field_mean,
+    frame_conjugated,
+)
 from zollforms.surface import MetricModel, SurfacePoint
-
-# the two contributions are split out by the closed-form route, which the
-# test suite keeps as its cross-check of the engine
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from oracles import commutator_double_integral, d_half, d_zero_restricted  # noqa: E402
 
 metric = MetricModel.zoll_revolution([-0.3, 0.3])
 
@@ -44,8 +43,11 @@ print("== the cancellation behind the off-diagonal vanishing ==")
 ic = sample_initial_conditions(1, seed=7)[0]
 path = trace_geodesic(metric, ic, 1024)
 frame = solve_fundamental(path)
-metric_part = field_mean(d_zero_restricted(frame))
-commutator_part = commutator_double_integral(d_half(frame))
+# the metric terms are the D_s-free weight 0 part after the frame (stage 1);
+# the commutator term is what the exp(i h^(1/2) Q) conjugation adds to it
+_, stage1 = frame_conjugated(path, frame)
+metric_part = field_mean(stage1[Fraction(0)].ds_part(0))
+commutator_part = field_mean(conjugated_order_zero(path, frame)[0]) - metric_part
 print(f"{'entry':>8s} {'metric terms':>24s} {'commutator term':>24s} {'sum':>12s}")
 for key in ((2, 2), (3, 1), (4, 0), (1, 3), (0, 4)):
     a = complex(metric_part[key])

@@ -22,7 +22,7 @@ from . import __version__
 from .expansion import constants_report
 from .geodesic import canonical_initial_conditions, sample_initial_conditions, trace_geodesic
 from .identities import DEFAULT_TOLERANCE, run_all_checks
-from .jacobi import NotEllipticError, solve_fundamental
+from .jacobi import solve_fundamental
 from .normalform import FirstObstructionError, assemble_p1
 from .surface import IntegrationError, MetricModel
 from .weyl import DegreeOverflowError
@@ -46,7 +46,6 @@ NUMERICAL_FAILURES = {
     IntegrationError: "integration",
     DegreeOverflowError: "degree_overflow",
     LinAlgError: "linear_algebra",
-    NotEllipticError: "not_elliptic",
 }
 
 

@@ -24,7 +24,6 @@ from .surface import IntegrationError
 
 __all__ = [
     "JacobiFrame",
-    "NotEllipticError",
     "VariationField",
     "solve_fundamental",
     "floquet_exponents",
@@ -33,10 +32,6 @@ __all__ = [
 
 WRONSKIAN_TOL = 1e-8
 ELLIPTIC_TOL = 1e-6
-
-
-class NotEllipticError(ValueError):
-    """A Poincare matrix that is not finite, or not elliptic."""
 
 
 @dataclass(frozen=True)
@@ -102,16 +97,16 @@ def solve_fundamental(path):
 def floquet_exponents(frame_or_matrix):
     """Floquet exponent alpha with Poincare eigenvalues e^{+-i alpha}.
 
-    Raises NotEllipticError (a ValueError) for a matrix with NaN or inf
-    entries, and for hyperbolic or loxodromic matrices (out of the
-    elliptic scope of this package).
+    Raises ValueError for a matrix with NaN or inf entries, and for
+    hyperbolic or loxodromic matrices (out of the elliptic scope of this
+    package).
     """
     P = frame_or_matrix.poincare if isinstance(frame_or_matrix, JacobiFrame) else np.asarray(frame_or_matrix)
     if not np.all(np.isfinite(P)):
-        raise NotEllipticError(f"Poincare matrix {P.tolist()} is not finite")
+        raise ValueError(f"Poincare matrix {P.tolist()} is not finite")
     eigs = np.linalg.eigvals(P)
     if not np.max(np.abs(np.abs(eigs) - 1.0)) <= ELLIPTIC_TOL:
-        raise NotEllipticError(f"Poincare eigenvalues {eigs} leave the unit circle: not elliptic")
+        raise ValueError(f"Poincare eigenvalues {eigs} leave the unit circle: not elliptic")
     half_trace = float(np.trace(P).real) / 2.0
     return float(math.acos(min(1.0, max(-1.0, half_trace))))
 

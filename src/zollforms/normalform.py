@@ -46,6 +46,8 @@ __all__ = [
     "FirstObstructionError",
     "metaplectic_substitute",
     "solve_first_homological",
+    "ad_symbol",
+    "frame_conjugated",
     "conjugated_order_zero",
     "assemble_p1",
     "compute_H",
@@ -136,32 +138,30 @@ class SOperator:
                     out = out + SOperator({j - l + k: star_product(asym, derivs[l], c)})
         return out
 
-    def commutator(self, other, weight=1):
-        """weight * [self, other].
-
-        For a D_s-free left side a, the D_s^k parts commute through the
-        odd-only star commutator, and moving D_s^k past a adds
-        -C(k, l) (-i)^l b_k # d_s^l a at D_s^(k-l).
-        """
-        if set(self.terms) - {0}:
-            return (self.compose(other) - other.compose(self)).scale(weight)
-        a = self.ds_part(0)
-        out = SOperator({k: star_commutator(a, b, weight) for k, b in other.terms.items()})
-        derivs = [a]
-        for k, b in other.terms.items():
-            for l in range(1, k + 1):
-                if l == len(derivs):
-                    derivs.append(_symbol_ds(derivs[-1]))
-                c = -weight * math.comb(k, l) * (-1j) ** l
-                out = out + SOperator({k - l: star_product(b, derivs[l], c)})
-        return out
-
     def substitute_ds(self, powers):
         """Replace D_s by D_s - Op(h), given powers[k] = (D_s - Op(h))^k."""
         out = SOperator()
         for k, sym in sorted(self.terms.items()):
             out = out + SOperator.symbol(sym).compose(powers[k])
         return out
+
+
+def ad_symbol(q, op, weight):
+    """weight * [Op(q), op] for a D_s-free symbol q.
+
+    The D_s^k parts of op commute through the odd-only star commutator,
+    and moving D_s^k past Op(q) adds -C(k, l) (-i)^l b_k # d_s^l q at
+    D_s^(k-l).
+    """
+    out = SOperator({k: star_commutator(q, b, weight) for k, b in op.terms.items()})
+    derivs = [q]
+    for k, b in op.terms.items():
+        for l in range(1, k + 1):
+            if l == len(derivs):
+                derivs.append(_symbol_ds(derivs[-1]))
+            c = -weight * math.comb(k, l) * (-1j) ** l
+            out = out + SOperator({k - l: star_product(b, derivs[l], c)})
+    return out
 
 
 def _prune(op):
@@ -252,16 +252,13 @@ def solve_first_homological(d, c_s=2.0):
     return q, max((abs(m) for m in means.values()), default=0.0)
 
 
-def conjugated_order_zero(path, frame):
-    """Order-zero, D_s-free symbol after both conjugations (the engine route).
+def frame_conjugated(path, frame):
+    """Stage 1: the graded operators after the frame and D_s -> D_s - Op(h).
 
-    Substitutes the metaplectic frame into every graded term, replaces
-    D_s by D_s - Op(h), then applies the ad-series of exp(i h^(1/2) Q̂)
-    with Q from the first homological equation.  Returns (symbol field,
-    diagnostics dict); the diagnostics are `frame_cancellation` (what is
-    left of the weight -1 term besides c_s D_s), `first_obstruction_max`
-    (the largest |mean| of the odd term the first conjugation removes)
-    and `odd_residual` (what is left at weight -1/2 after it).
+    Returns (c_s, {weight: SOperator}); the weight -1 operator is c_s D_s
+    up to `frame_cancellation`, and the D_s-free part of the weight 0
+    operator is the conjugated metric contribution to the order-zero
+    symbol.
     """
     framed = _frame_conjugate(_instantiate(path), frame)
     c_s, minus_h = _oscillator(framed[Fraction(-1)])
@@ -269,13 +266,26 @@ def conjugated_order_zero(path, frame):
     powers = [SOperator.symbol(PolySymbol.constant(1))]
     for _ in range(max(k for op in framed.values() for k in op.terms)):
         powers.append(powers[-1].compose(shift))
-    conj = {w: _prune(op.substitute_ds(powers)) for w, op in framed.items()}
+    return c_s, {w: _prune(op.substitute_ds(powers)) for w, op in framed.items()}
+
+
+def conjugated_order_zero(path, frame):
+    """Order-zero, D_s-free symbol after both conjugations (the engine route).
+
+    Takes the stage 1 operators of `frame_conjugated`, then applies the
+    ad-series of exp(i h^(1/2) Q̂) with Q from the first homological
+    equation.  Returns (symbol field, diagnostics dict); the diagnostics
+    are `frame_cancellation` (what is left of the weight -1 term besides
+    c_s D_s), `first_obstruction_max` (the largest |mean| of the odd term
+    the first conjugation removes) and `odd_residual` (what is left at
+    weight -1/2 after it).
+    """
+    c_s, conj = frame_conjugated(path, frame)
     # the weight -1 term must now be exactly c_s D_s
     diag = {"frame_cancellation": SOperator({0: conj[Fraction(-1)].ds_part(0)}).max_abs()}
 
     d = conj[Fraction(-1, 2)].ds_part(0)
     q, diag["first_obstruction_max"] = solve_first_homological(d, c_s=c_s)
-    q_op = SOperator.symbol(q)
 
     result = {}
     half = Fraction(1, 2)
@@ -284,7 +294,7 @@ def conjugated_order_zero(path, frame):
         for j in range(int(-w / half) + 1):
             if j:
                 # term carries (-i)^j / j! ad_Q^j(op)
-                term = _prune(q_op.commutator(term, -1j / j))
+                term = _prune(ad_symbol(q, term, -1j / j))
             if not term.terms:
                 break
             key = w + j * half

@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from numpy.linalg import LinAlgError
 
 from zollforms import cli
 from zollforms.cli import (
@@ -24,20 +25,10 @@ from zollforms.cli import (
     metric_from_spec,
     parse_metric_flag,
 )
-from numpy.linalg import LinAlgError
-
 from zollforms.expansion import constants_report
-from zollforms.jacobi import NotEllipticError, floquet_exponents
 from zollforms.normalform import FirstObstructionError
 from zollforms.surface import IntegrationError
 from zollforms.weyl import DegreeOverflowError
-
-
-def _not_elliptic():
-    """The error floquet_exponents raises on a hyperbolic Poincare matrix."""
-    with pytest.raises(NotEllipticError) as info:
-        floquet_exponents([[2.0, 0.0], [0.0, 0.5]])
-    return info.value
 
 
 class TestConfig:
@@ -155,7 +146,6 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("stage, error, check", [
         ("assemble_p1", lambda: DegreeOverflowError("forced overflow"), "degree_overflow"),
         ("solve_fundamental", lambda: LinAlgError("forced singular matrix"), "linear_algebra"),
-        ("solve_fundamental", lambda: _not_elliptic(), "not_elliptic"),
     ])
     def test_numerical_error_is_a_named_failure(self, monkeypatch, stage, error, check):
         """An error of one geodesic's computation becomes that geodesic's

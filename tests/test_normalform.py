@@ -12,10 +12,12 @@ from oracles import commutator_double_integral, d_half, d_zero_restricted
 from zollforms.normalform import (
     FirstObstructionError,
     SOperator,
+    ad_symbol,
     assemble_p1,
     compute_H,
     conjugated_order_zero,
     field_mean,
+    frame_conjugated,
     metaplectic_substitute,
     solve_first_homological,
 )
@@ -238,6 +240,23 @@ class TestEngineAgainstExplicitRoute:
         assert diag["frame_cancellation"] < 1e-12
         assert diag["odd_residual"] < 1e-8
 
+    def test_stage_one_equals_closed_form_terms(self, cubic_path, cubic_frame):
+        """The stage 1 operators carry the closed-form pieces pointwise: the
+        D_s-free weight 0 part is d_zero_restricted, the weight -1/2 part
+        is d_half, and the weight -1 operator is c_s D_s."""
+        from fractions import Fraction
+        c_s, stage1 = frame_conjugated(cubic_path, cubic_frame)
+        assert set(stage1[Fraction(-1, 2)].terms) == {0}
+        assert SOperator({0: stage1[Fraction(-1)].ds_part(0)}).max_abs() <= 1e-12
+        assert set(stage1[Fraction(-1)].ds_part(1).coeffs) == {(0, 0)}
+        assert np.all(stage1[Fraction(-1)].ds_part(1)[(0, 0)] == c_s)
+        for got, ref in ((stage1[Fraction(0)].ds_part(0), d_zero_restricted(cubic_frame)),
+                         (stage1[Fraction(-1, 2)].ds_part(0), d_half(cubic_frame))):
+            scale = max(float(np.max(np.abs(v))) for v in ref.coeffs.values())
+            for k in set(got.coeffs) | set(ref.coeffs):
+                diff = np.asarray(got[k]) - np.asarray(ref[k])
+                assert np.max(np.abs(diff)) <= 1e-12 * scale, k
+
     def test_round_sphere_exact_mean(self, round_path, round_frame):
         engine, _ = conjugated_order_zero(round_path, round_frame)
         means = field_mean(engine)
@@ -334,10 +353,11 @@ class TestSOperatorCommutator:
         terms equals Op(a) o B - B o Op(a), for B with D_s^0..D_s^2 parts."""
         rng = np.random.default_rng(21)
         s = 2.0 * math.pi * np.arange(64) / 64
-        a = SOperator.symbol(_smooth_field_symbol(rng, s, (3,)))
+        q = _smooth_field_symbol(rng, s, (3,))
+        a = SOperator.symbol(q)
         b = SOperator({k: _smooth_field_symbol(rng, s) for k in range(3)})
         for weight in (1, -0.5j):
-            got = a.commutator(b, weight)
+            got = ad_symbol(q, b, weight)
             ref = (a.compose(b) - b.compose(a)).scale(weight)
             assert set(got.terms) <= set(ref.terms)
             scale = ref.max_abs()
