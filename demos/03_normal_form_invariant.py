@@ -25,18 +25,18 @@ metric = MetricModel.zoll_revolution([-0.3, 0.3])
 
 print("== per-geodesic invariants ==")
 print(f"{'geodesic':>10s} {'c0':>13s} {'c2':>10s} {'offdiag':>10s} "
-      f"{'H (y=u)':>10s} {'H (y=J)':>10s}")
+      f"{'H':>10s} {'c0 + H/16pi':>12s}")
 ics = [("equator", (SurfacePoint.north(math.pi / 2, 0.0), (0.0, 1.0))),
        ("meridian", (SurfacePoint.north(math.pi / 2, 0.0), (1.0, 0.0)))]
 ics += [(f"random-{i}", ic) for i, ic in enumerate(sample_initial_conditions(4, seed=2))]
 for name, ic in ics:
     rec = assemble_p1(metric, ic, 1024, geodesic_id=name)
     print(f"{name:>10s} {rec.c0:+.9f} {rec.c2:+10.1e} {rec.offdiag_max:10.1e} "
-          f"{rec.H_b:10.6f} {rec.H_a:10.6f}")
+          f"{rec.H_b:10.6f} {rec.c0 + rec.H_b / (16 * math.pi):12.1e}")
 
 print()
-print("c2 = 0 and off-diagonals vanish on every geodesic; c0 varies across")
-print("geodesics, so this Zoll metric is not maximally degenerate.")
+print("c2 = 0 and off-diagonals vanish on every geodesic; c0 = -H/(16 pi)")
+print("varies across geodesics, so this Zoll metric is not maximally degenerate.")
 
 print()
 print("== the cancellation behind the off-diagonal vanishing ==")

@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "MetricModel": "surface",
     "SurfacePoint": "surface",
-    "CurvatureJet": "surface",
     "GeodesicPath": "geodesic",
     "trace_geodesic": "geodesic",
     "JacobiFrame": "jacobi",

@@ -29,7 +29,7 @@ from .weyl import DegreeOverflowError
 
 __all__ = ["main", "RunConfig", "build_report", "metric_from_spec"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -266,7 +266,7 @@ def _write_report(report, out_path):
 
 
 CSV_HEADER = ["geodesic_id", "r0", "phi0", "theta0", "closure_defect",
-              "c0", "c01", "c2", "offdiag_max", "H_reading_a", "H_reading_b"]
+              "c0", "c01", "c2", "offdiag_max", "H_reading_b"]
 
 
 def _write_csv(report, csv_path):
@@ -279,7 +279,7 @@ def _write_csv(report, csv_path):
                 rec["geodesic_id"], rec.get("r0"), rec.get("phi0"), rec.get("theta0"),
                 rec.get("closure_defect"),
                 inv.get("c0"), inv.get("c01"), inv.get("c2"),
-                inv.get("offdiag_max"), inv.get("H_a"), inv.get("H_b"),
+                inv.get("offdiag_max"), inv.get("H_b"),
             ])
 
 

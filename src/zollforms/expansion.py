@@ -35,10 +35,8 @@ __all__ = [
     "graded_laplacian",
     "graded_symbols",
     "constants_report",
-    "JET_NAMES",
 ]
 
-JET_NAMES = ("tau", "tau_s", "tau_nu", "tau_nunu")
 SERIES_TRUNC = 6  # y-degree kept in all jet series
 
 

@@ -20,7 +20,7 @@ __all__ = [
     "periodic_mean",
 ]
 
-MEAN_ZERO_TOL = 1e-10  # residual means below this are zeroed in antiderivatives
+MEAN_ZERO_TOL = 1e-10  # antiderivatives zero residual means below this times max |f|
 
 
 def _check_grid(n):
@@ -74,8 +74,8 @@ def spectral_antiderivative(values):
 
     The mean-zero part is integrated exactly in Fourier space; a residual
     mean m contributes the explicit linear ramp m*s.  Means with |m| below
-    MEAN_ZERO_TOL are zeroed, keeping F periodic for numerically
-    mean-free input.
+    MEAN_ZERO_TOL * max |f| are zeroed, keeping F periodic for numerically
+    mean-free input at any scale of the data.
     """
     values = np.asarray(values)
     n = values.shape[-1]
@@ -83,7 +83,7 @@ def spectral_antiderivative(values):
     _, inv_ik, s = _mode_factors(n)
     coeffs = np.fft.fft(values)
     mean = coeffs[..., 0] / n
-    mean = np.where(np.abs(mean) < MEAN_ZERO_TOL, 0.0, mean)
+    mean = np.where(np.abs(mean) < MEAN_ZERO_TOL * np.max(np.abs(values), axis=-1), 0.0, mean)
     # the Nyquist mode is at roundoff level for smooth data; inv_ik drops it
     osc = np.fft.ifft(coeffs * inv_ik)
     osc = osc - osc[..., :1]

@@ -6,7 +6,8 @@ fundamental Jacobi solutions at s_j = 2*pi*j/N.  The Jacobi states come
 out of the same ODE solve as the geodesic (`surface.flow`), so a traced
 path already holds everything `jacobi.solve_fundamental` needs.  The grid
 supports spectral differentiation and spectrally accurate periodic
-quadrature of products of the samples.
+quadrature of products of the samples.  Points, tangents and samples are
+all in the north polar chart (`surface.SurfacePoint`).
 """
 
 import math
@@ -35,7 +36,7 @@ class GeodesicPath:
     """Arclength-uniform samples of a (nominally closed) unit-speed geodesic.
 
     Sample arrays have length n; index j is s_j = 2*pi*j/n.  `r`, `phi` are
-    north-chart coordinates, `tangent` and `normal` are (n, 2) frame
+    north polar chart coordinates, `tangent` and `normal` are (n, 2) frame
     components, and tau/tau_s/tau_nu/tau_nunu are the curvature jets.
     `jacobi` holds the (4, n) rows (y1, y1', y2, y2') of the fundamental
     Jacobi solutions, (y1, y1') = (0, 1) and (y2, y2') = (1, 0) at s = 0,
@@ -62,45 +63,6 @@ class GeodesicPath:
         return {"tau": self.tau, "tau_s": self.tau_s,
                 "tau_nu": self.tau_nu, "tau_nunu": self.tau_nunu}
 
-    def point(self, j):
-        return SurfacePoint.north(float(self.r[j]), float(self.phi[j]))
-
-    def rebase(self, j0):
-        """The same closed geodesic re-parametrized from s = 2*pi*j0/n.
-
-        Rolls the periodic sample arrays; valid up to the closure defect.
-        The Jacobi frame is re-based by linear algebra: with Phi(s) the
-        fundamental matrix on states (y, y'), the new frame is
-        Phi(s_j0 + t) Phi(s_j0)^-1, and samples past 2*pi continue as
-        Phi(s) Phi(2*pi), since tau is 2*pi-periodic on a closed geodesic.
-        """
-        j0 = int(j0) % self.n
-        roll = lambda a: np.roll(a, -j0, axis=0)
-        init = (self.point(j0), tuple(self.tangent[j0]))
-        fund, fund_end = _fundamental(self.jacobi), _fundamental(self.jacobi_end)
-        base_inv = np.linalg.inv(fund[j0])
-        ahead = np.concatenate([fund[j0:], fund[:j0] @ fund_end]) @ base_inv
-        return GeodesicPath(
-            metric=self.metric, init=init, n=self.n, s=self.s,
-            r=roll(self.r), phi=roll(self.phi),
-            tangent=roll(self.tangent), normal=roll(self.normal),
-            tau=roll(self.tau), tau_s=roll(self.tau_s),
-            tau_nu=roll(self.tau_nu), tau_nunu=roll(self.tau_nunu),
-            jacobi=_jacobi_rows(ahead),
-            jacobi_end=_jacobi_rows(fund[j0] @ fund_end @ base_inv),
-            closure_defect=self.closure_defect,
-        )
-
-
-def _fundamental(jacobi):
-    """Rows (y1, y1', y2, y2') to the fundamental matrix [[y2, y1], [y2', y1']]."""
-    y1, dy1, y2, dy2 = jacobi
-    return np.moveaxis(np.array([[y2, y1], [dy2, dy1]]), (0, 1), (-2, -1))
-
-
-def _jacobi_rows(fund):
-    return np.array([fund[..., 0, 1], fund[..., 1, 1], fund[..., 0, 0], fund[..., 1, 0]])
-
 
 def _validate_grid(n):
     if n < MIN_GRID or (n & (n - 1)) != 0:
@@ -126,9 +88,7 @@ def trace_geodesic(metric, init, n=2048, enforce_closure=True):
     r, phi, v1, v2, jacobi = _surface.flow(metric, p0, v0, t_eval)
     end_point = SurfacePoint.north(float(r[-1]), float(phi[-1]))
     end_tan = np.array([v1[-1], v2[-1]])
-    defect = _surface.state_distance(metric, p0.to_north(),
-                                     _surface.tangent_to_north(p0, v0),
-                                     end_point, end_tan)
+    defect = _surface.state_distance(metric, p0, v0, end_point, end_tan)
     if enforce_closure and not defect <= CLOSURE_TOL:
         raise IntegrationError(
             f"closure defect {defect:.3e} > {CLOSURE_TOL}: metric not Zoll at "
@@ -145,7 +105,7 @@ def trace_geodesic(metric, init, n=2048, enforce_closure=True):
         tau, tau_s, tau_nu, tau_nunu = _surface.curvature_jet_arrays(
             metric, r, v1, v2, -v2, v1)
     return GeodesicPath(
-        metric=metric, init=(p0.to_north(), tuple(_surface.tangent_to_north(p0, v0))),
+        metric=metric, init=(p0, tuple(v0)),
         n=n, s=s, r=r, phi=phi, tangent=tangent, normal=normal,
         tau=tau, tau_s=tau_s, tau_nu=tau_nu, tau_nunu=tau_nunu,
         jacobi=jacobi[:, :-1], jacobi_end=jacobi[:, -1],

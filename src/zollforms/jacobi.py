@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import spectral_antiderivative, spectral_derivative
+from .fourier import spectral_antiderivative
 from .surface import IntegrationError
 
 __all__ = [
@@ -58,11 +58,6 @@ class JacobiFrame:
     @property
     def dY(self):
         return self.dy2 + 1j * self.dy1
-
-    @property
-    def wronskian(self):
-        """y2 y1' - y1 y2' at every sample (identically 1 up to solver error)."""
-        return self.y2 * self.dy1 - self.y1 * self.dy2
 
     @property
     def omega(self):
@@ -113,32 +108,15 @@ def floquet_exponents(frame_or_matrix):
 
 @dataclass(frozen=True)
 class VariationField:
-    """Solution of the forced variation equation y_nu'' + tau_nu v y + tau y_nu = 0.
-
-    For the canonical diagonal case v = y this reduces to
-    y_nu'' + tau_nu y^2 + tau y_nu = 0.
-    """
+    """Solution y_nu, y_nu' of the forced variation equation
+    y_nu'' + tau_nu v y + tau y_nu = 0; for the diagonal case v = y,
+    y_nu'' + tau_nu y^2 + tau y_nu = 0."""
 
     y_nu: np.ndarray
     dy_nu: np.ndarray
-    tau: np.ndarray
-    tau_nu: np.ndarray
-    y: np.ndarray
-    direction: np.ndarray
-
-    def residual(self):
-        """Collocation residual, differentiating the sampled first derivative.
-
-        One spectral derivative of dy_nu instead of two of y_nu keeps the
-        sample noise from being amplified by the squared Nyquist
-        wavenumber.  Meaningful when the field is periodic (Zoll inputs
-        with ic (0, 0)).
-        """
-        second = spectral_derivative(self.dy_nu)
-        return second + self.tau_nu * self.direction * self.y + self.tau * self.y_nu
 
 
-def variation_field(frame, tau_nu=None, direction=None):
+def variation_field(frame, direction=None):
     """Variation of the complex frame Y under a normal deformation of the geodesic.
 
     Solves y_nu'' = -tau y_nu - F with F = tau_nu v(s) y(s), y = Y and
@@ -155,16 +133,9 @@ def variation_field(frame, tau_nu=None, direction=None):
     y_nu = y2 int_0^s y1 F - y1 int_0^s y2 F and
     y_nu' = y2' int_0^s y1 F - y1' int_0^s y2 F.
     """
-    path = frame.path
-    tau_nu = np.asarray(path.tau_nu if tau_nu is None else tau_nu)
     y = frame.Y
-    direction = y if direction is None else np.asarray(direction)
-    if tau_nu.shape != path.s.shape:
-        raise ValueError("samples do not live on the path grid")
-    force = tau_nu * direction * y
+    force = frame.path.tau_nu * (y if direction is None else np.asarray(direction)) * y
     a = spectral_antiderivative(frame.y1 * force)
     b = spectral_antiderivative(frame.y2 * force)
     return VariationField(y_nu=frame.y2 * a - frame.y1 * b,
-                          dy_nu=frame.dy2 * a - frame.dy1 * b,
-                          tau=np.asarray(path.tau), tau_nu=tau_nu, y=y,
-                          direction=direction)
+                          dy_nu=frame.dy2 * a - frame.dy1 * b)

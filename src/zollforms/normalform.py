@@ -181,21 +181,36 @@ def _graded_formal():
 
 
 def _instantiate(path):
-    """Graded operator family with jet values substituted on the path grid."""
+    """Graded operator family with jet values substituted on the path grid.
+
+    Each distinct jet polynomial is evaluated once per path; the entries
+    that carry it share one read-only array.
+    """
     values = path.jets()
-    n = path.n
-    out = {}
-    for w, syms in _graded_formal().items():
-        terms = {}
-        for c, sym in syms.items():
-            terms[c] = PolySymbol({k: _to_field(jp.substitute(values), n)
-                                   for k, jp in sym.coeffs.items()})
-        out[w] = SOperator(terms)
-    return out
+    fields = {}
+
+    def evaluate(jp):
+        out = fields.get(jp)
+        if out is None:
+            out = fields[jp] = _to_field(jp.substitute(values), path.n)
+            out.flags.writeable = False
+        return out
+
+    return {w: SOperator({c: PolySymbol({k: evaluate(jp) for k, jp in sym.coeffs.items()})
+                          for c, sym in syms.items()})
+            for w, syms in _graded_formal().items()}
 
 
-def _metaplectic(symbols, frame):
-    """Conjugate every symbol by the moving metaplectic frame, in one pass."""
+def metaplectic_substitute(symbols, frame):
+    """Conjugate every symbol by the moving metaplectic frame of the Jacobi flow.
+
+    Applies the exact linear substitution
+        z    -> (Ybar + i dYbar)/2 z + (Y + i dY)/2 zbar
+        zbar -> (Ybar - i dYbar)/2 z + (Y - i dY)/2 zbar
+    equivalently y -> (Ybar z + Y zbar)/2, eta -> (dYbar z + dY zbar)/2,
+    to a list of PolySymbols (entries scalars or sample arrays) in one
+    pass, and returns the list of SymbolFields on the frame's grid.
+    """
     Y, dY = frame.Y, frame.dY
     Yb, dYb = np.conj(Y), np.conj(dY)
     fields = [sym.map_coeffs(lambda v: _to_field(v, Y.shape[0])) for sym in symbols]
@@ -203,23 +218,10 @@ def _metaplectic(symbols, frame):
                              (0.5 * (Yb - 1j * dYb), 0.5 * (Y - 1j * dY)))
 
 
-def metaplectic_substitute(op_symbol, frame):
-    """Conjugate a symbol by the moving metaplectic frame of the Jacobi flow.
-
-    Applies the exact linear substitution
-        z    -> (Ybar + i dYbar)/2 z + (Y + i dY)/2 zbar
-        zbar -> (Ybar - i dYbar)/2 z + (Y - i dY)/2 zbar
-    equivalently y -> (Ybar z + Y zbar)/2, eta -> (dYbar z + dY zbar)/2.
-    Accepts a PolySymbol (entries scalars or sample arrays) and returns a
-    SymbolField on the frame's grid.
-    """
-    return _metaplectic([op_symbol], frame)[0]
-
-
 def _frame_conjugate(graded_num, frame):
     """Every graded operator with the frame substituted into its symbols."""
     slots = [(w, k, sym) for w, op in graded_num.items() for k, sym in op.terms.items()]
-    images = _metaplectic([sym for _, _, sym in slots], frame)
+    images = metaplectic_substitute([sym for _, _, sym in slots], frame)
     out = {w: {} for w in graded_num}
     for (w, k, _), image in zip(slots, images):
         out[w][k] = image
@@ -310,8 +312,9 @@ class InvariantRecord:
 
     c0, c01, c2 are the diagonal coefficients of the averaged order-zero
     symbol divided by 2 (the p1 normalization).  offdiag maps (m, n),
-    m != n, m + n <= 4 to the complex averaged coefficient.  H_a / H_b are
-    the two readings of the order-(-1) cluster-shift integral.
+    m != n, m + n <= 4 to the complex averaged coefficient.  H_b is the
+    order-(-1) cluster-shift integral H(gamma) of `compute_H`, with
+    c0 = -H_b / (16 pi).
     """
 
     geodesic_id: str
@@ -320,7 +323,6 @@ class InvariantRecord:
     c2: float
     reality_defect: float
     offdiag: dict
-    H_a: float
     H_b: float
     closure_defect: float
     first_obstruction_max: float
@@ -337,7 +339,7 @@ class InvariantRecord:
             "reality_defect": self.reality_defect,
             "offdiag": {f"{m},{n}": [v.real, v.imag] for (m, n), v in self.offdiag.items()},
             "offdiag_max": self.offdiag_max,
-            "H_a": self.H_a, "H_b": self.H_b,
+            "H_b": self.H_b,
             "closure_defect": self.closure_defect,
             "first_obstruction_max": self.first_obstruction_max,
             "diagnostics": {k: self.diagnostics[k] for k in REPORTED_DIAGNOSTICS
@@ -346,28 +348,25 @@ class InvariantRecord:
 
 
 def compute_H(path, frame):
-    """Both readings of the regularized cluster-shift integral H(gamma).
+    """The regularized cluster-shift integral H(gamma); c0 = -H / (16 pi).
 
-    H = int_gamma tau + [ (1/3) tau_nu y^3 int_0^s tau_nu J^3
+    H = int_gamma tau + [ (1/3) tau_nu u^3 int_0^s tau_nu J^3
                           - tau_nu u^2 J int_0^s tau_nu u J^2 ] ds
     with u the Jacobi solution with u(0) = 1, u'(0) = 0 and J the one with
-    J(0) = 0, J'(0) = 1.  The standalone y is ambiguous in the source
-    formula; reading a takes y = J, reading b takes y = u, and both values
-    are reported.
+    J(0) = 0, J'(0) = 1.  The source formula leaves the standalone factor
+    of the cubic term open; it is u here, the one reading under which H
+    is base-point invariant and c0 = -H / (16 pi) holds to roundoff
+    (pinned in the tests on cone and smooth profiles); reading J there
+    satisfies neither.
     """
     u, Jf = frame.y2, frame.y1
     tn = path.tau_nu
     tn_J2 = tn * Jf * Jf
-    tn_J3 = tn_J2 * Jf
-    inner_J3 = spectral_antiderivative(tn_J3)
+    inner_J3 = spectral_antiderivative(tn_J2 * Jf)
     inner_uJ2 = spectral_antiderivative(tn_J2 * u)
     tn_u2 = tn * u * u
-    term2 = tn_u2 * Jf * inner_uJ2
-    cube = inner_J3 / 3.0
-    base = 2.0 * math.pi * periodic_mean(path.tau)
-    h_a = base + 2.0 * math.pi * periodic_mean(tn_J3 * cube - term2)
-    h_b = base + 2.0 * math.pi * periodic_mean(tn_u2 * u * cube - term2)
-    return float(h_a), float(h_b)
+    cubic = tn_u2 * u * (inner_J3 / 3.0) - tn_u2 * Jf * inner_uJ2
+    return float(2.0 * math.pi * periodic_mean(path.tau) + 2.0 * math.pi * periodic_mean(cubic))
 
 
 def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", path=None, frame=None):
@@ -375,7 +374,7 @@ def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", path=None, frame=N
 
     Returns the InvariantRecord with the diagonal invariant (c2 |z|^4 +
     c01 |z|^2 + c0, halved order-zero symbol), the off-diagonal averaged
-    coefficients, and both H readings.
+    coefficients, and H(gamma).
     """
     if path is None:
         path = trace_geodesic(metric, init, n)
@@ -387,14 +386,13 @@ def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", path=None, frame=N
     diag_coeffs = (diag_coeffs + [0.0] * 3)[:3]
     offdiag = {k: v / 2.0 for k, v in residue.coeffs.items()
                if k[0] + k[1] <= OFFDIAG_DEGREE}
-    h_a, h_b = compute_H(path, frame)
     c0, c01, c2 = (complex(c) / 2.0 for c in diag_coeffs)
     return InvariantRecord(
         geodesic_id=geodesic_id,
         c0=c0.real, c01=abs(c01), c2=c2.real,
         reality_defect=max(abs(c0.imag), abs(c2.imag)),
         offdiag=offdiag,
-        H_a=h_a, H_b=h_b,
+        H_b=compute_H(path, frame),
         closure_defect=path.closure_defect,
         first_obstruction_max=diag["first_obstruction_max"],
         diagnostics=diag,

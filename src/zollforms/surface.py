@@ -1,4 +1,4 @@
-"""Zoll metrics of revolution and their curvature jets.
+"""Zoll metrics of revolution, their curvature jets and the geodesic flow.
 
 The metric family is f(r)^2 dr^2 + sin(r)^2 dphi^2 on S^2 with
 f(r) = 1 + h(cos r) and h an odd polynomial, |h| < 1 on [-1, 1].  Every
@@ -8,15 +8,16 @@ the family a usable Zoll corpus.  Profiles with h(1) != 0 have cone
 points at the poles; they are accepted, but surface-global quantities
 (Gauss-Bonnet) then see the cone defect.
 
-Tangent vectors are stored as components (v1, v2) in the orthonormal
-frame e1 = (1/f) d_r, e2 = (1/sin r) d_phi of the north polar chart,
+A point is (r, phi) in the north polar chart, and every point and tangent
+of the package lives there.  Tangent vectors are stored as components
+(v1, v2) in the orthonormal frame e1 = (1/f) d_r, e2 = (1/sin r) d_phi,
 which orients the surface; the unit normal of a geodesic is the +pi/2
 rotation (v1, v2) -> (-v2, v1).
 
-Curvature jets are evaluated from closed-form derivatives of
-K(u) = (f - u h'(u)) / f^3, u = cos r, which stay regular at the poles;
-the finite-difference stencil along the normal geodesic is kept as the
-cross-check oracle.
+Curvature jets are evaluated along sample sets from closed-form
+derivatives of K(u) = (f - u h'(u)) / f^3, u = cos r, which stay regular
+at the poles; the finite-difference stencil along the normal geodesic is
+the cross-check oracle in the tests.
 
 `flow` is the one ODE solve per geodesic: it integrates the geodesic
 together with the fundamental Jacobi solutions of y'' + K(u) y = 0, with
@@ -43,18 +44,11 @@ from scipy.integrate import solve_ivp
 __all__ = [
     "MetricModel",
     "SurfacePoint",
-    "CurvatureJet",
     "IntegrationError",
-    "gaussian_curvature",
-    "exp_map",
-    "curvature_jet_at",
-    "rotate_isometry",
-    "rotate_tangent",
     "state_distance",
 ]
 
 ADMISSIBILITY_SAMPLES = 10_000
-CHART_CORE = (0.2, math.pi - 0.2)
 MERIDIAN_TOL = 1e-12      # cone profiles: |Clairaut constant| below this is traced as a meridian
 ODE_TOL = 1e-12
 
@@ -161,11 +155,6 @@ class MetricModel:
         """f = 1 + h(u) at u = cos r."""
         return 1.0 + self.profile(u)
 
-    def curvature_u(self, u):
-        """Gaussian curvature as a function of u = cos r."""
-        c = self._curvature_polys()
-        return c["N"](u) / c["f"](u) ** 3
-
     def curvature_u_derivs(self, u):
         """(K, dK/du, d2K/du2) at u = cos r, vectorized and pole-regular."""
         c = self._curvature_polys()
@@ -180,85 +169,18 @@ class MetricModel:
 
 @dataclass(frozen=True)
 class SurfacePoint:
-    """Point in one of the two polar charts; r in (0, pi), phi in [0, 2pi)."""
+    """Point (r, phi) of the north polar chart; r in [0, pi], phi in [0, 2pi)."""
 
-    chart: str
     r: float
     phi: float
 
     def __post_init__(self):
-        if self.chart not in ("north", "south"):
-            raise ValueError(f"unknown chart {self.chart!r}")
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
         object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
     @classmethod
     def north(cls, r, phi):
-        return cls("north", r, phi)
-
-    def to_north(self):
-        if self.chart == "north":
-            return self
-        return SurfacePoint("north", math.pi - self.r, self.phi)
-
-    def to_south(self):
-        if self.chart == "south":
-            return self
-        return SurfacePoint("south", math.pi - self.r, self.phi)
-
-    def canonical(self):
-        """Representation in the chart keeping r inside the core window."""
-        p = self.to_north()
-        if p.r > CHART_CORE[1]:
-            return p.to_south()
-        return p
-
-
-def tangent_to_north(p, v):
-    """Convert frame components of a tangent at p to the north chart frame."""
-    if p.chart == "north":
-        return np.asarray(v, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return np.array([-v[0], v[1]])  # d_{r_south} = -d_{r_north}, e2 unchanged
-
-
-def rotate_tangent(v, angle):
-    """Rotate frame components by `angle` counterclockwise."""
-    c, s = math.cos(angle), math.sin(angle)
-    v = np.asarray(v, dtype=float)
-    return np.array([c * v[0] - s * v[1], c * v[1] + s * v[0]])
-
-
-@dataclass(frozen=True)
-class CurvatureJet:
-    """Curvature and its jet along a geodesic direction: tau, tau_s, tau_nu, tau_nunu."""
-
-    tau: float
-    tau_s: float
-    tau_nu: float
-    tau_nunu: float
-
-    def as_dict(self):
-        return {"tau": self.tau, "tau_s": self.tau_s,
-                "tau_nu": self.tau_nu, "tau_nunu": self.tau_nunu}
-
-
-def _as_north(p, v):
-    vn = tangent_to_north(p, v)
-    pn = p.to_north()
-    return pn.r, pn.phi, vn
-
-
-def gaussian_curvature(metric, p):
-    """Gaussian curvature at p; for revolution metrics a function of r only.
-
-    K(u = cos r) is regular across the poles, so pole-adjacent points need
-    no special chart handling beyond clamping u into [-1, 1].
-    """
-    if metric.is_round:
-        return 1.0
-    u = min(1.0, max(-1.0, math.cos(p.to_north().r)))
-    return float(metric.curvature_u(u))
+        return cls(r, phi)
 
 
 def curvature_jet_arrays(metric, r, v1, v2, n1, n2):
@@ -280,24 +202,6 @@ def curvature_jet_arrays(metric, r, v1, v2, n1, n2):
     tau_nunu = (n1**2 / f**2) * (Kpp * sin2 - Kp * u - Kp * sin2 * hp / f) \
         - Kp * u * n2**2 / f**2
     return tau, tau_s, tau_nu, tau_nunu
-
-
-def curvature_jet_at(metric, p, tangent):
-    """Curvature jet (tau, tau_s, tau_nu, tau_nunu) at p along `tangent`.
-
-    The normal is the +pi/2 rotation of the tangent; the jet comes from the
-    closed-form revolution derivatives (`curvature_jet_arrays`).
-    """
-    r, _, v = _as_north(p, tangent)
-    if abs(np.hypot(v[0], v[1]) - 1.0) > 1e-10:
-        raise ValueError("tangent must be unit length")
-    nrm = rotate_tangent(v, math.pi / 2)
-    if metric.is_round:
-        return CurvatureJet(1.0, 0.0, 0.0, 0.0)
-    tau, tau_s, tau_nu, tau_nunu = curvature_jet_arrays(
-        metric, np.array([r]), np.array([v[0]]), np.array([v[1]]),
-        np.array([nrm[0]]), np.array([nrm[1]]))
-    return CurvatureJet(float(tau[0]), float(tau_s[0]), float(tau_nu[0]), float(tau_nunu[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +334,7 @@ def flow(metric, p, v, t_eval):
     (r, phi, p_r) and, for |Clairaut constant| < MERIDIAN_TOL, the
     unrolled covering angle of the meridian, which passes through the poles.
     """
-    r0, phi0, v = _as_north(p, v)
+    r0, phi0, v = p.r, p.phi, np.asarray(v, dtype=float)
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
     t_end = float(t_eval[-1])
     c = clairaut_constant(r0, v[1])
@@ -449,27 +353,6 @@ def flow(metric, p, v, t_eval):
     return r, phi % (2.0 * math.pi), pr / metric.warp(np.cos(r)), c / np.sin(r), y[3:]
 
 
-def exp_map(metric, p, v, t):
-    """Geodesic endpoint and transported unit tangent after arclength t."""
-    v = tangent_to_north(p, v)
-    norm = math.hypot(v[0], v[1])
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"tangent must be unit length, |v| = {norm}")
-    if t == 0.0:
-        return p.to_north(), v
-    if t < 0.0:
-        q, w = exp_map(metric, p, -v, -t)
-        return q, -w
-    r, phi, v1, v2, _ = flow(metric, p, v, [t])
-    return SurfacePoint.north(float(r[-1]), float(phi[-1])), np.array([float(v1[-1]), float(v2[-1])])
-
-
-def rotate_isometry(p, v, angle):
-    """Image of (point, tangent) under the revolution isometry phi -> phi + angle."""
-    pn = p.to_north()
-    return SurfacePoint.north(pn.r, pn.phi + angle), tangent_to_north(p, v)
-
-
 def state_distance(metric, p1, v1, p2, v2):
     """Distance in the unit tangent bundle between two nearby states.
 
@@ -477,26 +360,11 @@ def state_distance(metric, p1, v1, p2, v2):
     nearby points, exact enough for closure defects); the tangent gap is
     the frame angle difference.
     """
-    a, b = p1.to_north(), p2.to_north()
-    rbar = 0.5 * (a.r + b.r)
+    rbar = 0.5 * (p1.r + p2.r)
     f = float(metric.warp(math.cos(rbar)))
-    dphi = (a.phi - b.phi + math.pi) % (2.0 * math.pi) - math.pi
-    dist = math.hypot(f * (a.r - b.r), math.sin(rbar) * dphi)
-    w1, w2 = tangent_to_north(p1, v1), tangent_to_north(p2, v2)
-    th1, th2 = math.atan2(w1[1], w1[0]), math.atan2(w2[1], w2[0])
+    dphi = (p1.phi - p2.phi + math.pi) % (2.0 * math.pi) - math.pi
+    dist = math.hypot(f * (p1.r - p2.r), math.sin(rbar) * dphi)
+    th1, th2 = math.atan2(v1[1], v1[0]), math.atan2(v2[1], v2[0])
     dth = abs((th1 - th2 + math.pi) % (2.0 * math.pi) - math.pi)
     return dist + dth
 
-
-def surface_integral_of_curvature(metric, n_quad=400):
-    """Integral of K over the surface by Gauss-Legendre quadrature in u = cos r.
-
-    dA = f(r) sin r dr dphi, so the integral is 2*pi * int_{-1}^{1} K(u) f(u) du.
-    Equals 4*pi for smooth profiles (h(+-1) = 0); cone-pointed profiles show
-    the angle defect.
-    """
-    if metric.is_round:
-        return 4.0 * math.pi
-    x, w = np.polynomial.legendre.leggauss(n_quad)
-    vals = metric.curvature_u(x) * metric.warp(x)
-    return 2.0 * math.pi * float(np.dot(w, vals))

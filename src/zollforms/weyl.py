@@ -1,6 +1,6 @@
 """Exact Weyl-symbol algebra on polynomials in (z, zbar).
 
-Conventions (fixed once, pinned by the matrix oracle below):
+Conventions (fixed once, pinned by the matrix oracle of the tests):
     z = y + i*eta,  hbar = 1,  Op(z) = y + i*D_y = sqrt(2) * annihilation.
 The Moyal product of polynomial symbols is the terminating sum
 
@@ -38,9 +38,7 @@ __all__ = [
     "star_product",
     "star_commutator",
     "substitute_linear",
-    "weyl_quantize",
     "diagonal_part",
-    "poisson_constant",
     "transvectant_constant",
 ]
 
@@ -272,12 +270,6 @@ def substitute_linear(symbols, z_image, zbar_image):
     return [PolySymbol(out) for out in outs]
 
 
-def poisson_constant(mn, munu):
-    """Coefficient of P_1(z^m zbar^n, z^mu zbar^nu): sigma((m,n),(mu,nu))."""
-    (m, n), (mu, nu) = mn, munu
-    return m * nu - n * mu
-
-
 def transvectant_constant(mn, munu, j):
     """Scalar C with P_j(z^m zbar^n, z^mu zbar^nu) = C z^(m+mu-j) zbar^(n+nu-j)."""
     return _transvectant_coefficient(*mn, *munu, j)
@@ -294,53 +286,3 @@ def diagonal_part(a):
     residue = PolySymbol({k: v for k, v in a.coeffs.items() if k[0] != k[1]})
     return diag, residue
 
-
-# ---------------------------------------------------------------------------
-# Matrix oracle: Weyl quantization on the truncated oscillator eigenbasis
-# ---------------------------------------------------------------------------
-
-def _ladder_matrices(size):
-    q = np.arange(1, size)
-    create = np.zeros((size, size))
-    create[q, q - 1] = np.sqrt(q)  # a^dag |q-1> = sqrt(q) |q>
-    annihilate = create.T.copy()
-    return annihilate, create
-
-
-def _monomial_matrices(max_degree, size):
-    """Exact oscillator-basis matrices of Op_W(z^m zbar^n), m+n <= max_degree.
-
-    Uses Op(z) = sqrt(2) a and the recursion
-        Op_W(z^m zbar^n) = Op(z) Op_W(z^(m-1) zbar^n) - n Op_W(z^(m-1) zbar^(n-1))
-    which follows from z # p = z p + d_zbar p.
-    """
-    ann, cre = _ladder_matrices(size)
-    opz = math.sqrt(2) * ann
-    opzb = math.sqrt(2) * cre
-    mats = {(0, 0): np.eye(size)}
-    for n in range(1, max_degree + 1):
-        mats[(0, n)] = opzb @ mats[(0, n - 1)]
-    for m in range(1, max_degree + 1):
-        for n in range(0, max_degree + 1 - m):
-            mat = opz @ mats[(m - 1, n)]
-            if n > 0:
-                mat = mat - n * mats[(m - 1, n - 1)]
-            mats[(m, n)] = mat
-    return mats
-
-
-def weyl_quantize(a, n_trunc):
-    """Matrix of the Weyl quantization of `a` on oscillator states 0..n_trunc-1.
-
-    The matrix is built with enough padding that every returned entry equals
-    the corresponding entry of the untruncated operator.
-    """
-    deg = a.degree
-    if n_trunc < deg + 16:
-        raise ValueError(f"n_trunc must be >= deg + 16 = {deg + 16}")
-    size = n_trunc + deg + 2
-    mats = _monomial_matrices(deg, size)
-    out = np.zeros((size, size), dtype=complex)
-    for (m, n), v in a.coeffs.items():
-        out += complex(v) * mats[(m, n)]
-    return out[:n_trunc, :n_trunc]

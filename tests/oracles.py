@@ -1,4 +1,5 @@
-"""Independent routes to quantities the package computes, for tests only.
+"""Independent routes to quantities the package computes, and the
+geometry only tests need.
 
 The production frame rides on the geodesic flow and the production
 variation field comes by quadrature (see `zollforms.jacobi`).  The
@@ -10,16 +11,24 @@ variation field keep a path that shares no quadrature with them.
 The curvature jets have a finite-difference route: the curvature sampled
 along the normal and tangent geodesics (`exp_map`), differentiated by
 central stencils, against the closed-form revolution derivatives of
-`zollforms.surface.curvature_jet_at`.
+`zollforms.surface.curvature_jet_arrays` (`analytic_jet`, one sample).
+`surface_integral_of_curvature` is the Gauss-Bonnet check of the
+curvature formula.
 
 The order-zero normal form symbol has the same kind of second route:
 the closed form `d_zero_restricted` of the frame-conjugated metric terms
 plus `commutator_double_integral` of the odd term `d_half`, written out
 by hand where the engine (`zollforms.normalform.conjugated_order_zero`)
-runs generic operator algebra.
+runs generic operator algebra.  `weyl_quantize` is the matrix oracle of
+the symbol calculus: Weyl quantization on the oscillator basis.
+
+`rebase` re-parametrizes a traced geodesic from another base point by
+linear algebra on its Jacobi samples, for the base-point invariance
+tests.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -27,16 +36,10 @@ from scipy.integrate import solve_ivp
 
 from zollforms import expansion
 from zollforms.fourier import spectral_antiderivative, spectral_derivative
+from zollforms.geodesic import GeodesicPath
 from zollforms.jacobi import JacobiFrame, VariationField
 from zollforms.normalform import _graded_formal, _instantiate, field_mean, metaplectic_substitute
-from zollforms.surface import (
-    CurvatureJet,
-    SurfacePoint,
-    exp_map,
-    gaussian_curvature,
-    rotate_tangent,
-    tangent_to_north,
-)
+from zollforms.surface import SurfacePoint, curvature_jet_arrays, flow
 from zollforms.weyl import PolySymbol, star_commutator, star_product
 
 ODE_TOL = 1e-12
@@ -107,8 +110,7 @@ def ode_variation_field(frame, direction=None):
         return (state[1], -tau_i(s) * state[0] - force_i(s))
 
     y_nu, dy_nu = _solve(rhs, np.zeros(2, dtype=complex), path.s)
-    return VariationField(y_nu=y_nu, dy_nu=dy_nu, tau=np.asarray(path.tau),
-                          tau_nu=np.asarray(path.tau_nu), y=y, direction=direction)
+    return VariationField(y_nu=y_nu, dy_nu=dy_nu)
 
 
 def d_half(frame):
@@ -120,7 +122,7 @@ def d_half(frame):
     syms = _graded_formal()[Fraction(-1, 2)]
     if set(syms) != {0}:
         raise AssertionError("odd term should carry no D_s")
-    return metaplectic_substitute(_instantiate(frame.path)[Fraction(-1, 2)].ds_part(0), frame)
+    return metaplectic_substitute([_instantiate(frame.path)[Fraction(-1, 2)].ds_part(0)], frame)[0]
 
 
 def commutator_double_integral(d):
@@ -146,11 +148,11 @@ def d_zero_restricted(frame):
     graded_num = _instantiate(frame.path)
     l1 = graded_num[Fraction(-1)]
     c_s = complex(l1.ds_part(1)[(0, 0)][0])
-    h = metaplectic_substitute(l1.ds_part(0), frame).scale(1.0 / c_s)
+    h = metaplectic_substitute([l1.ds_part(0)], frame)[0].scale(1.0 / c_s)
     l0 = graded_num[Fraction(0)]
     out = PolySymbol()
     for k in sorted(l0.terms):
-        a_k = metaplectic_substitute(l0.ds_part(k), frame)
+        a_k = metaplectic_substitute([l0.ds_part(k)], frame)[0]
         if k == 0:
             out = out + a_k
         elif k == 1:
@@ -163,15 +165,64 @@ def d_zero_restricted(frame):
     return out
 
 
+def rotate_tangent(v, angle):
+    """Rotate frame components by `angle` counterclockwise."""
+    c, s = math.cos(angle), math.sin(angle)
+    v = np.asarray(v, dtype=float)
+    return np.array([c * v[0] - s * v[1], c * v[1] + s * v[0]])
+
+
+def exp_map(metric, p, v, t):
+    """Geodesic endpoint and transported unit tangent after arclength t."""
+    v = np.asarray(v, dtype=float)
+    norm = math.hypot(v[0], v[1])
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"tangent must be unit length, |v| = {norm}")
+    if t == 0.0:
+        return p, v
+    if t < 0.0:
+        q, w = exp_map(metric, p, -v, -t)
+        return q, -w
+    r, phi, v1, v2, _ = flow(metric, p, v, [t])
+    return SurfacePoint.north(float(r[-1]), float(phi[-1])), np.array([float(v1[-1]), float(v2[-1])])
+
+
+def curvature(metric, p):
+    """Gaussian curvature K(u = cos r) at the point p."""
+    return float(metric.curvature_u_derivs(math.cos(p.r))[0])
+
+
+Jet = namedtuple("Jet", "tau tau_s tau_nu tau_nunu")
+
+
+def analytic_jet(metric, p, tangent):
+    """The production curvature jet at p along a unit tangent (one sample of
+    `curvature_jet_arrays`, normal = +pi/2 rotation of the tangent)."""
+    v = np.asarray(tangent, dtype=float)
+    return Jet(*(float(a[0]) for a in curvature_jet_arrays(
+        metric, np.array([p.r]), v[:1], v[1:], -v[1:], v[:1])))
+
+
+def surface_integral_of_curvature(metric, n_quad=400):
+    """Integral of K over the surface by Gauss-Legendre quadrature in u = cos r.
+
+    dA = f(r) sin r dr dphi, so the integral is 2*pi * int_{-1}^{1} K(u) f(u) du.
+    Equals 4*pi for smooth profiles (h(+-1) = 0); cone-pointed profiles show
+    the angle defect.
+    """
+    x, w = np.polynomial.legendre.leggauss(n_quad)
+    vals = metric.curvature_u_derivs(x)[0] * metric.warp(x)
+    return 2.0 * math.pi * float(np.dot(w, vals))
+
+
 def _curvature_along(metric, p, tangent, direction, fd_step):
     """t -> K(exp_p(t * fd_step * direction)), direction "normal" or "tangent"."""
-    pn = p.to_north()
-    v = tangent_to_north(p, tangent)
+    v = np.asarray(tangent, dtype=float)
     d = rotate_tangent(v, math.pi / 2) if direction == "normal" else v
 
     def k(t):
-        q, _ = exp_map(metric, pn, d, t * fd_step)
-        return gaussian_curvature(metric, q)
+        q, _ = exp_map(metric, p, d, t * fd_step)
+        return curvature(metric, q)
     return k
 
 
@@ -183,7 +234,7 @@ def fd_curvature_jet(metric, p, tangent, fd_step=1e-3):
     n = [kn(t) for t in (-2, -1, 0, 1, 2)]
     t = [kt(t) for t in (-2, -1, 1, 2)]
     h = fd_step
-    return CurvatureJet(
+    return Jet(
         tau=n[2],
         tau_s=(t[0] - 8 * t[1] + 8 * t[2] - t[3]) / (12 * h),
         tau_nu=(n[0] - 8 * n[1] + 8 * n[3] - n[4]) / (12 * h),
@@ -204,3 +255,87 @@ def tau_nunu_stencil(metric, p, tangent, points=5, fd_step=1e-3):
                + 270 * vals[4] - 27 * vals[5] + 2 * vals[6])
         return num / (180 * h * h)
     raise ValueError("points must be 5 or 7")
+
+
+def _ladder_matrices(size):
+    q = np.arange(1, size)
+    create = np.zeros((size, size))
+    create[q, q - 1] = np.sqrt(q)  # a^dag |q-1> = sqrt(q) |q>
+    annihilate = create.T.copy()
+    return annihilate, create
+
+
+def _monomial_matrices(max_degree, size):
+    """Exact oscillator-basis matrices of Op_W(z^m zbar^n), m+n <= max_degree.
+
+    Uses Op(z) = sqrt(2) a and the recursion
+        Op_W(z^m zbar^n) = Op(z) Op_W(z^(m-1) zbar^n) - n Op_W(z^(m-1) zbar^(n-1))
+    which follows from z # p = z p + d_zbar p.
+    """
+    ann, cre = _ladder_matrices(size)
+    opz = math.sqrt(2) * ann
+    opzb = math.sqrt(2) * cre
+    mats = {(0, 0): np.eye(size)}
+    for n in range(1, max_degree + 1):
+        mats[(0, n)] = opzb @ mats[(0, n - 1)]
+    for m in range(1, max_degree + 1):
+        for n in range(0, max_degree + 1 - m):
+            mat = opz @ mats[(m - 1, n)]
+            if n > 0:
+                mat = mat - n * mats[(m - 1, n - 1)]
+            mats[(m, n)] = mat
+    return mats
+
+
+def weyl_quantize(a, n_trunc):
+    """Matrix of the Weyl quantization of `a` on oscillator states 0..n_trunc-1.
+
+    The matrix is built with enough padding that every returned entry equals
+    the corresponding entry of the untruncated operator.
+    """
+    deg = a.degree
+    if n_trunc < deg + 16:
+        raise ValueError(f"n_trunc must be >= deg + 16 = {deg + 16}")
+    size = n_trunc + deg + 2
+    mats = _monomial_matrices(deg, size)
+    out = np.zeros((size, size), dtype=complex)
+    for (m, n), v in a.coeffs.items():
+        out += complex(v) * mats[(m, n)]
+    return out[:n_trunc, :n_trunc]
+
+
+def _fundamental(jacobi):
+    """Rows (y1, y1', y2, y2') to the fundamental matrix [[y2, y1], [y2', y1']]."""
+    y1, dy1, y2, dy2 = jacobi
+    return np.moveaxis(np.array([[y2, y1], [dy2, dy1]]), (0, 1), (-2, -1))
+
+
+def _jacobi_rows(fund):
+    return np.array([fund[..., 0, 1], fund[..., 1, 1], fund[..., 0, 0], fund[..., 1, 0]])
+
+
+def rebase(path, j0):
+    """The same closed geodesic re-parametrized from s = 2*pi*j0/n.
+
+    Rolls the periodic sample arrays; valid up to the closure defect.
+    The Jacobi frame is re-based by linear algebra: with Phi(s) the
+    fundamental matrix on states (y, y'), the new frame is
+    Phi(s_j0 + t) Phi(s_j0)^-1, and samples past 2*pi continue as
+    Phi(s) Phi(2*pi), since tau is 2*pi-periodic on a closed geodesic.
+    """
+    j0 = int(j0) % path.n
+    roll = lambda a: np.roll(a, -j0, axis=0)
+    init = (SurfacePoint.north(float(path.r[j0]), float(path.phi[j0])), tuple(path.tangent[j0]))
+    fund, fund_end = _fundamental(path.jacobi), _fundamental(path.jacobi_end)
+    base_inv = np.linalg.inv(fund[j0])
+    ahead = np.concatenate([fund[j0:], fund[:j0] @ fund_end]) @ base_inv
+    return GeodesicPath(
+        metric=path.metric, init=init, n=path.n, s=path.s,
+        r=roll(path.r), phi=roll(path.phi),
+        tangent=roll(path.tangent), normal=roll(path.normal),
+        tau=roll(path.tau), tau_s=roll(path.tau_s),
+        tau_nu=roll(path.tau_nu), tau_nunu=roll(path.tau_nunu),
+        jacobi=_jacobi_rows(ahead),
+        jacobi_end=_jacobi_rows(fund[j0] @ fund_end @ base_inv),
+        closure_defect=path.closure_defect,
+    )

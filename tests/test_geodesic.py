@@ -8,6 +8,7 @@ import pytest
 from zollforms.fourier import periodic_mean, spectral_antiderivative, spectral_derivative
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic
 from zollforms.surface import IntegrationError
+from oracles import rebase
 
 
 class TestTracing:
@@ -56,7 +57,7 @@ class TestTracing:
             trace_geodesic(round_metric, equator_ic, 128)
 
     def test_rebase_rolls_samples(self, cubic_path):
-        shifted = cubic_path.rebase(100)
+        shifted = rebase(cubic_path, 100)
         assert np.allclose(shifted.tau, np.roll(cubic_path.tau, -100))
         assert shifted.closure_defect == cubic_path.closure_defect
 
@@ -92,6 +93,17 @@ class TestSpectralDerivative:
         hstep = 2.0 * math.pi / cubic_path.n
         trap = np.concatenate(([0.0], np.cumsum((f[1:] + f[:-1]) / 2.0))) * hstep
         assert np.max(np.abs(got - trap)) < 40.0 * hstep**2
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_antiderivative_scale_free(self, scale):
+        """A real mean keeps its ramp and a mean-free input stays periodic at
+        any scale of the data: the mean-zero threshold is relative."""
+        n = 256
+        s = 2.0 * math.pi * np.arange(n) / n
+        ramp = spectral_antiderivative(scale * (1.0 + np.cos(s)))
+        assert np.max(np.abs(ramp - scale * (s + np.sin(s)))) < 1e-14 * scale
+        periodic = spectral_antiderivative(scale * np.cos(s))
+        assert np.max(np.abs(periodic - scale * np.sin(s))) < 1e-14 * scale
 
 
 class TestQuadratureContract:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from zollforms.fourier import spectral_derivative
 from zollforms.geodesic import GeodesicPath, trace_geodesic
 from zollforms.jacobi import (
     JacobiFrame,
@@ -13,9 +14,8 @@ from zollforms.jacobi import (
     solve_fundamental,
     variation_field,
 )
-from zollforms.surface import exp_map, rotate_tangent
 
-from oracles import ode_frame, ode_variation_field
+from oracles import exp_map, ode_frame, ode_variation_field, rebase, rotate_tangent
 
 
 def constant_curvature_path(tau_value, n=512):
@@ -42,7 +42,7 @@ class TestFundamentalFrame:
         assert np.max(np.abs(round_frame.poincare - np.eye(2))) < 1e-9
 
     def test_wronskian_conserved(self, cubic_frame):
-        assert np.max(np.abs(cubic_frame.wronskian - 1.0)) < 1e-10
+        assert cubic_frame.wronskian_drift < 1e-10
 
     def test_omega_constant_minus_2i(self, cubic_frame):
         assert np.max(np.abs(cubic_frame.omega + 2j)) < 1e-10
@@ -81,7 +81,7 @@ class TestFundamentalFrame:
                 assert gap <= 1e-10, (name, gap)
 
     def test_rebased_frame_matches_ode_oracle(self, cubic_path):
-        shifted = cubic_path.rebase(313)
+        shifted = rebase(cubic_path, 313)
         frame, oracle = solve_fundamental(shifted), ode_frame(shifted)
         for name in ("y1", "dy1", "y2", "dy2", "poincare"):
             assert np.max(np.abs(getattr(frame, name) - getattr(oracle, name))) <= 1e-10
@@ -114,13 +114,19 @@ class TestVariationField:
         assert np.max(np.abs(vf.y_nu)) < 1e-10
 
     def test_zero_forcing_zero_data(self, cubic_frame):
-        vf = variation_field(cubic_frame, tau_nu=np.zeros(cubic_frame.path.n))
+        vf = variation_field(cubic_frame, direction=np.zeros(cubic_frame.path.n))
         assert np.max(np.abs(vf.y_nu)) < 1e-12
 
     def test_residual_invariant(self, cubic_frame):
+        """Collocation residual of y_nu'' + tau_nu Y^2 + tau y_nu = 0.  One
+        spectral derivative of dy_nu instead of two of y_nu keeps the sample
+        noise from being amplified by the squared Nyquist wavenumber."""
         vf = variation_field(cubic_frame)
-        bound = 1e-8 * max(np.max(np.abs(cubic_frame.path.tau_nu)), 1.0)
-        assert np.max(np.abs(vf.residual())) < bound
+        path = cubic_frame.path
+        residual = (spectral_derivative(vf.dy_nu) + path.tau_nu * cubic_frame.Y ** 2
+                    + path.tau * vf.y_nu)
+        bound = 1e-8 * max(np.max(np.abs(path.tau_nu)), 1.0)
+        assert np.max(np.abs(residual)) < bound
 
     def test_wronskian_variation_identity(self, cubic_frame):
         # real deformation directions: Im(y_nu Ybar' - y_nu' Ybar) = 0 pointwise

@@ -4,19 +4,23 @@ import math
 
 import numpy as np
 import pytest
-from oracles import fd_curvature_jet, tau_nunu_stencil
+from oracles import (
+    analytic_jet,
+    curvature,
+    exp_map,
+    fd_curvature_jet,
+    rotate_tangent,
+    surface_integral_of_curvature,
+    tau_nunu_stencil,
+)
 
 from zollforms.surface import (
     MetricModel,
     SurfacePoint,
-    curvature_jet_at,
-    exp_map,
-    gaussian_curvature,
-    rotate_isometry,
-    rotate_tangent,
+    _ambient_start,
+    _from_ambient,
+    clairaut_constant,
     state_distance,
-    surface_integral_of_curvature,
-    tangent_to_north,
 )
 
 P0 = SurfacePoint.north(math.pi / 3, 0.7)
@@ -39,7 +43,7 @@ class TestMetricModel:
     def test_empty_profile_is_round(self):
         m = MetricModel.zoll_revolution([])
         assert m.is_round
-        assert gaussian_curvature(m, P0) == 1.0
+        assert curvature(m, P0) == 1.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -47,30 +51,30 @@ class TestMetricModel:
 
 
 class TestCharts:
+    """The north polar chart against the ambient chart of the flow (x on S^2 in R^3)."""
+
     @pytest.mark.parametrize("r", [0.05, 0.4, math.pi / 2, 2.8, math.pi - 0.05])
     @pytest.mark.parametrize("phi", [0.0, 1.3, 5.9])
-    def test_round_trip(self, r, phi):
+    def test_round_trip(self, cubic_metric, r, phi):
         p = SurfacePoint.north(r, phi)
-        q = p.to_south().to_north()
-        assert abs(q.r - p.r) < 1e-12 and abs(q.phi - p.phi) < 1e-12
-        s = p.to_south()
-        assert abs(s.r - (math.pi - r)) < 1e-12
+        v = np.array([0.6, 0.8])
+        y = np.array(_ambient_start(cubic_metric, p.r, p.phi, v))[:, None]
+        r2, phi2, v1, v2 = _from_ambient(cubic_metric, y, clairaut_constant(p.r, v[1]))
+        assert abs(r2[0] - p.r) < 1e-12 and abs(phi2[0] - p.phi) < 1e-12
+        assert abs(v1[0] - v[0]) < 1e-12 and abs(v2[0] - v[1]) < 1e-12
 
-    def test_canonical_presentation(self):
-        near_south = SurfacePoint.north(math.pi - 0.05, 1.0)
-        assert near_south.canonical().chart == "south"
-        assert SurfacePoint.north(1.0, 1.0).canonical().chart == "north"
-
-    def test_tangent_conversion_preserves_norm(self):
-        p = SurfacePoint("south", 1.0, 0.5)
-        v = tangent_to_north(p, (0.6, 0.8))
-        assert abs(np.hypot(*v) - 1.0) < 1e-15
-        assert v[0] == -0.6 and v[1] == 0.8
+    def test_tangent_conversion_preserves_norm(self, cubic_metric):
+        """A unit tangent maps to an ambient velocity of unit length in the
+        metric |dx|^2 + beta(u) du^2."""
+        p = SurfacePoint.north(1.0, 0.5)
+        x1, x2, u, p1, p2, w = _ambient_start(cubic_metric, p.r, p.phi, (0.6, 0.8))
+        beta = np.polyval(cubic_metric._flow_coeffs()["beta"], u)
+        assert abs(p1 * p1 + p2 * p2 + w * w + beta * w * w - 1.0) < 1e-15
 
 
 class TestGaussianCurvature:
     def test_round_sphere(self, round_metric):
-        assert gaussian_curvature(round_metric, P0) == 1.0
+        assert curvature(round_metric, P0) == 1.0
 
     def test_fd_area_element_oracle(self, linear_metric):
         """K = -(d^2_y J)/J with J the Fermi area element built from exp_map.
@@ -99,7 +103,7 @@ class TestGaussianCurvature:
 
         h = 1e-2
         got = curvature_fd(h) + (curvature_fd(h) - curvature_fd(2 * h)) / 3.0
-        expected = gaussian_curvature(metric, p)
+        expected = curvature(metric, p)
         assert abs(got - expected) < 1e-6
 
     def test_gauss_bonnet_smooth_profile(self, cubic_metric):
@@ -144,26 +148,26 @@ class TestExpMap:
 
 class TestCurvatureJets:
     def test_round_jets_vanish(self, round_metric):
-        jet = curvature_jet_at(round_metric, P0, V0)
+        jet = analytic_jet(round_metric, P0, V0)
         assert (jet.tau, jet.tau_s, jet.tau_nu, jet.tau_nunu) == (1.0, 0.0, 0.0, 0.0)
 
     def test_analytic_gradient_value(self, linear_metric):
         # tau_nu = g(grad K, nu) with grad K = (K'(r)/f^2) d_r
         p = SurfacePoint.north(math.pi / 3, 0.0)
         v = np.array([0.0, 1.0])  # azimuthal tangent: normal is -e1
-        jet = curvature_jet_at(linear_metric, p, v)
+        jet = analytic_jet(linear_metric, p, v)
         r = p.r
         u = math.cos(r)
         eps = 1e-6
-        kp = (gaussian_curvature(linear_metric, SurfacePoint.north(r + eps, 0)) -
-              gaussian_curvature(linear_metric, SurfacePoint.north(r - eps, 0))) / (2 * eps)
+        kp = (curvature(linear_metric, SurfacePoint.north(r + eps, 0)) -
+              curvature(linear_metric, SurfacePoint.north(r - eps, 0))) / (2 * eps)
         f = 1.0 + 0.1 * u
         assert abs(jet.tau_nu - (-kp / f)) < 1e-7
 
     @pytest.mark.parametrize("theta", [0.0, 0.9, 2.1])
     def test_fd_cross_check(self, cubic_metric, theta):
         v = np.array([math.cos(theta), math.sin(theta)])
-        a = curvature_jet_at(cubic_metric, P0, v)
+        a = analytic_jet(cubic_metric, P0, v)
         f = fd_curvature_jet(cubic_metric, P0, v)
         assert abs(a.tau_s - f.tau_s) < 1e-7
         assert abs(a.tau_nu - f.tau_nu) < 1e-7
@@ -176,15 +180,17 @@ class TestCurvatureJets:
 
 
 class TestRotationIsometry:
+    """The revolution isometry phi -> phi + a keeps the frame components."""
+
     def test_identity_and_full_turn(self):
         for angle in (0.0, 2.0 * math.pi):
-            q, w = rotate_isometry(P0, V0, angle)
+            q, w = SurfacePoint.north(P0.r, P0.phi + angle), V0
             assert abs(q.r - P0.r) < 1e-15 and abs(q.phi - P0.phi) < 1e-12
             assert np.allclose(w, V0)
 
     def test_jets_invariant(self, cubic_metric):
-        q, w = rotate_isometry(P0, V0, 1.234)
-        a = curvature_jet_at(cubic_metric, P0, V0)
-        b = curvature_jet_at(cubic_metric, q, w)
+        q, w = SurfacePoint.north(P0.r, P0.phi + 1.234), V0
+        a = analytic_jet(cubic_metric, P0, V0)
+        b = analytic_jet(cubic_metric, q, w)
         for name in ("tau", "tau_s", "tau_nu", "tau_nunu"):
             assert abs(getattr(a, name) - getattr(b, name)) < 1e-12
