@@ -5,8 +5,6 @@ over a closed geodesic of a Zoll surface and must return (numerically)
 zero; a deliberately broken metric shows the identities have teeth.
 """
 
-import numpy as np
-
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic
 from zollforms.identities import run_all_checks
 from zollforms.jacobi import solve_fundamental

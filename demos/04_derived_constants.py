@@ -8,8 +8,6 @@ Jacobi-monomial basis, including the two structural vanishing statements
 and the round-sphere linear relation among the constants.
 """
 
-import json
-
 from zollforms.expansion import constants_report
 
 report = constants_report()

@@ -18,6 +18,7 @@ _EXPORTS = {
     "SurfacePoint": "surface",
     "GeodesicPath": "geodesic",
     "trace_geodesic": "geodesic",
+    "trace_geodesics": "geodesic",
     "JacobiFrame": "jacobi",
     "solve_fundamental": "jacobi",
     "InvariantRecord": "normalform",

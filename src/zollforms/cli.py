@@ -20,7 +20,7 @@ from numpy.linalg import LinAlgError
 
 from . import __version__
 from .expansion import constants_report
-from .geodesic import canonical_initial_conditions, sample_initial_conditions, trace_geodesic
+from .geodesic import canonical_initial_conditions, sample_initial_conditions, trace_geodesics
 from .identities import DEFAULT_TOLERANCE, run_all_checks
 from .jacobi import solve_fundamental
 from .normalform import FirstObstructionError, assemble_p1
@@ -30,6 +30,7 @@ from .weyl import DegreeOverflowError
 __all__ = ["main", "RunConfig", "build_report", "metric_from_spec"]
 
 SCHEMA_VERSION = 2
+H_RELATION_TOL = 1e-9     # |c0 + H/(16 pi)| / |c0|, the paper's c0 = -H/(16 pi)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -167,15 +168,23 @@ def _init_fields(ic):
 def build_report(cfg, mode):
     """Run `verify` or `invariants` over the geodesic sample; returns (report, exit_code).
 
-    A geodesic that fails is recorded and the run goes on; the exit code is
+    The sample is traced by `trace_geodesics`, one stacked flow solve per
+    chart group; each solve's chart, size, `nfev` and `status` go to the
+    report's `telemetry`, which the digest leaves out.  A geodesic
+    that fails is recorded and the run goes on; the exit code is
     EXIT_NUMERICAL_FAILURE if any geodesic hit one of NUMERICAL_FAILURES.
     """
+    starts = _initial_conditions(cfg)
+    solves = []
+    paths = trace_geodesics(cfg.metric_model, [ic for _, ic in starts], cfg.grid,
+                            enforce_closure=False, solves=solves)
     records = []
     failures = []
-    for name, ic in _initial_conditions(cfg):
+    for (name, ic), path in zip(starts, paths):
         record = {"geodesic_id": name, **_init_fields(ic)}
         try:
-            path = trace_geodesic(cfg.metric_model, ic, cfg.grid, enforce_closure=False)
+            if isinstance(path, IntegrationError):
+                raise path
             record["closure_defect"] = path.closure_defect
             frame = solve_fundamental(path)
             record["poincare_defect"] = float(
@@ -191,6 +200,8 @@ def build_report(cfg, mode):
                 rec = assemble_p1(cfg.metric_model, ic, cfg.grid,
                                   geodesic_id=name, path=path, frame=frame)
                 record["invariants"] = rec.as_dict()
+                if not rec.h_relation <= H_RELATION_TOL:
+                    failures.append((name, "h_relation", rec.h_relation))
         except FirstObstructionError as exc:
             record["first_obstruction_failure"] = str(exc)
             failures.append((name, "first_obstruction", abs(exc.value)))
@@ -203,13 +214,15 @@ def build_report(cfg, mode):
         code = EXIT_NUMERICAL_FAILURE
     else:
         code = EXIT_CHECK_FAILURE if failures else EXIT_PASS
-    return _assemble_report(cfg, mode, records, failures), code
+    report = _assemble_report(cfg, mode, records, failures)
+    report["telemetry"] = {"flow": solves}
+    return report, code
 
 
 CHECK_PRIORITY = ["check_cube", "check_tau_s", "check_quartic", "check_4id_im",
                   "check_4id_relation", "check_commutator_reduction",
                   "check_commutator_reduction_im", "check_commutator_special_case",
-                  "first_obstruction", *NUMERICAL_FAILURES.values()]
+                  "first_obstruction", "h_relation", *NUMERICAL_FAILURES.values()]
 
 
 def _assemble_report(cfg, mode, records, failures):
@@ -237,6 +250,8 @@ def _assemble_report(cfg, mode, records, failures):
         if invs:
             c0s = [i["c0"] for i in invs]
             summary["c0_spread"] = max(c0s) - min(c0s)
+            Hs = [i["H_b"] for i in invs]
+            summary["H_spread"] = max(Hs) - min(Hs)
             summary["c2_max"] = max(abs(i["c2"]) for i in invs)
             summary["c01_max"] = max(abs(i["c01"]) for i in invs)
             summary["offdiag_max"] = max(i["offdiag_max"] for i in invs)

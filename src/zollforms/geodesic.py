@@ -4,10 +4,12 @@ A traced geodesic carries N = 2^k samples of position, unit tangent and
 normal frame, the curvature jet (tau, tau_s, tau_nu, tau_nunu) and the
 fundamental Jacobi solutions at s_j = 2*pi*j/N.  The Jacobi states come
 out of the same ODE solve as the geodesic (`surface.flow`), so a traced
-path already holds everything `jacobi.solve_fundamental` needs.  The grid
-supports spectral differentiation and spectrally accurate periodic
-quadrature of products of the samples.  Points, tangents and samples are
-all in the north polar chart (`surface.SurfacePoint`).
+path already holds everything `jacobi.solve_fundamental` needs.
+`trace_geodesics` traces many starts with one stacked solve per chart
+group, cut to a memory budget; `trace_geodesic` is its one-start case.
+The grid supports spectral differentiation and spectrally accurate
+periodic quadrature of products of the samples.  Points, tangents and
+samples are all in the north polar chart (`surface.SurfacePoint`).
 """
 
 import math
@@ -22,6 +24,7 @@ from .surface import IntegrationError, MetricModel, SurfacePoint
 __all__ = [
     "GeodesicPath",
     "trace_geodesic",
+    "trace_geodesics",
     "sample_initial_conditions",
     "canonical_initial_conditions",
 ]
@@ -29,6 +32,9 @@ __all__ = [
 CLOSURE_TOL = 1e-4
 MIN_GRID = 256
 MIN_CLAIRAUT = 0.12       # sampled starts keep |Clairaut constant| above this
+# Stacked flow samples per solve, held once: the CLI's 31 Clairaut-chart
+# starts at N = 2048 take two solves, and N = 32768 takes one start per solve.
+FLOW_CHUNK_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -72,28 +78,101 @@ def _validate_grid(n):
 def trace_geodesic(metric, init, n=2048, enforce_closure=True):
     """Trace the geodesic through `init` = (point, unit tangent) over [0, 2*pi).
 
-    Samples the flow and its Jacobi frame at n uniform arclengths,
-    evaluates the curvature jets analytically along the samples, and
-    records the phase-space closure
+    The one-start case of `trace_geodesics`.  Samples the flow and its
+    Jacobi frame at n uniform arclengths, evaluates the curvature jets
+    analytically along the samples, and records the phase-space closure
     defect at 2*pi.  With `enforce_closure`, a defect above 1e-4 raises
     (metric not Zoll at this tolerance, or integration too coarse).
     """
+    path, = trace_geodesics(metric, [init], n, enforce_closure)
+    if isinstance(path, IntegrationError):
+        raise path
+    return path
+
+
+def trace_geodesics(metric, inits, n=2048, enforce_closure=True, solves=None):
+    """Trace the geodesics through `inits`, one stacked flow solve per chart group.
+
+    Every closed geodesic has period 2*pi, so the starts share one
+    arclength grid.  They are grouped by `surface.flow_chart`, each group
+    is cut into chunks of at most FLOW_CHUNK_BYTES of stacked samples, and
+    each chunk is one `surface.flow` solve, made when its first start is
+    reached.  Yields, in the order of `inits`, each start's GeodesicPath
+    or the IntegrationError that ended it: a stacked solve that fails is
+    re-run one start at a time, so each failure stays with its own start,
+    and with `enforce_closure` a closure defect above CLOSURE_TOL is one.
+    With a list `solves`, one dict per flow solve (chart, geodesics,
+    nfev, status) is appended to it.
+    """
     _validate_grid(n)
+    inits = [(p0, np.asarray(v0, dtype=float)) for p0, v0 in inits]
+    for _, v0 in inits:
+        if abs(np.hypot(v0[0], v0[1]) - 1.0) > 1e-10:
+            raise ValueError("initial tangent must be unit length")
+    return _traced(metric, inits, n, enforce_closure, solves)
+
+
+def _chunks(metric, inits, n):
+    """(chart, start indices) per flow solve: chart groups cut to the byte budget."""
+    groups = {}
+    for i, (p0, v0) in enumerate(inits):
+        groups.setdefault(_surface.flow_chart(metric, p0, v0), []).append(i)
+    out = []
+    for chart, members in groups.items():
+        most = max(1, FLOW_CHUNK_BYTES // (8 * (n + 1) * _surface.CHART_STATE_SIZE[chart]))
+        count = -(-len(members) // most)
+        out.extend((chart, chunk.tolist()) for chunk in np.array_split(members, count))
+    return out
+
+
+def _traced(metric, inits, n, enforce_closure, solves):
+    chunk_of = {i: chunk for chunk in _chunks(metric, inits, n) for i in chunk[1]}
+    ready = {}
+    for i in range(len(inits)):
+        if i not in ready:
+            chart, members = chunk_of[i]
+            ready.update(zip(members, _solve_chunk(
+                metric, chart, [inits[j] for j in members], n, solves)))
+        yield _path(metric, inits[i], n, ready.pop(i), enforce_closure)
+
+
+def _solve_chunk(metric, chart, inits, n, solves):
+    """(samples, row) per start of one chunk, or the IntegrationError that ended
+    it; a failed stacked solve is re-run one start at a time."""
+    try:
+        samples = _surface.flow(metric, inits, np.append(grid(n), 2.0 * math.pi))
+    except IntegrationError as exc:
+        if solves is not None:
+            solves.append({"chart": chart, "geodesics": len(inits), "nfev": exc.nfev,
+                           "status": -1})
+        if len(inits) == 1:
+            return [exc]
+        return [out for init in inits for out in _solve_chunk(metric, chart, [init], n, solves)]
+    if solves is not None:
+        solves.append({"chart": chart, "geodesics": len(inits), "nfev": samples.nfev,
+                       "status": 0})
+    return [(samples, g) for g in range(len(inits))]
+
+
+def _path(metric, init, n, solved, enforce_closure):
+    """GeodesicPath of `solved` = (flow samples, row), or the IntegrationError
+    that ended the start.
+
+    The path's arrays are copies, so the chunk's samples are freed once its
+    last path is built."""
+    if isinstance(solved, IntegrationError):
+        return solved
+    samples, g = solved
     p0, v0 = init
-    v0 = np.asarray(v0, dtype=float)
-    if abs(np.hypot(v0[0], v0[1]) - 1.0) > 1e-10:
-        raise ValueError("initial tangent must be unit length")
-    s = grid(n)
-    t_eval = np.append(s, 2.0 * math.pi)
-    r, phi, v1, v2, jacobi = _surface.flow(metric, p0, v0, t_eval)
+    r, phi, v1, v2, jacobi = samples.start(g)
     end_point = SurfacePoint.north(float(r[-1]), float(phi[-1]))
     end_tan = np.array([v1[-1], v2[-1]])
     defect = _surface.state_distance(metric, p0, v0, end_point, end_tan)
     if enforce_closure and not defect <= CLOSURE_TOL:
-        raise IntegrationError(
+        return IntegrationError(
             f"closure defect {defect:.3e} > {CLOSURE_TOL}: metric not Zoll at "
             "this tolerance or integration too coarse")
-    r, phi, v1, v2 = r[:-1], phi[:-1], v1[:-1], v2[:-1]
+    r, phi, v1, v2 = r[:-1].copy(), phi[:-1].copy(), v1[:-1], v2[:-1]
     tangent = np.stack([v1, v2], axis=1)
     normal = np.stack([-v2, v1], axis=1)
     if metric.is_round:
@@ -106,9 +185,9 @@ def trace_geodesic(metric, init, n=2048, enforce_closure=True):
             metric, r, v1, v2, -v2, v1)
     return GeodesicPath(
         metric=metric, init=(p0, tuple(v0)),
-        n=n, s=s, r=r, phi=phi, tangent=tangent, normal=normal,
+        n=n, s=grid(n), r=r, phi=phi, tangent=tangent, normal=normal,
         tau=tau, tau_s=tau_s, tau_nu=tau_nu, tau_nunu=tau_nunu,
-        jacobi=jacobi[:, :-1], jacobi_end=jacobi[:, -1],
+        jacobi=jacobi[:, :-1].copy(), jacobi_end=jacobi[:, -1].copy(),
         closure_defect=float(defect),
     )
 

@@ -332,6 +332,12 @@ class InvariantRecord:
     def offdiag_max(self):
         return max((abs(v) for v in self.offdiag.values()), default=0.0)
 
+    @property
+    def h_relation(self):
+        """|c0 + H_b/(16 pi)| / |c0|: the relative residual of c0 = -H/(16 pi)."""
+        gap = abs(self.c0 + self.H_b / (16.0 * math.pi))
+        return gap / abs(self.c0) if self.c0 else math.inf
+
     def as_dict(self):
         return {
             "geodesic_id": self.geodesic_id,
@@ -340,6 +346,7 @@ class InvariantRecord:
             "offdiag": {f"{m},{n}": [v.real, v.imag] for (m, n), v in self.offdiag.items()},
             "offdiag_max": self.offdiag_max,
             "H_b": self.H_b,
+            "h_relation": self.h_relation,
             "closure_defect": self.closure_defect,
             "first_obstruction_max": self.first_obstruction_max,
             "diagnostics": {k: self.diagnostics[k] for k in REPORTED_DIAGNOSTICS

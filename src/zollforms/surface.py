@@ -19,27 +19,33 @@ derivatives of K(u) = (f - u h'(u)) / f^3, u = cos r, which stay regular
 at the poles; the finite-difference stencil along the normal geodesic is
 the cross-check oracle in the tests.
 
-`flow` is the one ODE solve per geodesic: it integrates the geodesic
-together with the fundamental Jacobi solutions of y'' + K(u) y = 0, with
-K evaluated in closed form from the state.  It has two charts.  Smooth
-profiles (h(+-1) = 0, so h = (1 - u^2) q) are integrated in ambient
-coordinates x on S^2 in R^3, where the metric is the round one plus the
-polynomial term beta(u) du^2 and nothing is singular at the poles; every
-start, meridians included, goes through this chart.  Profiles with cone
-points keep the Clairaut chart (r, phi, p_r), and meridians the unrolled
-covering angle: in ambient coordinates beta = h (2 + h) / (1 - u^2) has
-a pole at a cone point and the flow loses accuracy near it.  On
-h = 0.1 x, from the equator, the ambient closure defect is 4e-8, 3e-5
-and 4e-2 at Clairaut constants 1e-2, 1e-3 and 1e-4; the Clairaut chart
-stays at or below 3e-11.
+`flow` integrates geodesics together with the fundamental Jacobi
+solutions of y'' + K(u) y = 0, with K evaluated in closed form from the
+state.  All closed geodesics share the period 2*pi, so starts in one
+chart stack into one ODE state and one solve; `geodesic.trace_geodesics`
+makes one such solve per chart group, cut into chunks that fit a memory
+budget.  Each chart has one right-hand-side body, which runs on Python
+floats for a single geodesic and on numpy rows for a stack.  There are
+two charts.  Smooth profiles (h(+-1) = 0, so h = (1 - u^2) q) are
+integrated in ambient coordinates x on S^2 in R^3, where the metric is
+the round one plus the polynomial term beta(u) du^2 and nothing is
+singular at the poles; every start, meridians included, goes through
+this chart.  Profiles with cone points keep the Clairaut chart
+(r, phi, p_r), and meridians the unrolled covering angle: in ambient
+coordinates beta = h (2 + h) / (1 - u^2) has a pole at a cone point and
+the flow loses accuracy near it.  On h = 0.1 x, from the equator, the
+ambient closure defect is 4e-8, 3e-5 and 4e-2 at Clairaut constants
+1e-2, 1e-3 and 1e-4; the Clairaut chart stays at or below 3e-11.
 """
 
 import math
+import mmap
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 __all__ = [
     "MetricModel",
@@ -51,12 +57,14 @@ __all__ = [
 ADMISSIBILITY_SAMPLES = 10_000
 MERIDIAN_TOL = 1e-12      # cone profiles: |Clairaut constant| below this is traced as a meridian
 ODE_TOL = 1e-12
+CHART_STATE_SIZE = {"ambient": 10, "clairaut": 7, "meridian": 5}   # ODE state per geodesic
 
 
 class IntegrationError(RuntimeError):
-    def __init__(self, message, arclength_reached=None):
+    def __init__(self, message, arclength_reached=None, nfev=None):
         super().__init__(message)
         self.arclength_reached = arclength_reached
+        self.nfev = nfev
 
 
 @dataclass(frozen=True)
@@ -217,10 +225,13 @@ def clairaut_constant(r, v2):
 
 
 def _horner(coeffs, x):
-    """Value at the float x of the polynomial with descending coefficients."""
-    out = 0.0
-    for a in coeffs:
-        out = out * x + a
+    """Value at x (a float, or an array) of the polynomial with descending coefficients.
+
+    Zero coefficients, every other one of an odd or even profile, add nothing.
+    """
+    out = coeffs[0]
+    for a in coeffs[1:]:
+        out = out * x + a if a else out * x
     return out
 
 
@@ -231,7 +242,21 @@ def _warp_curvature(fc, u):
     return f, dh, (f - u * dh) / (f * f * f)
 
 
-def _ambient_rhs(metric):
+def _stack_io(d, g):
+    """(unpack, pack, cos, sin) for a flow state of g stacked geodesics, d numbers each.
+
+    The state is laid out (d, g): component k of geodesic j sits at k g + j.
+    One geodesic unpacks to Python floats, whose scalar arithmetic is
+    several times faster than numpy's on length-1 arrays; a stack unpacks
+    to the d rows of length g, and the same right-hand-side body then
+    runs on rows.
+    """
+    if g == 1:
+        return np.ndarray.tolist, tuple, math.cos, math.sin
+    return (lambda state: state.reshape(d, g)), np.concatenate, np.cos, np.sin
+
+
+def _ambient_rhs(metric, g):
     """x'' = mu x - kappa e3 on S^2 in R^3, with the Jacobi pair riding along.
 
     The metric is |dx|^2 + beta(u) du^2 with u = x3; with w = u' and
@@ -240,38 +265,46 @@ def _ambient_rhs(metric):
     """
     fc = metric._flow_coeffs()
     beta, betap = fc["beta"], fc["betap"]
+    unpack, pack, _, _ = _stack_io(CHART_STATE_SIZE["ambient"], g)
 
     def rhs(_s, state):
-        x1, x2, u, p1, p2, w, y1, dy1, y2, dy2 = state.tolist()
+        x1, x2, u, p1, p2, w, y1, dy1, y2, dy2 = unpack(state)
         f, _, k = _warp_curvature(fc, u)
+        minus_k = -k
         speed2 = p1 * p1 + p2 * p2 + w * w
         kappa = (0.5 * _horner(betap, u) * w * w - _horner(beta, u) * u * speed2) / (f * f)
         mu = kappa * u - speed2
-        return (p1, p2, w, mu * x1, mu * x2, mu * u - kappa,
-                dy1, -k * y1, dy2, -k * y2)
+        return pack((p1, p2, w, mu * x1, mu * x2, mu * u - kappa,
+                     dy1, minus_k * y1, dy2, minus_k * y2))
     return rhs
 
 
 def _clairaut_rhs(metric, c):
+    """(r, phi, p_r) with the Jacobi pair; c is the Clairaut constant, or their row."""
     fc = metric._flow_coeffs()
+    unpack, pack, cos, sin = _stack_io(CHART_STATE_SIZE["clairaut"], np.size(c))
+    cc = c * c
 
     def rhs(_s, state):
-        r, _phi, pr, y1, dy1, y2, dy2 = state.tolist()
-        u = math.cos(r)
-        sr = math.sin(r)
+        r, _phi, pr, y1, dy1, y2, dy2 = unpack(state)
+        u = cos(r)
+        sr = sin(r)
         f, dh, k = _warp_curvature(fc, u)
-        return (pr / (f * f), c / (sr * sr), -pr * pr * sr * dh / f**3 + c * c * u / sr**3,
-                dy1, -k * y1, dy2, -k * y2)
+        minus_k = -k
+        return pack((pr / (f * f), c / (sr * sr), -pr * pr * sr * dh / f**3 + cc * u / sr**3,
+                     dy1, minus_k * y1, dy2, minus_k * y2))
     return rhs
 
 
-def _meridian_rhs(metric):
+def _meridian_rhs(metric, g):
     fc = metric._flow_coeffs()
+    unpack, pack, cos, _ = _stack_io(CHART_STATE_SIZE["meridian"], g)
 
     def rhs(_s, state):
-        rho, y1, dy1, y2, dy2 = state.tolist()
-        f, _, k = _warp_curvature(fc, math.cos(rho))
-        return (1.0 / f, dy1, -k * y1, dy2, -k * y2)
+        rho, y1, dy1, y2, dy2 = unpack(state)
+        f, _, k = _warp_curvature(fc, cos(rho))
+        minus_k = -k
+        return pack((1.0 / f, dy1, minus_k * y1, dy2, minus_k * y2))
     return rhs
 
 
@@ -314,43 +347,129 @@ def _from_ambient(metric, y, c):
     return np.arctan2(sin_r, x[2]), phi % (2.0 * math.pi), v1 / norm, v2 / norm
 
 
-def _solve(rhs, t_end, start, t_eval):
-    sol = solve_ivp(rhs, (0.0, t_end), start, method="DOP853", t_eval=t_eval,
-                    rtol=ODE_TOL, atol=ODE_TOL)
-    if not sol.success:
-        raise IntegrationError(sol.message, arclength_reached=float(sol.t[-1]) if len(sol.t) else 0.0)
-    return sol.y
+class _SampledDOP853(DOP853):
+    """DOP853 that writes its dense output at `sample_at` into `out` as it steps.
 
-
-def flow(metric, p, v, t_eval):
-    """Geodesic flow from (p, v) with its Jacobi frame, sampled at arclengths `t_eval`.
-
-    Returns (r, phi, v1, v2, jacobi): north-chart coordinates and frame
-    components of the tangent, and the (4, len(t_eval)) rows
-    (y1, y1', y2, y2') of the fundamental Jacobi solutions
-    y'' + K y = 0 with (y1, y1') = (0, 1) and (y2, y2') = (1, 0) at s = 0.
-    Smooth profiles are integrated in ambient coordinates on S^2, for
-    every start.  Profiles with cone points keep the Clairaut chart
-    (r, phi, p_r) and, for |Clairaut constant| < MERIDIAN_TOL, the
-    unrolled covering angle of the meridian, which passes through the poles.
+    Given t_eval, solve_ivp keeps each step's samples in a list and stacks
+    them at the end, holding every sample twice; this holds them once.  The
+    samples are the same numbers: the same interpolant at the same points.
+    The solver sits in a reference cycle (its `fun` wrapper refers back to
+    it), so it lets go of its arrays when it stops rather than when collected.
     """
-    r0, phi0, v = p.r, p.phi, np.asarray(v, dtype=float)
+
+    def __init__(self, fun, t0, y0, t_bound, sample_at, out, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.sample_at, self.out, self.sampled = sample_at, out, 0
+
+    def step(self):
+        message = super().step()
+        if self.status != "failed":
+            stop = int(np.searchsorted(self.sample_at, self.t, side="right"))
+            if stop > self.sampled:
+                self.out[:, self.sampled:stop] = self.dense_output()(
+                    self.sample_at[self.sampled:stop])
+                self.sampled = stop
+        if self.status != "running":
+            self.out = self.sample_at = None
+        return message
+
+
+def _solve(rhs, t_end, starts, t_eval):
+    """One DOP853 solve of the stacked starts (g rows of d numbers).
+
+    Returns the (d, g, len(t_eval)) samples and the number of
+    right-hand-side calls.  The tolerance is ODE_TOL / sqrt(g): the
+    solver's error norm is an RMS over the whole stacked state, so this
+    holds each geodesic to the error a solve of its own would allow.
+    """
+    start = np.asarray(starts, dtype=float)
+    g, d = start.shape
+    # The samples get an anonymous mapping of their own, whose pages go back
+    # to the system when it is freed.  A malloc'd block this size would, once
+    # freed, raise glibc's mmap threshold, and later blocks of its size would
+    # stay resident in the heap.
+    out = np.frombuffer(mmap.mmap(-1, 8 * d * g * len(t_eval)), dtype=float).reshape(d * g, -1)
+    tol = ODE_TOL / math.sqrt(g)
+    sol = solve_ivp(rhs, (0.0, t_end), start.T.ravel(), method=_SampledDOP853,
+                    rtol=tol, atol=tol, sample_at=t_eval, out=out)
+    if not sol.success:
+        raise IntegrationError(sol.message, nfev=int(sol.nfev),
+                               arclength_reached=float(sol.t[-1]) if len(sol.t) else 0.0)
+    return out.reshape(d, g, -1), int(sol.nfev)
+
+
+def flow_chart(metric, p, v):
+    """The chart `flow` integrates the start (p, v) in: "ambient", "clairaut" or "meridian"."""
+    if not metric.has_cone_points:
+        return "ambient"
+    return "meridian" if abs(clairaut_constant(p.r, v[1])) < MERIDIAN_TOL else "clairaut"
+
+
+class FlowSamples(NamedTuple):
+    """One stacked `flow` solve: the chart states of g starts at T arclengths.
+
+    `state` is (d, g, T); `start(j)` reads start j off it in the north
+    chart, one start at a time, so no second stack of samples is made.
+    """
+
+    metric: MetricModel
+    chart: str
+    state: np.ndarray
+    c: np.ndarray            # Clairaut constants
+    phi0: np.ndarray
+    direction: np.ndarray    # +-1: meridian starts heading away from or toward the north pole
+    nfev: int
+
+    def start(self, j):
+        """(r, phi, v1, v2, jacobi) of start j: north-chart coordinates and
+        frame components of the tangent, each (T,), and the (4, T) rows
+        (y1, y1', y2, y2') of its fundamental Jacobi solutions."""
+        y = self.state[:, j]
+        if self.chart == "ambient":
+            return (*_from_ambient(self.metric, y, self.c[j]), y[6:])
+        if self.chart == "meridian":
+            return (*_fold_meridian(y[0], self.phi0[j], self.direction[j]), y[1:])
+        r, phi, pr = y[:3]
+        return (r, phi % (2.0 * math.pi), pr / self.metric.warp(np.cos(r)),
+                self.c[j] / np.sin(r), y[3:])
+
+
+def flow(metric, starts, t_eval):
+    """Geodesic flow of `starts` [(p, v), ...] with their Jacobi frames: one ODE solve.
+
+    All starts must share one `flow_chart`; their states are stacked into
+    one DOP853 solve and sampled at the arclengths `t_eval`.  The Jacobi
+    rows solve y'' + K y = 0 with (y1, y1') = (0, 1) and (y2, y2') = (1, 0)
+    at s = 0.  Smooth profiles are integrated in ambient coordinates on
+    S^2, for every start.  Profiles with cone points keep the Clairaut
+    chart (r, phi, p_r) and, for |Clairaut constant| < MERIDIAN_TOL, the
+    unrolled covering angle of the meridian, which passes through the
+    poles.  Returns FlowSamples.
+    """
+    starts = [(p, np.asarray(v, dtype=float)) for p, v in starts]
+    charts = {flow_chart(metric, p, v) for p, v in starts}
+    if len(charts) != 1:
+        raise ValueError(f"flow takes starts of one chart, got {sorted(charts)}")
+    chart = charts.pop()
+    g = len(starts)
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
     t_end = float(t_eval[-1])
-    c = clairaut_constant(r0, v[1])
-    if not metric.has_cone_points:
-        y = _solve(_ambient_rhs(metric), t_end,
-                   [*_ambient_start(metric, r0, phi0, v), *JACOBI_START], t_eval)
-        return (*_from_ambient(metric, y, c), y[6:])
-    if abs(c) < MERIDIAN_TOL:
-        direction = 1.0 if v[0] >= 0 else -1.0
+    c = np.array([clairaut_constant(p.r, v[1]) for p, v in starts])
+    direction = np.array([1.0 if v[0] >= 0 else -1.0 for _, v in starts])
+    if chart == "ambient":
+        rhs = _ambient_rhs(metric, g)
+        y0 = [[*_ambient_start(metric, p.r, p.phi, v), *JACOBI_START] for p, v in starts]
+    elif chart == "meridian":
+        rhs = _meridian_rhs(metric, g)
         # rho is integrated with d(rho)/ds = +1/f along the motion; undo direction
-        y = _solve(_meridian_rhs(metric), t_end, [direction * r0, *JACOBI_START], t_eval)
-        return (*_fold_meridian(y[0], phi0, direction), y[1:])
-    y = _solve(_clairaut_rhs(metric, c), t_end,
-               [r0, phi0, float(metric.warp(math.cos(r0))) * v[0], *JACOBI_START], t_eval)
-    r, phi, pr = y[:3]
-    return r, phi % (2.0 * math.pi), pr / metric.warp(np.cos(r)), c / np.sin(r), y[3:]
+        y0 = [[d * p.r, *JACOBI_START] for d, (p, _) in zip(direction, starts)]
+    else:
+        rhs = _clairaut_rhs(metric, float(c[0]) if g == 1 else c)
+        y0 = [[p.r, p.phi, float(metric.warp(math.cos(p.r))) * v[0], *JACOBI_START]
+              for p, v in starts]
+    state, nfev = _solve(rhs, t_end, y0, t_eval)
+    return FlowSamples(metric, chart, state, c, np.array([p.phi for p, _ in starts]),
+                       direction, nfev)
 
 
 def state_distance(metric, p1, v1, p2, v2):

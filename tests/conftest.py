@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic

@@ -183,7 +183,7 @@ def exp_map(metric, p, v, t):
     if t < 0.0:
         q, w = exp_map(metric, p, -v, -t)
         return q, -w
-    r, phi, v1, v2, _ = flow(metric, p, v, [t])
+    r, phi, v1, v2, _ = flow(metric, [(p, v)], [t]).start(0)
     return SurfacePoint.north(float(r[-1]), float(phi[-1])), np.array([float(v1[-1]), float(v2[-1])])
 
 

@@ -17,7 +17,6 @@ import pytest
 from zollforms.cli import RunConfig, build_report
 from zollforms.expansion import (
     JetPolynomial,
-    constants_report,
     derive_normal_form_integrands,
     fermi_metric_jets,
     grade_expansion,
@@ -28,7 +27,6 @@ from zollforms.expansion import (
     TAU_NU,
     _match_integrand_basis,
 )
-from zollforms.fourier import periodic_mean
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic
 from zollforms.identities import (
     check_4id,
@@ -37,7 +35,7 @@ from zollforms.identities import (
     check_quartic,
     check_tau_s,
 )
-from zollforms.jacobi import solve_fundamental, variation_field
+from zollforms.jacobi import solve_fundamental
 from zollforms.normalform import assemble_p1
 from zollforms.surface import MetricModel, SurfacePoint
 from zollforms.weyl import PolySymbol, star_commutator

@@ -10,7 +10,7 @@ import sys
 import pytest
 from numpy.linalg import LinAlgError
 
-from zollforms import cli
+from zollforms import cli, normalform, surface
 from zollforms.cli import (
     CSV_HEADER,
     EXIT_CHECK_FAILURE,
@@ -29,6 +29,18 @@ from zollforms.expansion import constants_report
 from zollforms.normalform import FirstObstructionError
 from zollforms.surface import IntegrationError
 from zollforms.weyl import DegreeOverflowError
+
+
+def _fail_flow_with(monkeypatch, fails):
+    """Make every flow solve that holds a start with `fails(p, v)` raise."""
+    real_flow = surface.flow
+
+    def flow(metric, starts, t_eval):
+        if any(fails(p, v) for p, v in starts):
+            raise IntegrationError("forced failure", nfev=0)
+        return real_flow(metric, starts, t_eval)
+
+    monkeypatch.setattr(surface, "flow", flow)
 
 
 class TestConfig:
@@ -122,16 +134,7 @@ class TestVerifyCommand:
         assert "config error" in capsys.readouterr().err
 
     def test_integration_failure_does_not_stop_the_run(self, monkeypatch):
-        real_trace = cli.trace_geodesic
-        calls = []
-
-        def trace(metric, ic, n, **kwargs):
-            calls.append(ic)
-            if len(calls) == 2:
-                raise IntegrationError("forced failure")
-            return real_trace(metric, ic, n, **kwargs)
-
-        monkeypatch.setattr(cli, "trace_geodesic", trace)
+        _fail_flow_with(monkeypatch, lambda p, v: v[0] == 1.0)   # the meridian start
         cfg = RunConfig.load(None, {"metric": {"kind": "round"}, "geodesics": 3,
                                     "grid": 256})
         report, code = build_report(cfg, "verify")
@@ -173,14 +176,7 @@ class TestVerifyCommand:
 
     def test_integration_failure_is_strict_json(self, monkeypatch, tmp_path, capsys):
         """A failed geodesic's value is written as null, never as a bare NaN."""
-        real_trace = cli.trace_geodesic
-
-        def trace(metric, ic, n, **kwargs):
-            if ic[1][0] == 1.0:   # the meridian start
-                raise IntegrationError("forced failure")
-            return real_trace(metric, ic, n, **kwargs)
-
-        monkeypatch.setattr(cli, "trace_geodesic", trace)
+        _fail_flow_with(monkeypatch, lambda p, v: v[0] == 1.0)   # the meridian start
         out = tmp_path / "verify.json"
         code = main(["verify", "--metric", "round", "--geodesics", "3",
                      "--grid", "256", "--out", str(out)])
@@ -193,6 +189,40 @@ class TestVerifyCommand:
         assert report["summary"]["failures"] == [
             {"geodesic": "meridian", "check": "integration", "value": None}]
         assert "check integration" in capsys.readouterr().err
+
+    def test_failed_stacked_solve_is_split_per_geodesic(self, monkeypatch):
+        """A stacked flow solve that fails is re-run one start at a time: the
+        start that fails alone is named, the others pass, the exit code is 3."""
+        cfg = RunConfig.load(None, {"metric": parse_metric_flag("zoll:0.1"), "geodesics": 5,
+                                    "grid": 256})
+        bad = cli._initial_conditions(cfg)[3][1][0]   # random-001
+        real_flow = surface.flow
+        calls = []
+
+        def flow(metric, starts, t_eval):
+            calls.append(len(starts))
+            if len(starts) > 1 and calls.count(len(starts)) == 1:
+                raise IntegrationError("forced failure of the stacked solve", nfev=7)
+            if len(starts) == 1 and starts[0][0].r == bad.r:
+                raise IntegrationError("forced failure of one start", nfev=3)
+            return real_flow(metric, starts, t_eval)
+
+        monkeypatch.setattr(surface, "flow", flow)
+        report, code = build_report(cfg, "verify")
+        assert code == EXIT_NUMERICAL_FAILURE
+        assert report["summary"]["failures"] == [
+            {"geodesic": "random-001", "check": "integration", "value": None}]
+        records = {r["geodesic_id"]: r for r in report["geodesics"]}
+        assert "forced failure of one start" in records["random-001"]["integration_failure"]
+        for name in ("equator", "meridian", "random-000", "random-002"):
+            assert "checks" in records[name]
+            assert all(c["normalized"] < cfg.tol for c in records[name]["checks"])
+        # the Clairaut group (4 starts) failed once, then ran one start at a time
+        solves = report["telemetry"]["flow"]
+        assert [(t["chart"], t["geodesics"], t["status"]) for t in solves] == [
+            ("clairaut", 4, -1), ("clairaut", 1, 0), ("clairaut", 1, 0),
+            ("clairaut", 1, -1), ("clairaut", 1, 0), ("meridian", 1, 0)]
+        assert solves[0]["nfev"] == 7 and solves[3]["nfev"] == 3
 
     def test_nan_obstruction_value_is_null(self, monkeypatch, tmp_path):
         def assemble(*args, **kwargs):
@@ -250,6 +280,41 @@ class TestInvariantsCommand:
                 assert diag["odd_residual"] <= 1e-8
             digests.append(report["digest"])
         assert digests[0] == digests[1]
+
+    def test_telemetry_stays_outside_the_digest(self):
+        """Every flow solve is reported with its chart, size, nfev and status;
+        the digest does not cover it, and two runs give one digest."""
+        cfg = RunConfig.load(None, {"metric": parse_metric_flag("zoll:-0.309,0.294"),
+                                    "geodesics": 4, "grid": 256})
+        first, _ = build_report(cfg, "invariants")
+        second, _ = build_report(cfg, "invariants")
+        assert first["digest"] == second["digest"]
+        solves = first["telemetry"]["flow"]
+        assert [(t["chart"], t["geodesics"], t["status"]) for t in solves] == [
+            ("clairaut", 3, 0), ("meridian", 1, 0)]
+        assert all(isinstance(t["nfev"], int) and t["nfev"] > 0 for t in solves)
+        body = {k: v for k, v in first.items() if k not in ("digest", "telemetry")}
+        assert first["digest"] == _digest(body)
+
+    def test_h_relation_is_gated(self, monkeypatch):
+        """Each record carries |c0 + H/(16 pi)| / |c0|; above 1e-9 it is a named
+        failure (exit 1), and the summary carries the spread of H."""
+        cfg = RunConfig.load(None, {"metric": parse_metric_flag("zoll:-0.3,0.3"),
+                                    "geodesics": 3, "grid": 256})
+        report, code = build_report(cfg, "invariants")
+        assert code == EXIT_PASS
+        invs = [r["invariants"] for r in report["geodesics"]]
+        assert max(i["h_relation"] for i in invs) <= 1e-11
+        hs = [i["H_b"] for i in invs]
+        assert report["summary"]["H_spread"] == max(hs) - min(hs)
+
+        real_H = normalform.compute_H
+        monkeypatch.setattr(normalform, "compute_H",
+                            lambda path, frame: real_H(path, frame) * (1.0 + 1e-8))
+        report, code = build_report(cfg, "invariants")
+        assert code == EXIT_CHECK_FAILURE
+        assert [f["check"] for f in report["summary"]["failures"]] == ["h_relation"] * 3
+        assert all(1e-9 < f["value"] < 2e-8 for f in report["summary"]["failures"])
 
     def test_header_constants_digest(self):
         cfg = RunConfig.load(None, {"geodesics": 1, "grid": 256})

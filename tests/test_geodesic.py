@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from zollforms import cli
 from zollforms.fourier import periodic_mean, spectral_antiderivative, spectral_derivative
-from zollforms.geodesic import sample_initial_conditions, trace_geodesic
+from zollforms.geodesic import sample_initial_conditions, trace_geodesic, trace_geodesics
 from zollforms.surface import IntegrationError
 from oracles import rebase
 
@@ -60,6 +61,60 @@ class TestTracing:
         shifted = rebase(cubic_path, 100)
         assert np.allclose(shifted.tau, np.roll(cubic_path.tau, -100))
         assert shifted.closure_defect == cubic_path.closure_defect
+
+
+def _embedded(path):
+    """Point and unit tangent direction in R^3: r, phi and the tangent without
+    the polar chart's singularity, where a meridian's phi jumps by pi."""
+    r, phi, v1, v2 = path.r, path.phi, path.tangent[:, 0], path.tangent[:, 1]
+    x = np.stack([np.sin(r) * np.cos(phi), np.sin(r) * np.sin(phi), np.cos(r)])
+    e_r = np.stack([np.cos(r) * np.cos(phi), np.cos(r) * np.sin(phi), -np.sin(r)])
+    e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(r)])
+    return x, v1 * e_r + v2 * e_phi
+
+
+class TestStackedTrace:
+    """`trace_geodesics` (stacked flow solves) against one solve per start."""
+
+    @pytest.mark.parametrize("spec, n, sizes", [
+        ("round", 2048, [("ambient", 11), ("ambient", 11), ("ambient", 10)]),
+        ("zoll:-0.3,0.3", 2048, [("ambient", 11), ("ambient", 11), ("ambient", 10)]),
+        # cone profile: the Clairaut chart, with the meridian in its own group
+        ("zoll:-0.309,0.294", 2048, [("clairaut", 16), ("meridian", 1), ("clairaut", 15)]),
+        # the memory budget leaves one start per solve
+        ("zoll:0.2,-0.5,0.3", 32768, [("ambient", 1)] * 32),
+    ])
+    def test_matches_per_start_traces(self, spec, n, sizes):
+        """On the CLI's 32-geodesic sample every stacked path agrees with its
+        own trace to 1e-10 (jets relative to max(1, sup |jet|)), and every
+        geodesic's own closure defect stays below 1e-10."""
+        cfg = cli.RunConfig.load(None, {"metric": cli.parse_metric_flag(spec), "grid": n})
+        inits = [ic for _, ic in cli._initial_conditions(cfg)]
+        solves = []
+        stacked = list(trace_geodesics(cfg.metric_model, inits, n, solves=solves))
+        assert [(t["chart"], t["geodesics"]) for t in solves] == sizes
+        for init, path in zip(inits, stacked):
+            alone = trace_geodesic(cfg.metric_model, init, n)
+            assert path.closure_defect <= 1e-10
+            assert np.max(np.abs(path.r - alone.r)) <= 1e-10
+            for a, b in zip(_embedded(path), _embedded(alone)):
+                assert np.max(np.abs(a - b)) <= 1e-10
+            assert np.max(np.abs(path.jacobi - alone.jacobi)) <= 1e-10
+            for name, jet in alone.jets().items():
+                gap = np.max(np.abs(path.jets()[name] - jet))
+                assert gap <= 1e-10 * max(1.0, np.max(np.abs(jet))), name
+
+    def test_one_start_case(self, cubic_metric, generic_ic, cubic_path):
+        path, = trace_geodesics(cubic_metric, [generic_ic], cubic_path.n)
+        for name in ("r", "phi", "tangent", "jacobi", "jacobi_end", "tau_nunu"):
+            assert np.array_equal(getattr(path, name), getattr(cubic_path, name))
+
+    def test_closure_failure_stays_with_its_start(self, nonzoll_metric, generic_ic, equator_ic):
+        """Under enforce_closure a start that does not close is yielded as its
+        IntegrationError; the equator, which closes by symmetry, still traces."""
+        equator, generic = trace_geodesics(nonzoll_metric, [equator_ic, generic_ic], 512)
+        assert equator.closure_defect < 1e-10
+        assert isinstance(generic, IntegrationError) and "not Zoll" in str(generic)
 
 
 class TestSpectralDerivative:

@@ -1,19 +1,13 @@
 """Jacobi frame, Poincare/Floquet data, and the variation equation."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from zollforms.fourier import spectral_derivative
 from zollforms.geodesic import GeodesicPath, trace_geodesic
-from zollforms.jacobi import (
-    JacobiFrame,
-    floquet_exponents,
-    solve_fundamental,
-    variation_field,
-)
+from zollforms.jacobi import floquet_exponents, solve_fundamental, variation_field
 
 from oracles import exp_map, ode_frame, ode_variation_field, rebase, rotate_tangent
 

@@ -1,9 +1,14 @@
-"""Every public name of the package has a user outside the tests.
+"""Every public name of the package has a user outside the tests, and
+every import is read.
 
 A name in a module's `__all__`, or a key of the package's lazy
 `_EXPORTS`, must be used by the package's own code (anywhere but inside
 its own definition), by a demo, or be named in the README's library
 tour.  Code only the tests call belongs in `tests/oracles.py`.
+
+A name imported in `src/`, `tests/` or `demos/` must be read by that
+file's code or listed in its `__all__`; `__init__.py` files, which
+re-export, are exempt.
 """
 
 import ast
@@ -80,3 +85,27 @@ def test_exports_resolve():
     _, trees = public_names()
     for name, mod in _literal(trees["__init__"], "_EXPORTS").items():
         assert getattr(zollforms, name) is getattr(importlib.import_module(f"zollforms.{mod}"), name)
+
+
+def _unused_imports(tree):
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= set(_literal(tree, "__all__") or ())
+    return sorted(imported - read)
+
+
+def test_every_import_is_read():
+    unused = {}
+    for folder in ("src", "tests", "demos"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            names = _unused_imports(ast.parse(path.read_text()))
+            if names:
+                unused[str(path.relative_to(ROOT))] = names
+    assert not unused, f"imports no code reads: {unused}"
