@@ -168,19 +168,21 @@ def _init_fields(ic):
 def build_report(cfg, mode):
     """Run `verify` or `invariants` over the geodesic sample; returns (report, exit_code).
 
-    The sample is traced by `trace_geodesics`, one stacked flow solve per
-    chart group; each solve's chart, size, `nfev` and `status` go to the
-    report's `telemetry`, which the digest leaves out.  A geodesic
-    that fails is recorded and the run goes on; the exit code is
-    EXIT_NUMERICAL_FAILURE if any geodesic hit one of NUMERICAL_FAILURES.
+    The sample is traced by `trace_geodesics`, stacked flow solves per
+    chart group, and each geodesic is processed as its path arrives; the
+    report lists them in sample order.  Each solve's chart, size, `nfev`
+    and `status` go to the report's `telemetry`, which the digest leaves
+    out.  A geodesic that fails is recorded and the run goes on; the exit
+    code is EXIT_NUMERICAL_FAILURE if any geodesic hit one of
+    NUMERICAL_FAILURES.
     """
     starts = _initial_conditions(cfg)
     solves = []
-    paths = trace_geodesics(cfg.metric_model, [ic for _, ic in starts], cfg.grid,
-                            enforce_closure=False, solves=solves)
-    records = []
+    records = [None] * len(starts)
     failures = []
-    for (name, ic), path in zip(starts, paths):
+    for index, path in trace_geodesics(cfg.metric_model, [ic for _, ic in starts], cfg.grid,
+                                       enforce_closure=False, solves=solves):
+        name, ic = starts[index]
         record = {"geodesic_id": name, **_init_fields(ic)}
         try:
             if isinstance(path, IntegrationError):
@@ -195,21 +197,22 @@ def build_report(cfg, mode):
                 record["checks"] = [c.as_dict() for c in checks]
                 for c in checks:
                     if not c.passed(cfg.tol):
-                        failures.append((name, c.name, c.normalized))
+                        failures.append((index, name, c.name, c.normalized))
             else:
                 rec = assemble_p1(cfg.metric_model, ic, cfg.grid,
                                   geodesic_id=name, path=path, frame=frame)
                 record["invariants"] = rec.as_dict()
                 if not rec.h_relation <= H_RELATION_TOL:
-                    failures.append((name, "h_relation", rec.h_relation))
+                    failures.append((index, name, "h_relation", rec.h_relation))
         except FirstObstructionError as exc:
             record["first_obstruction_failure"] = str(exc)
-            failures.append((name, "first_obstruction", abs(exc.value)))
+            failures.append((index, name, "first_obstruction", abs(exc.value)))
         except tuple(NUMERICAL_FAILURES) as exc:
             check = next(c for cls, c in NUMERICAL_FAILURES.items() if isinstance(exc, cls))
             record[f"{check}_failure"] = str(exc)
-            failures.append((name, check, None))
-        records.append(record)
+            failures.append((index, name, check, None))
+        records[index] = record
+    failures = [f[1:] for f in sorted(failures, key=lambda f: f[0])]   # sample order
     if any(check in NUMERICAL_FAILURES.values() for _, check, _ in failures):
         code = EXIT_NUMERICAL_FAILURE
     else:

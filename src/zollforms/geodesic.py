@@ -84,7 +84,7 @@ def trace_geodesic(metric, init, n=2048, enforce_closure=True):
     defect at 2*pi.  With `enforce_closure`, a defect above 1e-4 raises
     (metric not Zoll at this tolerance, or integration too coarse).
     """
-    path, = trace_geodesics(metric, [init], n, enforce_closure)
+    (_, path), = trace_geodesics(metric, [init], n, enforce_closure)
     if isinstance(path, IntegrationError):
         raise path
     return path
@@ -94,15 +94,17 @@ def trace_geodesics(metric, inits, n=2048, enforce_closure=True, solves=None):
     """Trace the geodesics through `inits`, one stacked flow solve per chart group.
 
     Every closed geodesic has period 2*pi, so the starts share one
-    arclength grid.  They are grouped by `surface.flow_chart`, each group
-    is cut into chunks of at most FLOW_CHUNK_BYTES of stacked samples, and
-    each chunk is one `surface.flow` solve, made when its first start is
-    reached.  Yields, in the order of `inits`, each start's GeodesicPath
-    or the IntegrationError that ended it: a stacked solve that fails is
-    re-run one start at a time, so each failure stays with its own start,
-    and with `enforce_closure` a closure defect above CLOSURE_TOL is one.
-    With a list `solves`, one dict per flow solve (chart, geodesics,
-    nfev, status) is appended to it.
+    arclength grid.  They are grouped by `surface.flow_chart`, and each
+    group, ordered by |Clairaut constant|, is cut into chunks of at most
+    FLOW_CHUNK_BYTES of stacked samples; a stack steps as finely as its
+    hardest start needs, and near-meridians need the finest steps.  Each
+    chunk is one `surface.flow` solve.  Yields (index into `inits`, path)
+    chunk by chunk, so one chunk's samples are held at a time; the path is
+    a GeodesicPath or the IntegrationError that ended the start.  A stacked
+    solve that fails is re-run one start at a time, so each failure stays
+    with its own start, and with `enforce_closure` a closure defect above
+    CLOSURE_TOL is one.  With a list `solves`, one dict per flow solve
+    (chart, geodesics, nfev, status) is appended to it.
     """
     _validate_grid(n)
     inits = [(p0, np.asarray(v0, dtype=float)) for p0, v0 in inits]
@@ -113,12 +115,14 @@ def trace_geodesics(metric, inits, n=2048, enforce_closure=True, solves=None):
 
 
 def _chunks(metric, inits, n):
-    """(chart, start indices) per flow solve: chart groups cut to the byte budget."""
+    """(chart, start indices) per flow solve: chart groups, by |Clairaut
+    constant|, cut to the byte budget."""
     groups = {}
     for i, (p0, v0) in enumerate(inits):
         groups.setdefault(_surface.flow_chart(metric, p0, v0), []).append(i)
     out = []
     for chart, members in groups.items():
+        members.sort(key=lambda j: abs(_surface.clairaut_constant(inits[j][0].r, inits[j][1][1])))
         most = max(1, FLOW_CHUNK_BYTES // (8 * (n + 1) * _surface.CHART_STATE_SIZE[chart]))
         count = -(-len(members) // most)
         out.extend((chart, chunk.tolist()) for chunk in np.array_split(members, count))
@@ -126,14 +130,11 @@ def _chunks(metric, inits, n):
 
 
 def _traced(metric, inits, n, enforce_closure, solves):
-    chunk_of = {i: chunk for chunk in _chunks(metric, inits, n) for i in chunk[1]}
-    ready = {}
-    for i in range(len(inits)):
-        if i not in ready:
-            chart, members = chunk_of[i]
-            ready.update(zip(members, _solve_chunk(
-                metric, chart, [inits[j] for j in members], n, solves)))
-        yield _path(metric, inits[i], n, ready.pop(i), enforce_closure)
+    for chart, members in _chunks(metric, inits, n):
+        solved = _solve_chunk(metric, chart, [inits[i] for i in members], n, solves)
+        for i in members:
+            # popped, so no name still holds this chunk's samples during the next solve
+            yield i, _path(metric, inits[i], n, solved.pop(0), enforce_closure)
 
 
 def _solve_chunk(metric, chart, inits, n, solves):
