@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral, Real
 
 from numpy.linalg import LinAlgError
 
@@ -63,6 +64,9 @@ class RunConfig:
     csv: str = None
 
     KEYS = ("metric", "geodesics", "grid", "tol", "seed", "out", "csv")
+    TYPES = {"geodesics": (Integral, "an integer"), "grid": (Integral, "an integer"),
+             "seed": (Integral, "an integer"), "tol": (Real, "a number"),
+             "out": (str, "a string or null"), "csv": (str, "a string or null")}
 
     @classmethod
     def load(cls, config_path=None, overrides=None):
@@ -81,6 +85,9 @@ class RunConfig:
         for key, value in (overrides or {}).items():
             if value is not None:
                 data[key] = value
+        for key, (kind, what) in cls.TYPES.items():
+            if data.get(key) is not None and not _is_a(data[key], kind):
+                raise ConfigError(f"{key} must be {what}, got {data[key]!r}")
         cfg = cls(**{k: v for k, v in data.items() if v is not None})
         if cfg.geodesics < 1:
             raise ConfigError("geodesics must be >= 1")
@@ -94,6 +101,11 @@ class RunConfig:
     def echo(self):
         return {"metric": self.metric, "geodesics": self.geodesics,
                 "grid": self.grid, "tol": self.tol, "seed": self.seed}
+
+
+def _is_a(value, kind):
+    """isinstance, except that a JSON true or false is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def metric_from_spec(spec):
@@ -110,6 +122,10 @@ def metric_from_spec(spec):
         extra = set(spec) - {"kind", "h_odd_coeffs", "h_even_coeffs"}
         if extra:
             raise ConfigError(f"unknown metric keys {sorted(extra)}")
+        for key in ("h_odd_coeffs", "h_even_coeffs"):
+            coeffs = spec.get(key, ())
+            if not isinstance(coeffs, (list, tuple)) or not all(_is_a(a, Real) for a in coeffs):
+                raise ConfigError(f"{key} must be a list of numbers, got {coeffs!r}")
         try:
             return MetricModel.zoll_revolution(
                 spec.get("h_odd_coeffs", ()), spec.get("h_even_coeffs", ()))
@@ -168,11 +184,10 @@ def _init_fields(ic):
 def build_report(cfg, mode):
     """Run `verify` or `invariants` over the geodesic sample; returns (report, exit_code).
 
-    The sample is traced by `trace_geodesics`, stacked flow solves per
-    chart group, and each geodesic is processed as its path arrives; the
-    report lists them in sample order.  Each solve's chart, size, `nfev`
-    and `status` go to the report's `telemetry`, which the digest leaves
-    out.  A geodesic that fails is recorded and the run goes on; the exit
+    The sample is traced by `trace_geodesics` in stacked flow solves, and
+    each geodesic is processed as its path arrives; the report lists them
+    in sample order.  Each solve's chart, size, `nfev` and `status` go to
+    the report's `telemetry`, which the digest leaves out.  A geodesic that fails is recorded and the run goes on; the exit
     code is EXIT_NUMERICAL_FAILURE if any geodesic hit one of
     NUMERICAL_FAILURES.
     """

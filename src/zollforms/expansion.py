@@ -102,9 +102,6 @@ class QQi:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conjugate(self):
-        return QQi(self.re, -self.im)
-
     def __complex__(self):
         return float(self.re) + 1j * float(self.im)
 
@@ -871,20 +868,12 @@ def constants_report():
     return report
 
 
-def round_sphere_c2():
-    """Exact |z|^4 coefficient of the averaged order-zero symbol on the round sphere.
-
-    Substitutes Y = e^{is}, tau = 1 into the derived integrands: a monomial
-    Y^p Yb^q dY^r dYb^t has s-mean i^r (-i)^t [p + r == q + t], so the
-    basis coefficients combine exactly.  Zero is the universal linear
-    relation among the constants.
-    """
-    parts = derive_normal_form_integrands()
-    return _round_sphere_mean(parts["z4"])
-
-
 def _round_sphere_mean(poly):
-    """Exact s-mean of a jet polynomial in Y-monomials at Y = e^{is}, tau = 1."""
+    """Exact s-mean of a jet polynomial in Y-monomials at Y = e^{is}, tau = 1.
+
+    A monomial Y^p Yb^q dY^r dYb^t has s-mean i^r (-i)^t [p + r == q + t],
+    so the basis coefficients combine exactly.
+    """
     total = QQi()
     for key, val in poly.terms.items():
         e = dict(key)

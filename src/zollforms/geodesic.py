@@ -5,8 +5,8 @@ normal frame, the curvature jet (tau, tau_s, tau_nu, tau_nunu) and the
 fundamental Jacobi solutions at s_j = 2*pi*j/N.  The Jacobi states come
 out of the same ODE solve as the geodesic (`surface.flow`), so a traced
 path already holds everything `jacobi.solve_fundamental` needs.
-`trace_geodesics` traces many starts with one stacked solve per chart
-group, cut to a memory budget; `trace_geodesic` is its one-start case.
+`trace_geodesics` traces many starts in stacked solves, cut to a memory
+budget; `trace_geodesic` is its one-start case.
 The grid supports spectral differentiation and spectrally accurate
 periodic quadrature of products of the samples.  Points, tangents and
 samples are all in the north polar chart (`surface.SurfacePoint`).
@@ -32,8 +32,8 @@ __all__ = [
 CLOSURE_TOL = 1e-4
 MIN_GRID = 256
 MIN_CLAIRAUT = 0.12       # sampled starts keep |Clairaut constant| above this
-# Stacked flow samples per solve, held once: the CLI's 31 Clairaut-chart
-# starts at N = 2048 take two solves, and N = 32768 takes one start per solve.
+# Stacked flow samples per solve, held once: the CLI's 32 starts of a cone
+# profile at N = 2048 take two solves, and N = 32768 takes one start per solve.
 FLOW_CHUNK_BYTES = 2 * 2**20
 
 
@@ -91,14 +91,13 @@ def trace_geodesic(metric, init, n=2048, enforce_closure=True):
 
 
 def trace_geodesics(metric, inits, n=2048, enforce_closure=True, solves=None):
-    """Trace the geodesics through `inits`, one stacked flow solve per chart group.
+    """Trace the geodesics through `inits` in stacked flow solves.
 
     Every closed geodesic has period 2*pi, so the starts share one
-    arclength grid.  They are grouped by `surface.flow_chart`, and each
-    group, ordered by |Clairaut constant|, is cut into chunks of at most
-    FLOW_CHUNK_BYTES of stacked samples; a stack steps as finely as its
-    hardest start needs, and near-meridians need the finest steps.  Each
-    chunk is one `surface.flow` solve.  Yields (index into `inits`, path)
+    arclength grid.  Ordered by |Clairaut constant|, they are cut into
+    chunks of at most FLOW_CHUNK_BYTES of stacked samples; a stack steps
+    as finely as its hardest start needs, and near-meridians need the
+    finest steps.  Each chunk is one `surface.flow` solve.  Yields (index into `inits`, path)
     chunk by chunk, so one chunk's samples are held at a time; the path is
     a GeodesicPath or the IntegrationError that ended the start.  A stacked
     solve that fails is re-run one start at a time, so each failure stays
@@ -114,23 +113,19 @@ def trace_geodesics(metric, inits, n=2048, enforce_closure=True, solves=None):
     return _traced(metric, inits, n, enforce_closure, solves)
 
 
-def _chunks(metric, inits, n):
-    """(chart, start indices) per flow solve: chart groups, by |Clairaut
-    constant|, cut to the byte budget."""
-    groups = {}
-    for i, (p0, v0) in enumerate(inits):
-        groups.setdefault(_surface.flow_chart(metric, p0, v0), []).append(i)
-    out = []
-    for chart, members in groups.items():
-        members.sort(key=lambda j: abs(_surface.clairaut_constant(inits[j][0].r, inits[j][1][1])))
-        most = max(1, FLOW_CHUNK_BYTES // (8 * (n + 1) * _surface.CHART_STATE_SIZE[chart]))
-        count = -(-len(members) // most)
-        out.extend((chart, chunk.tolist()) for chunk in np.array_split(members, count))
-    return out
+def _chunks(inits, n, chart):
+    """Start indices per flow solve: by |Clairaut constant|, cut to the byte budget."""
+    if not inits:
+        return []
+    order = sorted(range(len(inits)),
+                   key=lambda i: abs(_surface.clairaut_constant(inits[i][0].r, inits[i][1][1])))
+    most = max(1, FLOW_CHUNK_BYTES // (8 * (n + 1) * _surface.CHART_STATE_SIZE[chart]))
+    return [chunk.tolist() for chunk in np.array_split(order, -(-len(order) // most))]
 
 
 def _traced(metric, inits, n, enforce_closure, solves):
-    for chart, members in _chunks(metric, inits, n):
+    chart = _surface.flow_chart(metric)
+    for members in _chunks(inits, n, chart):
         solved = _solve_chunk(metric, chart, [inits[i] for i in members], n, solves)
         for i in members:
             # popped, so no name still holds this chunk's samples during the next solve
@@ -176,14 +171,7 @@ def _path(metric, init, n, solved, enforce_closure):
     r, phi, v1, v2 = r[:-1].copy(), phi[:-1].copy(), v1[:-1], v2[:-1]
     tangent = np.stack([v1, v2], axis=1)
     normal = np.stack([-v2, v1], axis=1)
-    if metric.is_round:
-        tau = np.ones(n)
-        tau_s = np.zeros(n)
-        tau_nu = np.zeros(n)
-        tau_nunu = np.zeros(n)
-    else:
-        tau, tau_s, tau_nu, tau_nunu = _surface.curvature_jet_arrays(
-            metric, r, v1, v2, -v2, v1)
+    tau, tau_s, tau_nu, tau_nunu = _surface.curvature_jet_arrays(metric, r, v1, v2, -v2, v1)
     return GeodesicPath(
         metric=metric, init=(p0, tuple(v0)),
         n=n, s=grid(n), r=r, phi=phi, tangent=tangent, normal=normal,

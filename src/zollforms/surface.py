@@ -21,21 +21,22 @@ the cross-check oracle in the tests.
 
 `flow` integrates geodesics together with the fundamental Jacobi
 solutions of y'' + K(u) y = 0, with K evaluated in closed form from the
-state.  All closed geodesics share the period 2*pi, so starts in one
-chart stack into one ODE state and one solve; `geodesic.trace_geodesics`
-makes one such solve per chart group, cut into chunks that fit a memory
-budget.  Each chart has one right-hand-side body, which runs on Python
-floats for a single geodesic and on numpy rows for a stack.  There are
-two charts.  Smooth profiles (h(+-1) = 0, so h = (1 - u^2) q) are
-integrated in ambient coordinates x on S^2 in R^3, where the metric is
-the round one plus the polynomial term beta(u) du^2 and nothing is
-singular at the poles; every start, meridians included, goes through
-this chart.  Profiles with cone points keep the Clairaut chart
-(r, phi, p_r), and meridians the unrolled covering angle: in ambient
-coordinates beta = h (2 + h) / (1 - u^2) has a pole at a cone point and
-the flow loses accuracy near it.  On h = 0.1 x, from the equator, the
-ambient closure defect is 4e-8, 3e-5 and 4e-2 at Clairaut constants
-1e-2, 1e-3 and 1e-4; the Clairaut chart stays at or below 3e-11.
+state.  All closed geodesics share the period 2*pi, so the starts of a
+metric stack into one ODE state and one solve; `geodesic.trace_geodesics`
+cuts them into chunks that fit a memory budget.  There are two charts,
+and the metric alone picks one (`flow_chart`).  Each has one
+right-hand-side body, which runs on Python floats for a single geodesic
+and on numpy rows for a stack.  Smooth profiles (h(+-1) = 0, so
+h = (1 - u^2) q) are integrated in ambient coordinates x on S^2 in R^3,
+where the metric is the round one plus the polynomial term beta(u) du^2
+and nothing is singular at the poles.  Profiles with cone points use the
+Clairaut chart (r, phi, p_r): in ambient coordinates
+beta = h (2 + h) / (1 - u^2) has a pole at a cone point and the flow
+loses accuracy near it.  On h = 0.1 x, from the equator, the ambient
+closure defect is 4e-8, 3e-5 and 4e-2 at Clairaut constants 1e-2, 1e-3
+and 1e-4; the Clairaut chart stays at or below 3e-11.  A meridian is the
+Clairaut chart's c = 0 case: its r runs on through the poles, and the
+read-out folds it back into [0, pi].
 """
 
 import math
@@ -55,9 +56,9 @@ __all__ = [
 ]
 
 ADMISSIBILITY_SAMPLES = 10_000
-MERIDIAN_TOL = 1e-12      # cone profiles: |Clairaut constant| below this is traced as a meridian
+MERIDIAN_TOL = 1e-12      # cone profiles: |Clairaut constant| below this is traced as c = 0
 ODE_TOL = 1e-12
-CHART_STATE_SIZE = {"ambient": 10, "clairaut": 7, "meridian": 5}   # ODE state per geodesic
+CHART_STATE_SIZE = {"ambient": 10, "clairaut": 7}   # ODE state per geodesic
 
 
 class IntegrationError(RuntimeError):
@@ -100,10 +101,6 @@ class MetricModel:
     def zoll_revolution(cls, h_odd_coeffs, h_even_coeffs=()):
         return cls(kind="zoll_revolution", h_odd_coeffs=tuple(h_odd_coeffs),
                    h_even_coeffs=tuple(h_even_coeffs))
-
-    @property
-    def is_round(self):
-        return not self.h_odd_coeffs and not self.h_even_coeffs
 
     def _h_poly(self):
         deg = 2 * len(self.h_odd_coeffs) + 1 if self.h_odd_coeffs else 0
@@ -280,43 +277,47 @@ def _ambient_rhs(metric, g):
 
 
 def _clairaut_rhs(metric, c):
-    """(r, phi, p_r) with the Jacobi pair; c is the Clairaut constant, or their row."""
+    """(r, phi, p_r) with the Jacobi pair; c is the Clairaut constant, or their row.
+
+    With c = 0 these are the meridian equations, and r runs on through the
+    poles.  phi' = c / sin^2 r is then 0, at a pole too, and the centrifugal
+    term c^2 u / sin^3 r is written phi'^2 u sin r, which is 0 there as well.
+    """
     fc = metric._flow_coeffs()
-    unpack, pack, cos, sin = _stack_io(CHART_STATE_SIZE["clairaut"], np.size(c))
-    cc = c * c
+    g = np.size(c)
+    unpack, pack, cos, sin = _stack_io(CHART_STATE_SIZE["clairaut"], g)
+    if g == 1:
+        angular = (lambda sr2: c / sr2) if c else (lambda sr2: 0.0)
+    else:
+        moving = c != 0.0
+        angular = lambda sr2: np.divide(c, sr2, out=np.zeros(g), where=moving)
 
     def rhs(_s, state):
         r, _phi, pr, y1, dy1, y2, dy2 = unpack(state)
         u = cos(r)
         sr = sin(r)
         f, dh, k = _warp_curvature(fc, u)
+        dphi = angular(sr * sr)
         minus_k = -k
-        return pack((pr / (f * f), c / (sr * sr), -pr * pr * sr * dh / f**3 + cc * u / sr**3,
+        return pack((pr / (f * f), dphi, -pr * pr * sr * dh / f**3 + dphi * dphi * u * sr,
                      dy1, minus_k * y1, dy2, minus_k * y2))
     return rhs
 
 
-def _meridian_rhs(metric, g):
-    fc = metric._flow_coeffs()
-    unpack, pack, cos, _ = _stack_io(CHART_STATE_SIZE["meridian"], g)
+def _from_clairaut(metric, y, c):
+    """(r, phi, v1, v2) in the north chart from Clairaut samples (r, phi, p_r).
 
-    def rhs(_s, state):
-        rho, y1, dy1, y2, dy2 = unpack(state)
-        f, _, k = _warp_curvature(fc, cos(rho))
-        minus_k = -k
-        return pack((1.0 / f, dy1, minus_k * y1, dy2, minus_k * y2))
-    return rhs
-
-
-def _fold_meridian(rho, phi0, direction):
-    """Map unrolled meridian angle to (r, phi, v1, v2) with pole-crossing parity."""
-    m = np.mod(direction * rho, 2.0 * math.pi)
+    A meridian's r runs past the poles; it is folded back into [0, pi],
+    onto the opposite meridian phi + pi, where d_r points the other way.
+    For c != 0, r stays in (0, pi) and the fold changes nothing.
+    """
+    r, phi, pr = y[:3]
+    m = np.mod(r, 2.0 * math.pi)
     upper = m <= math.pi
     r = np.where(upper, m, 2.0 * math.pi - m)
-    phi = np.where(upper, phi0, phi0 + math.pi) % (2.0 * math.pi)
-    v1 = np.where(upper, 1.0, -1.0) * direction
-    v2 = np.zeros_like(r)
-    return r, phi, v1, v2
+    v1 = np.where(upper, 1.0, -1.0) * pr / metric.warp(np.cos(r))
+    v2 = c / np.sin(r) if c else np.zeros_like(r)
+    return r, np.where(upper, phi, phi + math.pi) % (2.0 * math.pi), v1, v2
 
 
 def _ambient_start(metric, r0, phi0, v):
@@ -398,11 +399,9 @@ def _solve(rhs, t_end, starts, t_eval):
     return out.reshape(d, g, -1), int(sol.nfev)
 
 
-def flow_chart(metric, p, v):
-    """The chart `flow` integrates the start (p, v) in: "ambient", "clairaut" or "meridian"."""
-    if not metric.has_cone_points:
-        return "ambient"
-    return "meridian" if abs(clairaut_constant(p.r, v[1])) < MERIDIAN_TOL else "clairaut"
+def flow_chart(metric):
+    """The chart `flow` integrates every start of `metric` in: "ambient" or "clairaut"."""
+    return "clairaut" if metric.has_cone_points else "ambient"
 
 
 class FlowSamples(NamedTuple):
@@ -415,9 +414,7 @@ class FlowSamples(NamedTuple):
     metric: MetricModel
     chart: str
     state: np.ndarray
-    c: np.ndarray            # Clairaut constants
-    phi0: np.ndarray
-    direction: np.ndarray    # +-1: meridian starts heading away from or toward the north pole
+    c: np.ndarray            # Clairaut constants, as integrated
     nfev: int
 
     def start(self, j):
@@ -427,49 +424,40 @@ class FlowSamples(NamedTuple):
         y = self.state[:, j]
         if self.chart == "ambient":
             return (*_from_ambient(self.metric, y, self.c[j]), y[6:])
-        if self.chart == "meridian":
-            return (*_fold_meridian(y[0], self.phi0[j], self.direction[j]), y[1:])
-        r, phi, pr = y[:3]
-        return (r, phi % (2.0 * math.pi), pr / self.metric.warp(np.cos(r)),
-                self.c[j] / np.sin(r), y[3:])
+        return (*_from_clairaut(self.metric, y, self.c[j]), y[3:])
 
 
 def flow(metric, starts, t_eval):
     """Geodesic flow of `starts` [(p, v), ...] with their Jacobi frames: one ODE solve.
 
-    All starts must share one `flow_chart`; their states are stacked into
-    one DOP853 solve and sampled at the arclengths `t_eval`.  The Jacobi
-    rows solve y'' + K y = 0 with (y1, y1') = (0, 1) and (y2, y2') = (1, 0)
-    at s = 0.  Smooth profiles are integrated in ambient coordinates on
-    S^2, for every start.  Profiles with cone points keep the Clairaut
-    chart (r, phi, p_r) and, for |Clairaut constant| < MERIDIAN_TOL, the
-    unrolled covering angle of the meridian, which passes through the
-    poles.  Returns FlowSamples.
+    The states of all starts are stacked into one DOP853 solve in the
+    chart `flow_chart(metric)` and sampled at the arclengths `t_eval`.  The
+    Jacobi rows solve y'' + K y = 0 with (y1, y1') = (0, 1) and
+    (y2, y2') = (1, 0) at s = 0.  Smooth profiles are integrated in ambient
+    coordinates on S^2, profiles with cone points in the Clairaut chart
+    (r, phi, p_r); there a start with |Clairaut constant| < MERIDIAN_TOL is
+    traced as the meridian c = 0 at unit speed, heading away from the north
+    pole if v1 >= 0, and passes through the poles.  Returns FlowSamples.
     """
+    chart = flow_chart(metric)
     starts = [(p, np.asarray(v, dtype=float)) for p, v in starts]
-    charts = {flow_chart(metric, p, v) for p, v in starts}
-    if len(charts) != 1:
-        raise ValueError(f"flow takes starts of one chart, got {sorted(charts)}")
-    chart = charts.pop()
     g = len(starts)
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
-    t_end = float(t_eval[-1])
     c = np.array([clairaut_constant(p.r, v[1]) for p, v in starts])
-    direction = np.array([1.0 if v[0] >= 0 else -1.0 for _, v in starts])
     if chart == "ambient":
         rhs = _ambient_rhs(metric, g)
         y0 = [[*_ambient_start(metric, p.r, p.phi, v), *JACOBI_START] for p, v in starts]
-    elif chart == "meridian":
-        rhs = _meridian_rhs(metric, g)
-        # rho is integrated with d(rho)/ds = +1/f along the motion; undo direction
-        y0 = [[d * p.r, *JACOBI_START] for d, (p, _) in zip(direction, starts)]
     else:
+        meridian = np.abs(c) < MERIDIAN_TOL
+        c[meridian] = 0.0
         rhs = _clairaut_rhs(metric, float(c[0]) if g == 1 else c)
-        y0 = [[p.r, p.phi, float(metric.warp(math.cos(p.r))) * v[0], *JACOBI_START]
-              for p, v in starts]
-    state, nfev = _solve(rhs, t_end, y0, t_eval)
-    return FlowSamples(metric, chart, state, c, np.array([p.phi for p, _ in starts]),
-                       direction, nfev)
+        # a meridian keeps unit speed, so a pole start cannot stall with v1 = 0
+        v1 = [(1.0 if v[0] >= 0 else -1.0) if m else v[0]
+              for (_, v), m in zip(starts, meridian)]
+        y0 = [[p.r, p.phi, float(metric.warp(math.cos(p.r))) * a, *JACOBI_START]
+              for (p, _), a in zip(starts, v1)]
+    state, nfev = _solve(rhs, float(t_eval[-1]), y0, t_eval)
+    return FlowSamples(metric, chart, state, c, nfev)
 
 
 def state_distance(metric, p1, v1, p2, v2):

@@ -129,10 +129,6 @@ class PolySymbol:
     def map_coeffs(self, fn):
         return PolySymbol({k: fn(v) for k, v in self.coeffs.items()})
 
-    def conjugate(self):
-        """Complex conjugate symbol: swaps (m, n) and conjugates entries."""
-        return PolySymbol({(n, m): np.conjugate(v) for (m, n), v in self.coeffs.items()})
-
     def substitute_linear(self, z_image, zbar_image):
         """This symbol composed with a linear map: see module `substitute_linear`."""
         return substitute_linear([self], z_image, zbar_image)[0]

@@ -24,7 +24,8 @@ the symbol calculus: Weyl quantization on the oscillator basis.
 
 `rebase` re-parametrizes a traced geodesic from another base point by
 linear algebra on its Jacobi samples, for the base-point invariance
-tests.
+tests.  `conjugate` (of a symbol) and `round_sphere_c2` are helpers only
+the tests call.
 """
 
 import math
@@ -257,6 +258,11 @@ def tau_nunu_stencil(metric, p, tangent, points=5, fd_step=1e-3):
     raise ValueError("points must be 5 or 7")
 
 
+def conjugate(a):
+    """Complex conjugate symbol of `a`: swaps (m, n) and conjugates entries."""
+    return PolySymbol({(n, m): np.conjugate(v) for (m, n), v in a.coeffs.items()})
+
+
 def _ladder_matrices(size):
     q = np.arange(1, size)
     create = np.zeros((size, size))
@@ -302,6 +308,15 @@ def weyl_quantize(a, n_trunc):
     for (m, n), v in a.coeffs.items():
         out += complex(v) * mats[(m, n)]
     return out[:n_trunc, :n_trunc]
+
+
+def round_sphere_c2():
+    """Exact |z|^4 coefficient of the averaged order-zero symbol on the round sphere.
+
+    Substitutes Y = e^{is}, tau = 1 into the derived integrands.  Zero is
+    the universal linear relation among the constants.
+    """
+    return expansion._round_sphere_mean(expansion.derive_normal_form_integrands()["z4"])
 
 
 def _fundamental(jacobi):

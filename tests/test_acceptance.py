@@ -21,7 +21,6 @@ from zollforms.expansion import (
     fermi_metric_jets,
     grade_expansion,
     half_density_laplacian,
-    round_sphere_c2,
     QQi,
     TAU,
     TAU_NU,
@@ -39,7 +38,7 @@ from zollforms.jacobi import solve_fundamental
 from zollforms.normalform import assemble_p1
 from zollforms.surface import MetricModel, SurfacePoint
 from zollforms.weyl import PolySymbol, star_commutator
-from oracles import rebase, weyl_quantize
+from oracles import rebase, round_sphere_c2, weyl_quantize
 
 from fractions import Fraction
 

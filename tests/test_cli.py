@@ -59,13 +59,35 @@ class TestConfig:
             RunConfig.load(None, {"grid": 1000})
 
     def test_metric_specs(self):
-        assert metric_from_spec({"kind": "round"}).is_round
+        m = metric_from_spec({"kind": "round"})
+        assert m.h_odd_coeffs == () and m.h_even_coeffs == ()
         m = metric_from_spec({"kind": "zoll_revolution", "h_odd_coeffs": [0.1]})
         assert m.h_odd_coeffs == (0.1,)
         with pytest.raises(ConfigError):
             metric_from_spec({"kind": "zoll_revolution", "nope": 1})
         with pytest.raises(ConfigError):
             metric_from_spec({"kind": "flat"})
+
+    @pytest.mark.parametrize("entry", [
+        {"grid": 2048.0}, {"grid": True}, {"geodesics": "4"}, {"geodesics": True},
+        {"seed": "x"}, {"seed": 1.5}, {"tol": "1e-6"}, {"tol": True}, {"out": 3},
+        {"csv": ["a.csv"]},
+        {"metric": {"kind": "zoll_revolution", "h_odd_coeffs": 0.1}},
+        {"metric": {"kind": "zoll_revolution", "h_odd_coeffs": "0"}},
+        {"metric": {"kind": "zoll_revolution", "h_odd_coeffs": [True]}},
+        {"metric": {"kind": "zoll_revolution", "h_odd_coeffs": ["0.1"]}},
+        {"metric": {"kind": "zoll_revolution", "h_odd_coeffs": [0.1], "h_even_coeffs": 0.1}},
+    ])
+    def test_wrong_json_type_is_a_config_error(self, tmp_path, capsys, entry):
+        """A config value of the wrong JSON type ends in exit 2 before any
+        geodesic is traced, not in a traceback or a misread run."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"metric": {"kind": "round"}, "geodesics": 1, "grid": 256,
+                                   **entry}))
+        with pytest.raises(ConfigError):
+            RunConfig.load(str(cfg))
+        assert main(["verify", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+        assert "config error" in capsys.readouterr().err
 
     def test_metric_flag(self):
         assert parse_metric_flag("round") == {"kind": "round"}
@@ -217,12 +239,12 @@ class TestVerifyCommand:
         for name in ("equator", "meridian", "random-000", "random-002"):
             assert "checks" in records[name]
             assert all(c["normalized"] < cfg.tol for c in records[name]["checks"])
-        # the Clairaut group (4 starts) failed once, then ran one start at a time
+        # the stack of all 5 starts failed once, then ran one start at a time
         solves = report["telemetry"]["flow"]
-        assert solves[0] == {"chart": "clairaut", "geodesics": 4, "nfev": 7, "status": -1}
+        assert solves[0] == {"chart": "clairaut", "geodesics": 5, "nfev": 7, "status": -1}
         assert sorted((t["chart"], t["geodesics"], t["status"]) for t in solves[1:]) == [
             ("clairaut", 1, -1), ("clairaut", 1, 0), ("clairaut", 1, 0), ("clairaut", 1, 0),
-            ("meridian", 1, 0)]
+            ("clairaut", 1, 0)]
         assert [t["nfev"] for t in solves if t["status"] == -1] == [7, 3]
 
     def test_nan_obstruction_value_is_null(self, monkeypatch, tmp_path):
@@ -292,7 +314,7 @@ class TestInvariantsCommand:
         assert first["digest"] == second["digest"]
         solves = first["telemetry"]["flow"]
         assert [(t["chart"], t["geodesics"], t["status"]) for t in solves] == [
-            ("clairaut", 3, 0), ("meridian", 1, 0)]
+            ("clairaut", 4, 0)]
         assert all(isinstance(t["nfev"], int) and t["nfev"] > 0 for t in solves)
         body = {k: v for k, v in first.items() if k not in ("digest", "telemetry")}
         assert first["digest"] == _digest(body)

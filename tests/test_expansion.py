@@ -23,10 +23,10 @@ from zollforms.expansion import (
     graded_laplacian,
     graded_symbols,
     half_density_laplacian,
-    round_sphere_c2,
     _match_integrand_basis,
     _round_sphere_mean,
 )
+from oracles import round_sphere_c2
 
 JP = JetPolynomial
 HALF = Fraction(1, 2)

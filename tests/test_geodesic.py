@@ -8,7 +8,7 @@ import pytest
 from zollforms import cli
 from zollforms.fourier import periodic_mean, spectral_antiderivative, spectral_derivative
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic, trace_geodesics
-from zollforms.surface import IntegrationError
+from zollforms.surface import IntegrationError, MetricModel, SurfacePoint
 from oracles import rebase
 
 
@@ -79,8 +79,8 @@ class TestStackedTrace:
     @pytest.mark.parametrize("spec, n, sizes", [
         ("round", 2048, [("ambient", 11), ("ambient", 11), ("ambient", 10)]),
         ("zoll:-0.3,0.3", 2048, [("ambient", 11), ("ambient", 11), ("ambient", 10)]),
-        # cone profile: the Clairaut chart, with the meridian in its own group
-        ("zoll:-0.309,0.294", 2048, [("clairaut", 16), ("clairaut", 15), ("meridian", 1)]),
+        # cone profile: the Clairaut chart, meridian included
+        ("zoll:-0.309,0.294", 2048, [("clairaut", 16), ("clairaut", 16)]),
         # the memory budget leaves one start per solve
         ("zoll:0.2,-0.5,0.3", 32768, [("ambient", 1)] * 32),
     ])
@@ -112,6 +112,71 @@ class TestStackedTrace:
         equator, generic = paths[0], paths[1]
         assert equator.closure_defect < 1e-10
         assert isinstance(generic, IntegrationError) and "not Zoll" in str(generic)
+
+
+def _meridian_arclength(coeffs, rho):
+    """F(rho) = rho + int h(cos rho) d rho for h(x) = sum_k a_k x^(2k+1).
+
+    cos^(2k+1) = (1 - sin^2)^k cos, so F is rho plus a polynomial in sin rho.
+    """
+    sin = np.sin(rho)
+    out = np.array(rho, dtype=float)
+    for k, a in enumerate(coeffs):
+        for j in range(k + 1):
+            out = out + a * math.comb(k, j) * (-1) ** j * sin ** (2 * j + 1) / (2 * j + 1)
+    return out
+
+
+def _unrolled_angle(path):
+    """Polar angle of the samples in the plane of the start's meridian, unwrapped
+    through the poles; it is negative on the opposite meridian phi0 + pi."""
+    along = np.sin(path.r) * np.cos(path.phi - path.init[0].phi)
+    return np.unwrap(np.arctan2(along, np.cos(path.r)))
+
+
+CONE_PROFILES = [[0.1], [-0.309, 0.294]]
+MERIDIAN_STARTS = [(r0, heading) for r0 in (math.pi / 2, 0.3, 2.9, 0.0, math.pi)
+                   for heading in (1.0, -1.0)]
+
+
+class TestConeMeridians:
+    """Meridians of cone profiles run through the Clairaut chart with c = 0 and
+    pass the poles.  Along a meridian ds = f d(rho), so s = F(rho) - F(rho0) in
+    closed form, a route that shares no code with the flow."""
+
+    @staticmethod
+    def _assert_closed_form(coeffs, path, heading):
+        rho = _unrolled_angle(path)
+        s = heading * (_meridian_arclength(coeffs, rho) - _meridian_arclength(coeffs, rho[0]))
+        assert np.max(np.abs(s - path.s)) <= 1e-10
+        assert not np.any(path.tangent[:, 1])
+
+    @pytest.mark.parametrize("coeffs", CONE_PROFILES)
+    @pytest.mark.parametrize("r0, heading", MERIDIAN_STARTS)
+    def test_one_start(self, coeffs, r0, heading):
+        """Heading north (-1) and south (+1), from the equator, near either pole
+        and at each pole.  Closure is not enforced: at a pole the polar
+        chart's angles are degenerate, and the defect can read pi there."""
+        metric = MetricModel.zoll_revolution(coeffs)
+        start = (SurfacePoint.north(r0, 0.7), (heading, 0.0))
+        path = trace_geodesic(metric, start, 512, enforce_closure=False)
+        self._assert_closed_form(coeffs, path, heading)
+        if 0.0 < r0 < math.pi:
+            assert path.closure_defect <= 1e-12
+
+    @pytest.mark.parametrize("coeffs", CONE_PROFILES)
+    def test_one_stack(self, coeffs):
+        """The same starts in one stacked solve, pole starts included."""
+        metric = MetricModel.zoll_revolution(coeffs)
+        starts = [(SurfacePoint.north(r0, 0.7), (heading, 0.0)) for r0, heading in MERIDIAN_STARTS]
+        solves = []
+        paths = dict(trace_geodesics(metric, starts, 512, enforce_closure=False, solves=solves))
+        assert [(t["chart"], t["geodesics"]) for t in solves] == [("clairaut", len(starts))]
+        for i, (_, heading) in enumerate(MERIDIAN_STARTS):
+            self._assert_closed_form(coeffs, paths[i], heading)
+
+    def test_no_starts(self, linear_metric):
+        assert list(trace_geodesics(linear_metric, [], 512)) == []
 
 
 class TestSpectralDerivative:

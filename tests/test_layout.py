@@ -1,10 +1,12 @@
-"""Every public name of the package has a user outside the tests, and
-every import is read.
+"""Every public name and every definition of the package has a user
+outside the tests, and every import is read.
 
 A name in a module's `__all__`, or a key of the package's lazy
 `_EXPORTS`, must be used by the package's own code (anywhere but inside
 its own definition), by a demo, or be named in the README's library
-tour.  Code only the tests call belongs in `tests/oracles.py`.
+tour.  So must every function, class and method defined in `src/`, less
+dunders and methods that override one of a base class.  Code only the
+tests call belongs in `tests/oracles.py`.
 
 A name imported in `src/`, `tests/` or `demos/` must be read by that
 file's code or listed in its `__all__`; `__init__.py` files, which
@@ -12,6 +14,7 @@ re-export, are exempt.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 
@@ -63,8 +66,9 @@ def library_tour():
     return text.split("## Library tour", 1)[1].split("\n## ", 1)[0]
 
 
-def test_every_public_name_has_a_user():
-    names, trees = public_names()
+def _reads(trees):
+    """Names read by the package's code and the demos, and a test for a
+    name that the library tour mentions."""
     used = set()
     for mod, tree in trees.items():
         if mod != "__init__":
@@ -72,14 +76,62 @@ def test_every_public_name_has_a_user():
     for demo in sorted((ROOT / "demos").glob("*.py")):
         used |= _used_names(ast.parse(demo.read_text()))
     tour = library_tour()
-    unused = [f"{mod}.{name}" for mod, name in names
-              if name not in used and not re.search(rf"\b{re.escape(name)}\b", tour)]
+    return lambda name: name in used or re.search(rf"\b{re.escape(name)}\b", tour)
+
+
+def test_every_public_name_has_a_user():
+    names, trees = public_names()
+    read = _reads(trees)
+    unused = [f"{mod}.{name}" for mod, name in names if not read(name)]
     assert not unused, f"public names with no user outside the tests: {unused}"
 
 
-def test_exports_resolve():
-    import importlib
+def _overrides(mod, cls, name):
+    """True if method `name` of class `cls` in zollforms.`mod` overrides one of a base."""
+    obj = getattr(importlib.import_module(f"zollforms.{mod}"), cls, None)
+    return obj is not None and any(hasattr(base, name) for base in obj.__mro__[1:])
 
+
+def unread_definitions(trees):
+    """mod.name (or mod.Class.name) of every function, class and method that
+    nothing outside the tests reads; dunders and overrides are exempt."""
+    read = _reads(trees)
+    out = []
+
+    def visit(mod, node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = child.name
+                exempt = (name.startswith("__") and name.endswith("__")
+                          or cls is not None and _overrides(mod, cls, name))
+                if not exempt and not read(name):
+                    out.append(".".join(filter(None, (mod, cls, name))))
+                visit(mod, child, name if isinstance(child, ast.ClassDef) else None)
+            else:
+                visit(mod, child, cls)
+
+    for mod, tree in trees.items():
+        visit(mod, tree, None)
+    return sorted(out)
+
+
+def test_every_definition_has_a_user():
+    _, trees = public_names()
+    unread = unread_definitions(trees)
+    assert not unread, f"definitions with no user outside the tests: {unread}"
+
+
+def test_a_helper_left_without_a_caller_is_caught():
+    """The rule names a leftover helper, and exempts `_SampledDOP853.step`,
+    which scipy's solver calls as an override of its base."""
+    assert _overrides("surface", "_SampledDOP853", "step")
+    _, trees = public_names()
+    leftover = ast.parse("def _fold_meridian(rho, phi0, direction):\n    return rho\n")
+    trees["surface"].body.extend(leftover.body)
+    assert unread_definitions(trees) == ["surface._fold_meridian"]
+
+
+def test_exports_resolve():
     import zollforms
 
     _, trees = public_names()

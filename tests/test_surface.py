@@ -42,7 +42,7 @@ class TestMetricModel:
 
     def test_empty_profile_is_round(self):
         m = MetricModel.zoll_revolution([])
-        assert m.is_round
+        assert m.h_odd_coeffs == () and m.h_even_coeffs == ()
         assert curvature(m, P0) == 1.0
 
     def test_unknown_kind(self):
