@@ -37,6 +37,15 @@ closure defect is 4e-8, 3e-5 and 4e-2 at Clairaut constants 1e-2, 1e-3
 and 1e-4; the Clairaut chart stays at or below 3e-11.  A meridian is the
 Clairaut chart's c = 0 case: its r runs on through the poles, and the
 read-out folds it back into [0, pi].
+
+The ODE solver is DOP853, the explicit Runge-Kutta pair of order 8(5,3)
+with degree-7 dense output of Hairer, Norsett and Wanner (Solving
+Ordinary Differential Equations I, sec. II.5, and their Fortran code
+DOP853), in plain numpy.  Its tableau is the one in scipy's BSD-licensed
+`dop853_coefficients.py`, entry for entry, and its step control is
+scipy's, so it samples the same numbers as scipy's `solve_ivp`
+(`tests/test_surface.py` holds it to that, bit for bit).  A solve may
+spend RHS_BUDGET right-hand-side calls.
 """
 
 import math
@@ -46,7 +55,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.integrate import DOP853, solve_ivp
 
 __all__ = [
     "MetricModel",
@@ -58,6 +66,7 @@ __all__ = [
 ADMISSIBILITY_SAMPLES = 10_000
 MERIDIAN_TOL = 1e-12      # cone profiles: |Clairaut constant| below this is traced as c = 0
 ODE_TOL = 1e-12
+RHS_BUDGET = 100_000    # right-hand-side calls one flow solve may spend
 CHART_STATE_SIZE = {"ambient": 10, "clairaut": 7}   # ODE state per geodesic
 
 
@@ -348,40 +357,122 @@ def _from_ambient(metric, y, c):
     return np.arctan2(sin_r, x[2]), phi % (2.0 * math.pi), v1 / norm, v2 / norm
 
 
-class _SampledDOP853(DOP853):
-    """DOP853 that writes its dense output at `sample_at` into `out` as it steps.
+# ---------------------------------------------------------------------------
+# DOP853 (see the module docstring).  Rows 0-11 of A and C are the twelve
+# stages of the 8(5,3) pair and A[12, :12] = B its order-8 weights; rows
+# 13-15 are the three extra stages of the dense output, whose degree-7
+# interpolant is read off D.
+# ---------------------------------------------------------------------------
 
-    Given t_eval, solve_ivp keeps each step's samples in a list and stacks
-    them at the end, holding every sample twice; this holds them once.  The
-    samples are the same numbers: the same interpolant at the same points.
-    The solver sits in a reference cycle (its `fun` wrapper refers back to
-    it), so it lets go of its arrays when it stops rather than when collected.
-    """
+_C = np.array([
+    0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+    0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778
+])
+_A = np.array([row + [0] * (16 - len(row)) for row in (
+    [],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0, 0.08876275643042054],
+    [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196],
+    [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636],
+    [0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259],
+    [0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+     0.007567897660545699, -0.008298],
+    [0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987],
+)], dtype=float)
+_E3 = np.array([
+    -0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082, 0
+])
+_E5 = np.array([
+    0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0
+])
+_D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564],
+])
+_B = _A[12, :12]
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 8            # error estimator of order 7
 
-    def __init__(self, fun, t0, y0, t_bound, sample_at, out, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self.sample_at, self.out, self.sampled = sample_at, out, 0
 
-    def step(self):
-        message = super().step()
-        if self.status != "failed":
-            stop = int(np.searchsorted(self.sample_at, self.t, side="right"))
-            if stop > self.sampled:
-                self.out[:, self.sampled:stop] = self.dense_output()(
-                    self.sample_at[self.sampled:stop])
-                self.sampled = stop
-        if self.status != "running":
-            self.out = self.sample_at = None
-        return message
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, y0, f0, t_end, tol):
+    """First step size (Hairer, Norsett & Wanner, sec. II.4), for t from 0 to t_end."""
+    scale = tol + np.abs(y0) * tol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    d2 = _rms((fun(h0, y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, t_end)
+
+
+def _error_norm(K, h, scale):
+    """RMS of the 8(5,3) error estimate over `scale`, from the 13 stages K."""
+    err5_2 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
+    err3_2 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
+    if err5_2 == 0 and err3_2 == 0:
+        return 0.0
+    return np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
 
 
 def _solve(rhs, t_end, starts, t_eval):
-    """One DOP853 solve of the stacked starts (g rows of d numbers).
+    """One DOP853 solve of the stacked starts (g rows of d numbers) from 0 to t_end.
 
     Returns the (d, g, len(t_eval)) samples and the number of
-    right-hand-side calls.  The tolerance is ODE_TOL / sqrt(g): the
-    solver's error norm is an RMS over the whole stacked state, so this
-    holds each geodesic to the error a solve of its own would allow.
+    right-hand-side calls.  The tolerance is ODE_TOL / sqrt(g): the error
+    norm is an RMS over the whole stacked state, so this holds each
+    geodesic to the error a solve of its own would allow.  Each accepted
+    step writes its dense output at the samples it covers straight into
+    the one sample buffer.  Raises IntegrationError when the step size
+    falls below ten units in the last place of s, or when the solve has
+    spent RHS_BUDGET right-hand-side calls.
     """
     start = np.asarray(starts, dtype=float)
     g, d = start.shape
@@ -391,12 +482,64 @@ def _solve(rhs, t_end, starts, t_eval):
     # stay resident in the heap.
     out = np.frombuffer(mmap.mmap(-1, 8 * d * g * len(t_eval)), dtype=float).reshape(d * g, -1)
     tol = ODE_TOL / math.sqrt(g)
-    sol = solve_ivp(rhs, (0.0, t_end), start.T.ravel(), method=_SampledDOP853,
-                    rtol=tol, atol=tol, sample_at=t_eval, out=out)
-    if not sol.success:
-        raise IntegrationError(sol.message, nfev=int(sol.nfev),
-                               arclength_reached=float(sol.t[-1]) if len(sol.t) else 0.0)
-    return out.reshape(d, g, -1), int(sol.nfev)
+    nfev = 0
+
+    def fun(s, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(rhs(s, y), dtype=float)
+
+    t, y = 0.0, start.T.ravel()
+    f = fun(t, y)
+    h_abs = _initial_step(fun, y, f, t_end, tol)
+    K = np.empty((len(_C), y.size))
+    sampled = 0
+    while t < t_end:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError("Required step size is less than spacing between numbers.",
+                                       arclength_reached=t, nfev=nfev)
+            if nfev >= RHS_BUDGET:
+                raise IntegrationError(f"right-hand-side budget of {RHS_BUDGET} calls spent",
+                                       arclength_reached=t, nfev=nfev)
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for i in range(1, 12):
+                K[i] = fun(t + _C[i] * h, y + np.dot(K[:i].T, _A[i, :i]) * h)
+            y_new = y + h * np.dot(K[:12].T, _B)
+            K[12] = f_new = fun(t_new, y_new)
+            error_norm = _error_norm(K[:13], h, tol + np.maximum(np.abs(y), np.abs(y_new)) * tol)
+            if error_norm < 1:
+                factor = (_MAX_FACTOR if error_norm == 0
+                          else min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        stop = int(np.searchsorted(t_eval, t_new, side="right"))
+        if stop > sampled:
+            for i in range(13, 16):
+                K[i] = fun(t + _C[i] * h, y + np.dot(K[:i].T, _A[i, :i]) * h)
+            dy = y_new - y
+            F = np.empty((7, y.size))
+            F[0], F[1], F[2] = dy, h * f - dy, 2 * dy - h * (f_new + f)
+            F[3:] = h * np.dot(_D, K)
+            # degree-7 interpolant in x, by Horner in the factors x and 1 - x
+            x = ((t_eval[sampled:stop] - t) / h)[:, None]
+            dense = np.zeros((stop - sampled, y.size))
+            for i, row in enumerate(F[::-1]):
+                dense += row
+                dense *= x if i % 2 == 0 else 1 - x
+            dense += y
+            out[:, sampled:stop] = dense.T
+            sampled = stop
+        t, y, f = t_new, y_new, f_new
+    return out.reshape(d, g, -1), nfev
 
 
 def flow_chart(metric):

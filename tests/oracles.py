@@ -24,8 +24,8 @@ the symbol calculus: Weyl quantization on the oscillator basis.
 
 `rebase` re-parametrizes a traced geodesic from another base point by
 linear algebra on its Jacobi samples, for the base-point invariance
-tests.  `conjugate` (of a symbol) and `round_sphere_c2` are helpers only
-the tests call.
+tests.  `conjugate` (of a symbol), `round_sphere_c2` and `equator_start`
+(the near-meridian starts) are helpers only the tests call.
 """
 
 import math
@@ -171,6 +171,12 @@ def rotate_tangent(v, angle):
     c, s = math.cos(angle), math.sin(angle)
     v = np.asarray(v, dtype=float)
     return np.array([c * v[0] - s * v[1], c * v[1] + s * v[0]])
+
+
+def equator_start(c):
+    """Equator start, phi = 0, with Clairaut constant c."""
+    theta = math.asin(c)
+    return (SurfacePoint.north(math.pi / 2, 0.0), (math.cos(theta), math.sin(theta)))
 
 
 def exp_map(metric, p, v, t):

@@ -6,26 +6,20 @@ within c^2 of the meridian's and traces in bounded time.  Cone profiles
 keep the Clairaut chart; their ladder is checked down to 1e-5.
 """
 
-import math
 import time
 
 import pytest
+from oracles import equator_start
 
 from zollforms.geodesic import canonical_initial_conditions, trace_geodesic
 from zollforms.identities import DEFAULT_TOLERANCE, run_all_checks
 from zollforms.jacobi import solve_fundamental
 from zollforms.normalform import assemble_p1
-from zollforms.surface import MetricModel, SurfacePoint
+from zollforms.surface import MetricModel
 
 N_GRID = 1024
 TRACE_SECONDS = 1.0
 C0_APPROACH_TOL = 1e-10     # |c0(c) - c0(meridian)| <= c^2 + this
-
-
-def _start(c):
-    """Equator start, phi = 0, with Clairaut constant c."""
-    theta = math.asin(c)
-    return (SurfacePoint.north(math.pi / 2, 0.0), (math.cos(theta), math.sin(theta)))
 
 
 def _run(metric, ic):
@@ -50,7 +44,7 @@ def meridian_c0(smooth_metric):
 @pytest.mark.parametrize("exponent", range(-12, 1))
 def test_smooth_profile_ladder(smooth_metric, meridian_c0, exponent):
     c = 10.0 ** exponent
-    elapsed, worst, rec = _run(smooth_metric, _start(c))
+    elapsed, worst, rec = _run(smooth_metric, equator_start(c))
     assert worst < DEFAULT_TOLERANCE
     assert abs(rec.c0 - meridian_c0) <= c * c + C0_APPROACH_TOL
     assert elapsed < TRACE_SECONDS
@@ -60,5 +54,5 @@ def test_smooth_profile_ladder(smooth_metric, meridian_c0, exponent):
 def test_cone_profile_ladder(exponent):
     metric = MetricModel.zoll_revolution([0.1])
     assert metric.has_cone_points
-    _, worst, _ = _run(metric, _start(10.0 ** exponent))
+    _, worst, _ = _run(metric, equator_start(10.0 ** exponent))
     assert worst < DEFAULT_TOLERANCE

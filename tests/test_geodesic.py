@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from zollforms import cli
+from zollforms import cli, surface
 from zollforms.fourier import periodic_mean, spectral_antiderivative, spectral_derivative
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic, trace_geodesics
 from zollforms.surface import IntegrationError, MetricModel, SurfacePoint
-from oracles import rebase
+from oracles import equator_start, rebase
 
 
 class TestTracing:
@@ -112,6 +112,30 @@ class TestStackedTrace:
         equator, generic = paths[0], paths[1]
         assert equator.closure_defect < 1e-10
         assert isinstance(generic, IntegrationError) and "not Zoll" in str(generic)
+
+    def test_cone_near_meridian_ends_at_the_budget(self, linear_metric):
+        """On a cone profile the Clairaut chart steps ever finer toward the
+        poles: from the equator at c = 1e-8 a solve would take about 683,000
+        right-hand-side calls.  It ends at the budget with a named error."""
+        with pytest.raises(IntegrationError, match="budget") as failure:
+            trace_geodesic(linear_metric, equator_start(1e-8), 2048)
+        assert surface.RHS_BUDGET <= failure.value.nfev <= surface.RHS_BUDGET + 16
+        assert 0.0 < failure.value.arclength_reached < 2.0 * math.pi
+
+    def test_budget_failure_stays_with_its_start(self, linear_metric, monkeypatch):
+        """A stack that spends the budget is re-run one start at a time: the
+        near-meridian fails alone and the other starts trace.  (A smaller
+        budget, still 10 times the normal starts' cost, keeps this quick.)"""
+        monkeypatch.setattr(surface, "RHS_BUDGET", 20_000)
+        normal = sample_initial_conditions(2, seed=3)
+        solves = []
+        paths = dict(trace_geodesics(linear_metric, [normal[0], equator_start(1e-8), normal[1]],
+                                     2048, solves=solves))
+        assert isinstance(paths[1], IntegrationError)
+        assert paths[1].nfev <= 20_000 + 16
+        assert paths[0].closure_defect < 1e-10 and paths[2].closure_defect < 1e-10
+        assert [(t["geodesics"], t["status"]) for t in solves] == [(3, -1), (1, -1), (1, 0), (1, 0)]
+        assert max(t["nfev"] for t in solves if t["status"] == 0) < 2_000
 
 
 def _meridian_arclength(coeffs, rho):

@@ -5,18 +5,23 @@ A name in a module's `__all__`, or a key of the package's lazy
 `_EXPORTS`, must be used by the package's own code (anywhere but inside
 its own definition), by a demo, or be named in the README's library
 tour.  So must every function, class and method defined in `src/`, less
-dunders and methods that override one of a base class.  Code only the
-tests call belongs in `tests/oracles.py`.
+dunders.  Code only the tests call belongs in `tests/oracles.py`.
 
 A name imported in `src/`, `tests/` or `demos/` must be read by that
 file's code or listed in its `__all__`; `__init__.py` files, which
-re-export, are exempt.
+re-export, are exempt.  The package imports only the standard library,
+numpy and itself: scipy serves the tests' oracles and nothing at run time.
 """
 
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
+
+import zollforms
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "zollforms"
@@ -86,15 +91,9 @@ def test_every_public_name_has_a_user():
     assert not unused, f"public names with no user outside the tests: {unused}"
 
 
-def _overrides(mod, cls, name):
-    """True if method `name` of class `cls` in zollforms.`mod` overrides one of a base."""
-    obj = getattr(importlib.import_module(f"zollforms.{mod}"), cls, None)
-    return obj is not None and any(hasattr(base, name) for base in obj.__mro__[1:])
-
-
 def unread_definitions(trees):
     """mod.name (or mod.Class.name) of every function, class and method that
-    nothing outside the tests reads; dunders and overrides are exempt."""
+    nothing outside the tests reads; dunders are exempt."""
     read = _reads(trees)
     out = []
 
@@ -102,8 +101,7 @@ def unread_definitions(trees):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = child.name
-                exempt = (name.startswith("__") and name.endswith("__")
-                          or cls is not None and _overrides(mod, cls, name))
+                exempt = name.startswith("__") and name.endswith("__")
                 if not exempt and not read(name):
                     out.append(".".join(filter(None, (mod, cls, name))))
                 visit(mod, child, name if isinstance(child, ast.ClassDef) else None)
@@ -122,9 +120,6 @@ def test_every_definition_has_a_user():
 
 
 def test_a_helper_left_without_a_caller_is_caught():
-    """The rule names a leftover helper, and exempts `_SampledDOP853.step`,
-    which scipy's solver calls as an override of its base."""
-    assert _overrides("surface", "_SampledDOP853", "step")
     _, trees = public_names()
     leftover = ast.parse("def _fold_meridian(rho, phi0, direction):\n    return rho\n")
     trees["surface"].body.extend(leftover.body)
@@ -132,8 +127,6 @@ def test_a_helper_left_without_a_caller_is_caught():
 
 
 def test_exports_resolve():
-    import zollforms
-
     _, trees = public_names()
     for name, mod in _literal(trees["__init__"], "_EXPORTS").items():
         assert getattr(zollforms, name) is getattr(importlib.import_module(f"zollforms.{mod}"), name)
@@ -161,3 +154,53 @@ def test_every_import_is_read():
             if names:
                 unused[str(path.relative_to(ROOT))] = names
     assert not unused, f"imports no code reads: {unused}"
+
+
+def _foreign_imports(tree):
+    """Top-level modules a package file imports beyond the standard library and numpy."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return sorted(out - set(sys.stdlib_module_names) - {"numpy", "zollforms"})
+
+
+def test_the_package_imports_only_stdlib_and_numpy():
+    foreign = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+               if (names := _foreign_imports(ast.parse(path.read_text())))}
+    assert not foreign, f"imports outside the standard library and numpy: {foreign}"
+
+
+def test_the_import_rule_names_scipy():
+    tree = ast.parse("import os\nfrom numpy.linalg import norm\nfrom . import surface\n"
+                     "from scipy.integrate import solve_ivp\nimport scipy.special as sp\n")
+    assert _foreign_imports(tree) == ["scipy"]
+
+
+RUN_WITHOUT_SCIPY = """
+import math, sys
+from zollforms import cli
+from zollforms.geodesic import trace_geodesic
+from zollforms.normalform import assemble_p1
+from zollforms.surface import MetricModel, SurfacePoint
+
+assert cli.main(["constants"]) == 0
+metric = MetricModel.zoll_revolution([-0.3, 0.3])
+start = (SurfacePoint.north(math.pi / 2, 0.0), (0.6, 0.8))
+assemble_p1(metric, start, 256, path=trace_geodesic(metric, start, 256))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+"""
+
+
+def test_a_run_loads_no_scipy():
+    """A fresh interpreter (this one holds scipy through the test oracles)
+    runs `zollforms constants` and one geodesic through the normal form."""
+    src = str(pathlib.Path(zollforms.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", RUN_WITHOUT_SCIPY], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr.strip().splitlines()[-1] == "[]"

@@ -1,12 +1,15 @@
-"""Metric models, chart conversions, exponential map, and curvature jets."""
+"""Metric models, chart conversions, exponential map, curvature jets, and
+the DOP853 stepper of the flow against scipy's."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from oracles import (
     analytic_jet,
     curvature,
+    equator_start,
     exp_map,
     fd_curvature_jet,
     rotate_tangent,
@@ -14,7 +17,11 @@ from oracles import (
     tau_nunu_stencil,
 )
 
+from zollforms import surface
+from zollforms.fourier import grid
+from zollforms.geodesic import canonical_initial_conditions, sample_initial_conditions
 from zollforms.surface import (
+    ODE_TOL,
     MetricModel,
     SurfacePoint,
     _ambient_start,
@@ -194,3 +201,37 @@ class TestRotationIsometry:
         b = analytic_jet(cubic_metric, q, w)
         for name in ("tau", "tau_s", "tau_nu", "tau_nunu"):
             assert abs(getattr(a, name) - getattr(b, name)) < 1e-12
+
+
+class TestStepperOracle:
+    """`surface._solve` takes the steps scipy's DOP853 takes: on the problems
+    `flow` poses, its samples and its right-hand-side count equal
+    `solve_ivp`'s bit for bit."""
+
+    @staticmethod
+    def _posed(monkeypatch, metric, starts, n):
+        """The (rhs, t_end, starts, t_eval) that `flow` hands to `_solve`."""
+        posed = []
+        solve = surface._solve
+        monkeypatch.setattr(surface, "_solve", lambda *args: posed.append(args) or solve(*args))
+        surface.flow(metric, starts, np.append(grid(n), 2.0 * math.pi))
+        return posed[0]
+
+    @pytest.mark.parametrize("coeffs, starts", [
+        # a stacked Clairaut solve with the meridian as its c = 0 row
+        ((0.1,), [canonical_initial_conditions()[1][1], *sample_initial_conditions(4, seed=5)]),
+        # one ambient start
+        ((-0.3, 0.3), sample_initial_conditions(1, seed=11)),
+        # a near-meridian ambient start
+        ((-0.3, 0.3), [equator_start(1e-7)]),
+    ], ids=["clairaut-stack", "ambient", "ambient-near-meridian"])
+    def test_same_samples_and_count_as_scipy(self, monkeypatch, coeffs, starts):
+        metric = MetricModel.zoll_revolution(coeffs)
+        rhs, t_end, y0, t_eval = self._posed(monkeypatch, metric, starts, 512)
+        state, nfev = surface._solve(rhs, t_end, y0, t_eval)
+        tol = ODE_TOL / math.sqrt(len(y0))
+        sol = solve_ivp(rhs, (0.0, t_end), np.asarray(y0).T.ravel(), method="DOP853",
+                        t_eval=t_eval, rtol=tol, atol=tol)
+        assert sol.success
+        assert np.array_equal(state.reshape(sol.y.shape), sol.y)
+        assert nfev == sol.nfev
