@@ -21,7 +21,8 @@ from numpy.linalg import LinAlgError
 
 from . import __version__
 from .expansion import constants_report
-from .geodesic import canonical_initial_conditions, sample_initial_conditions, trace_geodesics
+from .geodesic import (MIN_GRID, canonical_initial_conditions, sample_initial_conditions,
+                       trace_geodesics)
 from .identities import DEFAULT_TOLERANCE, run_all_checks
 from .jacobi import solve_fundamental
 from .normalform import FirstObstructionError, assemble_p1
@@ -91,8 +92,8 @@ class RunConfig:
         cfg = cls(**{k: v for k, v in data.items() if v is not None})
         if cfg.geodesics < 1:
             raise ConfigError("geodesics must be >= 1")
-        if cfg.grid < 256 or (cfg.grid & (cfg.grid - 1)) != 0:
-            raise ConfigError("grid must be a power of two >= 256")
+        if cfg.grid < MIN_GRID or (cfg.grid & (cfg.grid - 1)) != 0:
+            raise ConfigError(f"grid must be a power of two >= {MIN_GRID}")
         if not (0.0 < cfg.tol < 1.0):
             raise ConfigError("tol must be in (0, 1)")
         cfg.metric_model = metric_from_spec(cfg.metric)
@@ -343,32 +344,20 @@ def _run_config(args):
     return RunConfig.load(args.config, overrides)
 
 
-def cmd_verify(args):
+def cmd_run(args):
+    """`verify` or `invariants`, the mode being the command's name; the CSV
+    rows are written in invariants mode only."""
     cfg = _run_config(args)
-    report, code = build_report(cfg, "verify")
+    report, code = build_report(cfg, args.command)
     _write_report(report, cfg.out)
-    if code != EXIT_PASS:
-        failures = report["summary"]["failures"]
-        if failures:
-            first = failures[0]
-            value = "" if first["value"] is None else f" value {first['value']:.3e}"
-            print(f"FAIL: geodesic {first['geodesic']} check {first['check']}{value}",
-                  file=sys.stderr)
-    return code
-
-
-def cmd_invariants(args):
-    cfg = _run_config(args)
-    report, code = build_report(cfg, "invariants")
-    _write_report(report, cfg.out)
-    if cfg.csv:
+    if args.command == "invariants" and cfg.csv:
         _write_csv(report, cfg.csv)
-    if code != EXIT_PASS:
-        failures = report["summary"]["failures"]
-        if failures:
-            first = failures[0]
-            print(f"FAIL: geodesic {first['geodesic']} check {first['check']}",
-                  file=sys.stderr)
+    failures = report["summary"]["failures"]
+    if code != EXIT_PASS and failures:
+        first = failures[0]
+        value = "" if first["value"] is None else f" value {first['value']:.3e}"
+        print(f"FAIL: geodesic {first['geodesic']} check {first['check']}{value}",
+              file=sys.stderr)
     return code
 
 
@@ -376,7 +365,7 @@ def _add_run_flags(parser, with_csv=False):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--metric", help="round or zoll:a1,a2,... (odd profile)")
     parser.add_argument("--geodesics", type=int, help="number of geodesics")
-    parser.add_argument("--grid", type=int, help="grid size (power of two >= 256)")
+    parser.add_argument("--grid", type=int, help=f"grid size (power of two >= {MIN_GRID})")
     parser.add_argument("--tol", type=float, help="normalized residual tolerance")
     parser.add_argument("--seed", type=int, help="random seed for initial conditions")
     parser.add_argument("--out", help="write the JSON report here")
@@ -394,13 +383,11 @@ def main(argv=None):
     p_const.add_argument("--out", help="write the JSON table here")
     p_const.set_defaults(fn=cmd_constants)
 
-    p_verify = sub.add_parser("verify", help="run the integral-identity suite")
-    _add_run_flags(p_verify)
-    p_verify.set_defaults(fn=cmd_verify)
-
-    p_inv = sub.add_parser("invariants", help="assemble the p1 invariant per geodesic")
-    _add_run_flags(p_inv, with_csv=True)
-    p_inv.set_defaults(fn=cmd_invariants)
+    for mode, what in (("verify", "run the integral-identity suite"),
+                       ("invariants", "assemble the p1 invariant per geodesic")):
+        p_run = sub.add_parser(mode, help=what)
+        _add_run_flags(p_run, with_csv=mode == "invariants")
+        p_run.set_defaults(fn=cmd_run)
 
     args = parser.parse_args(argv)
     try:

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .weyl import PolySymbol, star_product, transvectant, transvectant_constant
+from .weyl import PolySymbol, star_product, substitute_linear, transvectant, transvectant_constant
 
 __all__ = [
     "QQi",
@@ -604,7 +604,7 @@ def _metaplectic_formal(sym):
     dY, dYb = JP.var("dY"), JP.var("dYb")
     z_img = (Yb * half + dYb * halfi, Y * half + dY * halfi)
     zb_img = (Yb * half - dYb * halfi, Y * half - dY * halfi)
-    return sym.substitute_linear(z_img, zb_img)
+    return substitute_linear([sym], z_img, zb_img)[0]
 
 
 _INTEGRAND_BASIS = {

@@ -80,8 +80,9 @@ def trace_geodesic(metric, init, n=2048, enforce_closure=True):
 
     The one-start case of `trace_geodesics`.  Samples the flow and its
     Jacobi frame at n uniform arclengths, evaluates the curvature jets
-    analytically along the samples, and records the phase-space closure
-    defect at 2*pi.  With `enforce_closure`, a defect above 1e-4 raises
+    analytically along the samples, and records the closure defect of the
+    flow's chart state at 2*pi (`surface.FlowSamples.closure_defect`).
+    With `enforce_closure`, a defect above 1e-4 raises
     (metric not Zoll at this tolerance, or integration too coarse).
     """
     (_, path), = trace_geodesics(metric, [init], n, enforce_closure)
@@ -160,24 +161,22 @@ def _path(metric, init, n, solved, enforce_closure):
         return solved
     samples, g = solved
     p0, v0 = init
-    r, phi, v1, v2, jacobi = samples.start(g)
-    end_point = SurfacePoint.north(float(r[-1]), float(phi[-1]))
-    end_tan = np.array([v1[-1], v2[-1]])
-    defect = _surface.state_distance(metric, p0, v0, end_point, end_tan)
+    defect = samples.closure_defect(g)
     if enforce_closure and not defect <= CLOSURE_TOL:
         return IntegrationError(
             f"closure defect {defect:.3e} > {CLOSURE_TOL}: metric not Zoll at "
             "this tolerance or integration too coarse")
+    r, phi, v1, v2, jacobi = samples.start(g)
     r, phi, v1, v2 = r[:-1].copy(), phi[:-1].copy(), v1[:-1], v2[:-1]
     tangent = np.stack([v1, v2], axis=1)
     normal = np.stack([-v2, v1], axis=1)
-    tau, tau_s, tau_nu, tau_nunu = _surface.curvature_jet_arrays(metric, r, v1, v2, -v2, v1)
+    tau, tau_s, tau_nu, tau_nunu = _surface.curvature_jet_arrays(metric, r, v1, v2)
     return GeodesicPath(
         metric=metric, init=(p0, tuple(v0)),
         n=n, s=grid(n), r=r, phi=phi, tangent=tangent, normal=normal,
         tau=tau, tau_s=tau_s, tau_nu=tau_nu, tau_nunu=tau_nunu,
         jacobi=jacobi[:, :-1].copy(), jacobi_end=jacobi[:, -1].copy(),
-        closure_defect=float(defect),
+        closure_defect=defect,
     )
 
 

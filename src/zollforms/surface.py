@@ -2,11 +2,18 @@
 
 The metric family is f(r)^2 dr^2 + sin(r)^2 dphi^2 on S^2 with
 f(r) = 1 + h(cos r) and h an odd polynomial, |h| < 1 on [-1, 1].  Every
-geodesic avoiding the poles closes smoothly at length 2*pi (the odd part
-of the profile drops out of the Clairaut integrals), which is what makes
-the family a usable Zoll corpus.  Profiles with h(1) != 0 have cone
-points at the poles; they are accepted, but surface-global quantities
-(Gauss-Bonnet) then see the cone defect.
+geodesic, the meridians through the poles included, closes at length
+2*pi (the odd part of the profile drops out of the Clairaut integrals),
+which is what makes the family a usable Zoll corpus.  Profiles with h(1) != 0 have cone points at the
+poles; they are accepted, but surface-global quantities (Gauss-Bonnet)
+then see the cone defect.
+
+A metric is described once: `MetricModel` builds one table of
+descending polynomial coefficients (h and its first three derivatives,
+and for smooth profiles the ambient term beta), and every quantity of
+the package is read from that table by Horner's rule.  The curvature is
+K(u) = (f - u h'(u)) / f^3 at u = cos r, with its u-derivatives in
+closed form; all of it stays regular at the poles.
 
 A point is (r, phi) in the north polar chart, and every point and tangent
 of the package lives there.  Tangent vectors are stored as components
@@ -14,29 +21,29 @@ of the package lives there.  Tangent vectors are stored as components
 which orients the surface; the unit normal of a geodesic is the +pi/2
 rotation (v1, v2) -> (-v2, v1).
 
-Curvature jets are evaluated along sample sets from closed-form
-derivatives of K(u) = (f - u h'(u)) / f^3, u = cos r, which stay regular
-at the poles; the finite-difference stencil along the normal geodesic is
-the cross-check oracle in the tests.
-
 `flow` integrates geodesics together with the fundamental Jacobi
-solutions of y'' + K(u) y = 0, with K evaluated in closed form from the
-state.  All closed geodesics share the period 2*pi, so the starts of a
-metric stack into one ODE state and one solve; `geodesic.trace_geodesics`
-cuts them into chunks that fit a memory budget.  There are two charts,
-and the metric alone picks one (`flow_chart`).  Each has one
-right-hand-side body, which runs on Python floats for a single geodesic
-and on numpy rows for a stack.  Smooth profiles (h(+-1) = 0, so
-h = (1 - u^2) q) are integrated in ambient coordinates x on S^2 in R^3,
-where the metric is the round one plus the polynomial term beta(u) du^2
-and nothing is singular at the poles.  Profiles with cone points use the
-Clairaut chart (r, phi, p_r): in ambient coordinates
-beta = h (2 + h) / (1 - u^2) has a pole at a cone point and the flow
-loses accuracy near it.  On h = 0.1 x, from the equator, the ambient
-closure defect is 4e-8, 3e-5 and 4e-2 at Clairaut constants 1e-2, 1e-3
-and 1e-4; the Clairaut chart stays at or below 3e-11.  A meridian is the
-Clairaut chart's c = 0 case: its r runs on through the poles, and the
-read-out folds it back into [0, pi].
+solutions of y'' + K(u) y = 0.  All closed geodesics share the period
+2*pi, so the starts of a metric stack into one ODE state and one solve;
+`geodesic.trace_geodesics` cuts them into chunks that fit a memory
+budget.  There are two charts, and the metric alone picks one
+(`flow_chart`).  Each has one right-hand-side body, which runs on Python
+floats for a single geodesic and on numpy rows for a stack.  Smooth
+profiles (h(+-1) = 0, so h = (1 - u^2) q) are integrated in ambient
+coordinates x on S^2 in R^3, where the metric is the round one plus the
+polynomial term beta(u) du^2 and nothing is singular at the poles.
+Profiles with cone points use the Clairaut chart (r, phi, p_r): in
+ambient coordinates beta = h (2 + h) / (1 - u^2) has a pole at a cone
+point and the flow loses accuracy near it.  On h = 0.1 x, from the
+equator, the ambient closure defect is 4e-8, 3e-5 and 4e-2 at Clairaut
+constants 1e-2, 1e-3 and 1e-4; the Clairaut chart stays at or below
+3e-11.  A meridian is the Clairaut chart's c = 0 case: its r runs on
+through the poles, and the read-out folds it back into [0, pi].
+
+Closure is read in the chart the flow ran in (`FlowSamples.closure_defect`):
+the state at s = 2*pi against the state at s = 0, position and velocity
+components, with the Clairaut chart's angles r and phi taken modulo
+2*pi.  Both charts are regular at the poles, where the north chart's
+angles are not.
 
 The ODE solver is DOP853, the explicit Runge-Kutta pair of order 8(5,3)
 with degree-7 dense output of Hairer, Norsett and Wanner (Solving
@@ -54,17 +61,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 __all__ = [
     "MetricModel",
     "SurfacePoint",
     "IntegrationError",
-    "state_distance",
 ]
 
 ADMISSIBILITY_SAMPLES = 10_000
-MERIDIAN_TOL = 1e-12      # cone profiles: |Clairaut constant| below this is traced as c = 0
+MERIDIAN_TOL = 1e-12      # |c| of a cone start, or sin r of an ambient sample: read as a meridian
 ODE_TOL = 1e-12
 RHS_BUDGET = 100_000    # right-hand-side calls one flow solve may spend
 CHART_STATE_SIZE = {"ambient": 10, "clairaut": 7}   # ODE state per geodesic
@@ -77,107 +82,92 @@ class IntegrationError(RuntimeError):
         self.nfev = nfev
 
 
+def _horner(coeffs, x):
+    """Value at x (a float, or an array) of the polynomial with descending coefficients.
+
+    Zero coefficients, every other one of an odd or even profile, add nothing.
+    """
+    out = coeffs[0]
+    for a in coeffs[1:]:
+        out = out * x + a if a else out * x
+    return out
+
+
+def _warp_curvature(table, u):
+    """(f, h'(u), K(u)) with f = 1 + h(u) and K = (f - u h') / f^3."""
+    f = 1.0 + _horner(table["h"], u)
+    dh = _horner(table["hp"], u)
+    return f, dh, (f - u * dh) / (f * f * f)
+
+
 @dataclass(frozen=True)
 class MetricModel:
-    """A Zoll metric specification.
+    """A Zoll metric of revolution, f = 1 + h(u) at u = cos r.
 
-    kind: "round" or "zoll_revolution".  The profile h(x) = sum a_k x^(2k+1)
-    is stored through its odd coefficients.  `h_even_coeffs` (powers
-    x^2, x^4, ...) is a diagnostic hook that deliberately destroys the Zoll
+    The profile h(x) = sum a_k x^(2k+1) is given by its odd coefficients;
+    no coefficients is the round sphere.  `h_even_coeffs` (powers x^2,
+    x^4, ...) is a diagnostic hook that deliberately destroys the Zoll
     property; it exists for negative-control fixtures only.
+
+    The coefficients are turned once into one table of descending
+    coefficient tuples, which the flow, the curvature and the read-outs
+    all evaluate by `_horner`: h, h', h'' and h''', and for smooth
+    profiles, h = (1 - u^2) q, also beta = h (2 + h) / (1 - u^2) = q (2 + h)
+    and beta', by which the metric exceeds the round one:
+    g = |dx|^2 + beta(u) du^2 on S^2 in R^3.
     """
 
-    kind: str = "round"
     h_odd_coeffs: tuple = ()
     h_even_coeffs: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("round", "zoll_revolution"):
-            raise ValueError(f"unknown metric kind {self.kind!r}")
-        object.__setattr__(self, "h_odd_coeffs", tuple(float(a) for a in self.h_odd_coeffs))
-        object.__setattr__(self, "h_even_coeffs", tuple(float(a) for a in self.h_even_coeffs))
-        if self.kind == "round" and (self.h_odd_coeffs or self.h_even_coeffs):
-            raise ValueError("round metric takes no profile coefficients")
+        odd = tuple(float(a) for a in self.h_odd_coeffs)
+        even = tuple(float(a) for a in self.h_even_coeffs)
+        object.__setattr__(self, "h_odd_coeffs", odd)
+        object.__setattr__(self, "h_even_coeffs", even)
+        h = np.zeros(max(2 * len(odd), 2 * len(even) + 1))   # ascending: h[k] multiplies x^k
+        h[1:2 * len(odd):2] = odd
+        h[2:2 * len(even) + 1:2] = even
+        h = h[::-1]
+        polys = {name: np.polyder(h, k) for k, name in enumerate(("h", "hp", "hpp", "hppp"))}
+        roundoff = 4.0 * np.finfo(float).eps * float(np.sum(np.abs(h)))
+        if max(abs(_horner(h, 1.0)), abs(_horner(h, -1.0))) <= roundoff:   # smooth at the poles
+            q, _ = np.polydiv(h, [-1.0, 0.0, 1.0])
+            polys["beta"] = np.polymul(q, np.polyadd(h, [2.0]))
+            polys["betap"] = np.polyder(polys["beta"])
+        # np.polyder leaves no coefficient of a constant's derivative
+        table = {name: tuple(float(a) for a in p) or (0.0,) for name, p in polys.items()}
+        object.__setattr__(self, "_table", table)
         x = np.linspace(-1.0, 1.0, ADMISSIBILITY_SAMPLES)
-        if not np.max(np.abs(self._h_poly()(x))) < 1.0:
+        if not np.max(np.abs(_horner(table["h"], x))) < 1.0:
             raise ValueError("inadmissible profile: |h| must stay below 1 on [-1, 1]")
 
     @classmethod
     def round(cls):
-        return cls(kind="round")
+        return cls()
 
     @classmethod
     def zoll_revolution(cls, h_odd_coeffs, h_even_coeffs=()):
-        return cls(kind="zoll_revolution", h_odd_coeffs=tuple(h_odd_coeffs),
-                   h_even_coeffs=tuple(h_even_coeffs))
-
-    def _h_poly(self):
-        deg = 2 * len(self.h_odd_coeffs) + 1 if self.h_odd_coeffs else 0
-        deg = max(deg, 2 * len(self.h_even_coeffs))
-        coeffs = np.zeros(max(deg + 1, 1))
-        for k, a in enumerate(self.h_odd_coeffs):
-            coeffs[2 * k + 1] = a
-        for k, a in enumerate(self.h_even_coeffs):
-            coeffs[2 * k + 2] = a
-        return Polynomial(coeffs)
-
-    def _curvature_polys(self):
-        """Cached numerator/denominator data for K(u) and its u-derivatives."""
-        cache = getattr(self, "_cpolys", None)
-        if cache is None:
-            h = self._h_poly()
-            hp = h.deriv()
-            f = Polynomial([1.0]) + h
-            N = f - Polynomial([0.0, 1.0]) * hp
-            cache = {
-                "h": h, "hp": hp, "hpp": hp.deriv(), "f": f,
-                "N": N, "Np": N.deriv(), "Npp": N.deriv(2),
-            }
-            object.__setattr__(self, "_cpolys", cache)
-        return cache
+        return cls(tuple(h_odd_coeffs), tuple(h_even_coeffs))
 
     @property
     def has_cone_points(self):
         """True unless h(+-1) = 0 to roundoff, i.e. the metric is smooth at the poles."""
-        h = self._curvature_polys()["h"]
-        roundoff = 4.0 * np.finfo(float).eps * float(np.sum(np.abs(h.coef)))
-        return not max(abs(h(1.0)), abs(h(-1.0))) <= roundoff
-
-    def _flow_coeffs(self):
-        """Descending coefficient tuples for scalar Horner evaluation in the flow.
-
-        Smooth profiles, h = (1 - u^2) q, also carry the polynomial
-        beta = h (2 + h) / (1 - u^2) = q (2 + h), by which the metric
-        exceeds the round one: g = |dx|^2 + beta(u) du^2 on S^2 in R^3.
-        """
-        cache = getattr(self, "_fcoeffs", None)
-        if cache is None:
-            h, hp = self._curvature_polys()["h"], self._curvature_polys()["hp"]
-            desc = lambda poly: tuple(float(a) for a in poly.coef[::-1])
-            cache = {"h": desc(h), "hp": desc(hp)}
-            if not self.has_cone_points:
-                q = h // Polynomial([1.0, 0.0, -1.0])
-                beta = q * (2.0 + h)
-                cache.update(beta=desc(beta), betap=desc(beta.deriv()))
-            object.__setattr__(self, "_fcoeffs", cache)
-        return cache
-
-    def profile(self, u):
-        return self._curvature_polys()["h"](u)
+        return "beta" not in self._table
 
     def warp(self, u):
         """f = 1 + h(u) at u = cos r."""
-        return 1.0 + self.profile(u)
+        return 1.0 + _horner(self._table["h"], u)
 
     def curvature_u_derivs(self, u):
         """(K, dK/du, d2K/du2) at u = cos r, vectorized and pole-regular."""
-        c = self._curvature_polys()
-        f, hp, hpp = c["f"](u), c["hp"](u), c["hpp"](u)
-        N, Np, Npp = c["N"](u), c["Np"](u), c["Npp"](u)
-        K = N / f**3
-        Kp = Np / f**3 - 3.0 * N * hp / f**4
-        Kpp = (Npp / f**3 - (6.0 * Np * hp + 3.0 * N * hpp) / f**4
-               + 12.0 * N * hp**2 / f**5)
+        t = self._table
+        f, dh, K = _warp_curvature(t, u)
+        d2h, d3h = _horner(t["hpp"], u), _horner(t["hppp"], u)
+        a, f3 = dh / f, f * f * f
+        Kp = -u * d2h / f3 - 3.0 * K * a
+        Kpp = ((6.0 * u * d2h * a - d2h - u * d3h) / f3
+               - 3.0 * K * d2h / f + 12.0 * K * a * a)
         return K, Kp, Kpp
 
 
@@ -197,24 +187,24 @@ class SurfacePoint:
         return cls(r, phi)
 
 
-def curvature_jet_arrays(metric, r, v1, v2, n1, n2):
+def curvature_jet_arrays(metric, r, v1, v2):
     """Vectorized analytic jets along a geodesic sample set.
 
-    r: colatitudes; (v1, v2): unit tangent frame components; (n1, n2): unit
-    normal components.  All formulas are written in u = cos r and stay
-    finite at the poles.
+    r: colatitudes; (v1, v2): unit tangent frame components, whose +pi/2
+    rotation (-v2, v1) is the unit normal.  All formulas are written in
+    u = cos r and stay finite at the poles.
     """
     u = np.cos(r)
     sin_r = np.sin(r)
     f = metric.warp(u)
+    hp = _horner(metric._table["hp"], u)
     K, Kp, Kpp = metric.curvature_u_derivs(u)
     sin2 = 1.0 - u * u
-    hp = metric._curvature_polys()["hp"](u)
     tau = K
     tau_s = -Kp * sin_r * v1 / f
-    tau_nu = -Kp * sin_r * n1 / f
-    tau_nunu = (n1**2 / f**2) * (Kpp * sin2 - Kp * u - Kp * sin2 * hp / f) \
-        - Kp * u * n2**2 / f**2
+    tau_nu = Kp * sin_r * v2 / f
+    tau_nunu = (v2**2 / f**2) * (Kpp * sin2 - Kp * u - Kp * sin2 * hp / f) \
+        - Kp * u * v1**2 / f**2
     return tau, tau_s, tau_nu, tau_nunu
 
 
@@ -228,24 +218,6 @@ JACOBI_START = (0.0, 1.0, 1.0, 0.0)   # (y1, y1', y2, y2') at s = 0
 def clairaut_constant(r, v2):
     """c = g(v, d_phi) = v2 sin r, conserved along geodesics."""
     return math.sin(r) * v2
-
-
-def _horner(coeffs, x):
-    """Value at x (a float, or an array) of the polynomial with descending coefficients.
-
-    Zero coefficients, every other one of an odd or even profile, add nothing.
-    """
-    out = coeffs[0]
-    for a in coeffs[1:]:
-        out = out * x + a if a else out * x
-    return out
-
-
-def _warp_curvature(fc, u):
-    """(f, h'(u), K(u)) with f = 1 + h(u) and K = (f - u h') / f^3, by scalar Horner."""
-    f = 1.0 + _horner(fc["h"], u)
-    dh = _horner(fc["hp"], u)
-    return f, dh, (f - u * dh) / (f * f * f)
 
 
 def _stack_io(d, g):
@@ -269,13 +241,13 @@ def _ambient_rhs(metric, g):
     f = 1 + h, kappa = (beta' w^2 / 2 - beta u |x'|^2) / f^2 and
     mu = kappa u - |x'|^2 keep x on the sphere.
     """
-    fc = metric._flow_coeffs()
-    beta, betap = fc["beta"], fc["betap"]
+    table = metric._table
+    beta, betap = table["beta"], table["betap"]
     unpack, pack, _, _ = _stack_io(CHART_STATE_SIZE["ambient"], g)
 
     def rhs(_s, state):
         x1, x2, u, p1, p2, w, y1, dy1, y2, dy2 = unpack(state)
-        f, _, k = _warp_curvature(fc, u)
+        f, _, k = _warp_curvature(table, u)
         minus_k = -k
         speed2 = p1 * p1 + p2 * p2 + w * w
         kappa = (0.5 * _horner(betap, u) * w * w - _horner(beta, u) * u * speed2) / (f * f)
@@ -292,7 +264,7 @@ def _clairaut_rhs(metric, c):
     poles.  phi' = c / sin^2 r is then 0, at a pole too, and the centrifugal
     term c^2 u / sin^3 r is written phi'^2 u sin r, which is 0 there as well.
     """
-    fc = metric._flow_coeffs()
+    table = metric._table
     g = np.size(c)
     unpack, pack, cos, sin = _stack_io(CHART_STATE_SIZE["clairaut"], g)
     if g == 1:
@@ -305,12 +277,29 @@ def _clairaut_rhs(metric, c):
         r, _phi, pr, y1, dy1, y2, dy2 = unpack(state)
         u = cos(r)
         sr = sin(r)
-        f, dh, k = _warp_curvature(fc, u)
+        f, dh, k = _warp_curvature(table, u)
         dphi = angular(sr * sr)
         minus_k = -k
         return pack((pr / (f * f), dphi, -pr * pr * sr * dh / f**3 + dphi * dphi * u * sr,
                      dy1, minus_k * y1, dy2, minus_k * y2))
     return rhs
+
+
+def _clairaut_start(metric, p, v, meridian):
+    """(r, phi, p_r) of the north-chart start (p, v) in the Clairaut chart.
+
+    A meridian keeps unit speed, so a pole start cannot stall with v1 = 0,
+    and it runs along the meridian its heading picks.  At a pole that is
+    the meridian phi0 + theta from the north pole and phi0 + pi - theta
+    from the south pole, for v = (cos theta, sin theta), as the ambient
+    chart reads it.  Off the poles the turn moves the start along its
+    parallel by about |c cos r| < MERIDIAN_TOL.
+    """
+    f = metric.warp(math.cos(p.r))
+    if not meridian:
+        return p.r, p.phi, f * v[0]
+    sign = 1.0 if v[0] >= 0 else -1.0
+    return p.r, p.phi + math.atan2(sign * v[1] * math.cos(p.r), abs(v[0])), f * sign
 
 
 def _from_clairaut(metric, y, c):
@@ -333,7 +322,7 @@ def _ambient_start(metric, r0, phi0, v):
     """(x, x') in R^3 for the north-chart point (r0, phi0) and frame components v."""
     st, ct = math.sin(r0), math.cos(r0)
     sp, cp = math.sin(phi0), math.cos(phi0)
-    a = v[0] / float(metric.warp(ct))   # dr/ds
+    a = v[0] / metric.warp(ct)   # dr/ds
     return [st * cp, st * sp, ct,
             a * ct * cp - v[1] * sp, a * ct * sp + v[1] * cp, -a * st]
 
@@ -343,16 +332,19 @@ def _from_ambient(metric, y, c):
 
     v2 = c / sin r by Clairaut's relation: projecting x' onto d_phi would
     cancel O(1) terms and lose all relative accuracy of v2 (and so of
-    tau_nu) on near-meridians.  The pair is then scaled to unit length,
-    which also keeps samples within roundoff of a pole consistent.
+    tau_nu) on near-meridians.  Within MERIDIAN_TOL of a pole the
+    position's azimuth is roundoff, so such a sample is read on the
+    meridian its velocity runs along, with v2 = 0.  The pair is then
+    scaled to unit length.
     """
     x = y[:3] / np.sqrt(np.sum(y[:3] ** 2, axis=0))
     p1, p2, p3 = y[3:6]
     sin_r = np.hypot(x[0], x[1])
-    phi = np.arctan2(x[1], x[0])
+    off_pole = sin_r >= MERIDIAN_TOL
+    phi = np.where(off_pole, np.arctan2(x[1], x[0]), np.arctan2(p2, p1))
     # unit d_r = (cos r cos phi, cos r sin phi, -sin r)
     v1 = metric.warp(x[2]) * (x[2] * (p1 * np.cos(phi) + p2 * np.sin(phi)) - sin_r * p3)
-    v2 = np.divide(c, sin_r, out=np.zeros_like(sin_r), where=sin_r > 0.0)
+    v2 = np.divide(c, sin_r, out=np.zeros_like(sin_r), where=off_pole)
     norm = np.hypot(v1, v2)
     return np.arctan2(sin_r, x[2]), phi % (2.0 * math.pi), v1 / norm, v2 / norm
 
@@ -569,6 +561,17 @@ class FlowSamples(NamedTuple):
             return (*_from_ambient(self.metric, y, self.c[j]), y[6:])
         return (*_from_clairaut(self.metric, y, self.c[j]), y[3:])
 
+    def closure_defect(self, j):
+        """Largest gap between the chart states of start j at the first and
+        the last arclength sampled, over its position and velocity
+        components; the Clairaut chart's r and phi are compared modulo 2*pi.
+        Both charts are regular at the poles."""
+        y = self.state[:CHART_STATE_SIZE[self.chart] - len(JACOBI_START), j]
+        gap = np.abs(y[:, -1] - y[:, 0])
+        if self.chart == "clairaut":
+            gap[:2] = np.abs((gap[:2] + math.pi) % (2.0 * math.pi) - math.pi)
+        return float(np.max(gap))
+
 
 def flow(metric, starts, t_eval):
     """Geodesic flow of `starts` [(p, v), ...] with their Jacobi frames: one ODE solve.
@@ -579,8 +582,8 @@ def flow(metric, starts, t_eval):
     (y2, y2') = (1, 0) at s = 0.  Smooth profiles are integrated in ambient
     coordinates on S^2, profiles with cone points in the Clairaut chart
     (r, phi, p_r); there a start with |Clairaut constant| < MERIDIAN_TOL is
-    traced as the meridian c = 0 at unit speed, heading away from the north
-    pole if v1 >= 0, and passes through the poles.  Returns FlowSamples.
+    traced as a meridian c = 0 (`_clairaut_start`), which passes through
+    the poles.  Returns FlowSamples.
     """
     chart = flow_chart(metric)
     starts = [(p, np.asarray(v, dtype=float)) for p, v in starts]
@@ -594,27 +597,7 @@ def flow(metric, starts, t_eval):
         meridian = np.abs(c) < MERIDIAN_TOL
         c[meridian] = 0.0
         rhs = _clairaut_rhs(metric, float(c[0]) if g == 1 else c)
-        # a meridian keeps unit speed, so a pole start cannot stall with v1 = 0
-        v1 = [(1.0 if v[0] >= 0 else -1.0) if m else v[0]
-              for (_, v), m in zip(starts, meridian)]
-        y0 = [[p.r, p.phi, float(metric.warp(math.cos(p.r))) * a, *JACOBI_START]
-              for (p, _), a in zip(starts, v1)]
+        y0 = [[*_clairaut_start(metric, p, v, m), *JACOBI_START]
+              for (p, v), m in zip(starts, meridian)]
     state, nfev = _solve(rhs, float(t_eval[-1]), y0, t_eval)
     return FlowSamples(metric, chart, state, c, nfev)
-
-
-def state_distance(metric, p1, v1, p2, v2):
-    """Distance in the unit tangent bundle between two nearby states.
-
-    Surface distance is the local metric chord (second-order accurate for
-    nearby points, exact enough for closure defects); the tangent gap is
-    the frame angle difference.
-    """
-    rbar = 0.5 * (p1.r + p2.r)
-    f = float(metric.warp(math.cos(rbar)))
-    dphi = (p1.phi - p2.phi + math.pi) % (2.0 * math.pi) - math.pi
-    dist = math.hypot(f * (p1.r - p2.r), math.sin(rbar) * dphi)
-    th1, th2 = math.atan2(v1[1], v1[0]), math.atan2(v2[1], v2[0])
-    dth = abs((th1 - th2 + math.pi) % (2.0 * math.pi) - math.pi)
-    return dist + dth
-

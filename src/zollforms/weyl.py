@@ -129,10 +129,6 @@ class PolySymbol:
     def map_coeffs(self, fn):
         return PolySymbol({k: fn(v) for k, v in self.coeffs.items()})
 
-    def substitute_linear(self, z_image, zbar_image):
-        """This symbol composed with a linear map: see module `substitute_linear`."""
-        return substitute_linear([self], z_image, zbar_image)[0]
-
     def __repr__(self):
         if not self.coeffs:
             return "PolySymbol(0)"
@@ -233,11 +229,6 @@ def star_commutator(a, b, weight=1):
     return _moyal(a, b, True, weight)
 
 
-def _substituted_monomial(zpow_m, zbpow_n):
-    """Image of z^m zbar^n: the product of the substituted powers of z and zbar."""
-    return zpow_m * zbpow_n
-
-
 def substitute_linear(symbols, z_image, zbar_image):
     """Compose each symbol with z -> az*z + bz*zbar, zbar -> azb*z + bzb*zbar.
 
@@ -259,7 +250,7 @@ def substitute_linear(symbols, z_image, zbar_image):
             carriers[mn].append((idx, v))
     outs = [{} for _ in symbols]
     for (m, n), uses in carriers.items():
-        image = _substituted_monomial(zpow[m], zbpow[n])
+        image = zpow[m] * zbpow[n]
         for idx, v in uses:
             for key, u in image.items():
                 _accumulate(outs[idx], key, u * v)

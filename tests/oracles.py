@@ -24,8 +24,10 @@ the symbol calculus: Weyl quantization on the oscillator basis.
 
 `rebase` re-parametrizes a traced geodesic from another base point by
 linear algebra on its Jacobi samples, for the base-point invariance
-tests.  `conjugate` (of a symbol), `round_sphere_c2` and `equator_start`
-(the near-meridian starts) are helpers only the tests call.
+tests.  `conjugate` (of a symbol), `round_sphere_c2`, `equator_start`
+(the near-meridian starts) and `state_distance` (the gap between two
+nearby states, for the exp-map and area-element tests) are helpers only
+the tests call.
 """
 
 import math
@@ -194,6 +196,21 @@ def exp_map(metric, p, v, t):
     return SurfacePoint.north(float(r[-1]), float(phi[-1])), np.array([float(v1[-1]), float(v2[-1])])
 
 
+def state_distance(metric, p1, v1, p2, v2):
+    """Distance in the unit tangent bundle between two nearby states.
+
+    Surface distance is the local metric chord (second-order accurate for
+    nearby points); the tangent gap is the frame angle difference.
+    """
+    rbar = 0.5 * (p1.r + p2.r)
+    f = float(metric.warp(math.cos(rbar)))
+    dphi = (p1.phi - p2.phi + math.pi) % (2.0 * math.pi) - math.pi
+    dist = math.hypot(f * (p1.r - p2.r), math.sin(rbar) * dphi)
+    th1, th2 = math.atan2(v1[1], v1[0]), math.atan2(v2[1], v2[0])
+    dth = abs((th1 - th2 + math.pi) % (2.0 * math.pi) - math.pi)
+    return dist + dth
+
+
 def curvature(metric, p):
     """Gaussian curvature K(u = cos r) at the point p."""
     return float(metric.curvature_u_derivs(math.cos(p.r))[0])
@@ -206,8 +223,7 @@ def analytic_jet(metric, p, tangent):
     """The production curvature jet at p along a unit tangent (one sample of
     `curvature_jet_arrays`, normal = +pi/2 rotation of the tangent)."""
     v = np.asarray(tangent, dtype=float)
-    return Jet(*(float(a[0]) for a in curvature_jet_arrays(
-        metric, np.array([p.r]), v[:1], v[1:], -v[1:], v[:1])))
+    return Jet(*(float(a[0]) for a in curvature_jet_arrays(metric, np.array([p.r]), v[:1], v[1:])))
 
 
 def surface_integral_of_curvature(metric, n_quad=400):

@@ -277,6 +277,32 @@ class TestInvariantsCommand:
         assert rows[0] == CSV_HEADER
         assert len(rows) == 1 + 4
 
+    def test_failure_line_carries_the_value(self, tmp_path, capsys):
+        """The stderr FAIL line names the geodesic, the check and its value,
+        in invariants mode as in verify mode."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "metric": {"kind": "zoll_revolution",
+                       "h_odd_coeffs": [0.05], "h_even_coeffs": [0.1]},
+            "geodesics": 3, "grid": 256}))
+        code = main(["invariants", "--config", str(cfg), "--out", str(tmp_path / "inv.json")])
+        assert code == EXIT_CHECK_FAILURE
+        report = json.loads((tmp_path / "inv.json").read_text())
+        first = report["summary"]["failures"][0]
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            f"FAIL: geodesic {first['geodesic']} check first_obstruction"
+            f" value {first['value']:.3e}")
+
+    def test_csv_only_in_invariants_mode(self, tmp_path):
+        rows = tmp_path / "rows.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"metric": {"kind": "round"}, "geodesics": 1, "grid": 256,
+                                   "csv": str(rows)}))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == EXIT_PASS
+        assert not rows.exists()
+        assert main(["invariants", "--config", str(cfg), "--out", str(tmp_path / "i.json")]) == EXIT_PASS
+        assert rows.exists()
+
     def test_report_digest_repeats(self):
         cfg = RunConfig.load(None, {"metric": parse_metric_flag("zoll:-0.3,0.3"),
                                     "geodesics": 2, "grid": 256})

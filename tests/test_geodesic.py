@@ -151,42 +151,58 @@ def _meridian_arclength(coeffs, rho):
     return out
 
 
-def _unrolled_angle(path):
-    """Polar angle of the samples in the plane of the start's meridian, unwrapped
-    through the poles; it is negative on the opposite meridian phi0 + pi."""
-    along = np.sin(path.r) * np.cos(path.phi - path.init[0].phi)
+def _meridian_of(start):
+    """(psi, sign): the meridian phi = psi that the start (point, tangent) runs
+    along, read as the ambient chart reads it, and the sign of d(rho)/ds for
+    the polar angle rho in that meridian's plane.  At the north pole the
+    tangent (cos theta, sin theta) heads along phi0 + theta, at the south
+    pole along phi0 + pi - theta, away from the pole."""
+    p, (v1, v2) = start
+    theta = math.atan2(v2, v1)
+    if p.r == 0.0:
+        return p.phi + theta, 1.0
+    if p.r == math.pi:
+        return p.phi + math.pi - theta, -1.0
+    return p.phi, math.copysign(1.0, v1)
+
+
+def _unrolled_angle(path, psi):
+    """Polar angle of the samples in the plane of the meridian psi, unwrapped
+    through the poles; it is negative on the opposite meridian psi + pi."""
+    along = np.sin(path.r) * np.cos(path.phi - psi)
     return np.unwrap(np.arctan2(along, np.cos(path.r)))
+
+
+def _assert_closed_form(coeffs, path, start):
+    """Along a meridian ds = f d(rho), so s = F(rho) - F(rho0) in closed form,
+    a route that shares no code with the flow."""
+    psi, sign = _meridian_of(start)
+    rho = _unrolled_angle(path, psi)
+    s = sign * (_meridian_arclength(coeffs, rho) - _meridian_arclength(coeffs, rho[0]))
+    assert np.max(np.abs(s - path.s)) <= 1e-10
 
 
 CONE_PROFILES = [[0.1], [-0.309, 0.294]]
 MERIDIAN_STARTS = [(r0, heading) for r0 in (math.pi / 2, 0.3, 2.9, 0.0, math.pi)
                    for heading in (1.0, -1.0)]
+POLE_HEADINGS = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.6, 0.8)]
 
 
 class TestConeMeridians:
     """Meridians of cone profiles run through the Clairaut chart with c = 0 and
-    pass the poles.  Along a meridian ds = f d(rho), so s = F(rho) - F(rho0) in
-    closed form, a route that shares no code with the flow."""
-
-    @staticmethod
-    def _assert_closed_form(coeffs, path, heading):
-        rho = _unrolled_angle(path)
-        s = heading * (_meridian_arclength(coeffs, rho) - _meridian_arclength(coeffs, rho[0]))
-        assert np.max(np.abs(s - path.s)) <= 1e-10
-        assert not np.any(path.tangent[:, 1])
+    pass the poles; they follow the closed-form meridian arclength."""
 
     @pytest.mark.parametrize("coeffs", CONE_PROFILES)
     @pytest.mark.parametrize("r0, heading", MERIDIAN_STARTS)
     def test_one_start(self, coeffs, r0, heading):
         """Heading north (-1) and south (+1), from the equator, near either pole
-        and at each pole.  Closure is not enforced: at a pole the polar
-        chart's angles are degenerate, and the defect can read pi there."""
+        and at each pole, with closure enforced."""
         metric = MetricModel.zoll_revolution(coeffs)
         start = (SurfacePoint.north(r0, 0.7), (heading, 0.0))
-        path = trace_geodesic(metric, start, 512, enforce_closure=False)
-        self._assert_closed_form(coeffs, path, heading)
-        if 0.0 < r0 < math.pi:
-            assert path.closure_defect <= 1e-12
+        path = trace_geodesic(metric, start, 512)
+        _assert_closed_form(coeffs, path, start)
+        assert not np.any(path.tangent[:, 1])
+        assert path.closure_defect <= 1e-12
 
     @pytest.mark.parametrize("coeffs", CONE_PROFILES)
     def test_one_stack(self, coeffs):
@@ -194,13 +210,33 @@ class TestConeMeridians:
         metric = MetricModel.zoll_revolution(coeffs)
         starts = [(SurfacePoint.north(r0, 0.7), (heading, 0.0)) for r0, heading in MERIDIAN_STARTS]
         solves = []
-        paths = dict(trace_geodesics(metric, starts, 512, enforce_closure=False, solves=solves))
+        paths = dict(trace_geodesics(metric, starts, 512, solves=solves))
         assert [(t["chart"], t["geodesics"]) for t in solves] == [("clairaut", len(starts))]
-        for i, (_, heading) in enumerate(MERIDIAN_STARTS):
-            self._assert_closed_form(coeffs, paths[i], heading)
+        for i, start in enumerate(starts):
+            _assert_closed_form(coeffs, paths[i], start)
 
     def test_no_starts(self, linear_metric):
         assert list(trace_geodesics(linear_metric, [], 512)) == []
+
+
+class TestPoleStarts:
+    """A start at either pole runs along the meridian its heading picks, in
+    both charts: from (0, 0.7) heading (0, 1) along phi = 0.7 + pi/2.  It
+    closes under the default enforce_closure, since the closure defect is
+    read from the flow's own chart state, which is regular at the poles
+    where north-chart angles are not.  Its samples read out finite, also
+    where the heading is orthogonal to the azimuth phi0 = 0."""
+
+    @pytest.mark.parametrize("coeffs", [[0.1], [-0.309, 0.294], [-0.3, 0.3]])
+    def test_every_heading_closes(self, coeffs):
+        metric = MetricModel.zoll_revolution(coeffs)
+        starts = [(SurfacePoint.north(r0, phi0), tangent) for r0 in (0.0, math.pi)
+                  for phi0 in (0.0, 0.7) for tangent in POLE_HEADINGS]
+        for start in starts:
+            path = trace_geodesic(metric, start, 512)
+            assert path.closure_defect <= 1e-12
+            _assert_closed_form(coeffs, path, start)
+            assert all(np.all(np.isfinite(jet)) for jet in path.jets().values())
 
 
 class TestSpectralDerivative:

@@ -10,7 +10,8 @@ dunders.  Code only the tests call belongs in `tests/oracles.py`.
 A name imported in `src/`, `tests/` or `demos/` must be read by that
 file's code or listed in its `__all__`; `__init__.py` files, which
 re-export, are exempt.  The package imports only the standard library,
-numpy and itself: scipy serves the tests' oracles and nothing at run time.
+numpy and itself: scipy serves the tests' oracles and nothing at run time,
+and a run loads no second polynomial representation (`numpy.polynomial`).
 """
 
 import ast
@@ -190,13 +191,16 @@ assert cli.main(["constants"]) == 0
 metric = MetricModel.zoll_revolution([-0.3, 0.3])
 start = (SurfacePoint.north(math.pi / 2, 0.0), (0.6, 0.8))
 assemble_p1(metric, start, 256, path=trace_geodesic(metric, start, 256))
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial")), file=sys.stderr)
 """
 
 
 def test_a_run_loads_no_scipy():
     """A fresh interpreter (this one holds scipy through the test oracles)
-    runs `zollforms constants` and one geodesic through the normal form."""
+    runs `zollforms constants` and one geodesic through the normal form,
+    and loads no scipy module and no `numpy.polynomial`: the metric's one
+    coefficient table is all the polynomials a run needs."""
     src = str(pathlib.Path(zollforms.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}

@@ -443,22 +443,26 @@ class TestSubstitutionCount:
     def test_each_monomial_substituted_once(self, cubic_path, cubic_frame, monkeypatch):
         """One engine call builds the frame image of every distinct monomial
         of the graded symbols exactly once, whatever number of symbols
-        carry it."""
+        carry it.  Symbol products are counted by the degrees of their
+        factors: the image of z^m zbar^n is the product (m, n) of the
+        substituted powers, and the powers of the two linear forms take
+        one product (k - 1, 1) each, k = 2 ... top degree."""
         from collections import Counter
         from zollforms import weyl
         from zollforms.normalform import _graded_formal
 
         built = Counter()
-        real = weyl._substituted_monomial
+        real = weyl.transvectant
 
-        def counting(zpow_m, zbpow_n):
-            built[(zpow_m.degree, zbpow_n.degree)] += 1
-            return real(zpow_m, zbpow_n)
+        def counting(a, b, j):
+            built[(a.degree, b.degree)] += 1
+            return real(a, b, j)
 
-        monkeypatch.setattr(weyl, "_substituted_monomial", counting)
+        monkeypatch.setattr(weyl, "transvectant", counting)
         conjugated_order_zero(cubic_path, cubic_frame)
         carried = {key for syms in _graded_formal().values()
                    for sym in syms.values() for key in sym.coeffs}
         assert len(carried) == 13
-        assert set(built) == carried
-        assert set(built.values()) == {1}
+        top = max(m + n for m, n in carried)
+        powers = Counter({(k - 1, 1): 2 for k in range(2, top + 1)})
+        assert built == Counter(carried) + powers

@@ -13,6 +13,7 @@ from oracles import (
     exp_map,
     fd_curvature_jet,
     rotate_tangent,
+    state_distance,
     surface_integral_of_curvature,
     tau_nunu_stencil,
 )
@@ -27,7 +28,6 @@ from zollforms.surface import (
     _ambient_start,
     _from_ambient,
     clairaut_constant,
-    state_distance,
 )
 
 P0 = SurfacePoint.north(math.pi / 3, 0.7)
@@ -35,10 +35,6 @@ V0 = np.array([0.6, 0.8])
 
 
 class TestMetricModel:
-    def test_round_has_no_profile(self):
-        with pytest.raises(ValueError):
-            MetricModel(kind="round", h_odd_coeffs=(0.1,))
-
     def test_inadmissible_profile_rejected(self):
         with pytest.raises(ValueError, match="inadmissible"):
             MetricModel.zoll_revolution([1.2])
@@ -51,10 +47,6 @@ class TestMetricModel:
         m = MetricModel.zoll_revolution([])
         assert m.h_odd_coeffs == () and m.h_even_coeffs == ()
         assert curvature(m, P0) == 1.0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            MetricModel(kind="torus")
 
 
 class TestCharts:
@@ -75,7 +67,7 @@ class TestCharts:
         metric |dx|^2 + beta(u) du^2."""
         p = SurfacePoint.north(1.0, 0.5)
         x1, x2, u, p1, p2, w = _ambient_start(cubic_metric, p.r, p.phi, (0.6, 0.8))
-        beta = np.polyval(cubic_metric._flow_coeffs()["beta"], u)
+        beta = np.polyval(cubic_metric._table["beta"], u)
         assert abs(p1 * p1 + p2 * p2 + w * w + beta * w * w - 1.0) < 1e-15
 
 
