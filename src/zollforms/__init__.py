@@ -2,11 +2,12 @@
 
 A numpy library with an exact symbolic sub-engine; scipy is a test
 oracle only.  The main entry points mirror the pipeline: build a metric
-(`surface`), trace closed geodesics with their Jacobi frame
-(`geodesic`), read the Poincare, Floquet and variation data off that
-frame (`jacobi`), run the symbol calculus (`weyl`, `expansion`),
-assemble the degree-2 normal form invariant (`normalform`), and verify
-the universal integral identities (`identities`).  A small CLI
+(`surface`), trace closed geodesics with their Jacobi frame, both from
+closed formulas with no ODE solve (`geodesic`), read the Poincare,
+Floquet and variation data off that frame (`jacobi`), run the symbol
+calculus (`weyl`, `expansion`), assemble the degree-2 normal form
+invariant (`normalform`), and verify the universal integral identities
+(`identities`).  A small CLI
 (`zollforms`) drives deterministic reports.
 """
 

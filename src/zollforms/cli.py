@@ -185,19 +185,19 @@ def _init_fields(ic):
 def build_report(cfg, mode):
     """Run `verify` or `invariants` over the geodesic sample; returns (report, exit_code).
 
-    The sample is traced by `trace_geodesics` in stacked flow solves, and
-    each geodesic is processed as its path arrives; the report lists them
-    in sample order.  Each solve's chart, size, `nfev` and `status` go to
-    the report's `telemetry`, which the digest leaves out.  A geodesic that fails is recorded and the run goes on; the exit
-    code is EXIT_NUMERICAL_FAILURE if any geodesic hit one of
-    NUMERICAL_FAILURES.
+    The sample is traced by `trace_geodesics`, one start at a time, and
+    each geodesic is processed as its path arrives.  Each start's Newton
+    solves ([grid, steps], coarse grid first) and last correction go to
+    the report's `telemetry`, which the digest leaves out.  A geodesic
+    that fails is recorded and the run goes on; the exit code is
+    EXIT_NUMERICAL_FAILURE if any geodesic hit one of NUMERICAL_FAILURES.
     """
     starts = _initial_conditions(cfg)
-    solves = []
+    flow = []
     records = [None] * len(starts)
     failures = []
     for index, path in trace_geodesics(cfg.metric_model, [ic for _, ic in starts], cfg.grid,
-                                       enforce_closure=False, solves=solves):
+                                       enforce_closure=False, telemetry=flow):
         name, ic = starts[index]
         record = {"geodesic_id": name, **_init_fields(ic)}
         try:
@@ -234,7 +234,7 @@ def build_report(cfg, mode):
     else:
         code = EXIT_CHECK_FAILURE if failures else EXIT_PASS
     report = _assemble_report(cfg, mode, records, failures)
-    report["telemetry"] = {"flow": solves}
+    report["telemetry"] = _strict_json({"flow": flow})
     return report, code
 
 

@@ -3,10 +3,12 @@
 All sampled coefficient functions in this package live on the grid
 s_j = 2*pi*j/N with N a power of two.  Derivatives, antiderivatives and
 means are computed through the FFT, so they are exact for trigonometric
-polynomials and spectrally accurate for smooth periodic data.  Nothing
-here evaluates between grid points: ODE solves take their coefficients
-in closed form (`surface.flow`), and forced linear equations along a
-geodesic are solved by quadrature (`jacobi.variation_field`).
+polynomials and spectrally accurate for smooth periodic data.  `resample`
+carries periodic samples to a finer grid by their trigonometric
+interpolant: the geodesic flow solves for its arclength angle on a
+coarse grid and starts the full-grid solve from there (`surface.flow`).
+Forced linear equations along a geodesic are solved by quadrature
+(`jacobi.variation_field`).
 """
 
 from functools import lru_cache
@@ -18,6 +20,7 @@ __all__ = [
     "spectral_derivative",
     "spectral_antiderivative",
     "periodic_mean",
+    "resample",
 ]
 
 MEAN_ZERO_TOL = 1e-10  # antiderivatives zero residual means below this times max |f|
@@ -62,6 +65,19 @@ def spectral_derivative(values):
     if np.isrealobj(values):
         return out.real
     return out
+
+
+def resample(values, n):
+    """Trigonometric interpolant of periodic samples on the n-point grid, n >= len.
+
+    The unpaired Nyquist mode of the samples is dropped, as in the
+    spectral derivative; for resolved data it is at roundoff level.
+    """
+    values = np.asarray(values)
+    m = values.shape[-1]
+    coeffs = np.fft.rfft(values)
+    coeffs[..., -1] = 0.0
+    return np.fft.irfft(coeffs, n) * (n / m)
 
 
 def periodic_mean(values):

@@ -2,11 +2,11 @@
 
 A traced geodesic carries N = 2^k samples of position, unit tangent and
 normal frame, the curvature jet (tau, tau_s, tau_nu, tau_nunu) and the
-fundamental Jacobi solutions at s_j = 2*pi*j/N.  The Jacobi states come
-out of the same ODE solve as the geodesic (`surface.flow`), so a traced
-path already holds everything `jacobi.solve_fundamental` needs.
-`trace_geodesics` traces many starts in stacked solves, cut to a memory
-budget; `trace_geodesic` is its one-start case.
+fundamental Jacobi solutions at s_j = 2*pi*j/N.  The geodesic and its
+Jacobi frame come from the same closed formulas (`surface.flow`), so a
+traced path already holds everything `jacobi.solve_fundamental` needs.
+`trace_geodesics` traces many starts, one at a time; `trace_geodesic` is
+its one-start case.
 The grid supports spectral differentiation and spectrally accurate
 periodic quadrature of products of the samples.  Points, tangents and
 samples are all in the north polar chart (`surface.SurfacePoint`).
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import surface as _surface
 from .fourier import grid
-from .surface import IntegrationError, MetricModel, SurfacePoint
+from .surface import MIN_GRID, IntegrationError, MetricModel, SurfacePoint
 
 __all__ = [
     "GeodesicPath",
@@ -30,11 +30,7 @@ __all__ = [
 ]
 
 CLOSURE_TOL = 1e-4
-MIN_GRID = 256
 MIN_CLAIRAUT = 0.12       # sampled starts keep |Clairaut constant| above this
-# Stacked flow samples per solve, held once: the CLI's 32 starts of a cone
-# profile at N = 2048 take two solves, and N = 32768 takes one start per solve.
-FLOW_CHUNK_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -78,12 +74,12 @@ def _validate_grid(n):
 def trace_geodesic(metric, init, n=2048, enforce_closure=True):
     """Trace the geodesic through `init` = (point, unit tangent) over [0, 2*pi).
 
-    The one-start case of `trace_geodesics`.  Samples the flow and its
-    Jacobi frame at n uniform arclengths, evaluates the curvature jets
-    analytically along the samples, and records the closure defect of the
-    flow's chart state at 2*pi (`surface.FlowSamples.closure_defect`).
-    With `enforce_closure`, a defect above 1e-4 raises
-    (metric not Zoll at this tolerance, or integration too coarse).
+    The one-start case of `trace_geodesics`.  Samples the closed-form
+    geodesic and its Jacobi frame at n uniform arclengths
+    (`surface.flow`), evaluates the curvature jets analytically along the
+    samples, and records the closure defect at s = 2*pi.  With
+    `enforce_closure`, a defect above CLOSURE_TOL raises (metric not Zoll
+    at this tolerance).
     """
     (_, path), = trace_geodesics(metric, [init], n, enforce_closure)
     if isinstance(path, IntegrationError):
@@ -91,91 +87,52 @@ def trace_geodesic(metric, init, n=2048, enforce_closure=True):
     return path
 
 
-def trace_geodesics(metric, inits, n=2048, enforce_closure=True, solves=None):
-    """Trace the geodesics through `inits` in stacked flow solves.
+def trace_geodesics(metric, inits, n=2048, enforce_closure=True, telemetry=None):
+    """Trace the geodesics through `inits`, one start at a time.
 
-    Every closed geodesic has period 2*pi, so the starts share one
-    arclength grid.  Ordered by |Clairaut constant|, they are cut into
-    chunks of at most FLOW_CHUNK_BYTES of stacked samples; a stack steps
-    as finely as its hardest start needs, and near-meridians need the
-    finest steps.  Each chunk is one `surface.flow` solve.  Yields (index into `inits`, path)
-    chunk by chunk, so one chunk's samples are held at a time; the path is
-    a GeodesicPath or the IntegrationError that ended the start.  A stacked
-    solve that fails is re-run one start at a time, so each failure stays
-    with its own start, and with `enforce_closure` a closure defect above
-    CLOSURE_TOL is one.  With a list `solves`, one dict per flow solve
-    (chart, geodesics, nfev, status) is appended to it.
+    Yields (index into `inits`, path) in order; the path is a
+    GeodesicPath or the IntegrationError that ended the start, so each
+    failure stays with its own start.  With `enforce_closure` a closure
+    defect above CLOSURE_TOL is one.  With a list `telemetry`, one dict
+    per start is appended to it: the [grid, steps] of its Newton solves,
+    coarse grid first, and the last correction.
     """
     _validate_grid(n)
     inits = [(p0, np.asarray(v0, dtype=float)) for p0, v0 in inits]
     for _, v0 in inits:
         if abs(np.hypot(v0[0], v0[1]) - 1.0) > 1e-10:
             raise ValueError("initial tangent must be unit length")
-    return _traced(metric, inits, n, enforce_closure, solves)
+    return _traced(metric, inits, n, enforce_closure, telemetry)
 
 
-def _chunks(inits, n, chart):
-    """Start indices per flow solve: by |Clairaut constant|, cut to the byte budget."""
-    if not inits:
-        return []
-    order = sorted(range(len(inits)),
-                   key=lambda i: abs(_surface.clairaut_constant(inits[i][0].r, inits[i][1][1])))
-    most = max(1, FLOW_CHUNK_BYTES // (8 * (n + 1) * _surface.CHART_STATE_SIZE[chart]))
-    return [chunk.tolist() for chunk in np.array_split(order, -(-len(order) // most))]
+def _traced(metric, inits, n, enforce_closure, telemetry):
+    for i, init in enumerate(inits):
+        try:
+            samples = _surface.flow(metric, init, n)
+        except IntegrationError as exc:
+            samples = exc
+        if telemetry is not None:
+            telemetry.append({"newton": [list(solve) for solve in samples.newton],
+                              "correction": samples.correction})
+        failed = isinstance(samples, IntegrationError)
+        yield i, samples if failed else _path(metric, init, n, samples, enforce_closure)
 
 
-def _traced(metric, inits, n, enforce_closure, solves):
-    chart = _surface.flow_chart(metric)
-    for members in _chunks(inits, n, chart):
-        solved = _solve_chunk(metric, chart, [inits[i] for i in members], n, solves)
-        for i in members:
-            # popped, so no name still holds this chunk's samples during the next solve
-            yield i, _path(metric, inits[i], n, solved.pop(0), enforce_closure)
-
-
-def _solve_chunk(metric, chart, inits, n, solves):
-    """(samples, row) per start of one chunk, or the IntegrationError that ended
-    it; a failed stacked solve is re-run one start at a time."""
-    try:
-        samples = _surface.flow(metric, inits, np.append(grid(n), 2.0 * math.pi))
-    except IntegrationError as exc:
-        if solves is not None:
-            solves.append({"chart": chart, "geodesics": len(inits), "nfev": exc.nfev,
-                           "status": -1})
-        if len(inits) == 1:
-            return [exc]
-        return [out for init in inits for out in _solve_chunk(metric, chart, [init], n, solves)]
-    if solves is not None:
-        solves.append({"chart": chart, "geodesics": len(inits), "nfev": samples.nfev,
-                       "status": 0})
-    return [(samples, g) for g in range(len(inits))]
-
-
-def _path(metric, init, n, solved, enforce_closure):
-    """GeodesicPath of `solved` = (flow samples, row), or the IntegrationError
-    that ended the start.
-
-    The path's arrays are copies, so the chunk's samples are freed once its
-    last path is built."""
-    if isinstance(solved, IntegrationError):
-        return solved
-    samples, g = solved
-    p0, v0 = init
-    defect = samples.closure_defect(g)
+def _path(metric, init, n, samples, enforce_closure):
+    """GeodesicPath of the flow samples of `init`, or the IntegrationError of
+    a closure defect above CLOSURE_TOL under `enforce_closure`."""
+    defect = samples.closure_defect
     if enforce_closure and not defect <= CLOSURE_TOL:
         return IntegrationError(
-            f"closure defect {defect:.3e} > {CLOSURE_TOL}: metric not Zoll at "
-            "this tolerance or integration too coarse")
-    r, phi, v1, v2, jacobi = samples.start(g)
-    r, phi, v1, v2 = r[:-1].copy(), phi[:-1].copy(), v1[:-1], v2[:-1]
-    tangent = np.stack([v1, v2], axis=1)
-    normal = np.stack([-v2, v1], axis=1)
+            f"closure defect {defect:.3e} > {CLOSURE_TOL}: metric not Zoll at this tolerance")
+    r, phi, v1, v2 = (x[:-1] for x in samples[:4])
     tau, tau_s, tau_nu, tau_nunu = _surface.curvature_jet_arrays(metric, r, v1, v2)
     return GeodesicPath(
-        metric=metric, init=(p0, tuple(v0)),
-        n=n, s=grid(n), r=r, phi=phi, tangent=tangent, normal=normal,
+        metric=metric, init=(init[0], tuple(init[1])),
+        n=n, s=grid(n), r=r, phi=phi,
+        tangent=np.stack([v1, v2], axis=1), normal=np.stack([-v2, v1], axis=1),
         tau=tau, tau_s=tau_s, tau_nu=tau_nu, tau_nunu=tau_nunu,
-        jacobi=jacobi[:, :-1].copy(), jacobi_end=jacobi[:, -1].copy(),
+        jacobi=samples.jacobi[:, :-1], jacobi_end=samples.jacobi[:, -1],
         closure_defect=defect,
     )
 

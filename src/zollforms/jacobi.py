@@ -1,11 +1,11 @@
 """Jacobi fields, Poincare map, Floquet data, and the variation equation.
 
-The scalar Jacobi equation y'' + tau(s) y = 0 rides on the geodesic flow:
-`surface.flow` integrates the fundamental solutions in the same ODE as
-the geodesic, with tau = K(u) in closed form, and a traced path carries
-their samples.  The complex frame is Y = y2 + i*y1 with Y(0) = 1,
-Y'(0) = i; its Wronskian against the conjugate is
-omega(Y, Ybar) = Y Ybar' - Y' Ybar = -2i, constant in s.  On a Zoll
+The scalar Jacobi equation y'' + tau(s) y = 0, tau = K(u), is solved in
+closed form with the geodesic: `surface.flow` samples the rotation field
+and its partner by reduction of order, recombined into the fundamental
+solutions, and a traced path carries their samples.  The complex frame
+is Y = y2 + i*y1 with Y(0) = 1, Y'(0) = i; its Wronskian against the
+conjugate is omega(Y, Ybar) = Y Ybar' - Y' Ybar = -2i, constant in s.  On a Zoll
 metric the Poincare matrix is the identity and all solutions are
 periodic.
 
@@ -69,8 +69,9 @@ class JacobiFrame:
 def solve_fundamental(path):
     """Fundamental Jacobi frame along `path`, with Poincare matrix at 2*pi.
 
-    Wraps the Jacobi samples the trace carries; raises IntegrationError
-    when their Wronskian drifts from 1 by more than WRONSKIAN_TOL.
+    Wraps the Jacobi samples the trace carries, with their state at the
+    Newton-solved end of the period; raises IntegrationError when their
+    Wronskian drifts from 1 by more than WRONSKIAN_TOL.
     """
     y1, dy1, y2, dy2 = path.jacobi
     end_y1, end_dy1, end_y2, end_dy2 = path.jacobi_end
@@ -85,7 +86,7 @@ def solve_fundamental(path):
     if not frame.wronskian_drift <= WRONSKIAN_TOL:
         raise IntegrationError(
             f"Wronskian drift {frame.wronskian_drift:.3e} > {WRONSKIAN_TOL}; "
-            "integration tolerance insufficient")
+            "Jacobi samples inaccurate")
     return frame
 
 

@@ -1,12 +1,22 @@
 """Independent routes to quantities the package computes, and the
 geometry only tests need.
 
-The production frame rides on the geodesic flow and the production
-variation field comes by quadrature (see `zollforms.jacobi`).  The
-routes here solve the same equations a second way: ODE solves driven by
-the trigonometric interpolant of the sampled curvature.  Tests pin the
-two routes to each other, so the identity checks that consume the
-variation field keep a path that shares no quadrature with them.
+The production geodesic and its Jacobi frame come from closed formulas
+(`zollforms.surface.flow`).  `ode_flow` integrates the geodesic
+equations instead, with the Jacobi pair riding along, by scipy's DOP853:
+in ambient coordinates x on S^2 in R^3 for smooth profiles, where the
+metric is |dx|^2 + beta(u) du^2 and nothing is singular at the poles,
+and in the Clairaut chart (r, phi, p_r) for profiles with cone points,
+where beta has a pole; a meridian is that chart's c = 0 case, and its r
+runs on through the poles.  `exp_map` reads the geodesic end points off
+it.
+
+The production variation field comes by quadrature (see
+`zollforms.jacobi`).  The routes here solve the same equations a second
+way: ODE solves driven by the trigonometric interpolant of the sampled
+curvature.  Tests pin the two routes to each other, so the identity
+checks that consume the variation field keep a path that shares no
+quadrature with them.
 
 The curvature jets have a finite-difference route: the curvature sampled
 along the normal and tangent geodesics (`exp_map`), differentiated by
@@ -25,9 +35,9 @@ the symbol calculus: Weyl quantization on the oscillator basis.
 `rebase` re-parametrizes a traced geodesic from another base point by
 linear algebra on its Jacobi samples, for the base-point invariance
 tests.  `conjugate` (of a symbol), `round_sphere_c2`, `equator_start`
-(the near-meridian starts) and `state_distance` (the gap between two
-nearby states, for the exp-map and area-element tests) are helpers only
-the tests call.
+(the near-meridian starts), `state_distance` (the gap between two
+nearby states, for the exp-map and area-element tests) and `embedded`
+(samples in R^3) are helpers only the tests call.
 """
 
 import math
@@ -42,10 +52,12 @@ from zollforms.fourier import spectral_antiderivative, spectral_derivative
 from zollforms.geodesic import GeodesicPath
 from zollforms.jacobi import JacobiFrame, VariationField
 from zollforms.normalform import _graded_formal, _instantiate, field_mean, metaplectic_substitute
-from zollforms.surface import SurfacePoint, curvature_jet_arrays, flow
+from zollforms.surface import SurfacePoint, curvature_jet_arrays
 from zollforms.weyl import PolySymbol, star_commutator, star_product
 
 ODE_TOL = 1e-12
+FLOW_TOL = 1e-13        # ode_flow's tolerance
+MERIDIAN_TOL = 1e-12    # |c| of an ode_flow start, or sin r of an ambient sample: a meridian
 INTERP_TOL = 1e-15     # relative magnitude below which interpolant modes are dropped
 
 
@@ -78,9 +90,9 @@ class TrigInterpolant:
         return out if out.shape else out[()]
 
 
-def _solve(rhs, start, t_eval):
-    sol = solve_ivp(rhs, (0.0, 2.0 * math.pi), start, method="DOP853",
-                    t_eval=t_eval, rtol=ODE_TOL, atol=ODE_TOL)
+def _solve(rhs, start, t_eval, tol=ODE_TOL, t_end=2.0 * math.pi):
+    sol = solve_ivp(rhs, (0.0, t_end), start, method="DOP853",
+                    t_eval=t_eval, rtol=tol, atol=tol)
     assert sol.success, sol.message
     return sol.y
 
@@ -192,8 +204,164 @@ def exp_map(metric, p, v, t):
     if t < 0.0:
         q, w = exp_map(metric, p, -v, -t)
         return q, -w
-    r, phi, v1, v2, _ = flow(metric, [(p, v)], [t]).start(0)
-    return SurfacePoint.north(float(r[-1]), float(phi[-1])), np.array([float(v1[-1]), float(v2[-1])])
+    flow = ode_flow(metric, (p, v), [t])
+    return (SurfacePoint.north(float(flow.r[-1]), float(flow.phi[-1])),
+            np.array([float(flow.v1[-1]), float(flow.v2[-1])]))
+
+
+def smooth_at_poles(metric):
+    """True when h(+-1) = 0 to roundoff, so h = (1 - u^2) q."""
+    h = np.array(metric._table["h"])
+    roundoff = 4.0 * np.finfo(float).eps * float(np.sum(np.abs(h)))
+    return max(abs(np.polyval(h, 1.0)), abs(np.polyval(h, -1.0))) <= roundoff
+
+
+def ambient_beta(metric):
+    """(beta, beta') as descending coefficients, for a smooth profile
+    h = (1 - u^2) q: beta = h (2 + h) / (1 - u^2) = q (2 + h)."""
+    h = np.array(metric._table["h"])
+    q, _ = np.polydiv(h, [-1.0, 0.0, 1.0])
+    beta = np.polymul(q, np.polyadd(h, [2.0]))
+    return beta, np.polyder(beta)
+
+
+def _ambient_rhs(metric):
+    """x'' = mu x - kappa e3 on S^2 in R^3, with the Jacobi pair riding along.
+
+    The metric is |dx|^2 + beta(u) du^2 with u = x3; with w = u' and
+    f = 1 + h, kappa = (beta' w^2 / 2 - beta u |x'|^2) / f^2 and
+    mu = kappa u - |x'|^2 keep x on the sphere.
+    """
+    beta, betap = ambient_beta(metric)
+
+    def rhs(_s, state):
+        x1, x2, u, p1, p2, w, y1, dy1, y2, dy2 = state
+        f, k = metric.warp(u), metric.curvature_u_derivs(u)[0]
+        speed2 = p1 * p1 + p2 * p2 + w * w
+        kappa = (0.5 * np.polyval(betap, u) * w * w - np.polyval(beta, u) * u * speed2) / (f * f)
+        mu = kappa * u - speed2
+        return [p1, p2, w, mu * x1, mu * x2, mu * u - kappa, dy1, -k * y1, dy2, -k * y2]
+    return rhs
+
+
+def _clairaut_rhs(metric, c):
+    """(r, phi, p_r) with the Jacobi pair, for the Clairaut constant c.
+
+    With c = 0 these are the meridian equations, and r runs on through the
+    poles: phi' = c / sin^2 r is then 0, and the centrifugal term
+    c^2 u / sin^3 r is written phi'^2 u sin r.
+    """
+    hp = np.array(metric._table["hp"])
+
+    def rhs(_s, state):
+        r, _phi, pr, y1, dy1, y2, dy2 = state
+        u, sr = math.cos(r), math.sin(r)
+        f, k = metric.warp(u), metric.curvature_u_derivs(u)[0]
+        dphi = c / (sr * sr) if c else 0.0
+        return [pr / (f * f), dphi, -pr * pr * sr * np.polyval(hp, u) / f**3 + dphi * dphi * u * sr,
+                dy1, -k * y1, dy2, -k * y2]
+    return rhs
+
+
+def _clairaut_start(metric, p, v, meridian):
+    """(r, phi, p_r) of the north-chart start (p, v) in the Clairaut chart.
+
+    A meridian keeps unit speed and runs along the meridian its heading
+    picks: at a pole, phi0 + theta from the north pole and
+    phi0 + pi - theta from the south pole, for v = (cos theta, sin theta).
+    """
+    f = metric.warp(math.cos(p.r))
+    if not meridian:
+        return [p.r, p.phi, f * v[0]]
+    sign = 1.0 if v[0] >= 0 else -1.0
+    return [p.r, p.phi + math.atan2(sign * v[1] * math.cos(p.r), abs(v[0])), f * sign]
+
+
+def _from_clairaut(metric, y, c):
+    """(r, phi, v1, v2) in the north chart from Clairaut samples (r, phi, p_r).
+
+    A meridian's r runs past the poles; it is folded back into [0, pi],
+    onto the opposite meridian phi + pi, where d_r points the other way.
+    """
+    r, phi, pr = y[:3]
+    m = np.mod(r, 2.0 * math.pi)
+    upper = m <= math.pi
+    r = np.where(upper, m, 2.0 * math.pi - m)
+    v1 = np.where(upper, 1.0, -1.0) * pr / metric.warp(np.cos(r))
+    v2 = c / np.sin(r) if c else np.zeros_like(r)
+    return r, np.where(upper, phi, phi + math.pi) % (2.0 * math.pi), v1, v2
+
+
+def ambient_start(metric, r0, phi0, v):
+    """(x, x') in R^3 for the north-chart point (r0, phi0) and frame components v."""
+    st, ct = math.sin(r0), math.cos(r0)
+    sp, cp = math.sin(phi0), math.cos(phi0)
+    a = v[0] / metric.warp(ct)   # dr/ds
+    return [st * cp, st * sp, ct,
+            a * ct * cp - v[1] * sp, a * ct * sp + v[1] * cp, -a * st]
+
+
+def from_ambient(metric, y, c):
+    """(r, phi, v1, v2) in the north chart from ambient samples (x, x').
+
+    v2 = c / sin r by Clairaut's relation.  Within MERIDIAN_TOL of a pole
+    the position's azimuth is roundoff, so such a sample is read on the
+    meridian its velocity runs along, with v2 = 0.  The pair is then
+    scaled to unit length.
+    """
+    x = y[:3] / np.sqrt(np.sum(y[:3] ** 2, axis=0))
+    p1, p2, p3 = y[3:6]
+    sin_r = np.hypot(x[0], x[1])
+    off_pole = sin_r >= MERIDIAN_TOL
+    phi = np.where(off_pole, np.arctan2(x[1], x[0]), np.arctan2(p2, p1))
+    v1 = metric.warp(x[2]) * (x[2] * (p1 * np.cos(phi) + p2 * np.sin(phi)) - sin_r * p3)
+    v2 = np.divide(c, sin_r, out=np.zeros_like(sin_r), where=off_pole)
+    norm = np.hypot(v1, v2)
+    return np.arctan2(sin_r, x[2]), phi % (2.0 * math.pi), v1 / norm, v2 / norm
+
+
+def embedded(metric, r, phi, v1, v2):
+    """Points x and velocities dx/ds in R^3 of north-chart samples, which
+    are regular where the north chart's angles are not: at a pole x is the
+    pole and dx/ds the same vector on either meridian reading."""
+    e_r = np.array([np.cos(r) * np.cos(phi), np.cos(r) * np.sin(phi), -np.sin(r)])
+    e_phi = np.array([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
+    x = np.array([np.sin(r) * np.cos(phi), np.sin(r) * np.sin(phi), np.cos(r)])
+    return x, v1 / metric.warp(np.cos(r)) * e_r + v2 * e_phi
+
+
+OdeFlow = namedtuple("OdeFlow", "x dx r phi v1 v2 jacobi")
+
+
+def ode_flow(metric, start, t_eval):
+    """The geodesic through `start` = (point, unit tangent) and its Jacobi
+    frame at the arclengths t_eval, by an ODE solve (see the module
+    docstring).  Returns OdeFlow: the point x and velocity dx/ds in R^3,
+    which are regular at the poles, the north-chart read-out (r, phi, v1,
+    v2) and the (4, T) rows (y1, y1', y2, y2')."""
+    p, v = start
+    v = np.asarray(v, dtype=float)
+    t_eval = np.asarray(t_eval, dtype=float)
+    c = math.sin(p.r) * v[1]
+    jacobi_start = [0.0, 1.0, 1.0, 0.0]
+    if smooth_at_poles(metric):
+        y = _solve(_ambient_rhs(metric), [*ambient_start(metric, p.r, p.phi, v), *jacobi_start],
+                   t_eval, FLOW_TOL, t_eval[-1])
+        x, dx = y[:3], y[3:6]
+        r, phi, v1, v2 = from_ambient(metric, y, c)
+        return OdeFlow(x, dx, r, phi, v1, v2, y[6:])
+    meridian = abs(c) < MERIDIAN_TOL
+    c = 0.0 if meridian else c
+    y = _solve(_clairaut_rhs(metric, c), [*_clairaut_start(metric, p, v, meridian), *jacobi_start],
+               t_eval, FLOW_TOL, t_eval[-1])
+    rho, phi, pr = y[:3]
+    f = metric.warp(np.cos(rho))
+    along = np.array([np.cos(rho) * np.cos(phi), np.cos(rho) * np.sin(phi), -np.sin(rho)])
+    across = np.array([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
+    x = np.array([np.sin(rho) * np.cos(phi), np.sin(rho) * np.sin(phi), np.cos(rho)])
+    dx = pr / (f * f) * along + (c / np.sin(rho) if c else 0.0) * across
+    r, phi, v1, v2 = _from_clairaut(metric, y, c)
+    return OdeFlow(x, dx, r, phi, v1, v2, y[3:])
 
 
 def state_distance(metric, p1, v1, p2, v2):

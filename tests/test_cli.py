@@ -32,13 +32,13 @@ from zollforms.weyl import DegreeOverflowError
 
 
 def _fail_flow_with(monkeypatch, fails):
-    """Make every flow solve that holds a start with `fails(p, v)` raise."""
+    """Make the flow of every start (p, v) with `fails(p, v)` raise."""
     real_flow = surface.flow
 
-    def flow(metric, starts, t_eval):
-        if any(fails(p, v) for p, v in starts):
-            raise IntegrationError("forced failure", nfev=0)
-        return real_flow(metric, starts, t_eval)
+    def flow(metric, start, n):
+        if fails(*start):
+            raise IntegrationError("forced failure")
+        return real_flow(metric, start, n)
 
     monkeypatch.setattr(surface, "flow", flow)
 
@@ -212,40 +212,42 @@ class TestVerifyCommand:
             {"geodesic": "meridian", "check": "integration", "value": None}]
         assert "check integration" in capsys.readouterr().err
 
-    def test_failed_stacked_solve_is_split_per_geodesic(self, monkeypatch):
-        """A stacked flow solve that fails is re-run one start at a time: the
-        start that fails alone is named, the others pass, the exit code is 3."""
-        cfg = RunConfig.load(None, {"metric": parse_metric_flag("zoll:0.1"), "geodesics": 5,
-                                    "grid": 256})
-        bad = cli._initial_conditions(cfg)[3][1][0]   # random-001
-        real_flow = surface.flow
-        calls = []
-
-        def flow(metric, starts, t_eval):
-            calls.append(len(starts))
-            if len(starts) > 1 and calls.count(len(starts)) == 1:
-                raise IntegrationError("forced failure of the stacked solve", nfev=7)
-            if len(starts) == 1 and starts[0][0].r == bad.r:
-                raise IntegrationError("forced failure of one start", nfev=3)
-            return real_flow(metric, starts, t_eval)
-
-        monkeypatch.setattr(surface, "flow", flow)
+    def test_newton_failure_stays_with_its_geodesic(self, monkeypatch):
+        """A Newton solve that does not converge ends its own geodesic with a
+        named integration failure, and the run goes on (exit 3).  Allowed
+        two steps, only the equator of h = 0.1 x, whose arclength angle is
+        exact from the start, converges."""
+        monkeypatch.setattr(surface, "NEWTON_STEPS", 2)
+        cfg = RunConfig.load(None, {"metric": parse_metric_flag("zoll:0.1"), "geodesics": 3,
+                                    "grid": 512})
         report, code = build_report(cfg, "verify")
         assert code == EXIT_NUMERICAL_FAILURE
+        records = report["geodesics"]
+        assert all(c["normalized"] < cfg.tol for c in records[0]["checks"])
+        for record in records[1:]:
+            assert "did not converge in 2 steps" in record["integration_failure"]
         assert report["summary"]["failures"] == [
-            {"geodesic": "random-001", "check": "integration", "value": None}]
-        records = {r["geodesic_id"]: r for r in report["geodesics"]}
-        assert "forced failure of one start" in records["random-001"]["integration_failure"]
-        for name in ("equator", "meridian", "random-000", "random-002"):
-            assert "checks" in records[name]
-            assert all(c["normalized"] < cfg.tol for c in records[name]["checks"])
-        # the stack of all 5 starts failed once, then ran one start at a time
-        solves = report["telemetry"]["flow"]
-        assert solves[0] == {"chart": "clairaut", "geodesics": 5, "nfev": 7, "status": -1}
-        assert sorted((t["chart"], t["geodesics"], t["status"]) for t in solves[1:]) == [
-            ("clairaut", 1, -1), ("clairaut", 1, 0), ("clairaut", 1, 0), ("clairaut", 1, 0),
-            ("clairaut", 1, 0)]
-        assert [t["nfev"] for t in solves if t["status"] == -1] == [7, 3]
+            {"geodesic": name, "check": "integration", "value": None}
+            for name in ("meridian", "random-000")]
+        flow = report["telemetry"]["flow"]
+        assert flow[0]["newton"] == [[256, 1], [512, 1]]
+        assert [t["newton"][-1][1] for t in flow[1:]] == [2, 2]
+        assert all(t["correction"] > surface.NEWTON_TOL for t in flow[1:])
+
+    def test_non_zoll_control_fails_closure(self, tmp_path):
+        """With an even profile term the geodesics do not close: their closure
+        and Poincare defects, read at the Newton-solved end of the period,
+        are far from zero (the equator closes by symmetry), and the identity
+        suite fails (exit 1)."""
+        cfg = RunConfig.load(None, {
+            "metric": {"kind": "zoll_revolution", "h_odd_coeffs": [0.05], "h_even_coeffs": [0.1]},
+            "geodesics": 3, "grid": 512})
+        report, code = build_report(cfg, "verify")
+        assert code == EXIT_CHECK_FAILURE
+        equator, *others = report["geodesics"]
+        assert equator["closure_defect"] < 1e-12 and equator["poincare_defect"] < 1e-12
+        for record in others:
+            assert record["closure_defect"] > 0.1 and record["poincare_defect"] > 0.1
 
     def test_nan_obstruction_value_is_null(self, monkeypatch, tmp_path):
         def assemble(*args, **kwargs):
@@ -331,17 +333,20 @@ class TestInvariantsCommand:
         assert digests[0] == digests[1]
 
     def test_telemetry_stays_outside_the_digest(self):
-        """Every flow solve is reported with its chart, size, nfev and status;
-        the digest does not cover it, and two runs give one digest."""
+        """Every geodesic's Newton solves ([grid, steps], coarse grid first)
+        and last correction are reported; the digest does not cover them, and
+        two runs give one digest."""
         cfg = RunConfig.load(None, {"metric": parse_metric_flag("zoll:-0.309,0.294"),
-                                    "geodesics": 4, "grid": 256})
+                                    "geodesics": 4, "grid": 512})
         first, _ = build_report(cfg, "invariants")
         second, _ = build_report(cfg, "invariants")
         assert first["digest"] == second["digest"]
-        solves = first["telemetry"]["flow"]
-        assert [(t["chart"], t["geodesics"], t["status"]) for t in solves] == [
-            ("clairaut", 4, 0)]
-        assert all(isinstance(t["nfev"], int) and t["nfev"] > 0 for t in solves)
+        flow = first["telemetry"]["flow"]
+        assert len(flow) == 4
+        for t in flow:
+            assert [size for size, _ in t["newton"]] == [256, 512]
+            assert all(isinstance(steps, int) and steps >= 1 for _, steps in t["newton"])
+            assert isinstance(t["correction"], float) and 0.0 <= t["correction"] <= 1e-9
         body = {k: v for k, v in first.items() if k not in ("digest", "telemetry")}
         assert first["digest"] == _digest(body)
 

@@ -356,6 +356,24 @@ class TestClusterShiftRelation:
             assert abs(rec.c0 + rec.H_b / (16.0 * math.pi)) <= 1e-11 * abs(rec.c0)
 
 
+class TestEquatorValue:
+    """On the equator u = 0: f = 1, tau = K(0) = 1, the Jacobi solutions are
+    cos s and sin s, and tau_nu = K'(0) = -3 h'(0) is constant.  By hand,
+    `compute_H` is then 2 pi + 9 h'(0)^2 (-13 pi / 72 - pi / 24)
+    = 2 pi (1 - h'(0)^2), so c0 = -H / (16 pi) = (h'(0)^2 - 1) / 8: the
+    profile's first odd coefficient alone decides it, on cone profiles
+    too.  The expected value shares no code with the engine."""
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    @pytest.mark.parametrize("h_odd", [(-0.3, 0.3), (0.1,), (0.2, -0.5, 0.3), (0.6, -0.2),
+                                       (-0.45,)])
+    def test_c0_from_the_first_coefficient(self, equator_ic, h_odd, n):
+        from zollforms.surface import MetricModel
+
+        rec = assemble_p1(MetricModel.zoll_revolution(h_odd), equator_ic, n)
+        assert abs(rec.c0 - (h_odd[0] ** 2 - 1.0) / 8.0) <= 1e-11
+
+
 def _smooth_field_symbol(rng, s, degrees=(0, 2, 3)):
     """Random symbol whose entries are low trigonometric polynomials on the grid."""
     out = PolySymbol()

@@ -1,34 +1,25 @@
-"""Metric models, chart conversions, exponential map, curvature jets, and
-the DOP853 stepper of the flow against scipy's."""
+"""Metric models, the ODE oracle's chart conversions, exponential map and
+curvature jets."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 from oracles import (
+    ambient_beta,
+    ambient_start,
     analytic_jet,
     curvature,
-    equator_start,
     exp_map,
     fd_curvature_jet,
+    from_ambient,
     rotate_tangent,
     state_distance,
     surface_integral_of_curvature,
     tau_nunu_stencil,
 )
 
-from zollforms import surface
-from zollforms.fourier import grid
-from zollforms.geodesic import canonical_initial_conditions, sample_initial_conditions
-from zollforms.surface import (
-    ODE_TOL,
-    MetricModel,
-    SurfacePoint,
-    _ambient_start,
-    _from_ambient,
-    clairaut_constant,
-)
+from zollforms.surface import MetricModel, SurfacePoint
 
 P0 = SurfacePoint.north(math.pi / 3, 0.7)
 V0 = np.array([0.6, 0.8])
@@ -50,15 +41,15 @@ class TestMetricModel:
 
 
 class TestCharts:
-    """The north polar chart against the ambient chart of the flow (x on S^2 in R^3)."""
+    """The north polar chart against the ambient chart of the ODE oracle (x on S^2 in R^3)."""
 
     @pytest.mark.parametrize("r", [0.05, 0.4, math.pi / 2, 2.8, math.pi - 0.05])
     @pytest.mark.parametrize("phi", [0.0, 1.3, 5.9])
     def test_round_trip(self, cubic_metric, r, phi):
         p = SurfacePoint.north(r, phi)
         v = np.array([0.6, 0.8])
-        y = np.array(_ambient_start(cubic_metric, p.r, p.phi, v))[:, None]
-        r2, phi2, v1, v2 = _from_ambient(cubic_metric, y, clairaut_constant(p.r, v[1]))
+        y = np.array(ambient_start(cubic_metric, p.r, p.phi, v))[:, None]
+        r2, phi2, v1, v2 = from_ambient(cubic_metric, y, math.sin(p.r) * v[1])
         assert abs(r2[0] - p.r) < 1e-12 and abs(phi2[0] - p.phi) < 1e-12
         assert abs(v1[0] - v[0]) < 1e-12 and abs(v2[0] - v[1]) < 1e-12
 
@@ -66,8 +57,8 @@ class TestCharts:
         """A unit tangent maps to an ambient velocity of unit length in the
         metric |dx|^2 + beta(u) du^2."""
         p = SurfacePoint.north(1.0, 0.5)
-        x1, x2, u, p1, p2, w = _ambient_start(cubic_metric, p.r, p.phi, (0.6, 0.8))
-        beta = np.polyval(cubic_metric._table["beta"], u)
+        x1, x2, u, p1, p2, w = ambient_start(cubic_metric, p.r, p.phi, (0.6, 0.8))
+        beta = np.polyval(ambient_beta(cubic_metric)[0], u)
         assert abs(p1 * p1 + p2 * p2 + w * w + beta * w * w - 1.0) < 1e-15
 
 
@@ -193,37 +184,3 @@ class TestRotationIsometry:
         b = analytic_jet(cubic_metric, q, w)
         for name in ("tau", "tau_s", "tau_nu", "tau_nunu"):
             assert abs(getattr(a, name) - getattr(b, name)) < 1e-12
-
-
-class TestStepperOracle:
-    """`surface._solve` takes the steps scipy's DOP853 takes: on the problems
-    `flow` poses, its samples and its right-hand-side count equal
-    `solve_ivp`'s bit for bit."""
-
-    @staticmethod
-    def _posed(monkeypatch, metric, starts, n):
-        """The (rhs, t_end, starts, t_eval) that `flow` hands to `_solve`."""
-        posed = []
-        solve = surface._solve
-        monkeypatch.setattr(surface, "_solve", lambda *args: posed.append(args) or solve(*args))
-        surface.flow(metric, starts, np.append(grid(n), 2.0 * math.pi))
-        return posed[0]
-
-    @pytest.mark.parametrize("coeffs, starts", [
-        # a stacked Clairaut solve with the meridian as its c = 0 row
-        ((0.1,), [canonical_initial_conditions()[1][1], *sample_initial_conditions(4, seed=5)]),
-        # one ambient start
-        ((-0.3, 0.3), sample_initial_conditions(1, seed=11)),
-        # a near-meridian ambient start
-        ((-0.3, 0.3), [equator_start(1e-7)]),
-    ], ids=["clairaut-stack", "ambient", "ambient-near-meridian"])
-    def test_same_samples_and_count_as_scipy(self, monkeypatch, coeffs, starts):
-        metric = MetricModel.zoll_revolution(coeffs)
-        rhs, t_end, y0, t_eval = self._posed(monkeypatch, metric, starts, 512)
-        state, nfev = surface._solve(rhs, t_end, y0, t_eval)
-        tol = ODE_TOL / math.sqrt(len(y0))
-        sol = solve_ivp(rhs, (0.0, t_end), np.asarray(y0).T.ravel(), method="DOP853",
-                        t_eval=t_eval, rtol=tol, atol=tol)
-        assert sol.success
-        assert np.array_equal(state.reshape(sol.y.shape), sol.y)
-        assert nfev == sol.nfev
