@@ -27,9 +27,9 @@ Clairaut constant and a = sqrt(1 - c^2), a geodesic is u = a sin(theta)
 with d(theta)/ds = 1/f, so sin^2 r = c^2 + a^2 cos^2 theta, and
     s(theta) = theta + sum_k h_k a^k I_k(theta),  I_k = int_0^theta sin^k,
 which for an odd profile is theta plus a 2*pi-periodic function: the
-Zoll property itself.  theta(s) is found by Newton's method, on a coarse
-grid first and then, from the trigonometric interpolant of the periodic
-theta(s) - s, on the full grid.  The longitude is an explicit sum of
+Zoll property itself.  theta(s) is found by a bracketed Newton method,
+on a coarse grid first and then, from the trigonometric interpolant of
+the periodic theta(s) - s, on the full grid.  The longitude is an explicit sum of
 arctangents and sine integrals, from h = (1 - u^2) q(u) + alpha + beta u.
 The Jacobi frame is the rotation field y_A = cos(theta) and its partner
 by reduction of order, y_B = y_A int ds / y_A^2, written without poles:
