@@ -22,7 +22,7 @@ from numpy.linalg import LinAlgError
 from . import __version__
 from .expansion import constants_report
 from .geodesic import (MIN_GRID, canonical_initial_conditions, sample_initial_conditions,
-                       trace_geodesics)
+                       trace_geodesic)
 from .identities import DEFAULT_TOLERANCE, run_all_checks
 from .jacobi import solve_fundamental
 from .normalform import FirstObstructionError, assemble_p1
@@ -185,21 +185,25 @@ def _init_fields(ic):
 def build_report(cfg, mode):
     """Run `verify` or `invariants` over the geodesic sample; returns (report, exit_code).
 
-    The sample is traced by `trace_geodesics`, one start at a time, and
-    each geodesic is processed as its path arrives.  Each start's Newton
-    solves ([grid, steps], coarse grid first) and last correction go to
-    the report's `telemetry`, which the digest leaves out.  A geodesic
-    that fails is recorded and the run goes on; the exit code is
-    EXIT_NUMERICAL_FAILURE if any geodesic hit one of NUMERICAL_FAILURES.
+    Each start is traced by `trace_geodesic`, without the closure gate,
+    and processed before the next.  Each start's Newton solves ([grid,
+    steps], coarse grid first, the failed one last if its flow failed)
+    and last correction go to the report's `telemetry`, which the digest
+    leaves out.  A geodesic that fails is recorded and the run goes on;
+    the exit code is EXIT_NUMERICAL_FAILURE if any geodesic hit one of
+    NUMERICAL_FAILURES.
     """
-    starts = _initial_conditions(cfg)
     flow = []
-    records = [None] * len(starts)
+    records = []
     failures = []
-    for index, path in trace_geodesics(cfg.metric_model, [ic for _, ic in starts], cfg.grid,
-                                       enforce_closure=False, telemetry=flow):
-        name, ic = starts[index]
+    for name, ic in _initial_conditions(cfg):
         record = {"geodesic_id": name, **_init_fields(ic)}
+        try:
+            path = trace_geodesic(cfg.metric_model, ic, cfg.grid, enforce_closure=False)
+        except IntegrationError as exc:
+            path = exc
+        flow.append({"newton": [list(solve) for solve in path.newton],
+                     "correction": path.correction})
         try:
             if isinstance(path, IntegrationError):
                 raise path
@@ -213,22 +217,21 @@ def build_report(cfg, mode):
                 record["checks"] = [c.as_dict() for c in checks]
                 for c in checks:
                     if not c.passed(cfg.tol):
-                        failures.append((index, name, c.name, c.normalized))
+                        failures.append((name, c.name, c.normalized))
             else:
                 rec = assemble_p1(cfg.metric_model, ic, cfg.grid,
                                   geodesic_id=name, path=path, frame=frame)
                 record["invariants"] = rec.as_dict()
                 if not rec.h_relation <= H_RELATION_TOL:
-                    failures.append((index, name, "h_relation", rec.h_relation))
+                    failures.append((name, "h_relation", rec.h_relation))
         except FirstObstructionError as exc:
             record["first_obstruction_failure"] = str(exc)
-            failures.append((index, name, "first_obstruction", abs(exc.value)))
+            failures.append((name, "first_obstruction", abs(exc.value)))
         except tuple(NUMERICAL_FAILURES) as exc:
             check = next(c for cls, c in NUMERICAL_FAILURES.items() if isinstance(exc, cls))
             record[f"{check}_failure"] = str(exc)
-            failures.append((index, name, check, None))
-        records[index] = record
-    failures = [f[1:] for f in sorted(failures, key=lambda f: f[0])]   # sample order
+            failures.append((name, check, None))
+        records.append(record)
     if any(check in NUMERICAL_FAILURES.values() for _, check, _ in failures):
         code = EXIT_NUMERICAL_FAILURE
     else:

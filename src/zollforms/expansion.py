@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .weyl import PolySymbol, star_product, substitute_linear, transvectant, transvectant_constant
+from .weyl import PolySymbol, star_product, substitute_linear, transvectant_constant
 
 __all__ = [
     "QQi",
@@ -666,13 +666,9 @@ def formal_oscillator(graded):
 
 
 def _even_star(a, b):
-    """Even-transvectant part of a # b (the s-mean-contributing part)."""
-    out = PolySymbol()
-    for j in range(0, min(a.degree, b.degree) + 1, 2):
-        term = transvectant(a, b, j)
-        term = term.map_coeffs(lambda v, f=Fraction(1, math.factorial(j)): v * QQi(f))
-        out = out + term
-    return out
+    """Even-transvectant part of a # b (the s-mean-contributing part): since
+    P_j(b, a) = (-1)^j P_j(a, b), it is (a # b + b # a) / 2."""
+    return star_product(a, b, Fraction(1, 2)) + star_product(b, a, Fraction(1, 2))
 
 
 def derive_normal_form_integrands():

@@ -3,7 +3,8 @@
 The scalar Jacobi equation y'' + tau(s) y = 0, tau = K(u), is solved in
 closed form with the geodesic: `surface.flow` samples the rotation field
 and its partner by reduction of order, recombined into the fundamental
-solutions, and a traced path carries their samples.  The complex frame
+solutions; the `GeodesicPath` it returns carries their samples (`jacobi`,
+and `jacobi_end` at s = 2*pi).  The complex frame
 is Y = y2 + i*y1 with Y(0) = 1, Y'(0) = i; its Wronskian against the
 conjugate is omega(Y, Ybar) = Y Ybar' - Y' Ybar = -2i, constant in s.  On a Zoll
 metric the Poincare matrix is the identity and all solutions are

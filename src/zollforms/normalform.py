@@ -391,8 +391,10 @@ def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", path=None, frame=N
     means = field_mean(sym)
     diag_coeffs, residue = diagonal_part(means)
     diag_coeffs = (diag_coeffs + [0.0] * 3)[:3]
-    offdiag = {k: v / 2.0 for k, v in residue.coeffs.items()
-               if k[0] + k[1] <= OFFDIAG_DEGREE}
+    # every key, also where the pruned engine symbol holds no entry, so
+    # that the key set does not depend on which means come out exactly 0
+    offdiag = {(m, n): residue[m, n] / 2.0 for m in range(OFFDIAG_DEGREE + 1)
+               for n in range(OFFDIAG_DEGREE + 1 - m) if m != n}
     c0, c01, c2 = (complex(c) / 2.0 for c in diag_coeffs)
     return InvariantRecord(
         geodesic_id=geodesic_id,

@@ -20,9 +20,10 @@ of the package lives there.  Tangent vectors are stored as components
 which orients the surface; the unit normal of a geodesic is the +pi/2
 rotation (v1, v2) -> (-v2, v1).
 
-`flow` samples a geodesic and its fundamental Jacobi solutions of
-y'' + K(u) y = 0 from closed formulas; no ODE is solved (Besse,
-Manifolds all of whose geodesics are closed, ch. 4).  With c the
+`flow` samples a geodesic, its curvature jets and its fundamental Jacobi
+solutions of y'' + K(u) y = 0 from closed formulas, and returns them as
+one `GeodesicPath`; no ODE is solved (Besse, Manifolds all of whose
+geodesics are closed, ch. 4).  With c the
 Clairaut constant and a = sqrt(1 - c^2), a geodesic is u = a sin(theta)
 with d(theta)/ds = 1/f, so sin^2 r = c^2 + a^2 cos^2 theta, and
     s(theta) = theta + sum_k h_k a^k I_k(theta),  I_k = int_0^theta sin^k,
@@ -35,7 +36,8 @@ The Jacobi frame is the rotation field y_A = cos(theta) and its partner
 by reduction of order, y_B = y_A int ds / y_A^2, written without poles:
     y_B = (1 + alpha) sin(theta) + beta + cos(theta) int_0^theta q(sin t) dt,
 with h(a x) = (1 - x^2) q(x) + alpha + beta x; both have d/ds = (1/f)
-d/d(theta), and their Wronskian is 1.
+d/d(theta), and their Wronskian is 1.  The jets are read in the same
+variables, u = a sin(theta), a cos(theta) and c, without the chart.
 
 A meridian (|c| < MERIDIAN_TOL) runs through the poles, where the
 north chart's angles fold: its samples are read with r folded back into
@@ -51,7 +53,6 @@ by Newton as every other sample, against the state at s = 0.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +61,7 @@ from .fourier import grid, resample
 __all__ = [
     "MetricModel",
     "SurfacePoint",
+    "GeodesicPath",
     "IntegrationError",
 ]
 
@@ -170,27 +172,6 @@ class SurfacePoint:
     @classmethod
     def north(cls, r, phi):
         return cls(r, phi)
-
-
-def curvature_jet_arrays(metric, r, v1, v2):
-    """Vectorized analytic jets along a geodesic sample set.
-
-    r: colatitudes; (v1, v2): unit tangent frame components, whose +pi/2
-    rotation (-v2, v1) is the unit normal.  All formulas are written in
-    u = cos r and stay finite at the poles.
-    """
-    u = np.cos(r)
-    sin_r = np.sin(r)
-    f = metric.warp(u)
-    hp = _horner(metric._table["hp"], u)
-    K, Kp, Kpp = metric.curvature_u_derivs(u)
-    sin2 = 1.0 - u * u
-    tau = K
-    tau_s = -Kp * sin_r * v1 / f
-    tau_nu = Kp * sin_r * v2 / f
-    tau_nunu = (v2**2 / f**2) * (Kpp * sin2 - Kp * u - Kp * sin2 * hp / f) \
-        - Kp * u * v1**2 / f**2
-    return tau, tau_s, tau_nu, tau_nunu
 
 
 # ---------------------------------------------------------------------------
@@ -320,30 +301,62 @@ def _jacobi_rows(metric, h_a, a, theta, sin, cos):
                      dyb0 * y_a - dya0 * y_b, dyb0 * dy_a - dya0 * dy_b])
 
 
-class FlowSamples(NamedTuple):
-    """One geodesic at the n + 1 arclengths s_j = 2*pi*j/n, j = 0 .. n.
+@dataclass(frozen=True)
+class GeodesicPath:
+    """Arclength-uniform samples of a (nominally closed) unit-speed geodesic.
 
-    r, phi (north chart) and the frame components v1, v2 of the tangent;
-    `jacobi` holds the (4, n + 1) rows (y1, y1', y2, y2').  The closure
-    defect is the gap between the states at s = 0 and s = 2*pi in the
-    closed form's coordinates (theta, phi), both modulo 2*pi.
-    `newton` lists the (grid, steps) of the Newton solves, coarse grid
-    first, and `correction` is the last Newton correction.
+    Sample arrays have length n; index j is s_j = 2*pi*j/n.  `r`, `phi` are
+    north polar chart coordinates, `tangent` and `normal` are (n, 2) frame
+    components, and tau/tau_s/tau_nu/tau_nunu are the curvature jets.
+    `jacobi` holds the (4, n) rows (y1, y1', y2, y2') of the fundamental
+    Jacobi solutions, (y1, y1') = (0, 1) and (y2, y2') = (1, 0) at s = 0,
+    and `jacobi_end` their state at s = 2*pi.  The closure defect is the
+    gap between the states at s = 0 and s = 2*pi in the closed form's
+    coordinates (theta, phi), both modulo 2*pi.  `newton` lists the
+    (grid, steps) of the Newton solves, coarse grid first, and
+    `correction` is the last Newton correction.
     """
 
+    metric: MetricModel
+    init: tuple            # (SurfacePoint, (v1, v2))
+    n: int
+    s: np.ndarray
     r: np.ndarray
     phi: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
+    tangent: np.ndarray
+    normal: np.ndarray
+    tau: np.ndarray
+    tau_s: np.ndarray
+    tau_nu: np.ndarray
+    tau_nunu: np.ndarray
     jacobi: np.ndarray
+    jacobi_end: np.ndarray
     closure_defect: float
     newton: tuple
     correction: float
 
+    def jets(self):
+        return {"tau": self.tau, "tau_s": self.tau_s,
+                "tau_nu": self.tau_nu, "tau_nunu": self.tau_nunu}
+
+
+def _jets(metric, u, a_cos, c):
+    """The curvature jets (tau, tau_s, tau_nu, tau_nunu) at u = a sin(theta).
+
+    They see the unit tangent only through sin(r) v1 = -a cos(theta) =
+    -`a_cos`, sin(r) v2 = c and v1^2 + v2^2 = 1, so no formula divides by
+    sin r, and all of them stay finite at the poles.
+    """
+    f = metric.warp(u)
+    hp = _horner(metric._table["hp"], u)
+    K, Kp, Kpp = metric.curvature_u_derivs(u)
+    return K, Kp * a_cos / f, Kp * c / f, (c * c * (Kpp - Kp * hp / f) - Kp * u) / (f * f)
+
 
 def flow(metric, start, n):
-    """The geodesic through `start` = (point, unit tangent) and its Jacobi
-    frame, sampled at s_j = 2*pi*j/n for j = 0 .. n; returns FlowSamples.
+    """The geodesic through `start` = (point, unit tangent) with its
+    curvature jets and Jacobi frame, sampled at s_j = 2*pi*j/n; returns
+    the GeodesicPath, whose `jacobi_end` is the frame at s = 2*pi.
 
     A start with |Clairaut constant| < MERIDIAN_TOL is the meridian its
     heading picks: at a pole, from (r0, phi0) heading (cos t, sin t), the
@@ -363,6 +376,7 @@ def flow(metric, start, n):
     jacobi = _jacobi_rows(metric, h_a, a, theta, sin, cos)
     defect = _wrapped(theta[-1] - theta0)
     if abs(c) < MERIDIAN_TOL:
+        c = 0.0                   # its jets too are the meridian's
         # rho, the colatitude run on through the poles, folded into [0, pi]
         sign = 1.0 if v1 >= 0 else -1.0
         fold = np.mod(p.r + sign * (theta - theta0), 2.0 * math.pi)
@@ -378,4 +392,13 @@ def flow(metric, start, n):
         phi = p.phi + gained
         along, across = -a * cos / sin_r, c / sin_r
         defect = max(defect, _wrapped(gained[-1]))
-    return FlowSamples(r, phi % (2.0 * math.pi), along, across, jacobi, defect, newton, correction)
+    tau, tau_s, tau_nu, tau_nunu = _jets(metric, a * sin[:-1], a * cos[:-1], c)
+    along, across = along[:-1], across[:-1]
+    return GeodesicPath(
+        metric=metric, init=(p, (v1, v2)), n=n, s=grid(n), r=r[:-1],
+        phi=phi[:-1] % (2.0 * math.pi),
+        tangent=np.stack([along, across], axis=1), normal=np.stack([-across, along], axis=1),
+        tau=tau, tau_s=tau_s, tau_nu=tau_nu, tau_nunu=tau_nunu,
+        jacobi=jacobi[:, :-1], jacobi_end=jacobi[:, -1], closure_defect=defect,
+        newton=newton, correction=correction,
+    )

@@ -20,8 +20,8 @@ arrays (periodic coefficient functions), or jet polynomials all work.
 
 `star_product` and `star_commutator` run one kernel: one coefficient
 product per monomial pair, added with the cached constants sum_j w_j P_j
-into arrays the kernel owns; `transvectant` is the definition it is
-tested against.
+into arrays the kernel owns.  The term-by-term transvectant, the
+definition the kernel is tested against, lives with the tests.
 """
 
 import math
@@ -34,7 +34,6 @@ import numpy as np
 __all__ = [
     "PolySymbol",
     "DegreeOverflowError",
-    "transvectant",
     "star_product",
     "star_commutator",
     "substitute_linear",
@@ -120,9 +119,14 @@ class PolySymbol:
         return PolySymbol({k: factor * v for k, v in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, PolySymbol):
-            return transvectant(self, other, 0)
-        return self.scale(other)
+        """The plain product of two symbols (P_0), or a scalar multiple."""
+        if not isinstance(other, PolySymbol):
+            return self.scale(other)
+        out = {}
+        for (m, n), av in self.coeffs.items():
+            for (mu, nu), bv in other.coeffs.items():
+                _accumulate(out, (m + mu, n + nu), av * bv)
+        return PolySymbol(out)
 
     __rmul__ = scale
 
@@ -144,29 +148,11 @@ def _ff(n, k):
     return out
 
 
-def _transvectant_coefficient(m, n, mu, nu, j):
+def transvectant_constant(mn, munu, j):
     """Integer C with P_j(z^m zbar^n, z^mu zbar^nu) = C z^(m+mu-j) zbar^(n+nu-j)."""
+    (m, n), (mu, nu) = mn, munu
     return sum(math.comb(j, l) * (-1) ** l * _ff(m, j - l) * _ff(n, l) * _ff(mu, l) * _ff(nu, j - l)
                for l in range(j + 1))
-
-
-def transvectant(a, b, j):
-    """j-th transvectant P_j(a, b); P_0 is the product, degree drop 2j."""
-    if j < 0:
-        raise ValueError("transvectant order must be >= 0")
-    out = PolySymbol()
-    for (m, n), av in a.coeffs.items():
-        for (mu, nu), bv in b.coeffs.items():
-            acc = _transvectant_coefficient(m, n, mu, nu, j)
-            if acc == 0:
-                continue
-            key = (m + mu - j, n + nu - j)
-            if key[0] < 0 or key[1] < 0:
-                continue
-            term = acc * (av * bv)
-            cur = out.coeffs.get(key)
-            out[key] = term if cur is None else cur + term
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +163,7 @@ def _moyal_constants(mn, munu, odd):
     (m, n), (mu, nu) = mn, munu
     out = []
     for j in range(1 if odd else 0, min(m + n, mu + nu) + 1, 2 if odd else 1):
-        c = _transvectant_coefficient(m, n, mu, nu, j)
+        c = transvectant_constant(mn, munu, j)
         if c:
             out.append(((m + mu - j, n + nu - j), Fraction(2 if odd else 1, math.factorial(j)) * c))
     return tuple(out)
@@ -255,11 +241,6 @@ def substitute_linear(symbols, z_image, zbar_image):
             for key, u in image.items():
                 _accumulate(outs[idx], key, u * v)
     return [PolySymbol(out) for out in outs]
-
-
-def transvectant_constant(mn, munu, j):
-    """Scalar C with P_j(z^m zbar^n, z^mu zbar^nu) = C z^(m+mu-j) zbar^(n+nu-j)."""
-    return _transvectant_coefficient(*mn, *munu, j)
 
 
 def diagonal_part(a):

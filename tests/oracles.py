@@ -18,10 +18,12 @@ curvature.  Tests pin the two routes to each other, so the identity
 checks that consume the variation field keep a path that shares no
 quadrature with them.
 
-The curvature jets have a finite-difference route: the curvature sampled
-along the normal and tangent geodesics (`exp_map`), differentiated by
-central stencils, against the closed-form revolution derivatives of
-`zollforms.surface.curvature_jet_arrays` (`analytic_jet`, one sample).
+The curvature jets have two more routes.  `curvature_jet_arrays` writes
+them in the chart's (r, v1, v2), where `zollforms.surface.flow` writes
+them in the closed form's u = a sin(theta), a cos(theta) and c; and the
+curvature sampled along the normal and tangent geodesics (`exp_map`),
+differentiated by central stencils, checks that formula
+(`analytic_jet`, one sample of it).
 `surface_integral_of_curvature` is the Gauss-Bonnet check of the
 curvature formula.
 
@@ -31,6 +33,8 @@ plus `commutator_double_integral` of the odd term `d_half`, written out
 by hand where the engine (`zollforms.normalform.conjugated_order_zero`)
 runs generic operator algebra.  `weyl_quantize` is the matrix oracle of
 the symbol calculus: Weyl quantization on the oscillator basis.
+`transvectant` is the term-by-term definition of P_j(a, b), which the
+package's fused star kernel and plain product are tested against.
 
 `rebase` re-parametrizes a traced geodesic from another base point by
 linear algebra on its Jacobi samples, for the base-point invariance
@@ -52,8 +56,8 @@ from zollforms.fourier import spectral_antiderivative, spectral_derivative
 from zollforms.geodesic import GeodesicPath
 from zollforms.jacobi import JacobiFrame, VariationField
 from zollforms.normalform import _graded_formal, _instantiate, field_mean, metaplectic_substitute
-from zollforms.surface import SurfacePoint, curvature_jet_arrays
-from zollforms.weyl import PolySymbol, star_commutator, star_product
+from zollforms.surface import SurfacePoint
+from zollforms.weyl import PolySymbol, star_commutator, star_product, transvectant_constant
 
 ODE_TOL = 1e-12
 FLOW_TOL = 1e-13        # ode_flow's tolerance
@@ -387,8 +391,25 @@ def curvature(metric, p):
 Jet = namedtuple("Jet", "tau tau_s tau_nu tau_nunu")
 
 
+def curvature_jet_arrays(metric, r, v1, v2):
+    """The curvature jets (tau, tau_s, tau_nu, tau_nunu) at colatitudes r
+    along unit tangents with frame components (v1, v2), whose +pi/2
+    rotation (-v2, v1) is the unit normal; written in u = cos r."""
+    u = np.cos(r)
+    sin_r = np.sin(r)
+    f = metric.warp(u)
+    hp = np.polyval(metric._table["hp"], u)
+    K, Kp, Kpp = metric.curvature_u_derivs(u)
+    sin2 = 1.0 - u * u
+    tau_s = -Kp * sin_r * v1 / f
+    tau_nu = Kp * sin_r * v2 / f
+    tau_nunu = (v2**2 / f**2) * (Kpp * sin2 - Kp * u - Kp * sin2 * hp / f) \
+        - Kp * u * v1**2 / f**2
+    return K, tau_s, tau_nu, tau_nunu
+
+
 def analytic_jet(metric, p, tangent):
-    """The production curvature jet at p along a unit tangent (one sample of
+    """The curvature jet at p along a unit tangent (one sample of
     `curvature_jet_arrays`, normal = +pi/2 rotation of the tangent)."""
     v = np.asarray(tangent, dtype=float)
     return Jet(*(float(a[0]) for a in curvature_jet_arrays(metric, np.array([p.r]), v[:1], v[1:])))
@@ -446,6 +467,24 @@ def tau_nunu_stencil(metric, p, tangent, points=5, fd_step=1e-3):
                + 270 * vals[4] - 27 * vals[5] + 2 * vals[6])
         return num / (180 * h * h)
     raise ValueError("points must be 5 or 7")
+
+
+def transvectant(a, b, j):
+    """j-th transvectant P_j(a, b), term by term from its definition; P_0 is
+    the product, degree drop 2j."""
+    if j < 0:
+        raise ValueError("transvectant order must be >= 0")
+    out = PolySymbol()
+    for (m, n), av in a.coeffs.items():
+        for (mu, nu), bv in b.coeffs.items():
+            acc = transvectant_constant((m, n), (mu, nu), j)
+            key = (m + mu - j, n + nu - j)
+            if acc == 0 or key[0] < 0 or key[1] < 0:
+                continue
+            term = acc * (av * bv)
+            cur = out.coeffs.get(key)
+            out[key] = term if cur is None else cur + term
+    return out
 
 
 def conjugate(a):
@@ -542,5 +581,5 @@ def rebase(path, j0):
         tau_nu=roll(path.tau_nu), tau_nunu=roll(path.tau_nunu),
         jacobi=_jacobi_rows(ahead),
         jacobi_end=_jacobi_rows(fund[j0] @ fund_end @ base_inv),
-        closure_defect=path.closure_defect,
+        closure_defect=path.closure_defect, newton=path.newton, correction=path.correction,
     )

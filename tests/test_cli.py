@@ -384,6 +384,19 @@ class TestInvariantsCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("spec", ["zoll:-0.3,0.3", "zoll:0.1"])
+    def test_offdiagonal_keys_do_not_depend_on_roundoff(self, spec):
+        """Every geodesic of the default 32-geodesic report carries the same
+        twelve keys m,n with m != n and m + n <= 4, also where a mean comes
+        out exactly 0 and the engine drops it."""
+        cfg = RunConfig.load(None, {"metric": parse_metric_flag(spec)})
+        report, code = build_report(cfg, "invariants")
+        assert code == EXIT_PASS
+        expected = {f"{m},{n}" for m in range(5) for n in range(5 - m) if m != n}
+        assert len(expected) == 12
+        for record in report["geodesics"]:
+            assert set(record["invariants"]["offdiag"]) == expected
+
     def test_offdiagonal_summary(self, tmp_path):
         out = tmp_path / "inv.json"
         code = main(["invariants", "--metric", "zoll:-0.3,0.3", "--geodesics", "3",

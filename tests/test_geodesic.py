@@ -8,9 +8,9 @@ import pytest
 from zollforms import cli, surface
 from zollforms.fourier import (grid, periodic_mean, spectral_antiderivative,
                                spectral_derivative)
-from zollforms.geodesic import sample_initial_conditions, trace_geodesic, trace_geodesics
-from zollforms.surface import IntegrationError, MetricModel, SurfacePoint, curvature_jet_arrays
-from oracles import embedded, equator_start, ode_flow, rebase
+from zollforms.geodesic import sample_initial_conditions, trace_geodesic
+from zollforms.surface import IntegrationError, MetricModel, SurfacePoint
+from oracles import curvature_jet_arrays, embedded, equator_start, ode_flow, rebase
 
 
 class TestTracing:
@@ -64,8 +64,20 @@ class TestTracing:
         assert shifted.closure_defect == cubic_path.closure_defect
 
 
+def _trace_each(metric, starts, n):
+    """Each start traced by its own `trace_geodesic` call, as the CLI does:
+    its path, or the IntegrationError that ended it."""
+    out = []
+    for start in starts:
+        try:
+            out.append(trace_geodesic(metric, start, n))
+        except IntegrationError as exc:
+            out.append(exc)
+    return out
+
+
 class TestStackedTrace:
-    """`trace_geodesics` over many starts, one start at a time."""
+    """Many starts, traced one at a time by `trace_geodesic`."""
 
     @pytest.mark.parametrize("spec, n, sizes", [
         ("round", 2048, [256, 2048]),
@@ -74,29 +86,21 @@ class TestStackedTrace:
         ("zoll:0.2,-0.5,0.3", 32768, [256, 32768]),
     ])
     def test_matches_per_start_traces(self, spec, n, sizes):
-        """On the CLI's 32-geodesic sample every path equals its own
-        `trace_geodesic`, and every geodesic's closure defect stays below
-        1e-10.  `sizes` are the grids of each start's Newton solves: the
-        coarse one, then the full grid, which the interpolated coarse
-        solution starts so close that one step converges."""
+        """On the CLI's 32-geodesic sample every geodesic's closure defect
+        stays below 1e-10.  `sizes` are the grids of each start's Newton
+        solves: the coarse one, then the full grid, which the interpolated
+        coarse solution starts so close that one step converges."""
         cfg = cli.RunConfig.load(None, {"metric": cli.parse_metric_flag(spec), "grid": n})
-        inits = [ic for _, ic in cli._initial_conditions(cfg)]
-        telemetry = []
-        traced = list(trace_geodesics(cfg.metric_model, inits, n, telemetry=telemetry))
-        assert [i for i, _ in traced] == list(range(len(inits)))
-        assert [[size for size, _ in t["newton"]] for t in telemetry] == [sizes] * len(inits)
-        assert all(t["newton"][-1][1] == 1 and t["correction"] <= 1e-9 for t in telemetry)
-        for init, (_, path) in zip(inits, traced):
-            alone = trace_geodesic(cfg.metric_model, init, n)
+        for _, init in cli._initial_conditions(cfg):
+            path = trace_geodesic(cfg.metric_model, init, n)
             assert path.closure_defect <= 1e-10
-            for name in ("r", "phi", "tangent", "jacobi", "jacobi_end", *path.jets()):
-                assert np.array_equal(getattr(path, name), getattr(alone, name)), name
+            assert [size for size, _ in path.newton] == sizes
+            assert path.newton[-1][1] == 1 and path.correction <= 1e-9
 
     def test_closure_failure_stays_with_its_start(self, nonzoll_metric, generic_ic, equator_ic):
-        """Under enforce_closure a start that does not close is yielded as its
+        """Under enforce_closure a start that does not close ends in its own
         IntegrationError; the equator, which closes by symmetry, still traces."""
-        paths = dict(trace_geodesics(nonzoll_metric, [equator_ic, generic_ic], 512))
-        equator, generic = paths[0], paths[1]
+        equator, generic = _trace_each(nonzoll_metric, [equator_ic, generic_ic], 512)
         assert equator.closure_defect < 1e-10
         assert isinstance(generic, IntegrationError) and "not Zoll" in str(generic)
 
@@ -108,16 +112,14 @@ class TestStackedTrace:
         one step; an oblique start needs more than two."""
         monkeypatch.setattr(surface, "NEWTON_STEPS", 2)
         equator, oblique = (SurfacePoint.north(math.pi / 2, 0.0), (0.0, 1.0)), equator_start(0.5)
-        telemetry = []
-        paths = dict(trace_geodesics(linear_metric, [equator, oblique, equator], 2048,
-                                     telemetry=telemetry))
+        paths = _trace_each(linear_metric, [equator, oblique, equator], 2048)
         failure = paths[1]
         assert isinstance(failure, IntegrationError)
         assert "256 points did not converge in 2 steps" in str(failure)
         assert failure.newton == ((256, 2),) and failure.correction > surface.NEWTON_TOL
-        assert paths[0].closure_defect < 1e-12 and paths[2].closure_defect < 1e-12
-        assert telemetry[1] == {"newton": [[256, 2]], "correction": failure.correction}
-        assert telemetry[0]["newton"] == telemetry[2]["newton"] == [[256, 1], [2048, 1]]
+        for path in paths[0], paths[2]:
+            assert path.closure_defect < 1e-12
+            assert path.newton == ((256, 1), (2048, 1))
 
 
 class TestOdeOracle:
@@ -143,6 +145,23 @@ class TestOdeOracle:
             assert np.max(np.abs(ours - theirs)) <= 1e-10 * max(1.0, np.max(np.abs(theirs)))
         assert np.max(np.abs(path.jacobi - oracle.jacobi[:, :-1])) <= 1e-10
         assert np.max(np.abs(path.jacobi_end - oracle.jacobi[:, -1])) <= 1e-10
+
+    @pytest.mark.parametrize("coeffs", [[], [-0.3, 0.3], [0.1], [0.2, -0.5, 0.3], [-0.309, 0.294]],
+                             ids=["round", "smooth", "cone", "degree-5", "cone-cubic"])
+    def test_jets_match_the_chart_formula(self, coeffs):
+        """The flow's jets, written in u = a sin(theta), a cos(theta) and c,
+        equal the chart formula `oracles.curvature_jet_arrays` on the path's
+        own (r, v1, v2) to 1e-12 relative to max(1, sup |jet|): sampled and
+        pole starts, near-meridians from c = 1e-1 down to 1e-12, and the
+        meridian."""
+        metric = MetricModel.zoll_revolution(coeffs)
+        near_meridians = [equator_start(10.0 ** k) for k in range(-1, -13, -1)]
+        for start in (sample_initial_conditions(3, seed=5) + self.POLE_STARTS
+                      + near_meridians + [equator_start(0.0)]):
+            path = trace_geodesic(metric, start, 512)
+            jets = curvature_jet_arrays(metric, path.r, *path.tangent.T)
+            for ours, theirs in zip(path.jets().values(), jets):
+                assert np.max(np.abs(ours - theirs)) <= 1e-12 * max(1.0, np.max(np.abs(theirs)))
 
     @pytest.mark.parametrize("coeffs", [[], [-0.3, 0.3], [0.1], [0.2, -0.5, 0.3], [-0.309, 0.294]],
                              ids=["round", "smooth", "cone", "degree-5", "cone-cubic"])
@@ -256,18 +275,13 @@ class TestConeMeridians:
 
     @pytest.mark.parametrize("coeffs", CONE_PROFILES)
     def test_one_stack(self, coeffs):
-        """The same starts in one `trace_geodesics` call, pole starts included:
-        one Newton solve each, on the 512-point grid."""
+        """The same starts one after another, pole starts included: two
+        Newton solves each, on the coarse and the 512-point grid."""
         metric = MetricModel.zoll_revolution(coeffs)
         starts = [(SurfacePoint.north(r0, 0.7), (heading, 0.0)) for r0, heading in MERIDIAN_STARTS]
-        telemetry = []
-        paths = dict(trace_geodesics(metric, starts, 512, telemetry=telemetry))
-        assert [[size for size, _ in t["newton"]] for t in telemetry] == [[256, 512]] * len(starts)
-        for i, start in enumerate(starts):
-            _assert_closed_form(coeffs, paths[i], start)
-
-    def test_no_starts(self, linear_metric):
-        assert list(trace_geodesics(linear_metric, [], 512)) == []
+        for start, path in zip(starts, _trace_each(metric, starts, 512)):
+            assert [size for size, _ in path.newton] == [256, 512]
+            _assert_closed_form(coeffs, path, start)
 
 
 class TestPoleStarts:

@@ -23,7 +23,7 @@ def constant_curvature_path(tau_value, n=512):
         normal=np.stack([-np.ones(n), zeros], axis=1),
         tau=np.full(n, float(tau_value)), tau_s=zeros,
         tau_nu=zeros, tau_nunu=zeros, jacobi=None, jacobi_end=None,
-        closure_defect=0.0,
+        closure_defect=0.0, newton=(), correction=0.0,
     )
 
 

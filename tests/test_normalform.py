@@ -8,7 +8,8 @@ import pytest
 from zollforms.fourier import periodic_mean
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic
 from zollforms.jacobi import solve_fundamental
-from oracles import commutator_double_integral, d_half, d_zero_restricted, rebase, weyl_quantize
+from oracles import (commutator_double_integral, d_half, d_zero_restricted, rebase, transvectant,
+                     weyl_quantize)
 from zollforms.normalform import (
     FirstObstructionError,
     SOperator,
@@ -22,7 +23,7 @@ from zollforms.normalform import (
     solve_first_homological,
 )
 from zollforms.surface import SurfacePoint
-from zollforms.weyl import PolySymbol, transvectant
+from zollforms.weyl import PolySymbol
 
 
 class FrameStub:
@@ -470,13 +471,14 @@ class TestSubstitutionCount:
         from zollforms.normalform import _graded_formal
 
         built = Counter()
-        real = weyl.transvectant
+        real = weyl.PolySymbol.__mul__
 
-        def counting(a, b, j):
-            built[(a.degree, b.degree)] += 1
-            return real(a, b, j)
+        def counting(a, b):
+            if isinstance(b, weyl.PolySymbol):
+                built[(a.degree, b.degree)] += 1
+            return real(a, b)
 
-        monkeypatch.setattr(weyl, "transvectant", counting)
+        monkeypatch.setattr(weyl.PolySymbol, "__mul__", counting)
         conjugated_order_zero(cubic_path, cubic_frame)
         carried = {key for syms in _graded_formal().values()
                    for sym in syms.values() for key in sym.coeffs}
