@@ -375,6 +375,13 @@ class TestInvariantsCommand:
         report, _ = build_report(cfg, "invariants")
         assert report["header"]["constants_digest"] == _digest(constants_report())
 
+    def test_constants_digest_is_pinned(self):
+        """The table is exact rational text, so its digest is the same on
+        every platform; any change to the derivation that moves one
+        constant, or one character of its text, shows here."""
+        assert _digest(constants_report()) == (
+            "84996c99c73b3f6dc526de7e45a9d6ce2909086419cdbd109e74837bce6bf831")
+
     def test_determinism(self, tmp_path):
         outs = []
         for name in ("x.json", "y.json"):
