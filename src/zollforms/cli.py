@@ -32,7 +32,7 @@ from .weyl import DegreeOverflowError
 __all__ = ["main", "RunConfig", "build_report", "metric_from_spec"]
 
 SCHEMA_VERSION = 2
-H_RELATION_TOL = 1e-9     # |c0 + H/(16 pi)| / |c0|, the paper's c0 = -H/(16 pi)
+H_RELATION_TOL = 1e-9     # residual of the paper's c0 = -H/(16 pi), see InvariantRecord.h_relation
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -321,18 +321,8 @@ def _write_csv(report, csv_path):
 
 
 def cmd_constants(args):
-    report = constants_report()
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    print(json.dumps(report, sort_keys=True, indent=2))
-    print()
-    print("derived constants (aligned)")
-    for section in ("metric_jets", "graded", "assertions"):
-        print(f"  [{section}]")
-        for key, value in report[section].items():
-            print(f"    {key:32s} {value}")
+    """One JSON document, to --out or else to stdout, as the other commands."""
+    _write_report(constants_report(), args.out)
     return EXIT_PASS
 
 

@@ -27,7 +27,6 @@ from .weyl import PolySymbol, star_product, substitute_linear, transvectant_cons
 __all__ = [
     "QQi",
     "JetPolynomial",
-    "JetSeries",
     "FormalOperator",
     "fermi_metric_jets",
     "half_density_laplacian",
@@ -49,10 +48,6 @@ class QQi:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
-    @classmethod
-    def i(cls):
-        return cls(0, 1)
-
     def __add__(self, other):
         other = _as_qqi(other)
         return QQi(self.re + other.re, self.im + other.im)
@@ -69,7 +64,7 @@ class QQi:
         return _as_qqi(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (JetPolynomial, JetSeries)):
+        if isinstance(other, JetPolynomial):
             return other * self
         other = _as_qqi(other)
         return QQi(
@@ -274,261 +269,155 @@ TAU_NU = JP.var("tau_nu")
 TAU_NUNU = JP.var("tau_nunu")
 
 
-class JetSeries:
-    """Polynomial in the Fermi normal coordinate y with JetPolynomial coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None, trunc=SERIES_TRUNC):
-        base = [JP() for _ in range(trunc + 1)]
-        if coeffs:
-            for k, c in enumerate(coeffs[: trunc + 1]):
-                base[k] = c if isinstance(c, JP) else JP.const(c)
-        self.coeffs = base
-
-    @classmethod
-    def const(cls, value):
-        return cls([value if isinstance(value, JP) else JP.const(value)])
-
-    @property
-    def trunc(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, JetSeries) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, JetSeries):
-            other = JetSeries.const(other)
-        return JetSeries._raw([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    @classmethod
-    def _raw(cls, coeffs):
-        obj = cls.__new__(cls)
-        obj.coeffs = coeffs
-        return obj
-
-    def __neg__(self):
-        return JetSeries._raw([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, JetSeries):
-            other = JetSeries.const(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QQi, JP)):
-            o = other if isinstance(other, (QQi, JP)) else _as_qqi(other)
-            return JetSeries._raw([c * o for c in self.coeffs])
-        n = self.trunc
-        out = [JP() for _ in range(n + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > n or b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return JetSeries._raw(out)
-
-    __rmul__ = __mul__
-
-    def dy(self):
-        """Derivative in y."""
-        n = self.trunc
-        out = [JP() for _ in range(n + 1)]
-        for k in range(1, n + 1):
-            out[k - 1] = self.coeffs[k] * QQi(k)
-        return JetSeries._raw(out)
-
-    def ds(self):
-        """Formal derivative in s (acts on jet coefficients)."""
-        return JetSeries._raw([c.s_derivative() for c in self.coeffs])
-
-    def binomial_power(self, alpha):
-        """(self)^alpha for series with constant term 1 and a Fraction alpha."""
-        alpha = Fraction(alpha)
-        if self.coeffs[0] != JP.const(1):
-            raise ValueError("binomial_power requires constant term 1")
-        x = JetSeries._raw(list(self.coeffs))
-        x.coeffs = [JP() if k == 0 else self.coeffs[k] for k in range(self.trunc + 1)]
-        out = JetSeries.const(1)
-        xpow = JetSeries.const(1)
-        coeff = Fraction(1)
-        lowest = next((k for k in range(1, self.trunc + 1) if not x.coeffs[k].is_zero()), None)
-        kmax = self.trunc if lowest is None else self.trunc // lowest
-        for k in range(1, kmax + 1):
-            coeff = coeff * (alpha - (k - 1)) / k
-            xpow = xpow * x
-            if xpow.is_zero():
-                break
-            out = out + xpow * QQi(coeff)
-        return out
-
-    def inverse(self):
-        return self.binomial_power(-1)
-
-    def names(self):
-        out = set()
-        for c in self.coeffs:
-            out.update(c.names())
-        return out
-
-    def pretty(self):
-        parts = [f"y^{k}: {c.pretty()}" for k, c in enumerate(self.coeffs) if not c.is_zero()]
-        return "{ " + "; ".join(parts) + " }" if parts else "0"
-
-    __repr__ = pretty
-
-
 class FormalOperator:
-    """Normal-ordered operator sum: series(s, y) * D_y^b * D_s^c."""
+    """Normal-ordered operator sum of (jet polynomial) * y^k * D_y^b * D_s^c.
+
+    `terms` maps (k, b, c) to a nonzero JetPolynomial; products keep no
+    y-degree above SERIES_TRUNC.  An operator with only b = c = 0 keys is
+    multiplication by a truncated y-series, and {(0, 0, 1): I} is d/ds.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, series in terms.items():
-                if not series.is_zero():
-                    self.terms[key] = series
+        self.terms = {key: p for key, p in (terms or {}).items() if not p.is_zero()}
 
     @classmethod
-    def multiplication(cls, series):
-        if not isinstance(series, JetSeries):
-            series = JetSeries.const(series)
-        return cls({(0, 0): series})
-
-    @classmethod
-    def d_y(cls):
-        return cls({(1, 0): JetSeries.const(1)})
-
-    @classmethod
-    def d_s(cls):
-        return cls({(0, 1): JetSeries.const(1)})
+    def series(cls, coeffs):
+        """Multiplication by sum_k coeffs[k] y^k."""
+        return cls({(k, 0, 0): p for k, p in enumerate(coeffs)})
 
     def __add__(self, other):
         out = dict(self.terms)
-        for key, series in other.terms.items():
-            acc = out.get(key)
-            acc = series if acc is None else acc + series
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+        for key, p in other.terms.items():
+            _accumulate(out, key, p)
         return FormalOperator(out)
 
     def __neg__(self):
-        return FormalOperator({k: -s for k, s in self.terms.items()})
+        return FormalOperator({key: -p for key, p in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, factor):
-        return FormalOperator({k: s * factor for k, s in self.terms.items()})
+        return FormalOperator({key: p * factor for key, p in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, FormalOperator) and self.terms == other.terms
 
     def compose(self, other):
-        """Operator product self . other, renormal-ordered."""
-        out = FormalOperator()
-        minus_i = -I
-        for (b, c), fa in self.terms.items():
-            for (bp, cp), fb in other.terms.items():
-                # move D_y^b D_s^c across fb
-                for j in range(b + 1):
-                    gy = fb
-                    for _ in range(j):
-                        gy = gy.dy() * minus_i
-                    for k in range(c + 1):
-                        g = gy
-                        for _ in range(k):
-                            g = g.ds() * minus_i
-                        if g.is_zero():
+        """Operator product self . other, renormal-ordered.
+
+        D_y^b D_s^c moves right past g y^k' by the Leibniz rule with
+        D = -i d: it leaves C(b,j) C(c,l) (-i)^(j+l) k'!/(k'-j)! (d_s^l g)
+        y^(k'-j) D_y^(b-j) D_s^(c-l) for j <= min(b, k') and l <= c.  A
+        product of y-degree above SERIES_TRUNC is skipped before it is formed.
+        """
+        out = {}
+        derivs = {key: [g] for key, g in other.terms.items()}   # d_s^l g, l = 0, 1, ...
+        for (k, b, c), fa in self.terms.items():
+            for (kp, bp, cp), g in other.terms.items():
+                ds_g = derivs[kp, bp, cp]
+                while len(ds_g) <= c:
+                    ds_g.append(ds_g[-1].s_derivative())
+                for j in range(min(b, kp) + 1):
+                    if k + kp - j > SERIES_TRUNC:
+                        continue
+                    for l in range(c + 1):
+                        if ds_g[l].is_zero():
                             continue
-                        coeff = math.comb(b, j) * math.comb(c, k)
-                        series = fa * g * QQi(coeff)
-                        key = (b - j + bp, c - k + cp)
-                        cur = out.terms.get(key)
-                        acc = series if cur is None else cur + series
-                        if acc.is_zero():
-                            out.terms.pop(key, None)
-                        else:
-                            out.terms[key] = acc
+                        weight = math.comb(b, j) * math.comb(c, l) * math.perm(kp, j)
+                        term = fa * ds_g[l] * (_MINUS_I_POWERS[(j + l) % 4] * QQi(weight))
+                        _accumulate(out, (k + kp - j, b - j + bp, c - l + cp), term)
+        return FormalOperator(out)
+
+    def power(self, alpha):
+        """self^alpha for a multiplication operator with constant term 1 and
+        a rational alpha (int or Fraction): the binomial series, truncated
+        at SERIES_TRUNC."""
+        one = FormalOperator.series([JP.const(1)])
+        if self.terms.get((0, 0, 0)) != JP.const(1) or any(b or c for _, b, c in self.terms):
+            raise ValueError("power requires a multiplication operator with constant term 1")
+        x = self - one
+        out = xk = one
+        coeff = Fraction(1)
+        for k in range(1, SERIES_TRUNC + 1):   # x^k has y-degree >= k
+            xk = xk.compose(x)
+            coeff = coeff * (alpha - (k - 1)) / k
+            out = out + xk.scale(QQi(coeff))
         return out
 
     def names(self):
         out = set()
-        for s in self.terms.values():
-            out.update(s.names())
+        for p in self.terms.values():
+            out.update(p.names())
         return out
 
     def pretty(self):
-        if not self.terms:
-            return "0"
+        """One line per D_y^b D_s^c, its y-series in rising powers of y."""
+        groups = {}
+        for k, b, c in sorted(self.terms, key=lambda key: (key[1], key[2], key[0])):
+            groups.setdefault((b, c), []).append(f"y^{k}: {self.terms[k, b, c].pretty()}")
         lines = []
-        for (b, c), s in sorted(self.terms.items()):
+        for (b, c), parts in groups.items():
             ops = ("D_y^%d " % b if b else "") + ("D_s^%d" % c if c else "")
-            lines.append(f"[{ops.strip() or '1'}] {s.pretty()}")
-        return "\n".join(lines)
+            lines.append(f"[{ops.strip() or '1'}] {{ {'; '.join(parts)} }}")
+        return "\n".join(lines) or "0"
 
     __repr__ = pretty
+
+
+_MINUS_I_POWERS = (ONE, -I, -ONE, I)   # (-i)^n, n mod 4
+
+
+def _accumulate(terms, key, p):
+    """terms[key] += p, dropping the key where the sum vanishes."""
+    cur = terms.get(key)
+    acc = p if cur is None else cur + p
+    if acc.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = acc
 
 
 # ---------------------------------------------------------------------------
 # Fermi metric jets and the half-density Laplacian
 # ---------------------------------------------------------------------------
 
-def fermi_metric_jets(order=4):
+def fermi_metric_jets():
     """Taylor jets of the Fermi area density J(s, y) and of g^00 = J^-2.
 
     J solves d^2_y J = -K J with J(s,0) = 1, d_y J(s,0) = 0 and the
     curvature 2-jet K(s,y) = tau + tau_nu*y + (1/2)tau_nunu*y^2; higher
     y-jets of K are not tracked (they only enter beyond the graded orders
-    this package uses).  Returns (J, g00) as JetSeries up to y^order.
+    this package uses).  Returns (J, g00) as multiplication operators, up
+    to y^SERIES_TRUNC.
     """
-    if order > SERIES_TRUNC:
-        raise ValueError(f"order must be <= {SERIES_TRUNC}")
     K = [TAU, TAU_NU, TAU_NUNU * QQi(Fraction(1, 2))]
-    j = [JP.const(1), JP()] + [JP() for _ in range(SERIES_TRUNC - 1)]
-    for k in range(0, SERIES_TRUNC - 1):
+    j = [JP.const(1), JP()]
+    for k in range(SERIES_TRUNC - 1):
         # (k+2)(k+1) j_{k+2} = - sum_m K_m j_{k-m}
         acc = JP()
-        for m, Km in enumerate(K):
-            if k - m >= 0:
-                acc = acc + Km * j[k - m]
-        j[k + 2] = acc * QQi(Fraction(-1, (k + 2) * (k + 1)))
-    J = JetSeries(j)
-    g00 = (J * J).inverse()
-    clip = lambda s: JetSeries(s.coeffs[: order + 1])
-    return clip(J), clip(g00)
+        for m, Km in enumerate(K[: k + 1]):
+            acc = acc + Km * j[k - m]
+        j.append(acc * QQi(Fraction(-1, (k + 2) * (k + 1))))
+    J = FormalOperator.series(j)
+    return J, J.power(-2)
 
 
-def half_density_laplacian(jets=None):
+def half_density_laplacian():
     """Positive half-density Laplacian in Fermi coordinates, normal-ordered.
 
     Built verbatim from the symmetric form
         -P = J^(-1/2) d_s g00 J d_s J^(-1/2) + J^(-1/2) d_y J d_y J^(-1/2)
-    with d = i*D.  Truncated at y-degree 6.
+    with d = i*D.  Truncated at y-degree SERIES_TRUNC.
     """
-    if jets is None:
-        jets = fermi_metric_jets(SERIES_TRUNC)
-    J, g00 = jets
-    if J.trunc < 4:
-        raise ValueError("jets must be computed to order >= 4")
-    if J.trunc < SERIES_TRUNC:
-        pad = lambda s: JetSeries(s.coeffs)
-        J, g00 = pad(J), pad(g00)
-    Jm12 = J.binomial_power(Fraction(-1, 2))
-    M = FormalOperator.multiplication
-    ds = FormalOperator.d_s().scale(I)   # d/ds = i D_s
-    dy = FormalOperator.d_y().scale(I)   # d/dy = i D_y
-    s_part = M(Jm12).compose(ds).compose(M(g00 * J)).compose(ds).compose(M(Jm12))
-    y_part = M(Jm12).compose(dy).compose(M(J)).compose(dy).compose(M(Jm12))
+    J, g00 = fermi_metric_jets()
+    Jm12 = J.power(Fraction(-1, 2))
+    ds = FormalOperator({(0, 0, 1): JP.const(I)})   # d/ds = i D_s
+    dy = FormalOperator({(0, 1, 0): JP.const(I)})   # d/dy = i D_y
+    s_part = Jm12.compose(ds).compose(g00.compose(J)).compose(ds).compose(Jm12)
+    y_part = Jm12.compose(dy).compose(J).compose(dy).compose(Jm12)
     return (s_part + y_part).scale(QQi(-1))
 
 
@@ -545,15 +434,11 @@ def grade_expansion(op):
     zero are retained (callers report them as the residual).
     """
     graded = {}
-    for (b, c), series in op.terms.items():
-        for k, coeff in enumerate(series.coeffs):
-            if coeff.is_zero():
-                continue
-            for j in range(c + 1):
-                w = Fraction(k - b, 2) - (c - j)
-                part = JetSeries([JP() for _ in range(k)] + [coeff * QQi(math.comb(c, j))])
-                term = FormalOperator({(b, j): part})
-                graded[w] = graded.get(w, FormalOperator()) + term
+    for (k, b, c), coeff in op.terms.items():
+        for j in range(c + 1):
+            w = Fraction(k - b, 2) - (c - j)
+            term = FormalOperator({(k, b, j): coeff * QQi(math.comb(c, j))})
+            graded[w] = graded.get(w, FormalOperator()) + term
     return {w: t for w, t in graded.items() if t.terms}
 
 
@@ -578,17 +463,14 @@ def graded_symbols(graded_term):
     y_sym = PolySymbol({(1, 0): JP.const(half), (0, 1): JP.const(half)})
     eta_sym = PolySymbol({(1, 0): JP.const(mhalf_i), (0, 1): JP.const(-mhalf_i)})
     out = {}
-    for (b, c), series in graded_term.terms.items():
-        for k, coeff in enumerate(series.coeffs):
-            if coeff.is_zero():
-                continue
-            sym = PolySymbol.constant(JP.const(1))
-            for _ in range(k):
-                sym = sym * y_sym
-            for _ in range(b):
-                sym = star_product(sym, eta_sym)
-            sym = sym.map_coeffs(lambda v, c0=coeff: v * c0)
-            out[c] = out.get(c, PolySymbol()) + sym
+    for (k, b, c), coeff in graded_term.terms.items():
+        sym = PolySymbol.constant(JP.const(1))
+        for _ in range(k):
+            sym = sym * y_sym
+        for _ in range(b):
+            sym = star_product(sym, eta_sym)
+        sym = sym.map_coeffs(lambda v, c0=coeff: v * c0)
+        out[c] = out.get(c, PolySymbol()) + sym
     return out
 
 
@@ -686,7 +568,7 @@ def derive_normal_form_integrands():
     graded = graded_laplacian()
     c_s, h_osc = formal_oscillator(graded)
     l0 = graded[Fraction(0)]
-    for (b, c) in l0.terms:
+    for (_, b, _) in l0.terms:
         if b != 0:
             raise AssertionError(f"unexpected D_y power {b} in the order-zero term")
     l0_syms = {c: _metaplectic_formal(sym) for c, sym in graded_symbols(l0).items()}
@@ -753,11 +635,12 @@ def commutator_diagonal_constants():
 
 def constants_report():
     """Machine-derived table of every universal constant in the construction."""
-    J, g00 = fermi_metric_jets(SERIES_TRUNC)
+    J, g00 = fermi_metric_jets()
     graded = graded_laplacian()
 
-    def jc(series, k):
-        return series.coeffs[k] if k <= series.trunc else JP()
+    def entry(op, k, b=0, c=0):
+        """Text of the coefficient of y^k D_y^b D_s^c in op."""
+        return op.terms.get((k, b, c), JP()).pretty()
 
     l2 = graded.get(Fraction(-2), FormalOperator())
     l32 = graded.get(Fraction(-3, 2), FormalOperator())
@@ -765,10 +648,6 @@ def constants_report():
     l12 = graded.get(Fraction(-1, 2), FormalOperator())
     l0 = graded.get(Fraction(0), FormalOperator())
     residual = {str(w): t.pretty() for w, t in graded.items() if w > 0}
-
-    def op_entry(op, key, ypow):
-        series = op.terms.get(key)
-        return jc(series, ypow) if series is not None else JP()
 
     yints = derive_normal_form_integrands()
     y4, rem4 = _match_integrand_basis(yints["z4"])
@@ -802,26 +681,26 @@ def constants_report():
             "L_powers": "with an explicit period L the y-jet terms carry L^-2 and the D_s terms L^-1; absorbed here",
         },
         "metric_jets": {
-            "J_y2": jc(J, 2).pretty(),
-            "J_y3": jc(J, 3).pretty(),
-            "J_y4": jc(J, 4).pretty(),
-            "g00_y2 (C1)": jc(g00, 2).pretty(),
-            "g00_y3 (C2)": jc(g00, 3).pretty(),
-            "g00_y4": jc(g00, 4).pretty(),
+            "J_y2": entry(J, 2),
+            "J_y3": entry(J, 3),
+            "J_y4": entry(J, 4),
+            "g00_y2 (C1)": entry(g00, 2),
+            "g00_y3 (C2)": entry(g00, 3),
+            "g00_y4": entry(g00, 4),
         },
         "graded": {
-            "L2": op_entry(l2, (0, 0), 0).pretty(),
+            "L2": entry(l2, 0),
             "L_3/2": "0" if not l32.terms else l32.pretty(),
-            "L1_Ds": op_entry(l1, (0, 1), 0).pretty(),
-            "L1_Dy2": op_entry(l1, (2, 0), 0).pretty(),
-            "L1_y2": op_entry(l1, (0, 0), 2).pretty(),
-            "L_1/2_y3 (C)": op_entry(l12, (0, 0), 3).pretty(),
-            "L0_Ds2": op_entry(l0, (0, 2), 0).pretty(),
-            "L0_y2Ds (C2)": op_entry(l0, (0, 1), 2).pretty(),
-            "L0_y2 (C3)": op_entry(l0, (0, 0), 2).pretty(),
-            "L0_y4 (C1 + tau^2 part)": op_entry(l0, (0, 0), 4).pretty(),
-            "L0_yDy (C4)": op_entry(l0, (1, 0), 1).pretty(),
-            "L0_const (C5)": op_entry(l0, (0, 0), 0).pretty(),
+            "L1_Ds": entry(l1, 0, 0, 1),
+            "L1_Dy2": entry(l1, 0, 2),
+            "L1_y2": entry(l1, 2),
+            "L_1/2_y3 (C)": entry(l12, 3),
+            "L0_Ds2": entry(l0, 0, 0, 2),
+            "L0_y2Ds (C2)": entry(l0, 2, 0, 1),
+            "L0_y2 (C3)": entry(l0, 2),
+            "L0_y4 (C1 + tau^2 part)": entry(l0, 4),
+            "L0_yDy (C4)": entry(l0, 1, 1),
+            "L0_const (C5)": entry(l0, 0),
         },
         "transvectants": {
             "P1_general": "P1(z^m zb^n, z^mu zb^nu) = sigma((m,n),(mu,nu)) z^(m+mu-1) zb^(n+nu-1)",
@@ -856,7 +735,7 @@ def constants_report():
         "assertions": {
             "e2_zero": repr(y4["e"]),
             "d0_zero": repr(y0["d"]),
-            "C4_zero": op_entry(l0, (1, 0), 1).pretty(),
+            "C4_zero": entry(l0, 1, 1),
             "round_sphere_c2": repr(_round_sphere_mean(yints["z4"])),
         },
         "residual_weights": residual,

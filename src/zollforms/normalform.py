@@ -314,7 +314,8 @@ class InvariantRecord:
     symbol divided by 2 (the p1 normalization).  offdiag maps (m, n),
     m != n, m + n <= 4 to the complex averaged coefficient.  H_b is the
     order-(-1) cluster-shift integral H(gamma) of `compute_H`, with
-    c0 = -H_b / (16 pi).
+    c0 = -H_b / (16 pi), and H_scale the integral of its integrand's
+    absolute value.
     """
 
     geodesic_id: str
@@ -324,6 +325,7 @@ class InvariantRecord:
     reality_defect: float
     offdiag: dict
     H_b: float
+    H_scale: float
     closure_defect: float
     first_obstruction_max: float
     diagnostics: dict = field(default_factory=dict)
@@ -334,9 +336,14 @@ class InvariantRecord:
 
     @property
     def h_relation(self):
-        """|c0 + H_b/(16 pi)| / |c0|: the relative residual of c0 = -H/(16 pi)."""
+        """|c0 + H_b/(16 pi)| / (H_scale/(16 pi)): the residual of
+        c0 = -H/(16 pi) relative to the size of the terms H sums, as the
+        identity suite normalizes.  Relative to |c0| it would read roundoff
+        as an O(1) residual where c0 is 0, as on the equator of a profile
+        with h'(0) = +-1."""
         gap = abs(self.c0 + self.H_b / (16.0 * math.pi))
-        return gap / abs(self.c0) if self.c0 else math.inf
+        scale = self.H_scale / (16.0 * math.pi)
+        return gap / scale if scale else math.inf
 
     def as_dict(self):
         return {
@@ -355,7 +362,8 @@ class InvariantRecord:
 
 
 def compute_H(path, frame):
-    """The regularized cluster-shift integral H(gamma); c0 = -H / (16 pi).
+    """The regularized cluster-shift integral H(gamma), c0 = -H / (16 pi),
+    and its scale: the same integral of the integrand's absolute value.
 
     H = int_gamma tau + [ (1/3) tau_nu u^3 int_0^s tau_nu J^3
                           - tau_nu u^2 J int_0^s tau_nu u J^2 ] ds
@@ -373,7 +381,9 @@ def compute_H(path, frame):
     inner_uJ2 = spectral_antiderivative(tn_J2 * u)
     tn_u2 = tn * u * u
     cubic = tn_u2 * u * (inner_J3 / 3.0) - tn_u2 * Jf * inner_uJ2
-    return float(2.0 * math.pi * periodic_mean(path.tau) + 2.0 * math.pi * periodic_mean(cubic))
+    H = float(2.0 * math.pi * periodic_mean(path.tau) + 2.0 * math.pi * periodic_mean(cubic))
+    scale = float(2.0 * math.pi * (periodic_mean(np.abs(path.tau)) + periodic_mean(np.abs(cubic))))
+    return H, scale
 
 
 def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", path=None, frame=None):
@@ -396,12 +406,14 @@ def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", path=None, frame=N
     offdiag = {(m, n): residue[m, n] / 2.0 for m in range(OFFDIAG_DEGREE + 1)
                for n in range(OFFDIAG_DEGREE + 1 - m) if m != n}
     c0, c01, c2 = (complex(c) / 2.0 for c in diag_coeffs)
+    H, H_scale = compute_H(path, frame)
     return InvariantRecord(
         geodesic_id=geodesic_id,
         c0=c0.real, c01=abs(c01), c2=c2.real,
         reality_defect=max(abs(c0.imag), abs(c2.imag)),
         offdiag=offdiag,
-        H_b=compute_H(path, frame),
+        H_b=H,
+        H_scale=H_scale,
         closure_defect=path.closure_defect,
         first_obstruction_max=diag["first_obstruction_max"],
         diagnostics=diag,

@@ -74,10 +74,6 @@ class PolySymbol:
                 self[m, n] = v
 
     @classmethod
-    def monomial(cls, m, n, coeff=1):
-        return cls({(m, n): coeff})
-
-    @classmethod
     def constant(cls, value):
         return cls({(0, 0): value})
 

@@ -38,10 +38,10 @@ package's fused star kernel and plain product are tested against.
 
 `rebase` re-parametrizes a traced geodesic from another base point by
 linear algebra on its Jacobi samples, for the base-point invariance
-tests.  `conjugate` (of a symbol), `round_sphere_c2`, `equator_start`
-(the near-meridian starts), `state_distance` (the gap between two
-nearby states, for the exp-map and area-element tests) and `embedded`
-(samples in R^3) are helpers only the tests call.
+tests.  `monomial` and `conjugate` (of a symbol), `round_sphere_c2`,
+`equator_start` (the near-meridian starts), `state_distance` (the gap
+between two nearby states, for the exp-map and area-element tests) and
+`embedded` (samples in R^3) are helpers only the tests call.
 """
 
 import math
@@ -485,6 +485,11 @@ def transvectant(a, b, j):
             cur = out.coeffs.get(key)
             out[key] = term if cur is None else cur + term
     return out
+
+
+def monomial(m, n, coeff=1):
+    """The symbol coeff * z^m zbar^n."""
+    return PolySymbol({(m, n): coeff})
 
 
 def conjugate(a):

@@ -37,8 +37,8 @@ from zollforms.identities import (
 from zollforms.jacobi import solve_fundamental
 from zollforms.normalform import assemble_p1
 from zollforms.surface import MetricModel, SurfacePoint
-from zollforms.weyl import PolySymbol, star_commutator
-from oracles import rebase, round_sphere_c2, weyl_quantize
+from zollforms.weyl import star_commutator
+from oracles import monomial, rebase, round_sphere_c2, weyl_quantize
 
 from fractions import Fraction
 
@@ -180,14 +180,14 @@ def test_criterion_5_weyl_oracle():
     < 1e-10 at N_trunc = 64 (relative to the product magnitude)."""
     n_trunc = 64
     monomials = [(m, n) for m in range(5) for n in range(5 - m)]
-    mats = {mn: weyl_quantize(PolySymbol.monomial(*mn), n_trunc) for mn in monomials}
+    mats = {mn: weyl_quantize(monomial(*mn), n_trunc) for mn in monomials}
     worst = 0.0
     worst_raw_low = 0.0
     for mn in monomials:
         for munu in monomials:
             A, B = mats[mn], mats[munu]
             rhs = A @ B - B @ A
-            sc = star_commutator(PolySymbol.monomial(*mn), PolySymbol.monomial(*munu))
+            sc = star_commutator(monomial(*mn), monomial(*munu))
             lhs = weyl_quantize(sc, n_trunc) if sc.coeffs else np.zeros_like(rhs)
             k = n_trunc - (sum(mn) + sum(munu))
             gap = np.max(np.abs(lhs[:k, :k] - rhs[:k, :k]))
@@ -204,18 +204,17 @@ def test_criterion_5_weyl_oracle():
 def test_criterion_6_derived_constants():
     """Exact symbolic assertions: metric jets, graded operators, the two
     structural vanishing statements, and the round-sphere linear relation."""
-    J, g00 = fermi_metric_jets(4)
-    assert g00.coeffs[2] == TAU                                   # C1 = 1
-    assert g00.coeffs[3] == TAU_NU * QQi(Fraction(1, 3))          # C2 = 1/3
+    J, g00 = fermi_metric_jets()
+    assert g00.terms[(2, 0, 0)] == TAU                            # C1 = 1
+    assert g00.terms[(3, 0, 0)] == TAU_NU * QQi(Fraction(1, 3))   # C2 = 1/3
     graded = grade_expansion(half_density_laplacian())
     l2 = graded[Fraction(-2)]
-    assert l2.terms[(0, 0)].coeffs[0] == JetPolynomial.const(1)   # L2 = 1
+    assert l2.terms[(0, 0, 0)] == JetPolynomial.const(1)          # L2 = 1
     assert Fraction(-3, 2) not in graded                          # L_3/2 = 0
     l1 = graded[Fraction(-1)]
-    assert set(l1.terms) == {(0, 1), (2, 0), (0, 0)}              # 2Ds + Dy^2 + tau y^2
+    assert set(l1.terms) == {(0, 0, 1), (0, 2, 0), (2, 0, 0)}     # 2Ds + Dy^2 + tau y^2
     l12 = graded[Fraction(-1, 2)]
-    nonzero = [k for k, c in enumerate(l12.terms[(0, 0)].coeffs) if not c.is_zero()]
-    assert nonzero == [3]                                         # single monomial
+    assert set(l12.terms) == {(3, 0, 0)}                          # single monomial
     parts = derive_normal_form_integrands()
     y4, _ = _match_integrand_basis(parts["z4"])
     y0, _ = _match_integrand_basis(parts["z0"])

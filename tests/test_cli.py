@@ -104,9 +104,20 @@ class TestConstantsCommand:
         assert main(["constants", "--out", str(out_a)]) == EXIT_PASS
         assert main(["constants", "--out", str(out_b)]) == EXIT_PASS
         assert out_a.read_bytes() == out_b.read_bytes()
-        text = capsys.readouterr().out
+        assert capsys.readouterr().out == ""
+        text = out_a.read_text()
         assert '"g00_y2 (C1)": "(1)*tau"' in text
         assert "e2_zero" in text
+
+    def test_stdout_is_one_json_document(self, tmp_path, capsys):
+        """Without --out the table goes to stdout, and nothing else does: the
+        text parses as JSON and equals the --out file's contents."""
+        assert main(["constants"]) == EXIT_PASS
+        text = capsys.readouterr().out
+        out = tmp_path / "c.json"
+        main(["constants", "--out", str(out)])
+        assert json.loads(text) == constants_report()
+        assert text == out.read_text()
 
     def test_report_values(self, tmp_path):
         out = tmp_path / "c.json"
@@ -351,8 +362,9 @@ class TestInvariantsCommand:
         assert first["digest"] == _digest(body)
 
     def test_h_relation_is_gated(self, monkeypatch):
-        """Each record carries |c0 + H/(16 pi)| / |c0|; above 1e-9 it is a named
-        failure (exit 1), and the summary carries the spread of H."""
+        """Each record carries |c0 + H/(16 pi)| relative to the scale of H's
+        integrand; above 1e-9 it is a named failure (exit 1), and the
+        summary carries the spread of H."""
         cfg = RunConfig.load(None, {"metric": parse_metric_flag("zoll:-0.3,0.3"),
                                     "geodesics": 3, "grid": 256})
         report, code = build_report(cfg, "invariants")
@@ -363,12 +375,28 @@ class TestInvariantsCommand:
         assert report["summary"]["H_spread"] == max(hs) - min(hs)
 
         real_H = normalform.compute_H
-        monkeypatch.setattr(normalform, "compute_H",
-                            lambda path, frame: real_H(path, frame) * (1.0 + 1e-8))
+
+        def perturbed_H(path, frame):
+            H, scale = real_H(path, frame)
+            return H * (1.0 + 1e-8), scale
+
+        monkeypatch.setattr(normalform, "compute_H", perturbed_H)
         report, code = build_report(cfg, "invariants")
         assert code == EXIT_CHECK_FAILURE
         assert [f["check"] for f in report["summary"]["failures"]] == ["h_relation"] * 3
         assert all(1e-9 < f["value"] < 2e-8 for f in report["summary"]["failures"])
+
+    def test_h_relation_where_c0_vanishes(self, tmp_path):
+        """On the equator of a profile with h'(0) = 1, c0 = (h'(0)^2 - 1)/8
+        is 0 and H sums terms of size 1: the residual of c0 = -H/(16 pi) is
+        roundoff relative to them, which divided by |c0| read as 2.5."""
+        out = tmp_path / "inv.json"
+        assert main(["invariants", "--metric", "zoll:1,-0.5", "--geodesics", "2",
+                     "--grid", "256", "--out", str(out)]) == EXIT_PASS
+        equator = json.loads(out.read_text())["geodesics"][0]
+        assert equator["geodesic_id"] == "equator"
+        assert abs(equator["invariants"]["c0"]) < 1e-15
+        assert equator["invariants"]["h_relation"] < 1e-14
 
     def test_header_constants_digest(self):
         cfg = RunConfig.load(None, {"geodesics": 1, "grid": 256})

@@ -4,13 +4,12 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from zollforms.expansion import (
     FormalOperator,
     JetPolynomial,
-    JetSeries,
     QQi,
+    SERIES_TRUNC,
     TAU,
     TAU_NU,
     TAU_NUNU,
@@ -48,57 +47,61 @@ class TestQQi:
 
 class TestFermiJets:
     def test_low_order_jets(self):
-        J, g00 = fermi_metric_jets(4)
-        assert J.coeffs[2] == TAU * QQi(Fraction(-1, 2))
-        assert J.coeffs[3] == TAU_NU * QQi(Fraction(-1, 6))
-        assert J.coeffs[4] == (TAU * TAU - TAU_NUNU) * QQi(Fraction(1, 24))
-        assert g00.coeffs[2] == TAU                      # C1 = 1
-        assert g00.coeffs[3] == TAU_NU * QQi(Fraction(1, 3))  # C2 = 1/3
-        assert g00.coeffs[4] == TAU * TAU * QQi(Fraction(2, 3)) \
+        J, g00 = fermi_metric_jets()
+        assert J.terms[(2, 0, 0)] == TAU * QQi(Fraction(-1, 2))
+        assert J.terms[(3, 0, 0)] == TAU_NU * QQi(Fraction(-1, 6))
+        assert J.terms[(4, 0, 0)] == (TAU * TAU - TAU_NUNU) * QQi(Fraction(1, 24))
+        assert g00.terms[(2, 0, 0)] == TAU                      # C1 = 1
+        assert g00.terms[(3, 0, 0)] == TAU_NU * QQi(Fraction(1, 3))  # C2 = 1/3
+        assert g00.terms[(4, 0, 0)] == TAU * TAU * QQi(Fraction(2, 3)) \
             + TAU_NUNU * QQi(Fraction(1, 12))
 
     def test_jacobi_relation_holds_identically(self):
-        # d^2_y J + K J = 0 as jet polynomials at every computed order
-        J, _ = fermi_metric_jets(6)
-        K = JetSeries([TAU, TAU_NU, TAU_NUNU * QQi(HALF)])
-        residual = J.dy().dy() + K * J
-        # the top two orders are truncation artifacts of the product
-        for k in range(residual.trunc - 1):
-            assert residual.coeffs[k].is_zero(), f"y^{k}: {residual.coeffs[k]}"
+        # d^2_y J + K J = 0 as jet polynomials at every computed order:
+        # (k+2)(k+1) j_{k+2} + sum_m K_m j_{k-m} = 0
+        J, _ = fermi_metric_jets()
+        assert {b + c for _, b, c in J.terms} == {0}
+        j = [J.terms.get((k, 0, 0), JP()) for k in range(SERIES_TRUNC + 1)]
+        K = [TAU, TAU_NU, TAU_NUNU * QQi(HALF)]
+        for k in range(SERIES_TRUNC - 1):
+            residual = j[k + 2] * QQi((k + 2) * (k + 1))
+            for m, Km in enumerate(K[: k + 1]):
+                residual = residual + Km * j[k - m]
+            assert residual.is_zero(), f"y^{k}: {residual}"
 
     def test_series_inversion_against_numeric_oracle(self):
         # independent float route: evaluate J with concrete jets, invert 1/J^2
         # by naive power-series recursion, compare with the exact g00 jets
-        J, g00 = fermi_metric_jets(6)
+        J, g00 = fermi_metric_jets()
         vals = {"tau": 0.7, "tau_nu": 0.3, "tau_nunu": -0.2}
-        jc = [complex(c.substitute(vals)).real for c in J.coeffs]
+
+        def values(op):
+            return [complex(op.terms.get((k, 0, 0), JP()).substitute(vals)).real
+                    for k in range(SERIES_TRUNC + 1)]
+
+        jc = values(J)
         j2 = np.polynomial.polynomial.polymul(jc, jc)[: len(jc)]
         inv = np.zeros_like(j2)
         inv[0] = 1.0 / j2[0]
         for k in range(1, len(inv)):
             inv[k] = -sum(j2[i] * inv[k - i] for i in range(1, k + 1)) / j2[0]
-        got = [complex(c.substitute(vals)).real for c in g00.coeffs]
-        assert np.allclose(got, inv, atol=1e-12)
-
-    def test_order_cap(self):
-        with pytest.raises(ValueError):
-            fermi_metric_jets(7)
+        assert np.allclose(values(g00), inv, atol=1e-12)
 
 
 class TestHalfDensityLaplacian:
     def test_flat_jets_give_plain_derivatives(self):
-        flat = (JetSeries([jp(1)]), JetSeries([jp(1)]))
-        op = half_density_laplacian(flat)
-        # -(d_s^2 + d_y^2) = D_s^2 + D_y^2
-        assert set(op.terms) == {(0, 2), (2, 0)}
-        assert op.terms[(0, 2)].coeffs[0] == jp(1)
-        assert op.terms[(2, 0)].coeffs[0] == jp(1)
+        # every jet and its s-derivatives set to 0: -(d_s^2 + d_y^2) = D_s^2 + D_y^2
+        op = half_density_laplacian()
+        flat = dict.fromkeys(op.names(), 0)
+        survivors = {key: p.substitute(flat) for key, p in op.terms.items()}
+        survivors = {key: v for key, v in survivors.items() if v}
+        assert survivors == {(0, 0, 2): 1, (0, 2, 0): 1}
 
     def test_half_density_potential_at_axis(self):
         # the multiplication part of the display operator is tau/2 + O(y),
         # the known scalar half-density potential; P = -display flips the sign
         op = half_density_laplacian()
-        assert op.terms[(0, 0)].coeffs[0] == TAU * QQi(Fraction(-1, 2))
+        assert op.terms[(0, 0, 0)] == TAU * QQi(Fraction(-1, 2))
 
     def test_constant_curvature_substitution(self):
         # tau = 1, other jets 0: no tau_nu / tau_nunu monomials anywhere
@@ -106,7 +109,7 @@ class TestHalfDensityLaplacian:
         graded = grade_expansion(op)
         l0 = graded[Fraction(0)]
         vals = {"tau": 1.0, "tau_s": 0.0, "tau_nu": 0.0, "tau_nunu": 0.0}
-        quartic = l0.terms[(0, 0)].coeffs[4].substitute(vals)
+        quartic = l0.terms[(4, 0, 0)].substitute(vals)
         assert abs(quartic - 2.0 / 3.0) < 1e-15
 
 
@@ -114,40 +117,34 @@ class TestGrading:
     def test_leading_orders(self):
         graded = grade_expansion(half_density_laplacian())
         l2 = graded[Fraction(-2)]
-        assert set(l2.terms) == {(0, 0)}
-        assert l2.terms[(0, 0)].coeffs[0] == jp(1)          # L2 = 1
+        assert set(l2.terms) == {(0, 0, 0)}
+        assert l2.terms[(0, 0, 0)] == jp(1)                 # L2 = 1
         assert Fraction(-3, 2) not in graded                 # L_3/2 = 0
 
     def test_l1_matches_lcal(self):
         # L1 = 2 D_s + D_y^2 + tau y^2: tangential derivative plus the
         # curvature oscillator
         l1 = grade_expansion(half_density_laplacian())[Fraction(-1)]
-        assert l1.terms[(0, 1)].coeffs[0] == jp(2)
-        assert l1.terms[(2, 0)].coeffs[0] == jp(1)
-        assert l1.terms[(0, 0)].coeffs[2] == TAU
-        assert set(l1.terms) == {(0, 1), (2, 0), (0, 0)}
+        assert l1.terms[(0, 0, 1)] == jp(2)
+        assert l1.terms[(0, 2, 0)] == jp(1)
+        assert l1.terms[(2, 0, 0)] == TAU
+        assert set(l1.terms) == {(0, 0, 1), (0, 2, 0), (2, 0, 0)}
 
     def test_l_half_single_monomial(self):
         l12 = grade_expansion(half_density_laplacian())[Fraction(-1, 2)]
-        assert set(l12.terms) == {(0, 0)}
-        series = l12.terms[(0, 0)]
-        nonzero = [k for k, c in enumerate(series.coeffs) if not c.is_zero()]
-        assert nonzero == [3]
-        assert series.coeffs[3] == TAU_NU * QQi(Fraction(1, 3))
+        assert set(l12.terms) == {(3, 0, 0)}
+        assert l12.terms[(3, 0, 0)] == TAU_NU * QQi(Fraction(1, 3))
 
     def test_l0_five_term_shape(self):
         l0 = grade_expansion(half_density_laplacian())[Fraction(0)]
-        assert set(l0.terms) == {(0, 0), (0, 1), (0, 2)}   # no yD_y term: C4 = 0
-        assert l0.terms[(0, 2)].coeffs[0] == jp(1)          # D_s^2
-        ds1 = l0.terms[(0, 1)]
-        assert ds1.coeffs[2] == TAU * QQi(2)                # 2 tau y^2 D_s
-        free = l0.terms[(0, 0)]
-        assert free.coeffs[0] == TAU * QQi(Fraction(-1, 2))         # C5
-        assert free.coeffs[2] == TAU_S_POLY                          # C3
-        assert free.coeffs[4] == TAU * TAU * QQi(Fraction(2, 3)) \
+        # D_s^2, 2 tau y^2 D_s and y^0, y^2, y^4; no yD_y term: C4 = 0
+        assert set(l0.terms) == {(0, 0, 2), (2, 0, 1), (0, 0, 0), (2, 0, 0), (4, 0, 0)}
+        assert l0.terms[(0, 0, 2)] == jp(1)                 # D_s^2
+        assert l0.terms[(2, 0, 1)] == TAU * QQi(2)          # 2 tau y^2 D_s
+        assert l0.terms[(0, 0, 0)] == TAU * QQi(Fraction(-1, 2))     # C5
+        assert l0.terms[(2, 0, 0)] == TAU_S_POLY                      # C3
+        assert l0.terms[(4, 0, 0)] == TAU * TAU * QQi(Fraction(2, 3)) \
             + TAU_NUNU * QQi(Fraction(1, 12))                        # C1 + tau^2
-        nonzero = [k for k, c in enumerate(free.coeffs) if not c.is_zero()]
-        assert nonzero == [0, 2, 4]
 
     def test_graded_jets_stay_in_basic_set(self):
         graded = grade_expansion(half_density_laplacian())
@@ -173,13 +170,11 @@ def _substituted(op, hroot):
     """op with y -> hroot y, D_y -> D_y/hroot, D_s -> h^-1 + D_s, exact."""
     h = hroot * hroot
     out = FormalOperator()
-    for (b, c), series in op.terms.items():
-        dilated = JetSeries([coeff * QQi(hroot ** k)
-                             for k, coeff in enumerate(series.coeffs)])
+    for (k, b, c), coeff in op.terms.items():
         for j in range(c + 1):
-            # D_y^b carries h^(-b/2) = hroot^-b
-            factor = QQi(Fraction(math.comb(c, j)) * (1 / h) ** (c - j) * hroot ** (-b))
-            out = out + FormalOperator({(b, j): dilated * factor})
+            # y^k carries hroot^k, D_y^b carries h^(-b/2) = hroot^-b
+            factor = QQi(Fraction(math.comb(c, j)) * (1 / h) ** (c - j) * hroot ** (k - b))
+            out = out + FormalOperator({(k, b, j): coeff * factor})
     return out
 
 
@@ -247,7 +242,7 @@ class TestDerivedConstants:
     def test_graded_symbols_weyl_ordering(self):
         # y D_y as a graded term: Weyl symbol must be y*eta + i/2,
         # with y*eta = (z^2 - zbar^2)/(4i)
-        term = FormalOperator({(1, 0): JetSeries([JP(), jp(1)])})
+        term = FormalOperator({(1, 1, 0): jp(1)})
         sym = graded_symbols(term)[0]
         assert sym[(2, 0)] == JP.const(QQi(0, Fraction(-1, 4)))
         assert sym[(0, 2)] == JP.const(QQi(0, Fraction(1, 4)))

@@ -5,7 +5,10 @@ A name in a module's `__all__`, or a key of the package's lazy
 `_EXPORTS`, must be used by the package's own code (anywhere but inside
 its own definition), by a demo, or be named in the README's library
 tour.  So must every function, class and method defined in `src/`, less
-dunders.  Code only the tests call belongs in `tests/oracles.py`.
+dunders; a method counts as used only through an attribute read
+(`x.name`) or a `.name` in the tour, since a variable or parameter of
+the same name does not call it.  Code only the tests call belongs in
+`tests/oracles.py`.
 
 A name imported in `src/`, `tests/` or `demos/` must be read by that
 file's code or listed in its `__all__`; `__init__.py` files, which
@@ -37,25 +40,27 @@ def _literal(tree, name):
 
 
 def _used_names(tree):
-    """Names read in code; a definition's own body does not use its name."""
-    out = set()
+    """(names, attributes) read in code: every name or attribute read, and
+    the attribute reads alone; a definition's own body does not use its name."""
+    names, attributes = set(), set()
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
+        name, attribute = None, False
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             name = node.id
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            name = node.attr
-        else:
-            name = None
+            name, attribute = node.attr, True
         if name is not None and name not in inside:
-            out.add(name)
+            names.add(name)
+            if attribute:
+                attributes.add(name)
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
     visit(tree, frozenset())
-    return out
+    return names, attributes
 
 
 def public_names():
@@ -73,16 +78,23 @@ def library_tour():
 
 
 def _reads(trees):
-    """Names read by the package's code and the demos, and a test for a
-    name that the library tour mentions."""
-    used = set()
-    for mod, tree in trees.items():
-        if mod != "__init__":
-            used |= _used_names(tree)
-    for demo in sorted((ROOT / "demos").glob("*.py")):
-        used |= _used_names(ast.parse(demo.read_text()))
+    """A test of whether the package's code, the demos or the library tour
+    read a name, or with `method=True` read it as an attribute."""
+    used, attributes = set(), set()
+    sources = [tree for mod, tree in trees.items() if mod != "__init__"]
+    sources += [ast.parse(demo.read_text()) for demo in sorted((ROOT / "demos").glob("*.py"))]
+    for tree in sources:
+        names, attrs = _used_names(tree)
+        used |= names
+        attributes |= attrs
     tour = library_tour()
-    return lambda name: name in used or re.search(rf"\b{re.escape(name)}\b", tour)
+
+    def read(name, method=False):
+        if method:
+            return name in attributes or re.search(rf"\.{re.escape(name)}\b", tour)
+        return name in used or re.search(rf"\b{re.escape(name)}\b", tour)
+
+    return read
 
 
 def test_every_public_name_has_a_user():
@@ -103,7 +115,8 @@ def unread_definitions(trees):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = child.name
                 exempt = name.startswith("__") and name.endswith("__")
-                if not exempt and not read(name):
+                method = cls is not None and not isinstance(child, ast.ClassDef)
+                if not exempt and not read(name, method):
                     out.append(".".join(filter(None, (mod, cls, name))))
                 visit(mod, child, name if isinstance(child, ast.ClassDef) else None)
             else:
@@ -124,7 +137,14 @@ def test_a_helper_left_without_a_caller_is_caught():
     _, trees = public_names()
     leftover = ast.parse("def _fold_meridian(rho, phi0, direction):\n    return rho\n")
     trees["surface"].body.extend(leftover.body)
-    assert unread_definitions(trees) == ["surface._fold_meridian"]
+    # a method whose name the package reads only as a variable or parameter
+    # (`JetPolynomial.coefficient(self, monomial)`) has no caller either
+    assert "monomial" in _used_names(trees["expansion"])[0]
+    poly_symbol = next(node for node in trees["weyl"].body
+                       if isinstance(node, ast.ClassDef) and node.name == "PolySymbol")
+    shadowed = ast.parse("@classmethod\ndef monomial(cls, m, n):\n    return cls({(m, n): 1})\n")
+    poly_symbol.body.extend(shadowed.body)
+    assert unread_definitions(trees) == ["surface._fold_meridian", "weyl.PolySymbol.monomial"]
 
 
 def test_exports_resolve():

@@ -317,11 +317,11 @@ class TestAssembleP1:
 
 class TestComputeH:
     def test_round_sphere(self, round_path, round_frame):
-        assert abs(compute_H(round_path, round_frame) - 2.0 * math.pi) < 1e-10
+        assert abs(compute_H(round_path, round_frame)[0] - 2.0 * math.pi) < 1e-10
 
     def test_grid_doubling_stability(self, cubic_frame, cubic_frame_2048):
-        a = compute_H(cubic_frame.path, cubic_frame)
-        b = compute_H(cubic_frame_2048.path, cubic_frame_2048)
+        a, _ = compute_H(cubic_frame.path, cubic_frame)
+        b, _ = compute_H(cubic_frame_2048.path, cubic_frame_2048)
         assert abs(a - b) < 1e-8
 
     def test_meridian_readings_coincide(self, cubic_metric, meridian_ic):
@@ -329,7 +329,7 @@ class TestComputeH:
         path = trace_geodesic(cubic_metric, meridian_ic, 1024)
         frame = solve_fundamental(path)
         base = 2.0 * math.pi * periodic_mean(path.tau)
-        assert abs(compute_H(path, frame) - base) < 1e-12
+        assert abs(compute_H(path, frame)[0] - base) < 1e-12
 
 
 class TestClusterShiftRelation:

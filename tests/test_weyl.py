@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import conjugate, transvectant, weyl_quantize
+from oracles import conjugate, monomial, transvectant, weyl_quantize
 
 from zollforms.weyl import (
     DegreeOverflowError,
@@ -48,19 +48,19 @@ class TestTransvectants:
     @pytest.mark.parametrize("mn", MONOMIALS_DEG3)
     @pytest.mark.parametrize("munu", MONOMIALS_DEG3)
     def test_p1_symplectic_constant(self, mn, munu):
-        got = transvectant(PolySymbol.monomial(*mn), PolySymbol.monomial(*munu), 1)
+        got = transvectant(monomial(*mn), monomial(*munu), 1)
         sigma = mn[0] * munu[1] - mn[1] * munu[0]   # m nu - n mu
         key = (mn[0] + munu[0] - 1, mn[1] + munu[1] - 1)
         assert got[key] == sigma
 
     def test_p1_of_action_with_itself_vanishes(self):
-        action = PolySymbol.monomial(1, 1)
+        action = monomial(1, 1)
         assert not transvectant(action, action, 1).coeffs
 
     @pytest.mark.parametrize("mn", MONOMIALS_DEG3)
     @pytest.mark.parametrize("munu", MONOMIALS_DEG3)
     def test_p3_of_cubics_is_constant(self, mn, munu):
-        got = transvectant(PolySymbol.monomial(*mn), PolySymbol.monomial(*munu), 3)
+        got = transvectant(monomial(*mn), monomial(*munu), 3)
         assert set(got.coeffs) <= {(0, 0)}
 
     def test_p3_reference_values(self):
@@ -86,9 +86,9 @@ class TestTransvectants:
             assert got.degree == a.degree + b.degree - 2 * j
 
     def test_degree_cap_enforced(self):
-        big = PolySymbol.monomial(4, 4)
+        big = monomial(4, 4)
         with pytest.raises(DegreeOverflowError):
-            big * PolySymbol.monomial(1, 0)
+            big * monomial(1, 0)
 
 
 class TestStarCommutator:
@@ -100,7 +100,7 @@ class TestStarCommutator:
         assert worst < 1e-12  # pairwise cancellation up to float addition order
 
     def test_z_zbar(self):
-        got = star_commutator(PolySymbol.monomial(1, 0), PolySymbol.monomial(0, 1))
+        got = star_commutator(monomial(1, 0), monomial(0, 1))
         assert set(got.coeffs) == {(0, 0)}
         assert complex(got[0, 0]) == 2.0
 
@@ -133,7 +133,7 @@ class TestQuantization:
         assert np.allclose(got, np.eye(32))
 
     def test_action_spectrum(self):
-        H = weyl_quantize(PolySymbol.monomial(1, 1), 64)
+        H = weyl_quantize(monomial(1, 1), 64)
         evals = np.sort(np.linalg.eigvalsh(H.real))
         assert np.allclose(evals[:32], 2.0 * np.arange(32) + 1.0, atol=1e-10)
 
@@ -146,7 +146,7 @@ class TestQuantization:
 
     def test_ntrunc_precondition(self):
         with pytest.raises(ValueError):
-            weyl_quantize(PolySymbol.monomial(2, 2), 16)
+            weyl_quantize(monomial(2, 2), 16)
 
 
 class TestMatrixOracle:
@@ -161,7 +161,7 @@ class TestMatrixOracle:
     @pytest.mark.parametrize("mn", MONOMIALS_DEG4)
     @pytest.mark.parametrize("munu", MONOMIALS_DEG4)
     def test_commutator_matches(self, mn, munu):
-        a, b = PolySymbol.monomial(*mn), PolySymbol.monomial(*munu)
+        a, b = monomial(*mn), monomial(*munu)
         A = weyl_quantize(a, self.N_TRUNC)
         B = weyl_quantize(b, self.N_TRUNC)
         rhs = A @ B - B @ A
@@ -175,12 +175,12 @@ class TestMatrixOracle:
 
 class TestDiagonalPart:
     def test_quartic_action(self):
-        diag, residue = diagonal_part(PolySymbol.monomial(2, 2))
+        diag, residue = diagonal_part(monomial(2, 2))
         assert [complex(c) for c in diag] == [0.0, 0.0, 1.0]
         assert not residue.coeffs
 
     def test_off_diagonal_residue(self):
-        a = PolySymbol.monomial(3, 0)
+        a = monomial(3, 0)
         diag, residue = diagonal_part(a)
         assert all(complex(c) == 0 for c in diag)
         assert set(residue.coeffs) == {(3, 0)}
@@ -261,7 +261,7 @@ class TestFusedKernel:
         """Every term of z^m zbar^n # b - b # z^m zbar^n drops the degree by
         2j with j odd; the even orders cancel and are never formed."""
         for munu in MONOMIALS_DEG4:
-            got = star_commutator(PolySymbol.monomial(*mn), PolySymbol.monomial(*munu))
+            got = star_commutator(monomial(*mn), monomial(*munu))
             for (p, q) in got.coeffs:
                 j = (sum(mn) + sum(munu) - p - q) // 2
                 assert j % 2 == 1, (mn, munu, (p, q))
