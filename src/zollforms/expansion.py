@@ -230,12 +230,17 @@ class JetPolynomial:
         return out
 
     def substitute(self, values):
-        """Evaluate with numeric values (scalars or numpy arrays) per name."""
+        """Evaluate with numeric values (scalars or numpy arrays) per name.
+
+        Real coefficients evaluate real values to real ones (float64 on
+        float64 arrays), any other coefficient to complex; a constant
+        polynomial stays a Python scalar.
+        """
         total = 0
         for key, val in self.terms.items():
-            term = complex(val)
+            term = float(val.re) if val.im == 0 else complex(val)
             for name, p in key:
-                term = term * values[name] ** p
+                term = term * (values[name] ** p if p > 1 else values[name])
             total = total + term
         return total
 

@@ -6,28 +6,34 @@ geodesic) in two stages:
 
   1. the moving metaplectic frame of the Jacobi flow, acting on Weyl
      symbols by the exact linear substitution
-     z -> (Ybar + i Ybar')/2 z + (Y + i Y')/2 zbar and on the tangential
-     derivative by D_s -> D_s - Op(h), h the substituted transverse
-     oscillator;
+     y -> (Ybar z + Y zbar)/2, eta -> (Ybar' z + Y' zbar)/2
+     (equivalently z -> (Ybar + i Ybar')/2 z + (Y + i Y')/2 zbar), and on
+     the tangential derivative by D_s -> D_s - Op(h), h the substituted
+     transverse oscillator;
   2. exp(i h^(1/2) Q) with Q solving the first homological equation,
      applied as the operator ad-series.
 
 No commutator prefactor is typed by hand: stage 2 is generic operator
 algebra on sampled symbols.  The explicit closed-form route (`d_half`,
 `d_zero_restricted` + `commutator_double_integral`) is the independent
-cross-check of this engine and lives with the tests (`tests/oracles.py`).
+cross-check of this engine and lives with the tests (`tests/oracles.py`),
+with its own substitution in (z, zbar).
 
-Each product is computed once per geodesic: one substitution pass takes
-every graded symbol through the frame, the powers (D_s - Op(h))^k are
-built once and shared by all weights, and the ad-series commutes Q
-through the odd-only star commutator, with its scalar factors folded
-into the star products.
+Each full-grid pass does work the symbols hold.  Below weight 1 no
+graded term mixes y with D_y, so the graded symbols are read off the
+operators' own keys as polynomials in (y, eta); constants stay scalars,
+and one substitution pass builds each monomial's image once.  A product
+with a constant symbol takes no star product, every operator product
+sums into one accumulator, and the ad-series takes dQ/ds from the
+homological equation, not by FFT.
 
-A `CoefficientFunction` is a complex sample vector on the geodesic grid;
-a `SymbolField` is a PolySymbol whose entries are coefficient functions.
+A `CoefficientFunction` is a sample vector on the geodesic grid, or a
+scalar where the coefficient is constant; a `SymbolField` is a PolySymbol
+whose entries are coefficient functions.
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -44,7 +50,6 @@ __all__ = [
     "InvariantRecord",
     "SOperator",
     "FirstObstructionError",
-    "metaplectic_substitute",
     "solve_first_homological",
     "ad_symbol",
     "frame_conjugated",
@@ -61,6 +66,8 @@ REPORTED_DIAGNOSTICS = ("frame_cancellation", "odd_residual")   # engine self-ch
 CoefficientFunction = np.ndarray
 SymbolField = PolySymbol
 
+_MINUS_I_POWERS = (1, -1j, -1, 1j)   # (-i)^l, l mod 4
+
 
 class FirstObstructionError(RuntimeError):
     """A cubic obstruction mean is nonzero: the metric is not Zoll at tolerance."""
@@ -73,22 +80,34 @@ class FirstObstructionError(RuntimeError):
         self.value = value
 
 
-def _to_field(value, n):
-    out = np.asarray(value, dtype=complex)
-    if out.ndim == 0:
-        out = np.full(n, complex(out))
-    return out
-
-
 def field_mean(sym):
     """Trapezoidal s-mean of every entry: SymbolField -> scalar PolySymbol."""
-    return PolySymbol({k: complex(periodic_mean(v)) for k, v in sym.coeffs.items()})
+    return PolySymbol({k: complex(periodic_mean(v) if isinstance(v, np.ndarray) else v)
+                       for k, v in sym.coeffs.items()})
 
 
 def _symbol_ds(sym):
     """d/ds of every sampled entry; constant (scalar) entries drop out."""
     return PolySymbol({k: spectral_derivative(v) for k, v in sym.coeffs.items()
                        if isinstance(v, np.ndarray)})
+
+
+def _constant(sym):
+    """The value of a constant symbol (one scalar, at (0, 0)), else None."""
+    v = sym.coeffs.get((0, 0))
+    return None if len(sym.coeffs) != 1 or isinstance(v, np.ndarray) else v
+
+
+def _add_product(out, a, b, weight):
+    """out += weight * (a # b).  A constant operand makes the product a
+    multiple of the other, so no star product is formed."""
+    ca, cb = _constant(a), _constant(b)
+    if ca is not None:
+        out.add_scaled(b, ca * weight)
+    elif cb is not None:
+        out.add_scaled(a, cb * weight)
+    elif a.coeffs and b.coeffs:
+        star_product(a, b, weight, out)
 
 
 class SOperator:
@@ -98,22 +117,6 @@ class SOperator:
 
     def __init__(self, terms=None):
         self.terms = {k: v for k, v in (terms or {}).items() if v.coeffs}
-
-    @classmethod
-    def symbol(cls, sym):
-        return cls({0: sym})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, sym in other.terms.items():
-            out[k] = out[k] + sym if k in out else sym
-        return SOperator(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def scale(self, factor):
-        return SOperator({k: v.scale(factor) for k, v in self.terms.items()})
 
     def ds_part(self, k):
         return self.terms.get(k, PolySymbol())
@@ -125,43 +128,53 @@ class SOperator:
     def compose(self, other):
         """Operator product; D_s is moved right with [D_s, Op(b)] = Op(-i b_s).
 
-        Each s-derivative of a symbol of `other` is taken once.
+        Each s-derivative of a symbol of `other` is taken once, and every
+        product is summed into one result.
         """
-        out = SOperator()
+        out = defaultdict(PolySymbol)
         for k, bsym in other.terms.items():
             derivs = [bsym]
             for j, asym in self.terms.items():
                 for l in range(j + 1):
                     if l == len(derivs):
                         derivs.append(_symbol_ds(derivs[-1]))
-                    c = math.comb(j, l) * (-1j) ** l
-                    out = out + SOperator({j - l + k: star_product(asym, derivs[l], c)})
-        return out
+                    _add_product(out[j - l + k], asym, derivs[l],
+                                 math.comb(j, l) * _MINUS_I_POWERS[l % 4])
+        return SOperator(out)
 
     def substitute_ds(self, powers):
-        """Replace D_s by D_s - Op(h), given powers[k] = (D_s - Op(h))^k."""
-        out = SOperator()
-        for k, sym in sorted(self.terms.items()):
-            out = out + SOperator.symbol(sym).compose(powers[k])
-        return out
+        """Replace D_s by D_s - Op(h), given powers[k] = (D_s - Op(h))^k, k >= 1.
+
+        Op(a_k) is D_s-free, so Op(a_k) (D_s - Op(h))^k is a_k # p_j at
+        every D_s^j of the power; all of it sums into one result.
+        """
+        out = defaultdict(PolySymbol)
+        for k, sym in self.terms.items():
+            if k == 0:
+                out[0].add_scaled(sym)
+                continue
+            for j, p in powers[k].terms.items():
+                _add_product(out[j], sym, p, 1)
+        return SOperator(out)
 
 
-def ad_symbol(q, op, weight):
+def ad_symbol(q_jet, op, weight):
     """weight * [Op(q), op] for a D_s-free symbol q.
 
-    The D_s^k parts of op commute through the odd-only star commutator,
-    and moving D_s^k past Op(q) adds -C(k, l) (-i)^l b_k # d_s^l q at
-    D_s^(k-l).
+    `q_jet` is (q, dq/ds, ...), up to the top D_s power of `op`.  The
+    D_s^k parts of op commute through the odd-only star commutator, and
+    moving D_s^k past Op(q) adds -C(k, l) (-i)^l b_k # d_s^l q at
+    D_s^(k-l).  A constant part commutes with q.
     """
-    out = SOperator({k: star_commutator(q, b, weight) for k, b in op.terms.items()})
-    derivs = [q]
+    q = q_jet[0]
+    out = defaultdict(PolySymbol)
     for k, b in op.terms.items():
+        if _constant(b) is None:
+            star_commutator(q, b, weight, out[k])
         for l in range(1, k + 1):
-            if l == len(derivs):
-                derivs.append(_symbol_ds(derivs[-1]))
-            c = -weight * math.comb(k, l) * (-1j) ** l
-            out = out + SOperator({k - l: star_product(b, derivs[l], c)})
-    return out
+            _add_product(out[k - l], b, q_jet[l],
+                         -weight * math.comb(k, l) * _MINUS_I_POWERS[l % 4])
+    return SOperator(out)
 
 
 def _prune(op):
@@ -176,15 +189,31 @@ def _prune(op):
 
 @lru_cache(maxsize=1)
 def _graded_formal():
-    graded = _exp.graded_laplacian()
-    return {w: _exp.graded_symbols(op) for w, op in graded.items() if w <= 0}
+    """The graded symbols of weight <= 0 as polynomials in (y, eta).
+
+    {weight: {D_s power: PolySymbol keyed (y power, eta power)}} with
+    JetPolynomial entries.  The Weyl symbol of y^k D_y^b is y^k eta^b
+    exactly when k or b is 0, and no graded term of weight <= 0 has
+    both, so the symbols are the operators' own (k, b, c) keys.
+    """
+    out = {}
+    for w, op in _exp.graded_laplacian().items():
+        if w > 0:
+            continue
+        syms = out[w] = {}
+        for (k, b, c), jp in op.terms.items():
+            if k and b:
+                raise AssertionError(f"graded term y^{k} D_y^{b} at weight {w} mixes y with D_y")
+            syms.setdefault(c, PolySymbol())[k, b] = jp
+    return out
 
 
 def _instantiate(path):
     """Graded operator family with jet values substituted on the path grid.
 
-    Each distinct jet polynomial is evaluated once per path; the entries
-    that carry it share one read-only array.
+    Each distinct jet polynomial is evaluated once per path: a constant
+    to a Python scalar, a real one to a real array.  The entries that
+    carry an array share it read-only.
     """
     values = path.jets()
     fields = {}
@@ -192,36 +221,22 @@ def _instantiate(path):
     def evaluate(jp):
         out = fields.get(jp)
         if out is None:
-            out = fields[jp] = _to_field(jp.substitute(values), path.n)
-            out.flags.writeable = False
+            out = fields[jp] = jp.substitute(values)
+            if isinstance(out, np.ndarray):
+                out.flags.writeable = False
         return out
 
-    return {w: SOperator({c: PolySymbol({k: evaluate(jp) for k, jp in sym.coeffs.items()})
-                          for c, sym in syms.items()})
+    return {w: SOperator({c: sym.map_coeffs(evaluate) for c, sym in syms.items()})
             for w, syms in _graded_formal().items()}
 
 
-def metaplectic_substitute(symbols, frame):
-    """Conjugate every symbol by the moving metaplectic frame of the Jacobi flow.
-
-    Applies the exact linear substitution
-        z    -> (Ybar + i dYbar)/2 z + (Y + i dY)/2 zbar
-        zbar -> (Ybar - i dYbar)/2 z + (Y - i dY)/2 zbar
-    equivalently y -> (Ybar z + Y zbar)/2, eta -> (dYbar z + dY zbar)/2,
-    to a list of PolySymbols (entries scalars or sample arrays) in one
-    pass, and returns the list of SymbolFields on the frame's grid.
-    """
-    Y, dY = frame.Y, frame.dY
-    Yb, dYb = np.conj(Y), np.conj(dY)
-    fields = [sym.map_coeffs(lambda v: _to_field(v, Y.shape[0])) for sym in symbols]
-    return substitute_linear(fields, (0.5 * (Yb + 1j * dYb), 0.5 * (Y + 1j * dY)),
-                             (0.5 * (Yb - 1j * dYb), 0.5 * (Y - 1j * dY)))
-
-
 def _frame_conjugate(graded_num, frame):
-    """Every graded operator with the frame substituted into its symbols."""
+    """Every graded operator with the frame substituted into its symbols:
+    y -> (Ybar z + Y zbar)/2, eta -> (Ybar' z + Y' zbar)/2, in one pass."""
+    half_y, half_dy = 0.5 * frame.Y, 0.5 * frame.dY
     slots = [(w, k, sym) for w, op in graded_num.items() for k, sym in op.terms.items()]
-    images = metaplectic_substitute([sym for _, _, sym in slots], frame)
+    images = substitute_linear([sym for _, _, sym in slots], (np.conj(half_y), half_y),
+                               (np.conj(half_dy), half_dy))
     out = {w: {} for w in graded_num}
     for (w, k, _), image in zip(slots, images):
         out[w][k] = image
@@ -230,11 +245,9 @@ def _frame_conjugate(graded_num, frame):
 
 def _oscillator(l1):
     """(c_s, -h) read off the frame-conjugated weight -1 term c_s D_s + c_s h."""
-    ds_sym = l1.ds_part(1)
-    c_entry = ds_sym.coeffs.get((0, 0))
-    if c_entry is None or set(ds_sym.coeffs) != {(0, 0)}:
+    c_s = _constant(l1.ds_part(1))
+    if c_s is None:
         raise AssertionError("unexpected D_s structure at weight -1")
-    c_s = complex(c_entry[0])
     return c_s, l1.ds_part(0).scale(-1.0 / c_s)
 
 
@@ -244,14 +257,18 @@ def solve_first_homological(d, c_s=2.0):
     Solvable on the period only when every entry of d has vanishing mean
     (the Zoll first obstruction); a mean above MEAN_TOL, or a NaN mean,
     raises FirstObstructionError with the offending entry.  Returns
-    (Q, largest |mean|), the latter being the first obstruction of d.
+    ((Q, dQ/ds), largest |mean|), the latter being the first obstruction
+    of d.  dQ/ds = -(d - <d>)/c_s comes exactly from the equation: it is
+    the derivative of Q's periodic part, which is all of Q wherever the
+    antiderivative zeroes the means (`fourier.MEAN_ZERO_TOL`).
     """
     means = {k: complex(periodic_mean(v)) for k, v in d.coeffs.items()}
     for k, m in sorted(means.items(), key=lambda kv: -abs(kv[1])):
         if not abs(m) <= MEAN_TOL:
             raise FirstObstructionError(k, m)
     q = d.map_coeffs(lambda v: spectral_antiderivative(v) * (-1.0 / c_s))
-    return q, max((abs(m) for m in means.values()), default=0.0)
+    q_s = PolySymbol({k: (v - means[k]) * (-1.0 / c_s) for k, v in d.coeffs.items()})
+    return (q, q_s), max((abs(m) for m in means.values()), default=0.0)
 
 
 def frame_conjugated(path, frame):
@@ -265,8 +282,8 @@ def frame_conjugated(path, frame):
     framed = _frame_conjugate(_instantiate(path), frame)
     c_s, minus_h = _oscillator(framed[Fraction(-1)])
     shift = SOperator({1: PolySymbol.constant(1), 0: minus_h})
-    powers = [SOperator.symbol(PolySymbol.constant(1))]
-    for _ in range(max(k for op in framed.values() for k in op.terms)):
+    powers = [None, shift]
+    for _ in range(2, max(k for op in framed.values() for k in op.terms) + 1):
         powers.append(powers[-1].compose(shift))
     return c_s, {w: _prune(op.substitute_ds(powers)) for w, op in framed.items()}
 
@@ -287,23 +304,22 @@ def conjugated_order_zero(path, frame):
     diag = {"frame_cancellation": SOperator({0: conj[Fraction(-1)].ds_part(0)}).max_abs()}
 
     d = conj[Fraction(-1, 2)].ds_part(0)
-    q, diag["first_obstruction_max"] = solve_first_homological(d, c_s=c_s)
+    q_jet, diag["first_obstruction_max"] = solve_first_homological(d, c_s=c_s)
 
-    result = {}
+    result = defaultdict(lambda: defaultdict(PolySymbol))
     half = Fraction(1, 2)
     for w, op in conj.items():
         term = op
         for j in range(int(-w / half) + 1):
             if j:
                 # term carries (-i)^j / j! ad_Q^j(op)
-                term = _prune(ad_symbol(q, term, -1j / j))
+                term = _prune(ad_symbol(q_jet, term, -1j / j))
             if not term.terms:
                 break
-            key = w + j * half
-            result[key] = result[key] + term if key in result else term
-    diag["odd_residual"] = result.get(Fraction(-1, 2), SOperator()).max_abs()
-    out = result.get(Fraction(0), SOperator()).ds_part(0)
-    return out, diag
+            for k, sym in term.terms.items():
+                result[w + j * half][k].add_scaled(sym)
+    diag["odd_residual"] = SOperator(result[Fraction(-1, 2)]).max_abs()
+    return SOperator(result[Fraction(0)]).ds_part(0), diag
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,12 @@ arrays (periodic coefficient functions), or jet polynomials all work.
 
 `star_product` and `star_commutator` run one kernel: one coefficient
 product per monomial pair, added with the cached constants sum_j w_j P_j
-into arrays the kernel owns.  The term-by-term transvectant, the
-definition the kernel is tested against, lives with the tests.
+into an accumulator symbol the caller may pass.  An accumulator adds in
+place only into the writeable arrays it made itself; an array it takes
+from an operand unchanged (a product with the unit) is lent read-only,
+and the first sum into it replaces it.  So no operand's array is ever
+written.  The term-by-term transvectant, the definition the kernel is
+tested against, lives with the tests.
 """
 
 import math
@@ -46,6 +50,12 @@ DEGREE_CAP = 8
 
 class DegreeOverflowError(ValueError):
     """Raised when a symbol operation would exceed the degree cap."""
+
+
+def _check_degree(key):
+    if sum(key) > DEGREE_CAP:
+        m, n = key
+        raise DegreeOverflowError(f"monomial z^{m} zbar^{n} exceeds degree cap {DEGREE_CAP}")
 
 
 def _is_zero(v):
@@ -81,22 +91,16 @@ class PolySymbol:
         return self.coeffs.get(key, 0)
 
     def __setitem__(self, key, value):
-        m, n = key
-        if m < 0 or n < 0:
+        if min(key) < 0:
             raise ValueError(f"negative exponents {key}")
-        if m + n > DEGREE_CAP:
-            raise DegreeOverflowError(f"monomial z^{m} zbar^{n} exceeds degree cap {DEGREE_CAP}")
+        _check_degree(key)
         if _is_zero(value):
-            self.coeffs.pop((m, n), None)
+            self.coeffs.pop(key, None)
         else:
             self.coeffs[key] = value
 
     def items(self):
         return self.coeffs.items()
-
-    @property
-    def degree(self):
-        return max((m + n for m, n in self.coeffs), default=0)
 
     def __add__(self, other):
         out = PolySymbol(dict(self.coeffs))
@@ -113,6 +117,13 @@ class PolySymbol:
 
     def scale(self, factor):
         return PolySymbol({k: factor * v for k, v in self.coeffs.items()})
+
+    def add_scaled(self, other, factor=1):
+        """self += factor * other, in place; returns self.  The arrays of
+        `other` are never written: at factor 1 they are lent read-only."""
+        for key, v in other.coeffs.items():
+            _accumulate(self.coeffs, key, _scale(v, factor))
+        return self
 
     def __mul__(self, other):
         """The plain product of two symbols (P_0), or a scalar multiple."""
@@ -165,77 +176,125 @@ def _moyal_constants(mn, munu, odd):
     return tuple(out)
 
 
-def _scale(v, c):
-    """c * v; an exact c stays exact on exact v and becomes a float on floats."""
+def _times(v, c):
+    """c * v, a new value; an exact c stays exact on exact v and becomes a
+    float on floats."""
     if isinstance(c, Fraction) and isinstance(v, (np.ndarray, float, complex)):
         c = float(c)  # Fraction * ndarray would make an object array
     return v * c  # ring elements define Fraction multiplication themselves
 
 
+def _scale(v, c):
+    """c * v; at c == 1 a sample array is lent as a read-only view instead
+    of copied."""
+    if not (isinstance(v, np.ndarray) and c == 1):
+        return _times(v, c)
+    if v.flags.writeable:
+        v = v.view()
+        v.flags.writeable = False
+    return v
+
+
+def _product(u, v):
+    """u * v; a scalar factor of a sample array goes through `_scale`."""
+    if isinstance(u, np.ndarray) != isinstance(v, np.ndarray):
+        return _scale(v, u) if isinstance(v, np.ndarray) else _scale(u, v)
+    return u * v
+
+
 def _accumulate(out, key, term):
-    """out[key] += term; a complex sample array already in `out` is added to
-    in place, so `out` must hold only arrays made for it."""
+    """out[key] += term, dropping the key where an exact sum vanishes.
+
+    Adds in place only into a writeable array of the sum's dtype, so
+    `out` must hold no writeable array it shares; a lent (read-only)
+    array is replaced by the sum."""
     cur = out.get(key)
     if cur is None:
-        out[key] = term
-    elif isinstance(cur, np.ndarray) and cur.dtype == np.complex128:
+        total = term
+    elif (isinstance(cur, np.ndarray) and cur.flags.writeable
+          and np.result_type(cur, term) == cur.dtype):
         cur += term
+        return
     else:
-        out[key] = cur + term
+        total = cur + term
+    if _is_zero(total):
+        out.pop(key, None)
+    else:
+        out[key] = total
 
 
-def _moyal(a, b, odd, weight):
-    """weight * (a # b), or weight * (a # b - b # a) when `odd`: one
-    coefficient product per monomial pair, added with its cached constants."""
-    out = {}
+def _moyal(a, b, odd, weight, out):
+    """out += weight * (a # b), or weight * (a # b - b # a) when `odd`: one
+    coefficient product per monomial pair, added with its cached constants.
+    A scalar coefficient against a sample array folds into the constants,
+    so that pair takes no product of its own."""
+    out = PolySymbol() if out is None else out
     for mn, av in a.coeffs.items():
         for munu, bv in b.coeffs.items():
             consts = _moyal_constants(mn, munu, odd)
             if not consts:
                 continue
-            prod = av * bv
+            _check_degree(consts[0][0])   # the lowest order keeps the highest degree
+            owned = isinstance(av, np.ndarray) == isinstance(bv, np.ndarray)
+            if owned:
+                prod, factor = av * bv, weight
+            elif isinstance(av, np.ndarray):
+                prod, factor = av, bv * weight
+            else:
+                prod, factor = bv, av * weight
             for i, (key, w) in enumerate(consts):
-                c = w * weight
-                # the keys of one pair differ, so only the first may keep prod itself
-                _accumulate(out, key, prod if c == 1 and i == 0 else _scale(prod, c))
-    return PolySymbol(out)
+                c = w * factor
+                if not owned:
+                    term = _scale(prod, c)
+                elif i == 0 and c == 1:
+                    term = prod   # made here; the keys of one pair differ
+                else:
+                    term = _times(prod, c)
+                _accumulate(out.coeffs, key, term)
+    return out
 
 
-def star_product(a, b, weight=1):
-    """Moyal product a # b (terminating sum of transvectants), times `weight`."""
-    return _moyal(a, b, False, weight)
+def star_product(a, b, weight=1, out=None):
+    """Moyal product a # b (terminating sum of transvectants), times `weight`,
+    added into the accumulator `out` when given; returns the sum."""
+    return _moyal(a, b, False, weight, out)
 
 
-def star_commutator(a, b, weight=1):
-    """a # b - b # a = sum over odd j of (2/j!) P_j(a, b), times `weight`."""
-    return _moyal(a, b, True, weight)
+def star_commutator(a, b, weight=1, out=None):
+    """a # b - b # a = sum over odd j of (2/j!) P_j(a, b), times `weight`,
+    added into the accumulator `out` when given; returns the sum."""
+    return _moyal(a, b, True, weight, out)
 
 
-def substitute_linear(symbols, z_image, zbar_image):
-    """Compose each symbol with z -> az*z + bz*zbar, zbar -> azb*z + bzb*zbar.
+def substitute_linear(symbols, first_image, second_image):
+    """Compose each symbol with a linear map of its two variables into (z, zbar).
 
-    `z_image` = (az, bz) and `zbar_image` = (azb, bzb) may be scalars or
-    sample arrays.  One pass over the union of monomials: the powers of
-    the two linear forms are taken once, and each substituted monomial is
-    built once, added into every symbol that carries it, and dropped.
-    Returns the list of substituted symbols.
+    A symbol here is a polynomial in two variables (x1, x2) keyed by
+    their exponents: (z, zbar) themselves, or (y, eta).  The map is
+    x1 -> a1*z + b1*zbar, x2 -> a2*z + b2*zbar, with `first_image` =
+    (a1, b1) and `second_image` = (a2, b2) scalars or sample arrays.  One
+    pass over the union of monomials: the powers of each linear form are
+    taken once, up to the highest exponent of its variable, so a pure
+    power costs no product; each mixed monomial is built once, added into
+    every symbol that carries it, and dropped.  Returns the list of
+    substituted symbols.
     """
-    top = max((sym.degree for sym in symbols), default=0)
-    zpow, zbpow = ([PolySymbol.constant(1), PolySymbol({(1, 0): a, (0, 1): b})]
-                   for a, b in (z_image, zbar_image))
-    for _ in range(2, top + 1):
-        zpow.append(zpow[-1] * zpow[1])
-        zbpow.append(zbpow[-1] * zbpow[1])
     carriers = defaultdict(list)
     for idx, sym in enumerate(symbols):
         for mn, v in sym.coeffs.items():
             carriers[mn].append((idx, v))
+    powers = []
+    for i, (a, b) in enumerate((first_image, second_image)):
+        pw = [PolySymbol.constant(1), PolySymbol({(1, 0): a, (0, 1): b})]
+        for _ in range(2, max((mn[i] for mn in carriers), default=0) + 1):
+            pw.append(pw[-1] * pw[1])
+        powers.append(pw)
     outs = [{} for _ in symbols]
     for (m, n), uses in carriers.items():
-        image = zpow[m] * zbpow[n]
+        image = powers[1][n] if not m else powers[0][m] if not n else powers[0][m] * powers[1][n]
         for idx, v in uses:
             for key, u in image.items():
-                _accumulate(outs[idx], key, u * v)
+                _accumulate(outs[idx], key, _product(u, v))
     return [PolySymbol(out) for out in outs]
 
 

@@ -31,10 +31,15 @@ The order-zero normal form symbol has the same kind of second route:
 the closed form `d_zero_restricted` of the frame-conjugated metric terms
 plus `commutator_double_integral` of the odd term `d_half`, written out
 by hand where the engine (`zollforms.normalform.conjugated_order_zero`)
-runs generic operator algebra.  `weyl_quantize` is the matrix oracle of
-the symbol calculus: Weyl quantization on the oscillator basis.
+runs generic operator algebra.  It also substitutes the frame its own
+way: `graded_zzbar` takes the Weyl symbols in (z, zbar) from
+`zollforms.expansion.graded_symbols` as complex arrays, and
+`metaplectic_substitute` maps z and zbar, where the engine keeps its
+symbols in (y, eta) and maps those.  `weyl_quantize` is the matrix
+oracle of the symbol calculus: Weyl quantization on the oscillator basis.
 `transvectant` is the term-by-term definition of P_j(a, b), which the
-package's fused star kernel and plain product are tested against.
+package's fused star kernel and plain product are tested against;
+`degree` reads a symbol's total degree.
 
 `rebase` re-parametrizes a traced geodesic from another base point by
 linear algebra on its Jacobi samples, for the base-point invariance
@@ -44,6 +49,7 @@ between two nearby states, for the exp-map and area-element tests) and
 `embedded` (samples in R^3) are helpers only the tests call.
 """
 
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -55,9 +61,10 @@ from zollforms import expansion
 from zollforms.fourier import spectral_antiderivative, spectral_derivative
 from zollforms.geodesic import GeodesicPath
 from zollforms.jacobi import JacobiFrame, VariationField
-from zollforms.normalform import _graded_formal, _instantiate, field_mean, metaplectic_substitute
+from zollforms.normalform import field_mean
 from zollforms.surface import SurfacePoint
-from zollforms.weyl import PolySymbol, star_commutator, star_product, transvectant_constant
+from zollforms.weyl import (PolySymbol, star_commutator, star_product, substitute_linear,
+                            transvectant_constant)
 
 ODE_TOL = 1e-12
 FLOW_TOL = 1e-13        # ode_flow's tolerance
@@ -132,16 +139,55 @@ def ode_variation_field(frame, direction=None):
     return VariationField(y_nu=y_nu, dy_nu=dy_nu)
 
 
+def _to_field(value, n):
+    out = np.asarray(value, dtype=complex)
+    if out.ndim == 0:
+        out = np.full(n, complex(out))
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _graded_zzbar_formal():
+    return {w: expansion.graded_symbols(op)
+            for w, op in expansion.graded_laplacian().items() if w <= 0}
+
+
+def graded_zzbar(path):
+    """{weight: {D_s power: symbol in (z, zbar)}} of the graded operators of
+    weight <= 0, every entry a complex array on the path grid."""
+    values = path.jets()
+    return {w: {c: sym.map_coeffs(lambda jp: _to_field(jp.substitute(values), path.n))
+                for c, sym in syms.items()}
+            for w, syms in _graded_zzbar_formal().items()}
+
+
+def metaplectic_substitute(symbols, frame):
+    """Conjugate symbols in (z, zbar) by the moving metaplectic frame of the
+    Jacobi flow.
+
+    Applies the exact linear substitution
+        z    -> (Ybar + i dYbar)/2 z + (Y + i dY)/2 zbar
+        zbar -> (Ybar - i dYbar)/2 z + (Y - i dY)/2 zbar
+    to a list of PolySymbols (entries scalars or sample arrays) in one
+    pass, and returns the list of SymbolFields on the frame's grid.
+    """
+    Y, dY = frame.Y, frame.dY
+    Yb, dYb = np.conj(Y), np.conj(dY)
+    fields = [sym.map_coeffs(lambda v: _to_field(v, Y.shape[0])) for sym in symbols]
+    return substitute_linear(fields, (0.5 * (Yb + 1j * dYb), 0.5 * (Y + 1j * dY)),
+                             (0.5 * (Yb - 1j * dYb), 0.5 * (Y - 1j * dY)))
+
+
 def d_half(frame):
     """Substituted odd term D_(1/2)(s, z, zbar): the cubic obstruction symbol.
 
     Equals (coefficient from the graded expansion) * tau_nu(s) *
     ((Ybar z + Y zbar)/2)^3; entries carry the exact binomial structure.
     """
-    syms = _graded_formal()[Fraction(-1, 2)]
+    syms = graded_zzbar(frame.path)[Fraction(-1, 2)]
     if set(syms) != {0}:
         raise AssertionError("odd term should carry no D_s")
-    return metaplectic_substitute([_instantiate(frame.path)[Fraction(-1, 2)].ds_part(0)], frame)[0]
+    return metaplectic_substitute([syms[0]], frame)[0]
 
 
 def commutator_double_integral(d):
@@ -164,14 +210,14 @@ def d_zero_restricted(frame):
     symbols per D_s power,
         D_0|0 = a_0 - a_1 # h + a_2 # (h#h + i d_s h).
     """
-    graded_num = _instantiate(frame.path)
+    graded_num = graded_zzbar(frame.path)
     l1 = graded_num[Fraction(-1)]
-    c_s = complex(l1.ds_part(1)[(0, 0)][0])
-    h = metaplectic_substitute([l1.ds_part(0)], frame)[0].scale(1.0 / c_s)
+    c_s = complex(l1[1][(0, 0)][0])
+    h = metaplectic_substitute([l1[0]], frame)[0].scale(1.0 / c_s)
     l0 = graded_num[Fraction(0)]
     out = PolySymbol()
-    for k in sorted(l0.terms):
-        a_k = metaplectic_substitute([l0.ds_part(k)], frame)[0]
+    for k in sorted(l0):
+        a_k = metaplectic_substitute([l0[k]], frame)[0]
         if k == 0:
             out = out + a_k
         elif k == 1:
@@ -527,13 +573,18 @@ def _monomial_matrices(max_degree, size):
     return mats
 
 
+def degree(a):
+    """Total degree of a symbol (0 for the zero symbol)."""
+    return max((m + n for m, n in a.coeffs), default=0)
+
+
 def weyl_quantize(a, n_trunc):
     """Matrix of the Weyl quantization of `a` on oscillator states 0..n_trunc-1.
 
     The matrix is built with enough padding that every returned entry equals
     the corresponding entry of the untruncated operator.
     """
-    deg = a.degree
+    deg = degree(a)
     if n_trunc < deg + 16:
         raise ValueError(f"n_trunc must be >= deg + 16 = {deg + 16}")
     size = n_trunc + deg + 2

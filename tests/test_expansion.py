@@ -45,6 +45,23 @@ class TestQQi:
         assert complex(QQi(1, 2)) == 1 + 2j
 
 
+class TestJetSubstitute:
+    def test_real_coefficients_stay_real(self):
+        """Real coefficients evaluate to float64 on real samples, any other
+        to complex128; a constant polynomial stays a Python scalar."""
+        rng = np.random.default_rng(8)
+        vals = {"tau": rng.standard_normal(8), "tau_nu": rng.standard_normal(8)}
+        real = TAU * TAU * jp(Fraction(2, 3)) + TAU_NU * jp(Fraction(1, 12))
+        mixed = real + TAU * JP.const(QQi(0, 1))
+        got_real, got_mixed = real.substitute(vals), mixed.substitute(vals)
+        assert got_real.dtype == np.float64 and got_mixed.dtype == np.complex128
+        expected = (2 / 3) * vals["tau"] ** 2 + vals["tau_nu"] / 12
+        assert np.max(np.abs(got_real - expected)) <= 1e-15
+        assert np.max(np.abs(got_mixed - (expected + 1j * vals["tau"]))) <= 1e-15
+        assert type(jp(2).substitute(vals)) is float
+        assert type(JP.const(QQi(1, 1)).substitute(vals)) is complex
+
+
 class TestFermiJets:
     def test_low_order_jets(self):
         J, g00 = fermi_metric_jets()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import conjugate, monomial, transvectant, weyl_quantize
+from oracles import conjugate, degree, monomial, transvectant, weyl_quantize
 
 from zollforms.weyl import (
     DegreeOverflowError,
@@ -14,6 +14,7 @@ from zollforms.weyl import (
     diagonal_part,
     star_commutator,
     star_product,
+    substitute_linear,
     transvectant_constant,
 )
 
@@ -83,7 +84,7 @@ class TestTransvectants:
         a, b = random_symbol(rng, 3), random_symbol(rng, 4)
         for j in range(4):
             got = transvectant(a, b, j)
-            assert got.degree == a.degree + b.degree - 2 * j
+            assert degree(got) == degree(a) + degree(b) - 2 * j
 
     def test_degree_cap_enforced(self):
         big = monomial(4, 4)
@@ -207,12 +208,12 @@ def transvectant_sum(a, b, orders, weight):
 
 
 def moyal_reference(a, b):
-    return transvectant_sum(a, b, range(min(a.degree, b.degree) + 1),
+    return transvectant_sum(a, b, range(min(degree(a), degree(b)) + 1),
                             lambda j: Fraction(1, math.factorial(j)))
 
 
 def commutator_reference(a, b):
-    return transvectant_sum(a, b, range(1, min(a.degree, b.degree) + 1, 2),
+    return transvectant_sum(a, b, range(1, min(degree(a), degree(b)) + 1, 2),
                             lambda j: Fraction(2, math.factorial(j)))
 
 
@@ -265,3 +266,61 @@ class TestFusedKernel:
             for (p, q) in got.coeffs:
                 j = (sum(mn) + sum(munu) - p - q) // 2
                 assert j % 2 == 1, (mn, munu, (p, q))
+
+
+class TestAccumulator:
+    """star_product, star_commutator, add_scaled and substitute_linear add
+    into their results in place, and never into an operand's array: a
+    product with the unit lends the operand's array read-only."""
+
+    @staticmethod
+    def snapshot(*syms):
+        return [{k: np.array(v, copy=True) for k, v in sym.coeffs.items()} for sym in syms]
+
+    @staticmethod
+    def unchanged(syms, shots):
+        return all(sym.coeffs.keys() == shot.keys()
+                   and all(np.array_equal(sym.coeffs[k], v) for k, v in shot.items())
+                   for sym, shot in zip(syms, shots))
+
+    def test_unit_operand_lends_read_only(self):
+        rng = np.random.default_rng(500)
+        a, b = random_field_symbol(rng, max_degree=2), random_field_symbol(rng, max_degree=2)
+        shots = self.snapshot(a, b)
+        acc = star_product(PolySymbol.constant(1), a)
+        for k, v in acc.coeffs.items():
+            assert np.shares_memory(v, a[k]) and not v.flags.writeable
+        star_product(a, b, 0.5, acc)
+        star_commutator(b, a, 2.0, acc)
+        acc.add_scaled(b)
+        acc.add_scaled(a, -1.5j)
+        assert self.unchanged((a, b), shots)
+        ref = (a + moyal_reference(a, b).scale(0.5) + commutator_reference(b, a).scale(2.0)
+               + b + a.scale(-1.5j))
+        assert fields_close(acc, ref, 1e-12)
+
+    def test_real_accumulator_takes_complex_terms(self):
+        rng = np.random.default_rng(501)
+        real = PolySymbol({(0, 0): rng.standard_normal(16), (1, 1): rng.standard_normal(16)})
+        b = random_field_symbol(rng, max_degree=2)
+        shots = self.snapshot(real, b)
+        acc = PolySymbol().add_scaled(real, 2.0)
+        assert all(v.flags.writeable and v.dtype == np.float64 for v in acc.coeffs.values())
+        acc.add_scaled(b, 1j)
+        assert self.unchanged((real, b), shots)
+        assert fields_close(acc, real.scale(2.0) + b.scale(1j), 1e-12)
+
+    def test_substitute_linear_keeps_its_inputs(self):
+        rng = np.random.default_rng(502)
+        images = [tuple(rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(2))
+                  for _ in range(2)]
+        first, second = PolySymbol({(1, 0): 1}), PolySymbol({(0, 1): 1, (2, 0): 1.0})
+        image_copies = [tuple(v.copy() for v in pair) for pair in images]
+        got = substitute_linear([first, second], *images)
+        assert all(np.array_equal(v, w) for pair, copy in zip(images, image_copies)
+                   for v, w in zip(pair, copy))
+        (a1, b1), (a2, b2) = images
+        assert fields_close(got[0], PolySymbol({(1, 0): a1, (0, 1): b1}), 0.0)
+        assert not any(v.flags.writeable for v in got[0].coeffs.values())
+        square = PolySymbol({(2, 0): a1 * a1, (1, 1): 2 * a1 * b1, (0, 2): b1 * b1})
+        assert fields_close(got[1], PolySymbol({(1, 0): a2, (0, 1): b2}) + square, 1e-12)
