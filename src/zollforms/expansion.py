@@ -32,7 +32,7 @@ __all__ = [
     "half_density_laplacian",
     "grade_expansion",
     "graded_laplacian",
-    "graded_symbols",
+    "transverse_symbols",
     "constants_report",
 ]
 
@@ -456,26 +456,20 @@ def graded_laplacian():
     return grade_expansion(half_density_laplacian())
 
 
-def graded_symbols(graded_term):
+def transverse_symbols(graded_term):
     """(y, D_y)-part of a graded operator as Weyl symbols per D_s power.
 
-    Returns {ds_power: PolySymbol in (z, zbar) with JetPolynomial entries}.
-    The Weyl symbol of y^k D_y^b is the star product of the pure symbols,
-    computed in the same algebra the numeric pipeline uses.
+    Returns {ds_power: PolySymbol in (y, eta) with JetPolynomial entries},
+    keyed (y power, eta power).  The Weyl symbol of y^k D_y^b is y^k eta^b
+    exactly when k or b is 0, so the symbols are the operator's own
+    (k, b, c) keys; no graded term of weight <= 0 has both, and a term
+    that has both raises.
     """
-    half = QQi(Fraction(1, 2))
-    mhalf_i = QQi(0, Fraction(-1, 2))
-    y_sym = PolySymbol({(1, 0): JP.const(half), (0, 1): JP.const(half)})
-    eta_sym = PolySymbol({(1, 0): JP.const(mhalf_i), (0, 1): JP.const(-mhalf_i)})
     out = {}
     for (k, b, c), coeff in graded_term.terms.items():
-        sym = PolySymbol.constant(JP.const(1))
-        for _ in range(k):
-            sym = sym * y_sym
-        for _ in range(b):
-            sym = star_product(sym, eta_sym)
-        sym = sym.map_coeffs(lambda v, c0=coeff: v * c0)
-        out[c] = out.get(c, PolySymbol()) + sym
+        if k and b:
+            raise AssertionError(f"graded term y^{k} D_y^{b} mixes y with D_y")
+        out.setdefault(c, PolySymbol())[k, b] = coeff
     return out
 
 
@@ -483,15 +477,12 @@ def graded_symbols(graded_term):
 # Universal constants report
 # ---------------------------------------------------------------------------
 
-def _metaplectic_formal(sym):
-    """Substitute z -> (Yb + i*dYb)/2 z + (Y + i*dY)/2 zbar etc., formally."""
+def _frame_formal(symbols):
+    """Substitute y -> (Yb z + Y zbar)/2, eta -> (dYb z + dY zbar)/2, formally."""
     half = QQi(Fraction(1, 2))
-    halfi = QQi(0, Fraction(1, 2))
-    Y, Yb = JP.var("Y"), JP.var("Yb")
-    dY, dYb = JP.var("dY"), JP.var("dYb")
-    z_img = (Yb * half + dYb * halfi, Y * half + dY * halfi)
-    zb_img = (Yb * half - dYb * halfi, Y * half - dY * halfi)
-    return substitute_linear([sym], z_img, zb_img)[0]
+    y_img = (JP.var("Yb", half), JP.var("Y", half))
+    eta_img = (JP.var("dYb", half), JP.var("dY", half))
+    return substitute_linear(symbols, y_img, eta_img)
 
 
 _INTEGRAND_BASIS = {
@@ -542,13 +533,13 @@ def formal_oscillator(graded):
     (c_s as QQi, formal substituted symbol of osc/c_s).
     """
     l1 = graded[Fraction(-1)]
-    syms = graded_symbols(l1)
+    syms = transverse_symbols(l1)
     ds_part = syms.get(1)
     if ds_part is None or set(ds_part.coeffs) != {(0, 0)}:
         raise AssertionError("unexpected D_s structure in the h^-1 graded term")
     c_s = ds_part[(0, 0)].terms.get((), QQi())
     osc = syms.get(0, PolySymbol())
-    h = _metaplectic_formal(osc).map_coeffs(lambda v: v * (ONE / c_s))
+    h = _frame_formal([osc])[0].map_coeffs(lambda v: v * (ONE / c_s))
     return c_s, h
 
 
@@ -576,7 +567,8 @@ def derive_normal_form_integrands():
     for (_, b, _) in l0.terms:
         if b != 0:
             raise AssertionError(f"unexpected D_y power {b} in the order-zero term")
-    l0_syms = {c: _metaplectic_formal(sym) for c, sym in graded_symbols(l0).items()}
+    l0_syms = transverse_symbols(l0)
+    l0_syms = dict(zip(l0_syms, _frame_formal(list(l0_syms.values()))))
 
     total = PolySymbol()
     dropped_tau_s = PolySymbol()

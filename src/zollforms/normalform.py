@@ -17,15 +17,16 @@ No commutator prefactor is typed by hand: stage 2 is generic operator
 algebra on sampled symbols.  The explicit closed-form route (`d_half`,
 `d_zero_restricted` + `commutator_double_integral`) is the independent
 cross-check of this engine and lives with the tests (`tests/oracles.py`),
-with its own substitution in (z, zbar).
+with its own Weyl symbols and substitution in (z, zbar).
 
 Each full-grid pass does work the symbols hold.  Below weight 1 no
 graded term mixes y with D_y, so the graded symbols are read off the
-operators' own keys as polynomials in (y, eta); constants stay scalars,
-and one substitution pass builds each monomial's image once.  A product
-with a constant symbol takes no star product, every operator product
-sums into one accumulator, and the ad-series takes dQ/ds from the
-homological equation, not by FFT.
+operators' own keys as polynomials in (y, eta)
+(`expansion.transverse_symbols`, the route the constants table takes
+too); constants stay scalars, and one substitution pass builds each
+monomial's image once.  A product with a constant symbol takes no star
+product, every operator product sums into one accumulator, and the
+ad-series takes dQ/ds from the homological equation, not by FFT.
 
 A `CoefficientFunction` is a sample vector on the geodesic grid, or a
 scalar where the coefficient is constant; a `SymbolField` is a PolySymbol
@@ -189,23 +190,10 @@ def _prune(op):
 
 @lru_cache(maxsize=1)
 def _graded_formal():
-    """The graded symbols of weight <= 0 as polynomials in (y, eta).
-
-    {weight: {D_s power: PolySymbol keyed (y power, eta power)}} with
-    JetPolynomial entries.  The Weyl symbol of y^k D_y^b is y^k eta^b
-    exactly when k or b is 0, and no graded term of weight <= 0 has
-    both, so the symbols are the operators' own (k, b, c) keys.
-    """
-    out = {}
-    for w, op in _exp.graded_laplacian().items():
-        if w > 0:
-            continue
-        syms = out[w] = {}
-        for (k, b, c), jp in op.terms.items():
-            if k and b:
-                raise AssertionError(f"graded term y^{k} D_y^{b} at weight {w} mixes y with D_y")
-            syms.setdefault(c, PolySymbol())[k, b] = jp
-    return out
+    """The graded symbols of weight <= 0 as polynomials in (y, eta):
+    {weight: {D_s power: PolySymbol}} with JetPolynomial entries."""
+    return {w: _exp.transverse_symbols(op)
+            for w, op in _exp.graded_laplacian().items() if w <= 0}
 
 
 def _instantiate(path):
@@ -252,23 +240,23 @@ def _oscillator(l1):
 
 
 def solve_first_homological(d, c_s=2.0):
-    """Q(s) with the conjugation removing the odd term: dQ/ds = -d/c_s, Q(0) = 0.
+    """Q(s) with the conjugation removing the odd term: dQ/ds = -(d - <d>)/c_s, Q(0) = 0.
 
     Solvable on the period only when every entry of d has vanishing mean
     (the Zoll first obstruction); a mean above MEAN_TOL, or a NaN mean,
-    raises FirstObstructionError with the offending entry.  Returns
-    ((Q, dQ/ds), largest |mean|), the latter being the first obstruction
-    of d.  dQ/ds = -(d - <d>)/c_s comes exactly from the equation: it is
-    the derivative of Q's periodic part, which is all of Q wherever the
-    antiderivative zeroes the means (`fourier.MEAN_ZERO_TOL`).
+    raises FirstObstructionError with the offending entry.  The means
+    below it are taken out before the antiderivative, so Q is periodic
+    and dQ/ds, which comes exactly from the equation, is its derivative.
+    Returns ((Q, dQ/ds), means of d as a scalar PolySymbol); the largest
+    |mean| is the first obstruction of d.
     """
-    means = {k: complex(periodic_mean(v)) for k, v in d.coeffs.items()}
+    means = {k: periodic_mean(v) for k, v in d.coeffs.items()}
     for k, m in sorted(means.items(), key=lambda kv: -abs(kv[1])):
         if not abs(m) <= MEAN_TOL:
-            raise FirstObstructionError(k, m)
-    q = d.map_coeffs(lambda v: spectral_antiderivative(v) * (-1.0 / c_s))
+            raise FirstObstructionError(k, complex(m))
     q_s = PolySymbol({k: (v - means[k]) * (-1.0 / c_s) for k, v in d.coeffs.items()})
-    return (q, q_s), max((abs(m) for m in means.values()), default=0.0)
+    return (q_s.map_coeffs(spectral_antiderivative), q_s), \
+        PolySymbol({k: complex(m) for k, m in means.items()})
 
 
 def frame_conjugated(path, frame):
@@ -297,14 +285,16 @@ def conjugated_order_zero(path, frame):
     are `frame_cancellation` (what is left of the weight -1 term besides
     c_s D_s), `first_obstruction_max` (the largest |mean| of the odd term
     the first conjugation removes) and `odd_residual` (what is left at
-    weight -1/2 after it).
+    weight -1/2 after it besides those means: ~0 when the ad-series
+    cancels the oscillating part of the odd term).
     """
     c_s, conj = frame_conjugated(path, frame)
     # the weight -1 term must now be exactly c_s D_s
     diag = {"frame_cancellation": SOperator({0: conj[Fraction(-1)].ds_part(0)}).max_abs()}
 
     d = conj[Fraction(-1, 2)].ds_part(0)
-    q_jet, diag["first_obstruction_max"] = solve_first_homological(d, c_s=c_s)
+    q_jet, means = solve_first_homological(d, c_s=c_s)
+    diag["first_obstruction_max"] = max((abs(m) for m in means.coeffs.values()), default=0.0)
 
     result = defaultdict(lambda: defaultdict(PolySymbol))
     half = Fraction(1, 2)
@@ -318,7 +308,10 @@ def conjugated_order_zero(path, frame):
                 break
             for k, sym in term.terms.items():
                 result[w + j * half][k].add_scaled(sym)
-    diag["odd_residual"] = SOperator(result[Fraction(-1, 2)]).max_abs()
+    # the means of d stay at weight -1/2, reported as the first obstruction
+    odd = result[Fraction(-1, 2)]
+    odd[0].add_scaled(means, -1)
+    diag["odd_residual"] = SOperator(odd).max_abs()
     return SOperator(result[Fraction(0)]).ds_part(0), diag
 
 

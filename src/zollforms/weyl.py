@@ -21,10 +21,11 @@ arrays (periodic coefficient functions), or jet polynomials all work.
 `star_product` and `star_commutator` run one kernel: one coefficient
 product per monomial pair, added with the cached constants sum_j w_j P_j
 into an accumulator symbol the caller may pass.  An accumulator adds in
-place only into the writeable arrays it made itself; an array it takes
-from an operand unchanged (a product with the unit) is lent read-only,
-and the first sum into it replaces it.  So no operand's array is ever
-written.  The term-by-term transvectant, the definition the kernel is
+place only into the writeable arrays it made itself.  An array it takes
+from an operand unchanged (a product with the unit) is lent: lending
+makes the array read-only, for the borrower and for the symbol it came
+from, and the first sum into it, on either side, replaces it.  So no
+array is written once two symbols hold it.  The term-by-term transvectant, the definition the kernel is
 tested against, lives with the tests.
 """
 
@@ -120,7 +121,7 @@ class PolySymbol:
 
     def add_scaled(self, other, factor=1):
         """self += factor * other, in place; returns self.  The arrays of
-        `other` are never written: at factor 1 they are lent read-only."""
+        `other` are never written: at factor 1 they are lent (`_scale`)."""
         for key, v in other.coeffs.items():
             _accumulate(self.coeffs, key, _scale(v, factor))
         return self
@@ -185,13 +186,11 @@ def _times(v, c):
 
 
 def _scale(v, c):
-    """c * v; at c == 1 a sample array is lent as a read-only view instead
-    of copied."""
+    """c * v; at c == 1 a sample array is lent instead of copied, and
+    lending makes it read-only for its owner too."""
     if not (isinstance(v, np.ndarray) and c == 1):
         return _times(v, c)
-    if v.flags.writeable:
-        v = v.view()
-        v.flags.writeable = False
+    v.flags.writeable = False
     return v
 
 
@@ -206,8 +205,8 @@ def _accumulate(out, key, term):
     """out[key] += term, dropping the key where an exact sum vanishes.
 
     Adds in place only into a writeable array of the sum's dtype, so
-    `out` must hold no writeable array it shares; a lent (read-only)
-    array is replaced by the sum."""
+    `out` must hold no writeable array it shares; a lent array is
+    read-only and is replaced by the sum."""
     cur = out.get(key)
     if cur is None:
         total = term

@@ -32,10 +32,11 @@ the closed form `d_zero_restricted` of the frame-conjugated metric terms
 plus `commutator_double_integral` of the odd term `d_half`, written out
 by hand where the engine (`zollforms.normalform.conjugated_order_zero`)
 runs generic operator algebra.  It also substitutes the frame its own
-way: `graded_zzbar` takes the Weyl symbols in (z, zbar) from
-`zollforms.expansion.graded_symbols` as complex arrays, and
-`metaplectic_substitute` maps z and zbar, where the engine keeps its
-symbols in (y, eta) and maps those.  `weyl_quantize` is the matrix
+way: `graded_symbols` writes the Weyl symbols in (z, zbar) as star
+products of the pure symbols of y and eta, `graded_zzbar` samples them
+as complex arrays, and `metaplectic_substitute` maps z and zbar, where
+the package reads its symbols in (y, eta) off the operators' keys
+(`zollforms.expansion.transverse_symbols`) and maps y and eta.  `weyl_quantize` is the matrix
 oracle of the symbol calculus: Weyl quantization on the oscillator basis.
 `transvectant` is the term-by-term definition of P_j(a, b), which the
 package's fused star kernel and plain product are tested against;
@@ -146,9 +147,31 @@ def _to_field(value, n):
     return out
 
 
+def graded_symbols(graded_term):
+    """(y, D_y)-part of a graded operator as Weyl symbols in (z, zbar) per
+    D_s power: {ds_power: PolySymbol with JetPolynomial entries}.  The
+    Weyl symbol of y^k D_y^b is the star product of the pure symbols of y
+    and eta, so terms that mix y with D_y come out Weyl-ordered as well."""
+    JP, QQi = expansion.JetPolynomial, expansion.QQi
+    half = QQi(Fraction(1, 2))
+    mhalf_i = QQi(0, Fraction(-1, 2))
+    y_sym = PolySymbol({(1, 0): JP.const(half), (0, 1): JP.const(half)})
+    eta_sym = PolySymbol({(1, 0): JP.const(mhalf_i), (0, 1): JP.const(-mhalf_i)})
+    out = {}
+    for (k, b, c), coeff in graded_term.terms.items():
+        sym = PolySymbol.constant(JP.const(1))
+        for _ in range(k):
+            sym = sym * y_sym
+        for _ in range(b):
+            sym = star_product(sym, eta_sym)
+        sym = sym.map_coeffs(lambda v, c0=coeff: v * c0)
+        out[c] = out.get(c, PolySymbol()) + sym
+    return out
+
+
 @functools.lru_cache(maxsize=1)
 def _graded_zzbar_formal():
-    return {w: expansion.graded_symbols(op)
+    return {w: graded_symbols(op)
             for w, op in expansion.graded_laplacian().items() if w <= 0}
 
 

@@ -20,12 +20,13 @@ from zollforms.expansion import (
     fermi_metric_jets,
     grade_expansion,
     graded_laplacian,
-    graded_symbols,
     half_density_laplacian,
+    transverse_symbols,
+    _frame_formal,
     _match_integrand_basis,
     _round_sphere_mean,
 )
-from oracles import round_sphere_c2
+from oracles import graded_symbols, round_sphere_c2
 
 JP = JetPolynomial
 HALF = Fraction(1, 2)
@@ -265,3 +266,33 @@ class TestDerivedConstants:
         assert sym[(0, 2)] == JP.const(QQi(0, Fraction(1, 4)))
         assert sym[(0, 0)] == JP.const(QQi(0, HALF))
         assert (1, 1) not in sym.coeffs
+
+    def test_transverse_symbols_reject_mixed_terms(self):
+        # y D_y has the Weyl symbol y*eta + i/2, not the key reading y*eta
+        term = FormalOperator({(1, 1, 0): jp(1)})
+        try:
+            transverse_symbols(term)
+        except AssertionError as exc:
+            assert "mixes y with D_y" in str(exc)
+        else:
+            raise AssertionError("a term mixing y with D_y was read off its key")
+
+    def test_frame_formal_equals_the_zzbar_route(self):
+        """The (y, eta) substitution y -> (Yb z + Y zbar)/2, eta -> (dYb z +
+        dY zbar)/2 gives the same jet polynomials as substituting z, zbar
+        into the Weyl symbols in (z, zbar), at every weight <= 0."""
+        from zollforms.weyl import substitute_linear
+
+        half, halfi = QQi(HALF), QQi(0, HALF)
+        Y, Yb, dY, dYb = (JP.var(name) for name in ("Y", "Yb", "dY", "dYb"))
+        z_img = (Yb * half + dYb * halfi, Y * half + dY * halfi)
+        zb_img = (Yb * half - dYb * halfi, Y * half - dY * halfi)
+        for w, op in graded_laplacian().items():
+            if w > 0:
+                continue
+            syms, ref = transverse_symbols(op), graded_symbols(op)
+            assert set(syms) == set(ref), w
+            got = _frame_formal(list(syms.values()))
+            want = substitute_linear([ref[c] for c in syms], z_img, zb_img)
+            for c, a, b in zip(syms, got, want):
+                assert a.coeffs == b.coeffs, (w, c)

@@ -154,8 +154,8 @@ class TestDHalf:
 class TestFirstHomological:
     def test_zero_input(self, cubic_frame):
         n = cubic_frame.path.n
-        (q, _), worst = solve_first_homological(PolySymbol({(3, 0): np.zeros(n, dtype=complex)}))
-        assert worst == 0.0
+        (q, _), means = solve_first_homological(PolySymbol({(3, 0): np.zeros(n, dtype=complex)}))
+        assert not means.coeffs
         assert np.max(np.abs(q[(3, 0)])) == 0.0
 
     def test_single_mode_closed_form(self):
@@ -171,6 +171,23 @@ class TestFirstHomological:
         for v in q.coeffs.values():
             # spectral antiderivative of numerically mean-free data is periodic
             assert abs(v[0]) < 1e-12
+
+    def test_small_mean_keeps_q_periodic(self):
+        """A mean between the antiderivative's zeroing threshold (1e-10 of
+        max |d|) and MEAN_TOL passes the gate and is reported, and Q stays
+        periodic with dQ/ds its derivative."""
+        from zollforms.normalform import _symbol_ds
+
+        n = 1024
+        s = 2.0 * math.pi * np.arange(n) / n
+        d = PolySymbol({(3, 0): np.cos(s) + 1e-8, (2, 1): np.exp(2j * s) - 3e-9j})
+        (q, q_s), means = solve_first_homological(d, c_s=2.0)
+        assert abs(means[(3, 0)] - 1e-8) <= 1e-15 and abs(means[(2, 1)] + 3e-9j) <= 1e-15
+        fft = _symbol_ds(q)
+        for key in d.coeffs:
+            assert abs(q[key][0]) == 0.0
+            assert np.max(np.abs(q_s[key] - fft[key])) <= 1e-13, key
+        assert np.max(np.abs(q[(3, 0)] + 0.5 * np.sin(s))) <= 1e-13
 
     def test_obstruction_error(self):
         n = 256
@@ -241,6 +258,29 @@ class TestEngineAgainstExplicitRoute:
             assert abs(complex(m_engine[k]) - complex(explicit[k])) < 1e-12, k
         assert diag["frame_cancellation"] < 1e-12
         assert diag["odd_residual"] < 1e-8
+
+    def test_odd_residual_is_not_the_obstruction(self, cubic_path, cubic_frame, monkeypatch):
+        """A mean of 1e-8 added to the odd term (above the antiderivative's
+        zeroing threshold, below MEAN_TOL) reads in first_obstruction_max
+        only: odd_residual stays at its level without it, and the averaged
+        symbol moves by no more than the shift allows."""
+        from zollforms import normalform
+
+        clean_sym, clean = conjugated_order_zero(cubic_path, cubic_frame)
+        real = normalform.frame_conjugated
+
+        def shifted(path, frame):
+            c_s, conj = real(path, frame)
+            d = conj[Fraction(-1, 2)].ds_part(0)
+            for key in d.coeffs:
+                d.coeffs[key] = d.coeffs[key] + 1e-8
+            return c_s, conj
+
+        monkeypatch.setattr(normalform, "frame_conjugated", shifted)
+        sym, diag = conjugated_order_zero(cubic_path, cubic_frame)
+        assert abs(diag["first_obstruction_max"] - 1e-8) <= 1e-15
+        assert diag["odd_residual"] <= max(2.0 * clean["odd_residual"], 1e-15)
+        assert max(abs(complex(v)) for v in (field_mean(sym) - field_mean(clean_sym)).coeffs.values()) <= 1e-7
 
     def test_stage_one_equals_closed_form_terms(self, cubic_path, cubic_frame):
         """The stage 1 operators carry the closed-form pieces pointwise: the
@@ -521,7 +561,8 @@ class TestRealTransverseBasis:
     def test_symbols_map_back_to_graded_symbols(self):
         """y -> (z + zbar)/2, eta -> (z - zbar)/(2i) takes every (y, eta)
         symbol to its Weyl symbol in (z, zbar), exactly."""
-        from zollforms.expansion import QQi, JetPolynomial, graded_laplacian, graded_symbols
+        from oracles import graded_symbols
+        from zollforms.expansion import QQi, JetPolynomial, graded_laplacian
         from zollforms.normalform import _graded_formal
         from zollforms.weyl import substitute_linear
 

@@ -299,6 +299,20 @@ class TestAccumulator:
                + b + a.scale(-1.5j))
         assert fields_close(acc, ref, 1e-12)
 
+    def test_lent_array_is_not_written_by_its_owner(self):
+        """An accumulator that lent an array replaces it on its next sum, so
+        the borrower keeps its value."""
+        rng = np.random.default_rng(503)
+        x = random_field_symbol(rng, max_degree=2)
+        shots = self.snapshot(x)
+        acc = PolySymbol().add_scaled(x, 2.0)
+        other = PolySymbol().add_scaled(acc)
+        other_shot = self.snapshot(other)
+        acc.add_scaled(x)
+        star_product(PolySymbol.constant(1), x, 1, acc)
+        assert self.unchanged((x, other), shots + other_shot)
+        assert fields_close(acc, x.scale(4.0), 1e-12)
+
     def test_real_accumulator_takes_complex_terms(self):
         rng = np.random.default_rng(501)
         real = PolySymbol({(0, 0): rng.standard_normal(16), (1, 1): rng.standard_normal(16)})
