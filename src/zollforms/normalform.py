@@ -240,7 +240,7 @@ def _oscillator(l1):
 
 
 def solve_first_homological(d, c_s=2.0):
-    """Q(s) with the conjugation removing the odd term: dQ/ds = -(d - <d>)/c_s, Q(0) = 0.
+    """Q(s) with the conjugation removing the odd term: Q' = -(d - <d>)/c_s, Q(0) = 0.
 
     Solvable on the period only when every entry of d has vanishing mean
     (the Zoll first obstruction); a mean above MEAN_TOL, or a NaN mean,

@@ -25,8 +25,9 @@ place only into the writeable arrays it made itself.  An array it takes
 from an operand unchanged (a product with the unit) is lent: lending
 makes the array read-only, for the borrower and for the symbol it came
 from, and the first sum into it, on either side, replaces it.  So no
-array is written once two symbols hold it.  The term-by-term transvectant, the definition the kernel is
-tested against, lives with the tests.
+array is written once two symbols hold it.  The term-by-term
+transvectant, the definition the kernel is tested against, lives with
+the tests.
 """
 
 import math
