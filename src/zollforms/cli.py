@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Integral, Real
 
-from numpy.linalg import LinAlgError
-
 from . import __version__
 from .expansion import constants_report
 from .geodesic import (MIN_GRID, canonical_initial_conditions, sample_initial_conditions,
@@ -31,7 +29,7 @@ from .weyl import DegreeOverflowError
 
 __all__ = ["main", "RunConfig", "build_report", "metric_from_spec"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 H_RELATION_TOL = 1e-9     # residual of the paper's c0 = -H/(16 pi), see InvariantRecord.h_relation
 
 EXIT_PASS = 0
@@ -48,7 +46,6 @@ class ConfigError(ValueError):
 NUMERICAL_FAILURES = {
     IntegrationError: "integration",
     DegreeOverflowError: "degree_overflow",
-    LinAlgError: "linear_algebra",
 }
 
 
@@ -92,6 +89,8 @@ class RunConfig:
         cfg = cls(**{k: v for k, v in data.items() if v is not None})
         if cfg.geodesics < 1:
             raise ConfigError("geodesics must be >= 1")
+        if cfg.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if cfg.grid < MIN_GRID or (cfg.grid & (cfg.grid - 1)) != 0:
             raise ConfigError(f"grid must be a power of two >= {MIN_GRID}")
         if not (0.0 < cfg.tol < 1.0):

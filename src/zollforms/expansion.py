@@ -652,22 +652,11 @@ def constants_report():
 
     comm = commutator_diagonal_constants()
 
-    p1_table = {
-        f"({m},{n}),({mu},{nu})": transvectant_constant((m, n), (mu, nu), 1)
-        for m in range(4)
-        for n in range(4 - m)
-        for mu in range(4)
-        for nu in range(4 - mu)
-        if (m + n, mu + nu) == (3, 3)
-    }
-    p3_table = {
-        f"({m},{n}),({mu},{nu})": transvectant_constant((m, n), (mu, nu), 3)
-        for m in range(4)
-        for n in range(0, 4 - m)
-        for mu in range(4)
-        for nu in range(0, 4 - mu)
-        if (m + n, mu + nu) == (3, 3)
-    }
+    # P_1 and P_3 between cubic monomials
+    cubic_pairs = {j: {
+        f"({m},{3 - m}),({mu},{3 - mu})": transvectant_constant((m, 3 - m), (mu, 3 - mu), j)
+        for m in range(4) for mu in range(4)
+    } for j in (1, 3)}
 
     report = {
         "normalization": {
@@ -702,8 +691,8 @@ def constants_report():
         "transvectants": {
             "P1_general": "P1(z^m zb^n, z^mu zb^nu) = sigma((m,n),(mu,nu)) z^(m+mu-1) zb^(n+nu-1)",
             "normalization_note": "references using C_1 = sigma/2 are half this convention",
-            "P1_cubic_pairs": p1_table,
-            "P3_cubic_pairs": p3_table,
+            "P1_cubic_pairs": cubic_pairs[1],
+            "P3_cubic_pairs": cubic_pairs[3],
         },
         "pipeline_factors": {
             "first_homological (Q = factor * int d)": repr(FIRST_HOMOLOGICAL_FACTOR),

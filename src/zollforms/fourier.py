@@ -98,12 +98,12 @@ def spectral_antiderivative(values):
     _check_grid(n)
     _, inv_ik, s = _mode_factors(n)
     coeffs = np.fft.fft(values)
-    mean = coeffs[..., 0] / n
-    mean = np.where(np.abs(mean) < MEAN_ZERO_TOL * np.max(np.abs(values), axis=-1), 0.0, mean)
+    mean = coeffs[0] / n
+    if abs(mean) < MEAN_ZERO_TOL * np.max(np.abs(values)):
+        mean = 0.0
     # the Nyquist mode is at roundoff level for smooth data; inv_ik drops it
     osc = np.fft.ifft(coeffs * inv_ik)
-    osc = osc - osc[..., :1]
-    out = osc + np.multiply.outer(mean, s) if values.ndim > 1 else osc + mean * s
+    out = osc - osc[0] + mean * s
     if np.isrealobj(values):
         return out.real
     return out

@@ -13,8 +13,11 @@ geodesic) in two stages:
   2. exp(i h^(1/2) Q) with Q solving the first homological equation,
      applied as the operator ad-series.
 
-No commutator prefactor is typed by hand: stage 2 is generic operator
-algebra on sampled symbols.  The explicit closed-form route (`d_half`,
+Both series run by Horner's rule: the shift from the top D_s power down,
+X <- X o (D_s - Op(h)) + Op(a_k), and the ad-series from the lowest
+weight up to each weight read, one ad_Q per step.  No commutator
+prefactor is typed by hand: stage 2 is generic operator algebra on
+sampled symbols.  The explicit closed-form route (`d_half`,
 `d_zero_restricted` + `commutator_double_integral`) is the independent
 cross-check of this engine and lives with the tests (`tests/oracles.py`),
 with its own Weyl symbols and substitution in (z, zbar).
@@ -26,11 +29,9 @@ operators' own keys as polynomials in (y, eta)
 too); constants stay scalars, and one substitution pass builds each
 monomial's image once.  A product with a constant symbol takes no star
 product, every operator product sums into one accumulator, and the
-ad-series takes dQ/ds from the homological equation, not by FFT.
-
-A `CoefficientFunction` is a sample vector on the geodesic grid, or a
-scalar where the coefficient is constant; a `SymbolField` is a PolySymbol
-whose entries are coefficient functions.
+ad-series takes dQ/ds from the homological equation, not by FFT.  A
+symbol's coefficient is a sample vector on the geodesic grid, or a
+scalar where it is constant.
 """
 
 import math
@@ -62,10 +63,7 @@ __all__ = [
 
 MEAN_TOL = 1e-6          # Zoll solvability tolerance for the first obstruction
 OFFDIAG_DEGREE = 4
-REPORTED_DIAGNOSTICS = ("frame_cancellation", "odd_residual")   # engine self-checks, ~0 when sound
-
-CoefficientFunction = np.ndarray
-SymbolField = PolySymbol
+REPORTED_DIAGNOSTICS = ("odd_residual",)   # engine self-check, ~0 when sound
 
 _MINUS_I_POWERS = (1, -1j, -1, 1j)   # (-i)^l, l mod 4
 
@@ -82,7 +80,7 @@ class FirstObstructionError(RuntimeError):
 
 
 def field_mean(sym):
-    """Trapezoidal s-mean of every entry: SymbolField -> scalar PolySymbol."""
+    """Trapezoidal s-mean of every sampled entry: a scalar PolySymbol."""
     return PolySymbol({k: complex(periodic_mean(v) if isinstance(v, np.ndarray) else v)
                        for k, v in sym.coeffs.items()})
 
@@ -122,6 +120,10 @@ class SOperator:
     def ds_part(self, k):
         return self.terms.get(k, PolySymbol())
 
+    def __add__(self, other):
+        return SOperator({k: self.ds_part(k) + other.ds_part(k)
+                          for k in self.terms.keys() | other.terms.keys()})
+
     def max_abs(self):
         return max((float(np.max(np.abs(v))) for sym in self.terms.values()
                     for v in sym.coeffs.values()), default=0.0)
@@ -141,21 +143,6 @@ class SOperator:
                         derivs.append(_symbol_ds(derivs[-1]))
                     _add_product(out[j - l + k], asym, derivs[l],
                                  math.comb(j, l) * _MINUS_I_POWERS[l % 4])
-        return SOperator(out)
-
-    def substitute_ds(self, powers):
-        """Replace D_s by D_s - Op(h), given powers[k] = (D_s - Op(h))^k, k >= 1.
-
-        Op(a_k) is D_s-free, so Op(a_k) (D_s - Op(h))^k is a_k # p_j at
-        every D_s^j of the power; all of it sums into one result.
-        """
-        out = defaultdict(PolySymbol)
-        for k, sym in self.terms.items():
-            if k == 0:
-                out[0].add_scaled(sym)
-                continue
-            for j, p in powers[k].terms.items():
-                _add_product(out[j], sym, p, 1)
         return SOperator(out)
 
 
@@ -259,21 +246,44 @@ def solve_first_homological(d, c_s=2.0):
         PolySymbol({k: complex(m) for k, m in means.items()})
 
 
+def _shift_ds(op, shift):
+    """op with D_s replaced by the operator `shift`, by Horner's rule: from
+    the top D_s power down, X <- X o shift + Op(a_k)."""
+    top = max(op.terms, default=0)
+    out = SOperator({0: op.ds_part(top)})
+    for k in range(top - 1, -1, -1):
+        out = out.compose(shift) + SOperator({0: op.ds_part(k)})
+    return out
+
+
 def frame_conjugated(path, frame):
     """Stage 1: the graded operators after the frame and D_s -> D_s - Op(h).
 
-    Returns (c_s, {weight: SOperator}); the weight -1 operator is c_s D_s
-    up to `frame_cancellation`, and the D_s-free part of the weight 0
-    operator is the conjugated metric contribution to the order-zero
-    symbol.
+    Returns (c_s, {weight: SOperator}).  The weight -1 operator is exactly
+    c_s D_s: h is read off its D_s-free part, and c_s = 2 makes the scaling
+    by 1/c_s exact.  The D_s-free part of the weight 0 operator is the
+    conjugated metric contribution to the order-zero symbol.
     """
     framed = _frame_conjugate(_instantiate(path), frame)
     c_s, minus_h = _oscillator(framed[Fraction(-1)])
     shift = SOperator({1: PolySymbol.constant(1), 0: minus_h})
-    powers = [None, shift]
-    for _ in range(2, max(k for op in framed.values() for k in op.terms) + 1):
-        powers.append(powers[-1].compose(shift))
-    return c_s, {w: _prune(op.substitute_ds(powers)) for w, op in framed.items()}
+    return c_s, {w: _prune(_shift_ds(op, shift)) for w, op in framed.items()}
+
+
+def _ad_series(q_jet, ops, t):
+    """The weight t part of exp(-i ad_Q) applied to the graded operators:
+    B_t = sum_j (-i)^j / j! ad_Q^j(ops[t - j/2]).
+
+    Horner's rule steps over the half-integer weights from the lowest up
+    to t, B_w = ops[w] + (-i) / (2 (t - w) + 1) ad_Q(B_(w - 1/2)); a weight
+    with no operator still takes its step.
+    """
+    w = min(ops)
+    out = ops[w]
+    while w < t:
+        w += Fraction(1, 2)
+        out = ops.get(w, SOperator()) + ad_symbol(q_jet, out, -1j / int(2 * (t - w) + 1))
+    return out
 
 
 def conjugated_order_zero(path, frame):
@@ -282,37 +292,19 @@ def conjugated_order_zero(path, frame):
     Takes the stage 1 operators of `frame_conjugated`, then applies the
     ad-series of exp(i h^(1/2) Q̂) with Q from the first homological
     equation.  Returns (symbol field, diagnostics dict); the diagnostics
-    are `frame_cancellation` (what is left of the weight -1 term besides
-    c_s D_s), `first_obstruction_max` (the largest |mean| of the odd term
-    the first conjugation removes) and `odd_residual` (what is left at
-    weight -1/2 after it besides those means: ~0 when the ad-series
-    cancels the oscillating part of the odd term).
+    are `first_obstruction_max` (the largest |mean| of the odd term the
+    first conjugation removes) and `odd_residual` (what is left at weight
+    -1/2 after it besides those means: ~0 when the ad-series cancels the
+    oscillating part of the odd term).
     """
     c_s, conj = frame_conjugated(path, frame)
-    # the weight -1 term must now be exactly c_s D_s
-    diag = {"frame_cancellation": SOperator({0: conj[Fraction(-1)].ds_part(0)}).max_abs()}
-
     d = conj[Fraction(-1, 2)].ds_part(0)
     q_jet, means = solve_first_homological(d, c_s=c_s)
-    diag["first_obstruction_max"] = max((abs(m) for m in means.coeffs.values()), default=0.0)
-
-    result = defaultdict(lambda: defaultdict(PolySymbol))
-    half = Fraction(1, 2)
-    for w, op in conj.items():
-        term = op
-        for j in range(int(-w / half) + 1):
-            if j:
-                # term carries (-i)^j / j! ad_Q^j(op)
-                term = _prune(ad_symbol(q_jet, term, -1j / j))
-            if not term.terms:
-                break
-            for k, sym in term.terms.items():
-                result[w + j * half][k].add_scaled(sym)
     # the means of d stay at weight -1/2, reported as the first obstruction
-    odd = result[Fraction(-1, 2)]
-    odd[0].add_scaled(means, -1)
-    diag["odd_residual"] = SOperator(odd).max_abs()
-    return SOperator(result[Fraction(0)]).ds_part(0), diag
+    odd = _ad_series(q_jet, conj, Fraction(-1, 2)) + SOperator({0: -means})
+    diag = {"first_obstruction_max": max((abs(m) for m in means.coeffs.values()), default=0.0),
+            "odd_residual": odd.max_abs()}
+    return _ad_series(q_jet, conj, Fraction(0)).ds_part(0), diag
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,9 @@ arrays (periodic coefficient functions), or jet polynomials all work.
 
 `star_product` and `star_commutator` run one kernel: one coefficient
 product per monomial pair, added with the cached constants sum_j w_j P_j
-into an accumulator symbol the caller may pass.  An accumulator adds in
-place only into the writeable arrays it made itself.  An array it takes
-from an operand unchanged (a product with the unit) is lent: lending
-makes the array read-only, for the borrower and for the symbol it came
-from, and the first sum into it, on either side, replaces it.  So no
-array is written once two symbols hold it.  The term-by-term
+into an accumulator symbol the caller may pass.  A sample array is a
+value: no operation writes one, so a sum makes a new array and a
+product with the unit shares its operand's array.  The term-by-term
 transvectant, the definition the kernel is tested against, lives with
 the tests.
 """
@@ -121,8 +118,7 @@ class PolySymbol:
         return PolySymbol({k: factor * v for k, v in self.coeffs.items()})
 
     def add_scaled(self, other, factor=1):
-        """self += factor * other, in place; returns self.  The arrays of
-        `other` are never written: at factor 1 they are lent (`_scale`)."""
+        """self += factor * other, into this symbol's table; returns self."""
         for key, v in other.coeffs.items():
             _accumulate(self.coeffs, key, _scale(v, factor))
         return self
@@ -178,21 +174,15 @@ def _moyal_constants(mn, munu, odd):
     return tuple(out)
 
 
-def _times(v, c):
-    """c * v, a new value; an exact c stays exact on exact v and becomes a
-    float on floats."""
+def _scale(v, c):
+    """c * v; at c == 1, v itself, since no operation writes a value a
+    symbol holds.  An exact c stays exact on exact v and becomes a float
+    on floats."""
+    if c == 1:
+        return v
     if isinstance(c, Fraction) and isinstance(v, (np.ndarray, float, complex)):
         c = float(c)  # Fraction * ndarray would make an object array
     return v * c  # ring elements define Fraction multiplication themselves
-
-
-def _scale(v, c):
-    """c * v; at c == 1 a sample array is lent instead of copied, and
-    lending makes it read-only for its owner too."""
-    if not (isinstance(v, np.ndarray) and c == 1):
-        return _times(v, c)
-    v.flags.writeable = False
-    return v
 
 
 def _product(u, v):
@@ -203,20 +193,9 @@ def _product(u, v):
 
 
 def _accumulate(out, key, term):
-    """out[key] += term, dropping the key where an exact sum vanishes.
-
-    Adds in place only into a writeable array of the sum's dtype, so
-    `out` must hold no writeable array it shares; a lent array is
-    read-only and is replaced by the sum."""
+    """out[key] += term, dropping the key where an exact sum vanishes."""
     cur = out.get(key)
-    if cur is None:
-        total = term
-    elif (isinstance(cur, np.ndarray) and cur.flags.writeable
-          and np.result_type(cur, term) == cur.dtype):
-        cur += term
-        return
-    else:
-        total = cur + term
+    total = term if cur is None else cur + term
     if _is_zero(total):
         out.pop(key, None)
     else:
@@ -235,22 +214,14 @@ def _moyal(a, b, odd, weight, out):
             if not consts:
                 continue
             _check_degree(consts[0][0])   # the lowest order keeps the highest degree
-            owned = isinstance(av, np.ndarray) == isinstance(bv, np.ndarray)
-            if owned:
+            if isinstance(av, np.ndarray) == isinstance(bv, np.ndarray):
                 prod, factor = av * bv, weight
             elif isinstance(av, np.ndarray):
                 prod, factor = av, bv * weight
             else:
                 prod, factor = bv, av * weight
-            for i, (key, w) in enumerate(consts):
-                c = w * factor
-                if not owned:
-                    term = _scale(prod, c)
-                elif i == 0 and c == 1:
-                    term = prod   # made here; the keys of one pair differ
-                else:
-                    term = _times(prod, c)
-                _accumulate(out.coeffs, key, term)
+            for key, w in consts:
+                _accumulate(out.coeffs, key, _scale(prod, w * factor))
     return out
 
 

@@ -192,7 +192,7 @@ def metaplectic_substitute(symbols, frame):
         z    -> (Ybar + i dYbar)/2 z + (Y + i dY)/2 zbar
         zbar -> (Ybar - i dYbar)/2 z + (Y - i dY)/2 zbar
     to a list of PolySymbols (entries scalars or sample arrays) in one
-    pass, and returns the list of SymbolFields on the frame's grid.
+    pass, and returns the list of symbols sampled on the frame's grid.
     """
     Y, dY = frame.Y, frame.dY
     Yb, dYb = np.conj(Y), np.conj(dY)

@@ -6,9 +6,9 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
-from numpy.linalg import LinAlgError
 
 from zollforms import cli, normalform, surface
 from zollforms.cli import (
@@ -88,6 +88,19 @@ class TestConfig:
             RunConfig.load(str(cfg))
         assert main(["verify", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        """A negative seed, from the flag or from a config file, is a config
+        error (exit 2), not a traceback from the random generator."""
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig.load(None, {"seed": -1})
+        assert main(["verify", "--metric", "round", "--geodesics", "2", "--grid", "256",
+                     "--seed", "-1"]) == EXIT_CONFIG_ERROR
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"metric": {"kind": "round"}, "geodesics": 2, "grid": 256,
+                                   "seed": -5}))
+        assert main(["invariants", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.count("seed must be >= 0") == 2
 
     def test_metric_flag(self):
         assert parse_metric_flag("round") == {"kind": "round"}
@@ -181,7 +194,6 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("stage, error, check", [
         ("assemble_p1", lambda: DegreeOverflowError("forced overflow"), "degree_overflow"),
-        ("solve_fundamental", lambda: LinAlgError("forced singular matrix"), "linear_algebra"),
     ])
     def test_numerical_error_is_a_named_failure(self, monkeypatch, stage, error, check):
         """An error of one geodesic's computation becomes that geodesic's
@@ -189,8 +201,7 @@ class TestVerifyCommand:
         real = getattr(cli, stage)
 
         def failing(*args, **kwargs):
-            # solve_fundamental(path) or assemble_p1(metric, init, ...)
-            init = args[0].init if stage == "solve_fundamental" else args[1]
+            init = args[1]   # assemble_p1(metric, init, ...)
             if init[1][0] == 1.0:   # the meridian start
                 raise error()
             return real(*args, **kwargs)
@@ -323,9 +334,20 @@ class TestInvariantsCommand:
         second, _ = build_report(cfg, "invariants")
         assert first["digest"] == second["digest"]
 
-    def test_engine_diagnostics_reach_the_report(self, tmp_path):
-        """frame_cancellation and odd_residual are written per geodesic as
-        finite numbers, and two runs of one config still give one digest."""
+    def test_engine_diagnostics_reach_the_report(self, tmp_path, monkeypatch):
+        """odd_residual is written per geodesic as a finite number, and two
+        runs of one config still give one digest.  On every geodesic the
+        stage 1 weight -1 operator is exactly c_s D_s: h is read off the
+        term that it cancels, so no report carries that cancellation."""
+        real = normalform.frame_conjugated
+        stage1 = []
+
+        def recording(path, frame):
+            c_s, conj = real(path, frame)
+            stage1.append((c_s, {k: sym.coeffs for k, sym in conj[Fraction(-1)].terms.items()}))
+            return c_s, conj
+
+        monkeypatch.setattr(normalform, "frame_conjugated", recording)
         digests = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
@@ -335,13 +357,13 @@ class TestInvariantsCommand:
             report = json.loads(out.read_text())
             for rec in report["geodesics"]:
                 diag = rec["invariants"]["diagnostics"]
-                assert set(diag) == {"frame_cancellation", "odd_residual"}
-                for value in diag.values():
-                    assert isinstance(value, float) and math.isfinite(value)
-                assert diag["frame_cancellation"] <= 1e-12
+                assert set(diag) == {"odd_residual"}
+                assert isinstance(diag["odd_residual"], float)
                 assert diag["odd_residual"] <= 1e-8
             digests.append(report["digest"])
         assert digests[0] == digests[1]
+        assert len(stage1) == 6
+        assert all(ops == {1: {(0, 0): c_s}} for c_s, ops in stage1)
 
     def test_telemetry_stays_outside_the_digest(self):
         """Every geodesic's Newton solves ([grid, steps], coarse grid first)

@@ -35,6 +35,14 @@ class FrameStub:
         self.path = path
 
 
+def assert_frame_cancels(c_s, stage1):
+    """h is read off the weight -1 term that it cancels, and c_s = 2 makes
+    the scaling by 1/c_s exact: the stage 1 weight -1 operator is exactly
+    c_s D_s."""
+    assert c_s == 2.0
+    assert {k: sym.coeffs for k, sym in stage1[Fraction(-1)].terms.items()} == {1: {(0, 0): c_s}}
+
+
 class TestMetaplecticSubstitute:
     def test_round_frame_y_squared(self, round_frame):
         # y^2 -> (e^{-is} z + e^{is} zbar)^2 / 4
@@ -256,7 +264,7 @@ class TestEngineAgainstExplicitRoute:
             + commutator_double_integral(d_half(cubic_frame))
         for k in set(m_engine.coeffs) | set(explicit.coeffs):
             assert abs(complex(m_engine[k]) - complex(explicit[k])) < 1e-12, k
-        assert diag["frame_cancellation"] < 1e-12
+        assert_frame_cancels(*frame_conjugated(cubic_path, cubic_frame))
         assert diag["odd_residual"] < 1e-8
 
     def test_odd_residual_is_not_the_obstruction(self, cubic_path, cubic_frame, monkeypatch):
@@ -288,9 +296,7 @@ class TestEngineAgainstExplicitRoute:
         is d_half, and the weight -1 operator is c_s D_s."""
         c_s, stage1 = frame_conjugated(cubic_path, cubic_frame)
         assert set(stage1[Fraction(-1, 2)].terms) == {0}
-        assert SOperator({0: stage1[Fraction(-1)].ds_part(0)}).max_abs() <= 1e-12
-        assert set(stage1[Fraction(-1)].ds_part(1).coeffs) == {(0, 0)}
-        assert np.all(stage1[Fraction(-1)].ds_part(1)[(0, 0)] == c_s)
+        assert_frame_cancels(c_s, stage1)
         for got, ref in ((stage1[Fraction(0)].ds_part(0), d_zero_restricted(cubic_frame)),
                          (stage1[Fraction(-1, 2)].ds_part(0), d_half(cubic_frame))):
             scale = max(float(np.max(np.abs(v))) for v in ref.coeffs.values())
@@ -452,6 +458,72 @@ class TestSOperatorCommutator:
                     assert np.max(np.abs(np.asarray(g) - v)) <= 1e-12 * scale, (k, key)
 
 
+def _assert_operators_close(got, ref, tol):
+    """Every D_s part and entry of `got` within tol * (largest |entry| of ref)."""
+    scale = ref.max_abs()
+    assert set(got.terms) <= set(ref.terms)
+    for k, sym in ref.terms.items():
+        for key in set(sym.coeffs) | set(got.ds_part(k).coeffs):
+            diff = np.asarray(got.ds_part(k)[key]) - np.asarray(sym[key])
+            assert np.max(np.abs(diff)) <= tol * scale, (k, key)
+
+
+class TestHornerRule:
+    """Both conjugation series, by Horner's rule, against their term-by-term sums."""
+
+    def test_ad_series_equals_term_by_term(self):
+        """B_t = sum_j (-i)^j / j! ad_Q^j(ops[t - j/2]) for t = -1/2 and 0,
+        on operators at every weight from -2 to 0 with D_s parts, so the
+        j = 3 and 4 factors, which the engine never meets, are exercised;
+        and again without weight -3/2, which must still take its step."""
+        from zollforms.normalform import _ad_series, _symbol_ds
+
+        rng = np.random.default_rng(23)
+        s = 2.0 * math.pi * np.arange(64) / 64
+        q = _smooth_field_symbol(rng, s, (3,))
+        q_jet = [q, _symbol_ds(q), _symbol_ds(_symbol_ds(q))]
+        half = Fraction(1, 2)
+        full = {Fraction(-2): SOperator({0: _smooth_field_symbol(rng, s, (0, 2))}),
+                Fraction(-3, 2): SOperator({1: _smooth_field_symbol(rng, s, (1,)),
+                                            0: _smooth_field_symbol(rng, s, (3,))}),
+                Fraction(-1): SOperator({1: PolySymbol.constant(2.0),
+                                         0: _smooth_field_symbol(rng, s, (2,))}),
+                Fraction(-1, 2): SOperator({0: _smooth_field_symbol(rng, s, (3,))}),
+                Fraction(0): SOperator({2: PolySymbol.constant(1.0),
+                                        1: _smooth_field_symbol(rng, s, (2,)),
+                                        0: _smooth_field_symbol(rng, s, (0, 2, 4))})}
+        gapped = {w: op for w, op in full.items() if w != Fraction(-3, 2)}
+        for ops in (full, gapped):
+            for t in (Fraction(-1, 2), Fraction(0)):
+                ref = SOperator()
+                for j in range(int(2 * (t + 2)) + 1):
+                    term = ops.get(t - j * half, SOperator())
+                    for _ in range(j):
+                        term = ad_symbol(q_jet, term, 1)
+                    ref = ref + SOperator({k: sym.scale((-1j) ** j / math.factorial(j))
+                                           for k, sym in term.terms.items()})
+                _assert_operators_close(_ad_series(q_jet, ops, t), ref, 1e-12)
+
+    def test_shift_equals_sum_of_powers(self):
+        """Horner's X <- X o S + Op(a_k) equals sum_k Op(a_k) S^k, with the
+        powers of S = D_s - Op(h) built by compose, for D_s^0 ... D_s^3."""
+        from zollforms.normalform import _shift_ds
+
+        rng = np.random.default_rng(25)
+        s = 2.0 * math.pi * np.arange(64) / 64
+        shift = SOperator({1: PolySymbol.constant(1), 0: _smooth_field_symbol(rng, s, (2,))})
+        op = SOperator({3: PolySymbol.constant(0.5), 2: _smooth_field_symbol(rng, s, (0, 1)),
+                        1: _smooth_field_symbol(rng, s, (2,)),
+                        0: _smooth_field_symbol(rng, s, (0, 2))})
+        power, ref = SOperator({0: PolySymbol.constant(1)}), SOperator()
+        for k in range(4):
+            ref = ref + SOperator({0: op.ds_part(k)}).compose(power)
+            power = power.compose(shift)
+        got = _shift_ds(op, shift)
+        assert set(got.terms) == set(ref.terms) == {0, 1, 2, 3}
+        _assert_operators_close(got, ref, 1e-12)
+
+
 class TestEnginePin:
     """The engine against the closed-form oracle on the reference Zoll metric."""
 
@@ -472,7 +544,7 @@ class TestEnginePin:
         for key, v in oracle.coeffs.items():
             if key[0] != key[1] and sum(key) <= 4:
                 assert abs(rec.offdiag.get(key, 0.0) - complex(v) / 2.0) <= 1e-10, key
-        assert rec.diagnostics["frame_cancellation"] <= 1e-12
+        assert_frame_cancels(*frame_conjugated(path, frame))
         assert rec.diagnostics["odd_residual"] <= 1e-8
 
 
@@ -540,19 +612,22 @@ class TestSubstitutionCount:
     def test_spectral_calls(self, cubic_path, cubic_frame, monkeypatch):
         """One engine call takes 3 spectral derivatives (of h, for the
         D_s^2 conjugation), 4 antiderivatives (Q) and 4 means (of the odd
-        term); dQ/ds comes from the homological equation."""
+        term); dQ/ds comes from the homological equation.  By Horner's
+        rule it forms 1 star product ((a_1 - h) # (-h) at weight 0) and 1
+        star commutator ([Q, B_(-1/2)])."""
         from collections import Counter
         from zollforms import normalform
 
         calls = Counter()
-        for name in ("spectral_derivative", "spectral_antiderivative", "periodic_mean"):
+        for name in ("spectral_derivative", "spectral_antiderivative", "periodic_mean",
+                     "star_product", "star_commutator"):
             def counting(*args, _name=name, _real=getattr(normalform, name)):
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(normalform, name, counting)
         conjugated_order_zero(cubic_path, cubic_frame)
         assert calls == Counter(spectral_derivative=3, spectral_antiderivative=4,
-                                periodic_mean=4)
+                                periodic_mean=4, star_product=1, star_commutator=1)
 
 
 class TestRealTransverseBasis:
