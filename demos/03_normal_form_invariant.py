@@ -46,8 +46,8 @@ frame = solve_fundamental(path)
 # the metric terms are the D_s-free weight 0 part after the frame (stage 1);
 # the commutator term is what the exp(i h^(1/2) Q) conjugation adds to it
 _, stage1 = frame_conjugated(path, frame)
-metric_part = field_mean(stage1[Fraction(0)].ds_part(0))
-commutator_part = field_mean(conjugated_order_zero(path, frame)[0]) - metric_part
+metric_part = field_mean(path, stage1[Fraction(0)].ds_part(0))
+commutator_part = field_mean(path, conjugated_order_zero(path, frame)[0]) - metric_part
 print(f"{'entry':>8s} {'metric terms':>24s} {'commutator term':>24s} {'sum':>12s}")
 for key in ((2, 2), (3, 1), (4, 0), (1, 3), (0, 4)):
     a = complex(metric_part[key])

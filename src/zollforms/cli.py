@@ -29,7 +29,7 @@ from .weyl import DegreeOverflowError
 
 __all__ = ["main", "RunConfig", "build_report", "metric_from_spec"]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 H_RELATION_TOL = 1e-9     # residual of the paper's c0 = -H/(16 pi), see InvariantRecord.h_relation
 
 EXIT_PASS = 0
@@ -185,27 +185,16 @@ def build_report(cfg, mode):
     """Run `verify` or `invariants` over the geodesic sample; returns (report, exit_code).
 
     Each start is traced by `trace_geodesic`, without the closure gate,
-    and processed before the next.  Each start's Newton solves ([grid,
-    steps], coarse grid first, the failed one last if its flow failed)
-    and last correction go to the report's `telemetry`, which the digest
-    leaves out.  A geodesic that fails is recorded and the run goes on;
-    the exit code is EXIT_NUMERICAL_FAILURE if any geodesic hit one of
-    NUMERICAL_FAILURES.
+    and processed before the next.  A geodesic that fails is recorded and
+    the run goes on; the exit code is EXIT_NUMERICAL_FAILURE if any
+    geodesic hit one of NUMERICAL_FAILURES.
     """
-    flow = []
     records = []
     failures = []
     for name, ic in _initial_conditions(cfg):
         record = {"geodesic_id": name, **_init_fields(ic)}
         try:
             path = trace_geodesic(cfg.metric_model, ic, cfg.grid, enforce_closure=False)
-        except IntegrationError as exc:
-            path = exc
-        flow.append({"newton": [list(solve) for solve in path.newton],
-                     "correction": path.correction})
-        try:
-            if isinstance(path, IntegrationError):
-                raise path
             record["closure_defect"] = path.closure_defect
             frame = solve_fundamental(path)
             record["poincare_defect"] = float(
@@ -235,9 +224,7 @@ def build_report(cfg, mode):
         code = EXIT_NUMERICAL_FAILURE
     else:
         code = EXIT_CHECK_FAILURE if failures else EXIT_PASS
-    report = _assemble_report(cfg, mode, records, failures)
-    report["telemetry"] = _strict_json({"flow": flow})
-    return report, code
+    return _assemble_report(cfg, mode, records, failures), code
 
 
 CHECK_PRIORITY = ["check_cube", "check_tau_s", "check_quartic", "check_4id_im",

@@ -1,15 +1,15 @@
-"""Closed-geodesic tracing and arclength-uniform sampling.
+"""Closed-geodesic tracing, sampled uniformly in the Clairaut angle.
 
 A traced geodesic carries N = 2^k samples of position, unit tangent and
 normal frame, the curvature jet (tau, tau_s, tau_nu, tau_nunu) and the
-fundamental Jacobi solutions at s_j = 2*pi*j/N.  `surface.flow` builds
-all of it from closed formulas, one start at a time, as a `GeodesicPath`,
-so a traced path already holds everything `jacobi.solve_fundamental`
-needs; `trace_geodesic` checks the grid and the start and gates the
-closure.  The grid supports spectral differentiation and spectrally
-accurate periodic quadrature of products of the samples.  Points,
-tangents and samples are all in the north polar chart
-(`surface.SurfacePoint`).
+fundamental Jacobi solutions at theta_j = theta0 + 2*pi*j/N, with their
+arclengths s_j and the weight ds/d(theta).  `surface.flow` builds all of
+it from closed formulas, one start at a time, as a `GeodesicPath`, so a
+traced path already holds everything `jacobi.solve_fundamental` needs;
+`trace_geodesic` checks the grid and the start and gates the closure.
+The path's weighted means and antiderivatives are spectrally accurate
+arclength quadratures of products of the samples.  Points, tangents and
+samples are all in the north polar chart (`surface.SurfacePoint`).
 """
 
 import math
@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import surface as _surface
-from .surface import MIN_GRID, GeodesicPath, IntegrationError, SurfacePoint
+from .surface import GeodesicPath, IntegrationError, SurfacePoint
 
 __all__ = [
     "GeodesicPath",
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 CLOSURE_TOL = 1e-4
+MIN_GRID = 256            # smallest sample grid
 MIN_CLAIRAUT = 0.12       # sampled starts keep |Clairaut constant| above this
 
 
@@ -34,11 +35,10 @@ def trace_geodesic(metric, init, n=2048, enforce_closure=True):
     """Trace the geodesic through `init` = (point, unit tangent) over [0, 2*pi).
 
     Samples the closed-form geodesic, its curvature jets and its Jacobi
-    frame at n uniform arclengths (`surface.flow`), with the closure
-    defect at s = 2*pi.  With `enforce_closure`, a defect above
-    CLOSURE_TOL raises (metric not Zoll at this tolerance).  A Newton
-    solve that does not converge raises the flow's IntegrationError,
-    which carries the start's solves.
+    frame at n uniform Clairaut angles (`surface.flow`), with the closure
+    defect over one turn.  With `enforce_closure`, a defect above
+    CLOSURE_TOL raises IntegrationError (metric not Zoll at this
+    tolerance).
     """
     if n < MIN_GRID or (n & (n - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= {MIN_GRID}, got {n}")
@@ -48,7 +48,7 @@ def trace_geodesic(metric, init, n=2048, enforce_closure=True):
     path = _surface.flow(metric, init, n)
     if enforce_closure and not path.closure_defect <= CLOSURE_TOL:
         raise IntegrationError(f"closure defect {path.closure_defect:.3e} > {CLOSURE_TOL}: "
-                               "metric not Zoll at this tolerance", path.newton, path.correction)
+                               "metric not Zoll at this tolerance")
     return path
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import periodic_mean, spectral_antiderivative
 from .jacobi import variation_field
 
 __all__ = [
@@ -49,8 +48,9 @@ class CheckResult:
                 "normalized": self.normalized}
 
 
-def _integral(values):
-    return 2.0 * math.pi * periodic_mean(values)
+def _integral(path, values):
+    """int values ds over the period."""
+    return 2.0 * math.pi * path.mean(values)
 
 
 def check_cube(path, frame, y=None, y2=None):
@@ -63,16 +63,16 @@ def check_cube(path, frame, y=None, y2=None):
     y2 = frame.y2 if y2 is None else np.asarray(y2)
     integrand = path.tau_nu * y * y * y2
     return CheckResult("check_cube",
-                       raw=float(abs(_integral(integrand))),
-                       scale=float(_integral(np.abs(integrand))))
+                       raw=float(abs(_integral(path, integrand))),
+                       scale=float(_integral(path, np.abs(integrand))))
 
 
 def check_tau_s(path, frame):
     """int tau_s |Y|^2 ds = 0 (differentiated Jacobi equation, by parts)."""
     integrand = path.tau_s * np.abs(frame.Y) ** 2
     return CheckResult("check_tau_s",
-                       raw=float(abs(_integral(integrand))),
-                       scale=float(_integral(np.abs(integrand))))
+                       raw=float(abs(_integral(path, integrand))),
+                       scale=float(_integral(path, np.abs(integrand))))
 
 
 def check_quartic(path, frame, y=None, dy=None):
@@ -81,12 +81,12 @@ def check_quartic(path, frame, y=None, dy=None):
         y, dy = frame.y1, frame.dy1
     elif dy is None:
         raise ValueError("pass dy together with y")
-    lhs = _integral(path.tau * y * y * dy * dy)
-    rhs = _integral(dy**4) / 3.0
+    lhs = _integral(path, path.tau * y * y * dy * dy)
+    rhs = _integral(path, dy**4) / 3.0
     return CheckResult("check_quartic",
                        raw=float(abs(lhs - rhs)),
-                       scale=float(_integral(np.abs(path.tau * y * y * dy * dy))
-                                   + _integral(dy**4) / 3.0))
+                       scale=float(_integral(path, np.abs(path.tau * y * y * dy * dy))
+                                   + _integral(path, dy**4) / 3.0))
 
 
 def check_4id(path, frame):
@@ -98,9 +98,9 @@ def check_4id(path, frame):
     """
     Y, dY = frame.Y, frame.dY
     t = path.tau
-    q = _integral(t * (dY * np.conj(Y)) ** 2)
-    quart = _integral(np.abs(dY) ** 4)
-    cross = _integral(t * np.abs(Y * dY) ** 2)
+    q = _integral(path, t * (dY * np.conj(Y)) ** 2)
+    quart = _integral(path, np.abs(dY) ** 4)
+    cross = _integral(path, t * np.abs(Y * dY) ** 2)
     scale = float(abs(quart) + 2.0 * abs(cross) + abs(q))
     res_im = CheckResult("check_4id_im", raw=float(abs(q.imag)), scale=scale)
     res_rel = CheckResult("check_4id_relation",
@@ -132,10 +132,10 @@ def check_commutator_reduction(path, frame, variation=None):
         (np.conj(Y), np.conj(dY), path.tau_nu * Y * Y * np.conj(Y)),
         (Y, dY, path.tau_nu * Y ** 3),
     ):
-        cum = spectral_antiderivative(inner)
+        cum = path.antiderivative(inner)
         boundary = vf.dy_nu * w - vf.y_nu * dw
         worst_raw = max(worst_raw, float(np.max(np.abs(cum + boundary))))
-        worst_scale = max(worst_scale, float(_integral(np.abs(inner))),
+        worst_scale = max(worst_scale, float(_integral(path, np.abs(inner))),
                           float(np.max(np.abs(boundary))))
     res = CheckResult("check_commutator_reduction", raw=worst_raw, scale=worst_scale)
 
@@ -158,11 +158,12 @@ def check_commutator_special_case(path, frame, variation=None):
     Y = frame.Y
     vf = variation if variation is not None else variation_field(frame)
     # ordered double integral (1/2pi) int outer(s) int_0^s inner(t) dt ds
-    lhs = periodic_mean(path.tau_nu * np.conj(Y) ** 2 * Y
-                        * spectral_antiderivative(path.tau_nu * np.conj(Y) * Y ** 2)).imag
+    lhs = path.mean(path.tau_nu * np.conj(Y) ** 2 * Y
+                    * path.antiderivative(path.tau_nu * np.conj(Y) * Y ** 2)).imag
     boundary = vf.dy_nu * np.conj(Y) - vf.y_nu * np.conj(frame.dY)
-    rhs = -periodic_mean(path.tau_nu * np.conj(Y) ** 2 * Y * boundary).imag
-    scale = float(_integral(np.abs(path.tau_nu * np.conj(Y) ** 2 * Y)) ** 2 + abs(lhs) + abs(rhs))
+    rhs = -path.mean(path.tau_nu * np.conj(Y) ** 2 * Y * boundary).imag
+    scale = float(_integral(path, np.abs(path.tau_nu * np.conj(Y) ** 2 * Y)) ** 2
+                  + abs(lhs) + abs(rhs))
     return CheckResult("check_commutator_special_case",
                        raw=float(abs(lhs - rhs)), scale=max(scale, float(abs(lhs) + abs(rhs))))
 

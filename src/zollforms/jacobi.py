@@ -4,15 +4,16 @@ The scalar Jacobi equation y'' + tau(s) y = 0, tau = K(u), is solved in
 closed form with the geodesic: `surface.flow` samples the rotation field
 and its partner by reduction of order, recombined into the fundamental
 solutions; the `GeodesicPath` it returns carries their samples (`jacobi`,
-and `jacobi_end` at s = 2*pi).  The complex frame
+and `jacobi_end` at theta0 + 2*pi, one turn of the Clairaut angle, which
+is s = 2*pi on a Zoll metric).  The complex frame
 is Y = y2 + i*y1 with Y(0) = 1, Y'(0) = i; its Wronskian against the
 conjugate is omega(Y, Ybar) = Y Ybar' - Y' Ybar = -2i, constant in s.  On a Zoll
 metric the Poincare matrix is the identity and all solutions are
 periodic.
 
 The forced variation equation is solved without an ODE, by variation of
-parameters on the frame (Wronskian y2 y1' - y1 y2' = 1): two spectral
-antiderivatives per field.
+parameters on the frame (Wronskian y2 y1' - y1 y2' = 1): two arclength
+antiderivatives of the path per field.
 """
 
 import math
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import spectral_antiderivative
 from .surface import IntegrationError
 
 __all__ = [
@@ -41,7 +41,7 @@ class JacobiFrame:
 
     y1 is vertical (y1(0) = 0, y1'(0) = 1), y2 horizontal (y2(0) = 1,
     y2'(0) = 0); Y = y2 + i*y1.  `poincare` is the symplectic Wronskian
-    matrix at s = 2*pi acting on (y', y).
+    matrix at theta0 + 2*pi acting on (y', y).
     """
 
     path: object
@@ -68,11 +68,12 @@ class JacobiFrame:
 
 
 def solve_fundamental(path):
-    """Fundamental Jacobi frame along `path`, with Poincare matrix at 2*pi.
+    """Fundamental Jacobi frame along `path`, with Poincare matrix at the
+    end of the period.
 
-    Wraps the Jacobi samples the trace carries, with their state at the
-    Newton-solved end of the period; raises IntegrationError when their
-    Wronskian drifts from 1 by more than WRONSKIAN_TOL.
+    Wraps the Jacobi samples the trace carries, with their state at
+    theta0 + 2*pi, one turn of the Clairaut angle; raises IntegrationError
+    when their Wronskian drifts from 1 by more than WRONSKIAN_TOL.
     """
     y1, dy1, y2, dy2 = path.jacobi
     end_y1, end_dy1, end_y2, end_dy2 = path.jacobi_end
@@ -136,8 +137,9 @@ def variation_field(frame, direction=None):
     y_nu' = y2' int_0^s y1 F - y1' int_0^s y2 F.
     """
     y = frame.Y
-    force = frame.path.tau_nu * (y if direction is None else np.asarray(direction)) * y
-    a = spectral_antiderivative(frame.y1 * force)
-    b = spectral_antiderivative(frame.y2 * force)
+    path = frame.path
+    force = path.tau_nu * (y if direction is None else np.asarray(direction)) * y
+    a = path.antiderivative(frame.y1 * force)
+    b = path.antiderivative(frame.y2 * force)
     return VariationField(y_nu=frame.y2 * a - frame.y1 * b,
                           dy_nu=frame.dy2 * a - frame.dy1 * b)

@@ -28,10 +28,12 @@ operators' own keys as polynomials in (y, eta)
 (`expansion.transverse_symbols`, the route the constants table takes
 too); constants stay scalars, and one substitution pass builds each
 monomial's image once.  A product with a constant symbol takes no star
-product, every operator product sums into one accumulator, and the
-ad-series takes dQ/ds from the homological equation, not by FFT.  A
+product, and every operator product sums into one accumulator.  No
+symbol is differentiated numerically: the shift takes dh/ds in closed
+form and the ad-series takes dQ/ds from the homological equation.  A
 symbol's coefficient is a sample vector on the geodesic grid, or a
-scalar where it is constant.
+scalar where it is constant; means and antiderivatives along s are the
+path's (`surface.GeodesicPath`), which weighs the samples by ds/d(theta).
 """
 
 import math
@@ -43,7 +45,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import expansion as _exp
-from .fourier import periodic_mean, spectral_antiderivative, spectral_derivative
 from .geodesic import trace_geodesic
 from .jacobi import solve_fundamental
 from .weyl import PolySymbol, diagonal_part, star_commutator, star_product, substitute_linear
@@ -79,16 +80,10 @@ class FirstObstructionError(RuntimeError):
         self.value = value
 
 
-def field_mean(sym):
-    """Trapezoidal s-mean of every sampled entry: a scalar PolySymbol."""
-    return PolySymbol({k: complex(periodic_mean(v) if isinstance(v, np.ndarray) else v)
+def field_mean(path, sym):
+    """Arclength mean along `path` of every sampled entry: a scalar PolySymbol."""
+    return PolySymbol({k: complex(path.mean(v) if isinstance(v, np.ndarray) else v)
                        for k, v in sym.coeffs.items()})
-
-
-def _symbol_ds(sym):
-    """d/ds of every sampled entry; constant (scalar) entries drop out."""
-    return PolySymbol({k: spectral_derivative(v) for k, v in sym.coeffs.items()
-                       if isinstance(v, np.ndarray)})
 
 
 def _constant(sym):
@@ -128,20 +123,19 @@ class SOperator:
         return max((float(np.max(np.abs(v))) for sym in self.terms.values()
                     for v in sym.coeffs.values()), default=0.0)
 
-    def compose(self, other):
-        """Operator product; D_s is moved right with [D_s, Op(b)] = Op(-i b_s).
+    def compose(self, jet):
+        """Operator product self o B, with D_s moved right by
+        [D_s, Op(b)] = Op(-i b_s).
 
-        Each s-derivative of a symbol of `other` is taken once, and every
-        product is summed into one result.
+        `jet` is (B, dB/ds, ...), up to the top D_s power of self, the way
+        `ad_symbol` takes the derivatives of q; every product is summed
+        into one result.
         """
         out = defaultdict(PolySymbol)
-        for k, bsym in other.terms.items():
-            derivs = [bsym]
+        for k in jet[0].terms:
             for j, asym in self.terms.items():
                 for l in range(j + 1):
-                    if l == len(derivs):
-                        derivs.append(_symbol_ds(derivs[-1]))
-                    _add_product(out[j - l + k], asym, derivs[l],
+                    _add_product(out[j - l + k], asym, jet[l].ds_part(k),
                                  math.comb(j, l) * _MINUS_I_POWERS[l % 4])
         return SOperator(out)
 
@@ -206,16 +200,24 @@ def _instantiate(path):
 
 
 def _frame_conjugate(graded_num, frame):
-    """Every graded operator with the frame substituted into its symbols:
-    y -> (Ybar z + Y zbar)/2, eta -> (Ybar' z + Y' zbar)/2, in one pass."""
+    """Every graded operator with the frame substituted into its symbols,
+    y -> (Ybar z + Y zbar)/2, eta -> (Ybar' z + Y' zbar)/2, and -dh/ds, in
+    one pass.
+
+    h, the image of (eta^2 + tau y^2)/2, is the D_s-free part of the
+    weight -1 operator over c_s.  Along the Jacobi flow the image of eta
+    has derivative -tau (image of y), so h changes only through tau:
+    dh/ds = tau_s (image of y^2)/2.  Returns ({weight: SOperator}, -dh/ds).
+    """
     half_y, half_dy = 0.5 * frame.Y, 0.5 * frame.dY
     slots = [(w, k, sym) for w, op in graded_num.items() for k, sym in op.terms.items()]
-    images = substitute_linear([sym for _, _, sym in slots], (np.conj(half_y), half_y),
-                               (np.conj(half_dy), half_dy))
+    *images, minus_h_s = substitute_linear(
+        [sym for _, _, sym in slots] + [PolySymbol({(2, 0): -0.5 * frame.path.tau_s})],
+        (np.conj(half_y), half_y), (np.conj(half_dy), half_dy))
     out = {w: {} for w in graded_num}
     for (w, k, _), image in zip(slots, images):
         out[w][k] = image
-    return {w: SOperator(terms) for w, terms in out.items()}
+    return {w: SOperator(terms) for w, terms in out.items()}, minus_h_s
 
 
 def _oscillator(l1):
@@ -226,7 +228,7 @@ def _oscillator(l1):
     return c_s, l1.ds_part(0).scale(-1.0 / c_s)
 
 
-def solve_first_homological(d, c_s=2.0):
+def solve_first_homological(path, d, c_s=2.0):
     """Q(s) with the conjugation removing the odd term: Q' = -(d - <d>)/c_s, Q(0) = 0.
 
     Solvable on the period only when every entry of d has vanishing mean
@@ -235,24 +237,25 @@ def solve_first_homological(d, c_s=2.0):
     below it are taken out before the antiderivative, so Q is periodic
     and dQ/ds, which comes exactly from the equation, is its derivative.
     Returns ((Q, dQ/ds), means of d as a scalar PolySymbol); the largest
-    |mean| is the first obstruction of d.
+    |mean| is the first obstruction of d.  Means and antiderivatives are
+    taken along `path`.
     """
-    means = {k: periodic_mean(v) for k, v in d.coeffs.items()}
+    means = {k: path.mean(v) for k, v in d.coeffs.items()}
     for k, m in sorted(means.items(), key=lambda kv: -abs(kv[1])):
         if not abs(m) <= MEAN_TOL:
             raise FirstObstructionError(k, complex(m))
     q_s = PolySymbol({k: (v - means[k]) * (-1.0 / c_s) for k, v in d.coeffs.items()})
-    return (q_s.map_coeffs(spectral_antiderivative), q_s), \
+    return (q_s.map_coeffs(path.antiderivative), q_s), \
         PolySymbol({k: complex(m) for k, m in means.items()})
 
 
-def _shift_ds(op, shift):
-    """op with D_s replaced by the operator `shift`, by Horner's rule: from
-    the top D_s power down, X <- X o shift + Op(a_k)."""
+def _shift_ds(op, shift_jet):
+    """op with D_s replaced by the operator S, shift_jet = (S, dS/ds, ...),
+    by Horner's rule: from the top D_s power down, X <- X o S + Op(a_k)."""
     top = max(op.terms, default=0)
     out = SOperator({0: op.ds_part(top)})
     for k in range(top - 1, -1, -1):
-        out = out.compose(shift) + SOperator({0: op.ds_part(k)})
+        out = out.compose(shift_jet) + SOperator({0: op.ds_part(k)})
     return out
 
 
@@ -264,10 +267,11 @@ def frame_conjugated(path, frame):
     by 1/c_s exact.  The D_s-free part of the weight 0 operator is the
     conjugated metric contribution to the order-zero symbol.
     """
-    framed = _frame_conjugate(_instantiate(path), frame)
+    framed, minus_h_s = _frame_conjugate(_instantiate(path), frame)
     c_s, minus_h = _oscillator(framed[Fraction(-1)])
-    shift = SOperator({1: PolySymbol.constant(1), 0: minus_h})
-    return c_s, {w: _prune(_shift_ds(op, shift)) for w, op in framed.items()}
+    shift = (SOperator({1: PolySymbol.constant(1), 0: minus_h}), SOperator({0: minus_h_s}))
+    # an operator is dropped once shifted, so fewer sample arrays are held at once
+    return c_s, {w: _prune(_shift_ds(framed.pop(w), shift)) for w in list(framed)}
 
 
 def _ad_series(q_jet, ops, t):
@@ -299,7 +303,7 @@ def conjugated_order_zero(path, frame):
     """
     c_s, conj = frame_conjugated(path, frame)
     d = conj[Fraction(-1, 2)].ds_part(0)
-    q_jet, means = solve_first_homological(d, c_s=c_s)
+    q_jet, means = solve_first_homological(path, d, c_s=c_s)
     # the means of d stay at weight -1/2, reported as the first obstruction
     odd = _ad_series(q_jet, conj, Fraction(-1, 2)) + SOperator({0: -means})
     diag = {"first_obstruction_max": max((abs(m) for m in means.coeffs.values()), default=0.0),
@@ -378,12 +382,12 @@ def compute_H(path, frame):
     u, Jf = frame.y2, frame.y1
     tn = path.tau_nu
     tn_J2 = tn * Jf * Jf
-    inner_J3 = spectral_antiderivative(tn_J2 * Jf)
-    inner_uJ2 = spectral_antiderivative(tn_J2 * u)
+    inner_J3 = path.antiderivative(tn_J2 * Jf)
+    inner_uJ2 = path.antiderivative(tn_J2 * u)
     tn_u2 = tn * u * u
     cubic = tn_u2 * u * (inner_J3 / 3.0) - tn_u2 * Jf * inner_uJ2
-    H = float(2.0 * math.pi * periodic_mean(path.tau) + 2.0 * math.pi * periodic_mean(cubic))
-    scale = float(2.0 * math.pi * (periodic_mean(np.abs(path.tau)) + periodic_mean(np.abs(cubic))))
+    H = float(2.0 * math.pi * path.mean(path.tau) + 2.0 * math.pi * path.mean(cubic))
+    scale = float(2.0 * math.pi * (path.mean(np.abs(path.tau)) + path.mean(np.abs(cubic))))
     return H, scale
 
 
@@ -399,7 +403,7 @@ def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", path=None, frame=N
     if frame is None:
         frame = solve_fundamental(path)
     sym, diag = conjugated_order_zero(path, frame)
-    means = field_mean(sym)
+    means = field_mean(path, sym)
     diag_coeffs, residue = diagonal_part(means)
     diag_coeffs = (diag_coeffs + [0.0] * 3)[:3]
     # every key, also where the pruned engine symbol holds no entry, so

@@ -22,18 +22,23 @@ rotation (v1, v2) -> (-v2, v1).
 
 `flow` samples a geodesic, its curvature jets and its fundamental Jacobi
 solutions of y'' + K(u) y = 0 from closed formulas, and returns them as
-one `GeodesicPath`; no ODE is solved (Besse, Manifolds all of whose
-geodesics are closed, ch. 4).  With c the
-Clairaut constant and a = sqrt(1 - c^2), a geodesic is u = a sin(theta)
-with d(theta)/ds = 1/f, so sin^2 r = c^2 + a^2 cos^2 theta, and
+one `GeodesicPath`; no ODE is solved and no equation is solved for its
+samples (Besse, Manifolds all of whose geodesics are closed, ch. 4).
+With c the Clairaut constant and a = sqrt(1 - c^2), a geodesic is
+u = a sin(theta) with d(theta)/ds = 1/f, so sin^2 r = c^2 + a^2 cos^2 theta,
+and
     s(theta) = theta + sum_k h_k a^k I_k(theta),  I_k = int_0^theta sin^k,
 which for an odd profile is theta plus a 2*pi-periodic function: the
-Zoll property itself.  theta(s) is found by a bracketed Newton method,
-on a coarse grid first and then, from the trigonometric interpolant of
-the periodic theta(s) - s, on the full grid.  The longitude is an explicit sum of
-arctangents and sine integrals, from h = (1 - u^2) q(u) + alpha + beta u.
-The Jacobi frame is the rotation field y_A = cos(theta) and its partner
-by reduction of order, y_B = y_A int ds / y_A^2, written without poles:
+Zoll property itself.  So theta has the period of s, and every geodesic
+is sampled uniformly in it, theta_j = theta0 + 2*pi*j/n, with s_j and
+the weight f_j = ds/d(theta) read off in closed form.  An s-mean is the
+theta-mean of g f, and int_0^s g is int g f d(theta) (`GeodesicPath.mean`
+and `.antiderivative`); the trapezoidal rule in theta converges even
+where f is small, where theta(s) is steep.  The longitude is an explicit
+sum of arctangents and sine integrals, from h = (1 - u^2) q(u) + alpha +
+beta u.  The Jacobi frame is the rotation field y_A = cos(theta) and its
+partner by reduction of order, y_B = y_A int ds / y_A^2, written without
+poles:
     y_B = (1 + alpha) sin(theta) + beta + cos(theta) int_0^theta q(sin t) dt,
 with h(a x) = (1 - x^2) q(x) + alpha + beta x; both have d/ds = (1/f)
 d/d(theta), and their Wronskian is 1.  The jets are read in the same
@@ -46,9 +51,10 @@ meridian is not the limit of its neighbours: the cone point turns a
 geodesic that passes it at Clairaut constant c -> 0 by pi h(1), so their
 longitude gains about pi (1 -+ h(1)) per pole passage instead of pi.
 
-Closure is read in the coordinates (theta, phi) of the closed form, which
-are regular at the poles: the state at s = 2*pi, with theta(2*pi) solved
-by Newton as every other sample, against the state at s = 0.
+Closure is read at theta0 + 2*pi, in the coordinates (theta, phi) of the
+closed form, which are regular at the poles: the period defect
+|s(theta0 + 2*pi) - s(theta0) - 2*pi|, which is the Zoll condition
+itself, and the longitude gained over the turn, modulo 2*pi.
 """
 
 import math
@@ -56,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import grid, resample
+from .fourier import grid, spectral_antiderivative
 
 __all__ = [
     "MetricModel",
@@ -67,20 +73,10 @@ __all__ = [
 
 ADMISSIBILITY_SAMPLES = 10_000
 MERIDIAN_TOL = 1e-14      # |c| of a start traced as a meridian (c = 0)
-MIN_GRID = 256            # smallest sample grid, and the grid of the first Newton solve
-NEWTON_TOL = 1e-9         # largest correction of the last Newton step
-NEWTON_STEPS = 50         # Newton steps one solve may take
 
 
 class IntegrationError(RuntimeError):
-    """A start that cannot be sampled; `newton` lists the (grid, steps) of
-    its Newton solves, the failed one last, and `correction` is its last
-    correction."""
-
-    def __init__(self, message, newton=(), correction=None):
-        super().__init__(message)
-        self.newton = newton
-        self.correction = correction
+    """A geodesic whose samples fail a gate: its closure or its Jacobi frame."""
 
 
 def _horner(coeffs, x):
@@ -205,62 +201,6 @@ def _sine_integral(coeffs, theta, sin, cos):
     return w[0] * theta + w[1] * (1.0 - cos) + cos * _horner(p[::-1], sin)
 
 
-def _angles(metric, h_a, a, theta0, n):
-    """theta at s_j = 2*pi*j/n, j = 0 .. n, the (grid, steps) of each Newton
-    solve and the last correction.
-
-    s(theta) = theta + sum_k h_a[k] I_k(theta) increases, with slope f in
-    (0, 2).  Newton's method solves s(theta) - s(theta0) = s_j on MIN_GRID
-    points from theta = theta0 + s_j; for larger n the trigonometric
-    interpolant of the periodic theta - theta0 - s starts the full-grid
-    solve, which then takes about one step.  The last angle, at s = 2*pi,
-    is solved like the others.  Each root stays in a bracket that the
-    signs of its residuals shrink, from theta0 to `turns` turns of theta
-    past it, enough for an arclength of 2*pi; a step that would leave the
-    bracket bisects it instead, so f near 0 cannot throw Newton off.  A
-    solve is done once no angle moves by more than NEWTON_TOL, or by more
-    than roundoff where it bisects; IntegrationError names a solve that is
-    not done after NEWTON_STEPS steps.
-    """
-    def arclength(theta):
-        return theta + _sine_integral(h_a, theta, np.sin(theta), np.cos(theta))
-
-    origin = arclength(theta0)
-    turns = math.ceil(2.0 * math.pi / (arclength(theta0 + 2.0 * math.pi) - origin))
-    solves = []
-
-    def solve(s, theta, grid_size):
-        lo, hi = theta0 - 1.0, theta0 + 2.0 * math.pi * turns + 1.0
-        correction = math.inf
-        for step in range(1, NEWTON_STEPS + 1):
-            sin = np.sin(theta)
-            residual = theta + _sine_integral(h_a, theta, sin, np.cos(theta)) - origin - s
-            above = residual > 0.0
-            lo, hi = np.where(above, lo, theta), np.where(above, theta, hi)
-            guess = theta - residual / metric.warp(a * sin)
-            inside = ((lo < guess) & (guess < hi)) | (guess == theta)
-            guess = np.where(inside, guess, 0.5 * (lo + hi))
-            moved = np.abs(guess - theta)
-            theta, correction = guess, float(np.max(moved))
-            if np.all(moved <= np.where(inside, NEWTON_TOL, np.spacing(np.abs(theta)))):
-                solves.append((grid_size, step))
-                return theta, correction
-        solves.append((grid_size, NEWTON_STEPS))
-        raise IntegrationError(f"Newton solve for the arclength angle on {grid_size} points "
-                               f"did not converge in {NEWTON_STEPS} steps (last correction "
-                               f"{correction:.3e})", tuple(solves), correction)
-
-    s = np.append(grid(n), 2.0 * math.pi)
-    theta = theta0 + s
-    if n > MIN_GRID:
-        coarse = grid(MIN_GRID)
-        solved, _ = solve(coarse, theta0 + coarse, MIN_GRID)
-        theta[:-1] += resample(solved - theta0 - coarse, n)
-    theta, correction = solve(s, theta, n)
-    theta[0] = theta0
-    return theta, tuple(solves), correction
-
-
 def _wrapped(x):
     """|x| taken modulo 2*pi into [0, pi]."""
     return abs((x + math.pi) % (2.0 * math.pi) - math.pi)
@@ -284,13 +224,12 @@ def _longitude(metric, a, c, theta, sin, cos):
             + c * _sine_integral(np.multiply(q, a ** np.arange(len(q))), theta, sin, cos))
 
 
-def _jacobi_rows(metric, h_a, a, theta, sin, cos):
+def _jacobi_rows(h_a, theta, sin, cos, f):
     """(y1, y1', y2, y2') at the angles theta: the fundamental Jacobi solutions,
     (y1, y1') = (0, 1) and (y2, y2') = (1, 0) at the first angle.  h_a holds
-    the ascending coefficients of h(a x)."""
+    the ascending coefficients of h(a x), and f = ds/d(theta)."""
     alpha, beta, q = _split(h_a)
     integral = _sine_integral(q, theta, sin, cos)
-    f = metric.warp(a * sin)
     y_a, dy_a = cos, -sin / f
     y_b = (1.0 + alpha) * sin + beta + cos * integral
     dy_b = ((1.0 + alpha) * cos - sin * integral + cos * _horner(q[::-1], sin)) / f
@@ -303,24 +242,26 @@ def _jacobi_rows(metric, h_a, a, theta, sin, cos):
 
 @dataclass(frozen=True)
 class GeodesicPath:
-    """Arclength-uniform samples of a (nominally closed) unit-speed geodesic.
+    """Samples of a (nominally closed) unit-speed geodesic, uniform in the
+    Clairaut angle theta.
 
-    Sample arrays have length n; index j is s_j = 2*pi*j/n.  `r`, `phi` are
-    north polar chart coordinates, `tangent` and `normal` are (n, 2) frame
-    components, and tau/tau_s/tau_nu/tau_nunu are the curvature jets.
-    `jacobi` holds the (4, n) rows (y1, y1', y2, y2') of the fundamental
-    Jacobi solutions, (y1, y1') = (0, 1) and (y2, y2') = (1, 0) at s = 0,
-    and `jacobi_end` their state at s = 2*pi.  The closure defect is the
-    gap between the states at s = 0 and s = 2*pi in the closed form's
-    coordinates (theta, phi), both modulo 2*pi.  `newton` lists the
-    (grid, steps) of the Newton solves, coarse grid first, and
-    `correction` is the last Newton correction.
+    Sample arrays have length n; index j is theta_j = theta0 + 2*pi*j/n,
+    at arclength s_j = s(theta_j) - s(theta0), and `weight` is
+    f_j = ds/d(theta) there.  `r`, `phi` are north polar chart
+    coordinates, `tangent` and `normal` are (n, 2) frame components, and
+    tau/tau_s/tau_nu/tau_nunu are the curvature jets.  `jacobi` holds the
+    (4, n) rows (y1, y1', y2, y2') of the fundamental Jacobi solutions,
+    (y1, y1') = (0, 1) and (y2, y2') = (1, 0) at s = 0, with ' = d/ds,
+    and `jacobi_end` their state at theta0 + 2*pi.  The closure defect is
+    the larger of the period defect |s(theta0 + 2*pi) - 2*pi| and the
+    longitude gained over the turn, modulo 2*pi.
     """
 
     metric: MetricModel
     init: tuple            # (SurfacePoint, (v1, v2))
     n: int
     s: np.ndarray
+    weight: np.ndarray
     r: np.ndarray
     phi: np.ndarray
     tangent: np.ndarray
@@ -332,12 +273,20 @@ class GeodesicPath:
     jacobi: np.ndarray
     jacobi_end: np.ndarray
     closure_defect: float
-    newton: tuple
-    correction: float
 
     def jets(self):
         return {"tau": self.tau, "tau_s": self.tau_s,
                 "tau_nu": self.tau_nu, "tau_nunu": self.tau_nunu}
+
+    def mean(self, values):
+        """(1/2pi) int values ds over one turn of theta, the arclength mean
+        on a Zoll metric: the theta-mean of values * f."""
+        return np.mean(values * self.weight)
+
+    def antiderivative(self, values):
+        """int_0^s values ds at every sample: the theta-antiderivative of
+        values * f."""
+        return spectral_antiderivative(values * self.weight)
 
 
 def _jets(metric, u, a_cos, c):
@@ -355,13 +304,14 @@ def _jets(metric, u, a_cos, c):
 
 def flow(metric, start, n):
     """The geodesic through `start` = (point, unit tangent) with its
-    curvature jets and Jacobi frame, sampled at s_j = 2*pi*j/n; returns
-    the GeodesicPath, whose `jacobi_end` is the frame at s = 2*pi.
+    curvature jets and Jacobi frame, sampled at theta_j = theta0 + 2*pi*j/n;
+    returns the GeodesicPath, whose `jacobi_end` is the frame at
+    theta0 + 2*pi.
 
     A start with |Clairaut constant| < MERIDIAN_TOL is the meridian its
     heading picks: at a pole, from (r0, phi0) heading (cos t, sin t), the
     meridian phi0 + t from the north pole and phi0 + pi - t from the south
-    pole.  Raises IntegrationError when a Newton solve does not converge.
+    pole.
     """
     p, v = start
     v1, v2 = float(v[0]), float(v[1])
@@ -371,10 +321,14 @@ def flow(metric, start, n):
     theta0 = math.atan2(math.cos(p.r), -math.sin(p.r) * v1)
     h = metric._table["h"][::-1]
     h_a = np.multiply(h, a ** np.arange(len(h)))      # h(a x), ascending
-    theta, newton, correction = _angles(metric, h_a, a, theta0, n)
+    theta = theta0 + np.append(grid(n), 2.0 * math.pi)
     sin, cos = np.sin(theta), np.cos(theta)
-    jacobi = _jacobi_rows(metric, h_a, a, theta, sin, cos)
-    defect = _wrapped(theta[-1] - theta0)
+    s = theta + _sine_integral(h_a, theta, sin, cos)
+    s -= s[0]
+    # ds/d(theta), an array also where the warp is a constant (the round sphere)
+    f = np.broadcast_to(metric.warp(a * sin), theta.shape)
+    jacobi = _jacobi_rows(h_a, theta, sin, cos, f)
+    defect = abs(s[-1] - 2.0 * math.pi)
     if abs(c) < MERIDIAN_TOL:
         c = 0.0                   # its jets too are the meridian's
         # rho, the colatitude run on through the poles, folded into [0, pi]
@@ -394,11 +348,12 @@ def flow(metric, start, n):
         defect = max(defect, _wrapped(gained[-1]))
     tau, tau_s, tau_nu, tau_nunu = _jets(metric, a * sin[:-1], a * cos[:-1], c)
     along, across = along[:-1], across[:-1]
+    # copies, so that the path holds no (n + 1)-sample buffer it need not: a
+    # report at N = 32768 peaks about 1 MB lower
     return GeodesicPath(
-        metric=metric, init=(p, (v1, v2)), n=n, s=grid(n), r=r[:-1],
-        phi=phi[:-1] % (2.0 * math.pi),
+        metric=metric, init=(p, (v1, v2)), n=n, s=s[:-1].copy(), weight=f[:-1].copy(),
+        r=r[:-1], phi=phi[:-1] % (2.0 * math.pi),
         tangent=np.stack([along, across], axis=1), normal=np.stack([-across, along], axis=1),
         tau=tau, tau_s=tau_s, tau_nu=tau_nu, tau_nunu=tau_nunu,
         jacobi=jacobi[:, :-1], jacobi_end=jacobi[:, -1], closure_defect=defect,
-        newton=newton, correction=correction,
     )

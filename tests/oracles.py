@@ -13,10 +13,14 @@ it.
 
 The production variation field comes by quadrature (see
 `zollforms.jacobi`).  The routes here solve the same equations a second
-way: ODE solves driven by the trigonometric interpolant of the sampled
-curvature.  Tests pin the two routes to each other, so the identity
+way: ODE solves in s, driven by the trigonometric interpolants of the
+sampled curvature and of the weight f = ds/d(theta), with the Clairaut
+angle riding along by d(theta)/ds = 1/f, and read at the path's
+arclengths.  Tests pin the two routes to each other, so the identity
 checks that consume the variation field keep a path that shares no
-quadrature with them.
+quadrature with them.  `spectral_derivative` is the FFT derivative on
+the uniform grid, and `ds` = (1/f) d/d(theta) the FFT route to the
+s-derivatives that the package takes in closed form.
 
 The curvature jets have two more routes.  `curvature_jet_arrays` writes
 them in the chart's (r, v1, v2), where `zollforms.surface.flow` writes
@@ -59,7 +63,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from zollforms import expansion
-from zollforms.fourier import spectral_antiderivative, spectral_derivative
 from zollforms.geodesic import GeodesicPath
 from zollforms.jacobi import JacobiFrame, VariationField
 from zollforms.normalform import field_mean
@@ -102,6 +105,28 @@ class TrigInterpolant:
         return out if out.shape else out[()]
 
 
+def spectral_derivative(values):
+    """d/d(theta) of periodic samples on the uniform grid over [0, 2*pi),
+    by FFT; the unpaired Nyquist mode is dropped."""
+    values = np.asarray(values)
+    n = values.shape[-1]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k[n // 2] = 0.0
+    out = np.fft.ifft(np.fft.fft(values) * (1j * k))
+    return out.real if np.isrealobj(values) else out
+
+
+def ds(path, values):
+    """d/ds = (1/f) d/d(theta) of samples along `path`, by FFT."""
+    return spectral_derivative(values) / path.weight
+
+
+def turn_length(path):
+    """Arclength of one turn of theta, 2 pi times the theta-mean of f
+    (exact: f is a trigonometric polynomial of degree below the grid)."""
+    return 2.0 * math.pi * float(np.mean(path.weight))
+
+
 def _solve(rhs, start, t_eval, tol=ODE_TOL, t_end=2.0 * math.pi):
     sol = solve_ivp(rhs, (0.0, t_end), start, method="DOP853",
                     t_eval=t_eval, rtol=tol, atol=tol)
@@ -110,14 +135,18 @@ def _solve(rhs, start, t_eval, tol=ODE_TOL, t_end=2.0 * math.pi):
 
 
 def ode_frame(path):
-    """Fundamental Jacobi frame from y'' + tau(s) y = 0 with interpolated tau."""
-    tau = TrigInterpolant(path.tau)
+    """Fundamental Jacobi frame from y'' + tau(s) y = 0, read at the path's
+    arclengths and at the end of the turn, with tau and f interpolated in
+    theta and theta solved along."""
+    tau, weight = TrigInterpolant(path.tau), TrigInterpolant(path.weight)
 
     def rhs(s, y):
-        t = tau(s)
-        return (y[1], -t * y[0], y[3], -t * y[2])
+        t = tau(y[4])
+        return (y[1], -t * y[0], y[3], -t * y[2], 1.0 / weight(y[4]))
 
-    y1, dy1, y2, dy2 = _solve(rhs, [0.0, 1.0, 1.0, 0.0], np.append(path.s, 2.0 * math.pi))
+    end = turn_length(path)
+    y1, dy1, y2, dy2, _ = _solve(rhs, [0.0, 1.0, 1.0, 0.0, 0.0], np.append(path.s, end),
+                                 t_end=end)
     return JacobiFrame(
         path=path, y1=y1[:-1], dy1=dy1[:-1], y2=y2[:-1], dy2=dy2[:-1],
         poincare=np.array([[dy1[-1], dy2[-1]], [y1[-1], y2[-1]]]),
@@ -130,13 +159,14 @@ def ode_variation_field(frame, direction=None):
     path = frame.path
     y = frame.Y
     direction = y if direction is None else np.asarray(direction)
-    tau_i = TrigInterpolant(path.tau)
+    tau_i, weight_i = TrigInterpolant(path.tau), TrigInterpolant(path.weight)
     force_i = TrigInterpolant(path.tau_nu * direction * y)
 
     def rhs(s, state):
-        return (state[1], -tau_i(s) * state[0] - force_i(s))
+        theta = state[2].real
+        return (state[1], -tau_i(theta) * state[0] - force_i(theta), 1.0 / weight_i(theta))
 
-    y_nu, dy_nu = _solve(rhs, np.zeros(2, dtype=complex), path.s)
+    y_nu, dy_nu, _ = _solve(rhs, np.zeros(3, dtype=complex), path.s, t_end=path.s[-1])
     return VariationField(y_nu=y_nu, dy_nu=dy_nu)
 
 
@@ -213,17 +243,17 @@ def d_half(frame):
     return metaplectic_substitute([syms[0]], frame)[0]
 
 
-def commutator_double_integral(d):
+def commutator_double_integral(path, d):
     """s-average of the ordered commutator double integral, as a scalar symbol.
 
-    Computes pref * (1/2pi) int [d(s), int_0^s d(t) dt] ds with the star
-    commutator and the engine-verified prefactor -i/4, so the result is
-    exactly the correction the order-zero term acquires from the first
-    conjugation.
+    Computes pref * (1/2pi) int [d(s), int_0^s d(t) dt] ds along `path`
+    with the star commutator and the engine-verified prefactor -i/4, so
+    the result is exactly the correction the order-zero term acquires
+    from the first conjugation.
     """
-    cum = d.map_coeffs(spectral_antiderivative)
+    cum = d.map_coeffs(path.antiderivative)
     comm = star_commutator(d, cum)
-    return field_mean(comm).scale(complex(expansion.COMMUTATOR_PREFACTOR))
+    return field_mean(path, comm).scale(complex(expansion.COMMUTATOR_PREFACTOR))
 
 
 def d_zero_restricted(frame):
@@ -246,7 +276,7 @@ def d_zero_restricted(frame):
         elif k == 1:
             out = out + star_product(a_k, h).scale(-1.0)
         elif k == 2:
-            inner = star_product(h, h) + h.map_coeffs(spectral_derivative).scale(1j)
+            inner = star_product(h, h) + h.map_coeffs(lambda v: ds(frame.path, v)).scale(1j)
             out = out + star_product(a_k, inner)
         else:
             raise AssertionError(f"unexpected D_s power {k} at weight 0")
@@ -638,13 +668,15 @@ def _jacobi_rows(fund):
 
 
 def rebase(path, j0):
-    """The same closed geodesic re-parametrized from s = 2*pi*j0/n.
+    """The same closed geodesic re-parametrized from its sample j0.
 
-    Rolls the periodic sample arrays; valid up to the closure defect.
+    Rolls the periodic sample arrays and measures s from s_j0, with the
+    samples past the end of the turn one turn on; valid up to the
+    closure defect.
     The Jacobi frame is re-based by linear algebra: with Phi(s) the
     fundamental matrix on states (y, y'), the new frame is
-    Phi(s_j0 + t) Phi(s_j0)^-1, and samples past 2*pi continue as
-    Phi(s) Phi(2*pi), since tau is 2*pi-periodic on a closed geodesic.
+    Phi(s_j0 + t) Phi(s_j0)^-1, and samples past the end of the turn
+    continue as Phi(s) Phi(end), since tau is periodic on a closed geodesic.
     """
     j0 = int(j0) % path.n
     roll = lambda a: np.roll(a, -j0, axis=0)
@@ -652,13 +684,14 @@ def rebase(path, j0):
     fund, fund_end = _fundamental(path.jacobi), _fundamental(path.jacobi_end)
     base_inv = np.linalg.inv(fund[j0])
     ahead = np.concatenate([fund[j0:], fund[:j0] @ fund_end]) @ base_inv
+    s = np.concatenate([path.s[j0:], path.s[:j0] + turn_length(path)]) - path.s[j0]
     return GeodesicPath(
-        metric=path.metric, init=init, n=path.n, s=path.s,
+        metric=path.metric, init=init, n=path.n, s=s, weight=roll(path.weight),
         r=roll(path.r), phi=roll(path.phi),
         tangent=roll(path.tangent), normal=roll(path.normal),
         tau=roll(path.tau), tau_s=roll(path.tau_s),
         tau_nu=roll(path.tau_nu), tau_nunu=roll(path.tau_nunu),
         jacobi=_jacobi_rows(ahead),
         jacobi_end=_jacobi_rows(fund[j0] @ fund_end @ base_inv),
-        closure_defect=path.closure_defect, newton=path.newton, correction=path.correction,
+        closure_defect=path.closure_defect,
     )

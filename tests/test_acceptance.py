@@ -132,7 +132,8 @@ def test_criterion_3_first_obstruction(sweep):
 def _subsampled(path, frame, m):
     step = path.n // m
     sl = slice(None, None, step)
-    new_path = replace(path, n=m, s=path.s[sl], r=path.r[sl], phi=path.phi[sl],
+    new_path = replace(path, n=m, s=path.s[sl], weight=path.weight[sl],
+                       r=path.r[sl], phi=path.phi[sl],
                        tangent=path.tangent[sl], normal=path.normal[sl],
                        tau=path.tau[sl], tau_s=path.tau_s[sl],
                        tau_nu=path.tau_nu[sl], tau_nunu=path.tau_nunu[sl])

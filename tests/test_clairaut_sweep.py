@@ -58,7 +58,8 @@ def test_smooth_profile_ladder(smooth_metric, meridian_c0, exponent):
 
 @pytest.mark.parametrize("exponent", range(-12, 0))
 def test_cone_profile_ladder(exponent):
-    """h = 0.1 x, from the equator heading south, past the south pole by s = pi."""
+    """h = 0.1 x, from the equator heading south, past the south pole and
+    back at the equator half a turn of theta on."""
     metric = MetricModel.zoll_revolution([0.1])
     c = 10.0 ** exponent
     t0 = time.perf_counter()

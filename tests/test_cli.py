@@ -234,33 +234,29 @@ class TestVerifyCommand:
             {"geodesic": "meridian", "check": "integration", "value": None}]
         assert "check integration" in capsys.readouterr().err
 
-    def test_newton_failure_stays_with_its_geodesic(self, monkeypatch):
-        """A Newton solve that does not converge ends its own geodesic with a
-        named integration failure, and the run goes on (exit 3).  Allowed
-        two steps, only the equator of h = 0.1 x, whose arclength angle is
-        exact from the start, converges."""
-        monkeypatch.setattr(surface, "NEWTON_STEPS", 2)
+    def test_flow_failure_stays_with_its_geodesic(self, monkeypatch):
+        """A flow that raises ends its own geodesic with a named integration
+        failure, and the run goes on (exit 3): the meridian and the first
+        sampled start of h = 0.1 x fail, and the equator passes its checks."""
         cfg = RunConfig.load(None, {"metric": parse_metric_flag("zoll:0.1"), "geodesics": 3,
                                     "grid": 512})
+        sampled_point = cli._initial_conditions(cfg)[2][1][0]
+        _fail_flow_with(monkeypatch, lambda p, v: v[0] == 1.0 or p == sampled_point)
         report, code = build_report(cfg, "verify")
         assert code == EXIT_NUMERICAL_FAILURE
         records = report["geodesics"]
         assert all(c["normalized"] < cfg.tol for c in records[0]["checks"])
         for record in records[1:]:
-            assert "did not converge in 2 steps" in record["integration_failure"]
+            assert record["integration_failure"] == "forced failure"
         assert report["summary"]["failures"] == [
             {"geodesic": name, "check": "integration", "value": None}
             for name in ("meridian", "random-000")]
-        flow = report["telemetry"]["flow"]
-        assert flow[0]["newton"] == [[256, 1], [512, 1]]
-        assert [t["newton"][-1][1] for t in flow[1:]] == [2, 2]
-        assert all(t["correction"] > surface.NEWTON_TOL for t in flow[1:])
 
     def test_non_zoll_control_fails_closure(self, tmp_path):
         """With an even profile term the geodesics do not close: their closure
-        and Poincare defects, read at the Newton-solved end of the period,
-        are far from zero (the equator closes by symmetry), and the identity
-        suite fails (exit 1)."""
+        and Poincare defects, read at theta0 + 2*pi, the end of one turn of
+        the Clairaut angle, are far from zero (the equator closes by
+        symmetry), and the identity suite fails (exit 1)."""
         cfg = RunConfig.load(None, {
             "metric": {"kind": "zoll_revolution", "h_odd_coeffs": [0.05], "h_even_coeffs": [0.1]},
             "geodesics": 3, "grid": 512})
@@ -365,23 +361,36 @@ class TestInvariantsCommand:
         assert len(stage1) == 6
         assert all(ops == {1: {(0, 0): c_s}} for c_s, ops in stage1)
 
-    def test_telemetry_stays_outside_the_digest(self):
-        """Every geodesic's Newton solves ([grid, steps], coarse grid first)
-        and last correction are reported; the digest does not cover them, and
-        two runs give one digest."""
+    def test_digest_covers_the_whole_report(self):
+        """A report is its header, geodesics and summary, all under the
+        digest (no run-dependent block is left outside it), and two runs
+        give one digest."""
         cfg = RunConfig.load(None, {"metric": parse_metric_flag("zoll:-0.309,0.294"),
                                     "geodesics": 4, "grid": 512})
         first, _ = build_report(cfg, "invariants")
         second, _ = build_report(cfg, "invariants")
         assert first["digest"] == second["digest"]
-        flow = first["telemetry"]["flow"]
-        assert len(flow) == 4
-        for t in flow:
-            assert [size for size, _ in t["newton"]] == [256, 512]
-            assert all(isinstance(steps, int) and steps >= 1 for _, steps in t["newton"])
-            assert isinstance(t["correction"], float) and 0.0 <= t["correction"] <= 1e-9
-        body = {k: v for k, v in first.items() if k not in ("digest", "telemetry")}
+        assert first["header"]["schema_version"] == 4
+        assert set(first) == {"header", "geodesics", "summary", "digest"}
+        body = {k: v for k, v in first.items() if k != "digest"}
         assert first["digest"] == _digest(body)
+
+    def test_strongly_warped_meridian_is_resolved(self, tmp_path):
+        """h = -0.99 x brings f = 1 + h down to 0.01 at the north pole.  At
+        the default grid the run passes, and the meridian reads the
+        converged c0 = -44.52771388243 with c2 = 0: sampled uniformly in
+        arclength it read c0 = -34.888 and c2 = -3464.8, and 4 other
+        geodesics failed the first obstruction."""
+        out = tmp_path / "inv.json"
+        code = main(["invariants", "--metric", "zoll:-0.99", "--geodesics", "8",
+                     "--grid", "2048", "--seed", "0", "--out", str(out)])
+        assert code == EXIT_PASS
+        report = json.loads(out.read_text())
+        assert report["summary"]["failures"] == []
+        meridian = report["geodesics"][1]
+        assert meridian["geodesic_id"] == "meridian"
+        assert abs(meridian["invariants"]["c0"] + 44.52771388243) <= 1e-9
+        assert abs(meridian["invariants"]["c2"]) <= 1e-9
 
     def test_h_relation_is_gated(self, monkeypatch):
         """Each record carries |c0 + H/(16 pi)| relative to the scale of H's

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from zollforms import cli, surface
-from zollforms.fourier import (grid, periodic_mean, spectral_antiderivative,
-                               spectral_derivative)
+from zollforms.fourier import spectral_antiderivative
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic
 from zollforms.surface import IntegrationError, MetricModel, SurfacePoint
-from oracles import curvature_jet_arrays, embedded, equator_start, ode_flow, rebase
+from oracles import (FLOW_TOL, MERIDIAN_TOL, curvature_jet_arrays, ds, embedded, equator_start,
+                     ode_flow, rebase, smooth_at_poles, spectral_derivative, turn_length)
 
 
 class TestTracing:
@@ -50,6 +50,11 @@ class TestTracing:
             trace_geodesic(nonzoll_metric, generic_ic, 512)
 
     def test_non_zoll_defect_magnitude(self, nonzoll_path):
+        """The even term x^2/10 lengthens a turn of theta by
+        (pi/10) a^2, a^2 = 1 - c^2: the period defect."""
+        p, (_, v2) = nonzoll_path.init
+        c = math.sin(p.r) * v2
+        assert nonzoll_path.closure_defect >= 0.1 * math.pi * (1.0 - c * c) - 1e-12
         assert nonzoll_path.closure_defect > 1e-2
 
     def test_grid_validation(self, round_metric, equator_ic):
@@ -86,16 +91,19 @@ class TestStackedTrace:
         ("zoll:0.2,-0.5,0.3", 32768, [256, 32768]),
     ])
     def test_matches_per_start_traces(self, spec, n, sizes):
-        """On the CLI's 32-geodesic sample every geodesic's closure defect
-        stays below 1e-10.  `sizes` are the grids of each start's Newton
-        solves: the coarse one, then the full grid, which the interpolated
-        coarse solution starts so close that one step converges."""
+        """On the CLI's 32-geodesic sample (at grid n) every geodesic's
+        closure defect stays below 1e-10 on each of the grids `sizes`, and
+        the theta grids nest: the coarse path is every (fine/coarse)-th
+        sample of the fine one, to roundoff."""
         cfg = cli.RunConfig.load(None, {"metric": cli.parse_metric_flag(spec), "grid": n})
         for _, init in cli._initial_conditions(cfg):
-            path = trace_geodesic(cfg.metric_model, init, n)
-            assert path.closure_defect <= 1e-10
-            assert [size for size, _ in path.newton] == sizes
-            assert path.newton[-1][1] == 1 and path.correction <= 1e-9
+            coarse, fine = (trace_geodesic(cfg.metric_model, init, size) for size in sizes)
+            assert max(coarse.closure_defect, fine.closure_defect) <= 1e-10
+            step = fine.n // coarse.n
+            for name in ("s", "weight", "r", "tau", "tau_s", "tau_nu", "tau_nunu"):
+                ours, theirs = getattr(coarse, name), getattr(fine, name)[::step]
+                assert np.max(np.abs(ours - theirs)) <= 1e-12 * max(1.0, np.max(np.abs(theirs)))
+            assert np.max(np.abs(coarse.jacobi - fine.jacobi[:, ::step])) <= 1e-12
 
     def test_closure_failure_stays_with_its_start(self, nonzoll_metric, generic_ic, equator_ic):
         """Under enforce_closure a start that does not close ends in its own
@@ -104,22 +112,22 @@ class TestStackedTrace:
         assert equator.closure_defect < 1e-10
         assert isinstance(generic, IntegrationError) and "not Zoll" in str(generic)
 
-    def test_budget_failure_stays_with_its_start(self, linear_metric, monkeypatch):
-        """A start whose Newton solve spends NEWTON_STEPS steps without
-        converging ends in its own IntegrationError, which names the solve;
-        the other starts trace.  The equator of h = 0.1 x has u = 0, so its
-        arclength angle is exact from the start, and its solves converge in
-        one step; an oblique start needs more than two."""
-        monkeypatch.setattr(surface, "NEWTON_STEPS", 2)
+    def test_flow_failure_stays_with_its_start(self, linear_metric, monkeypatch):
+        """A start whose flow raises ends in its own IntegrationError; the
+        starts before and after it trace."""
         equator, oblique = (SurfacePoint.north(math.pi / 2, 0.0), (0.0, 1.0)), equator_start(0.5)
+        real_flow = surface.flow
+
+        def flow(metric, start, n):
+            if start is oblique:
+                raise IntegrationError("forced failure")
+            return real_flow(metric, start, n)
+
+        monkeypatch.setattr(surface, "flow", flow)
         paths = _trace_each(linear_metric, [equator, oblique, equator], 2048)
-        failure = paths[1]
-        assert isinstance(failure, IntegrationError)
-        assert "256 points did not converge in 2 steps" in str(failure)
-        assert failure.newton == ((256, 2),) and failure.correction > surface.NEWTON_TOL
+        assert isinstance(paths[1], IntegrationError) and "forced failure" in str(paths[1])
         for path in paths[0], paths[2]:
             assert path.closure_defect < 1e-12
-            assert path.newton == ((256, 1), (2048, 1))
 
 
 class TestOdeOracle:
@@ -127,7 +135,17 @@ class TestOdeOracle:
     the Jacobi pair (`oracles.ode_flow`, scipy's DOP853 at 1e-13): r, the
     point and velocity in R^3 (so phi and v where the north chart is
     regular), the jets (relative to max(1, sup |jet|)) and the Jacobi rows
-    at s_j and at s = 2*pi agree to 1e-10."""
+    at the arclengths s_j of the theta samples and at the end of the turn
+    agree to 1e-10.
+
+    On a cone profile the ODE runs in the Clairaut chart, whose arclength
+    is good to about FLOW_TOL; near the cone point the velocity turns at
+    the rate c / sin^2 r, up to 1/c where the geodesic passes it.  The
+    equator starts put theta samples on the passages (theta0 + pi/2 and
+    theta0 + 3 pi/2 are samples n/4 and 3n/4), where the ODE's velocity
+    reads 2.9e-10 (h = 0.1 x) and 1.6e-9 (h = -0.309 x + 0.294 x^3) off
+    the closed form at c = 1e-4, and tighter ODE tolerances make it worse;
+    so there the velocity is held to 1e-10 + 10 FLOW_TOL c / sin^2 r."""
 
     POLE_STARTS = [(SurfacePoint.north(r0, 0.7), heading) for r0 in (0.0, math.pi)
                    for heading in ((1.0, 0.0), (-1.0, 0.0), (0.6, 0.8))]
@@ -135,11 +153,14 @@ class TestOdeOracle:
     @staticmethod
     def _assert_matches(metric, start, n=512):
         path = trace_geodesic(metric, start, n, enforce_closure=False)
-        oracle = ode_flow(metric, start, np.append(grid(n), 2.0 * math.pi))
+        oracle = ode_flow(metric, start, np.append(path.s, turn_length(path)))
         assert np.max(np.abs(path.r - oracle.r[:-1])) <= 1e-10
-        for ours, theirs in zip(embedded(metric, path.r, path.phi, *path.tangent.T),
-                                (oracle.x[:, :-1], oracle.dx[:, :-1])):
-            assert np.max(np.abs(ours - theirs)) <= 1e-10
+        x, dx = embedded(metric, path.r, path.phi, *path.tangent.T)
+        assert np.max(np.abs(x - oracle.x[:, :-1])) <= 1e-10
+        c = abs(math.sin(start[0].r) * start[1][1])
+        meridian = c < MERIDIAN_TOL
+        turn_rate = 0.0 if meridian or smooth_at_poles(metric) else c / np.sin(path.r) ** 2
+        assert np.all(np.abs(dx - oracle.dx[:, :-1]) <= 1e-10 + 10.0 * FLOW_TOL * turn_rate)
         jets = curvature_jet_arrays(metric, oracle.r[:-1], oracle.v1[:-1], oracle.v2[:-1])
         for ours, theirs in zip(path.jets().values(), jets):
             assert np.max(np.abs(ours - theirs)) <= 1e-10 * max(1.0, np.max(np.abs(theirs)))
@@ -183,9 +204,9 @@ class TestOdeOracle:
 
     def test_non_zoll_end_state(self, nonzoll_metric):
         """With an even profile term a turn of theta takes more than 2*pi of
-        arclength, so the state at s = 2*pi, the Jacobi rows included, is
-        read at the Newton-solved theta(2*pi), which the ODE confirms, and
-        the path does not close."""
+        arclength: the end state, the Jacobi rows included, is read at
+        theta0 + 2*pi, which the ODE confirms at that arclength, and the
+        path does not close."""
         for start in sample_initial_conditions(3, seed=11):
             self._assert_matches(nonzoll_metric, start)
             assert trace_geodesic(nonzoll_metric, start, 512,
@@ -193,11 +214,10 @@ class TestOdeOracle:
 
     @pytest.mark.parametrize("coeffs", [[-0.99], [0.0, 0.0, -0.99], [-1.5, 0.6]])
     def test_strongly_warped_profiles(self, coeffs):
-        """f = 1 + h comes down to 0.01 (0.1) at a pole, where the arclength
-        angle's equation is nearly flat and unguarded Newton steps cycle:
-        the bracketed solve still converges, meridian and near-meridian
-        included, every path closes, and the oblique ones match the ODE.
-        (Near the poles of these profiles the ODE itself loses accuracy.)"""
+        """f = 1 + h comes down to 0.01 (0.1) at a pole, where theta(s) is
+        steep: meridian and near-meridian included, every path closes, and
+        the oblique ones match the ODE.  (Near the poles of these profiles
+        the ODE itself loses accuracy.)"""
         metric = MetricModel.zoll_revolution(coeffs)
         oblique = [equator_start(0.3), *sample_initial_conditions(2, seed=2)]
         for start in [equator_start(0.0), equator_start(1e-6), *oblique]:
@@ -275,12 +295,11 @@ class TestConeMeridians:
 
     @pytest.mark.parametrize("coeffs", CONE_PROFILES)
     def test_one_stack(self, coeffs):
-        """The same starts one after another, pole starts included: two
-        Newton solves each, on the coarse and the 512-point grid."""
+        """The same starts one after another, pole starts included."""
         metric = MetricModel.zoll_revolution(coeffs)
         starts = [(SurfacePoint.north(r0, 0.7), (heading, 0.0)) for r0, heading in MERIDIAN_STARTS]
         for start, path in zip(starts, _trace_each(metric, starts, 512)):
-            assert [size for size, _ in path.newton] == [256, 512]
+            assert path.closure_defect <= 1e-12
             _assert_closed_form(coeffs, path, start)
 
 
@@ -306,21 +325,24 @@ class TestPoleStarts:
 
 
 class TestSpectralDerivative:
+    """The FFT oracle of d/ds = (1/f) d/d(theta), and the package's
+    antiderivative."""
+
     def test_constant(self, round_path):
         der = spectral_derivative(np.full(round_path.n, 2.5))
         assert np.max(np.abs(der)) < 1e-12
 
     def test_sine(self, round_path):
-        der = spectral_derivative(np.sin(round_path.s))
+        der = ds(round_path, np.sin(round_path.s))
         assert np.max(np.abs(der - np.cos(round_path.s))) < 1e-10
 
     def test_tau_s_two_routes(self, cubic_path):
-        der = spectral_derivative(cubic_path.tau)
+        der = ds(cubic_path, cubic_path.tau)
         assert np.max(np.abs(der - cubic_path.tau_s)) < 1e-7
 
     def test_derivative_mean_vanishes(self, cubic_path):
-        der = spectral_derivative(cubic_path.tau_nu)
-        assert abs(periodic_mean(der)) < 1e-12
+        der = ds(cubic_path, cubic_path.tau_nu)
+        assert abs(cubic_path.mean(der)) < 1e-12
 
     def test_antiderivative_closed_form(self):
         n = 512
@@ -361,8 +383,8 @@ class TestQuadratureContract:
                 for name in fields:
                     prod_a = prod_a * getattr(path_a, name)
                     prod_b = prod_b * getattr(path_b, name)
-                int_a = 2 * math.pi * periodic_mean(prod_a)
-                int_b = 2 * math.pi * periodic_mean(prod_b)
+                int_a = 2 * math.pi * path_a.mean(prod_a)
+                int_b = 2 * math.pi * path_b.mean(prod_b)
                 assert abs(int_a - int_b) < 1e-9
 
     def test_sampling_reproducible(self):

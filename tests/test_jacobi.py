@@ -5,25 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from zollforms.fourier import spectral_derivative
-from zollforms.geodesic import GeodesicPath, trace_geodesic
+from zollforms.geodesic import GeodesicPath
 from zollforms.jacobi import floquet_exponents, solve_fundamental, variation_field
 
-from oracles import exp_map, ode_frame, ode_variation_field, rebase, rotate_tangent
+from oracles import (ds, exp_map, ode_flow, ode_frame, ode_variation_field, rebase,
+                     rotate_tangent)
 
 
 def constant_curvature_path(tau_value, n=512):
-    """Synthetic fixture: a formal path with constant curvature samples."""
+    """Synthetic fixture: a formal path with constant curvature samples,
+    uniform in arclength (weight 1)."""
     s = 2.0 * math.pi * np.arange(n) / n
     zeros = np.zeros(n)
     return GeodesicPath(
-        metric=None, init=None, n=n, s=s,
+        metric=None, init=None, n=n, s=s, weight=np.ones(n),
         r=np.full(n, math.pi / 2), phi=s,
         tangent=np.stack([zeros, np.ones(n)], axis=1),
         normal=np.stack([-np.ones(n), zeros], axis=1),
         tau=np.full(n, float(tau_value)), tau_s=zeros,
         tau_nu=zeros, tau_nunu=zeros, jacobi=None, jacobi_end=None,
-        closure_defect=0.0, newton=(), correction=0.0,
+        closure_defect=0.0,
     )
 
 
@@ -66,8 +67,8 @@ class TestFundamentalFrame:
 
 
     def test_carried_frame_matches_ode_oracle(self, round_frame, cubic_frame, linear_frame):
-        """The frame integrated with the geodesic equals the interpolant-driven
-        ODE solve of y'' + tau y = 0 on the traced samples."""
+        """The closed-form frame equals the interpolant-driven ODE solve of
+        y'' + tau y = 0 at the arclengths of the traced samples."""
         for frame in (round_frame, cubic_frame, linear_frame):
             oracle = ode_frame(frame.path)
             for name in ("y1", "dy1", "y2", "dy2", "poincare"):
@@ -112,12 +113,13 @@ class TestVariationField:
         assert np.max(np.abs(vf.y_nu)) < 1e-12
 
     def test_residual_invariant(self, cubic_frame):
-        """Collocation residual of y_nu'' + tau_nu Y^2 + tau y_nu = 0.  One
-        spectral derivative of dy_nu instead of two of y_nu keeps the sample
-        noise from being amplified by the squared Nyquist wavenumber."""
+        """Collocation residual of y_nu'' + tau_nu Y^2 + tau y_nu = 0, with
+        d/ds = (1/f) d/d(theta) by FFT.  One derivative of dy_nu instead of
+        two of y_nu keeps the sample noise from being amplified by the
+        squared Nyquist wavenumber."""
         vf = variation_field(cubic_frame)
         path = cubic_frame.path
-        residual = (spectral_derivative(vf.dy_nu) + path.tau_nu * cubic_frame.Y ** 2
+        residual = (ds(path, vf.dy_nu) + path.tau_nu * cubic_frame.Y ** 2
                     + path.tau * vf.y_nu)
         bound = 1e-8 * max(np.max(np.abs(path.tau_nu)), 1.0)
         assert np.max(np.abs(residual)) < bound
@@ -141,7 +143,9 @@ class TestVariationField:
                 assert np.max(np.abs(vf.dy_nu - oracle.dy_nu)) <= 1e-10
 
     def test_finite_difference_oracle(self, cubic_metric, cubic_path, cubic_frame):
-        """ODE variation equals central differences across +-eps nu geodesics."""
+        """The variation field equals central differences of Y across the
+        +-eps nu geodesics, whose frames the ODE oracle reads at the base
+        path's arclengths."""
         eps = 1e-4
         p0, v0 = cubic_path.init
         v0 = np.asarray(v0)
@@ -152,8 +156,8 @@ class TestVariationField:
             # sign*w is the parallel transport of +nu0; rotating it by -pi/2
             # transports the original tangent v0
             tangent = rotate_tangent(sign * w, -math.pi / 2)
-            path = trace_geodesic(cubic_metric, (q, tangent), cubic_path.n)
-            frames[sign] = solve_fundamental(path)
-        fd = (frames[1.0].Y - frames[-1.0].Y) / (2.0 * eps)
+            y1, _, y2, _ = ode_flow(cubic_metric, (q, tangent), cubic_path.s).jacobi
+            frames[sign] = y2 + 1j * y1
+        fd = (frames[1.0] - frames[-1.0]) / (2.0 * eps)
         vf = variation_field(cubic_frame, direction=cubic_frame.y2)
         assert np.max(np.abs(vf.y_nu - fd)) < 1e-5

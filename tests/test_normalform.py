@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zollforms.fourier import periodic_mean
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic
 from zollforms.jacobi import solve_fundamental
-from oracles import (commutator_double_integral, d_half, d_zero_restricted, metaplectic_substitute,
-                     rebase, transvectant, weyl_quantize)
+from oracles import (commutator_double_integral, d_half, d_zero_restricted, ds,
+                     metaplectic_substitute, rebase, spectral_derivative, transvectant,
+                     weyl_quantize)
 from zollforms.normalform import (
     FirstObstructionError,
     SOperator,
@@ -85,7 +85,8 @@ class TestMetaplecticPropagatorOracle:
 
     Independently of the symbol machinery, solve i dU/ds = H(s) U with
     H(s) = (Op(eta^2) + tau(s) Op(y^2))/2 on the truncated oscillator
-    basis, and compare U(s)* Op(a) U(s) against Op(a o A(s)) for a = y^2.
+    basis, in the Clairaut angle (d/d(theta) = f d/ds), and compare
+    U(s)* Op(a) U(s) against Op(a o A(s)) for a = y^2.
     This ties together the quantization oracle, the Jacobi frame, and the
     substitution convention in one statement.
     """
@@ -100,16 +101,16 @@ class TestMetaplecticPropagatorOracle:
         eta_sym = PolySymbol({(1, 0): -0.5j, (0, 1): 0.5j})
         y2_op = weyl_quantize(transvectant(y_sym, y_sym, 0), size)
         eta2_op = weyl_quantize(transvectant(eta_sym, eta_sym, 0), size)
-        tau = TrigInterpolant(cubic_path.tau)
+        tau, weight = TrigInterpolant(cubic_path.tau), TrigInterpolant(cubic_path.weight)
 
-        def rhs(s, u_flat):
+        def rhs(theta, u_flat):
             u = u_flat.reshape(size, size)
-            h = 0.5 * (eta2_op + tau(s) * y2_op)
-            return (-1j * h @ u).ravel()
+            h = 0.5 * (eta2_op + tau(theta) * y2_op)
+            return (-1j * weight(theta) * (h @ u)).ravel()
 
         j_target = cubic_path.n // 3
-        s_target = float(cubic_path.s[j_target])
-        sol = solve_ivp(rhs, (0.0, s_target), np.eye(size, dtype=complex).ravel(),
+        theta_target = 2.0 * math.pi * j_target / cubic_path.n
+        sol = solve_ivp(rhs, (0.0, theta_target), np.eye(size, dtype=complex).ravel(),
                         method="DOP853", rtol=1e-10, atol=1e-10)
         U = sol.y[:, -1].reshape(size, size)
         lhs = U.conj().T @ y2_op @ U
@@ -142,7 +143,7 @@ class TestDHalf:
     def test_zoll_means_vanish(self, cubic_frame, linear_frame):
         for frame in (cubic_frame, linear_frame):
             d = d_half(frame)
-            worst = max(abs(complex(periodic_mean(v))) for v in d.coeffs.values())
+            worst = max(abs(complex(frame.path.mean(v))) for v in d.coeffs.values())
             assert worst < 1e-7
 
     def test_engine_obstruction_equals_d_half_means(self, cubic_frame, linear_frame):
@@ -153,7 +154,7 @@ class TestDHalf:
         on these frames)."""
         for frame in (cubic_frame, linear_frame):
             d = d_half(frame)
-            expected = max(abs(complex(periodic_mean(v))) for v in d.coeffs.values())
+            expected = max(abs(complex(frame.path.mean(v))) for v in d.coeffs.values())
             scale = max(float(np.max(np.abs(v))) for v in d.coeffs.values())
             _, diag = conjugated_order_zero(frame.path, frame)
             assert abs(diag["first_obstruction_max"] - expected) <= 1e-15 * scale
@@ -161,85 +162,93 @@ class TestDHalf:
 
 class TestFirstHomological:
     def test_zero_input(self, cubic_frame):
-        n = cubic_frame.path.n
-        (q, _), means = solve_first_homological(PolySymbol({(3, 0): np.zeros(n, dtype=complex)}))
+        path = cubic_frame.path
+        (q, _), means = solve_first_homological(
+            path, PolySymbol({(3, 0): np.zeros(path.n, dtype=complex)}))
         assert not means.coeffs
         assert np.max(np.abs(q[(3, 0)])) == 0.0
 
-    def test_single_mode_closed_form(self):
-        n = 512
-        s = 2.0 * math.pi * np.arange(n) / n
+    def test_single_mode_closed_form(self, round_path):
+        """On the round equator, where f = 1 and the samples are uniform in s."""
+        s = round_path.s
         d = PolySymbol({(2, 1): np.exp(1j * s)})
-        (q, _), _ = solve_first_homological(d, c_s=2.0)
+        (q, _), _ = solve_first_homological(round_path, d, c_s=2.0)
         expected = -0.5 * (np.exp(1j * s) - 1.0) / 1j
         assert np.max(np.abs(q[(2, 1)] - expected)) < 1e-12
 
     def test_periodicity(self, cubic_frame):
-        (q, _), _ = solve_first_homological(d_half(cubic_frame))
+        (q, _), _ = solve_first_homological(cubic_frame.path, d_half(cubic_frame))
         for v in q.coeffs.values():
             # spectral antiderivative of numerically mean-free data is periodic
             assert abs(v[0]) < 1e-12
 
-    def test_small_mean_keeps_q_periodic(self):
+    def test_small_mean_keeps_q_periodic(self, round_path):
         """A mean between the antiderivative's zeroing threshold (1e-10 of
         max |d|) and MEAN_TOL passes the gate and is reported, and Q stays
-        periodic with dQ/ds its derivative."""
-        from zollforms.normalform import _symbol_ds
-
-        n = 1024
-        s = 2.0 * math.pi * np.arange(n) / n
+        periodic with dQ/ds its derivative (the FFT oracle)."""
+        s = round_path.s
         d = PolySymbol({(3, 0): np.cos(s) + 1e-8, (2, 1): np.exp(2j * s) - 3e-9j})
-        (q, q_s), means = solve_first_homological(d, c_s=2.0)
+        (q, q_s), means = solve_first_homological(round_path, d, c_s=2.0)
         assert abs(means[(3, 0)] - 1e-8) <= 1e-15 and abs(means[(2, 1)] + 3e-9j) <= 1e-15
-        fft = _symbol_ds(q)
+        fft = q.map_coeffs(lambda v: ds(round_path, v))
         for key in d.coeffs:
             assert abs(q[key][0]) == 0.0
             assert np.max(np.abs(q_s[key] - fft[key])) <= 1e-13, key
         assert np.max(np.abs(q[(3, 0)] + 0.5 * np.sin(s))) <= 1e-13
 
-    def test_obstruction_error(self):
-        n = 256
-        d = PolySymbol({(3, 0): np.full(n, 0.3 + 0j)})
+    def test_obstruction_error(self, cubic_path):
+        d = PolySymbol({(3, 0): np.full(cubic_path.n, 0.3 + 0j)})
         with pytest.raises(FirstObstructionError, match="3"):
-            solve_first_homological(d)
+            solve_first_homological(cubic_path, d)
 
-    def test_nan_entry_is_an_obstruction(self):
-        n = 256
+    def test_nan_entry_is_an_obstruction(self, cubic_path):
+        n = cubic_path.n
         d = PolySymbol({(3, 0): np.zeros(n, dtype=complex),
                         (2, 1): np.full(n, complex(math.nan, 0.0))})
         with pytest.raises(FirstObstructionError):
-            solve_first_homological(d)
+            solve_first_homological(cubic_path, d)
 
 
 class TestCommutatorDoubleIntegral:
     def test_zero_and_round(self, round_frame):
-        out = commutator_double_integral(d_half(round_frame))
+        out = commutator_double_integral(round_frame.path, d_half(round_frame))
         worst = max((abs(v) for v in out.coeffs.values()), default=0.0)
         assert worst < 1e-14
 
     def test_no_action_term(self, cubic_frame):
-        out = commutator_double_integral(d_half(cubic_frame))
+        out = commutator_double_integral(cubic_frame.path, d_half(cubic_frame))
         assert abs(out[(1, 1)]) < 1e-12
 
-    def test_random_degree3_has_no_action_term(self):
+    def test_random_degree3_has_no_action_term(self, cubic_path):
         rng = np.random.default_rng(3)
-        n = 256
+        n = cubic_path.n
         d = PolySymbol({(m, 3 - m): rng.standard_normal(n) + 1j * rng.standard_normal(n)
                         for m in range(4)})
-        out = commutator_double_integral(d)
+        out = commutator_double_integral(cubic_path, d)
         assert abs(out[(1, 1)]) < 1e-12
 
 
 class TestMeanFreeTerms:
-    def test_oscillator_derivative_term_averages_out(self, cubic_path, cubic_frame):
+    def test_oscillator_derivative_term_averages_out(self, generic_ic):
         """The i d_s(h) piece of the D_s^2 conjugation is a total derivative:
-        every entry's mean vanishes (term (iv) of the order-zero symbol)."""
-        from zollforms.normalform import _frame_conjugate, _instantiate, _oscillator, _symbol_ds
-        framed = _frame_conjugate(_instantiate(cubic_path), cubic_frame)
-        _, minus_h = _oscillator(framed[Fraction(-1)])
-        dsh = _symbol_ds(minus_h)
-        worst = max(abs(complex(periodic_mean(v))) for v in dsh.coeffs.values())
-        assert worst < 1e-8
+        every entry's mean vanishes (term (iv) of the order-zero symbol).
+        The engine's closed-form dh/ds = tau_s (image of y^2)/2 equals the
+        FFT derivative of h, (1/f) d/d(theta), to 1e-10 of its scale, on
+        h = 0.3 (x^3 - x) and h = 0.2 x - 0.5 x^3 + 0.3 x^5."""
+        from zollforms.normalform import _frame_conjugate, _instantiate, _oscillator
+        from zollforms.surface import MetricModel
+
+        for h_odd in ((-0.3, 0.3), (0.2, -0.5, 0.3)):
+            path = trace_geodesic(MetricModel.zoll_revolution(h_odd), generic_ic, 1024)
+            frame = solve_fundamental(path)
+            framed, minus_h_s = _frame_conjugate(_instantiate(path), frame)
+            _, minus_h = _oscillator(framed[Fraction(-1)])
+            assert set(minus_h_s.coeffs) == set(minus_h.coeffs)
+            scale = max(float(np.max(np.abs(v))) for v in minus_h_s.coeffs.values())
+            for key, v in minus_h_s.coeffs.items():
+                assert np.max(np.abs(v - ds(path, minus_h[key]))) <= 1e-10 * scale, key
+            worst = max(abs(complex(path.mean(v))) for v in minus_h_s.coeffs.values())
+            assert worst < 1e-8
 
     def test_tau_s_quadratic_means_vanish(self, cubic_path, cubic_frame):
         """int tau_s Y^a Ybar^b = 0 for a + b = 2 on Zoll geodesics (the
@@ -247,7 +256,7 @@ class TestMeanFreeTerms:
         no diagonal or off-diagonal average."""
         Y = cubic_frame.Y
         for prod in (Y * Y, Y * np.conj(Y), np.conj(Y) * np.conj(Y)):
-            val = abs(complex(periodic_mean(cubic_path.tau_s * prod)))
+            val = abs(complex(cubic_path.mean(cubic_path.tau_s * prod)))
             assert val < 1e-8
 
 
@@ -259,9 +268,9 @@ class TestEngineAgainstExplicitRoute:
         report against the machine conjugation.
         """
         engine, diag = conjugated_order_zero(cubic_path, cubic_frame)
-        m_engine = field_mean(engine)
-        explicit = field_mean(d_zero_restricted(cubic_frame)) \
-            + commutator_double_integral(d_half(cubic_frame))
+        m_engine = field_mean(cubic_path, engine)
+        explicit = field_mean(cubic_path, d_zero_restricted(cubic_frame)) \
+            + commutator_double_integral(cubic_path, d_half(cubic_frame))
         for k in set(m_engine.coeffs) | set(explicit.coeffs):
             assert abs(complex(m_engine[k]) - complex(explicit[k])) < 1e-12, k
         assert_frame_cancels(*frame_conjugated(cubic_path, cubic_frame))
@@ -288,7 +297,8 @@ class TestEngineAgainstExplicitRoute:
         sym, diag = conjugated_order_zero(cubic_path, cubic_frame)
         assert abs(diag["first_obstruction_max"] - 1e-8) <= 1e-15
         assert diag["odd_residual"] <= max(2.0 * clean["odd_residual"], 1e-15)
-        assert max(abs(complex(v)) for v in (field_mean(sym) - field_mean(clean_sym)).coeffs.values()) <= 1e-7
+        moved = field_mean(cubic_path, sym) - field_mean(cubic_path, clean_sym)
+        assert max(abs(complex(v)) for v in moved.coeffs.values()) <= 1e-7
 
     def test_stage_one_equals_closed_form_terms(self, cubic_path, cubic_frame):
         """The stage 1 operators carry the closed-form pieces pointwise: the
@@ -306,7 +316,7 @@ class TestEngineAgainstExplicitRoute:
 
     def test_round_sphere_exact_mean(self, round_path, round_frame):
         engine, _ = conjugated_order_zero(round_path, round_frame)
-        means = field_mean(engine)
+        means = field_mean(round_path, engine)
         assert abs(means[(0, 0)] - (-0.25)) < 1e-9
         assert abs(means[(2, 2)]) < 1e-10
         assert abs(means[(1, 1)]) < 1e-10
@@ -368,15 +378,30 @@ class TestComputeH:
         assert abs(compute_H(round_path, round_frame)[0] - 2.0 * math.pi) < 1e-10
 
     def test_grid_doubling_stability(self, cubic_frame, cubic_frame_2048):
+        """H moves < 1e-8 from N = 1024 to 2048.  Sampled uniformly in
+        theta, the invariants at N = 256 and 2048 agree to 1e-12 on the
+        first 8 geodesics of the CLI sample of five profiles (measured:
+        <= 3.6e-15 on H, <= 6e-17 on the rest)."""
+        from zollforms import cli
+
         a, _ = compute_H(cubic_frame.path, cubic_frame)
         b, _ = compute_H(cubic_frame_2048.path, cubic_frame_2048)
         assert abs(a - b) < 1e-8
+        for spec in ("zoll:-0.3,0.3", "zoll:0.1", "zoll:0.2,-0.5,0.3", "zoll:0.6,-0.2",
+                     "zoll:-0.309,0.294"):
+            cfg = cli.RunConfig.load(None, {"metric": cli.parse_metric_flag(spec),
+                                            "geodesics": 8})
+            for name, ic in cli._initial_conditions(cfg):
+                coarse, fine = (assemble_p1(cfg.metric_model, ic, n) for n in (256, 2048))
+                for key in ("c0", "c01", "c2", "H_b", "offdiag_max"):
+                    gap = abs(getattr(coarse, key) - getattr(fine, key))
+                    assert gap <= 1e-12, (spec, name, key, gap)
 
     def test_meridian_readings_coincide(self, cubic_metric, meridian_ic):
         # tau_nu vanishes along meridians: H reduces to int tau
         path = trace_geodesic(cubic_metric, meridian_ic, 1024)
         frame = solve_fundamental(path)
-        base = 2.0 * math.pi * periodic_mean(path.tau)
+        base = 2.0 * math.pi * path.mean(path.tau)
         assert abs(compute_H(path, frame)[0] - base) < 1e-12
 
 
@@ -423,6 +448,14 @@ class TestEquatorValue:
         assert abs(rec.c0 - (h_odd[0] ** 2 - 1.0) / 8.0) <= 1e-11
 
 
+def _jet(sym, order):
+    """(sym, d sym/ds, ...) up to `order`, by the FFT oracle on a uniform grid."""
+    jet = [sym]
+    for _ in range(order):
+        jet.append(jet[-1].map_coeffs(spectral_derivative))
+    return jet
+
+
 def _smooth_field_symbol(rng, s, degrees=(0, 2, 3)):
     """Random symbol whose entries are low trigonometric polynomials on the grid."""
     out = PolySymbol()
@@ -437,15 +470,13 @@ class TestSOperatorCommutator:
     def test_ds_free_left_equals_compose_difference(self):
         """[Op(a), B] through the odd-only star commutator plus the d_s^l a
         terms equals Op(a) o B - B o Op(a), for B with D_s^0..D_s^2 parts."""
-        from zollforms.normalform import _symbol_ds
-
         rng = np.random.default_rng(21)
         s = 2.0 * math.pi * np.arange(64) / 64
         q = _smooth_field_symbol(rng, s, (3,))
-        q_jet = [q, _symbol_ds(q), _symbol_ds(_symbol_ds(q))]
+        q_jet = _jet(q, 2)
         a = SOperator({0: q})
         b = SOperator({k: _smooth_field_symbol(rng, s) for k in range(3)})
-        ab, ba = a.compose(b), b.compose(a)
+        ab, ba = a.compose([b]), b.compose([SOperator({0: d}) for d in q_jet])
         for weight in (1, -0.5j):
             got = ad_symbol(q_jet, b, weight)
             ref = {k: (ab.ds_part(k) - ba.ds_part(k)).scale(weight)
@@ -476,12 +507,11 @@ class TestHornerRule:
         on operators at every weight from -2 to 0 with D_s parts, so the
         j = 3 and 4 factors, which the engine never meets, are exercised;
         and again without weight -3/2, which must still take its step."""
-        from zollforms.normalform import _ad_series, _symbol_ds
+        from zollforms.normalform import _ad_series
 
         rng = np.random.default_rng(23)
         s = 2.0 * math.pi * np.arange(64) / 64
-        q = _smooth_field_symbol(rng, s, (3,))
-        q_jet = [q, _symbol_ds(q), _symbol_ds(_symbol_ds(q))]
+        q_jet = _jet(_smooth_field_symbol(rng, s, (3,)), 2)
         half = Fraction(1, 2)
         full = {Fraction(-2): SOperator({0: _smooth_field_symbol(rng, s, (0, 2))}),
                 Fraction(-3, 2): SOperator({1: _smooth_field_symbol(rng, s, (1,)),
@@ -511,13 +541,15 @@ class TestHornerRule:
 
         rng = np.random.default_rng(25)
         s = 2.0 * math.pi * np.arange(64) / 64
-        shift = SOperator({1: PolySymbol.constant(1), 0: _smooth_field_symbol(rng, s, (2,))})
+        minus_h_jet = _jet(_smooth_field_symbol(rng, s, (2,)), 3)
+        shift = [SOperator({1: PolySymbol.constant(1), 0: minus_h_jet[0]})]
+        shift += [SOperator({0: d}) for d in minus_h_jet[1:]]
         op = SOperator({3: PolySymbol.constant(0.5), 2: _smooth_field_symbol(rng, s, (0, 1)),
                         1: _smooth_field_symbol(rng, s, (2,)),
                         0: _smooth_field_symbol(rng, s, (0, 2))})
         power, ref = SOperator({0: PolySymbol.constant(1)}), SOperator()
         for k in range(4):
-            ref = ref + SOperator({0: op.ds_part(k)}).compose(power)
+            ref = ref + SOperator({0: op.ds_part(k)}).compose([power])
             power = power.compose(shift)
         got = _shift_ds(op, shift)
         assert set(got.terms) == set(ref.terms) == {0, 1, 2, 3}
@@ -535,7 +567,8 @@ class TestEnginePin:
         path = trace_geodesic(cubic_metric, ic, n)
         frame = solve_fundamental(path)
         rec = assemble_p1(cubic_metric, ic, path=path, frame=frame)
-        oracle = field_mean(d_zero_restricted(frame)) + commutator_double_integral(d_half(frame))
+        oracle = field_mean(path, d_zero_restricted(frame)) \
+            + commutator_double_integral(path, d_half(frame))
         assert abs(rec.c0 - complex(oracle[(0, 0)]).real / 2.0) <= 1e-10
         assert abs(rec.c01 - abs(complex(oracle[(1, 1)])) / 2.0) <= 1e-10
         assert abs(rec.c2 - complex(oracle[(2, 2)]).real / 2.0) <= 1e-10
@@ -610,24 +643,31 @@ class TestSubstitutionCount:
         assert built == Counter({(1, 1): 2, (2, 1): 1, (3, 1): 1})
 
     def test_spectral_calls(self, cubic_path, cubic_frame, monkeypatch):
-        """One engine call takes 3 spectral derivatives (of h, for the
-        D_s^2 conjugation), 4 antiderivatives (Q) and 4 means (of the odd
-        term); dQ/ds comes from the homological equation.  By Horner's
-        rule it forms 1 star product ((a_1 - h) # (-h) at weight 0) and 1
-        star commutator ([Q, B_(-1/2)])."""
+        """One engine call takes no spectral derivative: dh/ds is closed
+        form and dQ/ds comes from the homological equation.  It takes 4
+        antiderivatives (Q) and 4 means (of the odd term), all along the
+        path.  By Horner's rule it forms 1 star product ((a_1 - h) # (-h)
+        at weight 0) and 1 star commutator ([Q, B_(-1/2)])."""
         from collections import Counter
-        from zollforms import normalform
+        from zollforms import fourier, normalform, surface
 
         calls = Counter()
-        for name in ("spectral_derivative", "spectral_antiderivative", "periodic_mean",
-                     "star_product", "star_commutator"):
-            def counting(*args, _name=name, _real=getattr(normalform, name)):
-                calls[_name] += 1
+
+        def count(owner, name, key):
+            def counting(*args, _real=getattr(owner, name)):
+                calls[key] += 1
                 return _real(*args)
-            monkeypatch.setattr(normalform, name, counting)
+            monkeypatch.setattr(owner, name, counting)
+
+        count(surface, "spectral_antiderivative", "spectral_antiderivative")
+        count(surface.GeodesicPath, "mean", "mean")
+        for name in ("star_product", "star_commutator"):
+            count(normalform, name, name)
         conjugated_order_zero(cubic_path, cubic_frame)
-        assert calls == Counter(spectral_derivative=3, spectral_antiderivative=4,
-                                periodic_mean=4, star_product=1, star_commutator=1)
+        assert calls == Counter(spectral_antiderivative=4, mean=4, star_product=1,
+                                star_commutator=1)
+        assert not any(hasattr(module, "spectral_derivative")
+                       for module in (fourier, normalform, surface))
 
 
 class TestRealTransverseBasis:
@@ -665,7 +705,7 @@ class TestRealTransverseBasis:
         metric = {"cubic": cubic_metric, "linear": linear_metric}[profile]
         path = trace_geodesic(metric, generic_ic, n)
         frame = solve_fundamental(path)
-        got = _frame_conjugate(_instantiate(path), frame)
+        got, _ = _frame_conjugate(_instantiate(path), frame)
         ref = graded_zzbar(path)
         assert set(got) == set(ref)
         for w, syms in ref.items():
@@ -683,16 +723,14 @@ class TestRealTransverseBasis:
     def test_q_s_is_the_derivative_of_q(self, cubic_metric, linear_metric, generic_ic,
                                         profile, n):
         """dQ/ds from the homological equation equals the FFT derivative of
-        Q to 1e-10 relative on Zoll frames; the FFT's own roundoff is about
-        1e-11 at N = 32768."""
-        from zollforms.normalform import _symbol_ds
-
+        Q, (1/f) d/d(theta), to 1e-10 relative on Zoll frames; the FFT's own
+        roundoff is about 1e-11 at N = 32768."""
         metric = {"cubic": cubic_metric, "linear": linear_metric}[profile]
         path = trace_geodesic(metric, generic_ic, n)
         frame = solve_fundamental(path)
         c_s, stage1 = frame_conjugated(path, frame)
-        (q, q_s), _ = solve_first_homological(stage1[Fraction(-1, 2)].ds_part(0), c_s)
-        fft = _symbol_ds(q)
+        (q, q_s), _ = solve_first_homological(path, stage1[Fraction(-1, 2)].ds_part(0), c_s)
+        fft = q.map_coeffs(lambda v: ds(path, v))
         assert set(q_s.coeffs) == set(fft.coeffs)
         scale = max(float(np.max(np.abs(v))) for v in q_s.coeffs.values())
         for key, v in q_s.coeffs.items():
