@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Integral, Real
 
+import numpy as np
+
 from . import __version__
 from .expansion import constants_report
 from .geodesic import (MIN_GRID, canonical_initial_conditions, sample_initial_conditions,
@@ -244,25 +246,24 @@ def _assemble_report(cfg, mode, records, failures):
     summary = {"mode": mode, "geodesic_count": len(records),
                "failures": [{"geodesic": g, "check": c, "value": v}
                             for g, c, v in failures]}
+    # numpy's max and ptp propagate a NaN, which Python's max drops unless it comes first
     closures = [r["closure_defect"] for r in records if "closure_defect" in r]
     if closures:
-        summary["max_closure_defect"] = max(closures)
+        summary["max_closure_defect"] = float(np.max(closures))
     if mode == "verify":
-        worst = {}
+        residuals = {}
         for r in records:
             for c in r.get("checks", ()):
-                worst[c["name"]] = max(worst.get(c["name"], 0.0), c["normalized"])
-        summary["max_normalized_residuals"] = worst
+                residuals.setdefault(c["name"], []).append(c["normalized"])
+        summary["max_normalized_residuals"] = {k: float(np.max(v)) for k, v in residuals.items()}
     else:
         invs = [r["invariants"] for r in records if "invariants" in r]
         if invs:
-            c0s = [i["c0"] for i in invs]
-            summary["c0_spread"] = max(c0s) - min(c0s)
-            Hs = [i["H_b"] for i in invs]
-            summary["H_spread"] = max(Hs) - min(Hs)
-            summary["c2_max"] = max(abs(i["c2"]) for i in invs)
-            summary["c01_max"] = max(abs(i["c01"]) for i in invs)
-            summary["offdiag_max"] = max(i["offdiag_max"] for i in invs)
+            summary["c0_spread"] = float(np.ptp([i["c0"] for i in invs]))
+            summary["H_spread"] = float(np.ptp([i["H_b"] for i in invs]))
+            summary["c2_max"] = float(np.max(np.abs([i["c2"] for i in invs])))
+            summary["c01_max"] = float(np.max(np.abs([i["c01"] for i in invs])))
+            summary["offdiag_max"] = float(np.max([i["offdiag_max"] for i in invs]))
     report = _strict_json({"header": _header(cfg), "geodesics": records, "summary": summary})
     report["digest"] = _digest(report)
     return report

@@ -4,8 +4,9 @@ All sampled coefficient functions in this package live on the grid
 theta_j = theta0 + 2*pi*j/N of a geodesic's Clairaut angle, with N a
 power of two.  Antiderivatives are computed through the FFT, so they are
 exact for trigonometric polynomials and spectrally accurate for smooth
-periodic data; the path turns them into arclength integrals by its
-weight ds/d(theta) (`surface.GeodesicPath`).  Forced linear equations
+periodic data; real data take the real transform and stay real.  The
+path turns them into arclength integrals by its weight ds/d(theta)
+(`surface.GeodesicPath`).  Forced linear equations
 along a geodesic are solved by quadrature (`jacobi.variation_field`).
 """
 
@@ -55,19 +56,20 @@ def spectral_antiderivative(values):
     The mean-zero part is integrated exactly in Fourier space; a residual
     mean m contributes the explicit linear ramp m*t.  Means with |m| below
     MEAN_ZERO_TOL * max |f| are zeroed, keeping F periodic for numerically
-    mean-free input at any scale of the data.
+    mean-free input at any scale of the data.  Real input takes the real
+    transform, which does half the work, and returns a real array.
     """
     values = np.asarray(values)
     n = values.shape[-1]
     _check_grid(n)
     inv_ik, s = _mode_factors(n)
-    coeffs = np.fft.fft(values)
+    real = not np.iscomplexobj(values)
+    coeffs = np.fft.rfft(values) if real else np.fft.fft(values)
     mean = coeffs[0] / n
-    if abs(mean) < MEAN_ZERO_TOL * np.max(np.abs(values)):
-        mean = 0.0
     # the Nyquist mode is at roundoff level for smooth data; inv_ik drops it
-    osc = np.fft.ifft(coeffs * inv_ik)
-    out = osc - osc[0] + mean * s
-    if np.isrealobj(values):
-        return out.real
+    coeffs *= inv_ik[:coeffs.shape[-1]]
+    out = np.fft.irfft(coeffs, n) if real else np.fft.ifft(coeffs)
+    out -= out[0]
+    if not abs(mean) < MEAN_ZERO_TOL * np.max(np.abs(values)):   # a NaN mean stays
+        out += (mean.real if real else mean) * s
     return out

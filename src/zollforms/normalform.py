@@ -34,6 +34,8 @@ form and the ad-series takes dQ/ds from the homological equation.  A
 symbol's coefficient is a sample vector on the geodesic grid, or a
 scalar where it is constant; means and antiderivatives along s are the
 path's (`surface.GeodesicPath`), which weighs the samples by ds/d(theta).
+Q takes one antiderivative per conjugate pair of the odd term, and a
+Horner step sums its addend into its product's accumulator.
 """
 
 import math
@@ -120,16 +122,17 @@ class SOperator:
                           for k in self.terms.keys() | other.terms.keys()})
 
     def max_abs(self):
-        return max((float(np.max(np.abs(v))) for sym in self.terms.values()
-                    for v in sym.coeffs.values()), default=0.0)
+        """The largest |coefficient| over every entry; NaN if any entry holds one."""
+        return float(np.max([np.max(np.abs(v)) for sym in self.terms.values()
+                             for v in sym.coeffs.values()], initial=0.0))
 
-    def compose(self, jet):
-        """Operator product self o B, with D_s moved right by
-        [D_s, Op(b)] = Op(-i b_s).
+    def compose(self, jet, plus=None):
+        """Operator product self o B, plus the operator `plus` if given,
+        with D_s moved right by [D_s, Op(b)] = Op(-i b_s).
 
         `jet` is (B, dB/ds, ...), up to the top D_s power of self, the way
-        `ad_symbol` takes the derivatives of q; every product is summed
-        into one result.
+        `ad_symbol` takes the derivatives of q; every product and `plus`
+        are summed into one result.
         """
         out = defaultdict(PolySymbol)
         for k in jet[0].terms:
@@ -137,11 +140,19 @@ class SOperator:
                 for l in range(j + 1):
                     _add_product(out[j - l + k], asym, jet[l].ds_part(k),
                                  math.comb(j, l) * _MINUS_I_POWERS[l % 4])
-        return SOperator(out)
+        return _summed(out, plus)
 
 
-def ad_symbol(q_jet, op, weight):
-    """weight * [Op(q), op] for a D_s-free symbol q.
+def _summed(out, plus):
+    """SOperator(out + plus) from an accumulator {D_s power: PolySymbol}, copying nothing."""
+    for k, sym in plus.terms.items() if plus is not None else ():
+        out[k].add_scaled(sym)
+    return SOperator(out)
+
+
+def ad_symbol(q_jet, op, weight, plus=None):
+    """weight * [Op(q), op] for a D_s-free symbol q, plus the operator
+    `plus` if given, summed into the same result.
 
     `q_jet` is (q, dq/ds, ...), up to the top D_s power of `op`.  The
     D_s^k parts of op commute through the odd-only star commutator, and
@@ -156,7 +167,7 @@ def ad_symbol(q_jet, op, weight):
         for l in range(1, k + 1):
             _add_product(out[k - l], b, q_jet[l],
                          -weight * math.comb(k, l) * _MINUS_I_POWERS[l % 4])
-    return SOperator(out)
+    return _summed(out, plus)
 
 
 def _prune(op):
@@ -238,24 +249,30 @@ def solve_first_homological(path, d, c_s=2.0):
     and dQ/ds, which comes exactly from the equation, is its derivative.
     Returns ((Q, dQ/ds), means of d as a scalar PolySymbol); the largest
     |mean| is the first obstruction of d.  Means and antiderivatives are
-    taken along `path`.
+    taken along `path`.  The engine's d is a real symbol, so
+    where d[n,m] = conj d[m,n] bit for bit, Q[n,m] = conj Q[m,n] takes no
+    antiderivative of its own.
     """
     means = {k: path.mean(v) for k, v in d.coeffs.items()}
     for k, m in sorted(means.items(), key=lambda kv: -abs(kv[1])):
         if not abs(m) <= MEAN_TOL:
             raise FirstObstructionError(k, complex(m))
     q_s = PolySymbol({k: (v - means[k]) * (-1.0 / c_s) for k, v in d.coeffs.items()})
-    return (q_s.map_coeffs(path.antiderivative), q_s), \
-        PolySymbol({k: complex(m) for k, m in means.items()})
+    q = {}
+    for (m, n), v in sorted(q_s.coeffs.items()):
+        paired = (n, m) in q and np.array_equal(d[m, n], np.conj(d[n, m]))
+        q[m, n] = np.conj(q[n, m]) if paired else path.antiderivative(v)
+    return (PolySymbol(q), q_s), PolySymbol({k: complex(m) for k, m in means.items()})
 
 
 def _shift_ds(op, shift_jet):
     """op with D_s replaced by the operator S, shift_jet = (S, dS/ds, ...),
-    by Horner's rule: from the top D_s power down, X <- X o S + Op(a_k)."""
+    by Horner's rule: from the top D_s power down, X <- X o S + Op(a_k),
+    with Op(a_k) summed into the product."""
     top = max(op.terms, default=0)
     out = SOperator({0: op.ds_part(top)})
     for k in range(top - 1, -1, -1):
-        out = out.compose(shift_jet) + SOperator({0: op.ds_part(k)})
+        out = out.compose(shift_jet, SOperator({0: op.ds_part(k)}))
     return out
 
 
@@ -286,7 +303,7 @@ def _ad_series(q_jet, ops, t):
     out = ops[w]
     while w < t:
         w += Fraction(1, 2)
-        out = ops.get(w, SOperator()) + ad_symbol(q_jet, out, -1j / int(2 * (t - w) + 1))
+        out = ad_symbol(q_jet, out, -1j / int(2 * (t - w) + 1), plus=ops.get(w))
     return out
 
 
@@ -308,6 +325,7 @@ def conjugated_order_zero(path, frame):
     odd = _ad_series(q_jet, conj, Fraction(-1, 2)) + SOperator({0: -means})
     diag = {"first_obstruction_max": max((abs(m) for m in means.coeffs.values()), default=0.0),
             "odd_residual": odd.max_abs()}
+    del odd   # not held through the weight 0 series
     return _ad_series(q_jet, conj, Fraction(0)).ds_part(0), diag
 
 
@@ -337,7 +355,7 @@ class InvariantRecord:
 
     @property
     def offdiag_max(self):
-        return max((abs(v) for v in self.offdiag.values()), default=0.0)
+        return float(np.max(np.abs(list(self.offdiag.values())), initial=0.0))   # NaN propagates
 
     @property
     def h_relation(self):
@@ -415,7 +433,7 @@ def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", path=None, frame=N
     return InvariantRecord(
         geodesic_id=geodesic_id,
         c0=c0.real, c01=abs(c01), c2=c2.real,
-        reality_defect=max(abs(c0.imag), abs(c2.imag)),
+        reality_defect=float(np.maximum(abs(c0.imag), abs(c2.imag))),   # NaN propagates
         offdiag=offdiag,
         H_b=H,
         H_scale=H_scale,

@@ -59,6 +59,7 @@ itself, and the longitude gained over the turn, modulo 2*pi.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -289,6 +290,16 @@ class GeodesicPath:
         return spectral_antiderivative(values * self.weight)
 
 
+@lru_cache(maxsize=16)
+def _turn(n):
+    """Read-only (t, sin t, cos t) at t = 2*pi*j/n, j = 0 ... n, made once per n."""
+    t = np.append(grid(n), 2.0 * math.pi)
+    out = t, np.sin(t), np.cos(t)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def _jets(metric, u, a_cos, c):
     """The curvature jets (tau, tau_s, tau_nu, tau_nunu) at u = a sin(theta).
 
@@ -321,8 +332,11 @@ def flow(metric, start, n):
     theta0 = math.atan2(math.cos(p.r), -math.sin(p.r) * v1)
     h = metric._table["h"][::-1]
     h_a = np.multiply(h, a ** np.arange(len(h)))      # h(a x), ascending
-    theta = theta0 + np.append(grid(n), 2.0 * math.pi)
-    sin, cos = np.sin(theta), np.cos(theta)
+    t, sin_t, cos_t = _turn(n)
+    theta = theta0 + t
+    # by angle addition, which takes no transcendental pass over the grid
+    sin0, cos0 = math.sin(theta0), math.cos(theta0)
+    sin, cos = sin0 * cos_t + cos0 * sin_t, cos0 * cos_t - sin0 * sin_t
     s = theta + _sine_integral(h_a, theta, sin, cos)
     s -= s[0]
     # ds/d(theta), an array also where the warp is a constant (the round sphere)

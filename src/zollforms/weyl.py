@@ -245,27 +245,32 @@ def substitute_linear(symbols, first_image, second_image):
     x1 -> a1*z + b1*zbar, x2 -> a2*z + b2*zbar, with `first_image` =
     (a1, b1) and `second_image` = (a2, b2) scalars or sample arrays.  One
     pass over the union of monomials: the powers of each linear form are
-    taken once, up to the highest exponent of its variable, so a pure
-    power costs no product; each mixed monomial is built once, added into
-    every symbol that carries it, and dropped.  Returns the list of
-    substituted symbols.
+    taken once, each from the one below it, so a pure power costs no
+    product; each mixed monomial is built once, added into every symbol
+    that carries it, and dropped.  A power is kept only while a later
+    monomial reads it or a higher power is still to be built from it.
+    Returns the list of substituted symbols.
     """
     carriers = defaultdict(list)
     for idx, sym in enumerate(symbols):
         for mn, v in sym.coeffs.items():
             carriers[mn].append((idx, v))
-    powers = []
-    for i, (a, b) in enumerate((first_image, second_image)):
-        pw = [PolySymbol.constant(1), PolySymbol({(1, 0): a, (0, 1): b})]
-        for _ in range(2, max((mn[i] for mn in carriers), default=0) + 1):
-            pw.append(pw[-1] * pw[1])
-        powers.append(pw)
+    order = sorted(carriers)
+    forms = [PolySymbol({(1, 0): a, (0, 1): b}) for a, b in (first_image, second_image)]
+    powers = [{0: PolySymbol.constant(1), 1: form} for form in forms]
     outs = [{} for _ in symbols]
-    for (m, n), uses in carriers.items():
+    for step, (m, n) in enumerate(order):
+        for form, pw, need in zip(forms, powers, (m, n)):
+            for e in range(max(pw) + 1, need + 1):
+                pw[e] = pw[e - 1] * form
         image = powers[1][n] if not m else powers[0][m] if not n else powers[0][m] * powers[1][n]
-        for idx, v in uses:
+        for idx, v in carriers[m, n]:
             for key, u in image.items():
                 _accumulate(outs[idx], key, _product(u, v))
+        for i, pw in enumerate(powers):
+            later, top = {mn[i] for mn in order[step + 1:]}, max(pw)
+            powers[i] = {e: p for e, p in pw.items() if e < 2 or e in later
+                         or (e == top and top < max(later, default=0))}
     return [PolySymbol(out) for out in outs]
 
 

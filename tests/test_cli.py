@@ -281,6 +281,30 @@ class TestVerifyCommand:
         assert json.loads(text)["summary"]["failures"][0]["value"] is None
 
 
+    def test_nan_residual_reaches_the_summary(self, monkeypatch, tmp_path):
+        """A NaN check on the meridian is null in its record and in the
+        summary maximum, which Python's max would fill from the others."""
+        from zollforms import identities
+
+        real = identities.check_tau_s
+
+        def check_tau_s(path, frame):
+            result = real(path, frame)
+            if path.init[1][0] == 1.0:   # the meridian start
+                return identities.CheckResult(result.name, math.nan, result.scale)
+            return result
+
+        monkeypatch.setattr(identities, "check_tau_s", check_tau_s)
+        out = tmp_path / "verify.json"
+        code = main(["verify", "--metric", "zoll:-0.3,0.3", "--geodesics", "4",
+                     "--grid", "256", "--out", str(out)])
+        assert code == EXIT_CHECK_FAILURE
+        report = json.loads(out.read_text())
+        meridian = next(r for r in report["geodesics"] if r["geodesic_id"] == "meridian")
+        assert next(c for c in meridian["checks"] if c["name"] == "check_tau_s")["normalized"] is None
+        assert report["summary"]["max_normalized_residuals"]["check_tau_s"] is None
+
+
 class TestInvariantsCommand:
     def test_round_run(self, tmp_path):
         out = tmp_path / "inv.json"
@@ -462,6 +486,28 @@ class TestInvariantsCommand:
         assert len(expected) == 12
         for record in report["geodesics"]:
             assert set(record["invariants"]["offdiag"]) == expected
+
+    @pytest.mark.parametrize("key, summary_key", [
+        ("c0", "c0_spread"), ("H_b", "H_spread"), ("c2", "c2_max"), ("c01", "c01_max"),
+        ("offdiag", "offdiag_max"), ("closure_defect", "max_closure_defect")])
+    def test_nan_reaches_the_summary(self, monkeypatch, key, summary_key):
+        """A NaN in one geodesic's record, not the first, makes the summary
+        maximum or spread over it NaN, written as null."""
+        from dataclasses import replace
+
+        nan = {"offdiag": {(1, 0): complex(math.nan)}}.get(key, math.nan)
+        owner = "trace_geodesic" if key == "closure_defect" else "assemble_p1"
+        real = getattr(cli, owner)
+
+        def forced(metric, ic, *args, **kwargs):
+            out = real(metric, ic, *args, **kwargs)
+            return replace(out, **{key: nan}) if ic[1][0] == 1.0 else out   # the meridian
+
+        monkeypatch.setattr(cli, owner, forced)
+        cfg = RunConfig.load(None, {"metric": parse_metric_flag("zoll:-0.3,0.3"),
+                                    "geodesics": 3, "grid": 256})
+        report, _ = build_report(cfg, "invariants")
+        assert report["summary"][summary_key] is None
 
     def test_offdiagonal_summary(self, tmp_path):
         out = tmp_path / "inv.json"

@@ -370,6 +370,27 @@ class TestSpectralDerivative:
         periodic = spectral_antiderivative(scale * np.cos(s))
         assert np.max(np.abs(periodic - scale * np.sin(s))) < 1e-14 * scale
 
+    @pytest.mark.parametrize("mean, ramp", [(0.7, True), (1e-12, False), (0.0, False)])
+    def test_real_route_matches_complex_route(self, mean, ramp):
+        """A real input takes the real transform and returns a real array
+        that agrees with the complex route to 1e-14 of the data's scale; the
+        mean keeps its ramp only above MEAN_ZERO_TOL of max |f|."""
+        n, scale = 512, 3.0
+        s = 2.0 * math.pi * np.arange(n) / n
+        f = scale * (mean + np.cos(s) - 0.5 * np.sin(4 * s) + 0.25 * np.cos(9 * s))
+        want = scale * ((mean * s if ramp else 0.0) + np.sin(s)
+                        + 0.125 * (np.cos(4 * s) - 1.0) + np.sin(9 * s) / 36.0)
+        got = spectral_antiderivative(f)
+        ref = spectral_antiderivative(f.astype(complex))
+        assert got.dtype == np.float64 and ref.dtype == np.complex128
+        assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_antiderivative_needs_a_power_of_two(self, dtype):
+        with pytest.raises(ValueError, match="power of two"):
+            spectral_antiderivative(np.ones(768, dtype=dtype))
+
 
 class TestQuadratureContract:
     def test_doubling_grid_is_stable(self, cubic_metric, generic_ic,

@@ -208,6 +208,53 @@ class TestFirstHomological:
         with pytest.raises(FirstObstructionError):
             solve_first_homological(cubic_path, d)
 
+    @pytest.mark.parametrize("spec", ["zoll:-0.3,0.3", "zoll:0.1", "zoll:0.2,-0.5,0.3",
+                                      "zoll:0.6,-0.2", "zoll:-0.309,0.294", "zoll:-0.9"])
+    def test_conjugate_pairs_share_one_antiderivative(self, spec):
+        """The odd term d is a real symbol, so its entries come in exact
+        conjugate pairs on the first 8 CLI geodesics, and Q takes one
+        antiderivative per pair: Q[0,3] and Q[1,2] are bitwise the
+        conjugates of Q[3,0] and Q[2,1]."""
+        from zollforms import cli
+
+        cfg = cli.RunConfig.load(None, {"metric": cli.parse_metric_flag(spec), "geodesics": 8})
+        for name, ic in cli._initial_conditions(cfg):
+            path = trace_geodesic(cfg.metric_model, ic, cfg.grid)
+            c_s, stage1 = frame_conjugated(path, solve_fundamental(path))
+            d = stage1[Fraction(-1, 2)].ds_part(0)
+            (q, _), _ = solve_first_homological(path, d, c_s)
+            assert set(q.coeffs) == set(d.coeffs)
+            for m, n in d.coeffs:
+                assert np.array_equal(d[m, n], np.conj(d[n, m])), (spec, name)
+                assert np.array_equal(q[m, n], np.conj(q[n, m])), (spec, name)
+
+    def test_unpaired_entries_take_their_own_antiderivative(self, cubic_path, monkeypatch):
+        """Where d[n,m] is not exactly conj d[m,n], every entry is integrated
+        by itself: 4 antiderivatives, equal to the per-entry route.  An
+        exactly Hermitian d takes 2, and its mirror entries agree with their
+        own antiderivatives to roundoff."""
+        from zollforms import surface
+
+        wave = np.exp(1j * cubic_path.s)    # mean-free along the closed path
+        hermitian = {(3, 0): wave, (0, 3): np.conj(wave),
+                     (2, 1): 0.5j * wave ** 2, (1, 2): np.conj(0.5j * wave ** 2)}
+        skewed = {**hermitian, (0, 3): hermitian[0, 3] + 0.1 * wave ** 2,
+                  (1, 2): hermitian[1, 2] + 0.1 * wave}
+        real = surface.spectral_antiderivative
+        calls = []
+        monkeypatch.setattr(surface, "spectral_antiderivative",
+                            lambda v: calls.append(v) or real(v))
+        for entries, want_calls in ((skewed, 4), (hermitian, 2)):
+            calls.clear()
+            (q, q_s), _ = solve_first_homological(cubic_path, PolySymbol(entries))
+            assert len(calls) == want_calls
+            for key, v in q_s.coeffs.items():
+                own = real(v * cubic_path.weight)
+                if want_calls == 4:
+                    assert np.array_equal(q[key], own), key
+                else:
+                    assert np.max(np.abs(q[key] - own)) <= 1e-15 * np.max(np.abs(own)), key
+
 
 class TestCommutatorDoubleIntegral:
     def test_zero_and_round(self, round_frame):
@@ -371,6 +418,35 @@ class TestAssembleP1:
         with pytest.raises(FirstObstructionError):
             assemble_p1(nonzoll_metric, nonzoll_path.init,
                         path=nonzoll_path, frame=frame)
+
+
+class TestNanPropagates:
+    """A NaN anywhere in what a maximum reads makes the maximum NaN (JSON
+    null), also where it is not the first value: Python's max drops it."""
+
+    def test_offdiag_max(self, round_path, round_frame):
+        from dataclasses import replace
+
+        rec = assemble_p1(round_path.metric, round_path.init, round_path.n,
+                          path=round_path, frame=round_frame)
+        last = list(rec.offdiag)[-1]
+        assert math.isnan(replace(rec, offdiag={**rec.offdiag, last: complex(math.nan)}).offdiag_max)
+
+    def test_reality_defect(self, round_path, round_frame, monkeypatch):
+        from zollforms import normalform
+
+        sym = PolySymbol({(0, 0): 1e-3j, (2, 2): complex(0.0, math.nan)})
+        monkeypatch.setattr(normalform, "conjugated_order_zero", lambda path, frame: (
+            sym, {"first_obstruction_max": 0.0, "odd_residual": 0.0}))
+        rec = assemble_p1(round_path.metric, round_path.init, round_path.n,
+                          path=round_path, frame=round_frame)
+        assert math.isnan(rec.reality_defect)
+
+    def test_max_abs(self):
+        op = SOperator({0: PolySymbol({(0, 0): np.ones(4), (1, 1): np.array([1.0, math.nan, 0, 0])}),
+                        1: PolySymbol.constant(0.5)})
+        assert math.isnan(op.max_abs())
+        assert SOperator().max_abs() == 0.0
 
 
 class TestComputeH:
@@ -644,9 +720,9 @@ class TestSubstitutionCount:
 
     def test_spectral_calls(self, cubic_path, cubic_frame, monkeypatch):
         """One engine call takes no spectral derivative: dh/ds is closed
-        form and dQ/ds comes from the homological equation.  It takes 4
-        antiderivatives (Q) and 4 means (of the odd term), all along the
-        path.  By Horner's rule it forms 1 star product ((a_1 - h) # (-h)
+        form and dQ/ds comes from the homological equation.  It takes 2
+        antiderivatives (Q, one per conjugate pair of the odd term) and 4
+        means (of the odd term), all along the path.  By Horner's rule it forms 1 star product ((a_1 - h) # (-h)
         at weight 0) and 1 star commutator ([Q, B_(-1/2)])."""
         from collections import Counter
         from zollforms import fourier, normalform, surface
@@ -664,10 +740,28 @@ class TestSubstitutionCount:
         for name in ("star_product", "star_commutator"):
             count(normalform, name, name)
         conjugated_order_zero(cubic_path, cubic_frame)
-        assert calls == Counter(spectral_antiderivative=4, mean=4, star_product=1,
+        assert calls == Counter(spectral_antiderivative=2, mean=4, star_product=1,
                                 star_commutator=1)
         assert not any(hasattr(module, "spectral_derivative")
                        for module in (fourier, normalform, surface))
+
+
+    def test_fft_calls(self, cubic_path, cubic_frame, monkeypatch):
+        """One assemble_p1 takes 2 complex FFT pairs (Q, one per conjugate
+        pair of the odd term) and 2 real ones (the inner integrals of
+        compute_H): no complex transform of real data, and no antiderivative
+        per entry of a conjugate pair."""
+        from collections import Counter
+
+        calls = Counter()
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            def counting(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counting)
+        assemble_p1(cubic_path.metric, cubic_path.init, cubic_path.n,
+                    path=cubic_path, frame=cubic_frame)
+        assert calls == Counter(fft=2, ifft=2, rfft=2, irfft=2)
 
 
 class TestRealTransverseBasis:
