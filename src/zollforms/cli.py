@@ -375,9 +375,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except IntegrationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
+    except OSError as exc:   # the config is read above; this is an output path
+        print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -64,8 +64,11 @@ class QQi:
         return _as_qqi(other) + (-self)
 
     def __mul__(self, other):
+        """The exact product; with a float or complex, a complex number."""
         if isinstance(other, JetPolynomial):
             return other * self
+        if isinstance(other, (float, complex)):
+            return complex(self) * other
         other = _as_qqi(other)
         return QQi(
             self.re * other.re - self.im * other.im,
@@ -228,21 +231,6 @@ class JetPolynomial:
                 newkey = tuple(sorted(rest.items()))
                 out = out + JetPolynomial._raw({newkey: val * QQi(p)})
         return out
-
-    def substitute(self, values):
-        """Evaluate with numeric values (scalars or numpy arrays) per name.
-
-        Real coefficients evaluate real values to real ones (float64 on
-        float64 arrays), any other coefficient to complex; a constant
-        polynomial stays a Python scalar.
-        """
-        total = 0
-        for key, val in self.terms.items():
-            term = float(val.re) if val.im == 0 else complex(val)
-            for name, p in key:
-                term = term * (values[name] ** p if p > 1 else values[name])
-            total = total + term
-        return total
 
     def names(self):
         out = set()
@@ -478,7 +466,8 @@ def transverse_symbols(graded_term):
 # ---------------------------------------------------------------------------
 
 def _frame_formal(symbols):
-    """Substitute y -> (Yb z + Y zbar)/2, eta -> (dYb z + dY zbar)/2, formally."""
+    """Substitute y -> (Yb z + Y zbar)/2, eta -> (dYb z + dY zbar)/2, formally:
+    the frame of the constants table and of the engine's stage 1."""
     half = QQi(Fraction(1, 2))
     y_img = (JP.var("Yb", half), JP.var("Y", half))
     eta_img = (JP.var("dYb", half), JP.var("dY", half))
@@ -745,7 +734,5 @@ def _round_sphere_mean(poly):
             continue  # vanishing jets on the round sphere
         if p + r != q + t:
             continue  # oscillatory mean
-        ir = {0: ONE, 1: I, 2: -ONE, 3: -I}[r % 4]
-        mit = {0: ONE, 1: -I, 2: -ONE, 3: I}[t % 4]
-        total = total + val * ir * mit
+        total = total + val * _MINUS_I_POWERS[-r % 4] * _MINUS_I_POWERS[t % 4]
     return total

@@ -36,15 +36,19 @@ def trace_geodesic(metric, init, n=2048, enforce_closure=True):
 
     Samples the closed-form geodesic, its curvature jets and its Jacobi
     frame at n uniform Clairaut angles (`surface.flow`), with the closure
-    defect over one turn.  With `enforce_closure`, a defect above
+    defect over one turn.  A grid that is no power of two >= MIN_GRID, a
+    tangent off unit length or a start with a NaN or infinite coordinate
+    raises ValueError.  With `enforce_closure`, a defect above
     CLOSURE_TOL raises IntegrationError (metric not Zoll at this
     tolerance).
     """
     if n < MIN_GRID or (n & (n - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= {MIN_GRID}, got {n}")
-    _, v0 = init
-    if abs(math.hypot(v0[0], v0[1]) - 1.0) > 1e-10:
+    p0, v0 = init
+    if not abs(math.hypot(v0[0], v0[1]) - 1.0) <= 1e-10:   # NaN fails too
         raise ValueError("initial tangent must be unit length")
+    if not (math.isfinite(p0.r) and math.isfinite(p0.phi)):
+        raise ValueError("initial point must be finite")
     path = _surface.flow(metric, init, n)
     if enforce_closure and not path.closure_defect <= CLOSURE_TOL:
         raise IntegrationError(f"closure defect {path.closure_defect:.3e} > {CLOSURE_TOL}: "

@@ -3,7 +3,8 @@
 Every check reports the raw residual together with a normalized one
 (raw divided by the integral of |integrand|); pass/fail decisions use the
 normalized value, which is scale-free across metrics.  An identically
-zero integrand (round sphere) normalizes to zero.
+zero integrand (round sphere) normalizes to zero, unless its residual is
+NaN or infinite.
 """
 
 import math
@@ -36,6 +37,10 @@ class CheckResult:
 
     @property
     def normalized(self):
+        """raw / scale, and 0.0 where the scale is below ZERO_SCALE; a NaN
+        or infinite raw reads as its magnitude at any scale, so it fails."""
+        if not math.isfinite(self.raw):
+            return abs(self.raw)
         if self.scale < ZERO_SCALE:
             return 0.0
         return self.raw / self.scale

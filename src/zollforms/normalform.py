@@ -1,8 +1,7 @@
 """Degree-2 quantum Birkhoff normal form invariant along a closed geodesic.
 
 The pipeline conjugates the graded half-density Laplacian (from
-`expansion`, with exact jet coefficients instantiated on the traced
-geodesic) in two stages:
+`expansion`) in two stages:
 
   1. the moving metaplectic frame of the Jacobi flow, acting on Weyl
      symbols by the exact linear substitution
@@ -13,28 +12,26 @@ geodesic) in two stages:
   2. exp(i h^(1/2) Q) with Q solving the first homological equation,
      applied as the operator ad-series.
 
+Stage 1 is the same algebra on every geodesic, so it runs once per
+process in exact arithmetic, with the curvature jets and Y, Ybar, Y',
+Ybar' as indeterminates and `expansion`'s frame and reading of h.  A
+geodesic only evaluates the jet polynomials of what stage 2 reads.
 Both series run by Horner's rule: the shift from the top D_s power down,
 X <- X o (D_s - Op(h)) + Op(a_k), and the ad-series from the lowest
 weight up to each weight read, one ad_Q per step.  No commutator
-prefactor is typed by hand: stage 2 is generic operator algebra on
-sampled symbols.  The explicit closed-form route (`d_half`,
-`d_zero_restricted` + `commutator_double_integral`) is the independent
-cross-check of this engine and lives with the tests (`tests/oracles.py`),
-with its own Weyl symbols and substitution in (z, zbar).
+prefactor is typed by hand: both stages are generic operator algebra.
+The explicit closed-form route (`d_half`, `d_zero_restricted` +
+`commutator_double_integral`) is the independent cross-check of this
+engine and lives with the tests (`tests/oracles.py`), with its own Weyl
+symbols and substitution in (z, zbar).
 
-Each full-grid pass does work the symbols hold.  Below weight 1 no
-graded term mixes y with D_y, so the graded symbols are read off the
-operators' own keys as polynomials in (y, eta)
-(`expansion.transverse_symbols`, the route the constants table takes
-too); constants stay scalars, and one substitution pass builds each
-monomial's image once.  A product with a constant symbol takes no star
-product, and every operator product sums into one accumulator.  No
-symbol is differentiated numerically: the shift takes dh/ds in closed
-form and the ad-series takes dQ/ds from the homological equation.  A
-symbol's coefficient is a sample vector on the geodesic grid, or a
-scalar where it is constant; means and antiderivatives along s are the
-path's (`surface.GeodesicPath`), which weighs the samples by ds/d(theta).
-Q takes one antiderivative per conjugate pair of the odd term, and a
+In stage 2 a symbol's coefficient is a sample vector on the geodesic
+grid, or a scalar where it is constant; means and antiderivatives along
+s are the path's (`surface.GeodesicPath`), which weighs the samples by
+ds/d(theta).  A product with a constant symbol takes no star product.
+No symbol is differentiated numerically: the shift takes dh/ds in closed
+form and the ad-series takes dQ/ds from the homological equation.  Q
+takes one antiderivative per conjugate pair of the odd term, and a
 Horner step sums its addend into its product's accumulator.
 """
 
@@ -49,7 +46,7 @@ import numpy as np
 from . import expansion as _exp
 from .geodesic import trace_geodesic
 from .jacobi import solve_fundamental
-from .weyl import PolySymbol, diagonal_part, star_commutator, star_product, substitute_linear
+from .weyl import PolySymbol, diagonal_part, star_commutator, star_product
 
 __all__ = [
     "InvariantRecord",
@@ -66,9 +63,6 @@ __all__ = [
 
 MEAN_TOL = 1e-6          # Zoll solvability tolerance for the first obstruction
 OFFDIAG_DEGREE = 4
-REPORTED_DIAGNOSTICS = ("odd_residual",)   # engine self-check, ~0 when sound
-
-_MINUS_I_POWERS = (1, -1j, -1, 1j)   # (-i)^l, l mod 4
 
 
 class FirstObstructionError(RuntimeError):
@@ -89,7 +83,8 @@ def field_mean(path, sym):
 
 
 def _constant(sym):
-    """The value of a constant symbol (one scalar, at (0, 0)), else None."""
+    """The value of a symbol constant in (z, zbar) (one entry, at (0, 0),
+    that is no sample vector), else None."""
     v = sym.coeffs.get((0, 0))
     return None if len(sym.coeffs) != 1 or isinstance(v, np.ndarray) else v
 
@@ -107,7 +102,8 @@ def _add_product(out, a, b, weight):
 
 
 class SOperator:
-    """Operator sum_k Op(a_k(s, z, zbar)) D_s^k with sampled symbol coefficients."""
+    """Operator sum_k Op(a_k(s, z, zbar)) D_s^k: the coefficients are jet
+    polynomials in stage 1 and sample vectors in stage 2."""
 
     __slots__ = ("terms",)
 
@@ -126,28 +122,20 @@ class SOperator:
         return float(np.max([np.max(np.abs(v)) for sym in self.terms.values()
                              for v in sym.coeffs.values()], initial=0.0))
 
-    def compose(self, jet, plus=None):
-        """Operator product self o B, plus the operator `plus` if given,
-        with D_s moved right by [D_s, Op(b)] = Op(-i b_s).
+    def compose(self, jet):
+        """Operator product self o B, with D_s moved right by
+        [D_s, Op(b)] = Op(-i b_s).
 
         `jet` is (B, dB/ds, ...), up to the top D_s power of self, the way
-        `ad_symbol` takes the derivatives of q; every product and `plus`
-        are summed into one result.
+        `ad_symbol` takes the derivatives of q.
         """
         out = defaultdict(PolySymbol)
         for k in jet[0].terms:
             for j, asym in self.terms.items():
                 for l in range(j + 1):
                     _add_product(out[j - l + k], asym, jet[l].ds_part(k),
-                                 math.comb(j, l) * _MINUS_I_POWERS[l % 4])
-        return _summed(out, plus)
-
-
-def _summed(out, plus):
-    """SOperator(out + plus) from an accumulator {D_s power: PolySymbol}, copying nothing."""
-    for k, sym in plus.terms.items() if plus is not None else ():
-        out[k].add_scaled(sym)
-    return SOperator(out)
+                                 math.comb(j, l) * _exp._MINUS_I_POWERS[l % 4])
+        return SOperator(out)
 
 
 def ad_symbol(q_jet, op, weight, plus=None):
@@ -166,77 +154,129 @@ def ad_symbol(q_jet, op, weight, plus=None):
             star_commutator(q, b, weight, out[k])
         for l in range(1, k + 1):
             _add_product(out[k - l], b, q_jet[l],
-                         -weight * math.comb(k, l) * _MINUS_I_POWERS[l % 4])
-    return _summed(out, plus)
-
-
-def _prune(op):
-    """Drop identically zero sample arrays (kept by the generic symbol algebra)."""
-    out = {}
-    for k, sym in op.terms.items():
-        kept = {key: v for key, v in sym.coeffs.items() if np.any(v)}
-        if kept:
-            out[k] = PolySymbol(kept)
+                         -weight * math.comb(k, l) * _exp._MINUS_I_POWERS[l % 4])
+    for k, sym in plus.terms.items() if plus is not None else ():
+        out[k].add_scaled(sym)
     return SOperator(out)
 
 
+def _shift_ds(op, shift_jet):
+    """op with D_s replaced by the operator S, shift_jet = (S, dS/ds, ...),
+    by Horner's rule: from the top D_s power down, X <- X o S + Op(a_k),
+    on exact symbols."""
+    top = max(op.terms, default=0)
+    out = SOperator({0: op.ds_part(top)})
+    for k in range(top - 1, -1, -1):
+        out = out.compose(shift_jet) + SOperator({0: op.ds_part(k)})
+    return out
+
+
+_CONJUGATE_NAMES = {"Y": "Yb", "Yb": "Y", "dY": "dYb", "dYb": "dY"}   # the jets are real
+
+
+def _conjugate(jp):
+    """The formal complex conjugate of a jet polynomial in the jets and the frame."""
+    return _exp.JetPolynomial({
+        tuple(sorted((_CONJUGATE_NAMES.get(name, name), p) for name, p in mono)):
+            _exp.QQi(c.re, -c.im) for mono, c in jp.terms.items()})
+
+
+def _plan(symbols):
+    """How `_evaluate` computes exact symbols on a path: (steps, slots).
+
+    Each distinct jet polynomial is one step: the index of an earlier
+    step that holds its formal conjugate, or else its terms as (scalar,
+    ((name, power), ...)), whose names sort the frame's before the jets',
+    so that a complex term takes its array at its first product.
+    slots[i] maps each key of symbols[i] to its step.
+    """
+    steps, index = [], {}
+    for sym in symbols:
+        for jp in sym.coeffs.values():
+            if jp not in index:
+                twin = index.get(_conjugate(jp))
+                index[jp] = len(steps)
+                steps.append(twin if twin is not None else tuple(
+                    (float(c.re) if c.im == 0 else complex(c), mono)
+                    for mono, c in jp.terms.items()))
+    return tuple(steps), [{key: index[jp] for key, jp in sym.coeffs.items()} for sym in symbols]
+
+
+def _into(ufunc, acc, v):
+    """ufunc(acc, v), written into acc where acc is an array of the step
+    being evaluated that holds the result's dtype."""
+    own = isinstance(acc, np.ndarray) and acc.dtype == np.result_type(acc, v)
+    return ufunc(acc, v, out=acc if own else None)
+
+
+def _path_values(path, frame):
+    """The indeterminates' values on a path: its jets and its frame."""
+    Y, dY = frame.Y, frame.dY
+    return {**path.jets(), "Y": Y, "Yb": np.conj(Y), "dY": dY, "dYb": np.conj(dY)}
+
+
+def _evaluate(plan, values):
+    """The symbols of a `_plan` evaluated with numeric values (scalars or
+    arrays) per name.
+
+    Each step is evaluated once, each term in one array of its own: a
+    power is taken factor by factor into the term, so no power is held
+    beside it.  A step that holds the formal conjugate of an earlier one
+    is np.conj of its value, so that the two agree bit for bit.  Real
+    coefficients evaluate real values to real ones, any other to complex;
+    a constant polynomial stays a Python scalar.
+    """
+    steps, slots = plan
+    fields = []
+    for step in steps:
+        if isinstance(step, int):
+            fields.append(np.conj(fields[step]))
+            continue
+        total = None
+        for term, mono in step:
+            for name, p in mono:
+                for _ in range(p):
+                    term = _into(np.multiply, term, values[name])
+            total = term if total is None else _into(np.add, total, term)
+        fields.append(total)
+    return [PolySymbol({key: fields[i] for key, i in sym.items()}) for sym in slots]
+
+
 @lru_cache(maxsize=1)
-def _graded_formal():
-    """The graded symbols of weight <= 0 as polynomials in (y, eta):
-    {weight: {D_s power: PolySymbol}} with JetPolynomial entries."""
-    return {w: _exp.transverse_symbols(op)
-            for w, op in _exp.graded_laplacian().items() if w <= 0}
+def _stage1():
+    """Stage 1 in exact arithmetic, once per process: (c_s, d, D0, plan).
 
-
-def _instantiate(path):
-    """Graded operator family with jet values substituted on the path grid.
-
-    Each distinct jet polynomial is evaluated once per path: a constant
-    to a Python scalar, a real one to a real array.  The entries that
-    carry an array share it read-only.
+    -tau_s y^2 / 2 is framed with the graded symbols: it is -dh/ds, since
+    along the Jacobi flow the image of eta has derivative -tau (image of
+    y).  Stage 2 reads only the odd term d and the D_s-free part D0 of
+    weight 0, which `plan` evaluates on a path.  c_s is 2.  Every caller
+    shares the result; treat it as read-only.
     """
-    values = path.jets()
-    fields = {}
-
-    def evaluate(jp):
-        out = fields.get(jp)
-        if out is None:
-            out = fields[jp] = jp.substitute(values)
-            if isinstance(out, np.ndarray):
-                out.flags.writeable = False
-        return out
-
-    return {w: SOperator({c: sym.map_coeffs(evaluate) for c, sym in syms.items()})
-            for w, syms in _graded_formal().items()}
+    graded = _exp.graded_laplacian()
+    c_s, h = _exp.formal_oscillator(graded)
+    odd, zero = (_exp.transverse_symbols(graded[w]) for w in (Fraction(-1, 2), Fraction(0)))
+    if set(odd) != {0}:
+        raise AssertionError("unexpected D_s structure at weight -1/2")
+    minus_h_s = PolySymbol({(2, 0): _exp.TAU_S * _exp.QQi(Fraction(-1, 2))})
+    d, minus_h_s, *framed = _exp._frame_formal([odd[0], minus_h_s, *zero.values()])
+    shift = (SOperator({1: PolySymbol.constant(1), 0: -h}), SOperator({0: minus_h_s}))
+    d0 = _shift_ds(SOperator(dict(zip(zero, framed))), shift).ds_part(0)
+    return float(c_s.re), d, d0, _plan([d, d0])
 
 
-def _frame_conjugate(graded_num, frame):
-    """Every graded operator with the frame substituted into its symbols,
-    y -> (Ybar z + Y zbar)/2, eta -> (Ybar' z + Y' zbar)/2, and -dh/ds, in
-    one pass.
+def frame_conjugated(path, frame):
+    """Stage 1 on a path: (c_s, {weight: SOperator}), the graded operators
+    after the frame and D_s -> D_s - Op(h) as far as stage 2 reads them.
 
-    h, the image of (eta^2 + tau y^2)/2, is the D_s-free part of the
-    weight -1 operator over c_s.  Along the Jacobi flow the image of eta
-    has derivative -tau (image of y), so h changes only through tau:
-    dh/ds = tau_s (image of y^2)/2.  Returns ({weight: SOperator}, -dh/ds).
+    The weight -1 operator is c_s D_s, as h is defined to cancel its
+    D_s-free part; c_s = 2 makes the scaling by 1/c_s exact.  Weight -1/2
+    holds the odd term, weight 0 the D_s-free part of its operator.  The
+    unit at weight -2 commutes with Q and is left out.
     """
-    half_y, half_dy = 0.5 * frame.Y, 0.5 * frame.dY
-    slots = [(w, k, sym) for w, op in graded_num.items() for k, sym in op.terms.items()]
-    *images, minus_h_s = substitute_linear(
-        [sym for _, _, sym in slots] + [PolySymbol({(2, 0): -0.5 * frame.path.tau_s})],
-        (np.conj(half_y), half_y), (np.conj(half_dy), half_dy))
-    out = {w: {} for w in graded_num}
-    for (w, k, _), image in zip(slots, images):
-        out[w][k] = image
-    return {w: SOperator(terms) for w, terms in out.items()}, minus_h_s
-
-
-def _oscillator(l1):
-    """(c_s, -h) read off the frame-conjugated weight -1 term c_s D_s + c_s h."""
-    c_s = _constant(l1.ds_part(1))
-    if c_s is None:
-        raise AssertionError("unexpected D_s structure at weight -1")
-    return c_s, l1.ds_part(0).scale(-1.0 / c_s)
+    c_s, _, _, plan = _stage1()
+    d, d0 = _evaluate(plan, _path_values(path, frame))
+    return c_s, {Fraction(-1): SOperator({1: PolySymbol.constant(c_s)}),
+                 Fraction(-1, 2): SOperator({0: d}), Fraction(0): SOperator({0: d0})}
 
 
 def solve_first_homological(path, d, c_s=2.0):
@@ -263,32 +303,6 @@ def solve_first_homological(path, d, c_s=2.0):
         paired = (n, m) in q and np.array_equal(d[m, n], np.conj(d[n, m]))
         q[m, n] = np.conj(q[n, m]) if paired else path.antiderivative(v)
     return (PolySymbol(q), q_s), PolySymbol({k: complex(m) for k, m in means.items()})
-
-
-def _shift_ds(op, shift_jet):
-    """op with D_s replaced by the operator S, shift_jet = (S, dS/ds, ...),
-    by Horner's rule: from the top D_s power down, X <- X o S + Op(a_k),
-    with Op(a_k) summed into the product."""
-    top = max(op.terms, default=0)
-    out = SOperator({0: op.ds_part(top)})
-    for k in range(top - 1, -1, -1):
-        out = out.compose(shift_jet, SOperator({0: op.ds_part(k)}))
-    return out
-
-
-def frame_conjugated(path, frame):
-    """Stage 1: the graded operators after the frame and D_s -> D_s - Op(h).
-
-    Returns (c_s, {weight: SOperator}).  The weight -1 operator is exactly
-    c_s D_s: h is read off its D_s-free part, and c_s = 2 makes the scaling
-    by 1/c_s exact.  The D_s-free part of the weight 0 operator is the
-    conjugated metric contribution to the order-zero symbol.
-    """
-    framed, minus_h_s = _frame_conjugate(_instantiate(path), frame)
-    c_s, minus_h = _oscillator(framed[Fraction(-1)])
-    shift = (SOperator({1: PolySymbol.constant(1), 0: minus_h}), SOperator({0: minus_h_s}))
-    # an operator is dropped once shifted, so fewer sample arrays are held at once
-    return c_s, {w: _prune(_shift_ds(framed.pop(w), shift)) for w in list(framed)}
 
 
 def _ad_series(q_jet, ops, t):
@@ -351,7 +365,7 @@ class InvariantRecord:
     H_scale: float
     closure_defect: float
     first_obstruction_max: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)   # odd_residual, the engine self-check
 
     @property
     def offdiag_max(self):
@@ -379,8 +393,7 @@ class InvariantRecord:
             "h_relation": self.h_relation,
             "closure_defect": self.closure_defect,
             "first_obstruction_max": self.first_obstruction_max,
-            "diagnostics": {k: self.diagnostics[k] for k in REPORTED_DIAGNOSTICS
-                            if k in self.diagnostics},
+            "diagnostics": dict(self.diagnostics),
         }
 
 
@@ -439,5 +452,5 @@ def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", path=None, frame=N
         H_scale=H_scale,
         closure_defect=path.closure_defect,
         first_obstruction_max=diag["first_obstruction_max"],
-        diagnostics=diag,
+        diagnostics={"odd_residual": diag["odd_residual"]},
     )

@@ -24,7 +24,9 @@ into an accumulator symbol the caller may pass.  A sample array is a
 value: no operation writes one, so a sum makes a new array and a
 product with the unit shares its operand's array.  The term-by-term
 transvectant, the definition the kernel is tested against, lives with
-the tests.
+the tests.  In the package `substitute_linear` runs on exact symbols
+only (the frame of the constants table and of the engine's stage 1);
+the tests' oracle frames sampled ones with it too.
 """
 
 import math
@@ -177,19 +179,13 @@ def _moyal_constants(mn, munu, odd):
 def _scale(v, c):
     """c * v; at c == 1, v itself, since no operation writes a value a
     symbol holds.  An exact c stays exact on exact v and becomes a float
-    on floats."""
+    (a Fraction) or a complex number (a Gaussian rational) on sample
+    arrays and floats."""
     if c == 1:
         return v
-    if isinstance(c, Fraction) and isinstance(v, (np.ndarray, float, complex)):
-        c = float(c)  # Fraction * ndarray would make an object array
+    if isinstance(v, (np.ndarray, float, complex)) and not isinstance(c, (int, float, complex)):
+        c = float(c) if isinstance(c, Fraction) else complex(c)  # else an object array
     return v * c  # ring elements define Fraction multiplication themselves
-
-
-def _product(u, v):
-    """u * v; a scalar factor of a sample array goes through `_scale`."""
-    if isinstance(u, np.ndarray) != isinstance(v, np.ndarray):
-        return _scale(v, u) if isinstance(v, np.ndarray) else _scale(u, v)
-    return u * v
 
 
 def _accumulate(out, key, term):
@@ -243,34 +239,27 @@ def substitute_linear(symbols, first_image, second_image):
     A symbol here is a polynomial in two variables (x1, x2) keyed by
     their exponents: (z, zbar) themselves, or (y, eta).  The map is
     x1 -> a1*z + b1*zbar, x2 -> a2*z + b2*zbar, with `first_image` =
-    (a1, b1) and `second_image` = (a2, b2) scalars or sample arrays.  One
-    pass over the union of monomials: the powers of each linear form are
-    taken once, each from the one below it, so a pure power costs no
-    product; each mixed monomial is built once, added into every symbol
-    that carries it, and dropped.  A power is kept only while a later
-    monomial reads it or a higher power is still to be built from it.
+    (a1, b1) and `second_image` = (a2, b2).  One pass over the union of
+    monomials: the powers of each linear form are taken once, each from
+    the one below it, so a pure power costs no product; each mixed
+    monomial is built once and added into every symbol that carries it.
     Returns the list of substituted symbols.
     """
     carriers = defaultdict(list)
     for idx, sym in enumerate(symbols):
         for mn, v in sym.coeffs.items():
             carriers[mn].append((idx, v))
-    order = sorted(carriers)
     forms = [PolySymbol({(1, 0): a, (0, 1): b}) for a, b in (first_image, second_image)]
-    powers = [{0: PolySymbol.constant(1), 1: form} for form in forms]
+    powers = [[PolySymbol.constant(1), form] for form in forms]
     outs = [{} for _ in symbols]
-    for step, (m, n) in enumerate(order):
+    for m, n in sorted(carriers):
         for form, pw, need in zip(forms, powers, (m, n)):
-            for e in range(max(pw) + 1, need + 1):
-                pw[e] = pw[e - 1] * form
+            while len(pw) <= need:
+                pw.append(pw[-1] * form)
         image = powers[1][n] if not m else powers[0][m] if not n else powers[0][m] * powers[1][n]
         for idx, v in carriers[m, n]:
             for key, u in image.items():
-                _accumulate(outs[idx], key, _product(u, v))
-        for i, pw in enumerate(powers):
-            later, top = {mn[i] for mn in order[step + 1:]}, max(pw)
-            powers[i] = {e: p for e, p in pw.items() if e < 2 or e in later
-                         or (e == top and top < max(later, default=0))}
+                _accumulate(outs[idx], key, u * v)
     return [PolySymbol(out) for out in outs]
 
 

@@ -170,6 +170,19 @@ def ode_variation_field(frame, direction=None):
     return VariationField(y_nu=y_nu, dy_nu=dy_nu)
 
 
+def substitute(jp, values):
+    """A jet polynomial evaluated term by term with numeric values (scalars
+    or arrays) per name: the plain reading the engine's evaluator is
+    tested against."""
+    total = 0
+    for key, val in jp.terms.items():
+        term = complex(val)
+        for name, p in key:
+            term = term * values[name] ** p
+        total = total + term
+    return total
+
+
 def _to_field(value, n):
     out = np.asarray(value, dtype=complex)
     if out.ndim == 0:
@@ -209,7 +222,7 @@ def graded_zzbar(path):
     """{weight: {D_s power: symbol in (z, zbar)}} of the graded operators of
     weight <= 0, every entry a complex array on the path grid."""
     values = path.jets()
-    return {w: {c: sym.map_coeffs(lambda jp: _to_field(jp.substitute(values), path.n))
+    return {w: {c: sym.map_coeffs(lambda jp: _to_field(substitute(jp, values), path.n))
                 for c, sym in syms.items()}
             for w, syms in _graded_zzbar_formal().items()}
 

@@ -132,6 +132,14 @@ class TestConstantsCommand:
         assert json.loads(text) == constants_report()
         assert text == out.read_text()
 
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
+        """An --out path in a missing directory ends in one config error line
+        and exit code 2, not in a traceback."""
+        out = tmp_path / "missing" / "c.json"
+        assert main(["constants", "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.strip() == f"config error: cannot write {out}: No such file or directory"
+
     def test_report_values(self, tmp_path):
         out = tmp_path / "c.json"
         main(["constants", "--out", str(out)])
@@ -320,6 +328,17 @@ class TestInvariantsCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == CSV_HEADER
         assert len(rows) == 1 + 4
+
+    def test_unwritable_csv_is_a_config_error(self, tmp_path, capsys):
+        """A --csv path in a missing directory ends in one config error line
+        and exit code 2; the report itself is written."""
+        out, csv_path = tmp_path / "inv.json", tmp_path / "missing" / "inv.csv"
+        code = main(["invariants", "--metric", "round", "--geodesics", "1", "--grid", "256",
+                     "--out", str(out), "--csv", str(csv_path)])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.strip() == f"config error: cannot write {csv_path}: No such file or directory"
+        assert json.loads(out.read_text())["summary"]["geodesic_count"] == 1
 
     def test_failure_line_carries_the_value(self, tmp_path, capsys):
         """The stderr FAIL line names the geodesic, the check and its value,

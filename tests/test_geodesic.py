@@ -63,6 +63,20 @@ class TestTracing:
         with pytest.raises(ValueError):
             trace_geodesic(round_metric, equator_ic, 128)
 
+    @pytest.mark.parametrize("start", [
+        ((math.pi / 2, 0.0), (math.nan, 0.0)), ((math.pi / 2, 0.0), (0.0, math.nan)),
+        ((math.pi / 2, 0.0), (math.inf, 0.0)), ((math.nan, 0.0), (0.0, 1.0)),
+        ((math.inf, 0.0), (0.0, 1.0)), ((math.pi / 2, math.nan), (0.0, 1.0)),
+        ((math.pi / 2, -math.inf), (0.0, 1.0))])
+    def test_non_finite_start_is_rejected(self, round_metric, start):
+        """A NaN or infinite tangent component, r0 or phi0 is no start: the
+        same ValueError as a tangent off unit length, also without the
+        closure gate, which a NaN closure defect would not trip."""
+        (r0, phi0), tangent = start
+        with pytest.raises(ValueError, match="unit length|finite"):
+            trace_geodesic(round_metric, (SurfacePoint.north(r0, phi0), tangent), 256,
+                           enforce_closure=False)
+
     def test_rebase_rolls_samples(self, cubic_path):
         shifted = rebase(cubic_path, 100)
         assert np.allclose(shifted.tau, np.roll(cubic_path.tau, -100))

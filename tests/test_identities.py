@@ -20,6 +20,21 @@ from zollforms.jacobi import solve_fundamental, variation_field
 from zollforms.surface import MetricModel
 
 
+class TestCheckResult:
+    @pytest.mark.parametrize("raw", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("scale", [0.0, 1e-14, 1.0])
+    def test_non_finite_residual_fails_at_any_scale(self, raw, scale):
+        """A NaN or infinite residual fails, also where the scale is below
+        ZERO_SCALE and a finite one would normalize to 0."""
+        res = identities.CheckResult("check_tau_s", raw=raw, scale=scale)
+        assert not res.passed()
+        assert not res.passed(math.inf)
+        assert math.isnan(res.normalized) if math.isnan(raw) else res.normalized == math.inf
+
+    def test_zero_scale_still_normalizes_to_zero(self):
+        assert identities.CheckResult("check_tau_s", raw=1e-20, scale=0.0).normalized == 0.0
+
+
 class TestCube:
     def test_round_sphere_exact(self, round_path, round_frame):
         res = check_cube(round_path, round_frame)

@@ -37,9 +37,20 @@ class FrameStub:
 
 def assert_frame_cancels(c_s, stage1):
     """h is read off the weight -1 term that it cancels, and c_s = 2 makes
-    the scaling by 1/c_s exact: the stage 1 weight -1 operator is exactly
-    c_s D_s."""
-    assert c_s == 2.0
+    the scaling by 1/c_s exact: in exact arithmetic the framed weight -1
+    operator has D_s part c_s and D_s-free part c_s h, so the stage 1
+    weight -1 operator is exactly c_s D_s."""
+    from zollforms.expansion import (JetPolynomial, _frame_formal, formal_oscillator,
+                                     graded_laplacian, transverse_symbols)
+
+    graded = graded_laplacian()
+    exact_c_s, h = formal_oscillator(graded)
+    syms = transverse_symbols(graded[Fraction(-1)])
+    assert set(syms) == {0, 1}
+    ds_part, free = _frame_formal([syms[1], syms[0]])
+    assert ds_part.coeffs == {(0, 0): JetPolynomial.const(exact_c_s)}
+    assert free.coeffs == h.map_coeffs(lambda v: v * exact_c_s).coeffs
+    assert c_s == 2.0 == complex(exact_c_s)
     assert {k: sym.coeffs for k, sym in stage1[Fraction(-1)].terms.items()} == {1: {(0, 0): c_s}}
 
 
@@ -279,17 +290,23 @@ class TestMeanFreeTerms:
     def test_oscillator_derivative_term_averages_out(self, generic_ic):
         """The i d_s(h) piece of the D_s^2 conjugation is a total derivative:
         every entry's mean vanishes (term (iv) of the order-zero symbol).
-        The engine's closed-form dh/ds = tau_s (image of y^2)/2 equals the
-        FFT derivative of h, (1/f) d/d(theta), to 1e-10 of its scale, on
-        h = 0.3 (x^3 - x) and h = 0.2 x - 0.5 x^3 + 0.3 x^5."""
-        from zollforms.normalform import _frame_conjugate, _instantiate, _oscillator
+        The closed-form dh/ds = tau_s (image of y^2)/2, framed exactly and
+        evaluated on the path as the engine's stage 1 is, equals the FFT
+        derivative of the evaluated h, (1/f) d/d(theta), to 1e-10 of its
+        scale, on h = 0.3 (x^3 - x) and h = 0.2 x - 0.5 x^3 + 0.3 x^5."""
+        from zollforms.expansion import (TAU_S, QQi, _frame_formal, formal_oscillator,
+                                         graded_laplacian)
+        from zollforms.normalform import _evaluate, _path_values, _plan
         from zollforms.surface import MetricModel
 
+        _, h = formal_oscillator(graded_laplacian())
+        exact = [h.scale(QQi(-1)),
+                 *_frame_formal([PolySymbol({(2, 0): TAU_S * QQi(Fraction(-1, 2))})])]
+        plan = _plan(exact)
         for h_odd in ((-0.3, 0.3), (0.2, -0.5, 0.3)):
             path = trace_geodesic(MetricModel.zoll_revolution(h_odd), generic_ic, 1024)
             frame = solve_fundamental(path)
-            framed, minus_h_s = _frame_conjugate(_instantiate(path), frame)
-            _, minus_h = _oscillator(framed[Fraction(-1)])
+            minus_h, minus_h_s = _evaluate(plan, _path_values(path, frame))
             assert set(minus_h_s.coeffs) == set(minus_h.coeffs)
             scale = max(float(np.max(np.abs(v))) for v in minus_h_s.coeffs.values())
             for key, v in minus_h_s.coeffs.items():
@@ -657,52 +674,94 @@ class TestEnginePin:
         assert rec.diagnostics["odd_residual"] <= 1e-8
 
 
-class TestInstantiate:
-    def test_each_jet_polynomial_evaluated_once(self, cubic_path, monkeypatch):
-        """The 10 jet entries of the graded (y, eta) symbols hold 8 distinct
-        jet polynomials; each is evaluated once per path.  The 4 constant
-        entries stay Python scalars, and the 6 others share one read-only
-        real array per polynomial."""
-        from zollforms.expansion import JetPolynomial
-        from zollforms.normalform import _graded_formal, _instantiate
+class TestEvaluate:
+    """The exact stage 1 is built once per process; a path only evaluates it."""
 
-        evaluated = []
-        real = JetPolynomial.substitute
+    def test_each_polynomial_evaluated_once(self, cubic_path, cubic_frame, monkeypatch):
+        """d and the D_s-free weight 0 part D0 hold 4 + 9 entries with 4 + 37
+        terms, 13 distinct jet polynomials.  Per path each is evaluated once,
+        each term with one product per factor; the 4 that are formal
+        conjugates of earlier ones take np.conj and no product.  Every entry
+        equals its polynomial's own evaluation to roundoff."""
+        from collections import Counter
+        from oracles import substitute
+        from zollforms import normalform
 
-        def counting(jp, values):
-            evaluated.append(jp)
-            return real(jp, values)
+        c_s, d, d0, plan = normalform._stage1()
+        steps, _ = plan
+        assert (len(d.coeffs), len(d0.coeffs)) == (4, 9)
+        assert [sum(len(jp.terms) for jp in sym.coeffs.values()) for sym in (d, d0)] == [4, 37]
+        assert len(steps) == len({jp for sym in (d, d0) for jp in sym.coeffs.values()}) == 13
+        twins = [step for step in steps if isinstance(step, int)]
+        assert len(twins) == 4
+        direct = [step for step in steps if not isinstance(step, int)]
+        factors = sum(p for step in direct for _, mono in step for _, p in mono)
+        adds = sum(len(step) - 1 for step in direct)
 
-        monkeypatch.setattr(JetPolynomial, "substitute", counting)
-        graded = _instantiate(cubic_path)
-        entries = [jp for syms in _graded_formal().values()
-                   for sym in syms.values() for jp in sym.coeffs.values()]
-        assert (len(entries), len(set(entries))) == (10, 8)
-        assert len(evaluated) == 8
-        values = [v for op in graded.values() for sym in op.terms.values()
-                  for v in sym.coeffs.values()]
-        arrays = [v for v in values if isinstance(v, np.ndarray)]
-        assert all(isinstance(v, float) for v in values if not isinstance(v, np.ndarray))
-        assert (len(arrays), len({id(v) for v in arrays})) == (6, 6)
-        # only the tau_s jet carries an imaginary coefficient
-        assert sorted(v.dtype.name for v in arrays) == ["complex128"] + ["float64"] * 5
-        for v in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                np.add(v, 1.0, out=v)
+        calls = Counter()
+        real_into, real_conj = normalform._into, np.conj
+        monkeypatch.setattr(normalform, "_into", lambda ufunc, acc, v: calls.update(
+            [ufunc.__name__]) or real_into(ufunc, acc, v))
+        monkeypatch.setattr(np, "conj", lambda v: calls.update(["conj"]) or real_conj(v))
+        _, stage1 = frame_conjugated(cubic_path, cubic_frame)
+        monkeypatch.undo()
+        # Yb and dYb, then one per conjugate step
+        assert calls == Counter(multiply=factors, add=adds, conj=2 + 4)
+
+        values = normalform._path_values(cubic_path, cubic_frame)
+        for exact, got in ((d, stage1[Fraction(-1, 2)].ds_part(0)),
+                           (d0, stage1[Fraction(0)].ds_part(0))):
+            assert set(got.coeffs) == set(exact.coeffs)
+            for key, jp in exact.coeffs.items():
+                want = substitute(jp, values)
+                assert np.max(np.abs(got[key] - want)) <= 1e-15 * np.max(np.abs(want)), key
+        for w, pairs in ((Fraction(-1, 2), ((0, 3), (1, 2))), (Fraction(0), ((0, 4), (1, 3)))):
+            sym = stage1[w].ds_part(0)
+            for m, n in pairs:
+                assert np.array_equal(sym[m, n], np.conj(sym[n, m])), (w, m, n)
+
+    def test_real_coefficients_stay_real(self):
+        """Real coefficients evaluate to float64 on real samples, any other
+        to complex128; a constant polynomial stays a Python scalar."""
+        from zollforms.expansion import TAU, TAU_NU, JetPolynomial, QQi
+        from zollforms.normalform import _evaluate, _plan
+
+        rng = np.random.default_rng(8)
+        vals = {"tau": rng.standard_normal(8), "tau_nu": rng.standard_normal(8)}
+        real = TAU * TAU * QQi(Fraction(2, 3)) + TAU_NU * QQi(Fraction(1, 12))
+        mixed = real + TAU * JetPolynomial.const(QQi(0, 1))
+        sym = PolySymbol({(0, 0): real, (1, 0): mixed, (0, 1): JetPolynomial.const(2),
+                          (1, 1): JetPolynomial.const(QQi(1, 1))})
+        [got] = _evaluate(_plan([sym]), vals)
+        assert got[0, 0].dtype == np.float64 and got[1, 0].dtype == np.complex128
+        expected = (2 / 3) * vals["tau"] ** 2 + vals["tau_nu"] / 12
+        assert np.max(np.abs(got[0, 0] - expected)) <= 1e-15
+        assert np.max(np.abs(got[1, 0] - (expected + 1j * vals["tau"]))) <= 1e-15
+        assert type(got[0, 1]) is float
+        assert type(got[1, 1]) is complex
+
+    def test_built_once_per_process(self, cubic_path, cubic_frame, round_path, round_frame):
+        from zollforms import normalform
+
+        frame_conjugated(cubic_path, cubic_frame)
+        before = normalform._stage1.cache_info()
+        frame_conjugated(round_path, round_frame)
+        conjugated_order_zero(cubic_path, cubic_frame)
+        after = normalform._stage1.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, 1)
+        assert after.hits == before.hits + 2
 
 
 class TestSubstitutionCount:
     def test_each_monomial_substituted_once(self, cubic_path, cubic_frame, monkeypatch):
-        """One engine call builds the frame image of each of the 4
-        non-constant (y, eta) monomials once.  Symbol products are counted
-        by the degrees of their factors: the powers of each linear form
-        take one product (k - 1, 1) each, k = 2 ... the top exponent of
-        its variable, and a pure power is its own image."""
+        """The frame image of each (y, eta) monomial is built once per
+        process, in the exact stage 1, so an engine call forms no symbol
+        product and no star product before the ad-series."""
         from collections import Counter
         from oracles import degree
-        from zollforms import weyl
-        from zollforms.normalform import _graded_formal
+        from zollforms import normalform, weyl
 
+        frame_conjugated(cubic_path, cubic_frame)   # the exact stage 1, once per process
         built = Counter()
         real = weyl.PolySymbol.__mul__
 
@@ -712,18 +771,20 @@ class TestSubstitutionCount:
             return real(a, b)
 
         monkeypatch.setattr(weyl.PolySymbol, "__mul__", counting)
+        monkeypatch.setattr(normalform, "star_product",
+                            lambda *args: built.update(["star_product"]))
+        frame_conjugated(cubic_path, cubic_frame)
         conjugated_order_zero(cubic_path, cubic_frame)
-        carried = {key for syms in _graded_formal().values()
-                   for sym in syms.values() for key in sym.coeffs}
-        assert carried == {(0, 0), (2, 0), (0, 2), (3, 0), (4, 0)}
-        assert built == Counter({(1, 1): 2, (2, 1): 1, (3, 1): 1})
+        assert built == Counter()
 
     def test_spectral_calls(self, cubic_path, cubic_frame, monkeypatch):
         """One engine call takes no spectral derivative: dh/ds is closed
         form and dQ/ds comes from the homological equation.  It takes 2
         antiderivatives (Q, one per conjugate pair of the odd term) and 4
-        means (of the odd term), all along the path.  By Horner's rule it forms 1 star product ((a_1 - h) # (-h)
-        at weight 0) and 1 star commutator ([Q, B_(-1/2)])."""
+        means (of the odd term), all along the path.  By Horner's rule it
+        forms 1 star commutator ([Q, B_(-1/2)]) and no star product: the
+        shift's star products are taken once per process, in the exact
+        stage 1."""
         from collections import Counter
         from zollforms import fourier, normalform, surface
 
@@ -735,13 +796,13 @@ class TestSubstitutionCount:
                 return _real(*args)
             monkeypatch.setattr(owner, name, counting)
 
+        frame_conjugated(cubic_path, cubic_frame)   # the exact stage 1, once per process
         count(surface, "spectral_antiderivative", "spectral_antiderivative")
         count(surface.GeodesicPath, "mean", "mean")
         for name in ("star_product", "star_commutator"):
             count(normalform, name, name)
         conjugated_order_zero(cubic_path, cubic_frame)
-        assert calls == Counter(spectral_antiderivative=2, mean=4, star_product=1,
-                                star_commutator=1)
+        assert calls == Counter(spectral_antiderivative=2, mean=4, star_commutator=1)
         assert not any(hasattr(module, "spectral_derivative")
                        for module in (fourier, normalform, surface))
 
@@ -771,8 +832,7 @@ class TestRealTransverseBasis:
         """y -> (z + zbar)/2, eta -> (z - zbar)/(2i) takes every (y, eta)
         symbol to its Weyl symbol in (z, zbar), exactly."""
         from oracles import graded_symbols
-        from zollforms.expansion import QQi, JetPolynomial, graded_laplacian
-        from zollforms.normalform import _graded_formal
+        from zollforms.expansion import QQi, JetPolynomial, graded_laplacian, transverse_symbols
         from zollforms.weyl import substitute_linear
 
         half = Fraction(1, 2)
@@ -780,8 +840,7 @@ class TestRealTransverseBasis:
         y_image = (const(QQi(half)), const(QQi(half)))
         eta_image = (const(QQi(0, -half)), const(QQi(0, half)))
         graded = graded_laplacian()
-        formal = _graded_formal()
-        assert set(formal) == {w for w in graded if w <= 0}
+        formal = {w: transverse_symbols(op) for w, op in graded.items() if w <= 0}
         for w, syms in formal.items():
             ref = graded_symbols(graded[w])
             assert set(syms) == set(ref), w
@@ -793,21 +852,30 @@ class TestRealTransverseBasis:
     @pytest.mark.parametrize("profile", ["cubic", "linear"])
     def test_frame_substitution_matches_oracle(self, cubic_metric, linear_metric, generic_ic,
                                                profile, n):
+        """The graded symbols framed in exact arithmetic, as the engine's
+        stage 1 frames them, and evaluated on the path, equal the oracle's
+        symbols in (z, zbar) with the frame substituted on the grid."""
         from oracles import graded_zzbar
-        from zollforms.normalform import _frame_conjugate, _instantiate
+        from zollforms.expansion import _frame_formal, graded_laplacian, transverse_symbols
+        from zollforms.normalform import _evaluate, _path_values, _plan
 
         metric = {"cubic": cubic_metric, "linear": linear_metric}[profile]
         path = trace_geodesic(metric, generic_ic, n)
         frame = solve_fundamental(path)
-        got, _ = _frame_conjugate(_instantiate(path), frame)
+        slots = [(w, c, sym) for w, op in graded_laplacian().items() if w <= 0
+                 for c, sym in transverse_symbols(op).items()]
+        framed = _frame_formal([sym for _, _, sym in slots])
+        got = {}
+        for (w, c, _), image in zip(slots, _evaluate(_plan(framed), _path_values(path, frame))):
+            got.setdefault(w, {})[c] = image
         ref = graded_zzbar(path)
         assert set(got) == set(ref)
         for w, syms in ref.items():
-            assert set(got[w].terms) == set(syms), w
+            assert set(got[w]) == set(syms), w
             for c, sym in syms.items():
                 [want] = metaplectic_substitute([sym], frame)
                 scale = max(float(np.max(np.abs(v))) for v in want.coeffs.values())
-                image = got[w].ds_part(c)
+                image = got[w][c]
                 for key in set(image.coeffs) | set(want.coeffs):
                     diff = np.asarray(image[key]) - np.asarray(want[key])
                     assert np.max(np.abs(diff)) <= 1e-13 * scale, (w, c, key)
