@@ -326,12 +326,20 @@ def _run_config(args):
 
 def cmd_run(args):
     """`verify` or `invariants`, the mode being the command's name; the CSV
-    rows are written in invariants mode only."""
+    rows are written in invariants mode only.
+
+    Each output path is opened for appending before the first geodesic is
+    traced, so an unwritable one ends the command before the run; that
+    creates a missing file empty and leaves an existing one as it is.
+    """
     cfg = _run_config(args)
+    csv_path = cfg.csv if args.command == "invariants" else None
+    for path in filter(None, (cfg.out, csv_path)):
+        open(path, "a").close()
     report, code = build_report(cfg, args.command)
     _write_report(report, cfg.out)
-    if args.command == "invariants" and cfg.csv:
-        _write_csv(report, cfg.csv)
+    if csv_path:
+        _write_csv(report, csv_path)
     failures = report["summary"]["failures"]
     if code != EXIT_PASS and failures:
         first = failures[0]

@@ -13,9 +13,10 @@ The pipeline conjugates the graded half-density Laplacian (from
      applied as the operator ad-series.
 
 Stage 1 is the same algebra on every geodesic, so it runs once per
-process in exact arithmetic, with the curvature jets and Y, Ybar, Y',
-Ybar' as indeterminates and `expansion`'s frame and reading of h.  A
-geodesic only evaluates the jet polynomials of what stage 2 reads.
+process in exact arithmetic, in `expansion.conjugated_symbols`, with the
+curvature jets and Y, Ybar, Y', Ybar' as indeterminates; the constants
+table reads its diagonal.  A geodesic only evaluates the jet polynomials
+of what stage 2 reads.
 Both series run by Horner's rule: the shift from the top D_s power down,
 X <- X o (D_s - Op(h)) + Op(a_k), and the ad-series from the lowest
 weight up to each weight read, one ad_Q per step.  No commutator
@@ -44,13 +45,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import expansion as _exp
+from .expansion import SOperator
 from .geodesic import trace_geodesic
 from .jacobi import solve_fundamental
 from .weyl import PolySymbol, diagonal_part, star_commutator, star_product
 
 __all__ = [
     "InvariantRecord",
-    "SOperator",
     "FirstObstructionError",
     "solve_first_homological",
     "ad_symbol",
@@ -101,41 +102,10 @@ def _add_product(out, a, b, weight):
         star_product(a, b, weight, out)
 
 
-class SOperator:
-    """Operator sum_k Op(a_k(s, z, zbar)) D_s^k: the coefficients are jet
-    polynomials in stage 1 and sample vectors in stage 2."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v.coeffs}
-
-    def ds_part(self, k):
-        return self.terms.get(k, PolySymbol())
-
-    def __add__(self, other):
-        return SOperator({k: self.ds_part(k) + other.ds_part(k)
-                          for k in self.terms.keys() | other.terms.keys()})
-
-    def max_abs(self):
-        """The largest |coefficient| over every entry; NaN if any entry holds one."""
-        return float(np.max([np.max(np.abs(v)) for sym in self.terms.values()
-                             for v in sym.coeffs.values()], initial=0.0))
-
-    def compose(self, jet):
-        """Operator product self o B, with D_s moved right by
-        [D_s, Op(b)] = Op(-i b_s).
-
-        `jet` is (B, dB/ds, ...), up to the top D_s power of self, the way
-        `ad_symbol` takes the derivatives of q.
-        """
-        out = defaultdict(PolySymbol)
-        for k in jet[0].terms:
-            for j, asym in self.terms.items():
-                for l in range(j + 1):
-                    _add_product(out[j - l + k], asym, jet[l].ds_part(k),
-                                 math.comb(j, l) * _exp._MINUS_I_POWERS[l % 4])
-        return SOperator(out)
+def _max_abs(op):
+    """The largest |coefficient| of an SOperator over every entry; NaN if any entry holds one."""
+    return float(np.max([np.max(np.abs(v)) for sym in op.terms.values()
+                         for v in sym.coeffs.values()], initial=0.0))
 
 
 def ad_symbol(q_jet, op, weight, plus=None):
@@ -158,17 +128,6 @@ def ad_symbol(q_jet, op, weight, plus=None):
     for k, sym in plus.terms.items() if plus is not None else ():
         out[k].add_scaled(sym)
     return SOperator(out)
-
-
-def _shift_ds(op, shift_jet):
-    """op with D_s replaced by the operator S, shift_jet = (S, dS/ds, ...),
-    by Horner's rule: from the top D_s power down, X <- X o S + Op(a_k),
-    on exact symbols."""
-    top = max(op.terms, default=0)
-    out = SOperator({0: op.ds_part(top)})
-    for k in range(top - 1, -1, -1):
-        out = out.compose(shift_jet) + SOperator({0: op.ds_part(k)})
-    return out
 
 
 _CONJUGATE_NAMES = {"Y": "Yb", "Yb": "Y", "dY": "dYb", "dYb": "dY"}   # the jets are real
@@ -244,23 +203,10 @@ def _evaluate(plan, values):
 
 @lru_cache(maxsize=1)
 def _stage1():
-    """Stage 1 in exact arithmetic, once per process: (c_s, d, D0, plan).
-
-    -tau_s y^2 / 2 is framed with the graded symbols: it is -dh/ds, since
-    along the Jacobi flow the image of eta has derivative -tau (image of
-    y).  Stage 2 reads only the odd term d and the D_s-free part D0 of
-    weight 0, which `plan` evaluates on a path.  c_s is 2.  Every caller
-    shares the result; treat it as read-only.
-    """
-    graded = _exp.graded_laplacian()
-    c_s, h = _exp.formal_oscillator(graded)
-    odd, zero = (_exp.transverse_symbols(graded[w]) for w in (Fraction(-1, 2), Fraction(0)))
-    if set(odd) != {0}:
-        raise AssertionError("unexpected D_s structure at weight -1/2")
-    minus_h_s = PolySymbol({(2, 0): _exp.TAU_S * _exp.QQi(Fraction(-1, 2))})
-    d, minus_h_s, *framed = _exp._frame_formal([odd[0], minus_h_s, *zero.values()])
-    shift = (SOperator({1: PolySymbol.constant(1), 0: -h}), SOperator({0: minus_h_s}))
-    d0 = _shift_ds(SOperator(dict(zip(zero, framed))), shift).ds_part(0)
+    """`expansion.conjugated_symbols` with its evaluation plan, once per
+    process: (c_s as a float, d, D0, plan).  Every caller shares the
+    result; treat it as read-only."""
+    c_s, d, d0 = _exp.conjugated_symbols()
     return float(c_s.re), d, d0, _plan([d, d0])
 
 
@@ -338,7 +284,7 @@ def conjugated_order_zero(path, frame):
     # the means of d stay at weight -1/2, reported as the first obstruction
     odd = _ad_series(q_jet, conj, Fraction(-1, 2)) + SOperator({0: -means})
     diag = {"first_obstruction_max": max((abs(m) for m in means.coeffs.values()), default=0.0),
-            "odd_residual": odd.max_abs()}
+            "odd_residual": _max_abs(odd)}
     del odd   # not held through the weight 0 series
     return _ad_series(q_jet, conj, Fraction(0)).ds_part(0), diag
 

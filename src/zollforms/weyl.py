@@ -25,8 +25,9 @@ value: no operation writes one, so a sum makes a new array and a
 product with the unit shares its operand's array.  The term-by-term
 transvectant, the definition the kernel is tested against, lives with
 the tests.  In the package `substitute_linear` runs on exact symbols
-only (the frame of the constants table and of the engine's stage 1);
-the tests' oracle frames sampled ones with it too.
+only, as the frame of `expansion.conjugated_symbols`, the one exact
+stage 1 that the engine evaluates and the constants table reads; the
+tests' oracle frames sampled ones with it too.
 """
 
 import math

@@ -329,16 +329,37 @@ class TestInvariantsCommand:
         assert rows[0] == CSV_HEADER
         assert len(rows) == 1 + 4
 
-    def test_unwritable_csv_is_a_config_error(self, tmp_path, capsys):
+    def test_unwritable_csv_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         """A --csv path in a missing directory ends in one config error line
-        and exit code 2; the report itself is written."""
+        and exit code 2 before any geodesic is traced; the report path,
+        checked first, is left empty."""
+        traced = []
+        monkeypatch.setattr(cli, "trace_geodesic", lambda *args, **kwargs: traced.append(args))
         out, csv_path = tmp_path / "inv.json", tmp_path / "missing" / "inv.csv"
         code = main(["invariants", "--metric", "round", "--geodesics", "1", "--grid", "256",
                      "--out", str(out), "--csv", str(csv_path)])
         assert code == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err.strip() == f"config error: cannot write {csv_path}: No such file or directory"
-        assert json.loads(out.read_text())["summary"]["geodesic_count"] == 1
+        assert traced == []
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize("mode", ["verify", "invariants"])
+    def test_unwritable_out_costs_no_run(self, tmp_path, capsys, monkeypatch, mode):
+        """An --out path in a missing directory ends the command before any
+        geodesic is traced, and an existing CSV file is left as it is."""
+        traced = []
+        monkeypatch.setattr(cli, "trace_geodesic", lambda *args, **kwargs: traced.append(args))
+        out, csv_path = tmp_path / "missing" / "inv.json", tmp_path / "inv.csv"
+        csv_path.write_text("earlier rows\n")
+        flags = ["--csv", str(csv_path)] if mode == "invariants" else []
+        code = main([mode, "--metric", "round", "--geodesics", "1", "--grid", "256",
+                     "--out", str(out), *flags])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.strip() == f"config error: cannot write {out}: No such file or directory"
+        assert traced == []
+        assert csv_path.read_text() == "earlier rows\n"
 
     def test_failure_line_carries_the_value(self, tmp_path, capsys):
         """The stderr FAIL line names the geodesic, the check and its value,

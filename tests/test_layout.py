@@ -15,6 +15,8 @@ file's code or listed in its `__all__`; `__init__.py` files, which
 re-export, are exempt.  The package imports only the standard library,
 numpy and itself: scipy serves the tests' oracles and nothing at run time,
 and a run loads no second polynomial representation (`numpy.polynomial`).
+The exact algebra (`expansion`) imports neither numpy nor the engine
+(`normalform`) or the CLI.
 """
 
 import ast
@@ -198,6 +200,44 @@ def test_the_import_rule_names_scipy():
     tree = ast.parse("import os\nfrom numpy.linalg import norm\nfrom . import surface\n"
                      "from scipy.integrate import solve_ivp\nimport scipy.special as sp\n")
     assert _foreign_imports(tree) == ["scipy"]
+
+
+def _package_imports(tree):
+    """Modules a package file imports, at any nesting level: the top-level
+    name of an absolute import, the module of a relative one."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module] if node.module else [a.name for a in node.names]
+        else:
+            continue
+        for module in modules:
+            parts = module.split(".")
+            out.add(parts[1] if parts[0] == "zollforms" and len(parts) > 1 else parts[0])
+    return out
+
+
+EXACT_LAYER_FORBIDS = {"numpy", "normalform", "cli"}
+
+
+def test_the_exact_algebra_stays_below_the_engine():
+    """`expansion` imports neither numpy nor the engine or the CLI, not even
+    inside a function: it stays exact, and no import cycle comes back."""
+    tree = ast.parse((PACKAGE / "expansion.py").read_text())
+    assert not _package_imports(tree) & EXACT_LAYER_FORBIDS
+
+
+def test_the_layering_rule_sees_nested_imports():
+    tree = ast.parse("from .weyl import PolySymbol\n"
+                     "def f():\n    from .normalform import SOperator\n"
+                     "    import numpy.linalg\n"
+                     "class C:\n    def g(self):\n        from . import cli\n"
+                     "        from zollforms.jacobi import solve_fundamental\n")
+    assert _package_imports(tree) == {"weyl", "normalform", "numpy", "cli", "jacobi"}
 
 
 RUN_WITHOUT_SCIPY = """

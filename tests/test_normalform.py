@@ -11,9 +11,9 @@ from zollforms.jacobi import solve_fundamental
 from oracles import (commutator_double_integral, d_half, d_zero_restricted, ds,
                      metaplectic_substitute, rebase, spectral_derivative, transvectant,
                      weyl_quantize)
+from zollforms.expansion import SOperator
 from zollforms.normalform import (
     FirstObstructionError,
-    SOperator,
     ad_symbol,
     assemble_p1,
     compute_H,
@@ -21,6 +21,7 @@ from zollforms.normalform import (
     field_mean,
     frame_conjugated,
     solve_first_homological,
+    _max_abs,
 )
 from zollforms.surface import SurfacePoint
 from zollforms.weyl import PolySymbol
@@ -462,8 +463,8 @@ class TestNanPropagates:
     def test_max_abs(self):
         op = SOperator({0: PolySymbol({(0, 0): np.ones(4), (1, 1): np.array([1.0, math.nan, 0, 0])}),
                         1: PolySymbol.constant(0.5)})
-        assert math.isnan(op.max_abs())
-        assert SOperator().max_abs() == 0.0
+        assert math.isnan(_max_abs(op))
+        assert _max_abs(SOperator()) == 0.0
 
 
 class TestComputeH:
@@ -575,7 +576,7 @@ class TestSOperatorCommutator:
             ref = {k: (ab.ds_part(k) - ba.ds_part(k)).scale(weight)
                    for k in set(ab.terms) | set(ba.terms)}
             assert set(got.terms) <= set(ref)
-            scale = SOperator(ref).max_abs()
+            scale = _max_abs(SOperator(ref))
             for k, sym in ref.items():
                 for key, v in sym.coeffs.items():
                     g = got.ds_part(k)[key]
@@ -584,7 +585,7 @@ class TestSOperatorCommutator:
 
 def _assert_operators_close(got, ref, tol):
     """Every D_s part and entry of `got` within tol * (largest |entry| of ref)."""
-    scale = ref.max_abs()
+    scale = _max_abs(ref)
     assert set(got.terms) <= set(ref.terms)
     for k, sym in ref.terms.items():
         for key in set(sym.coeffs) | set(got.ds_part(k).coeffs):
@@ -630,7 +631,7 @@ class TestHornerRule:
     def test_shift_equals_sum_of_powers(self):
         """Horner's X <- X o S + Op(a_k) equals sum_k Op(a_k) S^k, with the
         powers of S = D_s - Op(h) built by compose, for D_s^0 ... D_s^3."""
-        from zollforms.normalform import _shift_ds
+        from zollforms.expansion import _shift_ds
 
         rng = np.random.default_rng(25)
         s = 2.0 * math.pi * np.arange(64) / 64
@@ -741,7 +742,10 @@ class TestEvaluate:
         assert type(got[1, 1]) is complex
 
     def test_built_once_per_process(self, cubic_path, cubic_frame, round_path, round_frame):
-        from zollforms import normalform
+        """The plan is built once; and from cold caches, the constants table
+        and one geodesic through the engine derive the exact stage 1 once,
+        the table's integrand being the engine's own |z|^4 entry of D0."""
+        from zollforms import expansion, normalform
 
         frame_conjugated(cubic_path, cubic_frame)
         before = normalform._stage1.cache_info()
@@ -750,6 +754,16 @@ class TestEvaluate:
         after = normalform._stage1.cache_info()
         assert (after.misses, after.currsize) == (before.misses, 1)
         assert after.hits == before.hits + 2
+
+        expansion.conjugated_symbols.cache_clear()
+        normalform._stage1.cache_clear()
+        expansion.constants_report()
+        assemble_p1(cubic_path.metric, cubic_path.init, cubic_path.n,
+                    path=cubic_path, frame=cubic_frame)
+        info = expansion.conjugated_symbols.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        _, _, d0 = expansion.conjugated_symbols()
+        assert expansion.derive_normal_form_integrands()["z4"] is d0.coeffs[2, 2]
 
 
 class TestSubstitutionCount:
