@@ -9,7 +9,6 @@ maximally degenerate).
 """
 
 import math
-from fractions import Fraction
 
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic
 from zollforms.jacobi import solve_fundamental
@@ -45,9 +44,9 @@ path = trace_geodesic(metric, ic, 1024)
 frame = solve_fundamental(path)
 # the metric terms are the D_s-free weight 0 part after the frame (stage 1);
 # the commutator term is what the exp(i h^(1/2) Q) conjugation adds to it
-_, stage1 = frame_conjugated(path, frame)
-metric_part = field_mean(path, stage1[Fraction(0)].ds_part(0))
-commutator_part = field_mean(path, conjugated_order_zero(path, frame)[0]) - metric_part
+_, d0 = frame_conjugated(path, frame)
+metric_part = field_mean(path, d0)
+commutator_part = conjugated_order_zero(path, frame)[0] - metric_part
 print(f"{'entry':>8s} {'metric terms':>24s} {'commutator term':>24s} {'sum':>12s}")
 for key in ((2, 2), (3, 1), (4, 0), (1, 3), (0, 4)):
     a = complex(metric_part[key])

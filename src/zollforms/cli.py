@@ -27,11 +27,10 @@ from .identities import DEFAULT_TOLERANCE, run_all_checks
 from .jacobi import solve_fundamental
 from .normalform import FirstObstructionError, assemble_p1
 from .surface import IntegrationError, MetricModel
-from .weyl import DegreeOverflowError
 
 __all__ = ["main", "RunConfig", "build_report", "metric_from_spec"]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 H_RELATION_TOL = 1e-9     # residual of the paper's c0 = -H/(16 pi), see InvariantRecord.h_relation
 
 EXIT_PASS = 0
@@ -45,10 +44,7 @@ class ConfigError(ValueError):
 
 
 # errors that end one geodesic: recorded as that check's failure, the run goes on
-NUMERICAL_FAILURES = {
-    IntegrationError: "integration",
-    DegreeOverflowError: "degree_overflow",
-}
+NUMERICAL_FAILURES = {IntegrationError: "integration"}
 
 
 @dataclass

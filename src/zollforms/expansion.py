@@ -8,13 +8,15 @@ curvature data along the geodesic are formal indeterminates
 
 in normal order (coefficient functions to the left of all derivatives).
 The module derives the Fermi metric jets, builds the conjugated positive
-half-density Laplacian, grades it semiclassically, runs stage 1 of the
-normal form (the metaplectic frame and D_s -> D_s - Op(h), with the
-frame Y, Yb, dY, dYb as further indeterminates) and emits every
-universal constant the construction needs.  Stage 1 is derived once per
-process, in `conjugated_symbols`: the engine (`normalform`) evaluates its
-result on each geodesic, and the constants table reads its diagonal.
-The module imports no numpy and nothing of the engine.
+half-density Laplacian, grades it semiclassically, runs both stages of
+the normal form and emits every universal constant the construction
+needs.  Stage 1, the metaplectic frame and D_s -> D_s - Op(h), takes the
+frame Y, Yb, dY, dYb as further indeterminates (`conjugated_symbols`);
+stage 2, exp(i h^(1/2) Q), takes the entries of Q, of the odd term and
+of its means (`order_zero_symbol`).  Each runs once per process: the
+engine (`normalform`) evaluates the result on each geodesic, and the
+constants table reads the diagonal of stage 1.  The module imports no
+numpy and nothing of the engine.
 
 Scaling conventions: the semiclassical parameter absorbs the period
 (hbar = 1/r, the "hL" combination), so the dilation rules are
@@ -28,7 +30,8 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 
-from .weyl import PolySymbol, star_product, substitute_linear, transvectant_constant
+from .weyl import (PolySymbol, star_commutator, star_product, substitute_linear,
+                   transvectant_constant)
 
 __all__ = [
     "QQi",
@@ -41,6 +44,8 @@ __all__ = [
     "transverse_symbols",
     "SOperator",
     "conjugated_symbols",
+    "entry_name",
+    "order_zero_symbol",
     "constants_report",
 ]
 
@@ -53,8 +58,9 @@ class QQi:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # a Fraction is kept as it is: wrapping it again costs a new object
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     def __add__(self, other):
         other = _as_qqi(other)
@@ -490,8 +496,7 @@ def formal_oscillator(graded):
 
 
 class SOperator:
-    """Operator sum_k Op(a_k(s, z, zbar)) D_s^k: the coefficients are jet
-    polynomials in stage 1 and sample vectors in stage 2."""
+    """Operator sum_k Op(a_k(s, z, zbar)) D_s^k with jet-polynomial coefficients."""
 
     __slots__ = ("terms",)
 
@@ -509,8 +514,8 @@ class SOperator:
         """Operator product self o B, with D_s moved right by
         [D_s, Op(b)] = Op(-i b_s), one star product per pair of parts.
 
-        `jet` is (B, dB/ds, ...), up to the top D_s power of self, the way
-        the engine's ad-series takes the derivatives of q.
+        `jet` is (B, dB/ds, ...), up to the top D_s power of self, as
+        `_ad_symbol` takes the derivatives of q.
         """
         out = defaultdict(PolySymbol)
         for k in jet[0].terms:
@@ -541,7 +546,7 @@ def conjugated_symbols():
     runs by Horner's rule.  -tau_s y^2 / 2 is framed with them: it is
     -dh/ds, since along the Jacobi flow the image of eta has derivative
     -tau (image of y).  d is the odd term of weight -1/2 and D0 the D_s-free
-    part of weight 0, the only parts the engine's stage 2 reads; c_s is
+    part of weight 0, the only parts stage 2 (`order_zero_symbol`) reads; c_s is
     the QQi 2.  Every caller shares the result; treat it as read-only.
     """
     graded = graded_laplacian()
@@ -553,6 +558,81 @@ def conjugated_symbols():
     d, minus_h_s, *framed = _frame_formal([odd[0], minus_h_s, *zero.values()])
     shift = (SOperator({1: PolySymbol.constant(1), 0: -h}), SOperator({0: minus_h_s}))
     return c_s, d, _shift_ds(SOperator(dict(zip(zero, framed))), shift).ds_part(0)
+
+
+# ---------------------------------------------------------------------------
+# Stage 2 of the normal form: exp(i h^(1/2) Q), Q from the first homological equation
+# ---------------------------------------------------------------------------
+
+def entry_name(prefix, key):
+    """The indeterminate of entry (m, n) of Q, of the odd term d or of its means M."""
+    return f"{prefix}{key[0]}{key[1]}"
+
+
+def _ad_symbol(q_jet, op, weight, plus):
+    """weight * [Op(q), op] + plus for a D_s-free symbol q, in one result.
+
+    `q_jet` is (q, dq/ds, ...), up to the top D_s power of `op`.  The
+    D_s^k parts of op commute through the odd-only star commutator, and
+    moving D_s^k past Op(q) adds -C(k, l) (-i)^l b_k # d_s^l q at D_s^(k-l).
+    """
+    out = defaultdict(PolySymbol)
+    for k, b in op.terms.items():
+        star_commutator(q_jet[0], b, weight, out[k])
+        for l in range(1, k + 1):
+            star_product(b, q_jet[l], -weight * QQi(math.comb(k, l)) * _MINUS_I_POWERS[l % 4],
+                         out[k - l])
+    for k, sym in plus.terms.items():
+        out[k].add_scaled(sym)
+    return SOperator(out)
+
+
+def _ad_series(q_jet, ops, t):
+    """The weight t part of exp(-i ad_Q) applied to the graded operators:
+    B_t = sum_j (-i)^j / j! ad_Q^j(ops[t - j/2]), by Horner's rule from
+    the lowest weight up, B_w = ops[w] + (-i) / (2 (t - w) + 1)
+    ad_Q(B_(w - 1/2)); a weight with no operator still takes its step.
+    """
+    w = min(ops)
+    out = ops[w]
+    while w < t:
+        w += Fraction(1, 2)
+        out = _ad_symbol(q_jet, out, QQi(0, Fraction(-1, 2 * (t - w) + 1)),
+                         ops.get(w, SOperator()))
+    return out
+
+
+def _stage2_inputs():
+    """(q_jet, ops) of the ad-series: Q with dQ/ds = -(d - M)/c_s from the
+    first homological equation, and the operators it reads, c_s D_s at
+    weight -1 (h cancels its D_s-free part), d at -1/2 and D0 at 0.  The
+    entries of Q, d and M are indeterminates: the series never
+    differentiates d.  The unit at weight -2 commutes with Q."""
+    c_s, d, d0 = conjugated_symbols()
+    q, means, odd = (PolySymbol({key: JP.var(entry_name(prefix, key)) for key in d.coeffs})
+                     for prefix in "QMd")
+    q_s = (odd - means).map_coeffs(lambda v: v * (-ONE / c_s))
+    ops = {Fraction(-1): SOperator({1: PolySymbol.constant(JP.const(c_s))}),
+           Fraction(-1, 2): SOperator({0: odd}), Fraction(0): SOperator({0: d0})}
+    return (q, q_s), ops
+
+
+@lru_cache(maxsize=1)
+def order_zero_symbol():
+    """Stage 2 of the normal form in exact arithmetic, once per process:
+    (c_s, d, Z), Z the D_s-free weight 0 part after exp(i h^(1/2) Q): D0
+    plus terms linear in the entries of Q, each a constant times an entry
+    of Q and one of M or d (`entry_name`).  A term of degree 2 or more in
+    Q raises AssertionError.  Every caller shares the result; treat it as
+    read-only."""
+    c_s, d, _ = conjugated_symbols()
+    z = _ad_series(*_stage2_inputs(), Fraction(0)).ds_part(0)
+    q_names = {entry_name("Q", key) for key in d.coeffs}
+    for jp in z.coeffs.values():
+        for mono in jp.terms:
+            if sum(p for name, p in mono if name in q_names) > 1:
+                raise AssertionError(f"weight 0 term {mono} is not linear in Q")
+    return c_s, d, z
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +808,9 @@ def constants_report():
             "j0 (|z|^0)": {k: repr(v) for k, v in y0.items()},
             "j2_residual": rem4.pretty(),
             "j0_residual": rem0.pretty(),
-            "dropped_mean_free": "i d_s(h), -i tau_s yhat^2 (int tau_s Y^a Yb^b = 0), odd-transvectant parts "
-                                 "(reduce to tau d/ds|Y|^2 by the Wronskian); all verified numerically",
+            "shift_derivative_terms": "i d_s(h), the tau_s y^2 jet term and the odd transvectants "
+                                      "of a # h land on z^2, |z|^2 and zb^2 only; j2 and j0 are "
+                                      "the full |z|^4 and |z|^0 entries of D0, with no tau_s term",
             "commutator_j2 (weights of Im double integrals)": {
                 f"({m},{n})": repr(v) for (m, n), v in comm["z4"].items()
             },

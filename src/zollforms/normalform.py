@@ -12,49 +12,36 @@ The pipeline conjugates the graded half-density Laplacian (from
   2. exp(i h^(1/2) Q) with Q solving the first homological equation,
      applied as the operator ad-series.
 
-Stage 1 is the same algebra on every geodesic, so it runs once per
-process in exact arithmetic, in `expansion.conjugated_symbols`, with the
-curvature jets and Y, Ybar, Y', Ybar' as indeterminates; the constants
-table reads its diagonal.  A geodesic only evaluates the jet polynomials
-of what stage 2 reads.
-Both series run by Horner's rule: the shift from the top D_s power down,
-X <- X o (D_s - Op(h)) + Op(a_k), and the ad-series from the lowest
-weight up to each weight read, one ad_Q per step.  No commutator
-prefactor is typed by hand: both stages are generic operator algebra.
-The explicit closed-form route (`d_half`, `d_zero_restricted` +
-`commutator_double_integral`) is the independent cross-check of this
-engine and lives with the tests (`tests/oracles.py`), with its own Weyl
-symbols and substitution in (z, zbar).
-
-In stage 2 a symbol's coefficient is a sample vector on the geodesic
-grid, or a scalar where it is constant; means and antiderivatives along
-s are the path's (`surface.GeodesicPath`), which weighs the samples by
-ds/d(theta).  A product with a constant symbol takes no star product.
-No symbol is differentiated numerically: the shift takes dh/ds in closed
-form and the ad-series takes dQ/ds from the homological equation.  Q
-takes one antiderivative per conjugate pair of the odd term, and a
-Horner step sums its addend into its product's accumulator.
+Both stages are the same algebra on every geodesic, so they run once per
+process in exact arithmetic (`expansion.order_zero_symbol`).  What they
+leave at weight 0 is D0, the framed and shifted weight 0 part, plus
+terms linear in the entries Q_a of Q, each a constant times Q_a and a
+mean M_b of the odd term d or an entry d_b of it.  A geodesic only evaluates,
+integrates and averages: it evaluates d and D0 on its jets and frame,
+takes Q from the homological equation (one antiderivative per conjugate
+pair of d), and sums the means of D0, Q_a and Q_a d_b with the exact
+coefficients.  Means and antiderivatives are the path's
+(`surface.GeodesicPath`).  The closed-form route (`d_half`,
+`d_zero_restricted` + `commutator_double_integral`) is the independent
+cross-check of this engine and lives with the tests (`tests/oracles.py`).
 """
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import expansion as _exp
-from .expansion import SOperator
 from .geodesic import trace_geodesic
 from .jacobi import solve_fundamental
-from .weyl import PolySymbol, diagonal_part, star_commutator, star_product
+from .weyl import PolySymbol, diagonal_part
 
 __all__ = [
     "InvariantRecord",
     "FirstObstructionError",
     "solve_first_homological",
-    "ad_symbol",
     "frame_conjugated",
     "conjugated_order_zero",
     "assemble_p1",
@@ -81,53 +68,6 @@ def field_mean(path, sym):
     """Arclength mean along `path` of every sampled entry: a scalar PolySymbol."""
     return PolySymbol({k: complex(path.mean(v) if isinstance(v, np.ndarray) else v)
                        for k, v in sym.coeffs.items()})
-
-
-def _constant(sym):
-    """The value of a symbol constant in (z, zbar) (one entry, at (0, 0),
-    that is no sample vector), else None."""
-    v = sym.coeffs.get((0, 0))
-    return None if len(sym.coeffs) != 1 or isinstance(v, np.ndarray) else v
-
-
-def _add_product(out, a, b, weight):
-    """out += weight * (a # b).  A constant operand makes the product a
-    multiple of the other, so no star product is formed."""
-    ca, cb = _constant(a), _constant(b)
-    if ca is not None:
-        out.add_scaled(b, ca * weight)
-    elif cb is not None:
-        out.add_scaled(a, cb * weight)
-    elif a.coeffs and b.coeffs:
-        star_product(a, b, weight, out)
-
-
-def _max_abs(op):
-    """The largest |coefficient| of an SOperator over every entry; NaN if any entry holds one."""
-    return float(np.max([np.max(np.abs(v)) for sym in op.terms.values()
-                         for v in sym.coeffs.values()], initial=0.0))
-
-
-def ad_symbol(q_jet, op, weight, plus=None):
-    """weight * [Op(q), op] for a D_s-free symbol q, plus the operator
-    `plus` if given, summed into the same result.
-
-    `q_jet` is (q, dq/ds, ...), up to the top D_s power of `op`.  The
-    D_s^k parts of op commute through the odd-only star commutator, and
-    moving D_s^k past Op(q) adds -C(k, l) (-i)^l b_k # d_s^l q at
-    D_s^(k-l).  A constant part commutes with q.
-    """
-    q = q_jet[0]
-    out = defaultdict(PolySymbol)
-    for k, b in op.terms.items():
-        if _constant(b) is None:
-            star_commutator(q, b, weight, out[k])
-        for l in range(1, k + 1):
-            _add_product(out[k - l], b, q_jet[l],
-                         -weight * math.comb(k, l) * _exp._MINUS_I_POWERS[l % 4])
-    for k, sym in plus.terms.items() if plus is not None else ():
-        out[k].add_scaled(sym)
-    return SOperator(out)
 
 
 _CONJUGATE_NAMES = {"Y": "Yb", "Yb": "Y", "dY": "dYb", "dYb": "dY"}   # the jets are real
@@ -202,27 +142,36 @@ def _evaluate(plan, values):
 
 
 @lru_cache(maxsize=1)
-def _stage1():
-    """`expansion.conjugated_symbols` with its evaluation plan, once per
-    process: (c_s as a float, d, D0, plan).  Every caller shares the
-    result; treat it as read-only."""
-    c_s, d, d0 = _exp.conjugated_symbols()
-    return float(c_s.re), d, d0, _plan([d, d0])
+def _symbols():
+    """`expansion.order_zero_symbol` with its evaluation plan, once per
+    process: (c_s as a float, plan of d and D0, products, q_terms).
+
+    `products` are the distinct products Q_a d_b or Q_a, as names, whose
+    means the terms of Z in Q read; q_terms holds each such term as
+    (key, coefficient, names of its factors M_b, index into `products`).
+    The rest of Z is D0.  Every caller shares the result; treat it as
+    read-only.
+    """
+    c_s, d, z = _exp.order_zero_symbol()
+    q_names, m_names = ({_exp.entry_name(p, key) for key in d.coeffs} for p in "QM")
+    free, products, q_terms = defaultdict(dict), {}, []
+    for key, jp in z.coeffs.items():
+        for mono, c in jp.terms.items():
+            if not q_names.intersection(name for name, _ in mono):
+                free[key][mono] = c
+                continue
+            names = [name for name, p in mono for _ in range(p)]
+            fields = tuple(name for name in names if name not in m_names)
+            means = tuple(name for name in names if name in m_names)
+            q_terms.append((key, complex(c), means, products.setdefault(fields, len(products))))
+    d0 = PolySymbol({key: _exp.JetPolynomial(terms) for key, terms in free.items()})
+    return float(c_s.re), _plan([d, d0]), tuple(products), tuple(q_terms)
 
 
 def frame_conjugated(path, frame):
-    """Stage 1 on a path: (c_s, {weight: SOperator}), the graded operators
-    after the frame and D_s -> D_s - Op(h) as far as stage 2 reads them.
-
-    The weight -1 operator is c_s D_s, as h is defined to cancel its
-    D_s-free part; c_s = 2 makes the scaling by 1/c_s exact.  Weight -1/2
-    holds the odd term, weight 0 the D_s-free part of its operator.  The
-    unit at weight -2 commutes with Q and is left out.
-    """
-    c_s, _, _, plan = _stage1()
-    d, d0 = _evaluate(plan, _path_values(path, frame))
-    return c_s, {Fraction(-1): SOperator({1: PolySymbol.constant(c_s)}),
-                 Fraction(-1, 2): SOperator({0: d}), Fraction(0): SOperator({0: d0})}
+    """Stage 1 on a path: [d, D0], the odd term of weight -1/2 and the
+    D_s-free part of weight 0, evaluated on the path's jets and frame."""
+    return _evaluate(_symbols()[1], _path_values(path, frame))
 
 
 def solve_first_homological(path, d, c_s=2.0):
@@ -231,13 +180,10 @@ def solve_first_homological(path, d, c_s=2.0):
     Solvable on the period only when every entry of d has vanishing mean
     (the Zoll first obstruction); a mean above MEAN_TOL, or a NaN mean,
     raises FirstObstructionError with the offending entry.  The means
-    below it are taken out before the antiderivative, so Q is periodic
-    and dQ/ds, which comes exactly from the equation, is its derivative.
-    Returns ((Q, dQ/ds), means of d as a scalar PolySymbol); the largest
-    |mean| is the first obstruction of d.  Means and antiderivatives are
-    taken along `path`.  The engine's d is a real symbol, so
-    where d[n,m] = conj d[m,n] bit for bit, Q[n,m] = conj Q[m,n] takes no
-    antiderivative of its own.
+    below it are taken out before the antiderivative, so Q is periodic.
+    Returns ((Q, dQ/ds), means of d as a scalar PolySymbol).  The engine's
+    d is a real symbol, so where d[n,m] = conj d[m,n] bit for bit,
+    Q[n,m] = conj Q[m,n] takes no antiderivative of its own.
     """
     means = {k: path.mean(v) for k, v in d.coeffs.items()}
     for k, m in sorted(means.items(), key=lambda kv: -abs(kv[1])):
@@ -251,42 +197,25 @@ def solve_first_homological(path, d, c_s=2.0):
     return (PolySymbol(q), q_s), PolySymbol({k: complex(m) for k, m in means.items()})
 
 
-def _ad_series(q_jet, ops, t):
-    """The weight t part of exp(-i ad_Q) applied to the graded operators:
-    B_t = sum_j (-i)^j / j! ad_Q^j(ops[t - j/2]).
-
-    Horner's rule steps over the half-integer weights from the lowest up
-    to t, B_w = ops[w] + (-i) / (2 (t - w) + 1) ad_Q(B_(w - 1/2)); a weight
-    with no operator still takes its step.
-    """
-    w = min(ops)
-    out = ops[w]
-    while w < t:
-        w += Fraction(1, 2)
-        out = ad_symbol(q_jet, out, -1j / int(2 * (t - w) + 1), plus=ops.get(w))
-    return out
-
-
 def conjugated_order_zero(path, frame):
-    """Order-zero, D_s-free symbol after both conjugations (the engine route).
+    """The engine route: (the mean of the order-zero, D_s-free symbol
+    after both conjugations as a scalar PolySymbol, first_obstruction_max).
 
-    Takes the stage 1 operators of `frame_conjugated`, then applies the
-    ad-series of exp(i h^(1/2) Q̂) with Q from the first homological
-    equation.  Returns (symbol field, diagnostics dict); the diagnostics
-    are `first_obstruction_max` (the largest |mean| of the odd term the
-    first conjugation removes) and `odd_residual` (what is left at weight
-    -1/2 after it besides those means: ~0 when the ad-series cancels the
-    oscillating part of the odd term).
+    Per entry, the mean of D0 plus each term in Q of `_symbols`: its
+    coefficient times its means of d times the mean of Q_a d_b or Q_a.
+    first_obstruction_max is the largest |mean| of the odd term, all that
+    the conjugation leaves at weight -1/2.
     """
-    c_s, conj = frame_conjugated(path, frame)
-    d = conj[Fraction(-1, 2)].ds_part(0)
-    q_jet, means = solve_first_homological(path, d, c_s=c_s)
-    # the means of d stay at weight -1/2, reported as the first obstruction
-    odd = _ad_series(q_jet, conj, Fraction(-1, 2)) + SOperator({0: -means})
-    diag = {"first_obstruction_max": max((abs(m) for m in means.coeffs.values()), default=0.0),
-            "odd_residual": _max_abs(odd)}
-    del odd   # not held through the weight 0 series
-    return _ad_series(q_jet, conj, Fraction(0)).ds_part(0), diag
+    c_s, _, products, q_terms = _symbols()
+    d, d0 = frame_conjugated(path, frame)
+    (q, _), means = solve_first_homological(path, d, c_s=c_s)
+    values = {_exp.entry_name(prefix, key): sym[key]
+              for prefix, sym in (("Q", q), ("d", d), ("M", means)) for key in d.coeffs}
+    product_means = [path.mean(*(values[name] for name in names)) for names in products]
+    sums = dict(field_mean(path, d0).coeffs)
+    for key, c, names, i in q_terms:
+        sums[key] = sums.get(key, 0.0) + c * math.prod(values[n] for n in names) * product_means[i]
+    return PolySymbol(sums), max((abs(m) for m in means.coeffs.values()), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -311,7 +240,6 @@ class InvariantRecord:
     H_scale: float
     closure_defect: float
     first_obstruction_max: float
-    diagnostics: dict = field(default_factory=dict)   # odd_residual, the engine self-check
 
     @property
     def offdiag_max(self):
@@ -339,7 +267,6 @@ class InvariantRecord:
             "h_relation": self.h_relation,
             "closure_defect": self.closure_defect,
             "first_obstruction_max": self.first_obstruction_max,
-            "diagnostics": dict(self.diagnostics),
         }
 
 
@@ -379,11 +306,10 @@ def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", path=None, frame=N
         path = trace_geodesic(metric, init, n)
     if frame is None:
         frame = solve_fundamental(path)
-    sym, diag = conjugated_order_zero(path, frame)
-    means = field_mean(path, sym)
+    means, first_obstruction_max = conjugated_order_zero(path, frame)
     diag_coeffs, residue = diagonal_part(means)
     diag_coeffs = (diag_coeffs + [0.0] * 3)[:3]
-    # every key, also where the pruned engine symbol holds no entry, so
+    # every key, also where the engine symbol holds no entry, so
     # that the key set does not depend on which means come out exactly 0
     offdiag = {(m, n): residue[m, n] / 2.0 for m in range(OFFDIAG_DEGREE + 1)
                for n in range(OFFDIAG_DEGREE + 1 - m) if m != n}
@@ -397,6 +323,5 @@ def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", path=None, frame=N
         H_b=H,
         H_scale=H_scale,
         closure_defect=path.closure_defect,
-        first_obstruction_max=diag["first_obstruction_max"],
-        diagnostics={"odd_residual": diag["odd_residual"]},
+        first_obstruction_max=first_obstruction_max,
     )

@@ -21,13 +21,13 @@ arrays (periodic coefficient functions), or jet polynomials all work.
 `star_product` and `star_commutator` run one kernel: one coefficient
 product per monomial pair, added with the cached constants sum_j w_j P_j
 into an accumulator symbol the caller may pass.  A sample array is a
-value: no operation writes one, so a sum makes a new array and a
-product with the unit shares its operand's array.  The term-by-term
+value: no operation writes one, so a sum makes a new array and
+`add_scaled` at factor 1 shares its operand's array.  The term-by-term
 transvectant, the definition the kernel is tested against, lives with
-the tests.  In the package `substitute_linear` runs on exact symbols
-only, as the frame of `expansion.conjugated_symbols`, the one exact
-stage 1 that the engine evaluates and the constants table reads; the
-tests' oracle frames sampled ones with it too.
+the tests.  In the package every star product and substitution runs on
+exact symbols, in the two stages of the normal form that `expansion`
+derives once per process; the tests' oracles run them on sampled
+symbols too.
 """
 
 import math
@@ -201,9 +201,7 @@ def _accumulate(out, key, term):
 
 def _moyal(a, b, odd, weight, out):
     """out += weight * (a # b), or weight * (a # b - b # a) when `odd`: one
-    coefficient product per monomial pair, added with its cached constants.
-    A scalar coefficient against a sample array folds into the constants,
-    so that pair takes no product of its own."""
+    coefficient product per monomial pair, added with its cached constants."""
     out = PolySymbol() if out is None else out
     for mn, av in a.coeffs.items():
         for munu, bv in b.coeffs.items():
@@ -211,14 +209,9 @@ def _moyal(a, b, odd, weight, out):
             if not consts:
                 continue
             _check_degree(consts[0][0])   # the lowest order keeps the highest degree
-            if isinstance(av, np.ndarray) == isinstance(bv, np.ndarray):
-                prod, factor = av * bv, weight
-            elif isinstance(av, np.ndarray):
-                prod, factor = av, bv * weight
-            else:
-                prod, factor = bv, av * weight
+            prod = av * bv
             for key, w in consts:
-                _accumulate(out.coeffs, key, _scale(prod, w * factor))
+                _accumulate(out.coeffs, key, _scale(prod, w * weight))
     return out
 
 

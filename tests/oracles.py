@@ -35,7 +35,8 @@ The order-zero normal form symbol has the same kind of second route:
 the closed form `d_zero_restricted` of the frame-conjugated metric terms
 plus `commutator_double_integral` of the odd term `d_half`, written out
 by hand where the engine (`zollforms.normalform.conjugated_order_zero`)
-runs generic operator algebra.  It also substitutes the frame its own
+evaluates what generic exact operator algebra derives once per process
+(`zollforms.expansion.order_zero_symbol`).  It also substitutes the frame its own
 way: `graded_symbols` writes the Weyl symbols in (z, zbar) as star
 products of the pure symbols of y and eta, `graded_zzbar` samples them
 as complex arrays, and `metaplectic_substitute` maps z and zbar, where

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -28,7 +27,6 @@ from zollforms.cli import (
 from zollforms.expansion import constants_report
 from zollforms.normalform import FirstObstructionError
 from zollforms.surface import IntegrationError
-from zollforms.weyl import DegreeOverflowError
 
 
 def _fail_flow_with(monkeypatch, fails):
@@ -200,32 +198,6 @@ class TestVerifyCommand:
         assert [f["check"] for f in report["summary"]["failures"]] == ["integration"]
 
 
-    @pytest.mark.parametrize("stage, error, check", [
-        ("assemble_p1", lambda: DegreeOverflowError("forced overflow"), "degree_overflow"),
-    ])
-    def test_numerical_error_is_a_named_failure(self, monkeypatch, stage, error, check):
-        """An error of one geodesic's computation becomes that geodesic's
-        named failure; the other geodesics still run and the exit code is 3."""
-        real = getattr(cli, stage)
-
-        def failing(*args, **kwargs):
-            init = args[1]   # assemble_p1(metric, init, ...)
-            if init[1][0] == 1.0:   # the meridian start
-                raise error()
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, stage, failing)
-        cfg = RunConfig.load(None, {"metric": {"kind": "round"}, "geodesics": 3,
-                                    "grid": 256})
-        report, code = build_report(cfg, "invariants")
-        assert code == EXIT_NUMERICAL_FAILURE
-        records = report["geodesics"]
-        assert [r["geodesic_id"] for r in records] == ["equator", "meridian", "random-000"]
-        assert f"{check}_failure" in records[1]
-        assert "invariants" in records[0] and "invariants" in records[2]
-        assert report["summary"]["failures"] == [
-            {"geodesic": "meridian", "check": check, "value": None}]
-
     def test_integration_failure_is_strict_json(self, monkeypatch, tmp_path, capsys):
         """A failed geodesic's value is written as null, never as a bare NaN."""
         _fail_flow_with(monkeypatch, lambda p, v: v[0] == 1.0)   # the meridian start
@@ -394,20 +366,12 @@ class TestInvariantsCommand:
         second, _ = build_report(cfg, "invariants")
         assert first["digest"] == second["digest"]
 
-    def test_engine_diagnostics_reach_the_report(self, tmp_path, monkeypatch):
-        """odd_residual is written per geodesic as a finite number, and two
-        runs of one config still give one digest.  On every geodesic the
-        stage 1 weight -1 operator is exactly c_s D_s: h is read off the
-        term that it cancels, so no report carries that cancellation."""
-        real = normalform.frame_conjugated
-        stage1 = []
-
-        def recording(path, frame):
-            c_s, conj = real(path, frame)
-            stage1.append((c_s, {k: sym.coeffs for k, sym in conj[Fraction(-1)].terms.items()}))
-            return c_s, conj
-
-        monkeypatch.setattr(normalform, "frame_conjugated", recording)
+    def test_engine_diagnostics_reach_the_report(self, tmp_path):
+        """first_obstruction_max, the engine's one diagnostic, is written per
+        geodesic as a finite number, and two runs of one config still give
+        one digest.  What the conjugation leaves at weight -1/2 is exactly
+        the means of the odd term, so no residual is reported beside it,
+        and the record has no diagnostics block."""
         digests = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
@@ -416,14 +380,12 @@ class TestInvariantsCommand:
             assert code == EXIT_PASS
             report = json.loads(out.read_text())
             for rec in report["geodesics"]:
-                diag = rec["invariants"]["diagnostics"]
-                assert set(diag) == {"odd_residual"}
-                assert isinstance(diag["odd_residual"], float)
-                assert diag["odd_residual"] <= 1e-8
+                inv = rec["invariants"]
+                assert "diagnostics" not in inv
+                assert isinstance(inv["first_obstruction_max"], float)
+                assert inv["first_obstruction_max"] <= 1e-8
             digests.append(report["digest"])
         assert digests[0] == digests[1]
-        assert len(stage1) == 6
-        assert all(ops == {1: {(0, 0): c_s}} for c_s, ops in stage1)
 
     def test_digest_covers_the_whole_report(self):
         """A report is its header, geodesics and summary, all under the
@@ -434,7 +396,7 @@ class TestInvariantsCommand:
         first, _ = build_report(cfg, "invariants")
         second, _ = build_report(cfg, "invariants")
         assert first["digest"] == second["digest"]
-        assert first["header"]["schema_version"] == 4
+        assert first["header"]["schema_version"] == 5
         assert set(first) == {"header", "geodesics", "summary", "digest"}
         body = {k: v for k, v in first.items() if k != "digest"}
         assert first["digest"] == _digest(body)
@@ -503,7 +465,7 @@ class TestInvariantsCommand:
         every platform; any change to the derivation that moves one
         constant, or one character of its text, shows here."""
         assert _digest(constants_report()) == (
-            "84996c99c73b3f6dc526de7e45a9d6ce2909086419cdbd109e74837bce6bf831")
+            "d0097e8521cac44a6465dc73121282888ac315113e82425d8e6d0a5a5c95a187")
 
     def test_determinism(self, tmp_path):
         outs = []

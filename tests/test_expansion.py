@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from zollforms.expansion import (
     FormalOperator,
@@ -293,3 +294,76 @@ class TestDerivedConstants:
             want = substitute_linear([ref[c] for c in syms], z_img, zb_img)
             for c, a, b in zip(syms, got, want):
                 assert a.coeffs == b.coeffs, (w, c)
+
+
+class TestExactStage2:
+    """Stage 2, exp(i h^(1/2) Q), in exact arithmetic: the ad-series over the
+    stage 1 operators with the entries of Q, of the odd term d and of its
+    means M as indeterminates."""
+
+    def test_weight_minus_half_is_the_means(self):
+        """What the conjugation leaves at weight -1/2 is exactly M: the
+        oscillating part of d cancels identically, so no residual is left
+        to report beside the first obstruction."""
+        from zollforms.expansion import SOperator, _ad_series, _stage2_inputs, entry_name
+        from zollforms.weyl import PolySymbol
+
+        q_jet, ops = _stage2_inputs()
+        got = _ad_series(q_jet, ops, Fraction(-1, 2))
+        keys = ((3, 0), (2, 1), (1, 2), (0, 3))
+        want = SOperator({0: PolySymbol({k: JP.var(entry_name("M", k)) for k in keys})})
+        assert {k: sym.coeffs for k, sym in got.terms.items()} == \
+            {k: sym.coeffs for k, sym in want.terms.items()}
+
+    def test_weight_zero_is_d0_plus_terms_linear_in_q(self):
+        """Weight 0 is D0 (37 terms) plus 32 terms, each one entry Q_a
+        times one M_b or d_b: 69 terms in 9 entries.  They are
+        -(i/2) [Q, d + M], the commutator weight of the closed-form route,
+        and the Q-free part is D0 itself."""
+        from zollforms.expansion import (COMMUTATOR_PREFACTOR, _stage2_inputs,
+                                         conjugated_symbols, entry_name, order_zero_symbol)
+        from zollforms.weyl import PolySymbol, star_commutator
+
+        c_s, d, d0 = conjugated_symbols()
+        c_s2, d2, z = order_zero_symbol()
+        assert (c_s2, d2) == (c_s, d)
+        assert complex(c_s) == 2.0
+        assert len(z.coeffs) == 9 and set(z.coeffs) == set(d0.coeffs)
+        assert sum(len(jp.terms) for jp in z.coeffs.values()) == 69
+        q_names = {entry_name("Q", k) for k in d.coeffs}
+        other = {entry_name(p, k) for p in "Md" for k in d.coeffs}
+        linear = 0
+        for key, jp in z.coeffs.items():
+            free = JP({mono: c for mono, c in jp.terms.items()
+                       if not any(name in q_names for name, _ in mono)})
+            assert free == d0[key], key
+            for mono in set(jp.terms) - set(free.terms):
+                names = [name for name, p in mono for _ in range(p)]
+                assert len(names) == 2 and len(q_names.intersection(names)) == 1, mono
+                assert len(other.intersection(names)) == 1, mono
+                linear += 1
+        assert linear == 32
+
+        (q, _), ops = _stage2_inputs()
+        odd = ops[Fraction(-1, 2)].ds_part(0)
+        means = PolySymbol({k: JP.var(entry_name("M", k)) for k in d.coeffs})
+        want = star_commutator(q, odd + means, COMMUTATOR_PREFACTOR * QQi(2),
+                               PolySymbol(dict(d0.coeffs)))
+        assert want.coeffs == z.coeffs
+
+    def test_a_term_quadratic_in_q_raises(self, monkeypatch):
+        """A graded operator at weight -3/2 that does not commute with Q
+        would give ad_Q^2 terms at weight 0; the derivation refuses them."""
+        from zollforms import expansion
+        from zollforms.weyl import PolySymbol
+
+        real = expansion._stage2_inputs
+
+        def with_cubic_below(*args):
+            q_jet, ops = real()
+            cubic = PolySymbol({(3, 0): TAU_NU, (0, 3): TAU_NU})
+            return q_jet, {**ops, Fraction(-3, 2): expansion.SOperator({0: cubic})}
+
+        monkeypatch.setattr(expansion, "_stage2_inputs", with_cubic_below)
+        with pytest.raises(AssertionError, match="not linear in Q"):
+            expansion.order_zero_symbol.__wrapped__()
