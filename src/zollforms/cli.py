@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .expansion import constants_report
-from .geodesic import (MIN_GRID, canonical_initial_conditions, sample_initial_conditions,
-                       trace_geodesic)
+from .geodesic import (MAX_GRID, MIN_GRID, canonical_initial_conditions,
+                       sample_initial_conditions, trace_geodesic)
 from .identities import DEFAULT_TOLERANCE, run_all_checks
 from .jacobi import solve_fundamental
 from .normalform import FirstObstructionError, assemble_p1
@@ -89,8 +89,8 @@ class RunConfig:
             raise ConfigError("geodesics must be >= 1")
         if cfg.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if cfg.grid < MIN_GRID or (cfg.grid & (cfg.grid - 1)) != 0:
-            raise ConfigError(f"grid must be a power of two >= {MIN_GRID}")
+        if not MIN_GRID <= cfg.grid <= MAX_GRID or (cfg.grid & (cfg.grid - 1)) != 0:
+            raise ConfigError(f"grid must be a power of two in [{MIN_GRID}, {MAX_GRID}]")
         if not (0.0 < cfg.tol < 1.0):
             raise ConfigError("tol must be in (0, 1)")
         cfg.metric_model = metric_from_spec(cfg.metric)
@@ -138,7 +138,7 @@ def parse_metric_flag(text):
         return {"kind": "round"}
     if text.startswith("zoll:"):
         try:
-            coeffs = [float(x) for x in text[5:].split(",") if x]
+            coeffs = [float(x) for x in text[5:].split(",")]
         except ValueError:
             raise ConfigError(f"bad metric flag {text!r}")
         return {"kind": "zoll_revolution", "h_odd_coeffs": coeffs}
@@ -349,7 +349,8 @@ def _add_run_flags(parser, with_csv=False):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--metric", help="round or zoll:a1,a2,... (odd profile)")
     parser.add_argument("--geodesics", type=int, help="number of geodesics")
-    parser.add_argument("--grid", type=int, help=f"grid size (power of two >= {MIN_GRID})")
+    parser.add_argument("--grid", type=int,
+                        help=f"grid size (power of two from {MIN_GRID} to {MAX_GRID})")
     parser.add_argument("--tol", type=float, help="normalized residual tolerance")
     parser.add_argument("--seed", type=int, help="random seed for initial conditions")
     parser.add_argument("--out", help="write the JSON report here")

@@ -8,15 +8,15 @@ curvature data along the geodesic are formal indeterminates
 
 in normal order (coefficient functions to the left of all derivatives).
 The module derives the Fermi metric jets, builds the conjugated positive
-half-density Laplacian, grades it semiclassically, runs both stages of
-the normal form and emits every universal constant the construction
-needs.  Stage 1, the metaplectic frame and D_s -> D_s - Op(h), takes the
-frame Y, Yb, dY, dYb as further indeterminates (`conjugated_symbols`);
-stage 2, exp(i h^(1/2) Q), takes the entries of Q, of the odd term and
-of its means (`order_zero_symbol`).  Each runs once per process: the
-engine (`normalform`) evaluates the result on each geodesic, and the
-constants table reads the diagonal of stage 1.  The module imports no
-numpy and nothing of the engine.
+half-density Laplacian, grades it semiclassically, runs stage 1 of the
+normal form and emits every universal constant the construction needs.
+Stage 1, the metaplectic frame and D_s -> D_s - Op(h), takes the frame
+Y, Yb, dY, dYb as further indeterminates and runs once per process
+(`conjugated_symbols`); the constants table reads its diagonal.  Stage 2,
+exp(i h^(1/2) Q), leaves at weight 0 the closed form D0 - (i/2)[Q, d + M],
+which the engine (`normalform`) evaluates on each geodesic with the
+weight 2 * COMMUTATOR_PREFACTOR of the constants table.  The module
+imports no numpy and nothing of the engine.
 
 Scaling conventions: the semiclassical parameter absorbs the period
 (hbar = 1/r, the "hL" combination), so the dilation rules are
@@ -30,8 +30,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 
-from .weyl import (PolySymbol, star_commutator, star_product, substitute_linear,
-                   transvectant_constant)
+from .weyl import PolySymbol, star_product, substitute_linear, transvectant_constant
 
 __all__ = [
     "QQi",
@@ -44,8 +43,6 @@ __all__ = [
     "transverse_symbols",
     "SOperator",
     "conjugated_symbols",
-    "entry_name",
-    "order_zero_symbol",
     "constants_report",
 ]
 
@@ -514,8 +511,7 @@ class SOperator:
         """Operator product self o B, with D_s moved right by
         [D_s, Op(b)] = Op(-i b_s), one star product per pair of parts.
 
-        `jet` is (B, dB/ds, ...), up to the top D_s power of self, as
-        `_ad_symbol` takes the derivatives of q.
+        `jet` is (B, dB/ds, ...), up to the top D_s power of self.
         """
         out = defaultdict(PolySymbol)
         for k in jet[0].terms:
@@ -546,10 +542,16 @@ def conjugated_symbols():
     runs by Horner's rule.  -tau_s y^2 / 2 is framed with them: it is
     -dh/ds, since along the Jacobi flow the image of eta has derivative
     -tau (image of y).  d is the odd term of weight -1/2 and D0 the D_s-free
-    part of weight 0, the only parts stage 2 (`order_zero_symbol`) reads; c_s is
-    the QQi 2.  Every caller shares the result; treat it as read-only.
+    part of weight 0, the only parts stage 2 reads; c_s is the QQi 2.
+    Stage 2 leaves D0 - (i/2)[Q, d + M] at weight 0 only where no graded
+    term sits at weight -3/2: one that does not commute with Q would add
+    its ad_Q^j at weights -1, -1/2 and 0, so such a term raises
+    AssertionError.  Every caller shares the result; treat it as
+    read-only.
     """
     graded = graded_laplacian()
+    if Fraction(-3, 2) in graded:
+        raise AssertionError("graded term at weight -3/2: stage 2 is not the closed form")
     c_s, h = formal_oscillator(graded)
     odd, zero = (transverse_symbols(graded[w]) for w in (Fraction(-1, 2), Fraction(0)))
     if set(odd) != {0}:
@@ -558,81 +560,6 @@ def conjugated_symbols():
     d, minus_h_s, *framed = _frame_formal([odd[0], minus_h_s, *zero.values()])
     shift = (SOperator({1: PolySymbol.constant(1), 0: -h}), SOperator({0: minus_h_s}))
     return c_s, d, _shift_ds(SOperator(dict(zip(zero, framed))), shift).ds_part(0)
-
-
-# ---------------------------------------------------------------------------
-# Stage 2 of the normal form: exp(i h^(1/2) Q), Q from the first homological equation
-# ---------------------------------------------------------------------------
-
-def entry_name(prefix, key):
-    """The indeterminate of entry (m, n) of Q, of the odd term d or of its means M."""
-    return f"{prefix}{key[0]}{key[1]}"
-
-
-def _ad_symbol(q_jet, op, weight, plus):
-    """weight * [Op(q), op] + plus for a D_s-free symbol q, in one result.
-
-    `q_jet` is (q, dq/ds, ...), up to the top D_s power of `op`.  The
-    D_s^k parts of op commute through the odd-only star commutator, and
-    moving D_s^k past Op(q) adds -C(k, l) (-i)^l b_k # d_s^l q at D_s^(k-l).
-    """
-    out = defaultdict(PolySymbol)
-    for k, b in op.terms.items():
-        star_commutator(q_jet[0], b, weight, out[k])
-        for l in range(1, k + 1):
-            star_product(b, q_jet[l], -weight * QQi(math.comb(k, l)) * _MINUS_I_POWERS[l % 4],
-                         out[k - l])
-    for k, sym in plus.terms.items():
-        out[k].add_scaled(sym)
-    return SOperator(out)
-
-
-def _ad_series(q_jet, ops, t):
-    """The weight t part of exp(-i ad_Q) applied to the graded operators:
-    B_t = sum_j (-i)^j / j! ad_Q^j(ops[t - j/2]), by Horner's rule from
-    the lowest weight up, B_w = ops[w] + (-i) / (2 (t - w) + 1)
-    ad_Q(B_(w - 1/2)); a weight with no operator still takes its step.
-    """
-    w = min(ops)
-    out = ops[w]
-    while w < t:
-        w += Fraction(1, 2)
-        out = _ad_symbol(q_jet, out, QQi(0, Fraction(-1, 2 * (t - w) + 1)),
-                         ops.get(w, SOperator()))
-    return out
-
-
-def _stage2_inputs():
-    """(q_jet, ops) of the ad-series: Q with dQ/ds = -(d - M)/c_s from the
-    first homological equation, and the operators it reads, c_s D_s at
-    weight -1 (h cancels its D_s-free part), d at -1/2 and D0 at 0.  The
-    entries of Q, d and M are indeterminates: the series never
-    differentiates d.  The unit at weight -2 commutes with Q."""
-    c_s, d, d0 = conjugated_symbols()
-    q, means, odd = (PolySymbol({key: JP.var(entry_name(prefix, key)) for key in d.coeffs})
-                     for prefix in "QMd")
-    q_s = (odd - means).map_coeffs(lambda v: v * (-ONE / c_s))
-    ops = {Fraction(-1): SOperator({1: PolySymbol.constant(JP.const(c_s))}),
-           Fraction(-1, 2): SOperator({0: odd}), Fraction(0): SOperator({0: d0})}
-    return (q, q_s), ops
-
-
-@lru_cache(maxsize=1)
-def order_zero_symbol():
-    """Stage 2 of the normal form in exact arithmetic, once per process:
-    (c_s, d, Z), Z the D_s-free weight 0 part after exp(i h^(1/2) Q): D0
-    plus terms linear in the entries of Q, each a constant times an entry
-    of Q and one of M or d (`entry_name`).  A term of degree 2 or more in
-    Q raises AssertionError.  Every caller shares the result; treat it as
-    read-only."""
-    c_s, d, _ = conjugated_symbols()
-    z = _ad_series(*_stage2_inputs(), Fraction(0)).ds_part(0)
-    q_names = {entry_name("Q", key) for key in d.coeffs}
-    for jp in z.coeffs.values():
-        for mono in jp.terms:
-            if sum(p for name, p in mono if name in q_names) > 1:
-                raise AssertionError(f"weight 0 term {mono} is not linear in Q")
-    return c_s, d, z
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +621,10 @@ def derive_normal_form_integrands():
     return {"z4": d0[2, 2], "z0": d0[0, 0]}
 
 
-# Verified against the conjugation engine (see tests): the first homological
+# Verified against the exact ad-series of the tests: the first homological
 # solution is Q(s) = FIRST_HOMOLOGICAL_FACTOR * int_0^s d, and the order-zero
-# commutator correction is COMMUTATOR_PREFACTOR * [d(s), int_0^s d].
+# commutator correction is COMMUTATOR_PREFACTOR * [d(s), int_0^s d], which is
+# -(i/2) [Q, d] with Q(0) = 0; the engine reads 2 * COMMUTATOR_PREFACTOR.
 FIRST_HOMOLOGICAL_FACTOR = QQi(Fraction(-1, 2))
 COMMUTATOR_PREFACTOR = QQi(0, Fraction(-1, 4))
 

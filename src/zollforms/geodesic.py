@@ -28,6 +28,7 @@ __all__ = [
 
 CLOSURE_TOL = 1e-4
 MIN_GRID = 256            # smallest sample grid
+MAX_GRID = 2**20          # largest sample grid: a 2-geodesic run at 2^20 peaks near 0.6 GB
 MIN_CLAIRAUT = 0.12       # sampled starts keep |Clairaut constant| above this
 
 
@@ -36,14 +37,14 @@ def trace_geodesic(metric, init, n=2048, enforce_closure=True):
 
     Samples the closed-form geodesic, its curvature jets and its Jacobi
     frame at n uniform Clairaut angles (`surface.flow`), with the closure
-    defect over one turn.  A grid that is no power of two >= MIN_GRID, a
-    tangent off unit length or a start with a NaN or infinite coordinate
-    raises ValueError.  With `enforce_closure`, a defect above
-    CLOSURE_TOL raises IntegrationError (metric not Zoll at this
-    tolerance).
+    defect over one turn.  A grid that is no power of two in [MIN_GRID,
+    MAX_GRID], a tangent off unit length or a start with a NaN or
+    infinite coordinate raises ValueError.  With `enforce_closure`, a
+    defect above CLOSURE_TOL raises IntegrationError (metric not Zoll at
+    this tolerance).
     """
-    if n < MIN_GRID or (n & (n - 1)) != 0:
-        raise ValueError(f"grid size must be a power of two >= {MIN_GRID}, got {n}")
+    if not MIN_GRID <= n <= MAX_GRID or (n & (n - 1)) != 0:
+        raise ValueError(f"grid size must be a power of two in [{MIN_GRID}, {MAX_GRID}], got {n}")
     p0, v0 = init
     if not abs(math.hypot(v0[0], v0[1]) - 1.0) <= 1e-10:   # NaN fails too
         raise ValueError("initial tangent must be unit length")

@@ -9,25 +9,31 @@ The pipeline conjugates the graded half-density Laplacian (from
      (equivalently z -> (Ybar + i Ybar')/2 z + (Y + i Y')/2 zbar), and on
      the tangential derivative by D_s -> D_s - Op(h), h the substituted
      transverse oscillator;
-  2. exp(i h^(1/2) Q) with Q solving the first homological equation,
-     applied as the operator ad-series.
+  2. exp(i h^(1/2) Q) with Q solving the first homological equation
+     dQ/ds = -(d - M)/c_s, d the odd term of weight -1/2 and M its means.
 
-Both stages are the same algebra on every geodesic, so they run once per
-process in exact arithmetic (`expansion.order_zero_symbol`).  What they
-leave at weight 0 is D0, the framed and shifted weight 0 part, plus
-terms linear in the entries Q_a of Q, each a constant times Q_a and a
-mean M_b of the odd term d or an entry d_b of it.  A geodesic only evaluates,
+Stage 1 is the same algebra on every geodesic, so it runs once per
+process in exact arithmetic (`expansion.conjugated_symbols`): it gives d
+and D0, the framed and shifted D_s-free part of weight 0.  Stage 2 then
+leaves at weight 0 exactly
+
+    Z = D0 - (i/2) [Q, d + M],
+
+the star commutator of Q with d + M: in the series exp(-i ad_Q) the
+weight -1 operator c_s D_s turns ad_Q^2 into a commutator with dQ/ds,
+and no operator sits at weight -3/2.  A geodesic only evaluates,
 integrates and averages: it evaluates d and D0 on its jets and frame,
 takes Q from the homological equation (one antiderivative per conjugate
-pair of d), and sums the means of D0, Q_a and Q_a d_b with the exact
-coefficients.  Means and antiderivatives are the path's
-(`surface.GeodesicPath`).  The closed-form route (`d_half`,
-`d_zero_restricted` + `commutator_double_integral`) is the independent
-cross-check of this engine and lives with the tests (`tests/oracles.py`).
+pair of d), and adds to the mean of D0, per pair (a, b) of entries of d,
+the exact commutator weights of z^a and z^b times <Q_a d_b> + <Q_a> M_b.
+Means and antiderivatives are the path's (`surface.GeodesicPath`).  Two
+independent routes check this engine and live with the tests
+(`tests/oracles.py`): the closed form on the samples (`d_half`,
+`d_zero_restricted` + `commutator_double_integral`), and the exact
+ad-series, which derives Z without assuming its form.
 """
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +42,7 @@ import numpy as np
 from . import expansion as _exp
 from .geodesic import trace_geodesic
 from .jacobi import solve_fundamental
-from .weyl import PolySymbol, diagonal_part
+from .weyl import PolySymbol, diagonal_part, star_commutator
 
 __all__ = [
     "InvariantRecord",
@@ -143,29 +149,24 @@ def _evaluate(plan, values):
 
 @lru_cache(maxsize=1)
 def _symbols():
-    """`expansion.order_zero_symbol` with its evaluation plan, once per
-    process: (c_s as a float, plan of d and D0, products, q_terms).
+    """Stage 1 with its evaluation plan, and the weights of stage 2's closed
+    form, once per process: (c_s as a float, plan of d and D0, pairs).
 
-    `products` are the distinct products Q_a d_b or Q_a, as names, whose
-    means the terms of Z in Q read; q_terms holds each such term as
-    (key, coefficient, names of its factors M_b, index into `products`).
-    The rest of Z is D0.  Every caller shares the result; treat it as
-    read-only.
+    pairs holds, per pair (a, b) of keys of d whose unit monomials do not
+    commute, (a, b, weights): the entries (key, w) of
+    -(i/2) [z^a, z^b], each an exact weight taken to a complex number.
+    The pair adds w (<Q_a d_b> + <Q_a> M_b) to entry `key` of the mean of
+    Z.  Every caller shares the result; treat it as read-only.
     """
-    c_s, d, z = _exp.order_zero_symbol()
-    q_names, m_names = ({_exp.entry_name(p, key) for key in d.coeffs} for p in "QM")
-    free, products, q_terms = defaultdict(dict), {}, []
-    for key, jp in z.coeffs.items():
-        for mono, c in jp.terms.items():
-            if not q_names.intersection(name for name, _ in mono):
-                free[key][mono] = c
-                continue
-            names = [name for name, p in mono for _ in range(p)]
-            fields = tuple(name for name in names if name not in m_names)
-            means = tuple(name for name in names if name in m_names)
-            q_terms.append((key, complex(c), means, products.setdefault(fields, len(products))))
-    d0 = PolySymbol({key: _exp.JetPolynomial(terms) for key, terms in free.items()})
-    return float(c_s.re), _plan([d, d0]), tuple(products), tuple(q_terms)
+    c_s, d, d0 = _exp.conjugated_symbols()
+    weight = 2 * _exp.COMMUTATOR_PREFACTOR   # -i/2
+    pairs = []
+    for a in d.coeffs:
+        for b in d.coeffs:
+            comm = star_commutator(PolySymbol({a: 1}), PolySymbol({b: 1}), weight)
+            if comm.coeffs:
+                pairs.append((a, b, tuple((key, complex(w)) for key, w in comm.items())))
+    return float(c_s.re), _plan([d, d0]), tuple(pairs)
 
 
 def frame_conjugated(path, frame):
@@ -181,40 +182,40 @@ def solve_first_homological(path, d, c_s=2.0):
     (the Zoll first obstruction); a mean above MEAN_TOL, or a NaN mean,
     raises FirstObstructionError with the offending entry.  The means
     below it are taken out before the antiderivative, so Q is periodic.
-    Returns ((Q, dQ/ds), means of d as a scalar PolySymbol).  The engine's
-    d is a real symbol, so where d[n,m] = conj d[m,n] bit for bit,
-    Q[n,m] = conj Q[m,n] takes no antiderivative of its own.
+    Returns (Q, means of d as a scalar PolySymbol).  The engine's d is a
+    real symbol, so where d[n,m] = conj d[m,n] bit for bit, Q[n,m] =
+    conj Q[m,n] takes no antiderivative of its own.
     """
     means = {k: path.mean(v) for k, v in d.coeffs.items()}
     for k, m in sorted(means.items(), key=lambda kv: -abs(kv[1])):
         if not abs(m) <= MEAN_TOL:
             raise FirstObstructionError(k, complex(m))
-    q_s = PolySymbol({k: (v - means[k]) * (-1.0 / c_s) for k, v in d.coeffs.items()})
     q = {}
-    for (m, n), v in sorted(q_s.coeffs.items()):
+    for (m, n), v in sorted(d.coeffs.items()):
         paired = (n, m) in q and np.array_equal(d[m, n], np.conj(d[n, m]))
-        q[m, n] = np.conj(q[n, m]) if paired else path.antiderivative(v)
-    return (PolySymbol(q), q_s), PolySymbol({k: complex(m) for k, m in means.items()})
+        q[m, n] = (np.conj(q[n, m]) if paired
+                   else path.antiderivative((v - means[m, n]) * (-1.0 / c_s)))
+    return PolySymbol(q), PolySymbol({k: complex(m) for k, m in means.items()})
 
 
 def conjugated_order_zero(path, frame):
     """The engine route: (the mean of the order-zero, D_s-free symbol
     after both conjugations as a scalar PolySymbol, first_obstruction_max).
 
-    Per entry, the mean of D0 plus each term in Q of `_symbols`: its
-    coefficient times its means of d times the mean of Q_a d_b or Q_a.
+    The mean of Z = D0 - (i/2) [Q, d + M]: the mean of D0 plus, per pair
+    of `_symbols`, its weights times <Q_a d_b> + <Q_a> M_b.
     first_obstruction_max is the largest |mean| of the odd term, all that
     the conjugation leaves at weight -1/2.
     """
-    c_s, _, products, q_terms = _symbols()
+    c_s, _, pairs = _symbols()
     d, d0 = frame_conjugated(path, frame)
-    (q, _), means = solve_first_homological(path, d, c_s=c_s)
-    values = {_exp.entry_name(prefix, key): sym[key]
-              for prefix, sym in (("Q", q), ("d", d), ("M", means)) for key in d.coeffs}
-    product_means = [path.mean(*(values[name] for name in names)) for names in products]
+    q, means = solve_first_homological(path, d, c_s=c_s)
+    q_means = {a: path.mean(v) for a, v in q.coeffs.items()}
     sums = dict(field_mean(path, d0).coeffs)
-    for key, c, names, i in q_terms:
-        sums[key] = sums.get(key, 0.0) + c * math.prod(values[n] for n in names) * product_means[i]
+    for a, b, weights in pairs:
+        mean = path.mean(q[a], d[b]) + q_means[a] * means[b]
+        for key, w in weights:
+            sums[key] = sums.get(key, 0.0) + w * mean
     return PolySymbol(sums), max((abs(m) for m in means.coeffs.values()), default=0.0)
 
 

@@ -21,13 +21,13 @@ arrays (periodic coefficient functions), or jet polynomials all work.
 `star_product` and `star_commutator` run one kernel: one coefficient
 product per monomial pair, added with the cached constants sum_j w_j P_j
 into an accumulator symbol the caller may pass.  A sample array is a
-value: no operation writes one, so a sum makes a new array and
-`add_scaled` at factor 1 shares its operand's array.  The term-by-term
-transvectant, the definition the kernel is tested against, lives with
-the tests.  In the package every star product and substitution runs on
-exact symbols, in the two stages of the normal form that `expansion`
-derives once per process; the tests' oracles run them on sampled
-symbols too.
+value: no operation writes one, so a sum makes a new array.  The
+term-by-term transvectant, the definition the kernel is tested against,
+lives with the tests.  In the package every star product and
+substitution runs on exact symbols, once per process: in stage 1 of the
+normal form, which `expansion` derives, and in the commutators of unit
+monomials whose weights the engine (`normalform`) reads for stage 2.
+The tests' oracles run them on sampled symbols too.
 """
 
 import math
@@ -119,12 +119,6 @@ class PolySymbol:
 
     def scale(self, factor):
         return PolySymbol({k: factor * v for k, v in self.coeffs.items()})
-
-    def add_scaled(self, other, factor=1):
-        """self += factor * other, into this symbol's table; returns self."""
-        for key, v in other.coeffs.items():
-            _accumulate(self.coeffs, key, _scale(v, factor))
-        return self
 
     def __mul__(self, other):
         """The plain product of two symbols (P_0), or a scalar multiple."""

@@ -31,13 +31,19 @@ differentiated by central stencils, checks that formula
 `surface_integral_of_curvature` is the Gauss-Bonnet check of the
 curvature formula.
 
-The order-zero normal form symbol has the same kind of second route:
-the closed form `d_zero_restricted` of the frame-conjugated metric terms
-plus `commutator_double_integral` of the odd term `d_half`, written out
-by hand where the engine (`zollforms.normalform.conjugated_order_zero`)
-evaluates what generic exact operator algebra derives once per process
-(`zollforms.expansion.order_zero_symbol`).  It also substitutes the frame its own
-way: `graded_symbols` writes the Weyl symbols in (z, zbar) as star
+The order-zero normal form symbol has two more routes.  The closed form
+`d_zero_restricted` of the frame-conjugated metric terms plus
+`commutator_double_integral` of the odd term `d_half` is written out by
+hand on the samples, where the engine
+(`zollforms.normalform.conjugated_order_zero`) evaluates the exact stage
+1 (`zollforms.expansion.conjugated_symbols`) and the closed form
+D0 - (i/2)[Q, d + M] of stage 2.  `ad_series` derives stage 2 without
+that closed form: the series exp(-i ad_Q) over the exact stage 1
+operators (`stage2_inputs`), by Horner's rule, with the entries of Q, of
+the odd term d and of its means M as indeterminates (`entry_name`);
+`ad_symbol` is one of its steps and `order_zero_by_ad_series` its weight
+0 result.  The closed form also substitutes the frame its own way:
+`graded_symbols` writes the Weyl symbols in (z, zbar) as star
 products of the pure symbols of y and eta, `graded_zzbar` samples them
 as complex arrays, and `metaplectic_substitute` maps z and zbar, where
 the package reads its symbols in (y, eta) off the operators' keys
@@ -295,6 +301,66 @@ def d_zero_restricted(frame):
         else:
             raise AssertionError(f"unexpected D_s power {k} at weight 0")
     return out
+
+
+def entry_name(prefix, key):
+    """The indeterminate of entry (m, n) of Q, of the odd term d or of its means M."""
+    return f"{prefix}{key[0]}{key[1]}"
+
+
+def ad_symbol(q_jet, op, weight=expansion.QQi(1), plus=None):
+    """weight * [Op(q), op] + plus for a D_s-free symbol q, as an SOperator.
+
+    `q_jet` is (q, dq/ds, ...), up to the top D_s power of `op`.  The
+    D_s^k parts of op commute through the odd-only star commutator, and
+    moving D_s^k past Op(q) adds -C(k, l) (-i)^l b_k # d_s^l q at D_s^(k-l).
+    """
+    QQi, minus_i_powers = expansion.QQi, expansion._MINUS_I_POWERS
+    out = {}
+    for k, b in op.terms.items():
+        star_commutator(q_jet[0], b, weight, out.setdefault(k, PolySymbol()))
+        for l in range(1, k + 1):
+            star_product(b, q_jet[l], -weight * QQi(math.comb(k, l)) * minus_i_powers[l % 4],
+                         out.setdefault(k - l, PolySymbol()))
+    return expansion.SOperator(out) + (plus or expansion.SOperator())
+
+
+def ad_series(q_jet, ops, t):
+    """The weight t part of exp(-i ad_Q) applied to the graded operators:
+    B_t = sum_j (-i)^j / j! ad_Q^j(ops[t - j/2]), by Horner's rule from
+    the lowest weight up, B_w = ops[w] + (-i) / (2 (t - w) + 1)
+    ad_Q(B_(w - 1/2)); a weight with no operator still takes its step.
+    """
+    w = min(ops)
+    out = ops[w]
+    while w < t:
+        w += Fraction(1, 2)
+        out = ad_symbol(q_jet, out, expansion.QQi(0, Fraction(-1, 2 * (t - w) + 1)),
+                        ops.get(w, expansion.SOperator()))
+    return out
+
+
+def stage2_inputs():
+    """(q_jet, ops) of the ad-series: Q with dQ/ds = -(d - M)/c_s from the
+    first homological equation, and the exact stage 1 operators it reads,
+    c_s D_s at weight -1 (h cancels its D_s-free part), d at -1/2 and D0
+    at 0.  The entries of Q, d and M are indeterminates: the series never
+    differentiates d.  The unit at weight -2 commutes with Q."""
+    JP, SOperator = expansion.JetPolynomial, expansion.SOperator
+    c_s, d, d0 = expansion.conjugated_symbols()
+    q, means, odd = (PolySymbol({key: JP.var(entry_name(prefix, key)) for key in d.coeffs})
+                     for prefix in "QMd")
+    q_s = (odd - means).map_coeffs(lambda v: v * (-expansion.QQi(1) / c_s))
+    ops = {Fraction(-1): SOperator({1: PolySymbol.constant(JP.const(c_s))}),
+           Fraction(-1, 2): SOperator({0: odd}), Fraction(0): SOperator({0: d0})}
+    return (q, q_s), ops
+
+
+@functools.lru_cache(maxsize=1)
+def order_zero_by_ad_series():
+    """The D_s-free weight 0 part of the ad-series, derived once per test
+    process; treat it as read-only."""
+    return ad_series(*stage2_inputs(), Fraction(0)).ds_part(0)
 
 
 def rotate_tangent(v, angle):

@@ -52,9 +52,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus"):
             RunConfig.load(str(bad), {})
 
-    def test_bad_grid_rejected(self):
-        with pytest.raises(ConfigError, match="grid"):
-            RunConfig.load(None, {"grid": 1000})
+    def test_bad_grid_rejected(self, monkeypatch, capsys):
+        """A grid that is no power of two, or one above MAX_GRID = 2^20, is a
+        config error (exit 2) before any sample is allocated."""
+        monkeypatch.setattr(surface, "flow", lambda *args: pytest.fail("a geodesic was traced"))
+        for grid in (1000, 2**21):
+            with pytest.raises(ConfigError, match="grid"):
+                RunConfig.load(None, {"grid": grid})
+        assert main(["invariants", "--metric", "round", "--geodesics", "1",
+                     "--grid", str(2**21)]) == EXIT_CONFIG_ERROR
+        assert "grid must be a power of two in [256, 1048576]" in capsys.readouterr().err
 
     def test_metric_specs(self):
         m = metric_from_spec({"kind": "round"})
@@ -104,8 +111,9 @@ class TestConfig:
         assert parse_metric_flag("round") == {"kind": "round"}
         assert parse_metric_flag("zoll:-0.3,0.3") == {
             "kind": "zoll_revolution", "h_odd_coeffs": [-0.3, 0.3]}
-        with pytest.raises(ConfigError):
-            parse_metric_flag("torus")
+        for bad in ("torus", "zoll:0.5,,0.3", "zoll:-0.3,0.3,"):
+            with pytest.raises(ConfigError):
+                parse_metric_flag(bad)
 
 
 class TestConstantsCommand:

@@ -297,19 +297,21 @@ class TestDerivedConstants:
 
 
 class TestExactStage2:
-    """Stage 2, exp(i h^(1/2) Q), in exact arithmetic: the ad-series over the
-    stage 1 operators with the entries of Q, of the odd term d and of its
-    means M as indeterminates."""
+    """Stage 2, exp(i h^(1/2) Q), in exact arithmetic: the oracle's
+    ad-series over the stage 1 operators, with the entries of Q, of the odd
+    term d and of its means M as indeterminates, against the closed form
+    the engine evaluates."""
 
     def test_weight_minus_half_is_the_means(self):
         """What the conjugation leaves at weight -1/2 is exactly M: the
         oscillating part of d cancels identically, so no residual is left
         to report beside the first obstruction."""
-        from zollforms.expansion import SOperator, _ad_series, _stage2_inputs, entry_name
+        from oracles import ad_series, entry_name, stage2_inputs
+        from zollforms.expansion import SOperator
         from zollforms.weyl import PolySymbol
 
-        q_jet, ops = _stage2_inputs()
-        got = _ad_series(q_jet, ops, Fraction(-1, 2))
+        q_jet, ops = stage2_inputs()
+        got = ad_series(q_jet, ops, Fraction(-1, 2))
         keys = ((3, 0), (2, 1), (1, 2), (0, 3))
         want = SOperator({0: PolySymbol({k: JP.var(entry_name("M", k)) for k in keys})})
         assert {k: sym.coeffs for k, sym in got.terms.items()} == \
@@ -320,13 +322,12 @@ class TestExactStage2:
         times one M_b or d_b: 69 terms in 9 entries.  They are
         -(i/2) [Q, d + M], the commutator weight of the closed-form route,
         and the Q-free part is D0 itself."""
-        from zollforms.expansion import (COMMUTATOR_PREFACTOR, _stage2_inputs,
-                                         conjugated_symbols, entry_name, order_zero_symbol)
+        from oracles import entry_name, order_zero_by_ad_series, stage2_inputs
+        from zollforms.expansion import COMMUTATOR_PREFACTOR, conjugated_symbols
         from zollforms.weyl import PolySymbol, star_commutator
 
         c_s, d, d0 = conjugated_symbols()
-        c_s2, d2, z = order_zero_symbol()
-        assert (c_s2, d2) == (c_s, d)
+        z = order_zero_by_ad_series()
         assert complex(c_s) == 2.0
         assert len(z.coeffs) == 9 and set(z.coeffs) == set(d0.coeffs)
         assert sum(len(jp.terms) for jp in z.coeffs.values()) == 69
@@ -344,26 +345,46 @@ class TestExactStage2:
                 linear += 1
         assert linear == 32
 
-        (q, _), ops = _stage2_inputs()
+        (q, _), ops = stage2_inputs()
         odd = ops[Fraction(-1, 2)].ds_part(0)
         means = PolySymbol({k: JP.var(entry_name("M", k)) for k in d.coeffs})
         want = star_commutator(q, odd + means, COMMUTATOR_PREFACTOR * QQi(2),
                                PolySymbol(dict(d0.coeffs)))
         assert want.coeffs == z.coeffs
 
-    def test_a_term_quadratic_in_q_raises(self, monkeypatch):
-        """A graded operator at weight -3/2 that does not commute with Q
-        would give ad_Q^2 terms at weight 0; the derivation refuses them."""
+    def test_engine_weights_are_the_ad_series_terms(self):
+        """The engine's table of stage 2, per pair (a, b) of entries of d
+        and key, the weight of <Q_a d_b> + <Q_a> M_b, is the coefficient of
+        Q_a d_b and of Q_a M_b in the ad-series at weight 0: 16 (pair, key)
+        terms, and no other term in Q."""
+        from oracles import entry_name, order_zero_by_ad_series
+        from zollforms import normalform
+
+        _, _, pairs = normalform._symbols()
+        table = {(key, a, b): w for a, b, weights in pairs for key, w in weights}
+        assert len(table) == 16
+        z = order_zero_by_ad_series()
+        keys = ((3, 0), (2, 1), (1, 2), (0, 3))
+        for prefix in "dM":
+            got = {}
+            for key, jp in z.coeffs.items():
+                for mono, c in jp.terms.items():
+                    names = dict(mono)
+                    a = [k for k in keys if entry_name("Q", k) in names]
+                    b = [k for k in keys if entry_name(prefix, k) in names]
+                    if a and b:
+                        got[key, *a, *b] = complex(c)
+            assert got == table, prefix
+
+    def test_a_graded_term_at_weight_minus_three_halves_raises(self, monkeypatch):
+        """The closed form of stage 2 holds only with no graded operator at
+        weight -3/2, which would add its ad_Q^j at weights -1, -1/2 and 0:
+        stage 1 refuses to derive the symbols the closed form reads."""
         from zollforms import expansion
-        from zollforms.weyl import PolySymbol
 
-        real = expansion._stage2_inputs
-
-        def with_cubic_below(*args):
-            q_jet, ops = real()
-            cubic = PolySymbol({(3, 0): TAU_NU, (0, 3): TAU_NU})
-            return q_jet, {**ops, Fraction(-3, 2): expansion.SOperator({0: cubic})}
-
-        monkeypatch.setattr(expansion, "_stage2_inputs", with_cubic_below)
-        with pytest.raises(AssertionError, match="not linear in Q"):
-            expansion.order_zero_symbol.__wrapped__()
+        graded = expansion.graded_laplacian()
+        cubic = FormalOperator({(3, 0, 0): TAU_NU})
+        monkeypatch.setattr(expansion, "graded_laplacian",
+                            lambda: {**graded, Fraction(-3, 2): cubic})
+        with pytest.raises(AssertionError, match="weight -3/2"):
+            expansion.conjugated_symbols.__wrapped__()

@@ -57,11 +57,13 @@ class TestTracing:
         assert nonzoll_path.closure_defect >= 0.1 * math.pi * (1.0 - c * c) - 1e-12
         assert nonzoll_path.closure_defect > 1e-2
 
-    def test_grid_validation(self, round_metric, equator_ic):
-        with pytest.raises(ValueError):
-            trace_geodesic(round_metric, equator_ic, 1000)
-        with pytest.raises(ValueError):
-            trace_geodesic(round_metric, equator_ic, 128)
+    def test_grid_validation(self, round_metric, equator_ic, monkeypatch):
+        """No power of two, or one outside [MIN_GRID, MAX_GRID], raises
+        before the flow allocates a sample."""
+        monkeypatch.setattr(surface, "flow", lambda *args: pytest.fail("the flow ran"))
+        for n in (1000, 128, 2**21):
+            with pytest.raises(ValueError, match="power of two"):
+                trace_geodesic(round_metric, equator_ic, n)
 
     @pytest.mark.parametrize("start", [
         ((math.pi / 2, 0.0), (math.nan, 0.0)), ((math.pi / 2, 0.0), (0.0, math.nan)),

@@ -150,7 +150,14 @@ def test_a_helper_left_without_a_caller_is_caught():
 
 
 def test_exports_resolve():
-    _, trees = public_names()
+    """Every `__all__` entry is defined in its module, and every `_EXPORTS`
+    key is the package attribute of its module's name: a name deleted from
+    a module but left in its `__all__` fails here, where the user test
+    would still count a README mention of it."""
+    names, trees = public_names()
+    missing = [f"{mod}.{name}" for mod, name in names
+               if not hasattr(importlib.import_module(f"zollforms.{mod}"), name)]
+    assert not missing, f"public names that do not resolve: {missing}"
     for name, mod in _literal(trees["__init__"], "_EXPORTS").items():
         assert getattr(zollforms, name) is getattr(importlib.import_module(f"zollforms.{mod}"), name)
 

@@ -38,8 +38,9 @@ def assert_frame_cancels():
     the scaling by 1/c_s exact: in exact arithmetic the framed weight -1
     operator has D_s part c_s and D_s-free part c_s h, so the weight -1
     operator that stage 2 reads is exactly c_s D_s."""
-    from zollforms.expansion import (JetPolynomial, _frame_formal, _stage2_inputs,
-                                     formal_oscillator, graded_laplacian, transverse_symbols)
+    from oracles import stage2_inputs
+    from zollforms.expansion import (JetPolynomial, _frame_formal, formal_oscillator,
+                                     graded_laplacian, transverse_symbols)
 
     graded = graded_laplacian()
     exact_c_s, h = formal_oscillator(graded)
@@ -49,7 +50,7 @@ def assert_frame_cancels():
     assert ds_part.coeffs == {(0, 0): JetPolynomial.const(exact_c_s)}
     assert free.coeffs == h.map_coeffs(lambda v: v * exact_c_s).coeffs
     assert complex(exact_c_s) == 2.0
-    _, ops = _stage2_inputs()
+    _, ops = stage2_inputs()
     assert {k: sym.coeffs for k, sym in ops[Fraction(-1)].terms.items()} == {
         1: {(0, 0): JetPolynomial.const(exact_c_s)}}
 
@@ -174,7 +175,7 @@ class TestDHalf:
 class TestFirstHomological:
     def test_zero_input(self, cubic_frame):
         path = cubic_frame.path
-        (q, _), means = solve_first_homological(
+        q, means = solve_first_homological(
             path, PolySymbol({(3, 0): np.zeros(path.n, dtype=complex)}))
         assert not means.coeffs
         assert np.max(np.abs(q[(3, 0)])) == 0.0
@@ -183,12 +184,12 @@ class TestFirstHomological:
         """On the round equator, where f = 1 and the samples are uniform in s."""
         s = round_path.s
         d = PolySymbol({(2, 1): np.exp(1j * s)})
-        (q, _), _ = solve_first_homological(round_path, d, c_s=2.0)
+        q, _ = solve_first_homological(round_path, d, c_s=2.0)
         expected = -0.5 * (np.exp(1j * s) - 1.0) / 1j
         assert np.max(np.abs(q[(2, 1)] - expected)) < 1e-12
 
     def test_periodicity(self, cubic_frame):
-        (q, _), _ = solve_first_homological(cubic_frame.path, d_half(cubic_frame))
+        q, _ = solve_first_homological(cubic_frame.path, d_half(cubic_frame))
         for v in q.coeffs.values():
             # spectral antiderivative of numerically mean-free data is periodic
             assert abs(v[0]) < 1e-12
@@ -196,15 +197,16 @@ class TestFirstHomological:
     def test_small_mean_keeps_q_periodic(self, round_path):
         """A mean between the antiderivative's zeroing threshold (1e-10 of
         max |d|) and MEAN_TOL passes the gate and is reported, and Q stays
-        periodic with dQ/ds its derivative (the FFT oracle)."""
+        periodic with its FFT derivative -(d - M)/c_s."""
         s = round_path.s
         d = PolySymbol({(3, 0): np.cos(s) + 1e-8, (2, 1): np.exp(2j * s) - 3e-9j})
-        (q, q_s), means = solve_first_homological(round_path, d, c_s=2.0)
+        q, means = solve_first_homological(round_path, d, c_s=2.0)
         assert abs(means[(3, 0)] - 1e-8) <= 1e-15 and abs(means[(2, 1)] + 3e-9j) <= 1e-15
         fft = q.map_coeffs(lambda v: ds(round_path, v))
         for key in d.coeffs:
             assert abs(q[key][0]) == 0.0
-            assert np.max(np.abs(q_s[key] - fft[key])) <= 1e-13, key
+            q_s = -(d[key] - means[key]) / 2.0
+            assert np.max(np.abs(q_s - fft[key])) <= 1e-13, key
         assert np.max(np.abs(q[(3, 0)] + 0.5 * np.sin(s))) <= 1e-13
 
     def test_obstruction_error(self, cubic_path):
@@ -232,7 +234,7 @@ class TestFirstHomological:
         for name, ic in cli._initial_conditions(cfg):
             path = trace_geodesic(cfg.metric_model, ic, cfg.grid)
             d, _ = frame_conjugated(path, solve_fundamental(path))
-            (q, _), _ = solve_first_homological(path, d)
+            q, _ = solve_first_homological(path, d)
             assert set(q.coeffs) == set(d.coeffs)
             for m, n in d.coeffs:
                 assert np.array_equal(d[m, n], np.conj(d[n, m])), (spec, name)
@@ -256,10 +258,10 @@ class TestFirstHomological:
                             lambda v: calls.append(v) or real(v))
         for entries, want_calls in ((skewed, 4), (hermitian, 2)):
             calls.clear()
-            (q, q_s), _ = solve_first_homological(cubic_path, PolySymbol(entries))
+            q, means = solve_first_homological(cubic_path, PolySymbol(entries))
             assert len(calls) == want_calls
-            for key, v in q_s.coeffs.items():
-                own = real(v * cubic_path.weight)
+            for key, v in entries.items():
+                own = real((v - means[key]) * (-1.0 / 2.0) * cubic_path.weight)
                 if want_calls == 4:
                     assert np.array_equal(q[key], own), key
                 else:
@@ -555,8 +557,9 @@ class TestSOperatorCommutator:
     def test_ds_free_left_equals_compose_difference(self):
         """[Op(a), B] through the odd-only star commutator plus the d_s^l a
         terms equals Op(a) o B - B o Op(a), exactly, for B with D_s^0..D_s^2
-        parts."""
-        from zollforms.expansion import QQi, _ad_symbol
+        parts: the oracle's step of the ad-series."""
+        from oracles import ad_symbol
+        from zollforms.expansion import QQi
 
         rng = np.random.default_rng(21)
         q = _exact_symbol(rng, (3,))
@@ -565,7 +568,7 @@ class TestSOperatorCommutator:
         b = SOperator({k: _exact_symbol(rng) for k in range(3)})
         ab, ba = a.compose([b]), b.compose([SOperator({0: d}) for d in q_jet])
         for weight in (QQi(1), QQi(0, Fraction(-1, 2))):
-            got = _ad_symbol(q_jet, b, weight, SOperator())
+            got = ad_symbol(q_jet, b, weight)
             ref = SOperator({k: (ab.ds_part(k) - ba.ds_part(k)).map_coeffs(lambda v: v * weight)
                              for k in set(ab.terms) | set(ba.terms)})
             _assert_operators_equal(got, ref)
@@ -573,14 +576,16 @@ class TestSOperatorCommutator:
 
 class TestHornerRule:
     """Both conjugation series, by Horner's rule, against their term-by-term
-    sums, in exact arithmetic."""
+    sums, in exact arithmetic: the shift of stage 1, and the oracle's
+    ad-series of stage 2."""
 
     def test_ad_series_equals_term_by_term(self):
         """B_t = sum_j (-i)^j / j! ad_Q^j(ops[t - j/2]) for t = -1/2 and 0,
         on operators at every weight from -2 to 0 with D_s parts, so the
         j = 3 and 4 factors, which the engine never meets, are exercised;
         and again without weight -3/2, which must still take its step."""
-        from zollforms.expansion import QQi, _MINUS_I_POWERS, _ad_series, _ad_symbol
+        from oracles import ad_series, ad_symbol
+        from zollforms.expansion import QQi, _MINUS_I_POWERS
 
         rng = np.random.default_rng(23)
         q_jet = _jet(_exact_symbol(rng, (3,)), 1)
@@ -601,11 +606,11 @@ class TestHornerRule:
                 for j in range(int(2 * (t + 2)) + 1):
                     term = ops.get(t - j * half, SOperator())
                     for _ in range(j):
-                        term = _ad_symbol(q_jet, term, QQi(1), SOperator())
+                        term = ad_symbol(q_jet, term)
                     factor = _MINUS_I_POWERS[j % 4] * QQi(Fraction(1, math.factorial(j)))
                     ref = ref + SOperator({k: sym.map_coeffs(lambda v: v * factor)
                                            for k, sym in term.terms.items()})
-                _assert_operators_equal(_ad_series(q_jet, ops, t), ref)
+                _assert_operators_equal(ad_series(q_jet, ops, t), ref)
 
     def test_shift_equals_sum_of_powers(self):
         """Horner's X <- X o S + Op(a_k) equals sum_k Op(a_k) S^k, with the
@@ -663,9 +668,8 @@ class TestEvaluate:
         from oracles import substitute
         from zollforms import expansion, normalform
 
-        _, d, _ = expansion.order_zero_symbol()
-        _, _, d0 = expansion.conjugated_symbols()
-        _, plan, _, _ = normalform._symbols()
+        _, d, d0 = expansion.conjugated_symbols()
+        _, plan, _ = normalform._symbols()
         steps, _ = plan
         assert (len(d.coeffs), len(d0.coeffs)) == (4, 9)
         assert [sum(len(jp.terms) for jp in sym.coeffs.values()) for sym in (d, d0)] == [4, 37]
@@ -718,8 +722,9 @@ class TestEvaluate:
 
     def test_built_once_per_process(self, cubic_path, cubic_frame, round_path, round_frame):
         """The plan is built once; and from cold caches, the constants table
-        and one geodesic through the engine derive each exact stage once,
-        the table's integrand being the engine's own |z|^4 entry of D0."""
+        and one geodesic through the engine derive the exact stage 1 and the
+        engine's table once, the table's integrand being the engine's own
+        |z|^4 entry of D0."""
         from zollforms import expansion, normalform
 
         frame_conjugated(cubic_path, cubic_frame)
@@ -730,13 +735,12 @@ class TestEvaluate:
         assert (after.misses, after.currsize) == (before.misses, 1)
         assert after.hits == before.hits + 3
 
-        for cached in (expansion.conjugated_symbols, expansion.order_zero_symbol,
-                       normalform._symbols):
+        for cached in (expansion.conjugated_symbols, normalform._symbols):
             cached.cache_clear()
         expansion.constants_report()
         assemble_p1(cubic_path.metric, cubic_path.init, cubic_path.n,
                     path=cubic_path, frame=cubic_frame)
-        for cached in (expansion.conjugated_symbols, expansion.order_zero_symbol):
+        for cached in (expansion.conjugated_symbols, normalform._symbols):
             info = cached.cache_info()
             assert (info.misses, info.currsize) == (1, 1)
         _, _, d0 = expansion.conjugated_symbols()
@@ -746,9 +750,9 @@ class TestEvaluate:
 class TestSubstitutionCount:
     def test_each_monomial_substituted_once(self, cubic_path, cubic_frame, monkeypatch):
         """The frame image of each (y, eta) monomial is built once per
-        process, in the exact stage 1, and the ad-series runs once per
-        process too, so an engine call forms no symbol product and no star
-        product or commutator."""
+        process, in the exact stage 1, and the commutator weights of stage
+        2 are taken once per process too, so an engine call forms no symbol
+        product and no star product or commutator."""
         from collections import Counter
         from oracles import degree
         from zollforms import weyl
@@ -772,9 +776,9 @@ class TestSubstitutionCount:
         form and dQ/ds comes from the homological equation.  It takes 2
         antiderivatives (Q, one per conjugate pair of the odd term) and
         29 means along the path: 4 of the odd term, 9 of the entries of
-        D0, and 16 of the products Q_a d_b and Q_a the exact symbol reads.
-        It forms no star product or commutator: both series run once per
-        process, in exact arithmetic."""
+        D0, and 16 of the products Q_a d_b and Q_a the closed form reads.
+        It forms no star product or commutator: stage 1 and the commutator
+        weights of stage 2 are taken once per process, in exact arithmetic."""
         from collections import Counter
         from zollforms import fourier, normalform, surface, weyl
 
@@ -872,14 +876,15 @@ class TestRealTransverseBasis:
     @pytest.mark.parametrize("profile", ["cubic", "linear"])
     def test_q_s_is_the_derivative_of_q(self, cubic_metric, linear_metric, generic_ic,
                                         profile, n):
-        """dQ/ds from the homological equation equals the FFT derivative of
-        Q, (1/f) d/d(theta), to 1e-10 relative on Zoll frames; the FFT's own
-        roundoff is about 1e-11 at N = 32768."""
+        """dQ/ds = -(d - M)/c_s of the homological equation equals the FFT
+        derivative of Q, (1/f) d/d(theta), to 1e-10 relative on Zoll frames;
+        the FFT's own roundoff is about 1e-11 at N = 32768."""
         metric = {"cubic": cubic_metric, "linear": linear_metric}[profile]
         path = trace_geodesic(metric, generic_ic, n)
         frame = solve_fundamental(path)
         d, _ = frame_conjugated(path, frame)
-        (q, q_s), _ = solve_first_homological(path, d)
+        q, means = solve_first_homological(path, d)
+        q_s = PolySymbol({k: -(v - means[k]) / 2.0 for k, v in d.coeffs.items()})
         fft = q.map_coeffs(lambda v: ds(path, v))
         assert set(q_s.coeffs) == set(fft.coeffs)
         scale = max(float(np.max(np.abs(v))) for v in q_s.coeffs.values())

@@ -269,7 +269,7 @@ class TestFusedKernel:
 
 
 class TestAccumulator:
-    """star_product, star_commutator, add_scaled and substitute_linear add
+    """star_product, star_commutator and substitute_linear add
     into their results' tables, and never write an array: not an operand's,
     and not one a result holds."""
 
@@ -287,10 +287,12 @@ class TestAccumulator:
         rng = np.random.default_rng(500)
         a, b = random_field_symbol(rng, max_degree=2), random_field_symbol(rng, max_degree=2)
         shots = self.snapshot(a, b)
-        acc = star_product(PolySymbol.constant(1), a)
+        unit = PolySymbol.constant(1)
+        acc = star_product(unit, a)
         held = []   # (an array the accumulator held, its value then)
         for step in (lambda: star_product(a, b, 0.5, acc), lambda: star_commutator(b, a, 2.0, acc),
-                     lambda: acc.add_scaled(b), lambda: acc.add_scaled(a, -1.5j)):
+                     lambda: star_product(unit, b, 1, acc),
+                     lambda: star_product(unit, a, -1.5j, acc)):
             held += [(v, v.copy()) for v in acc.coeffs.values()]
             step()
         assert all(np.array_equal(v, value) for v, value in held)
@@ -305,11 +307,12 @@ class TestAccumulator:
         rng = np.random.default_rng(503)
         x = random_field_symbol(rng, max_degree=2)
         shots = self.snapshot(x)
-        acc = PolySymbol().add_scaled(x, 2.0)
-        other = PolySymbol().add_scaled(acc)
+        unit = PolySymbol.constant(1)
+        acc = star_product(unit, x, 2.0)
+        other = PolySymbol(acc.coeffs)   # holds acc's arrays
         other_shot = self.snapshot(other)
-        acc.add_scaled(x)
-        star_product(PolySymbol.constant(1), x, 1, acc)
+        star_product(unit, x, 1, acc)
+        star_product(unit, x, 1, acc)
         assert self.unchanged((x, other), shots + other_shot)
         assert fields_close(acc, x.scale(4.0), 1e-12)
 
@@ -318,9 +321,10 @@ class TestAccumulator:
         real = PolySymbol({(0, 0): rng.standard_normal(16), (1, 1): rng.standard_normal(16)})
         b = random_field_symbol(rng, max_degree=2)
         shots = self.snapshot(real, b)
-        acc = PolySymbol().add_scaled(real, 2.0)
+        unit = PolySymbol.constant(1)
+        acc = star_product(unit, real, 2.0)
         assert all(v.dtype == np.float64 for v in acc.coeffs.values())
-        acc.add_scaled(b, 1j)
+        star_product(unit, b, 1j, acc)
         assert self.unchanged((real, b), shots)
         assert fields_close(acc, real.scale(2.0) + b.scale(1j), 1e-12)
 
