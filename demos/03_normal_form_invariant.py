@@ -12,12 +12,7 @@ import math
 
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic
 from zollforms.jacobi import solve_fundamental
-from zollforms.normalform import (
-    assemble_p1,
-    conjugated_order_zero,
-    field_mean,
-    frame_conjugated,
-)
+from zollforms.normalform import assemble_p1, conjugated_order_zero, frame_terms
 from zollforms.surface import MetricModel, SurfacePoint
 
 metric = MetricModel.zoll_revolution([-0.3, 0.3])
@@ -42,10 +37,10 @@ print("== the cancellation behind the off-diagonal vanishing ==")
 ic = sample_initial_conditions(1, seed=7)[0]
 path = trace_geodesic(metric, ic, 1024)
 frame = solve_fundamental(path)
-# the metric terms are the D_s-free weight 0 part after the frame (stage 1);
-# the commutator term is what the exp(i h^(1/2) Q) conjugation adds to it
-_, d0 = frame_conjugated(path, frame)
-metric_part = field_mean(path, d0)
+# the metric terms are the mean of the D_s-free weight 0 part after the
+# frame (stage 1); the commutator term is what the exp(i h^(1/2) Q)
+# conjugation adds to it
+metric_part, _ = frame_terms(path, frame)
 commutator_part = conjugated_order_zero(path, frame)[0] - metric_part
 print(f"{'entry':>8s} {'metric terms':>24s} {'commutator term':>24s} {'sum':>12s}")
 for key in ((2, 2), (3, 1), (4, 0), (1, 3), (0, 4)):

@@ -21,14 +21,28 @@ leaves at weight 0 exactly
 
 the star commutator of Q with d + M: in the series exp(-i ad_Q) the
 weight -1 operator c_s D_s turns ad_Q^2 into a commutator with dQ/ds,
-and no operator sits at weight -3/2.  A geodesic only evaluates,
-integrates and averages: it evaluates d and D0 on its jets and frame,
-takes Q from the homological equation (one antiderivative per conjugate
-pair of d), and adds to the mean of D0, per pair (a, b) of entries of d,
-the exact commutator weights of z^a and z^b times <Q_a d_b> + <Q_a> M_b.
-Means and antiderivatives are the path's (`surface.GeodesicPath`).  Two
+and no operator sits at weight -3/2.
+
+`_symbols` writes every entry of d and D0, once per process and exactly,
+over real monomials: a curvature jet times a product of the real Jacobi
+rows y1, y2, dy1, dy2 (Y = y2 + i y1, dY = dy2 + i dy1).  Entry (n, m)
+of either is + or - the conjugate of entry (m, n), checked exactly
+there, so one entry of each mirror pair is evaluated, as its real and
+imaginary parts: real rows of coefficients over the monomials.  A
+geodesic only evaluates, integrates and averages.  Block by block of
+samples it forms the monomials times the weight f = ds/d(theta) and
+sums them into the rows by one real matrix product, pointwise, so terms
+cancel sample by sample before the pairwise sums of the mean; D0 is read
+only through its means.  The same product gives the first entry of each
+mirror pair of the odd term as a theta-density d f.  Stage 2 takes their
+means (the first obstruction gate), Q from the homological equation (one
+antiderivative each), and adds to the mean of D0, per pair (a, b) of
+entries of d, the exact commutator weights of z^a and z^b times
+<Q_a d_b> + <Q_a> M_b; the mirror pairs come as exact conjugates.  On a
+meridian d is exactly 0 (tau_nu = 0), and stage 2 adds nothing.  Three
 independent routes check this engine and live with the tests
-(`tests/oracles.py`): the closed form on the samples (`d_half`,
+(`tests/oracles.py`): the exact symbols evaluated term by term on the
+samples (`frame_conjugated`), the closed form on the samples (`d_half`,
 `d_zero_restricted` + `commutator_double_integral`), and the exact
 ad-series, which derives Z without assuming its form.
 """
@@ -40,6 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import expansion as _exp
+from .fourier import spectral_antiderivative
 from .geodesic import trace_geodesic
 from .jacobi import solve_fundamental
 from .weyl import PolySymbol, diagonal_part, star_commutator
@@ -48,15 +63,15 @@ __all__ = [
     "InvariantRecord",
     "FirstObstructionError",
     "solve_first_homological",
-    "frame_conjugated",
+    "frame_terms",
     "conjugated_order_zero",
     "assemble_p1",
     "compute_H",
-    "field_mean",
 ]
 
 MEAN_TOL = 1e-6          # Zoll solvability tolerance for the first obstruction
 OFFDIAG_DEGREE = 4
+BLOCK = 4096             # samples per block of monomials; grids are powers of two
 
 
 class FirstObstructionError(RuntimeError):
@@ -70,132 +85,233 @@ class FirstObstructionError(RuntimeError):
         self.value = value
 
 
-def field_mean(path, sym):
-    """Arclength mean along `path` of every sampled entry: a scalar PolySymbol."""
-    return PolySymbol({k: complex(path.mean(v) if isinstance(v, np.ndarray) else v)
-                       for k, v in sym.coeffs.items()})
+_ROWS = ("y1", "y2", "dy1", "dy2")      # the real Jacobi rows, in a monomial's product order
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))   # i^k as (re, im), k mod 4
 
 
-_CONJUGATE_NAMES = {"Y": "Yb", "Yb": "Y", "dY": "dYb", "dYb": "dY"}   # the jets are real
+@lru_cache(maxsize=None)
+def _binomial(a, b):
+    """(y2 + i y1)^a (y2 - i y1)^b as ((power of y1, re, im), ...), with
+    Gaussian integer coefficients; the power of y2 is a + b less that of y1."""
+    out = {}
+    for k in range(a + 1):
+        for l in range(b + 1):
+            re, im = _I_POWERS[(k + 3 * l) % 4]
+            c = math.comb(a, k) * math.comb(b, l)
+            acc = out.setdefault(k + l, [0, 0])
+            acc[0] += c * re
+            acc[1] += c * im
+    return tuple((p, re, im) for p, (re, im) in out.items() if re or im)
 
 
-def _conjugate(jp):
-    """The formal complex conjugate of a jet polynomial in the jets and the frame."""
-    return _exp.JetPolynomial({
-        tuple(sorted((_CONJUGATE_NAMES.get(name, name), p) for name, p in mono)):
-            _exp.QQi(c.re, -c.im) for mono, c in jp.terms.items()})
+def _real_monomials(jp):
+    """A jet polynomial in the jets and Y, Yb, dY, dYb over the real
+    monomials, exactly: (q, {((name, power), ...) sorted by name: (re, im)}),
+    the coefficient of a monomial being (re + i im) / q in Gaussian
+    integers, q the common denominator of the polynomial's coefficients."""
+    scale = math.lcm(*(q.denominator for c in jp.terms.values() for q in (c.re, c.im)))
+    out = {}
+    for mono, c in jp.terms.items():
+        cr, ci = (q.numerator * (scale // q.denominator) for q in (c.re, c.im))
+        powers = dict(mono)
+        jets = [(name, p) for name, p in mono if name not in ("Y", "Yb", "dY", "dYb")]
+        y, dy = (powers.get(a, 0) + powers.get(b, 0) for a, b in (("Y", "Yb"), ("dY", "dYb")))
+        for p1, r1, i1 in _binomial(powers.get("Y", 0), powers.get("Yb", 0)):
+            for p2, r2, i2 in _binomial(powers.get("dY", 0), powers.get("dYb", 0)):
+                re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+                rows = (("y1", p1), ("y2", y - p1), ("dy1", p2), ("dy2", dy - p2))
+                key = tuple(sorted(jets + [(name, p) for name, p in rows if p]))
+                acc_re, acc_im = out.get(key, (0, 0))
+                out[key] = (acc_re + cr * re - ci * im, acc_im + cr * im + ci * re)
+    return scale, {key: c for key, c in out.items() if c != (0, 0)}
 
 
-def _plan(symbols):
-    """How `_evaluate` computes exact symbols on a path: (steps, slots).
-
-    Each distinct jet polynomial is one step: the index of an earlier
-    step that holds its formal conjugate, or else its terms as (scalar,
-    ((name, power), ...)), whose names sort the frame's before the jets',
-    so that a complex term takes its array at its first product.
-    slots[i] maps each key of symbols[i] to its step.
-    """
-    steps, index = [], {}
-    for sym in symbols:
-        for jp in sym.coeffs.values():
-            if jp not in index:
-                twin = index.get(_conjugate(jp))
-                index[jp] = len(steps)
-                steps.append(twin if twin is not None else tuple(
-                    (float(c.re) if c.im == 0 else complex(c), mono)
-                    for mono, c in jp.terms.items()))
-    return tuple(steps), [{key: index[jp] for key, jp in sym.coeffs.items()} for sym in symbols]
-
-
-def _into(ufunc, acc, v):
-    """ufunc(acc, v), written into acc where acc is an array of the step
-    being evaluated that holds the result's dtype."""
-    own = isinstance(acc, np.ndarray) and acc.dtype == np.result_type(acc, v)
-    return ufunc(acc, v, out=acc if own else None)
-
-
-def _path_values(path, frame):
-    """The indeterminates' values on a path: its jets and its frame."""
-    Y, dY = frame.Y, frame.dY
-    return {**path.jets(), "Y": Y, "Yb": np.conj(Y), "dY": dY, "dYb": np.conj(dY)}
-
-
-def _evaluate(plan, values):
-    """The symbols of a `_plan` evaluated with numeric values (scalars or
-    arrays) per name.
-
-    Each step is evaluated once, each term in one array of its own: a
-    power is taken factor by factor into the term, so no power is held
-    beside it.  A step that holds the formal conjugate of an earlier one
-    is np.conj of its value, so that the two agree bit for bit.  Real
-    coefficients evaluate real values to real ones, any other to complex;
-    a constant polynomial stays a Python scalar.
-    """
-    steps, slots = plan
-    fields = []
-    for step in steps:
-        if isinstance(step, int):
-            fields.append(np.conj(fields[step]))
+def _mirror_signs(exact):
+    """{key: sign} for the first entry of each mirror pair of an exact
+    real-monomial symbol, in its order: entry (n, m) is sign * conj of
+    entry (m, n), so a diagonal entry is real (+1) or imaginary (-1).
+    Raises AssertionError where no sign holds."""
+    signs = {}
+    for (m, n), (scale, terms) in exact.items():
+        if (n, m) in signs:
             continue
-        total = None
-        for term, mono in step:
-            for name, p in mono:
-                for _ in range(p):
-                    term = _into(np.multiply, term, values[name])
-            total = term if total is None else _into(np.add, total, term)
-        fields.append(total)
-    return [PolySymbol({key: fields[i] for key, i in sym.items()}) for sym in slots]
+        for sign in (1, -1):
+            if exact.get((n, m)) == (scale, {mono: (sign * re, -sign * im)
+                                             for mono, (re, im) in terms.items()}):
+                signs[m, n] = sign
+                break
+        else:
+            raise AssertionError(f"entry {(n, m)} is not +- the conjugate of entry {(m, n)}")
+    return signs
+
+
+def _unfold(values, mirrors):
+    """The entries of `mirrors` ((key, sign) per entry, in order) that
+    `values` gives or mirrors: one it leaves out is sign * conj of entry
+    (n, m)."""
+    return {key: values[key] if key in values else sign * np.conj(values[key[::-1]])
+            for key, sign in mirrors if key in values or key[::-1] in values}
+
+
+def _block_plan(monomials):
+    """How a block of samples takes every monomial times f: (steps, rows).
+
+    Row 0 holds f and rows 1, 2, ... the monomials in order.  Each step
+    (row, row of its prefix, factor) is one product; a monomial's
+    factors, the real rows first, are taken in order, and a prefix that
+    is no monomial sits in the row after them of its depth.  The
+    monomials are walked in lexicographic order of their factors, i.e.
+    depth first, so a prefix is still held while the monomials below it
+    are taken.
+    """
+    rank = {name: i for i, name in enumerate(_ROWS)}
+
+    def factors(mono):
+        ordered = sorted(mono, key=lambda item: (rank.get(item[0], len(rank)), item[0]))
+        return tuple(name for name, p in ordered for _ in range(p))
+
+    seqs = [factors(mono) for mono in monomials]
+    where = {(): 0}
+    row = {seq: i for i, seq in enumerate(seqs, 1)}
+    steps = []
+    for seq in sorted(seqs):
+        for depth in range(1, len(seq) + 1):
+            prefix = seq[:depth]
+            if prefix not in where:
+                where[prefix] = row.get(prefix, len(seqs) + depth)
+                steps.append((where[prefix], where[prefix[:-1]], prefix[-1]))
+    return tuple(steps), len(seqs) + 1 + max(map(len, seqs))
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """The per-process part of the engine (`_symbols`); read-only."""
+
+    c_s: float            # the weight -1 operator is c_s D_s
+    exact: tuple          # (d, D0) over the real monomials: {key: `_real_monomials`}
+    d_mirrors: tuple      # (key, sign) per entry of d, in its order
+    d_firsts: tuple       # the first entry of each mirror pair of d, in its order
+    d0_mirrors: tuple     # (key, sign) per entry of D0, in its order
+    monomials: tuple      # the columns of `coeffs`
+    steps: tuple          # of `_block_plan`
+    block_rows: int
+    coeffs: np.ndarray    # rows: the parts of D0's first entries per mirror pair, then d's
+    d0_parts: tuple       # (key, 1 or 1j) per D0 row of `coeffs`
+    products: tuple       # (a, b, weights of (a, b), weights of its mirror pair)
 
 
 @lru_cache(maxsize=1)
 def _symbols():
-    """Stage 1 with its evaluation plan, and the weights of stage 2's closed
-    form, once per process: (c_s as a float, plan of d and D0, pairs).
+    """Stage 1 over real monomials with the block plan, and the weights of
+    stage 2's closed form, once per process: a `_Stage`.
 
-    pairs holds, per pair (a, b) of keys of d whose unit monomials do not
-    commute, (a, b, weights): the entries (key, w) of
-    -(i/2) [z^a, z^b], each an exact weight taken to a complex number.
-    The pair adds w (<Q_a d_b> + <Q_a> M_b) to entry `key` of the mean of
-    Z.  Every caller shares the result; treat it as read-only.
+    Every entry of d and D0 is written exactly over the real monomials;
+    the first entry of each mirror pair is kept, as one real row of
+    coefficients per part: the real and imaginary parts of an
+    off-diagonal entry, the real or the imaginary part of a diagonal one.
+    d must be a real symbol (each sign +1), so that Q and every mean of
+    stage 2 pair up as conjugates too.  A weight of stage 2, per pair
+    (a, b) of keys of d whose unit monomials do not commute, is an entry
+    (key, w) of -(i/2) [z^a, z^b], taken to a complex number; the pair
+    adds w (<Q_a d_b> + <Q_a> M_b) to entry `key` of the mean of Z.
+    `products` holds the pairs whose a is a first entry of d, each with
+    the weights of its mirror pair (n_a m_a, n_b m_b), whose term is the
+    conjugate.  Every caller shares the result; treat it as read-only.
     """
     c_s, d, d0 = _exp.conjugated_symbols()
+    exact = tuple({key: _real_monomials(jp) for key, jp in sym.coeffs.items()} for sym in (d, d0))
+    d_signs, d0_signs = (_mirror_signs(sym) for sym in exact)
+    if set(d_signs.values()) != {1}:
+        raise AssertionError("the odd term is not a real symbol")
+    # D0's rows, then d's: (exact entry, key, part)
+    parts = [(sym, key, unit) for sym, signs in zip(exact[::-1], (d0_signs, d_signs))
+             for key, sign in signs.items()
+             for unit in ((1, 1j) if key[0] != key[1] else (1,) if sign == 1 else (1j,))]
+    monomials = tuple(sorted({mono for sym, key, _ in parts for mono in sym[key][1]}))
+    column = {mono: i for i, mono in enumerate(monomials)}
+    coeffs = np.zeros((len(parts), len(monomials)))
+    for row, (sym, key, unit) in enumerate(parts):
+        scale, terms = sym[key]
+        for mono, c in terms.items():
+            coeffs[row, column[mono]] = c[0 if unit == 1 else 1] / scale   # rounded once
+    coeffs.flags.writeable = False
     weight = 2 * _exp.COMMUTATOR_PREFACTOR   # -i/2
-    pairs = []
-    for a in d.coeffs:
-        for b in d.coeffs:
-            comm = star_commutator(PolySymbol({a: 1}), PolySymbol({b: 1}), weight)
-            if comm.coeffs:
-                pairs.append((a, b, tuple((key, complex(w)) for key, w in comm.items())))
-    return float(c_s.re), _plan([d, d0]), tuple(pairs)
+    table = {(a, b): tuple((key, complex(w)) for key, w in star_commutator(
+        PolySymbol({a: 1}), PolySymbol({b: 1}), weight).items()) for a in d.coeffs for b in d.coeffs}
+    steps, block_rows = _block_plan(monomials)
+    return _Stage(
+        c_s=float(c_s.re), exact=exact, d_mirrors=tuple((key, 1) for key in d.coeffs),
+        d_firsts=tuple(d_signs),
+        d0_mirrors=tuple((key, d0_signs.get(key) or d0_signs[key[::-1]]) for key in d0.coeffs),
+        monomials=monomials, steps=steps, block_rows=block_rows, coeffs=coeffs,
+        d0_parts=tuple((key, unit) for sym, key, unit in parts if sym is exact[1]),
+        products=tuple((a, b, table[a, b], table[a[::-1], b[::-1]])
+                       for a in d_signs for b in d.coeffs if table[a, b]))
 
 
-def frame_conjugated(path, frame):
-    """Stage 1 on a path: [d, D0], the odd term of weight -1/2 and the
-    D_s-free part of weight 0, evaluated on the path's jets and frame."""
-    return _evaluate(_symbols()[1], _path_values(path, frame))
+def frame_terms(path, frame):
+    """Stage 1 on a path: (the mean of D0 as a scalar PolySymbol, the odd
+    term's first entries per mirror pair as {key: theta-density d f}).
+
+    Per block of BLOCK samples the monomials times f fill one block
+    array, and one matrix product of the real coefficient rows sums them
+    pointwise; a row's mean is its block sums (pairwise) over the grid.
+    """
+    stage = _symbols()
+    n = path.n
+    width = min(n, BLOCK)          # both powers of two, so blocks tile the grid
+    values = {**path.jets(), "y1": frame.y1, "y2": frame.y2, "dy1": frame.dy1, "dy2": frame.dy2}
+    block = np.empty((stage.block_rows, width))
+    monomials = block[1:1 + len(stage.monomials)]
+    summed = np.empty((len(stage.coeffs), width))
+    n0 = len(stage.d0_parts)
+    sums = np.zeros(n0)
+    d = np.empty((len(stage.d_firsts), n), dtype=complex)
+    for start in range(0, n, width):
+        part = slice(start, start + width)
+        block[0] = path.weight[part]
+        sliced = {name: v[part] for name, v in values.items()}
+        for row, prefix, name in stage.steps:
+            np.multiply(block[prefix], sliced[name], out=block[row])
+        np.matmul(stage.coeffs, monomials, out=summed)
+        sums += np.sum(summed[:n0], axis=1)
+        d.real[:, part] = summed[n0::2]       # an entry of d is off-diagonal: (re, im) rows
+        d.imag[:, part] = summed[n0 + 1::2]
+    means = {}
+    for (key, unit), total in zip(stage.d0_parts, sums):
+        means[key] = means.get(key, 0j) + unit * (total / n)
+    return PolySymbol(_unfold(means, stage.d0_mirrors)), dict(zip(stage.d_firsts, d))
 
 
 def solve_first_homological(path, d, c_s=2.0):
     """Q(s) with the conjugation removing the odd term: Q' = -(d - <d>)/c_s, Q(0) = 0.
 
-    Solvable on the period only when every entry of d has vanishing mean
-    (the Zoll first obstruction); a mean above MEAN_TOL, or a NaN mean,
-    raises FirstObstructionError with the offending entry.  The means
-    below it are taken out before the antiderivative, so Q is periodic.
-    Returns (Q, means of d as a scalar PolySymbol).  The engine's d is a
-    real symbol, so where d[n,m] = conj d[m,n] bit for bit, Q[n,m] =
-    conj Q[m,n] takes no antiderivative of its own.
+    `d` maps keys of the odd term to theta-densities, an entry's samples
+    times the path's weight f = ds/d(theta): a density's theta-mean is
+    the entry's arclength mean, and its theta-antiderivative the
+    arclength one.  The odd term is a real symbol, so an entry that `d`
+    leaves out but whose mirror (n, m) it gives is the conjugate of that
+    one, and so are its mean and its Q.  Solvable on the period only when
+    every entry has vanishing mean (the Zoll first obstruction); a mean
+    above MEAN_TOL, or a NaN mean, raises FirstObstructionError with the
+    offending entry: the largest first and, among equal ones, the first
+    in the odd term's order.  The means are taken out before the
+    antiderivative, so Q is periodic.  Returns (Q of each entry of `d`,
+    the means of these entries and of their mirrors as a scalar
+    PolySymbol).
     """
-    means = {k: path.mean(v) for k, v in d.coeffs.items()}
+    own = {k: np.mean(v) for k, v in d.items()}
+    means = _unfold(own, _symbols().d_mirrors)
     for k, m in sorted(means.items(), key=lambda kv: -abs(kv[1])):
         if not abs(m) <= MEAN_TOL:
             raise FirstObstructionError(k, complex(m))
     q = {}
-    for (m, n), v in sorted(d.coeffs.items()):
-        paired = (n, m) in q and np.array_equal(d[m, n], np.conj(d[n, m]))
-        q[m, n] = (np.conj(q[n, m]) if paired
-                   else path.antiderivative((v - means[m, n]) * (-1.0 / c_s)))
-    return PolySymbol(q), PolySymbol({k: complex(m) for k, m in means.items()})
+    for k, v in d.items():
+        centred = np.multiply(path.weight, own[k])
+        np.subtract(v, centred, out=centred)
+        centred *= -1.0 / c_s
+        q[k] = spectral_antiderivative(centred)
+    return q, PolySymbol({k: complex(m) for k, m in means.items()})
 
 
 def conjugated_order_zero(path, frame):
@@ -203,19 +319,26 @@ def conjugated_order_zero(path, frame):
     after both conjugations as a scalar PolySymbol, first_obstruction_max).
 
     The mean of Z = D0 - (i/2) [Q, d + M]: the mean of D0 plus, per pair
-    of `_symbols`, its weights times <Q_a d_b> + <Q_a> M_b.
-    first_obstruction_max is the largest |mean| of the odd term, all that
-    the conjugation leaves at weight -1/2.
+    of `_symbols`, its weights times <Q_a d_b> + <Q_a> M_b, and the
+    conjugate for its mirror pair.  first_obstruction_max is the largest
+    |mean| of the odd term, all that the conjugation leaves at weight
+    -1/2.  Where the odd term is exactly 0, as on a meridian, so are Q
+    and every term of stage 2, and none is taken.
     """
-    c_s, _, pairs = _symbols()
-    d, d0 = frame_conjugated(path, frame)
-    q, means = solve_first_homological(path, d, c_s=c_s)
-    q_means = {a: path.mean(v) for a, v in q.coeffs.items()}
-    sums = dict(field_mean(path, d0).coeffs)
-    for a, b, weights in pairs:
-        mean = path.mean(q[a], d[b]) + q_means[a] * means[b]
+    stage = _symbols()
+    d0_means, d = frame_terms(path, frame)
+    if not any(v.any() for v in d.values()):     # a NaN counts as nonzero
+        return d0_means, 0.0
+    q, means = solve_first_homological(path, d, stage.c_s)
+    q_means = {a: path.mean(v) for a, v in q.items()}
+    sums = dict(d0_means.coeffs)
+    for a, b, weights, mirror_weights in stage.products:
+        density = d[b] if b in d else np.conj(d[b[::-1]])
+        term = np.mean(q[a] * density) + q_means[a] * means[b]
         for key, w in weights:
-            sums[key] = sums.get(key, 0.0) + w * mean
+            sums[key] = sums.get(key, 0.0) + w * term
+        for key, w in mirror_weights:
+            sums[key] = sums.get(key, 0.0) + w * np.conj(term)
     return PolySymbol(sums), max((abs(m) for m in means.coeffs.values()), default=0.0)
 
 

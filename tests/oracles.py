@@ -31,8 +31,13 @@ differentiated by central stencils, checks that formula
 `surface_integral_of_curvature` is the Gauss-Bonnet check of the
 curvature formula.
 
-The order-zero normal form symbol has two more routes.  The closed form
-`d_zero_restricted` of the frame-conjugated metric terms plus
+The order-zero normal form symbol has three more routes.
+`frame_conjugated` evaluates the exact stage 1 term by term on the
+samples (`evaluation_plan`, `evaluate`, `path_values`), entry by entry
+in complex arithmetic, where the engine
+(`zollforms.normalform.frame_terms`) reads it over real monomials and
+only through its means; `field_mean` averages a sampled symbol.  The
+closed form `d_zero_restricted` of the frame-conjugated metric terms plus
 `commutator_double_integral` of the odd term `d_half` is written out by
 hand on the samples, where the engine
 (`zollforms.normalform.conjugated_order_zero`) evaluates the exact stage
@@ -72,7 +77,6 @@ from scipy.integrate import solve_ivp
 from zollforms import expansion
 from zollforms.geodesic import GeodesicPath
 from zollforms.jacobi import JacobiFrame, VariationField
-from zollforms.normalform import field_mean
 from zollforms.surface import SurfacePoint
 from zollforms.weyl import (PolySymbol, star_commutator, star_product, substitute_linear,
                             transvectant_constant)
@@ -188,6 +192,98 @@ def substitute(jp, values):
             term = term * values[name] ** p
         total = total + term
     return total
+
+
+def field_mean(path, sym):
+    """Arclength mean along `path` of every sampled entry: a scalar PolySymbol."""
+    return PolySymbol({k: complex(path.mean(v) if isinstance(v, np.ndarray) else v)
+                       for k, v in sym.coeffs.items()})
+
+
+_CONJUGATE_NAMES = {"Y": "Yb", "Yb": "Y", "dY": "dYb", "dYb": "dY"}   # the jets are real
+
+
+def _conjugate(jp):
+    """The formal complex conjugate of a jet polynomial in the jets and the frame."""
+    return expansion.JetPolynomial({
+        tuple(sorted((_CONJUGATE_NAMES.get(name, name), p) for name, p in mono)):
+            expansion.QQi(c.re, -c.im) for mono, c in jp.terms.items()})
+
+
+def evaluation_plan(symbols):
+    """How `evaluate` computes exact symbols on a path: (steps, slots).
+
+    Each distinct jet polynomial is one step: the index of an earlier
+    step that holds its formal conjugate, or else its terms as (scalar,
+    ((name, power), ...)), whose names sort the frame's before the jets',
+    so that a complex term takes its array at its first product.
+    slots[i] maps each key of symbols[i] to its step.
+    """
+    steps, index = [], {}
+    for sym in symbols:
+        for jp in sym.coeffs.values():
+            if jp not in index:
+                twin = index.get(_conjugate(jp))
+                index[jp] = len(steps)
+                steps.append(twin if twin is not None else tuple(
+                    (float(c.re) if c.im == 0 else complex(c), mono)
+                    for mono, c in jp.terms.items()))
+    return tuple(steps), [{key: index[jp] for key, jp in sym.coeffs.items()} for sym in symbols]
+
+
+def _into(ufunc, acc, v):
+    """ufunc(acc, v), written into acc where acc is an array of the step
+    being evaluated that holds the result's dtype."""
+    own = isinstance(acc, np.ndarray) and acc.dtype == np.result_type(acc, v)
+    return ufunc(acc, v, out=acc if own else None)
+
+
+def path_values(path, frame):
+    """The indeterminates' values on a path: its jets and its frame."""
+    Y, dY = frame.Y, frame.dY
+    return {**path.jets(), "Y": Y, "Yb": np.conj(Y), "dY": dY, "dYb": np.conj(dY)}
+
+
+def evaluate(plan, values):
+    """The symbols of an `evaluation_plan` evaluated with numeric values
+    (scalars or arrays) per name.
+
+    Each step is evaluated once, each term in one array of its own: a
+    power is taken factor by factor into the term, so no power is held
+    beside it.  A step that holds the formal conjugate of an earlier one
+    is np.conj of its value, so that the two agree bit for bit.  Real
+    coefficients evaluate real values to real ones, any other to complex;
+    a constant polynomial stays a Python scalar.
+    """
+    steps, slots = plan
+    fields = []
+    for step in steps:
+        if isinstance(step, int):
+            fields.append(np.conj(fields[step]))
+            continue
+        total = None
+        for term, mono in step:
+            for name, p in mono:
+                for _ in range(p):
+                    term = _into(np.multiply, term, values[name])
+            total = term if total is None else _into(np.add, total, term)
+        fields.append(total)
+    return [PolySymbol({key: fields[i] for key, i in sym.items()}) for sym in slots]
+
+
+@functools.lru_cache(maxsize=1)
+def _stage1_plan():
+    _, d, d0 = expansion.conjugated_symbols()
+    return evaluation_plan([d, d0])
+
+
+def frame_conjugated(path, frame):
+    """Stage 1 on a path, term by term: [d, D0], the odd term of weight
+    -1/2 and the D_s-free part of weight 0, evaluated pointwise on the
+    path's jets and frame.  The engine reads D0 only through its means,
+    by real monomials (`zollforms.normalform.frame_terms`); it is pinned
+    to this route."""
+    return evaluate(_stage1_plan(), path_values(path, frame))
 
 
 def _to_field(value, n):

@@ -353,15 +353,19 @@ class TestExactStage2:
         assert want.coeffs == z.coeffs
 
     def test_engine_weights_are_the_ad_series_terms(self):
-        """The engine's table of stage 2, per pair (a, b) of entries of d
-        and key, the weight of <Q_a d_b> + <Q_a> M_b, is the coefficient of
+        """The engine's table of stage 2 (its pairs whose a is a first
+        entry of d, each with the weights of its mirror pair), per pair
+        (a, b) of entries of d and key, the weight of
+        <Q_a d_b> + <Q_a> M_b, is the coefficient of
         Q_a d_b and of Q_a M_b in the ad-series at weight 0: 16 (pair, key)
         terms, and no other term in Q."""
         from oracles import entry_name, order_zero_by_ad_series
         from zollforms import normalform
 
-        _, _, pairs = normalform._symbols()
-        table = {(key, a, b): w for a, b, weights in pairs for key, w in weights}
+        table = {}
+        for a, b, weights, mirror_weights in normalform._symbols().products:
+            table.update({(key, a, b): w for key, w in weights})
+            table.update({(key, a[::-1], b[::-1]): w for key, w in mirror_weights})
         assert len(table) == 16
         z = order_zero_by_ad_series()
         keys = ((3, 0), (2, 1), (1, 2), (0, 3))

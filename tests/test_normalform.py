@@ -8,16 +8,16 @@ import pytest
 
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic
 from zollforms.jacobi import solve_fundamental
-from oracles import (commutator_double_integral, d_half, d_zero_restricted, ds,
-                     metaplectic_substitute, rebase, transvectant, weyl_quantize)
+from oracles import (commutator_double_integral, d_half, d_zero_restricted, ds, field_mean,
+                     frame_conjugated, metaplectic_substitute, rebase, transvectant,
+                     weyl_quantize)
 from zollforms.expansion import SOperator
 from zollforms.normalform import (
     FirstObstructionError,
     assemble_p1,
     compute_H,
     conjugated_order_zero,
-    field_mean,
-    frame_conjugated,
+    frame_terms,
     solve_first_homological,
 )
 from zollforms.surface import SurfacePoint
@@ -175,22 +175,23 @@ class TestDHalf:
 class TestFirstHomological:
     def test_zero_input(self, cubic_frame):
         path = cubic_frame.path
-        q, means = solve_first_homological(
-            path, PolySymbol({(3, 0): np.zeros(path.n, dtype=complex)}))
+        q, means = solve_first_homological(path, {(3, 0): np.zeros(path.n, dtype=complex)})
         assert not means.coeffs
         assert np.max(np.abs(q[(3, 0)])) == 0.0
 
     def test_single_mode_closed_form(self, round_path):
         """On the round equator, where f = 1 and the samples are uniform in s."""
         s = round_path.s
-        d = PolySymbol({(2, 1): np.exp(1j * s)})
+        d = {(2, 1): np.exp(1j * s) * round_path.weight}
         q, _ = solve_first_homological(round_path, d, c_s=2.0)
         expected = -0.5 * (np.exp(1j * s) - 1.0) / 1j
         assert np.max(np.abs(q[(2, 1)] - expected)) < 1e-12
 
     def test_periodicity(self, cubic_frame):
-        q, _ = solve_first_homological(cubic_frame.path, d_half(cubic_frame))
-        for v in q.coeffs.values():
+        path = cubic_frame.path
+        d = {k: v * path.weight for k, v in d_half(cubic_frame).items()}
+        q, _ = solve_first_homological(path, d)
+        for v in q.values():
             # spectral antiderivative of numerically mean-free data is periodic
             assert abs(v[0]) < 1e-12
 
@@ -199,73 +200,104 @@ class TestFirstHomological:
         max |d|) and MEAN_TOL passes the gate and is reported, and Q stays
         periodic with its FFT derivative -(d - M)/c_s."""
         s = round_path.s
-        d = PolySymbol({(3, 0): np.cos(s) + 1e-8, (2, 1): np.exp(2j * s) - 3e-9j})
-        q, means = solve_first_homological(round_path, d, c_s=2.0)
+        d = {(3, 0): np.cos(s) + 1e-8, (2, 1): np.exp(2j * s) - 3e-9j}
+        q, means = solve_first_homological(
+            round_path, {k: v * round_path.weight for k, v in d.items()}, c_s=2.0)
         assert abs(means[(3, 0)] - 1e-8) <= 1e-15 and abs(means[(2, 1)] + 3e-9j) <= 1e-15
-        fft = q.map_coeffs(lambda v: ds(round_path, v))
-        for key in d.coeffs:
+        fft = {k: ds(round_path, v) for k, v in q.items()}
+        for key in d:
             assert abs(q[key][0]) == 0.0
             q_s = -(d[key] - means[key]) / 2.0
             assert np.max(np.abs(q_s - fft[key])) <= 1e-13, key
         assert np.max(np.abs(q[(3, 0)] + 0.5 * np.sin(s))) <= 1e-13
 
     def test_obstruction_error(self, cubic_path):
-        d = PolySymbol({(3, 0): np.full(cubic_path.n, 0.3 + 0j)})
+        d = {(3, 0): np.full(cubic_path.n, 0.3 + 0j) * cubic_path.weight}
         with pytest.raises(FirstObstructionError, match="3"):
             solve_first_homological(cubic_path, d)
 
     def test_nan_entry_is_an_obstruction(self, cubic_path):
         n = cubic_path.n
-        d = PolySymbol({(3, 0): np.zeros(n, dtype=complex),
-                        (2, 1): np.full(n, complex(math.nan, 0.0))})
+        d = {(3, 0): np.zeros(n, dtype=complex), (2, 1): np.full(n, complex(math.nan, 0.0))}
         with pytest.raises(FirstObstructionError):
             solve_first_homological(cubic_path, d)
 
+    def test_gate_reads_every_entry_in_order(self, cubic_path):
+        """Given the first entry of each mirror pair, the gate reads all
+        four means in the order of the odd term, the largest first and,
+        among equal ones, the first in that order: a mirror entry (equal
+        |mean|) is never named before its first entry, nor (2, 1) before
+        (3, 0) at equal |mean|, and a NaN is named wherever it sits."""
+        from zollforms.normalform import _symbols
+
+        assert [k for k, _ in _symbols().d_mirrors] == [(3, 0), (2, 1), (1, 2), (0, 3)]
+        n, f = cubic_path.n, cubic_path.weight
+        nan = complex(math.nan, 0.0)
+        for a, b, named in ((0.3j, 0.1, (3, 0)), (0.1, 0.3j, (2, 1)), (0.3, 0.3j, (3, 0)),
+                            (0.0, nan, (2, 1)), (nan, 0.3, (3, 0))):
+            d = {(3, 0): np.full(n, a) * f, (2, 1): np.full(n, b) * f}
+            with pytest.raises(FirstObstructionError) as err:
+                solve_first_homological(cubic_path, d)
+            assert err.value.entry == named, (a, b)
+
     @pytest.mark.parametrize("spec", ["zoll:-0.3,0.3", "zoll:0.1", "zoll:0.2,-0.5,0.3",
                                       "zoll:0.6,-0.2", "zoll:-0.309,0.294", "zoll:-0.9"])
-    def test_conjugate_pairs_share_one_antiderivative(self, spec):
-        """The odd term d is a real symbol, so its entries come in exact
-        conjugate pairs on the first 8 CLI geodesics, and Q takes one
-        antiderivative per pair: Q[0,3] and Q[1,2] are bitwise the
-        conjugates of Q[3,0] and Q[2,1]."""
-        from zollforms import cli
+    def test_conjugate_pairs_share_one_antiderivative(self, spec, monkeypatch):
+        """The odd term d is a real symbol (checked exactly, once per
+        process), so the engine evaluates and integrates only (3, 0) and
+        (2, 1): on the first 8 CLI geodesics they equal the pointwise
+        route's entries times f to roundoff, the means it returns for
+        (1, 2) and (0, 3) are the conjugates of theirs, and so are the
+        pointwise route's own means, and each geodesic takes 2
+        antiderivatives."""
+        from zollforms import cli, normalform
 
+        real = normalform.spectral_antiderivative
+        calls = []
+        monkeypatch.setattr(normalform, "spectral_antiderivative",
+                            lambda v: calls.append(v) or real(v))
         cfg = cli.RunConfig.load(None, {"metric": cli.parse_metric_flag(spec), "geodesics": 8})
         for name, ic in cli._initial_conditions(cfg):
             path = trace_geodesic(cfg.metric_model, ic, cfg.grid)
-            d, _ = frame_conjugated(path, solve_fundamental(path))
-            q, _ = solve_first_homological(path, d)
-            assert set(q.coeffs) == set(d.coeffs)
-            for m, n in d.coeffs:
-                assert np.array_equal(d[m, n], np.conj(d[n, m])), (spec, name)
-                assert np.array_equal(q[m, n], np.conj(q[n, m])), (spec, name)
+            frame = solve_fundamental(path)
+            _, d = frame_terms(path, frame)
+            pointwise, _ = frame_conjugated(path, frame)
+            assert list(d) == [(3, 0), (2, 1)]
+            scale = max(float(np.max(np.abs(v * path.weight))) for v in pointwise.coeffs.values())
+            for key, v in d.items():
+                assert np.max(np.abs(v - pointwise[key] * path.weight)) <= 1e-14 * scale, key
+            calls.clear()
+            q, means = solve_first_homological(path, d)
+            assert len(calls) == len(q) == 2
+            for m, n in ((0, 3), (1, 2)):
+                assert means[m, n] == np.conj(means[n, m]), (spec, name)
+                assert abs(means[m, n] - path.mean(pointwise[m, n])) <= 1e-15 * scale
 
     def test_unpaired_entries_take_their_own_antiderivative(self, cubic_path, monkeypatch):
-        """Where d[n,m] is not exactly conj d[m,n], every entry is integrated
-        by itself: 4 antiderivatives, equal to the per-entry route.  An
-        exactly Hermitian d takes 2, and its mirror entries agree with their
-        own antiderivatives to roundoff."""
-        from zollforms import surface
+        """An entry given beside its mirror is integrated by itself: 4
+        entries take 4 antiderivatives, each equal to the per-entry route.
+        Given the first entry of each pair, d takes 2, and the means of the
+        other two are their conjugates."""
+        from zollforms import normalform
 
         wave = np.exp(1j * cubic_path.s)    # mean-free along the closed path
-        hermitian = {(3, 0): wave, (0, 3): np.conj(wave),
-                     (2, 1): 0.5j * wave ** 2, (1, 2): np.conj(0.5j * wave ** 2)}
-        skewed = {**hermitian, (0, 3): hermitian[0, 3] + 0.1 * wave ** 2,
-                  (1, 2): hermitian[1, 2] + 0.1 * wave}
-        real = surface.spectral_antiderivative
+        entries = {(3, 0): wave + 1e-9, (0, 3): np.conj(wave + 1e-9),
+                   (2, 1): 0.5j * wave ** 2, (1, 2): np.conj(0.5j * wave ** 2)}
+        hermitian = {k: v * cubic_path.weight for k, v in entries.items()}
+        real = normalform.spectral_antiderivative
         calls = []
-        monkeypatch.setattr(surface, "spectral_antiderivative",
+        monkeypatch.setattr(normalform, "spectral_antiderivative",
                             lambda v: calls.append(v) or real(v))
-        for entries, want_calls in ((skewed, 4), (hermitian, 2)):
-            calls.clear()
-            q, means = solve_first_homological(cubic_path, PolySymbol(entries))
-            assert len(calls) == want_calls
-            for key, v in entries.items():
-                own = real((v - means[key]) * (-1.0 / 2.0) * cubic_path.weight)
-                if want_calls == 4:
-                    assert np.array_equal(q[key], own), key
-                else:
-                    assert np.max(np.abs(q[key] - own)) <= 1e-15 * np.max(np.abs(own)), key
+        q, means = solve_first_homological(cubic_path, hermitian)
+        assert len(calls) == len(q) == 4
+        for key, v in hermitian.items():
+            own = real((v - means[key] * cubic_path.weight) * (-1.0 / 2.0))
+            assert np.array_equal(q[key], own), key
+        calls.clear()
+        firsts = {k: hermitian[k] for k in ((3, 0), (2, 1))}
+        q, paired = solve_first_homological(cubic_path, firsts)
+        assert len(calls) == len(q) == 2
+        assert paired.coeffs == means.coeffs
 
 
 class TestCommutatorDoubleIntegral:
@@ -297,17 +329,17 @@ class TestMeanFreeTerms:
         scale, on h = 0.3 (x^3 - x) and h = 0.2 x - 0.5 x^3 + 0.3 x^5."""
         from zollforms.expansion import (TAU_S, QQi, _frame_formal, formal_oscillator,
                                          graded_laplacian)
-        from zollforms.normalform import _evaluate, _path_values, _plan
+        from oracles import evaluate, evaluation_plan, path_values
         from zollforms.surface import MetricModel
 
         _, h = formal_oscillator(graded_laplacian())
         exact = [h.scale(QQi(-1)),
                  *_frame_formal([PolySymbol({(2, 0): TAU_S * QQi(Fraction(-1, 2))})])]
-        plan = _plan(exact)
+        plan = evaluation_plan(exact)
         for h_odd in ((-0.3, 0.3), (0.2, -0.5, 0.3)):
             path = trace_geodesic(MetricModel.zoll_revolution(h_odd), generic_ic, 1024)
             frame = solve_fundamental(path)
-            minus_h, minus_h_s = _evaluate(plan, _path_values(path, frame))
+            minus_h, minus_h_s = evaluate(plan, path_values(path, frame))
             assert set(minus_h_s.coeffs) == set(minus_h.coeffs)
             scale = max(float(np.max(np.abs(v))) for v in minus_h_s.coeffs.values())
             for key, v in minus_h_s.coeffs.items():
@@ -347,22 +379,23 @@ class TestEngineAgainstExplicitRoute:
         from zollforms import normalform
 
         clean, _ = conjugated_order_zero(cubic_path, cubic_frame)
-        real = normalform.frame_conjugated
+        real = normalform.frame_terms
 
         def shifted(path, frame):
-            d, d0 = real(path, frame)
-            return PolySymbol({k: v + 1e-8 for k, v in d.coeffs.items()}), d0
+            d0, d = real(path, frame)
+            return d0, {k: v + 1e-8 * path.weight for k, v in d.items()}
 
-        monkeypatch.setattr(normalform, "frame_conjugated", shifted)
+        monkeypatch.setattr(normalform, "frame_terms", shifted)
         means, first_obstruction = conjugated_order_zero(cubic_path, cubic_frame)
         assert abs(first_obstruction - 1e-8) <= 1e-15
         moved = means - clean
         assert max(abs(complex(v)) for v in moved.coeffs.values()) <= 1e-7
 
     def test_stage_one_equals_closed_form_terms(self, cubic_path, cubic_frame):
-        """The stage 1 symbols carry the closed-form pieces pointwise: the
-        D_s-free weight 0 part is d_zero_restricted and the weight -1/2
-        part is d_half; the weight -1 operator is c_s D_s."""
+        """The stage 1 symbols, evaluated term by term, carry the
+        closed-form pieces pointwise: the D_s-free weight 0 part is
+        d_zero_restricted and the weight -1/2 part is d_half; the weight -1
+        operator is c_s D_s."""
         d, d0 = frame_conjugated(cubic_path, cubic_frame)
         assert_frame_cancels()
         for got, ref in ((d0, d_zero_restricted(cubic_frame)), (d, d_half(cubic_frame))):
@@ -656,55 +689,64 @@ class TestEnginePin:
 
 
 class TestEvaluate:
-    """The exact stage 1 is built once per process; a path only evaluates it."""
+    """The exact stage 1 is written over real monomials once per process; a
+    path only forms the monomials and sums them into means."""
 
-    def test_each_polynomial_evaluated_once(self, cubic_path, cubic_frame, monkeypatch):
-        """d and the D_s-free weight 0 part D0 hold 4 + 9 entries with 4 + 37
-        terms, 13 distinct jet polynomials.  Per path each is evaluated once,
-        each term with one product per factor; the 4 that are formal
-        conjugates of earlier ones take np.conj and no product.  Every entry
-        equals its polynomial's own evaluation to roundoff."""
+    def test_each_monomial_formed_once_per_block(self, cubic_frame, monkeypatch):
+        """D0's 9 entries pair up into 6 first entries: (4, 0), (3, 1) and
+        (2, 0) with their real and imaginary parts, (2, 2) and (0, 0) real
+        and (1, 1) imaginary, 9 real rows over 28 monomials; d's 2 first
+        entries give 4 rows over 4 more.  Per block of samples each
+        monomial times f is one product of a prefix by one factor (75 in
+        all), and one matrix product sums them into the 13 rows; at
+        N = 32768 that is 8 blocks.  The D0 means and the odd term equal
+        the term-by-term route to roundoff."""
         from collections import Counter
-        from oracles import substitute
-        from zollforms import expansion, normalform
+        from zollforms import normalform
+        from zollforms.surface import MetricModel
 
-        _, d, d0 = expansion.conjugated_symbols()
-        _, plan, _ = normalform._symbols()
-        steps, _ = plan
-        assert (len(d.coeffs), len(d0.coeffs)) == (4, 9)
-        assert [sum(len(jp.terms) for jp in sym.coeffs.values()) for sym in (d, d0)] == [4, 37]
-        assert len(steps) == len({jp for sym in (d, d0) for jp in sym.coeffs.values()}) == 13
-        twins = [step for step in steps if isinstance(step, int)]
-        assert len(twins) == 4
-        direct = [step for step in steps if not isinstance(step, int)]
-        factors = sum(p for step in direct for _, mono in step for _, p in mono)
-        adds = sum(len(step) - 1 for step in direct)
+        stage = normalform._symbols()
+        d_exact, d0_exact = stage.exact
+        firsts = [key for key, _ in stage.d0_parts]
+        assert sorted(set(firsts), key=firsts.index) == [(4, 0), (3, 1), (2, 0), (2, 2),
+                                                           (1, 1), (0, 0)]
+        assert stage.d0_parts[6:] == (((2, 2), 1), ((1, 1), 1j), ((0, 0), 1))
+        d0_monomials = {m for key in set(firsts) for m in d0_exact[key][1]}
+        d_monomials = {m for key in stage.d_firsts for m in d_exact[key][1]}
+        assert (len(d0_monomials), len(d_monomials)) == (28, 4)
+        assert stage.coeffs.shape == (9 + 4, 32)
+        assert len(stage.steps) == 75
+        assert not np.any(stage.coeffs[:9, [stage.monomials.index(m) for m in d_monomials]])
 
+        path = trace_geodesic(MetricModel.zoll_revolution([-0.3, 0.3]), cubic_frame.path.init,
+                              32768)
+        frame = solve_fundamental(path)
         calls = Counter()
-        real_into, real_conj = normalform._into, np.conj
-        monkeypatch.setattr(normalform, "_into", lambda ufunc, acc, v: calls.update(
-            [ufunc.__name__]) or real_into(ufunc, acc, v))
-        monkeypatch.setattr(np, "conj", lambda v: calls.update(["conj"]) or real_conj(v))
-        evaluated = frame_conjugated(cubic_path, cubic_frame)
+        for name in ("multiply", "matmul"):
+            def counting(*args, _real=getattr(np, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np, name, counting)
+        d0, d = frame_terms(path, frame)
         monkeypatch.undo()
-        # Yb and dYb, then one per conjugate step
-        assert calls == Counter(multiply=factors, add=adds, conj=2 + 4)
+        blocks = path.n // normalform.BLOCK
+        assert (blocks, calls) == (8, Counter(multiply=75 * blocks, matmul=blocks))
 
-        values = normalform._path_values(cubic_path, cubic_frame)
-        for exact, got in zip((d, d0), evaluated):
-            assert set(got.coeffs) == set(exact.coeffs)
-            for key, jp in exact.coeffs.items():
-                want = substitute(jp, values)
-                assert np.max(np.abs(got[key] - want)) <= 1e-15 * np.max(np.abs(want)), key
-        for sym, pairs in zip(evaluated, (((0, 3), (1, 2)), ((0, 4), (1, 3)))):
-            for m, n in pairs:
-                assert np.array_equal(sym[m, n], np.conj(sym[n, m])), (m, n)
+        pointwise_d, pointwise_d0 = frame_conjugated(path, frame)
+        want = field_mean(path, pointwise_d0)
+        assert set(d0.coeffs) == set(want.coeffs)
+        for key in want.coeffs:
+            assert abs(d0[key] - want[key]) <= 1e-15, key
+        for key, v in d.items():
+            ref = pointwise_d[key] * path.weight
+            assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref)), key
 
     def test_real_coefficients_stay_real(self):
-        """Real coefficients evaluate to float64 on real samples, any other
-        to complex128; a constant polynomial stays a Python scalar."""
+        """The pointwise route: real coefficients evaluate to float64 on
+        real samples, any other to complex128; a constant polynomial stays
+        a Python scalar."""
+        from oracles import evaluate, evaluation_plan
         from zollforms.expansion import TAU, TAU_NU, JetPolynomial, QQi
-        from zollforms.normalform import _evaluate, _plan
 
         rng = np.random.default_rng(8)
         vals = {"tau": rng.standard_normal(8), "tau_nu": rng.standard_normal(8)}
@@ -712,7 +754,7 @@ class TestEvaluate:
         mixed = real + TAU * JetPolynomial.const(QQi(0, 1))
         sym = PolySymbol({(0, 0): real, (1, 0): mixed, (0, 1): JetPolynomial.const(2),
                           (1, 1): JetPolynomial.const(QQi(1, 1))})
-        [got] = _evaluate(_plan([sym]), vals)
+        [got] = evaluate(evaluation_plan([sym]), vals)
         assert got[0, 0].dtype == np.float64 and got[1, 0].dtype == np.complex128
         expected = (2 / 3) * vals["tau"] ** 2 + vals["tau_nu"] / 12
         assert np.max(np.abs(got[0, 0] - expected)) <= 1e-15
@@ -721,19 +763,21 @@ class TestEvaluate:
         assert type(got[1, 1]) is complex
 
     def test_built_once_per_process(self, cubic_path, cubic_frame, round_path, round_frame):
-        """The plan is built once; and from cold caches, the constants table
-        and one geodesic through the engine derive the exact stage 1 and the
-        engine's table once, the table's integrand being the engine's own
-        |z|^4 entry of D0."""
+        """The stage is built once; and from cold caches, the constants
+        table and one geodesic through the engine derive the exact stage 1
+        and the engine's stage once, the table's integrand being the
+        engine's own |z|^4 entry of D0."""
         from zollforms import expansion, normalform
 
-        frame_conjugated(cubic_path, cubic_frame)
+        frame_terms(cubic_path, cubic_frame)
         before = normalform._symbols.cache_info()
-        frame_conjugated(round_path, round_frame)
+        frame_terms(round_path, round_frame)
         conjugated_order_zero(cubic_path, cubic_frame)
         after = normalform._symbols.cache_info()
         assert (after.misses, after.currsize) == (before.misses, 1)
-        assert after.hits == before.hits + 3
+        # frame_terms once; the engine call itself, its frame_terms and its
+        # solve_first_homological once each
+        assert after.hits == before.hits + 4
 
         for cached in (expansion.conjugated_symbols, normalform._symbols):
             cached.cache_clear()
@@ -745,6 +789,145 @@ class TestEvaluate:
             assert (info.misses, info.currsize) == (1, 1)
         _, _, d0 = expansion.conjugated_symbols()
         assert expansion.derive_normal_form_integrands()["z4"] is d0.coeffs[2, 2]
+
+
+class TestRealMonomials:
+    """The exact map of stage 1 over the real Jacobi rows, and the D0 means
+    read through it."""
+
+    def test_map_recontracts_to_the_exact_symbols(self):
+        """Every entry of d and D0, written over real monomials in
+        y1, y2, dy1, dy2, gives back the entry term for term in QQi when
+        y2 = (Y + Yb)/2, y1 = (Y - Yb)/(2i) and likewise for dy1, dy2; and
+        each entry (m, n) is its sign times the conjugate of entry (n, m),
+        the sign the engine unfolds the means of mirrored entries by."""
+        from zollforms import expansion, normalform
+        from zollforms.expansion import JetPolynomial, QQi
+
+        half, var = QQi(Fraction(1, 2)), JetPolynomial.var
+        back = {"y2": (var("Y") + var("Yb")) * half, "y1": (var("Y") - var("Yb")) * QQi(0, -half.re),
+                "dy2": (var("dY") + var("dYb")) * half,
+                "dy1": (var("dY") - var("dYb")) * QQi(0, -half.re)}
+        _, d, d0 = expansion.conjugated_symbols()
+        for sym, exact in zip((d, d0), normalform._symbols().exact):
+            assert list(exact) == list(sym.coeffs)
+            for key, (scale, terms) in exact.items():
+                total = JetPolynomial()
+                for mono, (re, im) in terms.items():
+                    term = JetPolynomial.const(QQi(Fraction(re, scale), Fraction(im, scale)))
+                    for name, p in mono:
+                        for _ in range(p):
+                            term = term * back.get(name, var(name))
+                    total = total + term
+                assert total == sym.coeffs[key], key
+        stage = normalform._symbols()
+        for exact, mirrors in zip(stage.exact, (stage.d_mirrors, stage.d0_mirrors)):
+            for (m, n), sign in mirrors:
+                scale, terms = exact[n, m]
+                assert exact[m, n] == (scale, {mono: (sign * re, -sign * im)
+                                               for mono, (re, im) in terms.items()}), (m, n)
+
+    def test_a_broken_mirror_pair_raises(self, monkeypatch):
+        """Each mirrored entry is checked once, exactly, against +- the
+        conjugate of its first entry: a D0 whose (0, 4) entry is not, or an
+        odd term that is not a real symbol, raises when the stage is built."""
+        from zollforms import expansion, normalform
+        from zollforms.expansion import TAU, QQi
+
+        c_s, d, d0 = expansion.conjugated_symbols()
+        broken_d0 = PolySymbol({**d0.coeffs, (0, 4): d0.coeffs[0, 4] + TAU * QQi(0, 1)})
+        imaginary_d = PolySymbol({k: v * QQi(0, 1) for k, v in d.coeffs.items()})
+        for symbols, match in (((c_s, d, broken_d0), "entry \\(0, 4\\)"),
+                               ((c_s, imaginary_d, d0), "not a real symbol")):
+            monkeypatch.setattr(expansion, "conjugated_symbols", lambda: symbols)
+            with pytest.raises(AssertionError, match=match):
+                normalform._symbols.__wrapped__()
+
+    @pytest.mark.parametrize("case", ["cubic", "round", "zoll:-0.99-256", "zoll:-0.99-2048"])
+    def test_d0_means_match_the_pointwise_route(self, cubic_path, cubic_frame, round_path,
+                                                round_frame, case):
+        """The D0 means from the monomial blocks equal the means of the
+        term-by-term evaluation to 1e-13 of the largest of them, on every
+        first 8 CLI geodesic of zoll:-0.99, where the terms reach about
+        1e3 and cancel (measured: <= 1e-15 relative)."""
+        from zollforms import cli
+
+        if case == "cubic":
+            frames = [cubic_frame]
+        elif case == "round":
+            frames = [round_frame]
+        else:
+            spec, n = case.rsplit("-", 1)
+            cfg = cli.RunConfig.load(None, {"metric": cli.parse_metric_flag(spec), "geodesics": 8})
+            frames = [solve_fundamental(trace_geodesic(cfg.metric_model, ic, int(n)))
+                      for _, ic in cli._initial_conditions(cfg)]
+        for frame in frames:
+            got, _ = frame_terms(frame.path, frame)
+            want = field_mean(frame.path, frame_conjugated(frame.path, frame)[1])
+            scale = max(abs(v) for v in want.coeffs.values())
+            for key in set(got.coeffs) | set(want.coeffs):
+                assert abs(got[key] - want[key]) <= 1e-13 * scale, key
+
+    def test_a_nan_sample_makes_every_d0_mean_nan(self, cubic_path, cubic_frame):
+        """The blocks sum through a matrix product: a NaN at one sample of
+        y1 reaches every D0 mean and the odd term, and the first
+        obstruction gate refuses the geodesic."""
+        from dataclasses import replace
+
+        y1 = cubic_frame.y1.copy()
+        y1[cubic_path.n // 3] = math.nan
+        frame = replace(cubic_frame, y1=y1)
+        d0, d = frame_terms(cubic_path, frame)
+        assert len(d0.coeffs) == 9
+        assert all(np.isnan(v) for v in d0.coeffs.values())
+        assert all(np.isnan(v).any() for v in d.values())
+        with pytest.raises(FirstObstructionError):
+            conjugated_order_zero(cubic_path, frame)
+
+    def test_meridian_takes_no_stage_2(self, cubic_metric, monkeypatch):
+        """On the canonical meridian tau_nu = 0, so the odd term is exactly
+        0: an engine call takes no antiderivative and no product mean, and
+        the record is the D0 means of the term-by-term route, to 1e-15."""
+        from zollforms import normalform, surface
+        from zollforms.geodesic import canonical_initial_conditions
+
+        ic = dict(canonical_initial_conditions())["meridian"]
+        path = trace_geodesic(cubic_metric, ic, 2048)
+        frame = solve_fundamental(path)
+        normalform._symbols()
+        calls = []
+        for owner in (normalform, surface):
+            real = owner.spectral_antiderivative
+            monkeypatch.setattr(owner, "spectral_antiderivative",
+                                lambda v, _real=real: calls.append(v) or _real(v))
+        rec = assemble_p1(cubic_metric, ic, path=path, frame=frame)
+        assert len(calls) == 2    # compute_H's, none of the engine's
+        assert rec.first_obstruction_max == 0.0
+        want = field_mean(path, frame_conjugated(path, frame)[1])
+        assert abs(rec.c0 - want[0, 0].real / 2.0) <= 1e-15
+        assert abs(rec.c2 - want[2, 2].real / 2.0) <= 1e-15
+        assert abs(rec.c01 - abs(want[1, 1]) / 2.0) <= 1e-15
+        for key, v in rec.offdiag.items():
+            assert abs(v - want[key] / 2.0) <= 1e-15, key
+
+    def test_one_engine_call_holds_few_grid_arrays(self, cubic_metric, generic_ic):
+        """Traced by tracemalloc, one engine call at N = 32768 peaks below
+        10 complex grid arrays (16 N bytes each): the monomials live one
+        block at a time, and D0 is never held as sampled entries (measured:
+        6.5, against 18.5 when D0 was evaluated entry by entry)."""
+        import tracemalloc
+
+        n = 32768
+        path = trace_geodesic(cubic_metric, generic_ic, n)
+        frame = solve_fundamental(path)
+        conjugated_order_zero(path, frame)    # the per-process stage, and the FFT plans
+        tracemalloc.start()
+        try:
+            conjugated_order_zero(path, frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 16 * n, peak / (16 * n)
 
 
 class TestSubstitutionCount:
@@ -771,31 +954,41 @@ class TestSubstitutionCount:
         conjugated_order_zero(cubic_path, cubic_frame)
         assert built == Counter()
 
-    def test_spectral_calls(self, cubic_path, cubic_frame, monkeypatch):
+    def test_spectral_calls(self, cubic_metric, generic_ic, meridian_ic, monkeypatch):
         """One engine call takes no spectral derivative: dh/ds is closed
         form and dQ/ds comes from the homological equation.  It takes 2
-        antiderivatives (Q, one per conjugate pair of the odd term) and
-        29 means along the path: 4 of the odd term, 9 of the entries of
-        D0, and 16 of the products Q_a d_b and Q_a the closed form reads.
-        It forms no star product or commutator: stage 1 and the commutator
-        weights of stage 2 are taken once per process, in exact arithmetic."""
+        antiderivatives (Q of the first entry of each conjugate pair of
+        the odd term) and 10 means: 2 of the odd term, 2 of Q and 6 of the
+        products Q_a d_b the closed form reads; the other half are their
+        exact conjugates, and D0 is summed block by block (1 block at
+        N = 1024).  On the meridian the odd term is exactly 0 and stage 2
+        takes none of them.  No call forms a star product or commutator:
+        stage 1 and the commutator weights of stage 2 are taken once per
+        process, in exact arithmetic."""
         from collections import Counter
         from zollforms import fourier, normalform, surface, weyl
 
         calls = Counter()
 
         def count(owner, name, key):
-            def counting(*args, _real=getattr(owner, name)):
+            def counting(*args, _real=getattr(owner, name), **kwargs):
                 calls[key] += 1
-                return _real(*args)
+                return _real(*args, **kwargs)
             monkeypatch.setattr(owner, name, counting)
 
-        conjugated_order_zero(cubic_path, cubic_frame)   # the exact stages, once per process
-        count(surface, "spectral_antiderivative", "spectral_antiderivative")
-        count(surface.GeodesicPath, "mean", "mean")
+        frames = [solve_fundamental(trace_geodesic(cubic_metric, ic, 1024))
+                  for ic in (generic_ic, meridian_ic)]
+        conjugated_order_zero(frames[0].path, frames[0])   # the exact stages, once per process
+        for owner in (surface, normalform):
+            count(owner, "spectral_antiderivative", "spectral_antiderivative")
+        count(np, "mean", "mean")
+        count(np, "sum", "block sums")
         count(weyl, "_moyal", "star")
-        conjugated_order_zero(cubic_path, cubic_frame)
-        assert calls == Counter(spectral_antiderivative=2, mean=4 + 9 + 16)
+        for frame, want in zip(frames, (Counter(spectral_antiderivative=2, mean=2 + 2 + 6),
+                                        Counter())):
+            calls.clear()
+            conjugated_order_zero(frame.path, frame)
+            assert calls == want + Counter({"block sums": 1})
         assert not any(hasattr(module, "spectral_derivative")
                        for module in (fourier, normalform, surface))
 
@@ -847,9 +1040,8 @@ class TestRealTransverseBasis:
         """The graded symbols framed in exact arithmetic, as the engine's
         stage 1 frames them, and evaluated on the path, equal the oracle's
         symbols in (z, zbar) with the frame substituted on the grid."""
-        from oracles import graded_zzbar
+        from oracles import evaluate, evaluation_plan, graded_zzbar, path_values
         from zollforms.expansion import _frame_formal, graded_laplacian, transverse_symbols
-        from zollforms.normalform import _evaluate, _path_values, _plan
 
         metric = {"cubic": cubic_metric, "linear": linear_metric}[profile]
         path = trace_geodesic(metric, generic_ic, n)
@@ -858,7 +1050,7 @@ class TestRealTransverseBasis:
                  for c, sym in transverse_symbols(op).items()]
         framed = _frame_formal([sym for _, _, sym in slots])
         got = {}
-        for (w, c, _), image in zip(slots, _evaluate(_plan(framed), _path_values(path, frame))):
+        for (w, c, _), image in zip(slots, evaluate(evaluation_plan(framed), path_values(path, frame))):
             got.setdefault(w, {})[c] = image
         ref = graded_zzbar(path)
         assert set(got) == set(ref)
@@ -882,11 +1074,11 @@ class TestRealTransverseBasis:
         metric = {"cubic": cubic_metric, "linear": linear_metric}[profile]
         path = trace_geodesic(metric, generic_ic, n)
         frame = solve_fundamental(path)
-        d, _ = frame_conjugated(path, frame)
+        _, d = frame_terms(path, frame)
         q, means = solve_first_homological(path, d)
-        q_s = PolySymbol({k: -(v - means[k]) / 2.0 for k, v in d.coeffs.items()})
-        fft = q.map_coeffs(lambda v: ds(path, v))
-        assert set(q_s.coeffs) == set(fft.coeffs)
-        scale = max(float(np.max(np.abs(v))) for v in q_s.coeffs.values())
-        for key, v in q_s.coeffs.items():
+        q_s = {k: -(v / path.weight - means[k]) / 2.0 for k, v in d.items()}
+        fft = {k: ds(path, v) for k, v in q.items()}
+        assert set(q_s) == set(fft) == {(3, 0), (2, 1)}
+        scale = max(float(np.max(np.abs(v))) for v in q_s.values())
+        for key, v in q_s.items():
             assert np.max(np.abs(v - fft[key])) <= 1e-10 * scale, key
