@@ -4,8 +4,8 @@ A numpy library with an exact symbolic sub-engine; scipy is a test
 oracle only.  The main entry points mirror the pipeline: build a metric
 (`surface`), trace closed geodesics with their curvature jets and
 Jacobi frame, all from closed formulas with no ODE solve (`geodesic`,
-one `GeodesicPath` per start), read the Poincare,
-Floquet and variation data off that frame (`jacobi`), run the symbol
+one `GeodesicPath` per start), read the Poincare
+and Floquet data off that frame (`jacobi`), run the symbol
 calculus (`weyl`, `expansion`), assemble the degree-2 normal form
 invariant (`normalform`), and verify the universal integral identities
 (`identities`).  A small CLI

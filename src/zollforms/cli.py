@@ -1,8 +1,9 @@
 """Deterministic experiment CLI: constants, verify, invariants.
 
 Configuration comes from a JSON file plus flag overrides; reports are
-schema-versioned JSON with a content digest, and the invariants command
-additionally writes plot-ready CSV rows (one per geodesic).
+schema-versioned JSON with a content digest, encoded once (`Report`), and
+the invariants command additionally writes plot-ready CSV rows (one per
+geodesic).
 
 Exit codes: 0 pass, 1 check failure, 2 config error, 3 numerical failure.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .expansion import constants_report
-from .geodesic import (MAX_GRID, MIN_GRID, canonical_initial_conditions,
+from .geodesic import (CLOSURE_TOL, MAX_GRID, MIN_GRID, canonical_initial_conditions,
                        sample_initial_conditions, trace_geodesic)
 from .identities import DEFAULT_TOLERANCE, run_all_checks
 from .jacobi import solve_fundamental
@@ -30,7 +31,7 @@ from .surface import IntegrationError, MetricModel
 
 __all__ = ["main", "RunConfig", "build_report", "metric_from_spec"]
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 H_RELATION_TOL = 1e-9     # residual of the paper's c0 = -H/(16 pi), see InvariantRecord.h_relation
 
 EXIT_PASS = 0
@@ -154,8 +155,12 @@ def _initial_conditions(cfg):
     return out[:count]
 
 
+def _encode(obj):
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
+
+
 def _digest(obj):
-    return hashlib.sha256(json.dumps(obj, sort_keys=True, allow_nan=False).encode()).hexdigest()
+    return hashlib.sha256(_encode(obj).encode()).hexdigest()
 
 
 @lru_cache(maxsize=1)
@@ -182,10 +187,12 @@ def _init_fields(ic):
 def build_report(cfg, mode):
     """Run `verify` or `invariants` over the geodesic sample; returns (report, exit_code).
 
-    Each start is traced by `trace_geodesic`, without the closure gate,
-    and processed before the next.  A geodesic that fails is recorded and
-    the run goes on; the exit code is EXIT_NUMERICAL_FAILURE if any
-    geodesic hit one of NUMERICAL_FAILURES.
+    Each start is traced by `trace_geodesic`, without its closure gate,
+    and processed before the next.  A closure or Poincare defect above
+    CLOSURE_TOL (or NaN) is the geodesic's `closure` failure, in both
+    modes, and its checks or invariants are still computed.  A geodesic
+    that fails is recorded and the run goes on; the exit code is
+    EXIT_NUMERICAL_FAILURE if any geodesic hit one of NUMERICAL_FAILURES.
     """
     records = []
     failures = []
@@ -195,9 +202,11 @@ def build_report(cfg, mode):
             path = trace_geodesic(cfg.metric_model, ic, cfg.grid, enforce_closure=False)
             record["closure_defect"] = path.closure_defect
             frame = solve_fundamental(path)
-            record["poincare_defect"] = float(
-                max(abs(frame.poincare[i, j] - (1.0 if i == j else 0.0))
-                    for i in range(2) for j in range(2)))
+            # np.max keeps a NaN, which Python's max drops unless it comes first
+            record["poincare_defect"] = float(np.max(np.abs(frame.poincare - np.eye(2))))
+            defect = float(np.max([path.closure_defect, record["poincare_defect"]]))
+            if not defect <= CLOSURE_TOL:
+                failures.append((name, "closure", defect))
             if mode == "verify":
                 checks = run_all_checks(path, frame)
                 record["checks"] = [c.as_dict() for c in checks]
@@ -225,15 +234,15 @@ def build_report(cfg, mode):
     return _assemble_report(cfg, mode, records, failures), code
 
 
-CHECK_PRIORITY = ["check_cube", "check_tau_s", "check_quartic", "check_4id_im",
-                  "check_4id_relation", "check_commutator_reduction",
-                  "check_commutator_reduction_im", "check_commutator_special_case",
-                  "first_obstruction", "h_relation", *NUMERICAL_FAILURES.values()]
+CHECK_PRIORITY = ["closure", "check_cube", "check_tau_s", "check_quartic", "check_4id_im",
+                  "check_4id_relation", "first_obstruction", "h_relation",
+                  *NUMERICAL_FAILURES.values()]
 
 
 def _assemble_report(cfg, mode, records, failures):
-    # the cube integral is the first obstruction; report failures in check
-    # priority order so the most basic broken identity is named first
+    # report failures in check priority order so the most basic broken
+    # condition is named first: a geodesic that does not close, then the
+    # cube integral, the first obstruction
     def priority(item):
         _, check, _ = item
         return (CHECK_PRIORITY.index(check) if check in CHECK_PRIORITY else 99)
@@ -260,9 +269,29 @@ def _assemble_report(cfg, mode, records, failures):
             summary["c2_max"] = float(np.max(np.abs([i["c2"] for i in invs])))
             summary["c01_max"] = float(np.max(np.abs([i["c01"] for i in invs])))
             summary["offdiag_max"] = float(np.max([i["offdiag_max"] for i in invs]))
-    report = _strict_json({"header": _header(cfg), "geodesics": records, "summary": summary})
-    report["digest"] = _digest(report)
-    return report
+    return Report({"header": _header(cfg), "geodesics": records, "summary": summary})
+
+
+class Report(dict):
+    """A report with its "digest" entry, and `text`, its JSON encoding.
+
+    The body is encoded once, with sorted keys: the digest is the sha256
+    of that text, and `text` is the same text with the digest spliced in
+    as its first key, so `text == json.dumps(report, sort_keys=True)`.
+    A body holding a NaN or infinite float is encoded again after
+    `_strict_json`, which writes each such value as null.
+    """
+
+    def __init__(self, body):
+        try:
+            body_text = _encode(body)
+        except ValueError:   # a non-finite float, which strict JSON cannot hold
+            body = _strict_json(body)
+            body_text = _encode(body)
+        digest = hashlib.sha256(body_text.encode()).hexdigest()
+        super().__init__(body, digest=digest)
+        # "digest" sorts before every key of the body
+        self.text = f'{{"digest": "{digest}", {body_text[1:]}'
 
 
 def _strict_json(obj):
@@ -276,8 +305,8 @@ def _strict_json(obj):
     return obj
 
 
-def _write_report(report, out_path):
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+def _write_report(text, out_path):
+    """Write one encoded JSON document to `out_path`, or to stdout."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -305,7 +334,8 @@ def _write_csv(report, csv_path):
 
 def cmd_constants(args):
     """One JSON document, to --out or else to stdout, as the other commands."""
-    _write_report(constants_report(), args.out)
+    _write_report(json.dumps(constants_report(), sort_keys=True, indent=2, allow_nan=False),
+                  args.out)
     return EXIT_PASS
 
 
@@ -333,7 +363,7 @@ def cmd_run(args):
     for path in filter(None, (cfg.out, csv_path)):
         open(path, "a").close()
     report, code = build_report(cfg, args.command)
-    _write_report(report, cfg.out)
+    _write_report(report.text, cfg.out)
     if csv_path:
         _write_csv(report, csv_path)
     failures = report["summary"]["failures"]

@@ -6,8 +6,9 @@ power of two.  Antiderivatives are computed through the FFT, so they are
 exact for trigonometric polynomials and spectrally accurate for smooth
 periodic data; real data take the real transform and stay real.  The
 path turns them into arclength integrals by its weight ds/d(theta)
-(`surface.GeodesicPath`).  Forced linear equations
-along a geodesic are solved by quadrature (`jacobi.variation_field`).
+(`surface.GeodesicPath`).  The normal form engine takes them for the
+homological equation (`normalform.solve_first_homological`) and
+`normalform.compute_H`; the identity checks take none.
 """
 
 from functools import lru_cache

@@ -1,4 +1,4 @@
-"""Jacobi fields, Poincare map, Floquet data, and the variation equation.
+"""Jacobi fields, Poincare map and Floquet data.
 
 The scalar Jacobi equation y'' + tau(s) y = 0, tau = K(u), is solved in
 closed form with the geodesic: `surface.flow` samples the rotation field
@@ -9,11 +9,8 @@ is s = 2*pi on a Zoll metric).  The complex frame
 is Y = y2 + i*y1 with Y(0) = 1, Y'(0) = i; its Wronskian against the
 conjugate is omega(Y, Ybar) = Y Ybar' - Y' Ybar = -2i, constant in s.  On a Zoll
 metric the Poincare matrix is the identity and all solutions are
-periodic.
-
-The forced variation equation is solved without an ODE, by variation of
-parameters on the frame (Wronskian y2 y1' - y1 y2' = 1): two arclength
-antiderivatives of the path per field.
+periodic.  The forced variation equation on the frame, which only the
+tests solve, lives in `tests/oracles.py`.
 """
 
 import math
@@ -25,10 +22,8 @@ from .surface import IntegrationError
 
 __all__ = [
     "JacobiFrame",
-    "VariationField",
     "solve_fundamental",
     "floquet_exponents",
-    "variation_field",
 ]
 
 WRONSKIAN_TOL = 1e-8
@@ -107,39 +102,3 @@ def floquet_exponents(frame_or_matrix):
         raise ValueError(f"Poincare eigenvalues {eigs} leave the unit circle: not elliptic")
     half_trace = float(np.trace(P).real) / 2.0
     return float(math.acos(min(1.0, max(-1.0, half_trace))))
-
-
-@dataclass(frozen=True)
-class VariationField:
-    """Solution y_nu, y_nu' of the forced variation equation
-    y_nu'' + tau_nu v y + tau y_nu = 0; for the diagonal case v = y,
-    y_nu'' + tau_nu y^2 + tau y_nu = 0."""
-
-    y_nu: np.ndarray
-    dy_nu: np.ndarray
-
-
-def variation_field(frame, direction=None):
-    """Variation of the complex frame Y under a normal deformation of the geodesic.
-
-    Solves y_nu'' = -tau y_nu - F with F = tau_nu v(s) y(s), y = Y and
-    initial data (0, 0), the variation of the canonical family with frozen
-    initial conditions; v = `direction` is the Jacobi field generating the
-    deformation.  By default v = y, the diagonal form
-    y_nu'' + tau_nu y^2 + tau y_nu = 0.  The deformation is
-    geometric (a family of nearby geodesics) only for real v: the
-    Wronskian-variation identity Im(y_nu Ybar' - y_nu' Ybar) = 0 holds for
-    real directions, e.g. v = y2 for the family displaced along the unit
-    normal at the base point.
-
-    Variation of parameters on the frame gives the field in closed form:
-    y_nu = y2 int_0^s y1 F - y1 int_0^s y2 F and
-    y_nu' = y2' int_0^s y1 F - y1' int_0^s y2 F.
-    """
-    y = frame.Y
-    path = frame.path
-    force = path.tau_nu * (y if direction is None else np.asarray(direction)) * y
-    a = path.antiderivative(frame.y1 * force)
-    b = path.antiderivative(frame.y2 * force)
-    return VariationField(y_nu=frame.y2 * a - frame.y1 * b,
-                          dy_nu=frame.dy2 * a - frame.dy1 * b)

@@ -11,14 +11,19 @@ where beta has a pole; a meridian is that chart's c = 0 case, and its r
 runs on through the poles.  `exp_map` reads the geodesic end points off
 it.
 
-The production variation field comes by quadrature (see
-`zollforms.jacobi`).  The routes here solve the same equations a second
-way: ODE solves in s, driven by the trigonometric interpolants of the
-sampled curvature and of the weight f = ds/d(theta), with the Clairaut
-angle riding along by d(theta)/ds = 1/f, and read at the path's
-arclengths.  Tests pin the two routes to each other, so the identity
-checks that consume the variation field keep a path that shares no
-quadrature with them.  `spectral_derivative` is the FFT derivative on
+The variation field, which the package does not need, has two routes
+here.  `variation_field` takes it by quadrature on the frame (variation
+of parameters, two antiderivatives of the path).  `ode_frame` and
+`ode_variation_field` solve the Jacobi and forced variation equations a
+second way: ODE solves in s, driven by the trigonometric interpolants of
+the sampled curvature and of the weight f = ds/d(theta), with the
+Clairaut angle riding along by d(theta)/ds = 1/f, and read at the path's
+arclengths.  Tests pin the two routes to each other.  The paper's
+reduction of the commutator term to boundary terms of the field
+(`commutator_reduction`, `commutator_special_case`) is checked on the
+ODE-solved field: on the quadrature field its residual is exactly
+(1 - W) int Ybar F, with W the frame's Wronskian, so it could not fail
+there.  `spectral_derivative` is the FFT derivative on
 the uniform grid, and `ds` = (1/f) d/d(theta) the FFT route to the
 s-derivatives that the package takes in closed form.
 
@@ -69,6 +74,7 @@ between two nearby states, for the exp-map and area-element tests) and
 import functools
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -76,7 +82,8 @@ from scipy.integrate import solve_ivp
 
 from zollforms import expansion
 from zollforms.geodesic import GeodesicPath
-from zollforms.jacobi import JacobiFrame, VariationField
+from zollforms.identities import CheckResult
+from zollforms.jacobi import JacobiFrame
 from zollforms.surface import SurfacePoint
 from zollforms.weyl import (PolySymbol, star_commutator, star_product, substitute_linear,
                             transvectant_constant)
@@ -165,8 +172,44 @@ def ode_frame(path):
     )
 
 
+@dataclass(frozen=True)
+class VariationField:
+    """Solution y_nu, y_nu' of the forced variation equation
+    y_nu'' + tau_nu v y + tau y_nu = 0; for the diagonal case v = y,
+    y_nu'' + tau_nu y^2 + tau y_nu = 0."""
+
+    y_nu: np.ndarray
+    dy_nu: np.ndarray
+
+
+def variation_field(frame, direction=None):
+    """Variation of the complex frame Y under a normal deformation of the geodesic.
+
+    Solves y_nu'' = -tau y_nu - F with F = tau_nu v(s) y(s), y = Y and
+    initial data (0, 0), the variation of the canonical family with frozen
+    initial conditions; v = `direction` is the Jacobi field generating the
+    deformation.  By default v = y, the diagonal form
+    y_nu'' + tau_nu y^2 + tau y_nu = 0.  The deformation is
+    geometric (a family of nearby geodesics) only for real v: the
+    Wronskian-variation identity Im(y_nu Ybar' - y_nu' Ybar) = 0 holds for
+    real directions, e.g. v = y2 for the family displaced along the unit
+    normal at the base point.
+
+    Variation of parameters on the frame gives the field in closed form:
+    y_nu = y2 int_0^s y1 F - y1 int_0^s y2 F and
+    y_nu' = y2' int_0^s y1 F - y1' int_0^s y2 F.
+    """
+    y = frame.Y
+    path = frame.path
+    force = path.tau_nu * (y if direction is None else np.asarray(direction)) * y
+    a = path.antiderivative(frame.y1 * force)
+    b = path.antiderivative(frame.y2 * force)
+    return VariationField(y_nu=frame.y2 * a - frame.y1 * b,
+                          dy_nu=frame.dy2 * a - frame.dy1 * b)
+
+
 def ode_variation_field(frame, direction=None):
-    """The variation field of `jacobi.variation_field`, by a forced ODE solve."""
+    """The variation field of `variation_field`, by a forced ODE solve."""
     path = frame.path
     y = frame.Y
     direction = y if direction is None else np.asarray(direction)
@@ -179,6 +222,57 @@ def ode_variation_field(frame, direction=None):
 
     y_nu, dy_nu, _ = _solve(rhs, np.zeros(3, dtype=complex), path.s, t_end=path.s[-1])
     return VariationField(y_nu=y_nu, dy_nu=dy_nu)
+
+
+def commutator_reduction(path, frame, variation, real_variation):
+    """Reduction of the inner commutator integral to variation boundary terms.
+
+    With the diagonal variation Y_nu (forcing tau_nu Y^2, initial data
+    (0, 0)) in `variation`:
+        int_0^s tau_nu Ybar^n Y^m dt = -(Y_nu' w - Y_nu w')(s)
+    for (m, n) = (2, 1) with w = Ybar and (m, n) = (3, 0) with w = Y.
+    The pointwise Wronskian-variation identity
+        Im(y_nu Ybar' - y_nu' Ybar) = 0
+    is checked on `real_variation`, the field of the real deformation
+    direction y2 (the family displaced along the unit normal at the base
+    point).  Returns (reduction residual, pointwise Im-identity residual)
+    as CheckResults.
+    """
+    Y, dY = frame.Y, frame.dY
+    worst_raw, worst_scale = 0.0, 0.0
+    for w, dw, inner in (
+        (np.conj(Y), np.conj(dY), path.tau_nu * Y * Y * np.conj(Y)),
+        (Y, dY, path.tau_nu * Y ** 3),
+    ):
+        cum = path.antiderivative(inner)
+        boundary = variation.dy_nu * w - variation.y_nu * dw
+        worst_raw = max(worst_raw, float(np.max(np.abs(cum + boundary))))
+        worst_scale = max(worst_scale, 2.0 * math.pi * float(path.mean(np.abs(inner))),
+                          float(np.max(np.abs(boundary))))
+    res = CheckResult("check_commutator_reduction", raw=worst_raw, scale=worst_scale)
+    im_vals = np.imag(real_variation.y_nu * np.conj(dY) - real_variation.dy_nu * np.conj(Y))
+    im_scale = float(np.max(np.abs(real_variation.y_nu * np.conj(dY))
+                            + np.abs(real_variation.dy_nu * np.conj(Y))))
+    res_im = CheckResult("check_commutator_reduction_im",
+                         raw=float(np.max(np.abs(im_vals))), scale=im_scale)
+    return res, res_im
+
+
+def commutator_special_case(path, frame, variation):
+    """The (m, n) = (2, 1) term written through the diagonal variation field.
+
+    Im of the ordered double integral with outer tau_nu Ybar^2 Y and inner
+    tau_nu Ybar Y^2 equals -Im int tau_nu Ybar^2 Y (Y_nu' Ybar - Y_nu Ybar') ds.
+    """
+    Y = frame.Y
+    outer = path.tau_nu * np.conj(Y) ** 2 * Y
+    # ordered double integral (1/2pi) int outer(s) int_0^s inner(t) dt ds
+    lhs = path.mean(outer * path.antiderivative(path.tau_nu * np.conj(Y) * Y ** 2)).imag
+    boundary = variation.dy_nu * np.conj(Y) - variation.y_nu * np.conj(frame.dY)
+    rhs = -path.mean(outer * boundary).imag
+    scale = (2.0 * math.pi * float(path.mean(np.abs(outer)))) ** 2 + abs(lhs) + abs(rhs)
+    return CheckResult("check_commutator_special_case",
+                       raw=float(abs(lhs - rhs)), scale=float(scale))
 
 
 def substitute(jp, values):

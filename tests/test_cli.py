@@ -1,6 +1,7 @@
 """CLI: config validation, determinism, reports, CSV, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -173,6 +174,9 @@ class TestVerifyCommand:
         assert code == EXIT_PASS
 
     def test_negative_control_names_cube(self, tmp_path, capsys):
+        """A non-Zoll metric: the failure line names the first geodesic that
+        does not close, and the first identity check the report names is
+        the cube integral, the first obstruction."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "metric": {"kind": "zoll_revolution",
@@ -182,7 +186,68 @@ class TestVerifyCommand:
         code = main(["verify", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_CHECK_FAILURE
         err = capsys.readouterr().err
-        assert "check_cube" in err
+        assert "geodesic meridian check closure" in err
+        checks = [f["check"] for f in json.loads(out.read_text())["summary"]["failures"]]
+        assert [c for c in checks if c != "closure"][0] == "check_cube"
+
+    def test_every_check_fails_on_a_non_zoll_metric(self):
+        """The negative control: on h = 0.3 (x^3 - x) plus the even term
+        0.05 x^0, each of the five identity checks fails on at least one of
+        8 geodesics at N = 2048 (measured: 6 or 7 of 8 each, worst 9.0e-3
+        for check_4id_im up to 0.24 for check_cube), and so does the
+        closure gate.  A check that cannot fail shows here."""
+        cfg = RunConfig.load(None, {
+            "metric": {"kind": "zoll_revolution", "h_odd_coeffs": [-0.3, 0.3],
+                       "h_even_coeffs": [0.05]},
+            "geodesics": 8, "grid": 2048})
+        report, code = build_report(cfg, "verify")
+        assert code == EXIT_CHECK_FAILURE
+        failed = {f["check"] for f in report["summary"]["failures"]}
+        names = {c["name"] for c in report["geodesics"][0]["checks"]}
+        assert len(names) == 5
+        assert failed == names | {"closure"}
+
+    @pytest.mark.parametrize("mode", ["verify", "invariants"])
+    def test_closure_is_gated(self, tmp_path, capsys, mode):
+        """A closure or Poincare defect above CLOSURE_TOL is a named failure,
+        `closure` (exit 1), in both modes.  The meridian of the non-Zoll
+        metric below has closure defect 0.157 and Poincare defect 0.314;
+        on it the first obstruction cannot fire (tau_nu = 0), and
+        `invariants` reported c0 = -0.1155 with exit 0."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "metric": {"kind": "zoll_revolution", "h_odd_coeffs": [-0.3, 0.3],
+                       "h_even_coeffs": [0.05]},
+            "geodesics": 2, "grid": 512}))
+        out = tmp_path / "report.json"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == EXIT_CHECK_FAILURE
+        assert "FAIL: geodesic meridian check closure value 3.142e-01" in capsys.readouterr().err
+        report = json.loads(out.read_text())
+        meridian = report["geodesics"][1]
+        assert meridian["closure_defect"] > 0.1 and meridian["poincare_defect"] > 0.3
+        assert report["summary"]["failures"][0] == {
+            "geodesic": "meridian", "check": "closure", "value": meridian["poincare_defect"]}
+        assert "closure" not in {f["check"] for f in report["summary"]["failures"]
+                                 if f["geodesic"] == "equator"}
+
+    def test_nan_closure_defect_fails(self, monkeypatch):
+        """A NaN closure defect fails the closure gate, and the failure's
+        value is written as null."""
+        from dataclasses import replace
+
+        real = cli.trace_geodesic
+
+        def forced(metric, ic, *args, **kwargs):
+            out = real(metric, ic, *args, **kwargs)
+            return replace(out, closure_defect=math.nan) if ic[1][0] == 1.0 else out
+
+        monkeypatch.setattr(cli, "trace_geodesic", forced)
+        cfg = RunConfig.load(None, {"metric": parse_metric_flag("zoll:-0.3,0.3"),
+                                    "geodesics": 3, "grid": 256})
+        report, code = build_report(cfg, "verify")
+        assert code == EXIT_CHECK_FAILURE
+        assert report["summary"]["failures"] == [
+            {"geodesic": "meridian", "check": "closure", "value": None}]
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["verify", "--metric", "nonsense"]) == EXIT_CONFIG_ERROR
@@ -276,8 +341,8 @@ class TestVerifyCommand:
 
         real = identities.check_tau_s
 
-        def check_tau_s(path, frame):
-            result = real(path, frame)
+        def check_tau_s(path, frame, *arrays):
+            result = real(path, frame, *arrays)
             if path.init[1][0] == 1.0:   # the meridian start
                 return identities.CheckResult(result.name, math.nan, result.scale)
             return result
@@ -353,9 +418,9 @@ class TestInvariantsCommand:
         assert code == EXIT_CHECK_FAILURE
         report = json.loads((tmp_path / "inv.json").read_text())
         first = report["summary"]["failures"][0]
+        assert first["check"] == "closure"
         assert capsys.readouterr().err.strip().splitlines()[-1] == (
-            f"FAIL: geodesic {first['geodesic']} check first_obstruction"
-            f" value {first['value']:.3e}")
+            f"FAIL: geodesic {first['geodesic']} check closure value {first['value']:.3e}")
 
     def test_csv_only_in_invariants_mode(self, tmp_path):
         rows = tmp_path / "rows.csv"
@@ -404,10 +469,37 @@ class TestInvariantsCommand:
         first, _ = build_report(cfg, "invariants")
         second, _ = build_report(cfg, "invariants")
         assert first["digest"] == second["digest"]
-        assert first["header"]["schema_version"] == 5
+        assert first["header"]["schema_version"] == 6
         assert set(first) == {"header", "geodesics", "summary", "digest"}
         body = {k: v for k, v in first.items() if k != "digest"}
         assert first["digest"] == _digest(body)
+
+    def test_report_is_encoded_once(self, tmp_path, monkeypatch):
+        """A run encodes its report once.  The file is json.dumps(report,
+        sort_keys=True), compact, with the digest first, and the digest is
+        the sha256 of the same text without its digest entry."""
+        cli._constants_digest()   # once per process, outside the count
+        calls = []
+        real = json.dumps
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        out = tmp_path / "inv.json"
+        assert main(["invariants", "--metric", "zoll:-0.3,0.3", "--geodesics", "2",
+                     "--grid", "256", "--out", str(out)]) == EXIT_PASS
+        assert len(calls) == 1
+        monkeypatch.undo()
+        text = out.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        report = json.loads(text)
+        assert text[:-1] == json.dumps(report, sort_keys=True)
+        assert text.startswith('{"digest": "')
+        body = {k: v for k, v in report.items() if k != "digest"}
+        assert report["digest"] == hashlib.sha256(
+            json.dumps(body, sort_keys=True).encode()).hexdigest()
 
     def test_strongly_warped_meridian_is_resolved(self, tmp_path):
         """h = -0.99 x brings f = 1 + h down to 0.01 at the north pole.  At

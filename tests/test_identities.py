@@ -1,23 +1,28 @@
 """The universal integral identity suite and its negative control."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from zollforms import identities
+from zollforms import fourier, identities
 from zollforms.geodesic import trace_geodesic
 from zollforms.identities import (
     check_4id,
-    check_commutator_reduction,
-    check_commutator_special_case,
     check_cube,
     check_quartic,
     check_tau_s,
     run_all_checks,
 )
-from zollforms.jacobi import solve_fundamental, variation_field
+from zollforms.jacobi import solve_fundamental
 from zollforms.surface import MetricModel
+
+from oracles import (commutator_reduction, commutator_special_case, ode_variation_field,
+                     variation_field)
+
+CHECK_NAMES = ["check_cube", "check_tau_s", "check_quartic", "check_4id_im",
+               "check_4id_relation"]
 
 
 class TestCheckResult:
@@ -123,20 +128,56 @@ class Test4Id:
         assert abs(quart - 2 * cross - q.real) / scale**2 < 1e-7
 
 
+@pytest.fixture(scope="module")
+def cubic_ode_fields(cubic_frame):
+    """The ODE-solved diagonal field and the field of the real direction y2."""
+    return (ode_variation_field(cubic_frame),
+            ode_variation_field(cubic_frame, direction=cubic_frame.y2))
+
+
 class TestCommutatorReduction:
+    """The paper's reduction of the commutator term to boundary terms of
+    the variation field, on the field the ODE oracle solves: a field that
+    shares no quadrature with the antiderivatives the reduction compares
+    it with."""
+
     def test_round(self, round_path, round_frame):
-        res, res_im = check_commutator_reduction(round_path, round_frame)
+        fields = (ode_variation_field(round_frame),
+                  ode_variation_field(round_frame, direction=round_frame.y2))
+        res, res_im = commutator_reduction(round_path, round_frame, *fields)
         assert res.normalized == 0.0 or res.raw < 1e-10
         assert res_im.raw < 1e-10
 
-    def test_zoll(self, cubic_path, cubic_frame):
-        res, res_im = check_commutator_reduction(cubic_path, cubic_frame)
+    def test_zoll(self, cubic_path, cubic_frame, cubic_ode_fields):
+        res, res_im = commutator_reduction(cubic_path, cubic_frame, *cubic_ode_fields)
         assert res.normalized < 1e-6
         assert res_im.normalized < 1e-6
 
-    def test_special_case_m2_n1(self, cubic_path, cubic_frame):
-        res = check_commutator_special_case(cubic_path, cubic_frame)
+    def test_special_case_m2_n1(self, cubic_path, cubic_frame, cubic_ode_fields):
+        res = commutator_special_case(cubic_path, cubic_frame, cubic_ode_fields[0])
         assert res.normalized < 1e-6
+
+    @pytest.mark.parametrize("stretch", [1.0, 1.01])
+    def test_quadrature_residual_is_one_minus_wronskian(self, cubic_path, cubic_frame,
+                                                        stretch):
+        """On the field taken by quadrature on the frame, the reduction's
+        residual for w = Ybar is exactly (1 - W) int_0^s Ybar F, F = tau_nu Y^2,
+        with W = y2 y1' - y1 y2' the frame's Wronskian: the reduction holds
+        by construction wherever W = 1, which `solve_fundamental` gates, so
+        as a check on that field it could not fail.  Stretching y1 by 1.01
+        makes W = 1.01 and the residual 1 % of the integral."""
+        from dataclasses import replace
+
+        frame = replace(cubic_frame, y1=stretch * cubic_frame.y1,
+                        dy1=stretch * cubic_frame.dy1)
+        Y, dY = frame.Y, frame.dY
+        vf = variation_field(frame)
+        cum = cubic_path.antiderivative(cubic_path.tau_nu * Y * Y * np.conj(Y))
+        residual = cum + vf.dy_nu * np.conj(Y) - vf.y_nu * np.conj(dY)
+        wronskian = frame.y2 * frame.dy1 - frame.y1 * frame.dy2
+        scale = np.max(np.abs(cum))
+        assert np.max(np.abs(residual - (1.0 - wronskian) * cum)) <= 1e-13 * scale
+        assert np.max(np.abs(residual)) >= 0.9 * (stretch - 1.0) * scale
 
     def test_fd_variation_substitution(self, cubic_path, cubic_frame):
         """The reduction holds with the diagonal variation recombined from
@@ -171,18 +212,27 @@ class TestSpectralRate:
 
 
 class TestRunAll:
-    def test_variation_field_solved_twice(self, monkeypatch, cubic_path, cubic_frame):
-        """One diagonal field shared by both commutator checks, plus the
-        real-direction field of the Im identity."""
+    def test_no_antiderivative_and_five_checks_in_order(self, monkeypatch, cubic_path,
+                                                        cubic_frame):
+        """The suite integrates only samples the path and frame hold: no
+        spectral antiderivative, and the five named checks in reporting
+        order."""
         calls = []
+        real = fourier.spectral_antiderivative
 
-        def counting(frame, *args, **kwargs):
-            calls.append(kwargs.get("direction") is None)
-            return variation_field(frame, *args, **kwargs)
+        def counting(values):
+            calls.append(len(values))
+            return real(values)
 
-        monkeypatch.setattr(identities, "variation_field", counting)
-        run_all_checks(cubic_path, cubic_frame)
-        assert sorted(calls) == [False, True]
+        for name, module in list(sys.modules.items()):
+            if name.startswith("zollforms") and \
+                    getattr(module, "spectral_antiderivative", None) is real:
+                monkeypatch.setattr(module, "spectral_antiderivative", counting)
+        cubic_path.antiderivative(cubic_path.tau)   # the count sees the path's calls
+        assert len(calls) == 1
+        checks = run_all_checks(cubic_path, cubic_frame)
+        assert len(calls) == 1
+        assert [c.name for c in checks] == CHECK_NAMES
 
     def test_all_pass_on_zoll(self, cubic_path, cubic_frame):
         checks = run_all_checks(cubic_path, cubic_frame)

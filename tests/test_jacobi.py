@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from zollforms.geodesic import GeodesicPath
-from zollforms.jacobi import floquet_exponents, solve_fundamental, variation_field
+from zollforms.jacobi import floquet_exponents, solve_fundamental
 
 from oracles import (ds, exp_map, ode_flow, ode_frame, ode_variation_field, rebase,
-                     rotate_tangent)
+                     rotate_tangent, variation_field)
 
 
 def constant_curvature_path(tau_value, n=512):
