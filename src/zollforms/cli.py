@@ -188,7 +188,8 @@ def build_report(cfg, mode):
     """Run `verify` or `invariants` over the geodesic sample; returns (report, exit_code).
 
     Each start is traced by `trace_geodesic`, without its closure gate,
-    and processed before the next.  A closure or Poincare defect above
+    and processed before the next, which is traced only once the path
+    and frame before it are gone.  A closure or Poincare defect above
     CLOSURE_TOL (or NaN) is the geodesic's `closure` failure, in both
     modes, and its checks or invariants are still computed.  A geodesic
     that fails is recorded and the run goes on; the exit code is
@@ -199,26 +200,7 @@ def build_report(cfg, mode):
     for name, ic in _initial_conditions(cfg):
         record = {"geodesic_id": name, **_init_fields(ic)}
         try:
-            path = trace_geodesic(cfg.metric_model, ic, cfg.grid, enforce_closure=False)
-            record["closure_defect"] = path.closure_defect
-            frame = solve_fundamental(path)
-            # np.max keeps a NaN, which Python's max drops unless it comes first
-            record["poincare_defect"] = float(np.max(np.abs(frame.poincare - np.eye(2))))
-            defect = float(np.max([path.closure_defect, record["poincare_defect"]]))
-            if not defect <= CLOSURE_TOL:
-                failures.append((name, "closure", defect))
-            if mode == "verify":
-                checks = run_all_checks(path, frame)
-                record["checks"] = [c.as_dict() for c in checks]
-                for c in checks:
-                    if not c.passed(cfg.tol):
-                        failures.append((name, c.name, c.normalized))
-            else:
-                rec = assemble_p1(cfg.metric_model, ic, cfg.grid,
-                                  geodesic_id=name, path=path, frame=frame)
-                record["invariants"] = rec.as_dict()
-                if not rec.h_relation <= H_RELATION_TOL:
-                    failures.append((name, "h_relation", rec.h_relation))
+            _fill_record(cfg, mode, name, ic, record, failures)
         except FirstObstructionError as exc:
             record["first_obstruction_failure"] = str(exc)
             failures.append((name, "first_obstruction", abs(exc.value)))
@@ -232,6 +214,32 @@ def build_report(cfg, mode):
     else:
         code = EXIT_CHECK_FAILURE if failures else EXIT_PASS
     return _assemble_report(cfg, mode, records, failures), code
+
+
+def _fill_record(cfg, mode, name, ic, record, failures):
+    """Trace one start and write its defects and its checks or invariants
+    into `record`, its failures into `failures`; its path and frame are
+    freed on return."""
+    path = trace_geodesic(cfg.metric_model, ic, cfg.grid, enforce_closure=False)
+    record["closure_defect"] = path.closure_defect
+    frame = solve_fundamental(path)
+    # np.max keeps a NaN, which Python's max drops unless it comes first
+    record["poincare_defect"] = float(np.max(np.abs(frame.poincare - np.eye(2))))
+    defect = float(np.max([path.closure_defect, record["poincare_defect"]]))
+    if not defect <= CLOSURE_TOL:
+        failures.append((name, "closure", defect))
+    if mode == "verify":
+        checks = run_all_checks(path, frame)
+        record["checks"] = [c.as_dict() for c in checks]
+        for c in checks:
+            if not c.passed(cfg.tol):
+                failures.append((name, c.name, c.normalized))
+    else:
+        rec = assemble_p1(cfg.metric_model, ic, cfg.grid,
+                          geodesic_id=name, path=path, frame=frame)
+        record["invariants"] = rec.as_dict()
+        if not rec.h_relation <= H_RELATION_TOL:
+            failures.append((name, "h_relation", rec.h_relation))
 
 
 CHECK_PRIORITY = ["closure", "check_cube", "check_tau_s", "check_quartic", "check_4id_im",

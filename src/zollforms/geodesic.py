@@ -1,11 +1,12 @@
 """Closed-geodesic tracing, sampled uniformly in the Clairaut angle.
 
-A traced geodesic carries N = 2^k samples of position, unit tangent and
-normal frame, the curvature jet (tau, tau_s, tau_nu, tau_nunu) and the
-fundamental Jacobi solutions at theta_j = theta0 + 2*pi*j/N, with their
-arclengths s_j and the weight ds/d(theta).  `surface.flow` builds all of
-it from closed formulas, one start at a time, as a `GeodesicPath`, so a
-traced path already holds everything `jacobi.solve_fundamental` needs;
+A traced geodesic carries N = 2^k samples of the curvature jet (tau,
+tau_s, tau_nu, tau_nunu) and the fundamental Jacobi solutions at
+theta_j = theta0 + 2*pi*j/N, with the weight ds/d(theta) and the closure
+defect; their arclengths s_j, position, unit tangent and normal frame
+are computed on first read.  `surface.flow` builds all of it from closed
+formulas, one start at a time, as a `GeodesicPath`, so a traced path
+already holds everything `jacobi.solve_fundamental` needs;
 `trace_geodesic` checks the grid and the start and gates the closure.
 The path's weighted means and antiderivatives are spectrally accurate
 arclength quadratures of products of the samples.  Points, tangents and

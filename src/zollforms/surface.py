@@ -54,12 +54,20 @@ longitude gains about pi (1 -+ h(1)) per pole passage instead of pi.
 Closure is read at theta0 + 2*pi, in the coordinates (theta, phi) of the
 closed form, which are regular at the poles: the period defect
 |s(theta0 + 2*pi) - s(theta0) - 2*pi|, which is the Zoll condition
-itself, and the longitude gained over the turn, modulo 2*pi.
+itself, and the longitude gained over the turn, modulo 2*pi.  Both are
+pointwise closed forms, so they are evaluated at the two ends of the
+turn only.
+
+The pipeline reads the weight f, the jets, the Jacobi samples and the
+closure defect, and `flow` computes only those.  The chart of the
+samples (their arclengths s_j, r, phi, tangent and normal) is computed
+from the start on the first read of any of its arrays, and kept on the
+path.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -91,11 +99,16 @@ def _horner(coeffs, x):
     return out
 
 
-def _warp_curvature(table, u):
-    """(f, h'(u), K(u)) with f = 1 + h(u) and K = (f - u h') / f^3."""
-    f = 1.0 + _horner(table["h"], u)
-    dh = _horner(table["hp"], u)
-    return f, dh, (f - u * dh) / (f * f * f)
+def _curvature_derivs(table, u, f, dh):
+    """(K, dK/du, d2K/du2) at u, from f = 1 + h(u) and dh = h'(u) there;
+    K = (f - u h') / f^3."""
+    K = (f - u * dh) / (f * f * f)
+    d2h, d3h = _horner(table["hpp"], u), _horner(table["hppp"], u)
+    a, f3 = dh / f, f * f * f
+    Kp = -u * d2h / f3 - 3.0 * K * a
+    Kpp = ((6.0 * u * d2h * a - d2h - u * d3h) / f3
+           - 3.0 * K * d2h / f + 12.0 * K * a * a)
+    return K, Kp, Kpp
 
 
 @dataclass(frozen=True)
@@ -145,14 +158,7 @@ class MetricModel:
 
     def curvature_u_derivs(self, u):
         """(K, dK/du, d2K/du2) at u = cos r, vectorized and pole-regular."""
-        t = self._table
-        f, dh, K = _warp_curvature(t, u)
-        d2h, d3h = _horner(t["hpp"], u), _horner(t["hppp"], u)
-        a, f3 = dh / f, f * f * f
-        Kp = -u * d2h / f3 - 3.0 * K * a
-        Kpp = ((6.0 * u * d2h * a - d2h - u * d3h) / f3
-               - 3.0 * K * d2h / f + 12.0 * K * a * a)
-        return K, Kp, Kpp
+        return _curvature_derivs(self._table, u, self.warp(u), _horner(self._table["hp"], u))
 
 
 @dataclass(frozen=True)
@@ -247,26 +253,25 @@ class GeodesicPath:
     Clairaut angle theta.
 
     Sample arrays have length n; index j is theta_j = theta0 + 2*pi*j/n,
-    at arclength s_j = s(theta_j) - s(theta0), and `weight` is
-    f_j = ds/d(theta) there.  `r`, `phi` are north polar chart
-    coordinates, `tangent` and `normal` are (n, 2) frame components, and
-    tau/tau_s/tau_nu/tau_nunu are the curvature jets.  `jacobi` holds the
-    (4, n) rows (y1, y1', y2, y2') of the fundamental Jacobi solutions,
+    and `weight` is f_j = ds/d(theta) there.  tau/tau_s/tau_nu/tau_nunu
+    are the curvature jets.  `jacobi` holds the (4, n) rows
+    (y1, y1', y2, y2') of the fundamental Jacobi solutions,
     (y1, y1') = (0, 1) and (y2, y2') = (1, 0) at s = 0, with ' = d/ds,
     and `jacobi_end` their state at theta0 + 2*pi.  The closure defect is
     the larger of the period defect |s(theta0 + 2*pi) - 2*pi| and the
     longitude gained over the turn, modulo 2*pi.
+
+    The chart of the samples is computed from `init` and `n` on the first
+    read of any of its arrays, and kept: the arclengths
+    s_j = s(theta_j) - s(theta0), the north polar chart coordinates `r`,
+    `phi`, and the (n, 2) frame components `tangent` and `normal`.  The
+    pipeline reads none of them.
     """
 
     metric: MetricModel
     init: tuple            # (SurfacePoint, (v1, v2))
     n: int
-    s: np.ndarray
     weight: np.ndarray
-    r: np.ndarray
-    phi: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
     tau: np.ndarray
     tau_s: np.ndarray
     tau_nu: np.ndarray
@@ -274,6 +279,30 @@ class GeodesicPath:
     jacobi: np.ndarray
     jacobi_end: np.ndarray
     closure_defect: float
+
+    @cached_property
+    def _chart_arrays(self):
+        return _chart(self.metric, self.init, self.n)
+
+    @property
+    def s(self):
+        return self._chart_arrays[0]
+
+    @property
+    def r(self):
+        return self._chart_arrays[1]
+
+    @property
+    def phi(self):
+        return self._chart_arrays[2]
+
+    @property
+    def tangent(self):
+        return self._chart_arrays[3]
+
+    @property
+    def normal(self):
+        return self._chart_arrays[4]
 
     def jets(self):
         return {"tau": self.tau, "tau_s": self.tau_s,
@@ -304,51 +333,35 @@ def _turn(n):
     return out
 
 
-def _jets(metric, u, a_cos, c):
-    """The curvature jets (tau, tau_s, tau_nu, tau_nunu) at u = a sin(theta).
-
-    They see the unit tangent only through sin(r) v1 = -a cos(theta) =
-    -`a_cos`, sin(r) v2 = c and v1^2 + v2^2 = 1, so no formula divides by
-    sin r, and all of them stay finite at the poles.
-    """
-    f = metric.warp(u)
-    hp = _horner(metric._table["hp"], u)
-    K, Kp, Kpp = metric.curvature_u_derivs(u)
-    return K, Kp * a_cos / f, Kp * c / f, (c * c * (Kpp - Kp * hp / f) - Kp * u) / (f * f)
-
-
-def flow(metric, start, n):
-    """The geodesic through `start` = (point, unit tangent) with its
-    curvature jets and Jacobi frame, sampled at theta_j = theta0 + 2*pi*j/n;
-    returns the GeodesicPath, whose `jacobi_end` is the frame at
-    theta0 + 2*pi.
-
-    A start with |Clairaut constant| < MERIDIAN_TOL is the meridian its
-    heading picks: at a pole, from (r0, phi0) heading (cos t, sin t), the
-    meridian phi0 + t from the north pole and phi0 + pi - t from the south
-    pole.
-    """
-    p, v = start
-    v1, v2 = float(v[0]), float(v[1])
+def _clairaut(metric, init):
+    """(c, a, theta0, h_a) of the start `init` = (point, (v1, v2)): the
+    Clairaut constant c, a = sqrt(1 - c^2), the Clairaut angle theta0 of
+    the start, and the ascending coefficients h_a of h(a x)."""
+    p, (v1, v2) = init
     c = math.sin(p.r) * v2        # Clairaut's constant g(v, d_phi), conserved
     # a^2 = 1 - c^2, and u = cos r = a sin(theta) with u' = a cos(theta) / f
     a = math.hypot(math.cos(p.r), math.sin(p.r) * v1)
     theta0 = math.atan2(math.cos(p.r), -math.sin(p.r) * v1)
     h = metric._table["h"][::-1]
-    h_a = np.multiply(h, a ** np.arange(len(h)))      # h(a x), ascending
-    t, sin_t, cos_t = _turn(n)
-    theta = theta0 + t
-    # by angle addition, which takes no transcendental pass over the grid
+    return c, a, theta0, np.multiply(h, a ** np.arange(len(h)))
+
+
+def _angles(theta0, t, sin_t, cos_t):
+    """(theta, sin theta, cos theta) at theta = theta0 + t, by angle
+    addition, which takes no transcendental pass over the grid."""
     sin0, cos0 = math.sin(theta0), math.cos(theta0)
-    sin, cos = sin0 * cos_t + cos0 * sin_t, cos0 * cos_t - sin0 * sin_t
+    return theta0 + t, sin0 * cos_t + cos0 * sin_t, cos0 * cos_t - sin0 * sin_t
+
+
+def _chart(metric, init, n):
+    """(s, r, phi, tangent, normal) at the n samples of the geodesic
+    through `init`; see `GeodesicPath`."""
+    p, (v1, v2) = init
+    c, a, theta0, h_a = _clairaut(metric, init)
+    theta, sin, cos = _angles(theta0, *_turn(n))
     s = theta + _sine_integral(h_a, theta, sin, cos)
     s -= s[0]
-    # ds/d(theta), an array also where the warp is a constant (the round sphere)
-    f = np.broadcast_to(metric.warp(a * sin), theta.shape)
-    jacobi = _jacobi_rows(h_a, theta, sin, cos, f)
-    defect = abs(s[-1] - 2.0 * math.pi)
     if abs(c) < MERIDIAN_TOL:
-        c = 0.0                   # its jets too are the meridian's
         # rho, the colatitude run on through the poles, folded into [0, pi]
         sign = 1.0 if v1 >= 0 else -1.0
         fold = np.mod(p.r + sign * (theta - theta0), 2.0 * math.pi)
@@ -363,15 +376,65 @@ def flow(metric, start, n):
         gained -= gained[0]
         phi = p.phi + gained
         along, across = -a * cos / sin_r, c / sin_r
-        defect = max(defect, _wrapped(gained[-1]))
-    tau, tau_s, tau_nu, tau_nunu = _jets(metric, a * sin[:-1], a * cos[:-1], c)
     along, across = along[:-1], across[:-1]
-    # copies, so that the path holds no (n + 1)-sample buffer it need not: a
+    return (s[:-1], r[:-1], phi[:-1] % (2.0 * math.pi),
+            np.stack([along, across], axis=1), np.stack([-across, along], axis=1))
+
+
+def _closure_defect(metric, c, a, theta0, h_a, n):
+    """The period defect |s(theta0 + 2*pi) - s(theta0) - 2*pi| and, off a
+    meridian, the longitude gained over the turn modulo 2*pi, the larger
+    one; both closed forms are read at the two ends of the turn only."""
+    t, sin_t, cos_t = (x[[0, -1]] for x in _turn(n))
+    theta, sin, cos = _angles(theta0, t, sin_t, cos_t)
+    s = theta + _sine_integral(h_a, theta, sin, cos)
+    defect = abs((s[1] - s[0]) - 2.0 * math.pi)
+    if abs(c) < MERIDIAN_TOL:
+        return defect
+    gained = _longitude(metric, a, c, theta, sin, cos)
+    return max(defect, _wrapped(gained[1] - gained[0]))
+
+
+def _jets(metric, u, a_cos, c, f, dh):
+    """The curvature jets (tau, tau_s, tau_nu, tau_nunu) at u = a sin(theta),
+    from f = 1 + h(u) and dh = h'(u) there.
+
+    They see the unit tangent only through sin(r) v1 = -a cos(theta) =
+    -`a_cos`, sin(r) v2 = c and v1^2 + v2^2 = 1, so no formula divides by
+    sin r, and all of them stay finite at the poles.
+    """
+    K, Kp, Kpp = _curvature_derivs(metric._table, u, f, dh)
+    return K, Kp * a_cos / f, Kp * c / f, (c * c * (Kpp - Kp * dh / f) - Kp * u) / (f * f)
+
+
+def flow(metric, start, n):
+    """The geodesic through `start` = (point, unit tangent) with its
+    curvature jets and Jacobi frame, sampled at theta_j = theta0 + 2*pi*j/n;
+    returns the GeodesicPath, whose `jacobi_end` is the frame at
+    theta0 + 2*pi, and whose chart is computed when first read.
+
+    A start with |Clairaut constant| < MERIDIAN_TOL is the meridian its
+    heading picks: at a pole, from (r0, phi0) heading (cos t, sin t), the
+    meridian phi0 + t from the north pole and phi0 + pi - t from the south
+    pole.
+    """
+    p, v = start
+    init = (p, (float(v[0]), float(v[1])))
+    c, a, theta0, h_a = _clairaut(metric, init)
+    theta, sin, cos = _angles(theta0, *_turn(n))
+    u = a * sin
+    # ds/d(theta), an array also where the warp is a constant (the round sphere)
+    f = np.broadcast_to(metric.warp(u), theta.shape)
+    jacobi = _jacobi_rows(h_a, theta, sin, cos, f)
+    defect = _closure_defect(metric, c, a, theta0, h_a, n)
+    if abs(c) < MERIDIAN_TOL:
+        c = 0.0                   # its jets are the meridian's
+    tau, tau_s, tau_nu, tau_nunu = _jets(metric, u[:-1], a * cos[:-1], c, f[:-1],
+                                         _horner(metric._table["hp"], u[:-1]))
+    # a copy, so that the path holds no (n + 1)-sample buffer it need not: a
     # report at N = 32768 peaks about 1 MB lower
     return GeodesicPath(
-        metric=metric, init=(p, (v1, v2)), n=n, s=s[:-1].copy(), weight=f[:-1].copy(),
-        r=r[:-1], phi=phi[:-1] % (2.0 * math.pi),
-        tangent=np.stack([along, across], axis=1), normal=np.stack([-across, along], axis=1),
+        metric=metric, init=init, n=n, weight=f[:-1].copy(),
         tau=tau, tau_s=tau_s, tau_nu=tau_nu, tau_nunu=tau_nunu,
         jacobi=jacobi[:, :-1], jacobi_end=jacobi[:, -1], closure_defect=defect,
     )

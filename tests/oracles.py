@@ -65,10 +65,13 @@ package's fused star kernel and plain product are tested against;
 
 `rebase` re-parametrizes a traced geodesic from another base point by
 linear algebra on its Jacobi samples, for the base-point invariance
-tests.  `monomial` and `conjugate` (of a symbol), `round_sphere_c2`,
-`equator_start` (the near-meridian starts), `state_distance` (the gap
-between two nearby states, for the exp-map and area-element tests) and
-`embedded` (samples in R^3) are helpers only the tests call.
+tests.  `whole_grid_closure_defect` reads the closure defect off the
+whole sample grid, where the package evaluates its closed forms at the
+two ends of the turn only.  `monomial` and `conjugate` (of a symbol),
+`round_sphere_c2`, `equator_start` (the near-meridian starts),
+`state_distance` (the gap between two nearby states, for the exp-map and
+area-element tests) and `embedded` (samples in R^3) are helpers only the
+tests call.
 """
 
 import functools
@@ -80,7 +83,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from zollforms import expansion
+from zollforms import expansion, surface
 from zollforms.geodesic import GeodesicPath
 from zollforms.identities import CheckResult
 from zollforms.jacobi import JacobiFrame
@@ -143,6 +146,23 @@ def turn_length(path):
     """Arclength of one turn of theta, 2 pi times the theta-mean of f
     (exact: f is a trigonometric polynomial of degree below the grid)."""
     return 2.0 * math.pi * float(np.mean(path.weight))
+
+
+def whole_grid_closure_defect(metric, start, n):
+    """The closure defect of the geodesic through `start`, with s and the
+    longitude evaluated on the whole grid of n + 1 angles and read at its
+    last one: the reference for `zollforms.surface.flow`, which evaluates
+    them at the two ends of the turn only."""
+    c, a, theta0, h_a = surface._clairaut(metric, start)
+    theta, sin, cos = surface._angles(theta0, *surface._turn(n))
+    s = theta + surface._sine_integral(h_a, theta, sin, cos)
+    s -= s[0]
+    defect = abs(s[-1] - 2.0 * math.pi)
+    if abs(c) < surface.MERIDIAN_TOL:
+        return defect
+    gained = surface._longitude(metric, a, c, theta, sin, cos)
+    gained -= gained[0]
+    return max(defect, surface._wrapped(gained[-1]))
 
 
 def _solve(rhs, start, t_eval, tol=ODE_TOL, t_end=2.0 * math.pi):
@@ -940,9 +960,9 @@ def _jacobi_rows(fund):
 def rebase(path, j0):
     """The same closed geodesic re-parametrized from its sample j0.
 
-    Rolls the periodic sample arrays and measures s from s_j0, with the
-    samples past the end of the turn one turn on; valid up to the
-    closure defect.
+    Rolls the periodic sample arrays; the chart, s measured from s_j0
+    included, is the one traced from the start at sample j0.  Valid up
+    to the closure defect.
     The Jacobi frame is re-based by linear algebra: with Phi(s) the
     fundamental matrix on states (y, y'), the new frame is
     Phi(s_j0 + t) Phi(s_j0)^-1, and samples past the end of the turn
@@ -954,11 +974,8 @@ def rebase(path, j0):
     fund, fund_end = _fundamental(path.jacobi), _fundamental(path.jacobi_end)
     base_inv = np.linalg.inv(fund[j0])
     ahead = np.concatenate([fund[j0:], fund[:j0] @ fund_end]) @ base_inv
-    s = np.concatenate([path.s[j0:], path.s[:j0] + turn_length(path)]) - path.s[j0]
     return GeodesicPath(
-        metric=path.metric, init=init, n=path.n, s=s, weight=roll(path.weight),
-        r=roll(path.r), phi=roll(path.phi),
-        tangent=roll(path.tangent), normal=roll(path.normal),
+        metric=path.metric, init=init, n=path.n, weight=roll(path.weight),
         tau=roll(path.tau), tau_s=roll(path.tau_s),
         tau_nu=roll(path.tau_nu), tau_nunu=roll(path.tau_nunu),
         jacobi=_jacobi_rows(ahead),

@@ -132,9 +132,7 @@ def test_criterion_3_first_obstruction(sweep):
 def _subsampled(path, frame, m):
     step = path.n // m
     sl = slice(None, None, step)
-    new_path = replace(path, n=m, s=path.s[sl], weight=path.weight[sl],
-                       r=path.r[sl], phi=path.phi[sl],
-                       tangent=path.tangent[sl], normal=path.normal[sl],
+    new_path = replace(path, n=m, weight=path.weight[sl],
                        tau=path.tau[sl], tau_s=path.tau_s[sl],
                        tau_nu=path.tau_nu[sl], tau_nunu=path.tau_nunu[sl])
     new_frame = replace(frame, path=new_path, y1=frame.y1[sl], dy1=frame.dy1[sl],

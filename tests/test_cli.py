@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -248,6 +249,25 @@ class TestVerifyCommand:
         assert code == EXIT_CHECK_FAILURE
         assert report["summary"]["failures"] == [
             {"geodesic": "meridian", "check": "closure", "value": None}]
+
+    @pytest.mark.parametrize("mode", ["verify", "invariants"])
+    def test_one_traced_path_alive_at_a_time(self, monkeypatch, mode):
+        """Each geodesic's path, and the frame that holds it, are gone
+        before the next start is traced."""
+        real, paths, alive = cli.trace_geodesic, [], []
+
+        def traced(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in paths))
+            path = real(*args, **kwargs)
+            paths.append(weakref.ref(path))
+            return path
+
+        monkeypatch.setattr(cli, "trace_geodesic", traced)
+        cfg = RunConfig.load(None, {"metric": parse_metric_flag("zoll:-0.3,0.3"),
+                                    "geodesics": 4, "grid": 8192})
+        _, code = build_report(cfg, mode)
+        assert code == EXIT_PASS
+        assert alive == [0, 0, 0, 0]
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["verify", "--metric", "nonsense"]) == EXIT_CONFIG_ERROR

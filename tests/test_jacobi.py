@@ -7,6 +7,7 @@ import pytest
 
 from zollforms.geodesic import GeodesicPath
 from zollforms.jacobi import floquet_exponents, solve_fundamental
+from zollforms.surface import MetricModel, SurfacePoint
 
 from oracles import (ds, exp_map, ode_flow, ode_frame, ode_variation_field, rebase,
                      rotate_tangent, variation_field)
@@ -14,15 +15,12 @@ from oracles import (ds, exp_map, ode_flow, ode_frame, ode_variation_field, reba
 
 def constant_curvature_path(tau_value, n=512):
     """Synthetic fixture: a formal path with constant curvature samples,
-    uniform in arclength (weight 1)."""
-    s = 2.0 * math.pi * np.arange(n) / n
+    uniform in arclength (weight 1); its chart is the round sphere's
+    equator."""
     zeros = np.zeros(n)
     return GeodesicPath(
-        metric=None, init=None, n=n, s=s, weight=np.ones(n),
-        r=np.full(n, math.pi / 2), phi=s,
-        tangent=np.stack([zeros, np.ones(n)], axis=1),
-        normal=np.stack([-np.ones(n), zeros], axis=1),
-        tau=np.full(n, float(tau_value)), tau_s=zeros,
+        metric=MetricModel.round(), init=(SurfacePoint.north(math.pi / 2, 0.0), (0.0, 1.0)),
+        n=n, weight=np.ones(n), tau=np.full(n, float(tau_value)), tau_s=zeros,
         tau_nu=zeros, tau_nunu=zeros, jacobi=None, jacobi_end=None,
         closure_defect=0.0,
     )

@@ -1,5 +1,5 @@
-"""Metric models, the ODE oracle's chart conversions, exponential map and
-curvature jets."""
+"""Metric models, the ODE oracle's chart conversions, exponential map,
+curvature jets, and what the flow computes and when."""
 
 import math
 
@@ -17,8 +17,11 @@ from oracles import (
     state_distance,
     surface_integral_of_curvature,
     tau_nunu_stencil,
+    whole_grid_closure_defect,
 )
 
+from zollforms import cli, surface
+from zollforms.geodesic import trace_geodesic
 from zollforms.surface import MetricModel, SurfacePoint
 
 P0 = SurfacePoint.north(math.pi / 3, 0.7)
@@ -184,3 +187,53 @@ class TestRotationIsometry:
         b = analytic_jet(cubic_metric, q, w)
         for name in ("tau", "tau_s", "tau_nu", "tau_nunu"):
             assert abs(getattr(a, name) - getattr(b, name)) < 1e-12
+
+
+# the five standard profiles (round, cubic, cone, cone, quintic), two that
+# bring f down to 0.1 and 0.01 at a pole, and a non-Zoll control
+CLOSURE_PROFILES = {"round": ((), ()), "cubic": ((-0.3, 0.3), ()), "linear": ((0.1,), ()),
+                    "cone": ((-0.309, 0.294), ()), "quintic": ((0.2, -0.5, 0.3), ()),
+                    "-0.9": ((-0.9,), ()), "-0.99": ((-0.99,), ()), "nonzoll": ((0.05,), (0.1,))}
+
+
+class TestFlowReads:
+    """The flow computes what the pipeline reads; the rest waits for a read."""
+
+    @pytest.mark.parametrize("n", [256, 2048, 32768])
+    @pytest.mark.parametrize("profile", CLOSURE_PROFILES)
+    def test_closure_at_the_ends_is_the_whole_grid_reading(self, profile, n):
+        """On the CLI's 32 starts (the equator and the meridian first) the
+        defect read at the two ends of the turn is bitwise the one read off
+        the whole grid."""
+        metric = MetricModel.zoll_revolution(*CLOSURE_PROFILES[profile])
+        starts = [ic for _, ic in cli._initial_conditions(cli.RunConfig())]
+        assert len(starts) == 32
+        for start in starts:
+            got = surface.flow(metric, start, n).closure_defect
+            assert got == whole_grid_closure_defect(metric, start, n), start
+
+    def test_chart_waits_for_its_first_read(self, cubic_metric, generic_ic, monkeypatch):
+        """A traced path has built no chart, and holds at most 10 n floats
+        of its own: the weight, 4 jets and the (4, n + 1) Jacobi block.  The
+        first read of a chart array builds all five, once."""
+        calls = []
+        real_chart = surface._chart
+
+        def chart(*args):
+            calls.append(args)
+            return real_chart(*args)
+
+        monkeypatch.setattr(surface, "_chart", chart)
+        n = 4096
+        path = trace_geodesic(cubic_metric, generic_ic, n)
+        assert not calls
+        owned = {}
+        for value in vars(path).values():
+            if isinstance(value, np.ndarray):
+                base = value if value.base is None else value.base
+                owned[id(base)] = base.nbytes
+        assert sum(owned.values()) <= 10 * n * np.dtype(float).itemsize
+        first = [path.s, path.r, path.phi, path.tangent, path.normal]
+        again = [path.s, path.r, path.phi, path.tangent, path.normal]
+        assert len(calls) == 1 and all(a is b for a, b in zip(first, again))
+        assert [a.shape for a in first] == [(n,), (n,), (n,), (n, 2), (n, 2)]
