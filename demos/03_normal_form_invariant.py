@@ -41,11 +41,11 @@ frame = solve_fundamental(path)
 # frame (stage 1); the commutator term is what the exp(i h^(1/2) Q)
 # conjugation adds to it
 metric_part, _ = frame_terms(path, frame)
-commutator_part = conjugated_order_zero(path, frame)[0] - metric_part
+total, _ = conjugated_order_zero(path, frame)
 print(f"{'entry':>8s} {'metric terms':>24s} {'commutator term':>24s} {'sum':>12s}")
 for key in ((2, 2), (3, 1), (4, 0), (1, 3), (0, 4)):
     a = complex(metric_part[key])
-    b = complex(commutator_part[key])
+    b = complex(total[key]) - a
     print(f"{str(key):>8s} {a:+24.6e} {b:+24.6e} {abs(a + b):12.2e}")
 print()
 print("each entry is O(1e-2) on its own; the normal form exists because")

@@ -44,10 +44,6 @@ class ConfigError(ValueError):
     pass
 
 
-# errors that end one geodesic: recorded as that check's failure, the run goes on
-NUMERICAL_FAILURES = {IntegrationError: "integration"}
-
-
 @dataclass
 class RunConfig:
     """Validated run configuration (unknown keys rejected)."""
@@ -193,7 +189,8 @@ def build_report(cfg, mode):
     CLOSURE_TOL (or NaN) is the geodesic's `closure` failure, in both
     modes, and its checks or invariants are still computed.  A geodesic
     that fails is recorded and the run goes on; the exit code is
-    EXIT_NUMERICAL_FAILURE if any geodesic hit one of NUMERICAL_FAILURES.
+    EXIT_NUMERICAL_FAILURE if any geodesic raised IntegrationError, its
+    `integration` failure.
     """
     records = []
     failures = []
@@ -204,12 +201,11 @@ def build_report(cfg, mode):
         except FirstObstructionError as exc:
             record["first_obstruction_failure"] = str(exc)
             failures.append((name, "first_obstruction", abs(exc.value)))
-        except tuple(NUMERICAL_FAILURES) as exc:
-            check = next(c for cls, c in NUMERICAL_FAILURES.items() if isinstance(exc, cls))
-            record[f"{check}_failure"] = str(exc)
-            failures.append((name, check, None))
+        except IntegrationError as exc:
+            record["integration_failure"] = str(exc)
+            failures.append((name, "integration", None))
         records.append(record)
-    if any(check in NUMERICAL_FAILURES.values() for _, check, _ in failures):
+    if any(check == "integration" for _, check, _ in failures):
         code = EXIT_NUMERICAL_FAILURE
     else:
         code = EXIT_CHECK_FAILURE if failures else EXIT_PASS
@@ -243,8 +239,7 @@ def _fill_record(cfg, mode, name, ic, record, failures):
 
 
 CHECK_PRIORITY = ["closure", "check_cube", "check_tau_s", "check_quartic", "check_4id_im",
-                  "check_4id_relation", "first_obstruction", "h_relation",
-                  *NUMERICAL_FAILURES.values()]
+                  "check_4id_relation", "first_obstruction", "h_relation", "integration"]
 
 
 def _assemble_report(cfg, mode, records, failures):
@@ -389,7 +384,9 @@ def _add_run_flags(parser, with_csv=False):
     parser.add_argument("--geodesics", type=int, help="number of geodesics")
     parser.add_argument("--grid", type=int,
                         help=f"grid size (power of two from {MIN_GRID} to {MAX_GRID})")
-    parser.add_argument("--tol", type=float, help="normalized residual tolerance")
+    parser.add_argument("--tol", type=float,
+                        help="normalized residual tolerance of the verify checks "
+                             "(invariants reads none)")
     parser.add_argument("--seed", type=int, help="random seed for initial conditions")
     parser.add_argument("--out", help="write the JSON report here")
     if with_csv:

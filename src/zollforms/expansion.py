@@ -12,11 +12,14 @@ half-density Laplacian, grades it semiclassically, runs stage 1 of the
 normal form and emits every universal constant the construction needs.
 Stage 1, the metaplectic frame and D_s -> D_s - Op(h), takes the frame
 Y, Yb, dY, dYb as further indeterminates and runs once per process
-(`conjugated_symbols`); the constants table reads its diagonal.  Stage 2,
-exp(i h^(1/2) Q), leaves at weight 0 the closed form D0 - (i/2)[Q, d + M],
-which the engine (`normalform`) evaluates on each geodesic with the
-weight 2 * COMMUTATOR_PREFACTOR of the constants table.  The module
-imports no numpy and nothing of the engine.
+(`conjugated_symbols`).  Stage 2, exp(i h^(1/2) Q), leaves at weight 0
+the closed form D0 - (i/2)[Q, d + M], whose star-commutator weights
+`stage2_weights` takes once per process.  Each constant is derived once
+here: the engine (`normalform`) converts stage 1 and the weights and
+evaluates them on each geodesic, and the constants table reads the
+diagonal of D0, the odd term's coefficients, -1/c_s and the weights off
+the same results.  The module imports no numpy and nothing of the
+engine.
 
 Scaling conventions: the semiclassical parameter absorbs the period
 (hbar = 1/r, the "hL" combination), so the dilation rules are
@@ -30,7 +33,8 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 
-from .weyl import PolySymbol, star_product, substitute_linear, transvectant_constant
+from .weyl import (PolySymbol, star_commutator, star_product, substitute_linear,
+                   transvectant_constant)
 
 __all__ = [
     "QQi",
@@ -43,6 +47,7 @@ __all__ = [
     "transverse_symbols",
     "SOperator",
     "conjugated_symbols",
+    "stage2_weights",
     "constants_report",
 ]
 
@@ -621,39 +626,38 @@ def derive_normal_form_integrands():
     return {"z4": d0[2, 2], "z0": d0[0, 0]}
 
 
-# Verified against the exact ad-series of the tests: the first homological
-# solution is Q(s) = FIRST_HOMOLOGICAL_FACTOR * int_0^s d, and the order-zero
-# commutator correction is COMMUTATOR_PREFACTOR * [d(s), int_0^s d], which is
-# -(i/2) [Q, d] with Q(0) = 0; the engine reads 2 * COMMUTATOR_PREFACTOR.
-FIRST_HOMOLOGICAL_FACTOR = QQi(Fraction(-1, 2))
+# Verified against the exact ad-series of the tests: the order-zero
+# commutator correction of stage 2 is COMMUTATOR_PREFACTOR * [d(s), int_0^s d],
+# which is -(i/2) [Q, d] with Q = -(1/c_s) int_0^s d.
 COMMUTATOR_PREFACTOR = QQi(0, Fraction(-1, 4))
 
-D_HALF_CUBE_FACTOR = Fraction(1, 3)  # L_(1/2) = (1/3) tau_nu y^3 in hbar units
 
-
-def d_half_coefficient(m):
-    """Scalar c_m with d_(1/2); coeff of z^m zbar^(3-m) = c_m tau_nu Yb^m Y^(3-m)."""
-    return Fraction(math.comb(3, m), 1) * D_HALF_CUBE_FACTOR / 8
-
-
-def commutator_diagonal_constants():
-    """Per-pair weights of Im{int F_mn int_0^s F_nm} in the order-zero term.
-
-    Returns {"z4": {(m,n): Fraction}, "z0": {(m,n): Fraction}} for the
-    unordered pairs {3,0} and {2,1}; F_mn(s) = tau_nu Yb^m Y^n(s).
+@lru_cache(maxsize=1)
+def stage2_weights():
+    """The weights of stage 2's closed form, once per process:
+    {(a, b): 2 * COMMUTATOR_PREFACTOR * [z^a, z^b]} over the ordered pairs
+    of keys of the odd term d, the star commutator of the unit monomials
+    as an exact PolySymbol.  The pair (a, b) adds the entry at `key`
+    times <Q_a d_b> + <Q_a> M_b to the mean of D0 - (i/2) [Q, d + M].
+    Every caller shares the result; treat it as read-only.
     """
-    out = {"z4": {}, "z0": {}}
-    pref = COMMUTATOR_PREFACTOR  # -i/4, engine-verified
-    for (m, n) in ((3, 0), (2, 1)):
-        cm, cn = d_half_coefficient(m), d_half_coefficient(n)
-        p1 = transvectant_constant((m, n), (n, m), 1)
-        p3 = transvectant_constant((m, n), (n, m), 3)
-        # the ordered pair and its reverse combine into 2i Im(DI); the star
-        # commutator carries 2/j! on the j-th transvectant
-        w4 = pref * QQi(0, 2) * QQi(Fraction(2, 1) * p1 * cm * cn)
-        w0 = pref * QQi(0, 2) * QQi(Fraction(2, math.factorial(3)) * p3 * cm * cn)
-        out["z4"][(m, n)] = w4
-        out["z0"][(m, n)] = w0
+    _, d, _ = conjugated_symbols()
+    weight = 2 * COMMUTATOR_PREFACTOR   # -i/2
+    return {(a, b): star_commutator(PolySymbol({a: 1}), PolySymbol({b: 1}), weight)
+            for a in d.coeffs for b in d.coeffs}
+
+
+def _odd_term_coefficients(d):
+    """{m: c_m} with entry (m, 3 - m) of the odd term d equal to
+    c_m tau_nu Yb^m Y^(3-m), c_m rational: the framed (1/3) tau_nu y^3.
+    Raises AssertionError where an entry has another form."""
+    out = {}
+    for (m, n), jp in d.coeffs.items():
+        mono = tuple(sorted((name, p) for name, p in (("tau_nu", 1), ("Yb", m), ("Y", n)) if p))
+        c = jp.terms.get(mono, QQi())
+        if m + n != 3 or set(jp.terms) != {mono} or c.im:
+            raise AssertionError(f"odd term entry {(m, n)} is not c tau_nu Yb^{m} Y^{n}")
+        out[m] = c.re
     return out
 
 
@@ -677,7 +681,13 @@ def constants_report():
     y4, rem4 = _match_integrand_basis(yints["z4"])
     y0, rem0 = _match_integrand_basis(yints["z0"])
 
-    comm = commutator_diagonal_constants()
+    # the diagonal weights of Im{int F_mn int_0^s F_nm}, F_mn = tau_nu Yb^m Y^n:
+    # i c_m c_n times the stage 2 weight of the pair at |z|^4 and |z|^0
+    c_s, d, _ = conjugated_symbols()
+    c = _odd_term_coefficients(d)
+    weights = stage2_weights()
+    comm = {key: {f"({m},{n})": repr(I * QQi(c[m] * c[n]) * weights[(m, n), (n, m)][key])
+                  for m, n in ((3, 0), (2, 1))} for key in ((2, 2), (0, 0))}
 
     # P_1 and P_3 between cubic monomials
     cubic_pairs = {j: {
@@ -722,11 +732,9 @@ def constants_report():
             "P3_cubic_pairs": cubic_pairs[3],
         },
         "pipeline_factors": {
-            "first_homological (Q = factor * int d)": repr(FIRST_HOMOLOGICAL_FACTOR),
+            "first_homological (Q = factor * int d)": repr(-ONE / c_s),
             "commutator_prefactor ([d, int d] weight)": repr(COMMUTATOR_PREFACTOR),
-            "d_half cubic coefficients (C_mn;3)": {
-                f"({m},{3-m})": str(d_half_coefficient(m)) for m in range(4)
-            },
+            "d_half cubic coefficients (C_mn;3)": {f"({m},{3 - m})": str(c[m]) for m in range(4)},
         },
         "invariant_integrals": {
             "note": "weights of (1/2pi) int over gamma in the order-zero diagonal symbol "
@@ -739,12 +747,8 @@ def constants_report():
             "shift_derivative_terms": "i d_s(h), the tau_s y^2 jet term and the odd transvectants "
                                       "of a # h land on z^2, |z|^2 and zb^2 only; j2 and j0 are "
                                       "the full |z|^4 and |z|^0 entries of D0, with no tau_s term",
-            "commutator_j2 (weights of Im double integrals)": {
-                f"({m},{n})": repr(v) for (m, n), v in comm["z4"].items()
-            },
-            "commutator_j0": {
-                f"({m},{n})": repr(v) for (m, n), v in comm["z0"].items()
-            },
+            "commutator_j2 (weights of Im double integrals)": comm[2, 2],
+            "commutator_j0": comm[0, 0],
         },
         "assertions": {
             "e2_zero": repr(y4["e"]),

@@ -64,27 +64,27 @@ def _integral(path, values):
     return 2.0 * math.pi * path.mean(values)
 
 
-def check_cube(path, frame, y=None, y2=None):
-    """Cubic first obstruction: int tau_nu y^2 y2 ds = 0 on Zoll surfaces.
+def check_cube(path, frame):
+    """Cubic first obstruction: int tau_nu y^2 y' ds = 0 on Zoll surfaces,
+    for any Jacobi solutions y, y'.
 
-    Defaults to (y, y2) = (y1, y2); any Jacobi solutions on the path grid
-    are accepted.
+    Read on the four real cubics y1^3, y1^2 y2, y1 y2^2, y2^3 in one
+    pass; reports the worst.
     """
-    y = frame.y1 if y is None else np.asarray(y)
-    y2 = frame.y2 if y2 is None else np.asarray(y2)
-    integrand = path.tau_nu * y * y * y2
-    return CheckResult("check_cube",
-                       raw=float(abs(_integral(path, integrand))),
-                       scale=float(_integral(path, np.abs(integrand))))
+    y1, y2 = frame.y1, frame.y2
+    t = path.tau_nu * path.weight
+    t1, t2 = t * y1, t * y2
+    cubics = np.array([t1 * y1 * y1, t1 * y1 * y2, t2 * y1 * y2, t2 * y2 * y2])
+    raws = 2.0 * math.pi * np.abs(np.mean(cubics, axis=1))
+    scales = 2.0 * math.pi * np.mean(np.abs(cubics), axis=1)
+    return max((CheckResult("check_cube", raw=float(raw), scale=float(scale))
+                for raw, scale in zip(raws, scales)), key=lambda r: r.normalized)
 
 
-def check_tau_s(path, frame, Y=None):
-    """int tau_s |Y|^2 ds = 0 (differentiated Jacobi equation, by parts).
-
-    Y defaults to the frame's Y = y2 + i y1.
-    """
-    Y = frame.Y if Y is None else Y
-    integrand = path.tau_s * np.abs(Y) ** 2
+def check_tau_s(path, frame):
+    """int tau_s |Y|^2 ds = 0 (differentiated Jacobi equation, by parts),
+    with |Y|^2 = y1^2 + y2^2."""
+    integrand = path.tau_s * (frame.y1 * frame.y1 + frame.y2 * frame.y2)
     return CheckResult("check_tau_s",
                        raw=float(abs(_integral(path, integrand))),
                        scale=float(_integral(path, np.abs(integrand))))
@@ -105,38 +105,33 @@ def check_quartic(path, frame, y=None, dy=None):
                        scale=float(_integral(path, np.abs(cross)) + rhs))
 
 
-def check_4id(path, frame, Y=None, dY=None):
+def check_4id(path, frame):
     """Both parts of the quartic complex identity.
 
     Im int tau (Y' Ybar)^2 = 0, and
-    int |Y'|^4 - 2 int tau |Y Y'|^2 = Re int tau (Y' Ybar)^2.
-    Y and dY default to the frame's.  Returns (imaginary-part residual,
-    relation residual).
+    int |Y'|^4 - 2 int tau |Y Y'|^2 = Re int tau (Y' Ybar)^2,
+    read on the real rows: Y' Ybar = P + i W with P = y1 y1' + y2 y2'
+    and W = y2 y1' - y1 y2', and |Y Y'|^2 = |Y|^2 |Y'|^2.  Returns
+    (imaginary-part residual, relation residual).
     """
-    Y = frame.Y if Y is None else Y
-    dY = frame.dY if dY is None else dY
+    y1, y2, dy1, dy2 = frame.y1, frame.y2, frame.dy1, frame.dy2
+    p = y1 * dy1 + y2 * dy2
+    w = y2 * dy1 - y1 * dy2
+    abs_dY_sq = dy1 * dy1 + dy2 * dy2      # |Y'|^2
     t = path.tau
-    q = _integral(path, t * (dY * np.conj(Y)) ** 2)
-    quart = _integral(path, np.abs(dY) ** 4)
-    cross = _integral(path, t * np.abs(Y * dY) ** 2)
-    scale = float(abs(quart) + 2.0 * abs(cross) + abs(q))
-    res_im = CheckResult("check_4id_im", raw=float(abs(q.imag)), scale=scale)
+    q_re = _integral(path, t * (p * p - w * w))
+    q_im = 2.0 * _integral(path, t * p * w)
+    quart = _integral(path, abs_dY_sq * abs_dY_sq)
+    cross = _integral(path, t * (y1 * y1 + y2 * y2) * abs_dY_sq)
+    scale = float(abs(quart) + 2.0 * abs(cross) + math.hypot(q_re, q_im))
+    res_im = CheckResult("check_4id_im", raw=float(abs(q_im)), scale=scale)
     res_rel = CheckResult("check_4id_relation",
-                          raw=float(abs(quart - 2.0 * cross - q.real)),
+                          raw=float(abs(quart - 2.0 * cross - q_re)),
                           scale=scale)
     return res_im, res_rel
 
 
 def run_all_checks(path, frame):
-    """All identity checks on one traced geodesic, in reporting order.
-
-    check_cube reports the worst of the four (y, y2) solution pairs.  The
-    frame's Y and dY, which its properties build anew on every read, are
-    built once and shared.
-    """
-    solutions = (frame.y1, frame.y2)
-    cube = max((check_cube(path, frame, y, y2) for y in solutions for y2 in solutions),
-               key=lambda r: r.normalized)
-    Y, dY = frame.Y, frame.dY
-    return [cube, check_tau_s(path, frame, Y), check_quartic(path, frame),
-            *check_4id(path, frame, Y, dY)]
+    """All identity checks on one traced geodesic, in reporting order."""
+    return [check_cube(path, frame), check_tau_s(path, frame), check_quartic(path, frame),
+            *check_4id(path, frame)]

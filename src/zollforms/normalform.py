@@ -37,8 +37,10 @@ only through its means.  The same product gives the first entry of each
 mirror pair of the odd term as a theta-density d f.  Stage 2 takes their
 means (the first obstruction gate), Q from the homological equation (one
 antiderivative each), and adds to the mean of D0, per pair (a, b) of
-entries of d, the exact commutator weights of z^a and z^b times
-<Q_a d_b> + <Q_a> M_b; the mirror pairs come as exact conjugates.  On a
+entries of d, the commutator weights of z^a and z^b
+(`expansion.stage2_weights`, taken to complex numbers) times
+<Q_a d_b> + <Q_a> M_b; the mirror pairs come as exact conjugates.  The
+engine derives no constant itself and imports nothing from `weyl`.  On a
 meridian d is exactly 0 (tau_nu = 0), and stage 2 adds nothing.  Three
 independent routes check this engine and live with the tests
 (`tests/oracles.py`): the exact symbols evaluated term by term on the
@@ -57,7 +59,6 @@ from . import expansion as _exp
 from .fourier import spectral_antiderivative
 from .geodesic import trace_geodesic
 from .jacobi import solve_fundamental
-from .weyl import PolySymbol, diagonal_part, star_commutator
 
 __all__ = [
     "InvariantRecord",
@@ -188,7 +189,6 @@ class _Stage:
     """The per-process part of the engine (`_symbols`); read-only."""
 
     c_s: float            # the weight -1 operator is c_s D_s
-    exact: tuple          # (d, D0) over the real monomials: {key: `_real_monomials`}
     d_mirrors: tuple      # (key, sign) per entry of d, in its order
     d_firsts: tuple       # the first entry of each mirror pair of d, in its order
     d0_mirrors: tuple     # (key, sign) per entry of D0, in its order
@@ -212,8 +212,9 @@ def _symbols():
     d must be a real symbol (each sign +1), so that Q and every mean of
     stage 2 pair up as conjugates too.  A weight of stage 2, per pair
     (a, b) of keys of d whose unit monomials do not commute, is an entry
-    (key, w) of -(i/2) [z^a, z^b], taken to a complex number; the pair
-    adds w (<Q_a d_b> + <Q_a> M_b) to entry `key` of the mean of Z.
+    (key, w) of `expansion.stage2_weights`, taken to a complex number;
+    the pair adds w (<Q_a d_b> + <Q_a> M_b) to entry `key` of the mean
+    of Z.
     `products` holds the pairs whose a is a first entry of d, each with
     the weights of its mirror pair (n_a m_a, n_b m_b), whose term is the
     conjugate.  Every caller shares the result; treat it as read-only.
@@ -235,12 +236,11 @@ def _symbols():
         for mono, c in terms.items():
             coeffs[row, column[mono]] = c[0 if unit == 1 else 1] / scale   # rounded once
     coeffs.flags.writeable = False
-    weight = 2 * _exp.COMMUTATOR_PREFACTOR   # -i/2
-    table = {(a, b): tuple((key, complex(w)) for key, w in star_commutator(
-        PolySymbol({a: 1}), PolySymbol({b: 1}), weight).items()) for a in d.coeffs for b in d.coeffs}
+    table = {pair: tuple((key, complex(w)) for key, w in sym.items())
+             for pair, sym in _exp.stage2_weights().items()}
     steps, block_rows = _block_plan(monomials)
     return _Stage(
-        c_s=float(c_s.re), exact=exact, d_mirrors=tuple((key, 1) for key in d.coeffs),
+        c_s=float(c_s.re), d_mirrors=tuple((key, 1) for key in d.coeffs),
         d_firsts=tuple(d_signs),
         d0_mirrors=tuple((key, d0_signs.get(key) or d0_signs[key[::-1]]) for key in d0.coeffs),
         monomials=monomials, steps=steps, block_rows=block_rows, coeffs=coeffs,
@@ -250,7 +250,7 @@ def _symbols():
 
 
 def frame_terms(path, frame):
-    """Stage 1 on a path: (the mean of D0 as a scalar PolySymbol, the odd
+    """Stage 1 on a path: (the mean of D0 as {key: complex}, the odd
     term's first entries per mirror pair as {key: theta-density d f}).
 
     Per block of BLOCK samples the monomials times f fill one block
@@ -280,10 +280,10 @@ def frame_terms(path, frame):
     means = {}
     for (key, unit), total in zip(stage.d0_parts, sums):
         means[key] = means.get(key, 0j) + unit * (total / n)
-    return PolySymbol(_unfold(means, stage.d0_mirrors)), dict(zip(stage.d_firsts, d))
+    return _unfold(means, stage.d0_mirrors), dict(zip(stage.d_firsts, d))
 
 
-def solve_first_homological(path, d, c_s=2.0):
+def solve_first_homological(path, d):
     """Q(s) with the conjugation removing the odd term: Q' = -(d - <d>)/c_s, Q(0) = 0.
 
     `d` maps keys of the odd term to theta-densities, an entry's samples
@@ -296,12 +296,13 @@ def solve_first_homological(path, d, c_s=2.0):
     above MEAN_TOL, or a NaN mean, raises FirstObstructionError with the
     offending entry: the largest first and, among equal ones, the first
     in the odd term's order.  The means are taken out before the
-    antiderivative, so Q is periodic.  Returns (Q of each entry of `d`,
-    the means of these entries and of their mirrors as a scalar
-    PolySymbol).
+    antiderivative, so Q is periodic.  c_s is the engine's, from the
+    weight -1 operator c_s D_s.  Returns (Q of each entry of `d`, the
+    means of these entries and of their mirrors as {key: complex}).
     """
+    stage = _symbols()
     own = {k: np.mean(v) for k, v in d.items()}
-    means = _unfold(own, _symbols().d_mirrors)
+    means = _unfold(own, stage.d_mirrors)
     for k, m in sorted(means.items(), key=lambda kv: -abs(kv[1])):
         if not abs(m) <= MEAN_TOL:
             raise FirstObstructionError(k, complex(m))
@@ -309,14 +310,14 @@ def solve_first_homological(path, d, c_s=2.0):
     for k, v in d.items():
         centred = np.multiply(path.weight, own[k])
         np.subtract(v, centred, out=centred)
-        centred *= -1.0 / c_s
+        centred *= -1.0 / stage.c_s
         q[k] = spectral_antiderivative(centred)
-    return q, PolySymbol({k: complex(m) for k, m in means.items()})
+    return q, {k: complex(m) for k, m in means.items()}
 
 
 def conjugated_order_zero(path, frame):
     """The engine route: (the mean of the order-zero, D_s-free symbol
-    after both conjugations as a scalar PolySymbol, first_obstruction_max).
+    after both conjugations as {key: complex}, first_obstruction_max).
 
     The mean of Z = D0 - (i/2) [Q, d + M]: the mean of D0 plus, per pair
     of `_symbols`, its weights times <Q_a d_b> + <Q_a> M_b, and the
@@ -325,21 +326,19 @@ def conjugated_order_zero(path, frame):
     -1/2.  Where the odd term is exactly 0, as on a meridian, so are Q
     and every term of stage 2, and none is taken.
     """
-    stage = _symbols()
-    d0_means, d = frame_terms(path, frame)
+    sums, d = frame_terms(path, frame)
     if not any(v.any() for v in d.values()):     # a NaN counts as nonzero
-        return d0_means, 0.0
-    q, means = solve_first_homological(path, d, stage.c_s)
+        return sums, 0.0
+    q, means = solve_first_homological(path, d)
     q_means = {a: path.mean(v) for a, v in q.items()}
-    sums = dict(d0_means.coeffs)
-    for a, b, weights, mirror_weights in stage.products:
+    for a, b, weights, mirror_weights in _symbols().products:
         density = d[b] if b in d else np.conj(d[b[::-1]])
         term = np.mean(q[a] * density) + q_means[a] * means[b]
         for key, w in weights:
             sums[key] = sums.get(key, 0.0) + w * term
         for key, w in mirror_weights:
             sums[key] = sums.get(key, 0.0) + w * np.conj(term)
-    return PolySymbol(sums), max((abs(m) for m in means.coeffs.values()), default=0.0)
+    return sums, max((abs(m) for m in means.values()), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -431,13 +430,11 @@ def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", path=None, frame=N
     if frame is None:
         frame = solve_fundamental(path)
     means, first_obstruction_max = conjugated_order_zero(path, frame)
-    diag_coeffs, residue = diagonal_part(means)
-    diag_coeffs = (diag_coeffs + [0.0] * 3)[:3]
-    # every key, also where the engine symbol holds no entry, so
-    # that the key set does not depend on which means come out exactly 0
-    offdiag = {(m, n): residue[m, n] / 2.0 for m in range(OFFDIAG_DEGREE + 1)
+    # every key, also where the engine holds no entry, so that the key
+    # set does not depend on which entries the stages give
+    offdiag = {(m, n): means.get((m, n), 0) / 2.0 for m in range(OFFDIAG_DEGREE + 1)
                for n in range(OFFDIAG_DEGREE + 1 - m) if m != n}
-    c0, c01, c2 = (complex(c) / 2.0 for c in diag_coeffs)
+    c0, c01, c2 = (complex(means.get((k, k), 0)) / 2.0 for k in range(3))
     H, H_scale = compute_H(path, frame)
     return InvariantRecord(
         geodesic_id=geodesic_id,

@@ -308,14 +308,10 @@ class GeodesicPath:
         return {"tau": self.tau, "tau_s": self.tau_s,
                 "tau_nu": self.tau_nu, "tau_nunu": self.tau_nunu}
 
-    def mean(self, values, *factors):
+    def mean(self, values):
         """(1/2pi) int values ds over one turn of theta, the arclength mean
-        on a Zoll metric: the theta-mean of values * f.  Further factors
-        multiply values, in place in the one array of the product with f."""
-        product = np.multiply(values, self.weight, dtype=np.result_type(values, self.weight, *factors))
-        for v in factors:
-            product *= v
-        return np.mean(product)
+        on a Zoll metric: the theta-mean of values * f."""
+        return np.mean(values * self.weight)
 
     def antiderivative(self, values):
         """int_0^s values ds at every sample: the theta-antiderivative of

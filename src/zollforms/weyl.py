@@ -24,9 +24,9 @@ into an accumulator symbol the caller may pass.  A sample array is a
 value: no operation writes one, so a sum makes a new array.  The
 term-by-term transvectant, the definition the kernel is tested against,
 lives with the tests.  In the package every star product and
-substitution runs on exact symbols, once per process: in stage 1 of the
-normal form, which `expansion` derives, and in the commutators of unit
-monomials whose weights the engine (`normalform`) reads for stage 2.
+substitution runs on exact symbols, once per process, in `expansion`:
+in stage 1 of the normal form, and in the commutators of unit monomials
+that weight stage 2 (`expansion.stage2_weights`).
 The tests' oracles run them on sampled symbols too.
 """
 
@@ -43,7 +43,6 @@ __all__ = [
     "star_product",
     "star_commutator",
     "substitute_linear",
-    "diagonal_part",
     "transvectant_constant",
 ]
 
@@ -249,16 +248,3 @@ def substitute_linear(symbols, first_image, second_image):
             for key, u in image.items():
                 _accumulate(outs[idx], key, u * v)
     return [PolySymbol(out) for out in outs]
-
-
-def diagonal_part(a):
-    """Split a symbol into powers of |z|^2 and the off-diagonal residue.
-
-    Returns (diag, residue): diag[k] is the coefficient of |z|^(2k)
-    (i.e. the (k, k) table entry), residue holds every (m, n) with m != n.
-    """
-    top = max((m for m, n in a.coeffs if m == n), default=0)
-    diag = [a[k, k] for k in range(top + 1)]
-    residue = PolySymbol({k: v for k, v in a.coeffs.items() if k[0] != k[1]})
-    return diag, residue
-

@@ -361,8 +361,8 @@ class TestVerifyCommand:
 
         real = identities.check_tau_s
 
-        def check_tau_s(path, frame, *arrays):
-            result = real(path, frame, *arrays)
+        def check_tau_s(path, frame):
+            result = real(path, frame)
             if path.init[1][0] == 1.0:   # the meridian start
                 return identities.CheckResult(result.name, math.nan, result.scale)
             return result

@@ -14,14 +14,14 @@ from zollforms.expansion import (
     TAU,
     TAU_NU,
     TAU_NUNU,
-    commutator_diagonal_constants,
+    conjugated_symbols,
     constants_report,
-    d_half_coefficient,
     derive_normal_form_integrands,
     fermi_metric_jets,
     grade_expansion,
     graded_laplacian,
     half_density_laplacian,
+    stage2_weights,
     transverse_symbols,
     _frame_formal,
     _match_integrand_basis,
@@ -232,17 +232,49 @@ class TestDerivedConstants:
         assert _round_sphere_mean(parts["z0"]) == QQi(Fraction(-1, 4))
 
     def test_commutator_weights(self):
-        comm = commutator_diagonal_constants()
-        assert comm["z4"][(3, 0)] == QQi(Fraction(1, 64))
-        assert comm["z4"][(2, 1)] == QQi(Fraction(3, 64))
-        assert comm["z0"][(3, 0)] == QQi(Fraction(1, 96))
-        assert comm["z0"][(2, 1)] == QQi(Fraction(-1, 32))
+        """The table's weights are i c_m c_n times the stage 2 weight of
+        the pair (z^(m,n), z^(n,m)) at |z|^4 and |z|^0: -i P_1 and
+        -i P_3 / 6, the star commutator's 2 P_j / j! times -i/2."""
+        weights = stage2_weights()
+        assert weights[(3, 0), (0, 3)][2, 2] == QQi(0, -9)
+        assert weights[(2, 1), (1, 2)][2, 2] == QQi(0, -3)
+        assert weights[(3, 0), (0, 3)][0, 0] == QQi(0, -6)
+        assert weights[(2, 1), (1, 2)][0, 0] == QQi(0, 2)
+        table = constants_report()["invariant_integrals"]
+        assert table["commutator_j2 (weights of Im double integrals)"] == \
+            {"(3,0)": "1/64", "(2,1)": "3/64"}
+        assert table["commutator_j0"] == {"(3,0)": "1/96", "(2,1)": "-1/32"}
 
     def test_d_half_binomials(self):
-        assert d_half_coefficient(0) == Fraction(1, 24)
-        assert d_half_coefficient(1) == Fraction(1, 8)
-        assert d_half_coefficient(2) == Fraction(1, 8)
-        assert d_half_coefficient(3) == Fraction(1, 24)
+        """The odd term is (1/3) tau_nu y^3 framed: entry (m, 3 - m) is
+        C(3, m)/24 tau_nu Yb^m Y^(3-m); the table reads c_m and the
+        homological factor -1/c_s off stage 1."""
+        assert graded_laplacian()[Fraction(-1, 2)].terms == {(3, 0, 0): TAU_NU * QQi(Fraction(1, 3))}
+        c_s, d, _ = conjugated_symbols()
+        want = {0: Fraction(1, 24), 1: Fraction(1, 8), 2: Fraction(1, 8), 3: Fraction(1, 24)}
+        for m, c in want.items():
+            mono = tuple(sorted((name, p) for name, p in (("Y", 3 - m), ("Yb", m), ("tau_nu", 1))
+                                if p))
+            assert d[m, 3 - m] == JP({mono: QQi(c)}), m
+        factors = constants_report()["pipeline_factors"]
+        assert factors["d_half cubic coefficients (C_mn;3)"] == \
+            {"(0,3)": "1/24", "(1,2)": "1/8", "(2,1)": "1/8", "(3,0)": "1/24"}
+        assert factors["first_homological (Q = factor * int d)"] == "-1/2"
+        assert c_s == QQi(2)
+
+    def test_odd_term_of_another_form_raises(self, monkeypatch):
+        """The table reads c_m off the odd term only where entry (m, 3 - m)
+        is a rational times tau_nu Yb^m Y^(3-m)."""
+        from zollforms import expansion
+        from zollforms.weyl import PolySymbol
+
+        c_s, d, d0 = conjugated_symbols()
+        for broken in ({**d.coeffs, (3, 0): d[3, 0] * QQi(0, 1)},
+                       {**d.coeffs, (3, 0): d[3, 0] + TAU}):
+            monkeypatch.setattr(expansion, "conjugated_symbols",
+                                lambda sym=PolySymbol(broken): (c_s, sym, d0))
+            with pytest.raises(AssertionError, match="odd term entry \\(3, 0\\)"):
+                constants_report()
 
     def test_report_contents(self):
         report = constants_report()

@@ -16,7 +16,10 @@ re-export, are exempt.  The package imports only the standard library,
 numpy and itself: scipy serves the tests' oracles and nothing at run time,
 and a run loads no second polynomial representation (`numpy.polynomial`).
 The exact algebra (`expansion`) imports neither numpy nor the engine
-(`normalform`) or the CLI.
+(`normalform`) or the CLI.  The engine imports nothing from `weyl`: the
+exact layer derives every constant once, the weights of stage 2 too
+(`expansion.stage2_weights`), and the engine only converts and
+evaluates them.
 """
 
 import ast
@@ -236,6 +239,13 @@ def test_the_exact_algebra_stays_below_the_engine():
     inside a function: it stays exact, and no import cycle comes back."""
     tree = ast.parse((PACKAGE / "expansion.py").read_text())
     assert not _package_imports(tree) & EXACT_LAYER_FORBIDS
+
+
+def test_the_engine_imports_nothing_from_weyl():
+    """`normalform` reads stage 1 and the stage 2 weights from `expansion`
+    and forms no symbol algebra of its own, not even inside a function."""
+    tree = ast.parse((PACKAGE / "normalform.py").read_text())
+    assert "weyl" not in _package_imports(tree)
 
 
 def test_the_layering_rule_sees_nested_imports():

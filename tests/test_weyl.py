@@ -11,7 +11,6 @@ from oracles import conjugate, degree, monomial, transvectant, weyl_quantize
 from zollforms.weyl import (
     DegreeOverflowError,
     PolySymbol,
-    diagonal_part,
     star_commutator,
     star_product,
     substitute_linear,
@@ -123,9 +122,8 @@ class TestStarCommutator:
                                (1, 2): np.conj(vals[2, 1])})
 
         comm = star_commutator(real_cubic(), real_cubic())
-        diag, _ = diagonal_part(comm)
-        assert len(diag) >= 2
-        assert abs(complex(diag[1])) < 1e-12
+        assert (2, 2) in comm.coeffs
+        assert abs(complex(comm[1, 1])) < 1e-12
 
 
 class TestQuantization:
@@ -172,19 +170,6 @@ class TestMatrixOracle:
         scale = max(np.max(np.abs(A)) * np.max(np.abs(B)), 1.0)
         rel = np.max(np.abs(lhs[:k, :k] - rhs[:k, :k])) / scale
         assert rel < 1e-10
-
-
-class TestDiagonalPart:
-    def test_quartic_action(self):
-        diag, residue = diagonal_part(monomial(2, 2))
-        assert [complex(c) for c in diag] == [0.0, 0.0, 1.0]
-        assert not residue.coeffs
-
-    def test_off_diagonal_residue(self):
-        a = monomial(3, 0)
-        diag, residue = diagonal_part(a)
-        assert all(complex(c) == 0 for c in diag)
-        assert set(residue.coeffs) == {(3, 0)}
 
 
 def random_exact_symbol(rng, max_degree=4):
