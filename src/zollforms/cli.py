@@ -31,7 +31,7 @@ from .surface import IntegrationError, MetricModel
 
 __all__ = ["main", "RunConfig", "build_report", "metric_from_spec"]
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 H_RELATION_TOL = 1e-9     # residual of the paper's c0 = -H/(16 pi), see InvariantRecord.h_relation
 
 EXIT_PASS = 0
@@ -93,9 +93,14 @@ class RunConfig:
         cfg.metric_model = metric_from_spec(cfg.metric)
         return cfg
 
-    def echo(self):
-        return {"metric": self.metric, "geodesics": self.geodesics,
-                "grid": self.grid, "tol": self.tol, "seed": self.seed}
+    def echo(self, mode):
+        """The config a report of `mode` depends on: `tol` only in
+        `verify`, the one mode that reads it."""
+        out = {"metric": self.metric, "geodesics": self.geodesics,
+               "grid": self.grid, "seed": self.seed}
+        if mode == "verify":
+            out["tol"] = self.tol
+        return out
 
 
 def _is_a(value, kind):
@@ -165,12 +170,12 @@ def _constants_digest():
     return _digest(constants_report())
 
 
-def _header(cfg):
+def _header(cfg, mode):
     return {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
         "constants_digest": _constants_digest(),
-        "config": cfg.echo(),
+        "config": cfg.echo(mode),
     }
 
 
@@ -272,7 +277,7 @@ def _assemble_report(cfg, mode, records, failures):
             summary["c2_max"] = float(np.max(np.abs([i["c2"] for i in invs])))
             summary["c01_max"] = float(np.max(np.abs([i["c01"] for i in invs])))
             summary["offdiag_max"] = float(np.max([i["offdiag_max"] for i in invs]))
-    return Report({"header": _header(cfg), "geodesics": records, "summary": summary})
+    return Report({"header": _header(cfg, mode), "geodesics": records, "summary": summary})
 
 
 class Report(dict):

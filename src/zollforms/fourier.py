@@ -6,9 +6,15 @@ power of two.  Antiderivatives are computed through the FFT, so they are
 exact for trigonometric polynomials and spectrally accurate for smooth
 periodic data; real data take the real transform and stay real.  The
 path turns them into arclength integrals by its weight ds/d(theta)
-(`surface.GeodesicPath`).  The normal form engine takes them for the
-homological equation (`normalform.solve_first_homological`) and
-`normalform.compute_H`; the identity checks take none.
+(`surface.GeodesicPath`); `normalform.compute_H` takes two, and the
+identity checks take none.
+
+The normal form engine reads the solution Q of its homological equation
+only through means of products, so it never samples Q: by Parseval,
+mean(x y) = sum_k xhat_k yhat_{-k} / N^2 for the DFTs xhat, yhat, and
+`antiderivative_spectrum` gives the DFT of `spectral_antiderivative`'s
+output from the DFT of its input.  `spectral_pairing` takes that sum,
+and `full_spectrum` unfolds the real transform of real samples.
 """
 
 from functools import lru_cache
@@ -16,8 +22,11 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "antiderivative_spectrum",
+    "full_spectrum",
     "grid",
     "spectral_antiderivative",
+    "spectral_pairing",
 ]
 
 MEAN_ZERO_TOL = 1e-10  # antiderivatives zero residual means below this times max |f|
@@ -73,4 +82,54 @@ def spectral_antiderivative(values):
     out -= out[0]
     if not abs(mean) < MEAN_ZERO_TOL * np.max(np.abs(values)):   # a NaN mean stays
         out += (mean.real if real else mean) * s
+    return out
+
+
+def antiderivative_spectrum(coeffs):
+    """The DFT of spectral_antiderivative(x) from coeffs, the DFT of x
+    (complex, all n modes), with no inverse transform, written over
+    coeffs, which is returned.
+
+    The mean-free part is coeffs / (i k), the zero and Nyquist modes
+    dropped as `spectral_antiderivative` drops them; a residual mean
+    takes the same ramp m*t there, by the DFT of t; and the zero mode
+    takes the offset that makes the antiderivative 0 at t = 0.  The ramp
+    test reads max |x|; |mean| below MEAN_ZERO_TOL times the rms of x,
+    which is no larger, decides it without x, and only an input that
+    fails that bound (a mean near the threshold, or a NaN) is
+    transformed back to read max |x|.
+    """
+    n = coeffs.shape[-1]
+    _check_grid(n)
+    inv_ik, s = _mode_factors(n)
+    mean = coeffs[0] / n
+    # rms |x| = |coeffs| / n; a NaN fails both tests and keeps its ramp
+    ramp = not (abs(coeffs[0]) < MEAN_ZERO_TOL * np.sqrt(np.vdot(coeffs, coeffs).real)
+                or abs(mean) < MEAN_ZERO_TOL * np.max(np.abs(np.fft.ifft(coeffs))))
+    coeffs *= inv_ik
+    if ramp:
+        coeffs += mean * np.fft.fft(s)
+    coeffs[0] -= np.sum(coeffs)
+    return coeffs
+
+
+def spectral_pairing(coeffs, other, conjugate=False):
+    """mean(x y) over the grid from coeffs, the DFT of x, and other, the
+    DFT of y, or with `conjugate` the DFT of conj(y): sum_k xhat_k
+    yhat_{-k} / n^2, where the conjugate spectrum pairs mode by mode and
+    needs no reversed copy."""
+    n = coeffs.shape[-1]
+    if conjugate:
+        total = np.vdot(other, coeffs)
+    else:
+        total = coeffs[0] * other[0] + np.dot(coeffs[1:], other[:0:-1])
+    return total / (n * n)
+
+
+def full_spectrum(half, n):
+    """The DFT of n real samples from their real transform `half`: the
+    modes above n/2 are the conjugates of those below."""
+    out = np.empty(n, dtype=complex)
+    out[:len(half)] = half
+    np.conjugate(half[n - len(half):0:-1], out=out[len(half):])
     return out

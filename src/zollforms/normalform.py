@@ -34,17 +34,21 @@ samples it forms the monomials times the weight f = ds/d(theta) and
 sums them into the rows by one real matrix product, pointwise, so terms
 cancel sample by sample before the pairwise sums of the mean; D0 is read
 only through its means.  The same product gives the first entry of each
-mirror pair of the odd term as a theta-density d f.  Stage 2 takes their
-means (the first obstruction gate), Q from the homological equation (one
-antiderivative each), and adds to the mean of D0, per pair (a, b) of
-entries of d, the commutator weights of z^a and z^b
-(`expansion.stage2_weights`, taken to complex numbers) times
-<Q_a d_b> + <Q_a> M_b; the mirror pairs come as exact conjugates.  The
-engine derives no constant itself and imports nothing from `weyl`.  On a
-meridian d is exactly 0 (tau_nu = 0), and stage 2 adds nothing.  Three
-independent routes check this engine and live with the tests
-(`tests/oracles.py`): the exact symbols evaluated term by term on the
-samples (`frame_conjugated`), the closed form on the samples (`d_half`,
+mirror pair of the odd term as a theta-density d f.  Stage 2 transforms
+them forward, once, reads their means M off the zero modes (the first
+obstruction gate, `first_obstruction_means`), and adds to the mean of
+D0, per pair (a, b) of entries of d, the commutator weights of z^a and
+z^b (`expansion.stage2_weights`, taken to complex numbers) times
+<Q_a d_b> + <Q_a> M_b; the mirror pairs come as exact conjugates.  Q
+is never sampled: each of these means is a pairing of the spectrum of
+Q_a, the antiderivative of -(d_a - M_a)/c_s, with a spectrum the engine
+already holds (`fourier.spectral_pairing`), so the engine takes no
+inverse transform.  It derives no constant itself and imports nothing
+from `weyl`.  On a meridian d is exactly 0 (tau_nu = 0), and stage 2
+adds nothing.  Four independent routes check this engine and live with
+the tests (`tests/oracles.py`): the exact symbols evaluated term by term
+on the samples (`frame_conjugated`), stage 2 with Q sampled on the grid
+(`order_zero_by_q`), the closed form on the samples (`d_half`,
 `d_zero_restricted` + `commutator_double_integral`), and the exact
 ad-series, which derives Z without assuming its form.
 """
@@ -56,15 +60,15 @@ from functools import lru_cache
 import numpy as np
 
 from . import expansion as _exp
-from .fourier import spectral_antiderivative
+from .fourier import antiderivative_spectrum, full_spectrum, spectral_pairing
 from .geodesic import trace_geodesic
 from .jacobi import solve_fundamental
 
 __all__ = [
     "InvariantRecord",
     "FirstObstructionError",
-    "solve_first_homological",
     "frame_terms",
+    "first_obstruction_means",
     "conjugated_order_zero",
     "assemble_p1",
     "compute_H",
@@ -197,7 +201,8 @@ class _Stage:
     block_rows: int
     coeffs: np.ndarray    # rows: the parts of D0's first entries per mirror pair, then d's
     d0_parts: tuple       # (key, 1 or 1j) per D0 row of `coeffs`
-    products: tuple       # (a, b, weights of (a, b), weights of its mirror pair)
+    products: tuple       # (a, row of a, pairs): per first entry a of d, the pairs (a, b) as
+                          # (b, row of b or of its mirror, mirrored?, weights, mirror weights)
 
 
 @lru_cache(maxsize=1)
@@ -215,9 +220,11 @@ def _symbols():
     (key, w) of `expansion.stage2_weights`, taken to a complex number;
     the pair adds w (<Q_a d_b> + <Q_a> M_b) to entry `key` of the mean
     of Z.
-    `products` holds the pairs whose a is a first entry of d, each with
-    the weights of its mirror pair (n_a m_a, n_b m_b), whose term is the
-    conjugate.  Every caller shares the result; treat it as read-only.
+    `products` holds the pairs whose a is a first entry of d, by a, each
+    with the row of d that gives b (b's own, or its mirror's for a
+    mirrored b, whose density is the conjugate) and with the weights of
+    its mirror pair (n_a m_a, n_b m_b), whose term is the conjugate.
+    Every caller shares the result; treat it as read-only.
     """
     c_s, d, d0 = _exp.conjugated_symbols()
     exact = tuple({key: _real_monomials(jp) for key, jp in sym.coeffs.items()} for sym in (d, d0))
@@ -239,19 +246,23 @@ def _symbols():
     table = {pair: tuple((key, complex(w)) for key, w in sym.items())
              for pair, sym in _exp.stage2_weights().items()}
     steps, block_rows = _block_plan(monomials)
+    rows = {key: i for i, key in enumerate(d_signs)}
     return _Stage(
         c_s=float(c_s.re), d_mirrors=tuple((key, 1) for key in d.coeffs),
         d_firsts=tuple(d_signs),
         d0_mirrors=tuple((key, d0_signs.get(key) or d0_signs[key[::-1]]) for key in d0.coeffs),
         monomials=monomials, steps=steps, block_rows=block_rows, coeffs=coeffs,
         d0_parts=tuple((key, unit) for sym, key, unit in parts if sym is exact[1]),
-        products=tuple((a, b, table[a, b], table[a[::-1], b[::-1]])
-                       for a in d_signs for b in d.coeffs if table[a, b]))
+        products=tuple((a, row, tuple((b, rows.get(b, rows.get(b[::-1])), b not in rows,
+                                       table[a, b], table[a[::-1], b[::-1]])
+                                      for b in d.coeffs if table[a, b]))
+                       for a, row in rows.items()))
 
 
 def frame_terms(path, frame):
     """Stage 1 on a path: (the mean of D0 as {key: complex}, the odd
-    term's first entries per mirror pair as {key: theta-density d f}).
+    term's first entries per mirror pair as theta-densities d f, one row
+    each of a (2, N) complex array, in the odd term's order).
 
     Per block of BLOCK samples the monomials times f fill one block
     array, and one matrix product of the real coefficient rows sums them
@@ -280,39 +291,29 @@ def frame_terms(path, frame):
     means = {}
     for (key, unit), total in zip(stage.d0_parts, sums):
         means[key] = means.get(key, 0j) + unit * (total / n)
-    return _unfold(means, stage.d0_mirrors), dict(zip(stage.d_firsts, d))
+    return _unfold(means, stage.d0_mirrors), d
 
 
-def solve_first_homological(path, d):
-    """Q(s) with the conjugation removing the odd term: Q' = -(d - <d>)/c_s, Q(0) = 0.
+def first_obstruction_means(spectra):
+    """The means of every entry of the odd term as {key: complex}, read
+    off the zero modes of `spectra`, the DFTs of the first entries per
+    mirror pair as theta-densities d f (rows in the odd term's order);
+    a mirrored entry's mean is the conjugate.
 
-    `d` maps keys of the odd term to theta-densities, an entry's samples
-    times the path's weight f = ds/d(theta): a density's theta-mean is
-    the entry's arclength mean, and its theta-antiderivative the
-    arclength one.  The odd term is a real symbol, so an entry that `d`
-    leaves out but whose mirror (n, m) it gives is the conjugate of that
-    one, and so are its mean and its Q.  Solvable on the period only when
-    every entry has vanishing mean (the Zoll first obstruction); a mean
-    above MEAN_TOL, or a NaN mean, raises FirstObstructionError with the
-    offending entry: the largest first and, among equal ones, the first
-    in the odd term's order.  The means are taken out before the
-    antiderivative, so Q is periodic.  c_s is the engine's, from the
-    weight -1 operator c_s D_s.  Returns (Q of each entry of `d`, the
-    means of these entries and of their mirrors as {key: complex}).
+    The conjugation is solvable on the period only when every mean
+    vanishes (the Zoll first obstruction): a mean above MEAN_TOL, or a
+    NaN mean, raises FirstObstructionError with the offending entry, the
+    largest first and, among equal ones, the first in the odd term's
+    order.
     """
     stage = _symbols()
-    own = {k: np.mean(v) for k, v in d.items()}
-    means = _unfold(own, stage.d_mirrors)
+    n = spectra.shape[-1]
+    own = {key: c / n for key, c in zip(stage.d_firsts, spectra[:, 0])}
+    means = {k: complex(m) for k, m in _unfold(own, stage.d_mirrors).items()}
     for k, m in sorted(means.items(), key=lambda kv: -abs(kv[1])):
         if not abs(m) <= MEAN_TOL:
-            raise FirstObstructionError(k, complex(m))
-    q = {}
-    for k, v in d.items():
-        centred = np.multiply(path.weight, own[k])
-        np.subtract(v, centred, out=centred)
-        centred *= -1.0 / stage.c_s
-        q[k] = spectral_antiderivative(centred)
-    return q, {k: complex(m) for k, m in means.items()}
+            raise FirstObstructionError(k, m)
+    return means
 
 
 def conjugated_order_zero(path, frame):
@@ -321,24 +322,41 @@ def conjugated_order_zero(path, frame):
 
     The mean of Z = D0 - (i/2) [Q, d + M]: the mean of D0 plus, per pair
     of `_symbols`, its weights times <Q_a d_b> + <Q_a> M_b, and the
-    conjugate for its mirror pair.  first_obstruction_max is the largest
-    |mean| of the odd term, all that the conjugation leaves at weight
-    -1/2.  Where the odd term is exactly 0, as on a meridian, so are Q
-    and every term of stage 2, and none is taken.
+    conjugate for its mirror pair.  Q is never sampled.  With f the
+    path's weight, Q_a is the antiderivative of -(d_a f - M_a f)/c_s, so
+    the DFT of c_s Q_a is minus that of the antiderivative of d_a f - M_a f
+    (`fourier.antiderivative_spectrum`), and each mean is a pairing of
+    spectra (`fourier.spectral_pairing`): with d_b f, with conj(d_b' f)
+    for a mirrored entry b, and with f, which is real and so pairs as its
+    own conjugate.  Each density takes one forward transform, in place,
+    and f one real one.  first_obstruction_max is the largest |mean| of
+    the odd term, all that the conjugation leaves at weight -1/2.  Where
+    the odd term is exactly 0, as on a meridian, so are Q and every term
+    of stage 2, and none is taken.
     """
     sums, d = frame_terms(path, frame)
-    if not any(v.any() for v in d.values()):     # a NaN counts as nonzero
+    if not d.any():                               # a NaN counts as nonzero
         return sums, 0.0
-    q, means = solve_first_homological(path, d)
-    q_means = {a: path.mean(v) for a, v in q.items()}
-    for a, b, weights, mirror_weights in _symbols().products:
-        density = d[b] if b in d else np.conj(d[b[::-1]])
-        term = np.mean(q[a] * density) + q_means[a] * means[b]
-        for key, w in weights:
-            sums[key] = sums.get(key, 0.0) + w * term
-        for key, w in mirror_weights:
-            sums[key] = sums.get(key, 0.0) + w * np.conj(term)
-    return sums, max((abs(m) for m in means.values()), default=0.0)
+    stage = _symbols()
+    spectra = d                                   # in place: the samples are not read again
+    for row in spectra:
+        row[:] = np.fft.fft(row)
+    means = first_obstruction_means(spectra)
+    weight = full_spectrum(np.fft.rfft(path.weight), path.n)
+    primitive = np.empty(path.n, dtype=complex)
+    for a, row, pairs in stage.products:
+        np.multiply(weight, means[a], out=primitive)
+        np.subtract(spectra[row], primitive, out=primitive)
+        antiderivative_spectrum(primitive)
+        q_mean = spectral_pairing(primitive, weight, True) / -stage.c_s    # f is real
+        for b, other, conjugate, weights, mirror_weights in pairs:
+            term = spectral_pairing(primitive, spectra[other], conjugate) / -stage.c_s \
+                + q_mean * means[b]
+            for key, w in weights:
+                sums[key] = sums.get(key, 0.0) + w * term
+            for key, w in mirror_weights:
+                sums[key] = sums.get(key, 0.0) + w * np.conj(term)
+    return sums, max(abs(m) for m in means.values())
 
 
 @dataclass(frozen=True)

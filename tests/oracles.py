@@ -36,12 +36,15 @@ differentiated by central stencils, checks that formula
 `surface_integral_of_curvature` is the Gauss-Bonnet check of the
 curvature formula.
 
-The order-zero normal form symbol has three more routes.
+The order-zero normal form symbol has four more routes.
 `frame_conjugated` evaluates the exact stage 1 term by term on the
 samples (`evaluation_plan`, `evaluate`, `path_values`), entry by entry
 in complex arithmetic, where the engine
 (`zollforms.normalform.frame_terms`) reads it over real monomials and
-only through its means; `field_mean` averages a sampled symbol.  The
+only through its means; `field_mean` averages a sampled symbol.
+`order_zero_by_q` takes the engine's stage 2 with Q on the grid: Q by
+`solve_first_homological`, one antiderivative per entry, and each mean
+over the samples, where the engine pairs spectra and never samples Q.  The
 closed form `d_zero_restricted` of the frame-conjugated metric terms plus
 `commutator_double_integral` of the odd term `d_half` is written out by
 hand on the samples, where the engine
@@ -83,7 +86,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from zollforms import expansion, surface
+from zollforms import expansion, normalform, surface
+from zollforms.fourier import spectral_antiderivative
 from zollforms.geodesic import GeodesicPath
 from zollforms.identities import CheckResult
 from zollforms.jacobi import JacobiFrame
@@ -398,6 +402,59 @@ def frame_conjugated(path, frame):
     by real monomials (`zollforms.normalform.frame_terms`); it is pinned
     to this route."""
     return evaluate(_stage1_plan(), path_values(path, frame))
+
+
+def solve_first_homological(path, d):
+    """Q(s) on the samples, the reference route of the engine's stage 2:
+    Q' = -(d - <d>)/c_s, Q(0) = 0, one antiderivative per entry.
+
+    `d` maps keys of the odd term to theta-densities, an entry's samples
+    times the path's weight f = ds/d(theta): a density's theta-mean is
+    the entry's arclength mean, and its theta-antiderivative the
+    arclength one.  The odd term is a real symbol, so an entry that `d`
+    leaves out but whose mirror (n, m) it gives is the conjugate of that
+    one, and so are its mean and its Q.  A mean above MEAN_TOL, or a NaN
+    mean, raises FirstObstructionError as the engine's gate does.  The
+    means are taken out before the antiderivative, so Q is periodic.
+    Returns (Q of each entry of `d`, the means of these entries and of
+    their mirrors as {key: complex}).
+    """
+    stage = normalform._symbols()
+    own = {k: np.mean(v) for k, v in d.items()}
+    means = normalform._unfold(own, stage.d_mirrors)
+    for k, m in sorted(means.items(), key=lambda kv: -abs(kv[1])):
+        if not abs(m) <= normalform.MEAN_TOL:
+            raise normalform.FirstObstructionError(k, complex(m))
+    q = {}
+    for k, v in d.items():
+        centred = np.multiply(path.weight, own[k])
+        np.subtract(v, centred, out=centred)
+        centred *= -1.0 / stage.c_s
+        q[k] = spectral_antiderivative(centred)
+    return q, {k: complex(m) for k, m in means.items()}
+
+
+def order_zero_by_q(path, frame):
+    """`zollforms.normalform.conjugated_order_zero` with Q sampled: Q by
+    `solve_first_homological`, and every mean of stage 2 (<Q_a d_b> and
+    <Q_a>) taken over the grid.  The engine pairs spectra instead and is
+    pinned to this route."""
+    stage = normalform._symbols()
+    sums, d = normalform.frame_terms(path, frame)
+    if not d.any():
+        return sums, 0.0
+    d = dict(zip(stage.d_firsts, d))
+    q, means = solve_first_homological(path, d)
+    for a, _, pairs in stage.products:
+        q_mean = path.mean(q[a])
+        for b, _, _, weights, mirror_weights in pairs:
+            density = d[b] if b in d else np.conj(d[b[::-1]])
+            term = np.mean(q[a] * density) + q_mean * means[b]
+            for key, w in weights:
+                sums[key] = sums.get(key, 0.0) + w * term
+            for key, w in mirror_weights:
+                sums[key] = sums.get(key, 0.0) + w * np.conj(term)
+    return sums, max(abs(m) for m in means.values())
 
 
 def _to_field(value, n):

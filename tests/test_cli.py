@@ -480,6 +480,21 @@ class TestInvariantsCommand:
             digests.append(report["digest"])
         assert digests[0] == digests[1]
 
+    def test_only_verify_echoes_tol(self, tmp_path):
+        """`invariants` reads no tolerance, so two runs that differ only in
+        --tol write byte-identical reports, without `tol` in the config
+        echo; two such `verify` runs echo their own `tol` and differ."""
+        for mode in ("invariants", "verify"):
+            texts = []
+            for tol in ("1e-6", "1e-5"):
+                out = tmp_path / f"{mode}-{tol}.json"
+                assert main([mode, "--metric", "round", "--geodesics", "2", "--grid", "256",
+                             "--tol", tol, "--out", str(out)]) == EXIT_PASS
+                texts.append(out.read_text())
+                config = json.loads(texts[-1])["header"]["config"]
+                assert config.get("tol") == (float(tol) if mode == "verify" else None)
+            assert (texts[0] == texts[1]) == (mode == "invariants"), mode
+
     def test_digest_covers_the_whole_report(self):
         """A report is its header, geodesics and summary, all under the
         digest (no run-dependent block is left outside it), and two runs
@@ -489,7 +504,7 @@ class TestInvariantsCommand:
         first, _ = build_report(cfg, "invariants")
         second, _ = build_report(cfg, "invariants")
         assert first["digest"] == second["digest"]
-        assert first["header"]["schema_version"] == 6
+        assert first["header"]["schema_version"] == 7
         assert set(first) == {"header", "geodesics", "summary", "digest"}
         body = {k: v for k, v in first.items() if k != "digest"}
         assert first["digest"] == _digest(body)

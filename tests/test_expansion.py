@@ -395,9 +395,10 @@ class TestExactStage2:
         from zollforms import normalform
 
         table = {}
-        for a, b, weights, mirror_weights in normalform._symbols().products:
-            table.update({(key, a, b): w for key, w in weights})
-            table.update({(key, a[::-1], b[::-1]): w for key, w in mirror_weights})
+        for a, _, pairs in normalform._symbols().products:
+            for b, _, _, weights, mirror_weights in pairs:
+                table.update({(key, a, b): w for key, w in weights})
+                table.update({(key, a[::-1], b[::-1]): w for key, w in mirror_weights})
         assert len(table) == 16
         z = order_zero_by_ad_series()
         keys = ((3, 0), (2, 1), (1, 2), (0, 3))

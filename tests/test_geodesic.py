@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from zollforms import cli, surface
+from zollforms import cli, fourier, surface
 from zollforms.fourier import spectral_antiderivative
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic
 from zollforms.surface import IntegrationError, MetricModel, SurfacePoint
@@ -406,6 +406,73 @@ class TestSpectralDerivative:
     def test_antiderivative_needs_a_power_of_two(self, dtype):
         with pytest.raises(ValueError, match="power of two"):
             spectral_antiderivative(np.ones(768, dtype=dtype))
+
+
+class TestSpectralPairing:
+    """Means of products with an antiderivative, read from spectra
+    (`antiderivative_spectrum`, `spectral_pairing`), against the
+    antiderivative taken on the grid."""
+
+    @staticmethod
+    def _noise(rng, n, real):
+        v = rng.standard_normal(n)
+        return v if real else v + 1j * rng.standard_normal(n)
+
+    @pytest.mark.parametrize("mean", [0.0, 0.3])
+    @pytest.mark.parametrize("x_real", [True, False])
+    @pytest.mark.parametrize("n", [2 ** k for k in range(8, 16)])
+    def test_pairing_equals_the_grid_mean(self, n, x_real, mean):
+        """mean(spectral_antiderivative(x) y), for real and complex x and
+        y, equals the pairing of the spectra to 1e-13 of max |F| max |y|,
+        also where x's mean takes the ramp, and the conjugate pairing
+        equals mean(F conj(y))."""
+        rng = np.random.default_rng(n + 2 * x_real)
+        x = self._noise(rng, n, x_real)
+        x = x - np.mean(x) + mean
+        antiderivative = spectral_antiderivative(x)
+        if mean:
+            assert abs(antiderivative[-1] - antiderivative[0]) > 1.0   # the ramp is taken
+        coeffs = np.fft.fft(x)
+        spectrum = fourier.antiderivative_spectrum(coeffs)
+        assert spectrum is coeffs     # written over its input, as the engine reads it
+        for y_real in (True, False):
+            y = self._noise(rng, n, y_real)
+            scale = np.max(np.abs(antiderivative)) * np.max(np.abs(y))
+            got = fourier.spectral_pairing(spectrum, np.fft.fft(y))
+            assert abs(got - np.mean(antiderivative * y)) <= 1e-13 * scale, y_real
+            got = fourier.spectral_pairing(spectrum, np.fft.fft(y), conjugate=True)
+            assert abs(got - np.mean(antiderivative * np.conj(y))) <= 1e-13 * scale, y_real
+
+    @pytest.mark.parametrize("n", [256, 32768])
+    def test_ramp_bound_between_rms_and_max(self, n):
+        """A mean of 1e-11 on a spike of height 1 is above MEAN_ZERO_TOL
+        times the rms (1/sqrt(n)) and below it times max |x|: the spectrum
+        reads max |x| and, as the antiderivative does, takes no ramp, which
+        would move the mean below by about 1e-11."""
+        x = np.zeros(n)
+        x[n // 3] = 1.0
+        x += 1e-11 - np.mean(x)
+        assert fourier.MEAN_ZERO_TOL / math.sqrt(n) < np.mean(x) < fourier.MEAN_ZERO_TOL
+        y = np.cos(fourier.grid(n)) + 0.5
+        got = fourier.spectral_pairing(fourier.antiderivative_spectrum(np.fft.fft(x)),
+                                       np.fft.fft(y))
+        assert abs(got - np.mean(spectral_antiderivative(x) * y)) <= 1e-14
+
+    def test_nan_propagates(self):
+        n = 256
+        clean, nan = np.cos(fourier.grid(n)), np.full(n, 1.0)
+        nan[7] = math.nan
+        for x, y in ((nan, clean), (clean, nan)):
+            spectrum = fourier.antiderivative_spectrum(np.fft.fft(x))
+            for conjugate in (False, True):
+                assert math.isnan(abs(fourier.spectral_pairing(spectrum, np.fft.fft(y),
+                                                               conjugate)))
+
+    @pytest.mark.parametrize("n", [2, 4, 256])
+    def test_full_spectrum_of_real_samples(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        full = fourier.full_spectrum(np.fft.rfft(x), n)
+        assert np.max(np.abs(full - np.fft.fft(x))) <= 1e-13 * math.sqrt(n)
 
 
 class TestQuadratureContract:

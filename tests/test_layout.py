@@ -19,7 +19,9 @@ The exact algebra (`expansion`) imports neither numpy nor the engine
 (`normalform`) or the CLI.  The engine imports nothing from `weyl`: the
 exact layer derives every constant once, the weights of stage 2 too
 (`expansion.stage2_weights`), and the engine only converts and
-evaluates them.
+evaluates them.  The engine names no inverse FFT and no sampled
+antiderivative: it reads the solution of its homological equation only
+through spectra.
 """
 
 import ast
@@ -246,6 +248,37 @@ def test_the_engine_imports_nothing_from_weyl():
     and forms no symbol algebra of its own, not even inside a function."""
     tree = ast.parse((PACKAGE / "normalform.py").read_text())
     assert "weyl" not in _package_imports(tree)
+
+
+def _names(tree):
+    """Every name, attribute and imported name a tree mentions."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= {a.name.split(".")[-1] for a in node.names}
+    return out
+
+
+ENGINE_FORBIDS = {"ifft", "irfft", "spectral_antiderivative"}
+
+
+def test_the_engine_takes_no_inverse_transform():
+    """`normalform` reads Q only through its spectrum: it names no inverse
+    FFT and no sampled antiderivative, so a second stage-2 route cannot
+    come back quietly (compute_H integrates through the path)."""
+    tree = ast.parse((PACKAGE / "normalform.py").read_text())
+    assert not _names(tree) & ENGINE_FORBIDS
+
+
+def test_the_transform_rule_sees_every_spelling():
+    tree = ast.parse("from .fourier import spectral_antiderivative as sa\n"
+                     "def f(x):\n    return np.fft.ifft(x)\n"
+                     "from numpy.fft import irfft\n")
+    assert _names(tree) & ENGINE_FORBIDS == ENGINE_FORBIDS
 
 
 def test_the_layering_rule_sees_nested_imports():

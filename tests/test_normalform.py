@@ -9,16 +9,17 @@ import pytest
 from zollforms.geodesic import sample_initial_conditions, trace_geodesic
 from zollforms.jacobi import solve_fundamental
 from oracles import (commutator_double_integral, d_half, d_zero_restricted, ds, field_mean,
-                     frame_conjugated, metaplectic_substitute, rebase, transvectant,
-                     weyl_quantize)
+                     frame_conjugated, metaplectic_substitute, order_zero_by_q, rebase,
+                     solve_first_homological, transvectant, weyl_quantize)
 from zollforms.expansion import SOperator
 from zollforms.normalform import (
     FirstObstructionError,
+    InvariantRecord,
     assemble_p1,
     compute_H,
     conjugated_order_zero,
+    first_obstruction_means,
     frame_terms,
-    solve_first_homological,
 )
 from zollforms.surface import SurfacePoint
 from zollforms.weyl import PolySymbol
@@ -212,19 +213,21 @@ class TestFirstHomological:
         assert np.max(np.abs(q[(3, 0)] + 0.5 * np.sin(s))) <= 1e-13
 
     def test_obstruction_error(self, cubic_path):
-        d = {(3, 0): np.full(cubic_path.n, 0.3 + 0j) * cubic_path.weight}
+        d = np.zeros((2, cubic_path.n), dtype=complex)
+        d[0] = 0.3 * cubic_path.weight
         with pytest.raises(FirstObstructionError, match="3"):
-            solve_first_homological(cubic_path, d)
+            first_obstruction_means(np.fft.fft(d))
 
     def test_nan_entry_is_an_obstruction(self, cubic_path):
-        n = cubic_path.n
-        d = {(3, 0): np.zeros(n, dtype=complex), (2, 1): np.full(n, complex(math.nan, 0.0))}
+        d = np.zeros((2, cubic_path.n), dtype=complex)
+        d[1] = complex(math.nan, 0.0)
         with pytest.raises(FirstObstructionError):
-            solve_first_homological(cubic_path, d)
+            first_obstruction_means(np.fft.fft(d))
 
     def test_gate_reads_every_entry_in_order(self, cubic_path):
-        """Given the first entry of each mirror pair, the gate reads all
-        four means in the order of the odd term, the largest first and,
+        """Given the spectra of the first entry of each mirror pair, the
+        gate reads all four means off their zero modes in the order of the
+        odd term, the largest first and,
         among equal ones, the first in that order: a mirror entry (equal
         |mean|) is never named before its first entry, nor (2, 1) before
         (3, 0) at equal |mean|, and a NaN is named wherever it sits."""
@@ -235,33 +238,35 @@ class TestFirstHomological:
         nan = complex(math.nan, 0.0)
         for a, b, named in ((0.3j, 0.1, (3, 0)), (0.1, 0.3j, (2, 1)), (0.3, 0.3j, (3, 0)),
                             (0.0, nan, (2, 1)), (nan, 0.3, (3, 0))):
-            d = {(3, 0): np.full(n, a) * f, (2, 1): np.full(n, b) * f}
+            d = np.stack([np.full(n, a) * f, np.full(n, b) * f])
             with pytest.raises(FirstObstructionError) as err:
-                solve_first_homological(cubic_path, d)
+                first_obstruction_means(np.fft.fft(d))
             assert err.value.entry == named, (a, b)
 
     @pytest.mark.parametrize("spec", ["zoll:-0.3,0.3", "zoll:0.1", "zoll:0.2,-0.5,0.3",
                                       "zoll:0.6,-0.2", "zoll:-0.309,0.294", "zoll:-0.9"])
     def test_conjugate_pairs_share_one_antiderivative(self, spec, monkeypatch):
         """The odd term d is a real symbol (checked exactly, once per
-        process), so the engine evaluates and integrates only (3, 0) and
-        (2, 1): on the first 8 CLI geodesics they equal the pointwise
-        route's entries times f to roundoff, the means it returns for
-        (1, 2) and (0, 3) are the conjugates of theirs, and so are the
-        pointwise route's own means, and each geodesic takes 2
-        antiderivatives."""
+        process), so the engine evaluates only (3, 0) and (2, 1), and the
+        reference Q route integrates only them: on the first 8 CLI
+        geodesics they equal the pointwise route's entries times f to
+        roundoff, the means it returns for (1, 2) and (0, 3) are the
+        conjugates of theirs, and so are the pointwise route's own means,
+        and each geodesic takes 2 antiderivatives."""
+        import oracles
         from zollforms import cli, normalform
 
-        real = normalform.spectral_antiderivative
+        real = oracles.spectral_antiderivative
         calls = []
-        monkeypatch.setattr(normalform, "spectral_antiderivative",
+        monkeypatch.setattr(oracles, "spectral_antiderivative",
                             lambda v: calls.append(v) or real(v))
         cfg = cli.RunConfig.load(None, {"metric": cli.parse_metric_flag(spec), "geodesics": 8})
         for name, ic in cli._initial_conditions(cfg):
             path = trace_geodesic(cfg.metric_model, ic, cfg.grid)
             frame = solve_fundamental(path)
-            _, d = frame_terms(path, frame)
+            _, rows = frame_terms(path, frame)
             pointwise, _ = frame_conjugated(path, frame)
+            d = dict(zip(normalform._symbols().d_firsts, rows))
             assert list(d) == [(3, 0), (2, 1)]
             scale = max(float(np.max(np.abs(v * path.weight))) for v in pointwise.coeffs.values())
             for key, v in d.items():
@@ -278,15 +283,15 @@ class TestFirstHomological:
         entries take 4 antiderivatives, each equal to the per-entry route.
         Given the first entry of each pair, d takes 2, and the means of the
         other two are their conjugates."""
-        from zollforms import normalform
+        import oracles
 
         wave = np.exp(1j * cubic_path.s)    # mean-free along the closed path
         entries = {(3, 0): wave + 1e-9, (0, 3): np.conj(wave + 1e-9),
                    (2, 1): 0.5j * wave ** 2, (1, 2): np.conj(0.5j * wave ** 2)}
         hermitian = {k: v * cubic_path.weight for k, v in entries.items()}
-        real = normalform.spectral_antiderivative
+        real = oracles.spectral_antiderivative
         calls = []
-        monkeypatch.setattr(normalform, "spectral_antiderivative",
+        monkeypatch.setattr(oracles, "spectral_antiderivative",
                             lambda v: calls.append(v) or real(v))
         q, means = solve_first_homological(cubic_path, hermitian)
         assert len(calls) == len(q) == 4
@@ -383,7 +388,7 @@ class TestEngineAgainstExplicitRoute:
 
         def shifted(path, frame):
             d0, d = real(path, frame)
-            return d0, {k: v + 1e-8 * path.weight for k, v in d.items()}
+            return d0, d + 1e-8 * path.weight
 
         monkeypatch.setattr(normalform, "frame_terms", shifted)
         means, first_obstruction = conjugated_order_zero(cubic_path, cubic_frame)
@@ -747,7 +752,7 @@ class TestEvaluate:
         assert set(d0) == set(want.coeffs)
         for key in want.coeffs:
             assert abs(d0[key] - want[key]) <= 1e-15, key
-        for key, v in d.items():
+        for key, v in zip(normalform._symbols().d_firsts, d):
             ref = pointwise_d[key] * path.weight
             assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref)), key
 
@@ -786,7 +791,7 @@ class TestEvaluate:
         after = normalform._symbols.cache_info()
         assert (after.misses, after.currsize) == (before.misses, 1)
         # frame_terms once; the engine call itself, its frame_terms and its
-        # solve_first_homological once each
+        # first_obstruction_means once each
         assert after.hits == before.hits + 4
 
         for cached in (expansion.conjugated_symbols, expansion.stage2_weights,
@@ -893,14 +898,14 @@ class TestRealMonomials:
         d0, d = frame_terms(cubic_path, frame)
         assert len(d0) == 9
         assert all(np.isnan(v) for v in d0.values())
-        assert all(np.isnan(v).any() for v in d.values())
+        assert all(np.isnan(v).any() for v in d)
         with pytest.raises(FirstObstructionError):
             conjugated_order_zero(cubic_path, frame)
 
     def test_meridian_takes_no_stage_2(self, cubic_metric, monkeypatch):
         """On the canonical meridian tau_nu = 0, so the odd term is exactly
-        0: an engine call takes no antiderivative and no product mean, and
-        the record is the D0 means of the term-by-term route, to 1e-15."""
+        0: an engine call takes no transform and no pairing, and the record
+        is the D0 means of the term-by-term route, to 1e-15."""
         from zollforms import normalform, surface
         from zollforms.geodesic import canonical_initial_conditions
 
@@ -909,12 +914,14 @@ class TestRealMonomials:
         frame = solve_fundamental(path)
         normalform._symbols()
         calls = []
-        for owner in (normalform, surface):
-            real = owner.spectral_antiderivative
-            monkeypatch.setattr(owner, "spectral_antiderivative",
-                                lambda v, _real=real: calls.append(v) or _real(v))
+        for owner, name in ((surface, "spectral_antiderivative"), (np.fft, "fft"),
+                            (normalform, "antiderivative_spectrum"),
+                            (normalform, "spectral_pairing")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *v, _real=real, _name=name, **k:
+                                calls.append(_name) or _real(*v, **k))
         rec = assemble_p1(cubic_metric, ic, path=path, frame=frame)
-        assert len(calls) == 2    # compute_H's, none of the engine's
+        assert calls == ["spectral_antiderivative"] * 2    # compute_H's, none of the engine's
         assert rec.first_obstruction_max == 0.0
         want = field_mean(path, frame_conjugated(path, frame)[1])
         assert abs(rec.c0 - want[0, 0].real / 2.0) <= 1e-15
@@ -925,9 +932,12 @@ class TestRealMonomials:
 
     def test_one_engine_call_holds_few_grid_arrays(self, cubic_metric, generic_ic):
         """Traced by tracemalloc, one engine call at N = 32768 peaks below
-        10 complex grid arrays (16 N bytes each): the monomials live one
-        block at a time, and D0 is never held as sampled entries (measured:
-        6.5, against 18.5 when D0 was evaluated entry by entry)."""
+        7 complex grid arrays (16 N bytes each): the monomials live one
+        block at a time, D0 is never held as sampled entries, the odd term's
+        samples are transformed in place, Q is never sampled, and one
+        antiderivative spectrum is alive at a time (measured: 5.3, set by
+        frame_terms' block arrays beside the odd term; 6.5 with Q sampled,
+        and 18.5 when D0 was evaluated entry by entry)."""
         import tracemalloc
 
         n = 32768
@@ -940,7 +950,7 @@ class TestRealMonomials:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * 16 * n, peak / (16 * n)
+        assert peak <= 7 * 16 * n, peak / (16 * n)
 
 
 class TestSubstitutionCount:
@@ -968,16 +978,18 @@ class TestSubstitutionCount:
         assert built == Counter()
 
     def test_spectral_calls(self, cubic_metric, generic_ic, meridian_ic, monkeypatch):
-        """One engine call takes no spectral derivative: dh/ds is closed
-        form and dQ/ds comes from the homological equation.  It takes 2
-        antiderivatives (Q of the first entry of each conjugate pair of
-        the odd term) and 10 means: 2 of the odd term, 2 of Q and 6 of the
-        products Q_a d_b the closed form reads; the other half are their
-        exact conjugates, and D0 is summed block by block (1 block at
-        N = 1024).  On the meridian the odd term is exactly 0 and stage 2
-        takes none of them.  No call forms a star product or commutator:
-        stage 1 and the commutator weights of stage 2 are taken once per
-        process, in exact arithmetic."""
+        """One engine call takes no spectral derivative, no antiderivative
+        and no grid mean: dh/ds is closed form, and Q is read only through
+        its spectrum.  It takes 2 antiderivative spectra (one per first
+        entry of a conjugate pair of the odd term) and 8 pairings: 2 with
+        the weight (the means of Q) and 6 with the odd term (the products
+        Q_a d_b the closed form reads); the other half are their exact
+        conjugates.  D0 is summed block by block (1 block at N = 1024), and
+        each antiderivative spectrum sums its modes once for its offset.
+        On the meridian the odd term is exactly 0 and stage 2 takes none of
+        them.  No call forms a star product or commutator: stage 1 and the
+        commutator weights of stage 2 are taken once per process, in exact
+        arithmetic."""
         from collections import Counter
         from zollforms import fourier, normalform, surface, weyl
 
@@ -992,35 +1004,100 @@ class TestSubstitutionCount:
         frames = [solve_fundamental(trace_geodesic(cubic_metric, ic, 1024))
                   for ic in (generic_ic, meridian_ic)]
         conjugated_order_zero(frames[0].path, frames[0])   # the exact stages, once per process
-        for owner in (surface, normalform):
-            count(owner, "spectral_antiderivative", "spectral_antiderivative")
+        count(surface, "spectral_antiderivative", "spectral_antiderivative")
+        count(normalform, "antiderivative_spectrum", "antiderivative_spectrum")
+        count(normalform, "spectral_pairing", "spectral_pairing")
         count(np, "mean", "mean")
-        count(np, "sum", "block sums")
+        count(np, "sum", "sums")
         count(weyl, "_moyal", "star")
-        for frame, want in zip(frames, (Counter(spectral_antiderivative=2, mean=2 + 2 + 6),
+        for frame, want in zip(frames, (Counter(antiderivative_spectrum=2,
+                                                spectral_pairing=2 + 6, sums=2),
                                         Counter())):
             calls.clear()
             conjugated_order_zero(frame.path, frame)
-            assert calls == want + Counter({"block sums": 1})
+            assert calls == want + Counter({"sums": 1}), calls
         assert not any(hasattr(module, "spectral_derivative")
                        for module in (fourier, normalform, surface))
 
     def test_fft_calls(self, cubic_path, cubic_frame, monkeypatch):
-        """One assemble_p1 takes 2 complex FFT pairs (Q, one per conjugate
-        pair of the odd term) and 2 real ones (the inner integrals of
-        compute_H): no complex transform of real data, and no antiderivative
-        per entry of a conjugate pair."""
+        """One assemble_p1 takes no inverse complex FFT.  The engine
+        transforms the 2 first entries of the conjugate pairs of the odd
+        term forward, one complex transform each, and the real weight by
+        one real transform; compute_H takes 2 real pairs (its inner
+        integrals): no complex transform of real data, and none per entry
+        of a conjugate pair."""
         from collections import Counter
 
-        calls = Counter()
+        calls = Counter()     # (transform, rows) per call
         for name in ("fft", "ifft", "rfft", "irfft"):
-            def counting(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+            def counting(a, *args, _real=getattr(np.fft, name), _name=name, **kwargs):
+                calls[_name, 1 if np.ndim(a) == 1 else len(a)] += 1
+                return _real(a, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counting)
         assemble_p1(cubic_path.metric, cubic_path.init, cubic_path.n,
                     path=cubic_path, frame=cubic_frame)
-        assert calls == Counter(fft=2, ifft=2, rfft=2, irfft=2)
+        assert calls == Counter({("fft", 1): 2, ("rfft", 1): 1 + 2, ("irfft", 1): 2})
+
+
+class TestSpectralStage2:
+    """The engine reads Q only through its spectrum; the reference route
+    samples Q (`oracles.order_zero_by_q`)."""
+
+    @pytest.mark.parametrize("n", [256, 2048, 32768])
+    @pytest.mark.parametrize("spec", ["zoll:-0.3,0.3", "zoll:0.1", "zoll:0.2,-0.5,0.3",
+                                      "zoll:-0.9", "zoll:-0.99", "zoll:-0.999", "round"])
+    def test_matches_the_q_route(self, spec, n, monkeypatch):
+        """On the 8 CLI geodesics every invariant of the record equals the
+        one the sampled-Q route gives, to 1e-11 of max(1, |value|)
+        (measured: <= 1.5e-12, on zoll:-0.999), and a geodesic one route
+        refuses at the first obstruction gate the other refuses too, on
+        the same entry."""
+        from zollforms import cli, normalform
+
+        cfg = cli.RunConfig.load(None, {"metric": cli.parse_metric_flag(spec), "geodesics": 8})
+        for name, ic in cli._initial_conditions(cfg):
+            path = trace_geodesic(cfg.metric_model, ic, n, enforce_closure=False)
+            frame = solve_fundamental(path)
+            records = []
+            for route in (normalform.conjugated_order_zero, order_zero_by_q):
+                monkeypatch.setattr(normalform, "conjugated_order_zero", route)
+                try:
+                    records.append(assemble_p1(cfg.metric_model, ic, n, path=path, frame=frame))
+                except FirstObstructionError as exc:
+                    records.append(exc.entry)
+            monkeypatch.undo()
+            got, want = records
+            if not isinstance(want, InvariantRecord):
+                assert got == want, (spec, n, name)
+                continue
+            pairs = [(got.offdiag[k], want.offdiag[k]) for k in want.offdiag]
+            pairs += [(getattr(got, k), getattr(want, k))
+                      for k in ("c0", "c01", "c2", "reality_defect", "H_b",
+                                "first_obstruction_max")]
+            for x, y in pairs:
+                assert abs(x - y) <= 1e-11 * max(1.0, abs(y)), (spec, n, name, x, y)
+
+
+    def test_a_mean_below_the_gate_matches_the_q_route(self, cubic_path, cubic_frame,
+                                                       monkeypatch):
+        """With 1e-7 f added to both densities (a mean below MEAN_TOL, which
+        stage 2 takes out of d before integrating), the engine's means still
+        equal the sampled-Q route's to 1e-11 of max(1, |value|); leaving
+        the mean in would move them by about 1e-7."""
+        from zollforms import normalform
+
+        real = normalform.frame_terms
+
+        def shifted(path, frame):
+            d0, d = real(path, frame)
+            return d0, d + 1e-7 * path.weight
+
+        monkeypatch.setattr(normalform, "frame_terms", shifted)
+        got, got_max = conjugated_order_zero(cubic_path, cubic_frame)
+        want, want_max = order_zero_by_q(cubic_path, cubic_frame)
+        assert got.keys() == want.keys() and abs(got_max - want_max) <= 1e-15
+        for key, v in want.items():
+            assert abs(got[key] - v) <= 1e-11 * max(1.0, abs(v)), key
 
 
 class TestRealTransverseBasis:
@@ -1084,10 +1161,13 @@ class TestRealTransverseBasis:
         """dQ/ds = -(d - M)/c_s of the homological equation equals the FFT
         derivative of Q, (1/f) d/d(theta), to 1e-10 relative on Zoll frames;
         the FFT's own roundoff is about 1e-11 at N = 32768."""
+        from zollforms.normalform import _symbols
+
         metric = {"cubic": cubic_metric, "linear": linear_metric}[profile]
         path = trace_geodesic(metric, generic_ic, n)
         frame = solve_fundamental(path)
-        _, d = frame_terms(path, frame)
+        _, rows = frame_terms(path, frame)
+        d = dict(zip(_symbols().d_firsts, rows))
         q, means = solve_first_homological(path, d)
         q_s = {k: -(v / path.weight - means[k]) / 2.0 for k, v in d.items()}
         fft = {k: ds(path, v) for k, v in q.items()}
