@@ -34,7 +34,7 @@ print()
 print("== the invariant across random geodesics ==")
 print(f"{'geodesic':>10s} {'c0':>14s} {'c01':>10s} {'c2':>10s} {'offdiag':>10s}")
 for i, ic in enumerate(sample_initial_conditions(5, seed=1)):
-    rec = assemble_p1(metric, ic, 1024, geodesic_id=f"{i}")
+    rec = assemble_p1(metric, ic, 1024)
     print(f"{i:>10d} {rec.c0:+.11f} {rec.c01:10.1e} {rec.c2:+10.1e} "
           f"{rec.offdiag_max:10.1e}")
 print()

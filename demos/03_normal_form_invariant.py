@@ -24,7 +24,7 @@ ics = [("equator", (SurfacePoint.north(math.pi / 2, 0.0), (0.0, 1.0))),
        ("meridian", (SurfacePoint.north(math.pi / 2, 0.0), (1.0, 0.0)))]
 ics += [(f"random-{i}", ic) for i, ic in enumerate(sample_initial_conditions(4, seed=2))]
 for name, ic in ics:
-    rec = assemble_p1(metric, ic, 1024, geodesic_id=name)
+    rec = assemble_p1(metric, ic, 1024)
     print(f"{name:>10s} {rec.c0:+.9f} {rec.c2:+10.1e} {rec.offdiag_max:10.1e} "
           f"{rec.H_b:10.6f} {rec.c0 + rec.H_b / (16 * math.pi):12.1e}")
 

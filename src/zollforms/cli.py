@@ -31,7 +31,7 @@ from .surface import IntegrationError, MetricModel
 
 __all__ = ["main", "RunConfig", "build_report", "metric_from_spec"]
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 H_RELATION_TOL = 1e-9     # residual of the paper's c0 = -H/(16 pi), see InvariantRecord.h_relation
 
 EXIT_PASS = 0
@@ -236,8 +236,7 @@ def _fill_record(cfg, mode, name, ic, record, failures):
             if not c.passed(cfg.tol):
                 failures.append((name, c.name, c.normalized))
     else:
-        rec = assemble_p1(cfg.metric_model, ic, cfg.grid,
-                          geodesic_id=name, path=path, frame=frame)
+        rec = assemble_p1(cfg.metric_model, ic, cfg.grid, path=path, frame=frame)
         record["invariants"] = rec.as_dict()
         if not rec.h_relation <= H_RELATION_TOL:
             failures.append((name, "h_relation", rec.h_relation))

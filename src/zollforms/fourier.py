@@ -13,7 +13,9 @@ The normal form engine reads the solution Q of its homological equation
 only through means of products, so it never samples Q: by Parseval,
 mean(x y) = sum_k xhat_k yhat_{-k} / N^2 for the DFTs xhat, yhat, and
 `antiderivative_spectrum` gives the DFT of `spectral_antiderivative`'s
-output from the DFT of its input.  `spectral_pairing` takes that sum,
+output from the DFT of its input, which must be mean-free: the engine
+subtracts the means of its densities first, so Q is periodic, and the
+spectrum takes no ramp.  `spectral_pairing` takes that sum,
 and `full_spectrum` unfolds the real transform of real samples.
 """
 
@@ -47,8 +49,8 @@ def grid(n):
 def _mode_factors(n):
     """Read-only (1 / (i k), grid) for an n-point grid, made once per n.
 
-    1 / (i k) drops the zero mode, which the antiderivative adds as a
-    ramp, and the unpaired Nyquist mode, which has no primitive.
+    1 / (i k) drops the zero mode, which `spectral_antiderivative` adds
+    as a ramp, and the unpaired Nyquist mode, which has no primitive.
     """
     k = np.fft.fftfreq(n, d=1.0 / n)
     k[n // 2] = 0.0
@@ -86,29 +88,21 @@ def spectral_antiderivative(values):
 
 
 def antiderivative_spectrum(coeffs):
-    """The DFT of spectral_antiderivative(x) from coeffs, the DFT of x
-    (complex, all n modes), with no inverse transform, written over
-    coeffs, which is returned.
+    """The DFT of the antiderivative of x - mean(x), 0 at t = 0, from
+    coeffs, the DFT of x (complex, all n modes), with no inverse
+    transform, written over coeffs, which is returned.
 
-    The mean-free part is coeffs / (i k), the zero and Nyquist modes
-    dropped as `spectral_antiderivative` drops them; a residual mean
-    takes the same ramp m*t there, by the DFT of t; and the zero mode
-    takes the offset that makes the antiderivative 0 at t = 0.  The ramp
-    test reads max |x|; |mean| below MEAN_ZERO_TOL times the rms of x,
-    which is no larger, decides it without x, and only an input that
-    fails that bound (a mean near the threshold, or a NaN) is
-    transformed back to read max |x|.
+    That is coeffs / (i k), the zero and Nyquist modes dropped as
+    `spectral_antiderivative` drops them, and the zero mode set to the
+    offset that makes the antiderivative 0 at t = 0.  It equals the DFT
+    of spectral_antiderivative(x) for mean-free x, the one input it
+    takes: it adds no ramp for a mean.  The engine subtracts the mean of
+    its densities before it integrates, and the first obstruction gate
+    has bounded that mean (a NaN raises there).
     """
     n = coeffs.shape[-1]
     _check_grid(n)
-    inv_ik, s = _mode_factors(n)
-    mean = coeffs[0] / n
-    # rms |x| = |coeffs| / n; a NaN fails both tests and keeps its ramp
-    ramp = not (abs(coeffs[0]) < MEAN_ZERO_TOL * np.sqrt(np.vdot(coeffs, coeffs).real)
-                or abs(mean) < MEAN_ZERO_TOL * np.max(np.abs(np.fft.ifft(coeffs))))
-    coeffs *= inv_ik
-    if ramp:
-        coeffs += mean * np.fft.fft(s)
+    coeffs *= _mode_factors(n)[0]
     coeffs[0] -= np.sum(coeffs)
     return coeffs
 

@@ -90,12 +90,10 @@ def check_tau_s(path, frame):
                        scale=float(_integral(path, np.abs(integrand))))
 
 
-def check_quartic(path, frame, y=None, dy=None):
-    """int tau y^2 y'^2 ds = (1/3) int y'^4 ds for real Jacobi solutions."""
-    if y is None:
-        y, dy = frame.y1, frame.dy1
-    elif dy is None:
-        raise ValueError("pass dy together with y")
+def check_quartic(path, frame):
+    """int tau y^2 y'^2 ds = (1/3) int y'^4 ds for real Jacobi solutions,
+    read on the vertical one, y = y1."""
+    y, dy = frame.y1, frame.dy1
     cross = path.tau * y * y * dy * dy
     # np.square, not dy**4: a float power of a signed array goes through libm pow
     lhs = _integral(path, cross)

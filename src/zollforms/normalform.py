@@ -51,6 +51,12 @@ on the samples (`frame_conjugated`), stage 2 with Q sampled on the grid
 (`order_zero_by_q`), the closed form on the samples (`d_half`,
 `d_zero_restricted` + `commutator_double_integral`), and the exact
 ad-series, which derives Z without assuming its form.
+
+The construction fixes two facts, which the record (`InvariantRecord`)
+carries as no field: a diagonal entry of D0 is evaluated as its real
+part alone and stage 2 adds to it in exact conjugate pairs, so the
+(0, 0) and (2, 2) means are exactly real; and the mean holds D0's keys
+alone, all of even degree.
 """
 
 import math
@@ -75,7 +81,6 @@ __all__ = [
 ]
 
 MEAN_TOL = 1e-6          # Zoll solvability tolerance for the first obstruction
-OFFDIAG_DEGREE = 4
 BLOCK = 4096             # samples per block of monomials; grids are powers of two
 
 
@@ -364,22 +369,22 @@ class InvariantRecord:
     """Per-geodesic degree-2 normal form data.
 
     c0, c01, c2 are the diagonal coefficients of the averaged order-zero
-    symbol divided by 2 (the p1 normalization).  offdiag maps (m, n),
-    m != n, m + n <= 4 to the complex averaged coefficient.  H_b is the
-    order-(-1) cluster-shift integral H(gamma) of `compute_H`, with
+    symbol divided by 2 (the p1 normalization); the (0, 0) and (2, 2)
+    means are exactly real, so c0 and c2 drop no imaginary part.
+    offdiag maps each off-diagonal key (m, n) of the engine's mean to the
+    complex averaged coefficient: those of D0, (2, 0), (3, 1), (4, 0) and
+    their mirrors, as the order-zero symbol has even degree only.  H_b is
+    the order-(-1) cluster-shift integral H(gamma) of `compute_H`, with
     c0 = -H_b / (16 pi), and H_scale the integral of its integrand's
     absolute value.
     """
 
-    geodesic_id: str
     c0: float
     c01: float
     c2: float
-    reality_defect: float
     offdiag: dict
     H_b: float
     H_scale: float
-    closure_defect: float
     first_obstruction_max: float
 
     @property
@@ -399,14 +404,11 @@ class InvariantRecord:
 
     def as_dict(self):
         return {
-            "geodesic_id": self.geodesic_id,
             "c0": self.c0, "c01": self.c01, "c2": self.c2,
-            "reality_defect": self.reality_defect,
             "offdiag": {f"{m},{n}": [v.real, v.imag] for (m, n), v in self.offdiag.items()},
             "offdiag_max": self.offdiag_max,
             "H_b": self.H_b,
             "h_relation": self.h_relation,
-            "closure_defect": self.closure_defect,
             "first_obstruction_max": self.first_obstruction_max,
         }
 
@@ -436,7 +438,7 @@ def compute_H(path, frame):
     return H, scale
 
 
-def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", path=None, frame=None):
+def assemble_p1(metric, init, n=2048, path=None, frame=None):
     """Full pipeline on one geodesic: trace, frame, conjugations, extraction.
 
     Returns the InvariantRecord with the diagonal invariant (c2 |z|^4 +
@@ -448,19 +450,12 @@ def assemble_p1(metric, init, n=2048, geodesic_id="geodesic", path=None, frame=N
     if frame is None:
         frame = solve_fundamental(path)
     means, first_obstruction_max = conjugated_order_zero(path, frame)
-    # every key, also where the engine holds no entry, so that the key
-    # set does not depend on which entries the stages give
-    offdiag = {(m, n): means.get((m, n), 0) / 2.0 for m in range(OFFDIAG_DEGREE + 1)
-               for n in range(OFFDIAG_DEGREE + 1 - m) if m != n}
     c0, c01, c2 = (complex(means.get((k, k), 0)) / 2.0 for k in range(3))
     H, H_scale = compute_H(path, frame)
     return InvariantRecord(
-        geodesic_id=geodesic_id,
         c0=c0.real, c01=abs(c01), c2=c2.real,
-        reality_defect=float(np.maximum(abs(c0.imag), abs(c2.imag))),   # NaN propagates
-        offdiag=offdiag,
+        offdiag={key: v / 2.0 for key, v in means.items() if key[0] != key[1]},
         H_b=H,
         H_scale=H_scale,
-        closure_defect=path.closure_defect,
         first_obstruction_max=first_obstruction_max,
     )

@@ -27,7 +27,12 @@ lives with the tests.  In the package every star product and
 substitution runs on exact symbols, once per process, in `expansion`:
 in stage 1 of the normal form, and in the commutators of unit monomials
 that weight stage 2 (`expansion.stage2_weights`).
-The tests' oracles run them on sampled symbols too.
+The tests' oracles run them on sampled symbols too, so the sample-array
+branches (`_is_zero`'s ndarray case, the array path of `_scale`) run
+only under the tests.  They stay here: the oracles' sampled reference
+route (`metaplectic_substitute`, `commutator_double_integral`,
+`d_zero_restricted`) runs this same `_moyal` kernel, and moving the
+branches to the tests would mean keeping a second kernel there.
 """
 
 import math

@@ -74,8 +74,7 @@ def round_records():
     metric = MetricModel.round()
     ics = [(SurfacePoint.north(math.pi / 2, 0.0), (0.0, 1.0))]
     ics += sample_initial_conditions(15, seed=5)
-    return [assemble_p1(metric, ic, N_GRID, geodesic_id=f"round-{i}")
-            for i, ic in enumerate(ics)]
+    return [assemble_p1(metric, ic, N_GRID) for ic in ics]
 
 
 def test_criterion_1_round_sphere_closed_forms():
@@ -243,8 +242,8 @@ def test_criterion_8_offdiagonal_vanishing(sweep_metric, sweep):
     """All averaged off-diagonal coefficients (m != n, m + n <= 4) below
     1e-6 on every sampled Zoll geodesic."""
     worst = 0.0
-    for name, ic, path, frame in sweep:
-        rec = assemble_p1(sweep_metric, ic, geodesic_id=name, path=path, frame=frame)
+    for _, ic, path, frame in sweep:
+        rec = assemble_p1(sweep_metric, ic, path=path, frame=frame)
         worst = max(worst, rec.offdiag_max)
     assert worst < 1e-6
     _announce(8, f"max |off-diagonal mean| {worst:.2e} over {len(sweep)} geodesics")
@@ -253,8 +252,8 @@ def test_criterion_8_offdiagonal_vanishing(sweep_metric, sweep):
 def test_criterion_9_invariance(sweep_metric, sweep):
     """InvariantRecord stable under rotational isometries and base-point
     shifts to 1e-7 (H through its base-point-invariant reading)."""
-    name, ic, path, frame = sweep[2]
-    rec = assemble_p1(sweep_metric, ic, geodesic_id=name, path=path, frame=frame)
+    _, ic, path, frame = sweep[2]
+    rec = assemble_p1(sweep_metric, ic, path=path, frame=frame)
     p0, v0 = ic
     rot_ic = (SurfacePoint.north(p0.r, p0.phi + 2.3), v0)
     rec_rot = assemble_p1(sweep_metric, rot_ic, N_GRID)

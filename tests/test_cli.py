@@ -1,6 +1,7 @@
 """CLI: config validation, determinism, reports, CSV, exit codes."""
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -29,6 +30,14 @@ from zollforms.cli import (
 from zollforms.expansion import constants_report
 from zollforms.normalform import FirstObstructionError
 from zollforms.surface import IntegrationError
+
+
+@functools.lru_cache(maxsize=None)
+def _default_invariants_report(spec):
+    """(report, exit code) of `invariants` on the default config of `spec`,
+    built once per spec; read it, do not change it."""
+    cfg = RunConfig.load(None, {"metric": parse_metric_flag(spec)})
+    return build_report(cfg, "invariants")
 
 
 def _fail_flow_with(monkeypatch, fails):
@@ -504,7 +513,7 @@ class TestInvariantsCommand:
         first, _ = build_report(cfg, "invariants")
         second, _ = build_report(cfg, "invariants")
         assert first["digest"] == second["digest"]
-        assert first["header"]["schema_version"] == 7
+        assert first["header"]["schema_version"] == 8
         assert set(first) == {"header", "geodesics", "summary", "digest"}
         body = {k: v for k, v in first.items() if k != "digest"}
         assert first["digest"] == _digest(body)
@@ -614,15 +623,31 @@ class TestInvariantsCommand:
     @pytest.mark.parametrize("spec", ["zoll:-0.3,0.3", "zoll:0.1"])
     def test_offdiagonal_keys_do_not_depend_on_roundoff(self, spec):
         """Every geodesic of the default 32-geodesic report carries the same
-        twelve keys m,n with m != n and m + n <= 4, also where a mean comes
-        out exactly 0 and the engine drops it."""
-        cfg = RunConfig.load(None, {"metric": parse_metric_flag(spec)})
-        report, code = build_report(cfg, "invariants")
+        six keys, the off-diagonal entries of the order-zero symbol, which
+        has even degree only, also where a mean comes out exactly 0."""
+        report, code = _default_invariants_report(spec)
         assert code == EXIT_PASS
-        expected = {f"{m},{n}" for m in range(5) for n in range(5 - m) if m != n}
-        assert len(expected) == 12
+        expected = {"2,0", "0,2", "3,1", "1,3", "4,0", "0,4"}
         for record in report["geodesics"]:
             assert set(record["invariants"]["offdiag"]) == expected
+
+    def test_no_invariant_is_constant_or_repeated(self):
+        """On the default 32-geodesic report no leaf of an invariants record
+        (an offdiag entry taken as its [re, im] pair) takes one value on
+        every geodesic, and none repeats a field of the enclosing record:
+        a field the construction fixes carries nothing."""
+        report, code = _default_invariants_report("zoll:-0.3,0.3")
+        assert code == EXIT_PASS
+        values = {}
+        for record in report["geodesics"]:
+            inv = record["invariants"]
+            assert not set(inv) & set(record), sorted(set(inv) & set(record))
+            for key, value in inv.items():
+                leaves = value.items() if isinstance(value, dict) else [(None, value)]
+                for sub, leaf in leaves:
+                    values.setdefault((key, sub), set()).add(json.dumps(leaf))
+        constant = sorted(key for key, seen in values.items() if len(seen) == 1)
+        assert not constant, constant
 
     @pytest.mark.parametrize("key, summary_key", [
         ("c0", "c0_spread"), ("H_b", "H_spread"), ("c2", "c2_max"), ("c01", "c01_max"),
@@ -632,7 +657,7 @@ class TestInvariantsCommand:
         maximum or spread over it NaN, written as null."""
         from dataclasses import replace
 
-        nan = {"offdiag": {(1, 0): complex(math.nan)}}.get(key, math.nan)
+        nan = {"offdiag": {(2, 0): complex(math.nan)}}.get(key, math.nan)
         owner = "trace_geodesic" if key == "closure_defect" else "assemble_p1"
         real = getattr(cli, owner)
 

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,8 +103,10 @@ class TestQuartic:
         assert check_quartic(cubic_path, cubic_frame).normalized < 1e-7
 
     def test_horizontal_solution(self, round_path, round_frame):
-        res = check_quartic(round_path, round_frame, round_frame.y2, round_frame.dy2)
-        assert res.normalized < 1e-12
+        """The identity holds for every real Jacobi solution: the check
+        reads y1, so a frame carrying y2 there checks the horizontal one."""
+        swapped = replace(round_frame, y1=round_frame.y2, dy1=round_frame.dy2)
+        assert check_quartic(round_path, swapped).normalized < 1e-12
 
 
 class Test4Id:
@@ -169,8 +172,6 @@ class TestCommutatorReduction:
         by construction wherever W = 1, which `solve_fundamental` gates, so
         as a check on that field it could not fail.  Stretching y1 by 1.01
         makes W = 1.01 and the residual 1 % of the integral."""
-        from dataclasses import replace
-
         frame = replace(cubic_frame, y1=stretch * cubic_frame.y1,
                         dy1=stretch * cubic_frame.dy1)
         Y, dY = frame.Y, frame.dY

@@ -21,7 +21,8 @@ exact layer derives every constant once, the weights of stage 2 too
 (`expansion.stage2_weights`), and the engine only converts and
 evaluates them.  The engine names no inverse FFT and no sampled
 antiderivative: it reads the solution of its homological equation only
-through spectra.
+through spectra, and `fourier.antiderivative_spectrum`, which gives
+them, names no inverse FFT either.
 """
 
 import ast
@@ -272,6 +273,15 @@ def test_the_engine_takes_no_inverse_transform():
     come back quietly (compute_H integrates through the path)."""
     tree = ast.parse((PACKAGE / "normalform.py").read_text())
     assert not _names(tree) & ENGINE_FORBIDS
+
+
+def test_the_antiderivative_spectrum_takes_no_inverse_transform():
+    """`fourier.antiderivative_spectrum` works on the spectrum alone: it
+    names no inverse FFT, as it would to read the samples back."""
+    tree = ast.parse((PACKAGE / "fourier.py").read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "antiderivative_spectrum")
+    assert not _names(func) & {"ifft", "irfft"}
 
 
 def test_the_transform_rule_sees_every_spelling():
