@@ -29,16 +29,26 @@ rows y1, y2, dy1, dy2 (Y = y2 + i y1, dY = dy2 + i dy1).  Entry (n, m)
 of either is + or - the conjugate of entry (m, n), checked exactly
 there, so one entry of each mirror pair is evaluated, as its real and
 imaginary parts: real rows of coefficients over the monomials.  A
-geodesic only evaluates, integrates and averages.  Block by block of
-samples it forms the monomials times the weight f = ds/d(theta) and
-sums them into the rows by one real matrix product, pointwise, so terms
-cancel sample by sample before the pairwise sums of the mean; D0 is read
-only through its means.  The same product gives the first entry of each
-mirror pair of the odd term as a theta-density d f.  Stage 2 transforms
-them forward, once, reads their means M off the zero modes (the first
-obstruction gate, `first_obstruction_means`), and adds to the mean of
-D0, per pair (a, b) of entries of d, the commutator weights of z^a and
-z^b (`expansion.stage2_weights`, taken to complex numbers) times
+geodesic only evaluates, integrates and averages.  D0 is read only
+through its means, and each of its monomials times the weight
+f = ds/d(theta) is f * jet * a * b, with a and b halves (1 or a product
+of two rows of one Jacobi pair): its grid sum is one entry of the Gram
+product of weight rows f * jet * a with base rows b, summed block by
+block of samples, and the coefficient rows combine these sums.  The
+terms so no longer cancel sample by sample: the roundoff of a mean is
+about eps times the size of its terms, sum |c| <|f m|> over
+coefficients c and monomials m (at most 1.6 eps, measured against
+np.longdouble), which on zoll:-2.4733,2.4733 reads as c0 off by up to
+6.0e-12 of itself at N = 2048 and 2.4e-12 at N = 32768 (7.8e-13 and
+1.8e-13 when the terms cancelled pointwise), well under the 1.2e-9 by
+which c0 wanders across grids on zoll:-2.509,2.509.  The odd term is
+one jet, tau_nu, times y-cubics, taken pointwise: f tau_nu times one
+small product of its coefficients with the cubics gives the first entry
+of each of its mirror pairs as a theta-density d f.  Stage 2
+transforms them forward, once, reads their means M off the zero modes
+(the first obstruction gate, `first_obstruction_means`), and adds to the
+mean of D0, per pair (a, b) of entries of d, the commutator weights of
+z^a and z^b (`expansion.stage2_weights`, taken to complex numbers) times
 <Q_a d_b> + <Q_a> M_b; the mirror pairs come as exact conjugates.  Q
 is never sampled: each of these means is a pairing of the spectrum of
 Q_a, the antiderivative of -(d_a - M_a)/c_s, with a spectrum the engine
@@ -59,6 +69,7 @@ part alone and stage 2 adds to it in exact conjugate pairs, so the
 alone, all of even degree.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -81,7 +92,10 @@ __all__ = [
 ]
 
 MEAN_TOL = 1e-6          # Zoll solvability tolerance for the first obstruction
-BLOCK = 4096             # samples per block of monomials; grids are powers of two
+BLOCK = 2048             # samples per block of Gram rows; grids are powers of two, and the
+                         # default grid is one block.  invariants-fine (N = 32768) read
+                         # report_s 0.271 / 0.278 / 0.297 s and peak RSS 46.9 / 47.2 / 47.5 MB
+                         # with blocks of 1024 / 2048 / 4096 (medians of 8-11 runs of 8 s)
 
 
 class FirstObstructionError(RuntimeError):
@@ -95,8 +109,9 @@ class FirstObstructionError(RuntimeError):
         self.value = value
 
 
-_ROWS = ("y1", "y2", "dy1", "dy2")      # the real Jacobi rows, in a monomial's product order
+_ROWS = ("y1", "y2", "dy1", "dy2")      # the real Jacobi rows, read off the frame
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))   # i^k as (re, im), k mod 4
+_SOURCES = ("weight", "tau", "tau_s", "tau_nu", "tau_nunu") + _ROWS   # sampled factors, by name
 
 
 @lru_cache(maxsize=None)
@@ -163,34 +178,91 @@ def _unfold(values, mirrors):
             for key, sign in mirrors if key in values or key[::-1] in values}
 
 
-def _block_plan(monomials):
-    """How a block of samples takes every monomial times f: (steps, rows).
+def _factors(mono):
+    """A real monomial ((name, power), ...) as (its jets' factors, its
+    rows' factors), each a sorted tuple with a name once per power."""
+    factors = sorted(name for name, p in mono for _ in range(p))
+    return (tuple(x for x in factors if x not in _ROWS),
+            tuple(x for x in factors if x in _ROWS))
 
-    Row 0 holds f and rows 1, 2, ... the monomials in order.  Each step
-    (row, row of its prefix, factor) is one product; a monomial's
-    factors, the real rows first, are taken in order, and a prefix that
-    is no monomial sits in the row after them of its depth.  The
-    monomials are walked in lexicographic order of their factors, i.e.
-    depth first, so a prefix is still held while the monomials below it
-    are taken.
+
+def _gram_plan(d0_monomials, d_monomials):
+    """How a block of samples takes the grid sums of D0's monomials and
+    the samples of d's, as the `_Stage` fields steps, block_rows, gram,
+    picks and d_weight.
+
+    A D0 monomial times f is f * jet * a * b, with a and b halves: 1 or
+    the product of two rows of one Jacobi pair, (y1, y2) or (dy1, dy2).
+    Its grid sum is entry (f * jet * a, b) of the Gram product of the
+    weight rows with the base rows (gram = their counts), `picks` its
+    flat index in it.  Per jet, the fewest halves a that split every
+    monomial of the jet are taken, the first such set in sorted order,
+    and each monomial takes the first of them that splits it, so it is
+    summed exactly once; a weight row is a product, so f alone is none.
+    A monomial that no pair of halves splits raises AssertionError.  d's
+    monomials are one jet times row monomials (raising AssertionError
+    otherwise), taken pointwise as the row monomials times f * jet, whose
+    index is `d_weight`.
+
+    The block holds the weight rows, the base rows (the first of them
+    the row of ones), d's row monomials, then what forms them; a step
+    (out, left, right) is one product, an index below len(_SOURCES)
+    naming a sliced source and one above it a block row.
     """
-    rank = {name: i for i, name in enumerate(_ROWS)}
+    halves = ((),) + tuple(sorted((p, q) for pair in (("y1", "y2"), ("dy1", "dy2"))
+                                  for i, p in enumerate(pair) for q in pair[i:]))
+    by_jet = {}
+    for mono in d0_monomials:
+        jet, rows = _factors(mono)
+        splits = {a: b for a in halves for b in halves
+                  if (jet or a) and tuple(sorted(a + b)) == rows}
+        if not splits:
+            raise AssertionError(f"monomial {mono} of D0 is no jet times two halves")
+        by_jet.setdefault(jet, []).append((mono, splits))
+    split = {}
+    for jet, members in sorted(by_jet.items()):
+        lefts = sorted({a for _, splits in members for a in splits})
+        cover = next(c for size in range(1, len(lefts) + 1)
+                     for c in itertools.combinations(lefts, size)
+                     if all(any(a in splits for a in c) for _, splits in members))
+        for mono, splits in members:
+            a = next(a for a in cover if a in splits)
+            split[mono] = (jet, a), splits[a]
+    weights = sorted({w for w, _ in split.values()})
+    bases = sorted({b for _, b in split.values()} | {()})
+    d_jets, d_rows = zip(*map(_factors, d_monomials))
+    if len(set(d_jets)) != 1 or min(map(len, d_rows)) < 2:
+        raise AssertionError("the odd term is not one jet times products of rows")
 
-    def factors(mono):
-        ordered = sorted(mono, key=lambda item: (rank.get(item[0], len(rank)), item[0]))
-        return tuple(name for name, p in ordered for _ in range(p))
-
-    seqs = [factors(mono) for mono in monomials]
-    where = {(): 0}
-    row = {seq: i for i, seq in enumerate(seqs, 1)}
+    samples = bases + list(d_rows)             # the base rows and d's row monomials
+    slot = {(name,): i for i, name in enumerate(_SOURCES)}
+    reserved = {mono: i for i, mono in enumerate(
+        [("weight",) + jet if not a else (jet, a) for jet, a in weights] + samples, len(_SOURCES))}
+    slot[()] = reserved[()]          # the row of ones, which frame_terms fills once
+    scratch = itertools.count(len(_SOURCES) + len(reserved))
     steps = []
-    for seq in sorted(seqs):
-        for depth in range(1, len(seq) + 1):
-            prefix = seq[:depth]
-            if prefix not in where:
-                where[prefix] = row.get(prefix, len(seqs) + depth)
-                steps.append((where[prefix], where[prefix[:-1]], prefix[-1]))
-    return tuple(steps), len(seqs) + 1 + max(map(len, seqs))
+
+    def form(mono):
+        """The index of `mono`, formed as the rest times its last factor."""
+        if mono not in slot:
+            left, right = form(mono[:-1]), form(mono[-1:])
+            slot[mono] = reserved[mono] if mono in reserved else next(scratch)
+            steps.append((slot[mono], left, right))
+        return slot[mono]
+
+    for jet, a in weights:
+        if a:
+            steps.append((reserved[jet, a], form(("weight",) + jet), form(a)))
+        else:
+            form(("weight",) + jet)
+    for mono in samples:
+        form(mono)
+    d_weight = form(("weight",) + d_jets[0])
+    picks = np.array([weights.index(split[mono][0]) * len(bases) + bases.index(split[mono][1])
+                      for mono in d0_monomials])
+    picks.flags.writeable = False
+    return dict(steps=tuple(steps), block_rows=next(scratch) - len(_SOURCES),
+                gram=(len(weights), len(bases)), picks=picks, d_weight=d_weight)
 
 
 @dataclass(frozen=True)
@@ -201,24 +273,31 @@ class _Stage:
     d_mirrors: tuple      # (key, sign) per entry of d, in its order
     d_firsts: tuple       # the first entry of each mirror pair of d, in its order
     d0_mirrors: tuple     # (key, sign) per entry of D0, in its order
-    monomials: tuple      # the columns of `coeffs`
-    steps: tuple          # of `_block_plan`
+    d0_monomials: tuple   # the columns of `d0_coeffs`
+    d0_coeffs: np.ndarray  # rows: the parts of D0's first entries per mirror pair
+    d0_parts: tuple       # (key, 1 or 1j) per row of `d0_coeffs`
+    d_coeffs: np.ndarray  # rows: (re, im) of d's first entries; columns: its row monomials
+    steps: tuple          # of `_gram_plan`
     block_rows: int
-    coeffs: np.ndarray    # rows: the parts of D0's first entries per mirror pair, then d's
-    d0_parts: tuple       # (key, 1 or 1j) per D0 row of `coeffs`
+    gram: tuple           # (weight rows, base rows)
+    picks: np.ndarray     # the flat index in the Gram product per column of `d0_coeffs`
+    d_weight: int         # the index of f times d's jet
     products: tuple       # (a, row of a, pairs): per first entry a of d, the pairs (a, b) as
                           # (b, row of b or of its mirror, mirrored?, weights, mirror weights)
 
 
 @lru_cache(maxsize=1)
 def _symbols():
-    """Stage 1 over real monomials with the block plan, and the weights of
+    """Stage 1 over real monomials with the Gram plan, and the weights of
     stage 2's closed form, once per process: a `_Stage`.
 
     Every entry of d and D0 is written exactly over the real monomials;
     the first entry of each mirror pair is kept, as one real row of
     coefficients per part: the real and imaginary parts of an
     off-diagonal entry, the real or the imaginary part of a diagonal one.
+    D0's rows are over its monomials, whose grid sums `_gram_plan`'s
+    picks read off the Gram product, and d's over its monomials, which
+    share one jet.
     d must be a real symbol (each sign +1), so that Q and every mean of
     stage 2 pair up as conjugates too.  A weight of stage 2, per pair
     (a, b) of keys of d whose unit monomials do not commute, is an entry
@@ -236,28 +315,34 @@ def _symbols():
     d_signs, d0_signs = (_mirror_signs(sym) for sym in exact)
     if set(d_signs.values()) != {1}:
         raise AssertionError("the odd term is not a real symbol")
-    # D0's rows, then d's: (exact entry, key, part)
-    parts = [(sym, key, unit) for sym, signs in zip(exact[::-1], (d0_signs, d_signs))
-             for key, sign in signs.items()
-             for unit in ((1, 1j) if key[0] != key[1] else (1,) if sign == 1 else (1j,))]
-    monomials = tuple(sorted({mono for sym, key, _ in parts for mono in sym[key][1]}))
-    column = {mono: i for i, mono in enumerate(monomials)}
-    coeffs = np.zeros((len(parts), len(monomials)))
-    for row, (sym, key, unit) in enumerate(parts):
-        scale, terms = sym[key]
-        for mono, c in terms.items():
-            coeffs[row, column[mono]] = c[0 if unit == 1 else 1] / scale   # rounded once
-    coeffs.flags.writeable = False
+
+    def parts(sym, signs):
+        """(key, unit, exact terms) per part of the first entry of each mirror pair."""
+        return [(key, unit, sym[key]) for key, sign in signs.items()
+                for unit in ((1, 1j) if key[0] != key[1] else (1,) if sign == 1 else (1j,))]
+
+    def matrix(entries, columns):
+        out = np.zeros((len(entries), len(columns)))
+        for row, (_, unit, (scale, terms)) in enumerate(entries):
+            for mono, c in terms.items():
+                out[row, columns.index(mono)] = c[0 if unit == 1 else 1] / scale   # rounded once
+        out.flags.writeable = False
+        return out
+
+    d0_rows, d_rows = parts(exact[1], d0_signs), parts(exact[0], d_signs)
+    d0_monomials = sorted({mono for *_, (_, terms) in d0_rows for mono in terms})
+    d_monomials = sorted({mono for *_, (_, terms) in d_rows for mono in terms})
     table = {pair: tuple((key, complex(w)) for key, w in sym.items())
              for pair, sym in _exp.stage2_weights().items()}
-    steps, block_rows = _block_plan(monomials)
     rows = {key: i for i, key in enumerate(d_signs)}
     return _Stage(
         c_s=float(c_s.re), d_mirrors=tuple((key, 1) for key in d.coeffs),
         d_firsts=tuple(d_signs),
         d0_mirrors=tuple((key, d0_signs.get(key) or d0_signs[key[::-1]]) for key in d0.coeffs),
-        monomials=monomials, steps=steps, block_rows=block_rows, coeffs=coeffs,
-        d0_parts=tuple((key, unit) for sym, key, unit in parts if sym is exact[1]),
+        d0_monomials=tuple(d0_monomials), d0_coeffs=matrix(d0_rows, d0_monomials),
+        d0_parts=tuple((key, unit) for key, unit, _ in d0_rows),
+        d_coeffs=matrix(d_rows, d_monomials),
+        **_gram_plan(d0_monomials, d_monomials),
         products=tuple((a, row, tuple((b, rows.get(b, rows.get(b[::-1])), b not in rows,
                                        table[a, b], table[a[::-1], b[::-1]])
                                       for b in d.coeffs if table[a, b]))
@@ -269,33 +354,41 @@ def frame_terms(path, frame):
     term's first entries per mirror pair as theta-densities d f, one row
     each of a (2, N) complex array, in the odd term's order).
 
-    Per block of BLOCK samples the monomials times f fill one block
-    array, and one matrix product of the real coefficient rows sums them
-    pointwise; a row's mean is its block sums (pairwise) over the grid.
+    Per block of BLOCK samples the steps of `_symbols`' plan fill one
+    block array, one Gram product of its weight rows with its base rows
+    sums every D0 monomial times f over the block, and one product of
+    d's coefficients with its row monomials, times f and d's jet, gives
+    the odd term.  The D0 means are the coefficient rows times the
+    monomials' grid sums, over N.
     """
     stage = _symbols()
     n = path.n
     width = min(n, BLOCK)          # both powers of two, so blocks tile the grid
-    values = {**path.jets(), "y1": frame.y1, "y2": frame.y2, "dy1": frame.dy1, "dy2": frame.dy2}
+    inputs = [getattr(frame if name in _ROWS else path, name) for name in _SOURCES]
+    nw, nb = stage.gram
+    nc = stage.d_coeffs.shape[1]
     block = np.empty((stage.block_rows, width))
-    monomials = block[1:1 + len(stage.monomials)]
-    summed = np.empty((len(stage.coeffs), width))
-    n0 = len(stage.d0_parts)
-    sums = np.zeros(n0)
+    arrays = [None] * len(inputs) + list(block)
+    weights, bases, cubics = block[:nw], block[nw:nw + nb], block[nw + nb:nw + nb + nc]
+    bases[0] = 1.0
+    gram = np.empty((nw, nb))
+    total = np.zeros((nw, nb))
+    odd = np.empty((len(stage.d_coeffs), width))
     d = np.empty((len(stage.d_firsts), n), dtype=complex)
     for start in range(0, n, width):
         part = slice(start, start + width)
-        block[0] = path.weight[part]
-        sliced = {name: v[part] for name, v in values.items()}
-        for row, prefix, name in stage.steps:
-            np.multiply(block[prefix], sliced[name], out=block[row])
-        np.matmul(stage.coeffs, monomials, out=summed)
-        sums += np.sum(summed[:n0], axis=1)
-        d.real[:, part] = summed[n0::2]       # an entry of d is off-diagonal: (re, im) rows
-        d.imag[:, part] = summed[n0 + 1::2]
+        arrays[:len(inputs)] = [v[part] for v in inputs]
+        for out, left, right in stage.steps:
+            np.multiply(arrays[left], arrays[right], out=arrays[out])
+        np.matmul(weights, bases.T, out=gram)
+        total += gram
+        np.matmul(stage.d_coeffs, cubics, out=odd)
+        np.multiply(odd, arrays[stage.d_weight], out=odd)
+        d.real[:, part] = odd[0::2]           # an entry of d is off-diagonal: (re, im) rows
+        d.imag[:, part] = odd[1::2]
     means = {}
-    for (key, unit), total in zip(stage.d0_parts, sums):
-        means[key] = means.get(key, 0j) + unit * (total / n)
+    for (key, unit), mean in zip(stage.d0_parts, stage.d0_coeffs @ total.ravel()[stage.picks]):
+        means[key] = means.get(key, 0j) + unit * (mean / n)
     return _unfold(means, stage.d0_mirrors), d
 
 
@@ -397,7 +490,16 @@ class InvariantRecord:
         c0 = -H/(16 pi) relative to the size of the terms H sums, as the
         identity suite normalizes.  Relative to |c0| it would read roundoff
         as an O(1) residual where c0 is 0, as on the equator of a profile
-        with h'(0) = +-1."""
+        with h'(0) = +-1.
+
+        It compares two routes that share the trace and the frame: the
+        engine (the exact stage 1 over its Gram plan, then stage 2) and
+        the closed form of `compute_H`.  So it sees a fault in either
+        route's algebra or code: one coefficient of the (0, 0) row of the
+        Gram plan off by 1e-7 of itself reads 2e-7 on every default
+        geodesic (pinned by a mutation test).  It cannot see an
+        under-resolved grid or wrong samples, which both routes read
+        alike: where c0 and H were off by up to 0.26 it read <= 1.2e-12."""
         gap = abs(self.c0 + self.H_b / (16.0 * math.pi))
         scale = self.H_scale / (16.0 * math.pi)
         return gap / scale if scale else math.inf

@@ -304,10 +304,6 @@ class GeodesicPath:
     def normal(self):
         return self._chart_arrays[4]
 
-    def jets(self):
-        return {"tau": self.tau, "tau_s": self.tau_s,
-                "tau_nu": self.tau_nu, "tau_nunu": self.tau_nunu}
-
     def mean(self, values):
         """(1/2pi) int values ds over one turn of theta, the arclength mean
         on a Zoll metric: the theta-mean of values * f."""

@@ -38,10 +38,14 @@ curvature formula.
 
 The order-zero normal form symbol has four more routes.
 `frame_conjugated` evaluates the exact stage 1 term by term on the
-samples (`evaluation_plan`, `evaluate`, `path_values`), entry by entry
-in complex arithmetic, where the engine
-(`zollforms.normalform.frame_terms`) reads it over real monomials and
-only through its means; `field_mean` averages a sampled symbol.
+samples (`evaluation_plan`, `evaluate`, `path_values`, with the jets
+by name from `jet_values`), entry by entry in complex arithmetic, so
+terms cancel sample by sample; the engine
+(`zollforms.normalform.frame_terms`) reads D0 over real monomials and
+only through its means, each monomial summed over the grid by a Gram
+product before the coefficients combine them, and the tests also pin
+those means to the same monomials summed in np.longdouble.
+`field_mean` averages a sampled symbol.
 `order_zero_by_q` takes the engine's stage 2 with Q on the grid: Q by
 `solve_first_homological`, one antiderivative per entry, and each mean
 over the samples, where the engine pairs spectra and never samples Q.  The
@@ -356,10 +360,15 @@ def _into(ufunc, acc, v):
     return ufunc(acc, v, out=acc if own else None)
 
 
+def jet_values(path):
+    """The path's curvature jets by name."""
+    return {name: getattr(path, name) for name in ("tau", "tau_s", "tau_nu", "tau_nunu")}
+
+
 def path_values(path, frame):
     """The indeterminates' values on a path: its jets and its frame."""
     Y, dY = frame.Y, frame.dY
-    return {**path.jets(), "Y": Y, "Yb": np.conj(Y), "dY": dY, "dYb": np.conj(dY)}
+    return {**jet_values(path), "Y": Y, "Yb": np.conj(Y), "dY": dY, "dYb": np.conj(dY)}
 
 
 def evaluate(plan, values):
@@ -495,7 +504,7 @@ def _graded_zzbar_formal():
 def graded_zzbar(path):
     """{weight: {D_s power: symbol in (z, zbar)}} of the graded operators of
     weight <= 0, every entry a complex array on the path grid."""
-    values = path.jets()
+    values = jet_values(path)
     return {w: {c: sym.map_coeffs(lambda jp: _to_field(substitute(jp, values), path.n))
                 for c, sym in syms.items()}
             for w, syms in _graded_zzbar_formal().items()}

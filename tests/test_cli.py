@@ -587,6 +587,27 @@ class TestInvariantsCommand:
         assert [f["check"] for f in report["summary"]["failures"]] == ["h_relation"] * 3
         assert all(1e-9 < f["value"] < 2e-8 for f in report["summary"]["failures"])
 
+    def test_h_relation_sees_a_wrong_engine_coefficient(self, tmp_path, monkeypatch):
+        """A mutation of the engine alone: the coefficient of tau in the
+        (0, 0) row of D0's Gram plan, raised by 1e-7 of itself, moves c0
+        by 1e-7 of D0's tau term, where compute_H does not move; then
+        `zollforms invariants` on the default config names an h_relation
+        failure on every geodesic and exits 1 (measured: 2.0e-7 each)."""
+        import dataclasses
+
+        stage = normalform._symbols()
+        row = stage.d0_parts.index(((0, 0), 1))
+        column = stage.d0_monomials.index((("tau", 1),))
+        coeffs = stage.d0_coeffs.copy()
+        coeffs[row, column] *= 1.0 + 1e-7
+        mutated = dataclasses.replace(stage, d0_coeffs=coeffs)
+        monkeypatch.setattr(normalform, "_symbols", lambda: mutated)
+        out = tmp_path / "inv.json"
+        assert main(["invariants", "--out", str(out)]) == EXIT_CHECK_FAILURE
+        failures = json.loads(out.read_text())["summary"]["failures"]
+        assert [f["check"] for f in failures] == ["h_relation"] * 32
+        assert all(1e-7 < f["value"] < 4e-7 for f in failures)
+
     def test_h_relation_where_c0_vanishes(self, tmp_path):
         """On the equator of a profile with h'(0) = 1, c0 = (h'(0)^2 - 1)/8
         is 0 and H sums terms of size 1: the residual of c0 = -H/(16 pi) is

@@ -708,11 +708,14 @@ class TestEvaluate:
         """D0's 9 entries pair up into 6 first entries: (4, 0), (3, 1) and
         (2, 0) with their real and imaginary parts, (2, 2) and (0, 0) real
         and (1, 1) imaginary, 9 real rows over 28 monomials; d's 2 first
-        entries give 4 rows over 4 more.  Per block of samples each
-        monomial times f is one product of a prefix by one factor (75 in
-        all), and one matrix product sums them into the 13 rows; at
-        N = 32768 that is 8 blocks.  The D0 means and the odd term equal
-        the term-by-term route to roundoff."""
+        entries give 4 rows over its 4 y-cubics, all times tau_nu.  Each
+        D0 monomial times f is one entry of the Gram product of 11 weight
+        rows f * jet * a with 7 base rows b (1 and the 6 products of two
+        rows of one Jacobi pair), picked once.  Per block of samples 24
+        products form the rows and one more takes d's cubics times
+        f tau_nu, one Gram product sums the block and one 4 x 4 product
+        gives d; at N = 32768 that is 16 blocks.  The D0 means and the odd
+        term equal the term-by-term route to roundoff."""
         from collections import Counter
         from zollforms import normalform
         from zollforms.surface import MetricModel
@@ -725,10 +728,11 @@ class TestEvaluate:
         assert stage.d0_parts[6:] == (((2, 2), 1), ((1, 1), 1j), ((0, 0), 1))
         d0_monomials = {m for key in set(firsts) for m in d0_exact[key][1]}
         d_monomials = {m for key in stage.d_firsts for m in d_exact[key][1]}
-        assert (len(d0_monomials), len(d_monomials)) == (28, 4)
-        assert stage.coeffs.shape == (9 + 4, 32)
-        assert len(stage.steps) == 75
-        assert not np.any(stage.coeffs[:9, [stage.monomials.index(m) for m in d_monomials]])
+        assert set(stage.d0_monomials) == d0_monomials and len(d0_monomials) == 28
+        assert len(d_monomials) == 4 and all(dict(m)["tau_nu"] == 1 for m in d_monomials)
+        assert (stage.d0_coeffs.shape, stage.d_coeffs.shape) == ((9, 28), (4, 4))
+        assert stage.gram == (11, 7) and len(stage.steps) == 24
+        assert len(set(stage.picks)) == 28 and max(stage.picks) < 11 * 7
 
         path = trace_geodesic(MetricModel.zoll_revolution([-0.3, 0.3]), cubic_frame.path.init,
                               32768)
@@ -736,13 +740,15 @@ class TestEvaluate:
         calls = Counter()
         for name in ("multiply", "matmul"):
             def counting(*args, _real=getattr(np, name), _name=name, **kwargs):
-                calls[_name] += 1
+                calls[_name, np.shape(args[0]) if _name == "matmul" else None] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(np, name, counting)
         d0, d = frame_terms(path, frame)
         monkeypatch.undo()
         blocks = path.n // normalform.BLOCK
-        assert (blocks, calls) == (8, Counter(multiply=75 * blocks, matmul=blocks))
+        assert blocks == 16
+        assert calls == Counter({("multiply", None): 25 * blocks, ("matmul", (11, 2048)): blocks,
+                                 ("matmul", (4, 4)): blocks})
 
         pointwise_d, pointwise_d0 = frame_conjugated(path, frame)
         want = field_mean(path, pointwise_d0)
@@ -861,10 +867,11 @@ class TestRealMonomials:
     @pytest.mark.parametrize("case", ["cubic", "round", "zoll:-0.99-256", "zoll:-0.99-2048"])
     def test_d0_means_match_the_pointwise_route(self, cubic_path, cubic_frame, round_path,
                                                 round_frame, case):
-        """The D0 means from the monomial blocks equal the means of the
+        """The D0 means from the Gram sums equal the means of the
         term-by-term evaluation to 1e-13 of the largest of them, on every
         first 8 CLI geodesic of zoll:-0.99, where the terms reach about
-        1e3 and cancel (measured: <= 1e-15 relative)."""
+        1e3 and cancel (measured: <= 3.4e-14 relative; <= 1e-15 when the
+        terms cancelled sample by sample)."""
         from zollforms import cli
 
         if case == "cubic":
@@ -884,20 +891,101 @@ class TestRealMonomials:
                 assert abs(got.get(key, 0) - want[key]) <= 1e-13 * scale, key
 
     def test_a_nan_sample_makes_every_d0_mean_nan(self, cubic_path, cubic_frame):
-        """The blocks sum through a matrix product: a NaN at one sample of
-        y1 reaches every D0 mean and the odd term, and the first
-        obstruction gate refuses the geodesic."""
+        """A NaN at one sample of any input row (the weight, each jet, each
+        Jacobi row) reaches every mean of D0 that the row feeds, and every
+        row of the odd term that it feeds.  D0 reads every row but tau_nu,
+        and the coefficient rows combine the Gram sums by a matrix
+        product, so all 9 means are NaN; d reads f, tau_nu, y1 and y2
+        alone.  No record passes: where d is NaN the first obstruction gate
+        refuses the geodesic, and elsewhere c0 is NaN, so h_relation fails
+        its gate."""
         from dataclasses import replace
+        from zollforms.cli import H_RELATION_TOL
 
-        y1 = cubic_frame.y1.copy()
-        y1[cubic_path.n // 3] = math.nan
-        frame = replace(cubic_frame, y1=y1)
-        d0, d = frame_terms(cubic_path, frame)
-        assert len(d0) == 9
-        assert all(np.isnan(v) for v in d0.values())
-        assert all(np.isnan(v).any() for v in d)
-        with pytest.raises(FirstObstructionError):
-            conjugated_order_zero(cubic_path, frame)
+        for name in ("weight", "tau", "tau_s", "tau_nu", "tau_nunu", "y1", "y2", "dy1", "dy2"):
+            on_frame = name in ("y1", "y2", "dy1", "dy2")
+            row = getattr(cubic_frame if on_frame else cubic_path, name).copy()
+            row[cubic_path.n // 3] = math.nan
+            path = cubic_path if on_frame else replace(cubic_path, **{name: row})
+            frame = replace(cubic_frame, **{name: row}) if on_frame else cubic_frame
+            d0, d = frame_terms(path, frame)
+            assert len(d0) == 9
+            assert [bool(np.isnan(v)) for v in d0.values()] == [name != "tau_nu"] * 9, name
+            feeds_d = name in ("weight", "tau_nu", "y1", "y2")
+            assert [bool(np.isnan(v).any()) for v in d] == [feeds_d] * len(d), name
+            if feeds_d:
+                with pytest.raises(FirstObstructionError):
+                    assemble_p1(path.metric, path.init, path.n, path=path, frame=frame)
+            else:
+                rec = assemble_p1(path.metric, path.init, path.n, path=path, frame=frame)
+                assert math.isnan(rec.c0) and not rec.h_relation <= H_RELATION_TOL, name
+
+    def test_a_monomial_the_gram_plan_cannot_split_raises(self, monkeypatch):
+        """The Gram plan is derived from the exact monomials: a D0 term
+        tau y2, of odd degree in the rows, is no jet times two halves,
+        and an odd term with a tau y-cubic beside its tau_nu ones is not
+        one jet times products of rows; either raises when the stage is
+        built."""
+        from zollforms import expansion, normalform
+        from zollforms.expansion import TAU, JetPolynomial
+
+        c_s, d, d0 = expansion.conjugated_symbols()
+        Y, Yb = JetPolynomial.var("Y"), JetPolynomial.var("Yb")
+        odd_d0 = PolySymbol({**d0.coeffs, (0, 0): d0.coeffs[0, 0] + TAU * (Y + Yb)})
+        two_jets = PolySymbol({**d.coeffs, (3, 0): d.coeffs[3, 0] + TAU * Y * Y * Y,
+                               (0, 3): d.coeffs[0, 3] + TAU * Yb * Yb * Yb})
+        for symbols, match in (((c_s, d, odd_d0), "no jet times two halves"),
+                               ((c_s, two_jets, d0), "not one jet")):
+            monkeypatch.setattr(expansion, "conjugated_symbols", lambda: symbols)
+            with pytest.raises(AssertionError, match=match):
+                normalform._symbols.__wrapped__()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than float64 here")
+    @pytest.mark.parametrize("spec", ["zoll:-0.99", "zoll:-0.999", "zoll:-2.4733,2.4733"])
+    def test_d0_means_against_extended_precision(self, spec):
+        """Each D0 part, summed monomial by monomial through the Gram
+        product and combined after, is within 4 eps of its term scale of
+        the same exact monomials on the same samples in np.longdouble; the
+        term scale is sum |c| <|f m|> over the part's coefficients c and
+        monomials m.  c0 moves by under 1e-10 of itself.  On the first 8
+        CLI geodesics at N = 2048 (x86-64, 80-bit long double) the largest
+        error read 1.01, 1.09 and 1.51 eps of the term scale, and c0's
+        2.0e-14, 1.4e-13 and 6.0e-12 relative, against 0.38, 0.59 and 0.69
+        eps and 1.0e-14, 9.9e-14 and 7.8e-13 for the sample-by-sample sum
+        that the Gram product replaced."""
+        from zollforms import cli, normalform
+
+        eps = np.finfo(float).eps
+        stage = normalform._symbols()
+        _, d0_exact = _exact_over_real_monomials()
+        cfg = cli.RunConfig.load(None, {"metric": cli.parse_metric_flag(spec), "geodesics": 8})
+        for name, ic in cli._initial_conditions(cfg):
+            path = trace_geodesic(cfg.metric_model, ic, 2048)
+            frame = solve_fundamental(path)
+            got, _ = frame_terms(path, frame)
+            values = {row: getattr(frame, row).astype(np.longdouble)
+                      for row in ("y1", "y2", "dy1", "dy2")}
+            values.update({jet: getattr(path, jet).astype(np.longdouble)
+                           for jet in ("tau", "tau_s", "tau_nu", "tau_nunu")})
+            sums, sizes = {}, {}
+            for mono in stage.d0_monomials:
+                x = path.weight.astype(np.longdouble)
+                for factor, p in mono:
+                    x = x * values[factor] ** p
+                sums[mono], sizes[mono] = np.mean(x), np.mean(np.abs(x))
+            for key, unit in stage.d0_parts:
+                scale, terms = d0_exact[key]
+                coeffs = {m: np.longdouble(c[0 if unit == 1 else 1]) / scale
+                          for m, c in terms.items()}
+                want = sum(c * sums[m] for m, c in coeffs.items())
+                size = sum(abs(c) * sizes[m] for m, c in coeffs.items())
+                value = got[key].real if unit == 1 else got[key].imag
+                error = abs(np.longdouble(value) - want)
+                assert error <= 4 * eps * size, (name, key, float(error / size / eps))
+                if key == (0, 0):
+                    c0 = conjugated_order_zero(path, frame)[0][0, 0].real / 2.0
+                    assert error / 2.0 <= 1e-10 * abs(c0), (name, float(error / 2.0 / abs(c0)))
 
     def test_meridian_takes_no_stage_2(self, cubic_metric, monkeypatch):
         """On the canonical meridian tau_nu = 0, so the odd term is exactly
@@ -929,12 +1017,13 @@ class TestRealMonomials:
 
     def test_one_engine_call_holds_few_grid_arrays(self, cubic_metric, generic_ic):
         """Traced by tracemalloc, one engine call at N = 32768 peaks below
-        7 complex grid arrays (16 N bytes each): the monomials live one
+        5.5 complex grid arrays (16 N bytes each): the Gram rows live one
         block at a time, D0 is never held as sampled entries, the odd term's
         samples are transformed in place, Q is never sampled, and one
-        antiderivative spectrum is alive at a time (measured: 5.3, set by
-        frame_terms' block arrays beside the odd term; 6.5 with Q sampled,
-        and 18.5 when D0 was evaluated entry by entry)."""
+        antiderivative spectrum is alive at a time (measured: 5.0, set by
+        stage 2 beside the odd term, frame_terms alone 3.0; 5.3 when the
+        blocks held every monomial, 6.5 with Q sampled, and 18.5 when D0
+        was evaluated entry by entry)."""
         import tracemalloc
 
         n = 32768
@@ -947,7 +1036,7 @@ class TestRealMonomials:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * 16 * n, peak / (16 * n)
+        assert peak <= 5.5 * 16 * n, peak / (16 * n)
 
 
 class TestSubstitutionCount:
@@ -981,7 +1070,7 @@ class TestSubstitutionCount:
         entry of a conjugate pair of the odd term) and 8 pairings: 2 with
         the weight (the means of Q) and 6 with the odd term (the products
         Q_a d_b the closed form reads); the other half are their exact
-        conjugates.  D0 is summed block by block (1 block at N = 1024), and
+        conjugates.  D0 is summed by Gram products, with no np.sum, and
         each antiderivative spectrum sums its modes once for its offset.
         On the meridian the odd term is exactly 0 and stage 2 takes none of
         them.  No call forms a star product or commutator: stage 1 and the
@@ -1012,7 +1101,7 @@ class TestSubstitutionCount:
                                         Counter())):
             calls.clear()
             conjugated_order_zero(frame.path, frame)
-            assert calls == want + Counter({"sums": 1}), calls
+            assert calls == want, calls
         assert not any(hasattr(module, "spectral_derivative")
                        for module in (fourier, normalform, surface))
 
