@@ -10,13 +10,14 @@ path turns them into arclength integrals by its weight ds/d(theta)
 identity checks take none.
 
 The normal form engine reads the solution Q of its homological equation
-only through means of products, so it never samples Q: by Parseval,
-mean(x y) = sum_k xhat_k yhat_{-k} / N^2 for the DFTs xhat, yhat, and
-`antiderivative_spectrum` gives the DFT of `spectral_antiderivative`'s
-output from the DFT of its input, which must be mean-free: the engine
-subtracts the means of its densities first, so Q is periodic, and the
-spectrum takes no ramp.  `spectral_pairing` takes that sum,
-and `full_spectrum` unfolds the real transform of real samples.
+only through means of products of real densities, so it never samples
+Q: by Parseval, mean(x y) = sum_k xhat_k yhat_{-k} / N^2 for the DFTs
+xhat, yhat, and for real x and y the modes above N/2 are the conjugates
+of those below, so the sum runs over the real transforms alone.
+`antiderivative_spectrum` gives the real transform of
+`spectral_antiderivative`'s output from the real transform of its input,
+which must be mean-free: the engine subtracts the means of its densities
+first, so Q is periodic, and the spectrum takes no ramp.
 """
 
 from functools import lru_cache
@@ -25,10 +26,8 @@ import numpy as np
 
 __all__ = [
     "antiderivative_spectrum",
-    "full_spectrum",
     "grid",
     "spectral_antiderivative",
-    "spectral_pairing",
 ]
 
 MEAN_ZERO_TOL = 1e-10  # antiderivatives zero residual means below this times max |f|
@@ -88,42 +87,22 @@ def spectral_antiderivative(values):
 
 
 def antiderivative_spectrum(coeffs):
-    """The DFT of the antiderivative of x - mean(x), 0 at t = 0, from
-    coeffs, the DFT of x (complex, all n modes), with no inverse
-    transform, written over coeffs, which is returned.
+    """The real transform of the antiderivative of x - mean(x), 0 at
+    t = 0, from coeffs, the real transform of x (`np.fft.rfft`, n/2 + 1
+    modes, along the last axis), with no inverse transform, written over
+    coeffs, which is returned.
 
     That is coeffs / (i k), the zero and Nyquist modes dropped as
     `spectral_antiderivative` drops them, and the zero mode set to the
-    offset that makes the antiderivative 0 at t = 0.  It equals the DFT
-    of spectral_antiderivative(x) for mean-free x, the one input it
-    takes: it adds no ramp for a mean.  The engine subtracts the mean of
-    its densities before it integrates, and the first obstruction gate
-    has bounded that mean (a NaN raises there).
+    offset that makes the antiderivative 0 at t = 0: minus the sum of
+    the other modes, each below n/2 taken with its conjugate above it.
+    It equals the real transform of spectral_antiderivative(x) for
+    mean-free x, the one input it takes: it adds no ramp for a mean.  The
+    engine subtracts the mean of its densities before it integrates, and
+    the first obstruction gate has bounded that mean (a NaN raises there).
     """
-    n = coeffs.shape[-1]
+    n = 2 * (coeffs.shape[-1] - 1)
     _check_grid(n)
-    coeffs *= _mode_factors(n)[0]
-    coeffs[0] -= np.sum(coeffs)
+    coeffs *= _mode_factors(n)[0][:n // 2 + 1]
+    coeffs[..., 0] = -2.0 * np.sum(coeffs.real, axis=-1)
     return coeffs
-
-
-def spectral_pairing(coeffs, other, conjugate=False):
-    """mean(x y) over the grid from coeffs, the DFT of x, and other, the
-    DFT of y, or with `conjugate` the DFT of conj(y): sum_k xhat_k
-    yhat_{-k} / n^2, where the conjugate spectrum pairs mode by mode and
-    needs no reversed copy."""
-    n = coeffs.shape[-1]
-    if conjugate:
-        total = np.vdot(other, coeffs)
-    else:
-        total = coeffs[0] * other[0] + np.dot(coeffs[1:], other[:0:-1])
-    return total / (n * n)
-
-
-def full_spectrum(half, n):
-    """The DFT of n real samples from their real transform `half`: the
-    modes above n/2 are the conjugates of those below."""
-    out = np.empty(n, dtype=complex)
-    out[:len(half)] = half
-    np.conjugate(half[n - len(half):0:-1], out=out[len(half):])
-    return out

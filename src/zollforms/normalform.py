@@ -26,8 +26,8 @@ and no operator sits at weight -3/2.
 `_symbols` writes every entry of d and D0, once per process and exactly,
 over real monomials: a curvature jet times a product of the real Jacobi
 rows y1, y2, dy1, dy2 (Y = y2 + i y1, dY = dy2 + i dy1).  Entry (n, m)
-of either is + or - the conjugate of entry (m, n), checked exactly
-there, so one entry of each mirror pair is evaluated, as its real and
+of D0 is + or - the conjugate of entry (m, n), checked exactly there,
+so one entry of each mirror pair is evaluated, as its real and
 imaginary parts: real rows of coefficients over the monomials.  A
 geodesic only evaluates, integrates and averages.  D0 is read only
 through its means, and each of its monomials times the weight
@@ -38,35 +38,40 @@ block of samples, and the coefficient rows combine these sums.  The
 terms so no longer cancel sample by sample: the roundoff of a mean is
 about eps times the size of its terms, sum |c| <|f m|> over
 coefficients c and monomials m (at most 1.6 eps, measured against
-np.longdouble), which on zoll:-2.4733,2.4733 reads as c0 off by up to
-6.0e-12 of itself at N = 2048 and 2.4e-12 at N = 32768 (7.8e-13 and
-1.8e-13 when the terms cancelled pointwise), well under the 1.2e-9 by
-which c0 wanders across grids on zoll:-2.509,2.509.  The odd term is
-one jet, tau_nu, times y-cubics, taken pointwise: f tau_nu times one
-small product of its coefficients with the cubics gives the first entry
-of each of its mirror pairs as a theta-density d f.  Stage 2
-transforms them forward, once, reads their means M off the zero modes
-(the first obstruction gate, `first_obstruction_means`), and adds to the
-mean of D0, per pair (a, b) of entries of d, the commutator weights of
-z^a and z^b (`expansion.stage2_weights`, taken to complex numbers) times
-<Q_a d_b> + <Q_a> M_b; the mirror pairs come as exact conjugates.  Q
-is never sampled: each of these means is a pairing of the spectrum of
-Q_a, the antiderivative of -(d_a - M_a)/c_s, with a spectrum the engine
-already holds (`fourier.spectral_pairing`), so the engine takes no
-inverse transform.  It derives no constant itself and imports nothing
-from `weyl`.  On a meridian d is exactly 0 (tau_nu = 0), and stage 2
-adds nothing.  Four independent routes check this engine and live with
-the tests (`tests/oracles.py`): the exact symbols evaluated term by term
-on the samples (`frame_conjugated`), stage 2 with Q sampled on the grid
+np.longdouble).
+
+The odd term is one jet, tau_nu, times y-cubics, so each entry of it is
+d_a f = sum_k alpha_ak c_k over four real theta-densities
+c_k = f tau_nu {y1 y2^2, y1^2 y2, y1^3, y2^3}, alpha exact Gaussian
+rationals.  With m_k = <c_k> and A_k the antiderivative of c_k - m_k f,
+0 at theta_0, Q_a is -(1/c_s) sum_k alpha_ak A_k, and stage 2 is linear
+in one real 4 x 4 matrix, R_kl = <A_k c_l> + <A_k f> m_l: the pair
+(a, b) of entries of d adds the commutator weights of z^a and z^b
+(`expansion.stage2_weights`) times <Q_a d_b> + <Q_a> M_b, which is
+-(1/c_s) sum_kl alpha_ak alpha_bl R_kl.  `_symbols` folds the weights,
+alpha and -1/c_s into one exact table over R, one row per part of D0,
+rounded once.  A geodesic takes one real transform of each c_k and of
+f, reads m off the zero modes (the first obstruction gate,
+`first_obstruction_means`, reads M = alpha m), and forms R from real
+products of half spectra: Q is never sampled, and the engine takes no
+inverse transform.  Against np.longdouble on the same samples, c0 is
+off by up to 2.6e-9 of itself on zoll:-2.4733,2.4733 at N = 32768,
+where stage 2's terms cancel about 2e5 times over: the rounding of the
+float64 densities alone accounts for it (1.5e-6 when stage 2 took the
+complex entries of d).
+It derives no constant itself and imports nothing from `weyl`.  On a
+meridian d is exactly 0 (tau_nu = 0), and stage 2 adds nothing.  Four
+independent routes check this engine and live with the tests
+(`tests/oracles.py`): the exact symbols evaluated term by term on the
+samples (`frame_conjugated`), stage 2 with Q sampled on the grid
 (`order_zero_by_q`), the closed form on the samples (`d_half`,
 `d_zero_restricted` + `commutator_double_integral`), and the exact
 ad-series, which derives Z without assuming its form.
 
 The construction fixes two facts, which the record (`InvariantRecord`)
-carries as no field: a diagonal entry of D0 is evaluated as its real
-part alone and stage 2 adds to it in exact conjugate pairs, so the
-(0, 0) and (2, 2) means are exactly real; and the mean holds D0's keys
-alone, all of even degree.
+carries as no field: a diagonal entry of D0 and of stage 2 is evaluated
+as its real part alone, so the (0, 0) and (2, 2) means are exactly
+real; and the mean holds D0's keys alone, all of even degree.
 """
 
 import itertools
@@ -77,7 +82,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import expansion as _exp
-from .fourier import antiderivative_spectrum, full_spectrum, spectral_pairing
+from .fourier import antiderivative_spectrum
 from .geodesic import trace_geodesic
 from .jacobi import solve_fundamental
 
@@ -95,7 +100,9 @@ MEAN_TOL = 1e-6          # Zoll solvability tolerance for the first obstruction
 BLOCK = 2048             # samples per block of Gram rows; grids are powers of two, and the
                          # default grid is one block.  invariants-fine (N = 32768) read
                          # report_s 0.271 / 0.278 / 0.297 s and peak RSS 46.9 / 47.2 / 47.5 MB
-                         # with blocks of 1024 / 2048 / 4096 (medians of 8-11 runs of 8 s)
+                         # with blocks of 1024 / 2048 / 4096 (medians of 8-11 runs of 8 s).
+                         # Stage 2 steps 4 BLOCK samples of rows: a step costs ~15 us of calls
+                         # at N = 2048; 4 rows at N = 32768 took 608 page faults per call
 
 
 class FirstObstructionError(RuntimeError):
@@ -170,14 +177,6 @@ def _mirror_signs(exact):
     return signs
 
 
-def _unfold(values, mirrors):
-    """The entries of `mirrors` ((key, sign) per entry, in order) that
-    `values` gives or mirrors: one it leaves out is sign * conj of entry
-    (n, m)."""
-    return {key: values[key] if key in values else sign * np.conj(values[key[::-1]])
-            for key, sign in mirrors if key in values or key[::-1] in values}
-
-
 def _factors(mono):
     """A real monomial ((name, power), ...) as (its jets' factors, its
     rows' factors), each a sorted tuple with a name once per power."""
@@ -211,11 +210,13 @@ def _gram_plan(d0_monomials, d_monomials):
     """
     halves = ((),) + tuple(sorted((p, q) for pair in (("y1", "y2"), ("dy1", "dy2"))
                                   for i, p in enumerate(pair) for q in pair[i:]))
+    pairs = {}                       # the pairs of halves by the rows they multiply to
+    for a, b in itertools.product(halves, repeat=2):
+        pairs.setdefault(tuple(sorted(a + b)), []).append((a, b))
     by_jet = {}
     for mono in d0_monomials:
         jet, rows = _factors(mono)
-        splits = {a: b for a in halves for b in halves
-                  if (jet or a) and tuple(sorted(a + b)) == rows}
+        splits = {a: b for a, b in pairs.get(rows, ()) if jet or a}
         if not splits:
             raise AssertionError(f"monomial {mono} of D0 is no jet times two halves")
         by_jet.setdefault(jet, []).append((mono, splits))
@@ -269,57 +270,43 @@ def _gram_plan(d0_monomials, d_monomials):
 class _Stage:
     """The per-process part of the engine (`_symbols`); read-only."""
 
-    c_s: float            # the weight -1 operator is c_s D_s
-    d_mirrors: tuple      # (key, sign) per entry of d, in its order
-    d_firsts: tuple       # the first entry of each mirror pair of d, in its order
+    d_keys: tuple         # the entries of d, in its order
+    alpha: np.ndarray     # d_a f = sum_k alpha[a, k] c_k, c_k in `_gram_plan`'s order
     d0_mirrors: tuple     # (key, sign) per entry of D0, in its order
     d0_monomials: tuple   # the columns of `d0_coeffs`
     d0_coeffs: np.ndarray  # rows: the parts of D0's first entries per mirror pair
     d0_parts: tuple       # (key, 1 or 1j) per row of `d0_coeffs`
-    d_coeffs: np.ndarray  # rows: (re, im) of d's first entries; columns: its row monomials
     steps: tuple          # of `_gram_plan`
     block_rows: int
     gram: tuple           # (weight rows, base rows)
     picks: np.ndarray     # the flat index in the Gram product per column of `d0_coeffs`
     d_weight: int         # the index of f times d's jet
-    products: tuple       # (a, row of a, pairs): per first entry a of d, the pairs (a, b) as
-                          # (b, row of b or of its mirror, mirrored?, weights, mirror weights)
+    stage2: np.ndarray    # stage 2 adds stage2 @ R.ravel() to the rows of `d0_coeffs`
 
 
 @lru_cache(maxsize=1)
 def _symbols():
-    """Stage 1 over real monomials with the Gram plan, and the weights of
-    stage 2's closed form, once per process: a `_Stage`.
+    """Stage 1 over real monomials with the Gram plan, and stage 2 as one
+    table over R, once per process: a `_Stage`.
 
-    Every entry of d and D0 is written exactly over the real monomials;
-    the first entry of each mirror pair is kept, as one real row of
+    Every entry of d and D0 is written exactly over the real monomials.
+    Of D0 the first entry of each mirror pair is kept, as one real row of
     coefficients per part: the real and imaginary parts of an
-    off-diagonal entry, the real or the imaginary part of a diagonal one.
-    D0's rows are over its monomials, whose grid sums `_gram_plan`'s
-    picks read off the Gram product, and d's over its monomials, which
-    share one jet.
-    d must be a real symbol (each sign +1), so that Q and every mean of
-    stage 2 pair up as conjugates too.  A weight of stage 2, per pair
-    (a, b) of keys of d whose unit monomials do not commute, is an entry
-    (key, w) of `expansion.stage2_weights`, taken to a complex number;
-    the pair adds w (<Q_a d_b> + <Q_a> M_b) to entry `key` of the mean
-    of Z.
-    `products` holds the pairs whose a is a first entry of d, by a, each
-    with the row of d that gives b (b's own, or its mirror's for a
-    mirrored b, whose density is the conjugate) and with the weights of
-    its mirror pair (n_a m_a, n_b m_b), whose term is the conjugate.
+    off-diagonal entry, the real or the imaginary part of a diagonal one,
+    over its monomials, whose grid sums `_gram_plan`'s picks read off the
+    Gram product.  d's monomials share one jet; alpha_ak, the coefficient
+    of cubic k in entry a, gives the gate its means.  The pair (a, b) of
+    `expansion.stage2_weights` with weight w at `key` adds
+    -w alpha_ak alpha_bl / c_s to the weight of R_kl there: the table sums
+    these over Gaussian integer numerators, must hold D0's keys alone and
+    pair them as D0 does (entry (n, m) the same sign times the conjugate
+    of entry (m, n)), and is kept as D0's parts, rounded once.
     Every caller shares the result; treat it as read-only.
     """
     c_s, d, d0 = _exp.conjugated_symbols()
-    exact = tuple({key: _real_monomials(jp) for key, jp in sym.coeffs.items()} for sym in (d, d0))
-    d_signs, d0_signs = (_mirror_signs(sym) for sym in exact)
-    if set(d_signs.values()) != {1}:
-        raise AssertionError("the odd term is not a real symbol")
-
-    def parts(sym, signs):
-        """(key, unit, exact terms) per part of the first entry of each mirror pair."""
-        return [(key, unit, sym[key]) for key, sign in signs.items()
-                for unit in ((1, 1j) if key[0] != key[1] else (1,) if sign == 1 else (1j,))]
+    d_exact, d0_exact = ({key: _real_monomials(jp) for key, jp in sym.coeffs.items()}
+                         for sym in (d, d0))
+    d0_signs = _mirror_signs(d0_exact)
 
     def matrix(entries, columns):
         out = np.zeros((len(entries), len(columns)))
@@ -329,52 +316,83 @@ def _symbols():
         out.flags.writeable = False
         return out
 
-    d0_rows, d_rows = parts(exact[1], d0_signs), parts(exact[0], d_signs)
+    d0_rows = [(key, unit, d0_exact[key]) for key, sign in d0_signs.items()
+               for unit in ((1, 1j) if key[0] != key[1] else (1,) if sign == 1 else (1j,))]
     d0_monomials = sorted({mono for *_, (_, terms) in d0_rows for mono in terms})
-    d_monomials = sorted({mono for *_, (_, terms) in d_rows for mono in terms})
-    table = {pair: tuple((key, complex(w)) for key, w in sym.items())
-             for pair, sym in _exp.stage2_weights().items()}
-    rows = {key: i for i, key in enumerate(d_signs)}
+    cubics = sorted({mono for _, terms in d_exact.values() for mono in terms})
+    columns = list(itertools.product(range(len(cubics)), repeat=2))   # R.ravel()'s order
+    weights, scale = _exp.stage2_weights(), math.lcm(*(q for q, _ in d_exact.values()))
+    numerators = {a: [(re * (scale // q), im * (scale // q))    # of alpha, over `scale`
+                      for re, im in (terms.get(mono, (0, 0)) for mono in cubics)]
+                  for a, (q, terms) in d_exact.items()}
+    w_scale = math.lcm(*(x.denominator for sym in weights.values()
+                         for w in sym.coeffs.values() for x in (w.re, w.im)))
+    table = {}
+    for (a, b), sym in weights.items():
+        outer = [(xr * yr - xi * yi, xr * yi + xi * yr)
+                 for xr, xi in numerators[a] for yr, yi in numerators[b]]
+        for key, w in sym.coeffs.items():
+            wr, wi = (-c_s.re.denominator * x.numerator * (w_scale // x.denominator)
+                      for x in (w.re, w.im))
+            table[key] = [(re + wr * pr - wi * pi, im + wr * pi + wi * pr)
+                          for (re, im), (pr, pi) in zip(table.get(key, [(0, 0)] * len(outer)), outer)]
+    table = {key: (w_scale * scale * scale * c_s.re.numerator,
+                   {kl: v for kl, v in zip(columns, terms) if v != (0, 0)})
+             for key, terms in table.items() if set(terms) != {(0, 0)}}
+    pair_signs = {**d0_signs, **{key[::-1]: sign for key, sign in d0_signs.items()}}
+    for key, sign in _mirror_signs(table).items():
+        if pair_signs.get(key) != sign:
+            raise AssertionError(f"stage 2's entry {key} does not pair as D0's")
+    alpha = sum(unit * matrix([(a, unit, d_exact[a]) for a in d.coeffs], cubics) for unit in (1, 1j))
+    alpha.flags.writeable = False
     return _Stage(
-        c_s=float(c_s.re), d_mirrors=tuple((key, 1) for key in d.coeffs),
-        d_firsts=tuple(d_signs),
-        d0_mirrors=tuple((key, d0_signs.get(key) or d0_signs[key[::-1]]) for key in d0.coeffs),
+        d_keys=tuple(d.coeffs), alpha=alpha,
+        d0_mirrors=tuple((key, pair_signs[key]) for key in d0.coeffs),
         d0_monomials=tuple(d0_monomials), d0_coeffs=matrix(d0_rows, d0_monomials),
         d0_parts=tuple((key, unit) for key, unit, _ in d0_rows),
-        d_coeffs=matrix(d_rows, d_monomials),
-        **_gram_plan(d0_monomials, d_monomials),
-        products=tuple((a, row, tuple((b, rows.get(b, rows.get(b[::-1])), b not in rows,
-                                       table[a, b], table[a[::-1], b[::-1]])
-                                      for b in d.coeffs if table[a, b]))
-                       for a, row in rows.items()))
+        **_gram_plan(d0_monomials, cubics),
+        stage2=matrix([(key, unit, table.get(key, (1, {}))) for key, unit, _ in d0_rows], columns))
+
+
+def _means(stage, parts):
+    """Every entry of D0's keys from `parts`, one value per row of
+    `d0_coeffs`: an entry (n, m) of no row is sign * conj of entry (m, n)."""
+    means = {}
+    for (key, unit), value in zip(stage.d0_parts, parts):
+        means[key] = means.get(key, 0j) + unit * value
+    return {key: means[key] if key in means else sign * np.conj(means[key[::-1]])
+            for key, sign in stage.d0_mirrors}
 
 
 def frame_terms(path, frame):
-    """Stage 1 on a path: (the mean of D0 as {key: complex}, the odd
-    term's first entries per mirror pair as theta-densities d f, one row
-    each of a (2, N) complex array, in the odd term's order).
+    """Stage 1 on a path: (the mean of D0 as {key: complex}, the odd term
+    as its four real theta-densities c_k, f tau_nu times the y-cubics in
+    the column order of `_Stage.alpha`).  The densities are one (4, N/2 + 1)
+    complex array: row k holds c_k's N samples as its first N reals
+    (`.view(float)[:, :N]`) and 0 after them, room for the real transform
+    that stage 2 writes over them.
 
     Per block of BLOCK samples the steps of `_symbols`' plan fill one
     block array, one Gram product of its weight rows with its base rows
-    sums every D0 monomial times f over the block, and one product of
-    d's coefficients with its row monomials, times f and d's jet, gives
-    the odd term.  The D0 means are the coefficient rows times the
-    monomials' grid sums, over N.
+    sums every D0 monomial times f over the block, and one product of the
+    y-cubics with f tau_nu gives the densities.  The D0 means are the
+    coefficient rows times the monomials' grid sums, over N.
     """
     stage = _symbols()
     n = path.n
     width = min(n, BLOCK)          # both powers of two, so blocks tile the grid
     inputs = [getattr(frame if name in _ROWS else path, name) for name in _SOURCES]
     nw, nb = stage.gram
-    nc = stage.d_coeffs.shape[1]
+    nc = stage.alpha.shape[1]
     block = np.empty((stage.block_rows, width))
     arrays = [None] * len(inputs) + list(block)
     weights, bases, cubics = block[:nw], block[nw:nw + nb], block[nw + nb:nw + nb + nc]
     bases[0] = 1.0
     gram = np.empty((nw, nb))
     total = np.zeros((nw, nb))
-    odd = np.empty((len(stage.d_coeffs), width))
-    d = np.empty((len(stage.d_firsts), n), dtype=complex)
+    odd = np.empty((nc, n // 2 + 1), dtype=complex)
+    odd[:, -1] = 0.0
+    samples = odd.view(float)[:, :n]
     for start in range(0, n, width):
         part = slice(start, start + width)
         arrays[:len(inputs)] = [v[part] for v in inputs]
@@ -382,21 +400,14 @@ def frame_terms(path, frame):
             np.multiply(arrays[left], arrays[right], out=arrays[out])
         np.matmul(weights, bases.T, out=gram)
         total += gram
-        np.matmul(stage.d_coeffs, cubics, out=odd)
-        np.multiply(odd, arrays[stage.d_weight], out=odd)
-        d.real[:, part] = odd[0::2]           # an entry of d is off-diagonal: (re, im) rows
-        d.imag[:, part] = odd[1::2]
-    means = {}
-    for (key, unit), mean in zip(stage.d0_parts, stage.d0_coeffs @ total.ravel()[stage.picks]):
-        means[key] = means.get(key, 0j) + unit * (mean / n)
-    return _unfold(means, stage.d0_mirrors), d
+        np.multiply(cubics, arrays[stage.d_weight], out=samples[:, part])
+    return _means(stage, stage.d0_coeffs @ total.ravel()[stage.picks] / n), odd
 
 
-def first_obstruction_means(spectra):
-    """The means of every entry of the odd term as {key: complex}, read
-    off the zero modes of `spectra`, the DFTs of the first entries per
-    mirror pair as theta-densities d f (rows in the odd term's order);
-    a mirrored entry's mean is the conjugate.
+def first_obstruction_means(cubic_means):
+    """The means of every entry of the odd term as {key: complex}, in its
+    order, from the means of its four real densities (`frame_terms`):
+    M_a = sum_k alpha_ak <c_k>.
 
     The conjugation is solvable on the period only when every mean
     vanishes (the Zoll first obstruction): a mean above MEAN_TOL, or a
@@ -405,9 +416,7 @@ def first_obstruction_means(spectra):
     order.
     """
     stage = _symbols()
-    n = spectra.shape[-1]
-    own = {key: c / n for key, c in zip(stage.d_firsts, spectra[:, 0])}
-    means = {k: complex(m) for k, m in _unfold(own, stage.d_mirrors).items()}
+    means = {key: complex(m) for key, m in zip(stage.d_keys, stage.alpha @ cubic_means)}
     for k, m in sorted(means.items(), key=lambda kv: -abs(kv[1])):
         if not abs(m) <= MEAN_TOL:
             raise FirstObstructionError(k, m)
@@ -418,43 +427,46 @@ def conjugated_order_zero(path, frame):
     """The engine route: (the mean of the order-zero, D_s-free symbol
     after both conjugations as {key: complex}, first_obstruction_max).
 
-    The mean of Z = D0 - (i/2) [Q, d + M]: the mean of D0 plus, per pair
-    of `_symbols`, its weights times <Q_a d_b> + <Q_a> M_b, and the
-    conjugate for its mirror pair.  Q is never sampled.  With f the
-    path's weight, Q_a is the antiderivative of -(d_a f - M_a f)/c_s, so
-    the DFT of c_s Q_a is minus that of the antiderivative of d_a f - M_a f
-    (`fourier.antiderivative_spectrum`), and each mean is a pairing of
-    spectra (`fourier.spectral_pairing`): with d_b f, with conj(d_b' f)
-    for a mirrored entry b, and with f, which is real and so pairs as its
-    own conjugate.  Each density takes one forward transform, in place,
-    and f one real one.  first_obstruction_max is the largest |mean| of
-    the odd term, all that the conjugation leaves at weight -1/2.  Where
-    the odd term is exactly 0, as on a meridian, so are Q and every term
-    of stage 2, and none is taken.
+    The mean of Z = D0 - (i/2) [Q, d + M] is the mean of D0 plus
+    `_Stage.stage2` times R, R_kl = <A_k c_l> + <A_k f> m_l (see the
+    module).  Each density's real transform is written over its samples,
+    f takes one more, and A_k's (`fourier.antiderivative_spectrum`) is
+    formed in one buffer, a step of rows at a time (see BLOCK).  By
+    Parseval, for real x and y with real transforms X and Y,
+    mean(x y) = (2 sum_k Re(X_k conj(Y_k)) - X_0 Y_0 - X_{N/2} Y_{N/2}) / N^2;
+    A_k has no Nyquist mode, so with its zero mode halved R is products
+    of float views.  Q is never sampled.  first_obstruction_max is the
+    largest |mean| of the odd term, all that the conjugation leaves at
+    weight -1/2.  Where the odd term is exactly 0, as on a meridian, so
+    are Q and stage 2, and none is taken.
     """
-    sums, d = frame_terms(path, frame)
-    if not d.any():                               # a NaN counts as nonzero
-        return sums, 0.0
+    means, odd = frame_terms(path, frame)
+    if not odd.any():                             # a NaN counts as nonzero
+        return means, 0.0
     stage = _symbols()
-    spectra = d                                   # in place: the samples are not read again
-    for row in spectra:
-        row[:] = np.fft.fft(row)
-    means = first_obstruction_means(spectra)
-    weight = full_spectrum(np.fft.rfft(path.weight), path.n)
-    primitive = np.empty(path.n, dtype=complex)
-    for a, row, pairs in stage.products:
-        np.multiply(weight, means[a], out=primitive)
-        np.subtract(spectra[row], primitive, out=primitive)
-        antiderivative_spectrum(primitive)
-        q_mean = spectral_pairing(primitive, weight, True) / -stage.c_s    # f is real
-        for b, other, conjugate, weights, mirror_weights in pairs:
-            term = spectral_pairing(primitive, spectra[other], conjugate) / -stage.c_s \
-                + q_mean * means[b]
-            for key, w in weights:
-                sums[key] = sums.get(key, 0.0) + w * term
-            for key, w in mirror_weights:
-                sums[key] = sums.get(key, 0.0) + w * np.conj(term)
-    return sums, max(abs(m) for m in means.values())
+    n = path.n
+    step = min(len(odd), max(1, 4 * BLOCK // n))  # rows a step, 1, 2 or 4: see BLOCK
+    spectra, samples = odd.view(float), odd.view(float)[:, :n]
+    for k in range(0, len(odd), step):            # each step reads its rows, then writes them
+        odd[k:k + step] = np.fft.rfft(samples[k:k + step])
+    weight = np.fft.rfft(path.weight)
+    m = odd[:, 0].real / n
+    obstruction = first_obstruction_means(m)
+    products = np.empty((len(odd), len(odd) + 1))   # per A_k: with each c_l, then with f
+    a = np.empty((step, len(weight)), dtype=complex)
+    for k in range(0, len(odd), step):
+        rows = slice(k, k + step)
+        np.multiply(m[rows, None].astype(complex), weight, out=a)   # cast first: no buffer
+        np.subtract(odd[rows], a, out=a)
+        antiderivative_spectrum(a)
+        a[:, 0] *= 0.5
+        np.matmul(a.view(float), spectra.T, out=products[rows, :-1])
+        np.matmul(a.view(float), weight.view(float), out=products[rows, -1])
+    products *= 2.0 / (n * n)
+    r = products[:, :-1] + products[:, -1:] * m
+    added = _means(stage, stage.stage2 @ r.ravel())
+    return ({key: v + added[key] for key, v in means.items()},
+            max(abs(v) for v in obstruction.values()))
 
 
 @dataclass(frozen=True)
@@ -499,7 +511,11 @@ class InvariantRecord:
         Gram plan off by 1e-7 of itself reads 2e-7 on every default
         geodesic (pinned by a mutation test).  It cannot see an
         under-resolved grid or wrong samples, which both routes read
-        alike: where c0 and H were off by up to 0.26 it read <= 1.2e-12."""
+        alike: where c0 and H were off by up to 0.26 it read <= 1.2e-12.
+        Nor can it see the roundoff of stage 2, which H bounds only on
+        the scale of its terms: where stage 2 took the complex entries of
+        d, c0 was off by 1.5e-6 of itself against np.longdouble on
+        zoll:-2.4733,2.4733 at N = 32768, and it read 3.8e-14."""
         gap = abs(self.c0 + self.H_b / (16.0 * math.pi))
         scale = self.H_scale / (16.0 * math.pi)
         return gap / scale if scale else math.inf

@@ -46,9 +46,11 @@ only through its means, each monomial summed over the grid by a Gram
 product before the coefficients combine them, and the tests also pin
 those means to the same monomials summed in np.longdouble.
 `field_mean` averages a sampled symbol.
-`order_zero_by_q` takes the engine's stage 2 with Q on the grid: Q by
-`solve_first_homological`, one antiderivative per entry, and each mean
-over the samples, where the engine pairs spectra and never samples Q.  The
+`order_zero_by_q` takes stage 2 with Q on the grid and reads nothing of
+the engine's: the odd term term by term, Q by `solve_first_homological`,
+one antiderivative per entry, each mean over the samples and the
+weights as the exact layer derives them, where the engine pairs the
+spectra of four real densities over one table and never samples Q.  The
 closed form `d_zero_restricted` of the frame-conjugated metric terms plus
 `commutator_double_integral` of the odd term `d_half` is written out by
 hand on the samples, where the engine
@@ -421,16 +423,18 @@ def solve_first_homological(path, d):
     times the path's weight f = ds/d(theta): a density's theta-mean is
     the entry's arclength mean, and its theta-antiderivative the
     arclength one.  The odd term is a real symbol, so an entry that `d`
-    leaves out but whose mirror (n, m) it gives is the conjugate of that
-    one, and so are its mean and its Q.  A mean above MEAN_TOL, or a NaN
-    mean, raises FirstObstructionError as the engine's gate does.  The
-    means are taken out before the antiderivative, so Q is periodic.
-    Returns (Q of each entry of `d`, the means of these entries and of
-    their mirrors as {key: complex}).
+    leaves out but whose mirror (n, m) it gives has the conjugate mean.
+    The means are taken in the odd term's order
+    (`zollforms.expansion.conjugated_symbols`), and a mean above
+    MEAN_TOL, or a NaN mean, raises FirstObstructionError as the engine's
+    gate does.  The means are taken out before the antiderivative, so Q
+    is periodic.  Returns (Q of each entry of `d`, the means of these
+    entries and of their mirrors as {key: complex}).
     """
-    stage = normalform._symbols()
+    c_s, odd, _ = expansion.conjugated_symbols()
     own = {k: np.mean(v) for k, v in d.items()}
-    means = normalform._unfold(own, stage.d_mirrors)
+    means = {k: own[k] if k in own else np.conj(own[k[::-1]])
+             for k in odd.coeffs if k in own or k[::-1] in own}
     for k, m in sorted(means.items(), key=lambda kv: -abs(kv[1])):
         if not abs(m) <= normalform.MEAN_TOL:
             raise normalform.FirstObstructionError(k, complex(m))
@@ -438,31 +442,28 @@ def solve_first_homological(path, d):
     for k, v in d.items():
         centred = np.multiply(path.weight, own[k])
         np.subtract(v, centred, out=centred)
-        centred *= -1.0 / stage.c_s
+        centred *= -1.0 / float(c_s.re)
         q[k] = spectral_antiderivative(centred)
     return q, {k: complex(m) for k, m in means.items()}
 
 
 def order_zero_by_q(path, frame):
-    """`zollforms.normalform.conjugated_order_zero` with Q sampled: Q by
-    `solve_first_homological`, and every mean of stage 2 (<Q_a d_b> and
-    <Q_a>) taken over the grid.  The engine pairs spectra instead and is
-    pinned to this route."""
-    stage = normalform._symbols()
-    sums, d = normalform.frame_terms(path, frame)
-    if not d.any():
-        return sums, 0.0
-    d = dict(zip(stage.d_firsts, d))
+    """`zollforms.normalform.conjugated_order_zero` with Q sampled: the
+    mean of D0 from `frame_terms`, every entry of the odd term evaluated
+    term by term (`frame_conjugated`), Q by `solve_first_homological`,
+    and every mean of stage 2 (<Q_a d_b> and <Q_a>) taken over the grid,
+    per ordered pair (a, b) of entries, times its weights as
+    `zollforms.expansion.stage2_weights` derives them.  It reads nothing
+    of the engine's stage 2, which pairs spectra of real densities over
+    one table and is pinned to this route."""
+    sums, _ = normalform.frame_terms(path, frame)
+    odd, _ = frame_conjugated(path, frame)
+    d = {k: v * path.weight for k, v in odd.coeffs.items()}
     q, means = solve_first_homological(path, d)
-    for a, _, pairs in stage.products:
-        q_mean = path.mean(q[a])
-        for b, _, _, weights, mirror_weights in pairs:
-            density = d[b] if b in d else np.conj(d[b[::-1]])
-            term = np.mean(q[a] * density) + q_mean * means[b]
-            for key, w in weights:
-                sums[key] = sums.get(key, 0.0) + w * term
-            for key, w in mirror_weights:
-                sums[key] = sums.get(key, 0.0) + w * np.conj(term)
+    for (a, b), sym in expansion.stage2_weights().items():
+        term = np.mean(q[a] * d[b]) + path.mean(q[a]) * means[b]
+        for key, w in sym.coeffs.items():
+            sums[key] = sums.get(key, 0.0) + complex(w) * term
     return sums, max(abs(m) for m in means.values())
 
 

@@ -1,5 +1,6 @@
 """Exact jet algebra: Fermi metric jets, grading, and derived constants."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -385,23 +386,27 @@ class TestExactStage2:
         assert want.coeffs == z.coeffs
 
     def test_engine_weights_are_the_ad_series_terms(self):
-        """The engine's table of stage 2 (its pairs whose a is a first
-        entry of d, each with the weights of its mirror pair), per pair
-        (a, b) of entries of d and key, the weight of
-        <Q_a d_b> + <Q_a> M_b, is the coefficient of
-        Q_a d_b and of Q_a M_b in the ad-series at weight 0: 16 (pair, key)
-        terms, and no other term in Q."""
+        """The engine's table of stage 2 over R (`_Stage.stage2`: per part
+        of D0, the weight of each R_kl) is the ad-series rounded once.
+        With w the coefficient of Q_a d_b in entry `key` of the ad-series
+        at weight 0 (16 (key, a, b) terms), and that of Q_a M_b the same,
+        and alpha_ak the coefficient of cubic k in entry a of d, the
+        weight of R_kl in entry `key` is -(1/c_s) sum_ab w alpha_ak alpha_bl
+        exactly; each row holds the real or the imaginary part of a first
+        entry of D0, and the mirror entries the table leaves out are the
+        sign of D0's mirror pair times the conjugates."""
         from oracles import entry_name, order_zero_by_ad_series
         from zollforms import normalform
 
-        table = {}
-        for a, _, pairs in normalform._symbols().products:
-            for b, _, _, weights, mirror_weights in pairs:
-                table.update({(key, a, b): w for key, w in weights})
-                table.update({(key, a[::-1], b[::-1]): w for key, w in mirror_weights})
-        assert len(table) == 16
+        c_s, d, _ = conjugated_symbols()
+        keys = tuple(d.coeffs)
+        exact = {a: normalform._real_monomials(jp) for a, jp in d.coeffs.items()}
+        cubics = sorted({mono for _, terms in exact.values() for mono in terms})
+        alpha = {a: [QQi(Fraction(re, q), Fraction(im, q))
+                     for re, im in (terms.get(mono, (0, 0)) for mono in cubics)]
+                 for a, (q, terms) in exact.items()}
         z = order_zero_by_ad_series()
-        keys = ((3, 0), (2, 1), (1, 2), (0, 3))
+        weights = {}
         for prefix in "dM":
             got = {}
             for key, jp in z.coeffs.items():
@@ -410,8 +415,24 @@ class TestExactStage2:
                     a = [k for k in keys if entry_name("Q", k) in names]
                     b = [k for k in keys if entry_name(prefix, k) in names]
                     if a and b:
-                        got[key, *a, *b] = complex(c)
-            assert got == table, prefix
+                        got[key, *a, *b] = c
+            weights[prefix] = got
+        assert weights["d"] == weights["M"] and len(weights["d"]) == 16
+        want = {}
+        for (key, a, b), w in weights["d"].items():
+            for k, x in enumerate(alpha[a]):
+                for l, y in enumerate(alpha[b]):
+                    want[key, k, l] = want.get((key, k, l), QQi()) + w * x * y * QQi(-1 / c_s.re)
+        stage = normalform._symbols()
+        assert stage.stage2.shape == (9, 16)
+        for row, (key, unit) in zip(stage.stage2, stage.d0_parts):
+            for (k, l), value in zip(itertools.product(range(4), repeat=2), row):
+                w = want.get((key, k, l), QQi())
+                assert value == float(w.re if unit == 1 else w.im), (key, unit, k, l)
+        signs = dict(stage.d0_mirrors)
+        for (key, k, l), w in want.items():
+            mirror = want.get((key[::-1], k, l), QQi())
+            assert (mirror.re, mirror.im) == (signs[key] * w.re, -signs[key] * w.im), (key, k, l)
 
     def test_a_graded_term_at_weight_minus_three_halves_raises(self, monkeypatch):
         """The closed form of stage 2 holds only with no graded operator at

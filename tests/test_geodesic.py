@@ -410,54 +410,53 @@ class TestSpectralDerivative:
 
 
 class TestSpectralPairing:
-    """Means of products with an antiderivative, read from spectra
-    (`antiderivative_spectrum`, `spectral_pairing`), against the
-    antiderivative taken on the grid."""
+    """Means of products with an antiderivative, read from real transforms
+    (`antiderivative_spectrum`, and Parseval over half spectra as the
+    engine pairs them), against the antiderivative taken on the grid."""
 
     @staticmethod
-    def _noise(rng, n, real):
-        v = rng.standard_normal(n)
-        return v if real else v + 1j * rng.standard_normal(n)
+    def _pairing(spectrum, other, n):
+        """mean(x y) from the real transforms of real x and y, where x has
+        no Nyquist mode: the modes between 0 and n/2 stand for their
+        conjugates above n/2 too, so they count twice and the zero mode
+        once; as the engine takes it, the zero mode is halved and the rest
+        is one product of the float views."""
+        halved = spectrum.copy()
+        halved[0] *= 0.5
+        return 2.0 * (other.view(float) @ halved.view(float)) / (n * n)
 
     @pytest.mark.parametrize("mean", [0.0, 0.3])
-    @pytest.mark.parametrize("x_real", [True, False])
+    @pytest.mark.parametrize("stacked", [True, False])
     @pytest.mark.parametrize("n", [2 ** k for k in range(8, 16)])
-    def test_pairing_equals_the_grid_mean(self, n, x_real, mean):
-        """mean(F y), F = spectral_antiderivative(x - mean(x)), for real
-        and complex x and y, equals the pairing of the spectra to 1e-13 of
-        max |F| max |y|, and the conjugate pairing equals mean(F conj(y)).
-        The spectrum takes no ramp: where x has a mean, F is still the
+    def test_pairing_equals_the_grid_mean(self, n, stacked, mean):
+        """mean(F y), F = spectral_antiderivative(x - mean(x)), for real x
+        and y, equals the pairing of the real transforms to 1e-13 of
+        max |F| max |y|, for y one transform or, stacked, rows of one
+        array (noise, a positive weight and x itself) paired at once.  The
+        spectrum takes no ramp: where x has a mean, F is still the
         antiderivative of the mean-free part."""
-        rng = np.random.default_rng(n + 2 * x_real)
-        x = self._noise(rng, n, x_real)
+        rng = np.random.default_rng(n + 2 * stacked)
+        x = rng.standard_normal(n)
         x = x - np.mean(x) + mean
         antiderivative = spectral_antiderivative(x - np.mean(x))
-        coeffs = np.fft.fft(x)
+        coeffs = np.fft.rfft(x)
         spectrum = fourier.antiderivative_spectrum(coeffs)
         assert spectrum is coeffs     # written over its input, as the engine reads it
-        for y_real in (True, False):
-            y = self._noise(rng, n, y_real)
+        ys = [rng.standard_normal(n)]
+        if stacked:
+            ys += [2.0 + np.cos(fourier.grid(n)), x]
+        got = self._pairing(spectrum, np.array([np.fft.rfft(y) for y in ys]), n)
+        for y, value in zip(ys, got):
             scale = np.max(np.abs(antiderivative)) * np.max(np.abs(y))
-            got = fourier.spectral_pairing(spectrum, np.fft.fft(y))
-            assert abs(got - np.mean(antiderivative * y)) <= 1e-13 * scale, y_real
-            got = fourier.spectral_pairing(spectrum, np.fft.fft(y), conjugate=True)
-            assert abs(got - np.mean(antiderivative * np.conj(y))) <= 1e-13 * scale, y_real
+            assert abs(value - np.mean(antiderivative * y)) <= 1e-13 * scale
 
     def test_nan_propagates(self):
         n = 256
         clean, nan = np.cos(fourier.grid(n)), np.full(n, 1.0)
         nan[7] = math.nan
         for x, y in ((nan, clean), (clean, nan)):
-            spectrum = fourier.antiderivative_spectrum(np.fft.fft(x))
-            for conjugate in (False, True):
-                assert math.isnan(abs(fourier.spectral_pairing(spectrum, np.fft.fft(y),
-                                                               conjugate)))
-
-    @pytest.mark.parametrize("n", [2, 4, 256])
-    def test_full_spectrum_of_real_samples(self, n):
-        x = np.random.default_rng(n).standard_normal(n)
-        full = fourier.full_spectrum(np.fft.rfft(x), n)
-        assert np.max(np.abs(full - np.fft.fft(x))) <= 1e-13 * math.sqrt(n)
+            spectrum = fourier.antiderivative_spectrum(np.fft.rfft(x))
+            assert math.isnan(self._pairing(spectrum, np.fft.rfft(y), n))
 
 
 class TestQuadratureContract:

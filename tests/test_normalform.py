@@ -212,47 +212,49 @@ class TestFirstHomological:
             assert np.max(np.abs(q_s - fft[key])) <= 1e-13, key
         assert np.max(np.abs(q[(3, 0)] + 0.5 * np.sin(s))) <= 1e-13
 
-    def test_obstruction_error(self, cubic_path):
-        d = np.zeros((2, cubic_path.n), dtype=complex)
-        d[0] = 0.3 * cubic_path.weight
-        with pytest.raises(FirstObstructionError, match="3"):
-            first_obstruction_means(np.fft.fft(d))
+    def test_obstruction_error(self):
+        """A mean of 0.3 on the y2^3 density alone gives each entry of d
+        0.3 times its y2^3 coefficient, 1/24 or 1/8: (2, 1) is named, the
+        first of the largest."""
+        with pytest.raises(FirstObstructionError, match="z\\^2 zbar\\^1") as err:
+            first_obstruction_means(np.array([0.0, 0.0, 0.0, 0.3]))
+        assert err.value.value == 0.3 / 8
 
-    def test_nan_entry_is_an_obstruction(self, cubic_path):
-        d = np.zeros((2, cubic_path.n), dtype=complex)
-        d[1] = complex(math.nan, 0.0)
+    def test_nan_entry_is_an_obstruction(self):
         with pytest.raises(FirstObstructionError):
-            first_obstruction_means(np.fft.fft(d))
+            first_obstruction_means(np.array([0.0, math.nan, 0.0, 0.0]))
 
-    def test_gate_reads_every_entry_in_order(self, cubic_path):
-        """Given the spectra of the first entry of each mirror pair, the
-        gate reads all four means off their zero modes in the order of the
-        odd term, the largest first and,
-        among equal ones, the first in that order: a mirror entry (equal
-        |mean|) is never named before its first entry, nor (2, 1) before
-        (3, 0) at equal |mean|, and a NaN is named wherever it sits."""
+    def test_gate_reads_every_entry_in_order(self):
+        """Given the means m of the four cubic densities, the gate reads
+        the means of all four entries of the odd term, M = alpha m, in its
+        order, the largest first and, among equal ones, the first in that
+        order: a mirror entry (equal |mean|) is never named before its
+        first entry, nor (2, 1) before (3, 0) at equal |mean|; a NaN
+        reaches every entry and is named at the first."""
         from zollforms.normalform import _symbols
 
-        assert [k for k, _ in _symbols().d_mirrors] == [(3, 0), (2, 1), (1, 2), (0, 3)]
-        n, f = cubic_path.n, cubic_path.weight
-        nan = complex(math.nan, 0.0)
-        for a, b, named in ((0.3j, 0.1, (3, 0)), (0.1, 0.3j, (2, 1)), (0.3, 0.3j, (3, 0)),
-                            (0.0, nan, (2, 1)), (nan, 0.3, (3, 0))):
-            d = np.stack([np.full(n, a) * f, np.full(n, b) * f])
+        stage = _symbols()
+        assert stage.d_keys == ((3, 0), (2, 1), (1, 2), (0, 3))
+        # columns: the densities of y1 y2^2, y1^2 y2, y1^3, y2^3
+        assert np.array_equal(stage.alpha * 24, [[-3j, -3, 1j, 1], [-3j, 3, -3j, 3],
+                                                 [3j, 3, 3j, 3], [3j, -3, -1j, 1]])
+        for m, named in (((0, -1, 0, 1), (3, 0)), ((0, 0, 1, 0), (2, 1)), ((0, 0, 0, 1), (2, 1)),
+                         ((1, 0, 0, 0), (3, 0)), ((0, 1, 0, 0), (3, 0)),
+                         ((0, math.nan, 0, 0), (3, 0))):
             with pytest.raises(FirstObstructionError) as err:
-                first_obstruction_means(np.fft.fft(d))
-            assert err.value.entry == named, (a, b)
+                first_obstruction_means(0.3 * np.array(m))
+            assert err.value.entry == named, m
 
     @pytest.mark.parametrize("spec", ["zoll:-0.3,0.3", "zoll:0.1", "zoll:0.2,-0.5,0.3",
                                       "zoll:0.6,-0.2", "zoll:-0.309,0.294", "zoll:-0.9"])
     def test_conjugate_pairs_share_one_antiderivative(self, spec, monkeypatch):
-        """The odd term d is a real symbol (checked exactly, once per
-        process), so the engine evaluates only (3, 0) and (2, 1), and the
-        reference Q route integrates only them: on the first 8 CLI
-        geodesics they equal the pointwise route's entries times f to
-        roundoff, the means it returns for (1, 2) and (0, 3) are the
-        conjugates of theirs, and so are the pointwise route's own means,
-        and each geodesic takes 2 antiderivatives."""
+        """The engine's four cubic densities, combined by alpha, give every
+        entry of the odd term times f as the pointwise route does, to
+        roundoff, on the first 8 CLI geodesics.  d is a real symbol, so the
+        reference Q route given (3, 0) and (2, 1) alone integrates only
+        them: the means it returns for (1, 2) and (0, 3) are the conjugates
+        of theirs, and so are the pointwise route's own means, and each
+        geodesic takes 2 antiderivatives."""
         import oracles
         from zollforms import cli, normalform
 
@@ -264,13 +266,14 @@ class TestFirstHomological:
         for name, ic in cli._initial_conditions(cfg):
             path = trace_geodesic(cfg.metric_model, ic, cfg.grid)
             frame = solve_fundamental(path)
-            _, rows = frame_terms(path, frame)
+            _, odd = frame_terms(path, frame)
             pointwise, _ = frame_conjugated(path, frame)
-            d = dict(zip(normalform._symbols().d_firsts, rows))
-            assert list(d) == [(3, 0), (2, 1)]
+            stage = normalform._symbols()
             scale = max(float(np.max(np.abs(v * path.weight))) for v in pointwise.coeffs.values())
-            for key, v in d.items():
-                assert np.max(np.abs(v - pointwise[key] * path.weight)) <= 1e-14 * scale, key
+            for key, row in zip(stage.d_keys, stage.alpha):
+                got = row @ odd.view(float)[:, :path.n]
+                assert np.max(np.abs(got - pointwise[key] * path.weight)) <= 1e-14 * scale, key
+            d = {key: pointwise[key] * path.weight for key in ((3, 0), (2, 1))}
             calls.clear()
             q, means = solve_first_homological(path, d)
             assert len(calls) == len(q) == 2
@@ -378,7 +381,9 @@ class TestEngineAgainstExplicitRoute:
     def test_small_mean_reads_as_the_obstruction(self, cubic_path, cubic_frame, monkeypatch):
         """A mean of 1e-8 added to the odd term (above the antiderivative's
         zeroing threshold, below MEAN_TOL) reads in first_obstruction_max,
-        and the averaged symbol moves by no more than the shift allows.
+        and the averaged symbol moves by no more than the shift allows:
+        8e-8 f added to the y2^3 density moves entry (2, 1), the largest,
+        by 1/8 of it.
         What the conjugation leaves at weight -1/2 is exactly the means
         (`TestExactStage2`), so no residual is left to report beside them."""
         from zollforms import normalform
@@ -387,8 +392,9 @@ class TestEngineAgainstExplicitRoute:
         real = normalform.frame_terms
 
         def shifted(path, frame):
-            d0, d = real(path, frame)
-            return d0, d + 1e-8 * path.weight
+            d0, odd = real(path, frame)
+            odd.view(float)[3, :path.n] += 8e-8 * path.weight
+            return d0, odd
 
         monkeypatch.setattr(normalform, "frame_terms", shifted)
         means, first_obstruction = conjugated_order_zero(cubic_path, cubic_frame)
@@ -707,15 +713,16 @@ class TestEvaluate:
     def test_each_monomial_formed_once_per_block(self, cubic_frame, monkeypatch):
         """D0's 9 entries pair up into 6 first entries: (4, 0), (3, 1) and
         (2, 0) with their real and imaginary parts, (2, 2) and (0, 0) real
-        and (1, 1) imaginary, 9 real rows over 28 monomials; d's 2 first
-        entries give 4 rows over its 4 y-cubics, all times tau_nu.  Each
+        and (1, 1) imaginary, 9 real rows over 28 monomials; d's 4 entries
+        are 4 x 4 coefficients over its 4 y-cubics, all times tau_nu.  Each
         D0 monomial times f is one entry of the Gram product of 11 weight
         rows f * jet * a with 7 base rows b (1 and the 6 products of two
         rows of one Jacobi pair), picked once.  Per block of samples 24
-        products form the rows and one more takes d's cubics times
-        f tau_nu, one Gram product sums the block and one 4 x 4 product
-        gives d; at N = 32768 that is 16 blocks.  The D0 means and the odd
-        term equal the term-by-term route to roundoff."""
+        products form the rows, one more takes d's cubics times f tau_nu
+        into the densities, and one Gram product sums the block; at
+        N = 32768 that is 16 blocks.  The D0 means, and the densities
+        combined by the coefficients, equal the term-by-term route to
+        roundoff."""
         from collections import Counter
         from zollforms import normalform
         from zollforms.surface import MetricModel
@@ -727,10 +734,10 @@ class TestEvaluate:
                                                            (1, 1), (0, 0)]
         assert stage.d0_parts[6:] == (((2, 2), 1), ((1, 1), 1j), ((0, 0), 1))
         d0_monomials = {m for key in set(firsts) for m in d0_exact[key][1]}
-        d_monomials = {m for key in stage.d_firsts for m in d_exact[key][1]}
+        d_monomials = {m for key in stage.d_keys for m in d_exact[key][1]}
         assert set(stage.d0_monomials) == d0_monomials and len(d0_monomials) == 28
         assert len(d_monomials) == 4 and all(dict(m)["tau_nu"] == 1 for m in d_monomials)
-        assert (stage.d0_coeffs.shape, stage.d_coeffs.shape) == ((9, 28), (4, 4))
+        assert (stage.d0_coeffs.shape, stage.alpha.shape) == ((9, 28), (4, 4))
         assert stage.gram == (11, 7) and len(stage.steps) == 24
         assert len(set(stage.picks)) == 28 and max(stage.picks) < 11 * 7
 
@@ -747,17 +754,17 @@ class TestEvaluate:
         monkeypatch.undo()
         blocks = path.n // normalform.BLOCK
         assert blocks == 16
-        assert calls == Counter({("multiply", None): 25 * blocks, ("matmul", (11, 2048)): blocks,
-                                 ("matmul", (4, 4)): blocks})
+        assert calls == Counter({("multiply", None): 25 * blocks, ("matmul", (11, 2048)): blocks})
 
         pointwise_d, pointwise_d0 = frame_conjugated(path, frame)
         want = field_mean(path, pointwise_d0)
         assert set(d0) == set(want.coeffs)
         for key in want.coeffs:
             assert abs(d0[key] - want[key]) <= 1e-15, key
-        for key, v in zip(normalform._symbols().d_firsts, d):
+        for key, row in zip(stage.d_keys, stage.alpha):
             ref = pointwise_d[key] * path.weight
-            assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref)), key
+            got = row @ d.view(float)[:, :path.n]
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), key
 
     def test_real_coefficients_stay_real(self):
         """The pointwise route: real coefficients evaluate to float64 on
@@ -820,7 +827,8 @@ class TestRealMonomials:
         y1, y2, dy1, dy2, gives back the entry term for term in QQi when
         y2 = (Y + Yb)/2, y1 = (Y - Yb)/(2i) and likewise for dy1, dy2; and
         each entry (m, n) is its sign times the conjugate of entry (n, m),
-        the sign the engine unfolds the means of mirrored entries by."""
+        the sign the engine unfolds the means of mirrored entries by; for
+        d, a real symbol, the sign is + throughout."""
         from zollforms import expansion, normalform
         from zollforms.expansion import JetPolynomial, QQi
 
@@ -842,7 +850,7 @@ class TestRealMonomials:
                 assert total == sym.coeffs[key], key
         stage = normalform._symbols()
         for exact, mirrors in zip(_exact_over_real_monomials(),
-                                  (stage.d_mirrors, stage.d0_mirrors)):
+                                  (tuple((key, 1) for key in d.coeffs), stage.d0_mirrors)):
             for (m, n), sign in mirrors:
                 scale, terms = exact[n, m]
                 assert exact[m, n] == (scale, {mono: (sign * re, -sign * im)
@@ -850,16 +858,19 @@ class TestRealMonomials:
 
     def test_a_broken_mirror_pair_raises(self, monkeypatch):
         """Each mirrored entry is checked once, exactly, against +- the
-        conjugate of its first entry: a D0 whose (0, 4) entry is not, or an
-        odd term that is not a real symbol, raises when the stage is built."""
+        conjugate of its first entry, and stage 2's exact table must pair
+        its entries as D0 does: a D0 whose (0, 4) entry is not, or an odd
+        term times 1 + i, whose stage 2 is i times the real one's and so
+        pairs each entry with minus the conjugate of its mirror, raises
+        when the stage is built."""
         from zollforms import expansion, normalform
         from zollforms.expansion import TAU, QQi
 
         c_s, d, d0 = expansion.conjugated_symbols()
         broken_d0 = PolySymbol({**d0.coeffs, (0, 4): d0.coeffs[0, 4] + TAU * QQi(0, 1)})
-        imaginary_d = PolySymbol({k: v * QQi(0, 1) for k, v in d.coeffs.items()})
+        turned_d = PolySymbol({k: v * QQi(1, 1) for k, v in d.coeffs.items()})
         for symbols, match in (((c_s, d, broken_d0), "entry \\(0, 4\\)"),
-                               ((c_s, imaginary_d, d0), "not a real symbol")):
+                               ((c_s, turned_d, d0), "does not pair as D0's")):
             monkeypatch.setattr(expansion, "conjugated_symbols", lambda: symbols)
             with pytest.raises(AssertionError, match=match):
                 normalform._symbols.__wrapped__()
@@ -893,12 +904,13 @@ class TestRealMonomials:
     def test_a_nan_sample_makes_every_d0_mean_nan(self, cubic_path, cubic_frame):
         """A NaN at one sample of any input row (the weight, each jet, each
         Jacobi row) reaches every mean of D0 that the row feeds, and every
-        row of the odd term that it feeds.  D0 reads every row but tau_nu,
-        and the coefficient rows combine the Gram sums by a matrix
-        product, so all 9 means are NaN; d reads f, tau_nu, y1 and y2
-        alone.  No record passes: where d is NaN the first obstruction gate
-        refuses the geodesic, and elsewhere c0 is NaN, so h_relation fails
-        its gate."""
+        density of the odd term that it feeds.  D0 reads every row but
+        tau_nu, and the coefficient rows combine the Gram sums by a matrix
+        product, so all 9 means are NaN; d reads f and tau_nu in every
+        density and y1 and y2 in those of the cubics that hold them.  No
+        record passes: where d is NaN the first obstruction gate refuses
+        the geodesic, and elsewhere c0 is NaN, so h_relation fails its
+        gate."""
         from dataclasses import replace
         from zollforms.cli import H_RELATION_TOL
 
@@ -912,7 +924,10 @@ class TestRealMonomials:
             assert len(d0) == 9
             assert [bool(np.isnan(v)) for v in d0.values()] == [name != "tau_nu"] * 9, name
             feeds_d = name in ("weight", "tau_nu", "y1", "y2")
-            assert [bool(np.isnan(v).any()) for v in d] == [feeds_d] * len(d), name
+            # the densities of y1 y2^2, y1^2 y2, y1^3, y2^3
+            feeds = {"y1": [True] * 3 + [False], "y2": [True, True, False, True]}.get(
+                name, [feeds_d] * 4)
+            assert list(np.isnan(d.view(float)[:, :path.n]).any(axis=1)) == feeds, name
             if feeds_d:
                 with pytest.raises(FirstObstructionError):
                     assemble_p1(path.metric, path.init, path.n, path=path, frame=frame)
@@ -989,8 +1004,9 @@ class TestRealMonomials:
 
     def test_meridian_takes_no_stage_2(self, cubic_metric, monkeypatch):
         """On the canonical meridian tau_nu = 0, so the odd term is exactly
-        0: an engine call takes no transform and no pairing, and the record
-        is the D0 means of the term-by-term route, to 1e-15."""
+        0: an engine call takes no transform and no antiderivative
+        spectrum, and the record is the D0 means of the term-by-term route,
+        to 1e-15."""
         from zollforms import normalform, surface
         from zollforms.geodesic import canonical_initial_conditions
 
@@ -1000,13 +1016,13 @@ class TestRealMonomials:
         normalform._symbols()
         calls = []
         for owner, name in ((surface, "spectral_antiderivative"), (np.fft, "fft"),
-                            (normalform, "antiderivative_spectrum"),
-                            (normalform, "spectral_pairing")):
+                            (np.fft, "rfft"), (normalform, "antiderivative_spectrum")):
             real = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *v, _real=real, _name=name, **k:
                                 calls.append(_name) or _real(*v, **k))
         rec = assemble_p1(cubic_metric, ic, path=path, frame=frame)
-        assert calls == ["spectral_antiderivative"] * 2    # compute_H's, none of the engine's
+        # compute_H's, none of the engine's
+        assert calls == ["spectral_antiderivative", "rfft"] * 2
         assert rec.first_obstruction_max == 0.0
         want = field_mean(path, frame_conjugated(path, frame)[1])
         assert abs(rec.c0 - want[0, 0].real / 2.0) <= 1e-15
@@ -1017,13 +1033,15 @@ class TestRealMonomials:
 
     def test_one_engine_call_holds_few_grid_arrays(self, cubic_metric, generic_ic):
         """Traced by tracemalloc, one engine call at N = 32768 peaks below
-        5.5 complex grid arrays (16 N bytes each): the Gram rows live one
-        block at a time, D0 is never held as sampled entries, the odd term's
-        samples are transformed in place, Q is never sampled, and one
-        antiderivative spectrum is alive at a time (measured: 5.0, set by
-        stage 2 beside the odd term, frame_terms alone 3.0; 5.3 when the
-        blocks held every monomial, 6.5 with Q sampled, and 18.5 when D0
-        was evaluated entry by entry)."""
+        3.1 complex grid arrays (16 N bytes each): the Gram rows live one
+        block at a time, D0 is never held as sampled entries, the four
+        cubic densities are transformed in place, one row at a time at
+        this N, Q is never sampled, and one antiderivative spectrum, half
+        a grid array, is alive at a time (measured: 3.05, set by
+        frame_terms, and 3.26 while stage 2 cast the means of the
+        densities in a buffered product; 5.0 when stage 2 took the
+        complex entries of d, 5.3 when the blocks held every monomial, 6.5
+        with Q sampled, and 18.5 when D0 was evaluated entry by entry)."""
         import tracemalloc
 
         n = 32768
@@ -1036,7 +1054,7 @@ class TestRealMonomials:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 5.5 * 16 * n, peak / (16 * n)
+        assert peak <= 3.1 * 16 * n, peak / (16 * n)
 
 
 class TestSubstitutionCount:
@@ -1066,12 +1084,11 @@ class TestSubstitutionCount:
     def test_spectral_calls(self, cubic_metric, generic_ic, meridian_ic, monkeypatch):
         """One engine call takes no spectral derivative, no antiderivative
         and no grid mean: dh/ds is closed form, and Q is read only through
-        its spectrum.  It takes 2 antiderivative spectra (one per first
-        entry of a conjugate pair of the odd term) and 8 pairings: 2 with
-        the weight (the means of Q) and 6 with the odd term (the products
-        Q_a d_b the closed form reads); the other half are their exact
-        conjugates.  D0 is summed by Gram products, with no np.sum, and
-        each antiderivative spectrum sums its modes once for its offset.
+        its spectrum.  At N = 1024 it takes the antiderivative spectra of
+        all 4 cubic densities of the odd term in one call, which sums each
+        row's modes once for its offset, and pairs them with the densities
+        and the weight by products of float views.  D0 is summed by Gram
+        products, with no np.sum.
         On the meridian the odd term is exactly 0 and stage 2 takes none of
         them.  No call forms a star product or commutator: stage 1 and the
         commutator weights of stage 2 are taken once per process, in exact
@@ -1092,13 +1109,10 @@ class TestSubstitutionCount:
         conjugated_order_zero(frames[0].path, frames[0])   # the exact stages, once per process
         count(surface, "spectral_antiderivative", "spectral_antiderivative")
         count(normalform, "antiderivative_spectrum", "antiderivative_spectrum")
-        count(normalform, "spectral_pairing", "spectral_pairing")
         count(np, "mean", "mean")
         count(np, "sum", "sums")
         count(weyl, "_moyal", "star")
-        for frame, want in zip(frames, (Counter(antiderivative_spectrum=2,
-                                                spectral_pairing=2 + 6, sums=2),
-                                        Counter())):
+        for frame, want in zip(frames, (Counter(antiderivative_spectrum=1, sums=1), Counter())):
             calls.clear()
             conjugated_order_zero(frame.path, frame)
             assert calls == want, calls
@@ -1106,12 +1120,11 @@ class TestSubstitutionCount:
                        for module in (fourier, normalform, surface))
 
     def test_fft_calls(self, cubic_path, cubic_frame, monkeypatch):
-        """One assemble_p1 takes no inverse complex FFT.  The engine
-        transforms the 2 first entries of the conjugate pairs of the odd
-        term forward, one complex transform each, and the real weight by
-        one real transform; compute_H takes 2 real pairs (its inner
-        integrals): no complex transform of real data, and none per entry
-        of a conjugate pair."""
+        """One assemble_p1 takes no complex FFT.  The engine transforms
+        the 4 cubic densities of the odd term forward in one real
+        transform of 4 rows (at N = 1024 one step takes them all) and the
+        weight in one more, and no inverse; compute_H takes 2 real pairs
+        (its inner integrals)."""
         from collections import Counter
 
         calls = Counter()     # (transform, rows) per call
@@ -1122,7 +1135,7 @@ class TestSubstitutionCount:
             monkeypatch.setattr(np.fft, name, counting)
         assemble_p1(cubic_path.metric, cubic_path.init, cubic_path.n,
                     path=cubic_path, frame=cubic_frame)
-        assert calls == Counter({("fft", 1): 2, ("rfft", 1): 1 + 2, ("irfft", 1): 2})
+        assert calls == Counter({("rfft", 4): 1, ("rfft", 1): 1 + 2, ("irfft", 1): 2})
 
 
 class TestSpectralStage2:
@@ -1164,20 +1177,90 @@ class TestSpectralStage2:
                 assert abs(x - y) <= 1e-11 * max(1.0, abs(y)), (spec, n, name, x, y)
 
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps
+                        or np.fft.rfft(np.zeros(4, np.longdouble)).dtype != np.clongdouble,
+                        reason="np.longdouble is no wider than float64, or the FFT narrows it")
+    def test_stage2_against_extended_precision(self):
+        """c0 is within 1e-8 of itself of the same stage 2 on the same
+        samples in np.longdouble, on zoll:-2.4733,2.4733 at N = 32768,
+        where stage 2's terms cancel about 2e5 times over: every entry of d
+        times f from the exact real monomials, Q sampled by the FFT and
+        the exact weights of `expansion.stage2_weights`, all in
+        np.longdouble, plus the engine's mean of D0.  On the 7 of the
+        first 8 CLI geodesics where stage 2 is nonzero (all but the
+        meridian; x86-64, 80-bit long double) the largest error read
+        2.6e-9, at the floor the float64 densities set (3.6e-9 from their
+        rounding alone); 1.5e-6 when stage 2 took the complex entries of d."""
+        from zollforms import cli, expansion, normalform
+
+        ld = np.longdouble
+
+        def exact(x):
+            return ld(x.numerator) / ld(x.denominator)
+
+        n = 32768
+        c_s, d, _ = expansion.conjugated_symbols()
+        weights = {pair: {key: exact(w.re) + 1j * exact(w.im) for key, w in sym.coeffs.items()}
+                   for pair, sym in expansion.stage2_weights().items()}
+        k = np.fft.fftfreq(n, 1.0 / n).astype(ld)
+        k[n // 2] = 0
+        inv_ik = np.zeros(n, dtype=np.clongdouble)
+        inv_ik[k != 0] = 1 / (1j * k[k != 0])
+        cfg = cli.RunConfig.load(None, {"metric": cli.parse_metric_flag("zoll:-2.4733,2.4733"),
+                                        "geodesics": 8})
+        errors = []
+        for name, ic in cli._initial_conditions(cfg):
+            path = trace_geodesic(cfg.metric_model, ic, n)
+            frame = solve_fundamental(path)
+            samples = {row: getattr(frame, row).astype(ld) for row in ("y1", "y2")}
+            samples["tau_nu"] = path.tau_nu.astype(ld)
+            f = path.weight.astype(ld)
+            density, q = {}, {}
+            for key, jp in d.coeffs.items():
+                scale, terms = normalform._real_monomials(jp)
+                density[key] = sum((ld(re) + 1j * ld(im)) / scale
+                                   * np.prod([samples[x] ** p for x, p in mono], axis=0) * f
+                                   for mono, (re, im) in terms.items())
+            means = {key: np.mean(v) for key, v in density.items()}
+            for key, v in density.items():
+                primitive = np.fft.ifft(np.fft.fft(v - means[key] * f) * inv_ik)
+                q[key] = -(primitive - primitive[0]) / exact(c_s.re)
+            stage2 = sum(w * (np.mean(q[a] * density[b]) + np.mean(q[a] * f) * means[b])
+                         for (a, b), sym in weights.items() for key, w in sym.items()
+                         if key == (0, 0))
+            if stage2 == 0:
+                continue
+            d0, _ = frame_terms(path, frame)
+            want = (ld(d0[0, 0].real) + stage2.real) / 2
+            got, _ = conjugated_order_zero(path, frame)
+            errors.append(float(abs(ld(got[0, 0].real) / 2 - want) / abs(want)))
+        assert len(errors) == 7 and max(errors) <= 1e-8, errors
+
     def test_a_mean_below_the_gate_matches_the_q_route(self, cubic_path, cubic_frame,
                                                        monkeypatch):
-        """With 1e-7 f added to both densities (a mean below MEAN_TOL, which
-        stage 2 takes out of d before integrating), the engine's means still
-        equal the sampled-Q route's to 1e-11 of max(1, |value|); leaving
-        the mean in would move them by about 1e-7."""
+        """With 1e-7 f added to every cubic density, and so alpha_a 1e-7
+        summed over the cubics added to entry a of the odd term in the
+        sampled-Q route (a mean below MEAN_TOL, which stage 2 takes out of
+        d before integrating), the engine's means still equal the
+        sampled-Q route's to 1e-11 of max(1, |value|); leaving the mean in
+        would move them by about 1e-7."""
+        import oracles
         from zollforms import normalform
 
-        real = normalform.frame_terms
+        real, real_pointwise = normalform.frame_terms, oracles.frame_conjugated
+        stage = normalform._symbols()
 
         def shifted(path, frame):
-            d0, d = real(path, frame)
-            return d0, d + 1e-7 * path.weight
+            d0, odd = real(path, frame)
+            odd.view(float)[:, :path.n] += 1e-7 * path.weight
+            return d0, odd
 
+        def shifted_pointwise(path, frame):
+            d, d0 = real_pointwise(path, frame)
+            moved = {key: d[key] + 1e-7 * row.sum() for key, row in zip(stage.d_keys, stage.alpha)}
+            return PolySymbol(moved), d0
+
+        monkeypatch.setattr(oracles, "frame_conjugated", shifted_pointwise)
         monkeypatch.setattr(normalform, "frame_terms", shifted)
         got, got_max = conjugated_order_zero(cubic_path, cubic_frame)
         want, want_max = order_zero_by_q(cubic_path, cubic_frame)
@@ -1252,8 +1335,10 @@ class TestRealTransverseBasis:
         metric = {"cubic": cubic_metric, "linear": linear_metric}[profile]
         path = trace_geodesic(metric, generic_ic, n)
         frame = solve_fundamental(path)
-        _, rows = frame_terms(path, frame)
-        d = dict(zip(_symbols().d_firsts, rows))
+        _, odd = frame_terms(path, frame)
+        stage = _symbols()
+        d = {key: row @ odd.view(float)[:, :n]
+             for key, row in zip(stage.d_keys, stage.alpha) if key in ((3, 0), (2, 1))}
         q, means = solve_first_homological(path, d)
         q_s = {k: -(v / path.weight - means[k]) / 2.0 for k, v in d.items()}
         fft = {k: ds(path, v) for k, v in q.items()}
